@@ -1319,15 +1319,21 @@ mod tests {
     #[test]
     fn try_barrier_times_out_and_withdraws_arrival() {
         let world = World::new(2).with_recv_timeout(Duration::from_millis(40));
+        // Rank 1 holds back until rank 0's first attempt has failed, so the
+        // test does not depend on how two sleeps line up under load.
+        let first_attempt_failed = AtomicBool::new(false);
         world.run(|rank| {
             if rank.world_id() == 0 {
                 // Partner is late: first attempt must fail, not hang.
                 let err = rank.try_barrier().unwrap_err();
                 assert!(matches!(err, CommError::Deadlock { rank: 0, .. }));
+                first_attempt_failed.store(true, Ordering::SeqCst);
                 // The withdrawn arrival lets a later barrier pair up cleanly.
                 rank.try_barrier().unwrap();
             } else {
-                std::thread::sleep(Duration::from_millis(80));
+                while !first_attempt_failed.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 rank.try_barrier().unwrap();
             }
         });

@@ -16,7 +16,7 @@ pub fn register_kernels(reg: &KernelRegistry) -> usize {
     reg.register(K_AXPY, |space: &dyn ExecSpace, args: &mut KernelArgs| {
         let a = args.scalars[0];
         let n = args.n;
-        let x: Vec<f64> = args.inputs[0].to_vec();
+        let x = args.inputs[0];
         let y = &mut args.outputs[0];
         let shared = ap3esm_pp::SharedSlice::new(y);
         space.for_each(n, &|i| unsafe {
@@ -50,8 +50,8 @@ pub fn register_kernels(reg: &KernelRegistry) -> usize {
         K_EOS_DENSITY,
         |space: &dyn ExecSpace, args: &mut KernelArgs| {
             let n = args.n;
-            let t: Vec<f64> = args.inputs[0].to_vec();
-            let s: Vec<f64> = args.inputs[1].to_vec();
+            let t = args.inputs[0];
+            let s = args.inputs[1];
             let rho = &mut args.outputs[0];
             let out = ap3esm_pp::SharedSlice::new(rho);
             space.for_each(n, &|i| unsafe {

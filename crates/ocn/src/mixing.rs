@@ -46,6 +46,10 @@ impl CanutoMixing {
     /// `dz`, and `surface_flux` enters the top cell (field·m/s). Solves the
     /// tridiagonal system with the Thomas algorithm (unconditionally
     /// stable, as LICOM's vmix must be at 80 levels).
+    ///
+    /// One right-hand side through [`CanutoMixing::factor`] +
+    /// [`CanutoMixing::solve`]; callers with several fields on the same
+    /// column factor once and solve per field.
     pub fn diffuse_implicit(
         &self,
         x: &mut [f64],
@@ -54,43 +58,98 @@ impl CanutoMixing {
         dt: f64,
         surface_flux: f64,
     ) {
-        let n = x.len();
-        assert_eq!(dz.len(), n);
-        if n == 0 {
+        assert_eq!(dz.len(), x.len());
+        if x.is_empty() {
             return;
         }
-        assert_eq!(k_int.len(), n.saturating_sub(1));
-        // Build tridiagonal coefficients: a·x[k-1] + b·x[k] + c·x[k+1] = d.
-        let mut a = vec![0.0; n];
-        let mut b = vec![0.0; n];
-        let mut c = vec![0.0; n];
-        let mut d = vec![0.0; n];
+        let mut factors = TridiagFactors::default();
+        self.factor(dz, k_int, dt, &mut factors);
+        self.solve(&factors, x, surface_flux);
+    }
+
+    /// Build `(I − dt·D)` for a column of `dz.len() ≥ 1` cells and run the
+    /// Thomas forward elimination on its coefficients. The matrix depends
+    /// on `dz`, `k_int` and `dt` only, so every field of the column shares
+    /// the result. Reuses the storage of `factors` (no allocation once it
+    /// has held a column this long).
+    pub fn factor(&self, dz: &[f64], k_int: &[f64], dt: f64, factors: &mut TridiagFactors) {
+        let n = dz.len();
+        assert!(n > 0, "empty column");
+        assert_eq!(k_int.len(), n - 1);
+        (factors.top_dz, factors.dt) = (dz[0], dt);
+        let TridiagFactors { m, b, c, .. } = factors;
+        for v in [&mut *m, &mut *b, &mut *c] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        // Coefficients a·x[k-1] + b·x[k] + c·x[k+1] = d, eliminated as they
+        // are built: m[k] = a[k] / b'[k-1], b'[k] = b[k] − m[k]·c[k-1].
+        let mut up = 0.0;
         for k in 0..n {
-            let up = if k > 0 {
-                k_int[k - 1] / (0.5 * (dz[k - 1] + dz[k]))
-            } else {
-                0.0
-            };
             let dn = if k + 1 < n {
                 k_int[k] / (0.5 * (dz[k] + dz[k + 1]))
             } else {
                 0.0
             };
-            a[k] = -dt * up / dz[k];
+            let a = -dt * up / dz[k];
             c[k] = -dt * dn / dz[k];
-            b[k] = 1.0 - a[k] - c[k];
-            d[k] = x[k];
+            b[k] = 1.0 - a - c[k];
+            if k > 0 {
+                m[k] = a / b[k - 1];
+                b[k] -= m[k] * c[k - 1];
+            }
+            up = dn;
         }
-        d[0] += dt * surface_flux / dz[0];
-        // Thomas algorithm.
+    }
+
+    /// Solve the factored system in place for one field: `x` holds `xⁿ` on
+    /// entry and `xⁿ⁺¹` on return.
+    pub fn solve(&self, factors: &TridiagFactors, x: &mut [f64], surface_flux: f64) {
+        let TridiagFactors {
+            m,
+            b,
+            c,
+            top_dz,
+            dt,
+        } = factors;
+        let n = b.len();
+        assert_eq!(x.len(), n);
+        x[0] += dt * surface_flux / top_dz;
         for k in 1..n {
-            let m = a[k] / b[k - 1];
-            b[k] -= m * c[k - 1];
-            d[k] -= m * d[k - 1];
+            x[k] -= m[k] * x[k - 1];
         }
-        x[n - 1] = d[n - 1] / b[n - 1];
+        x[n - 1] /= b[n - 1];
         for k in (0..n - 1).rev() {
-            x[k] = (d[k] - c[k] * x[k + 1]) / b[k];
+            x[k] = (x[k] - c[k] * x[k + 1]) / b[k];
+        }
+    }
+}
+
+/// The Thomas-eliminated implicit-diffusion matrix of one column, written
+/// by [`CanutoMixing::factor`] and applied by [`CanutoMixing::solve`].
+#[derive(Debug, Clone, Default)]
+pub struct TridiagFactors {
+    /// Elimination multipliers (`m[0]` unused).
+    m: Vec<f64>,
+    /// Eliminated diagonal.
+    b: Vec<f64>,
+    /// Super-diagonal.
+    c: Vec<f64>,
+    /// Top-cell thickness and timestep: the surface flux enters the
+    /// right-hand side as `dt·flux/dz[0]`.
+    top_dz: f64,
+    dt: f64,
+}
+
+impl TridiagFactors {
+    /// Storage for columns of up to `nlev` cells.
+    pub fn with_capacity(nlev: usize) -> Self {
+        TridiagFactors {
+            m: Vec::with_capacity(nlev),
+            b: Vec::with_capacity(nlev),
+            c: Vec::with_capacity(nlev),
+            top_dz: 0.0,
+            dt: 0.0,
         }
     }
 }
@@ -154,6 +213,109 @@ mod tests {
         m.diffuse_implicit(&mut x, &dz, &k, 100.0, 0.05);
         assert!((x[0] - 10.0 - 100.0 * 0.05 / 10.0).abs() < 1e-12);
         assert!(x[1..].iter().all(|&v| v == 10.0));
+    }
+
+    /// The one-right-hand-side solver as it stood before the factor/solve
+    /// split (PR 12), kept here as the reference the split must match bit
+    /// for bit.
+    fn parent_diffuse_implicit(
+        x: &mut [f64],
+        dz: &[f64],
+        k_int: &[f64],
+        dt: f64,
+        surface_flux: f64,
+    ) {
+        let n = x.len();
+        let mut a = vec![0.0; n];
+        let mut b = vec![0.0; n];
+        let mut c = vec![0.0; n];
+        let mut d = vec![0.0; n];
+        for k in 0..n {
+            let up = if k > 0 {
+                k_int[k - 1] / (0.5 * (dz[k - 1] + dz[k]))
+            } else {
+                0.0
+            };
+            let dn = if k + 1 < n {
+                k_int[k] / (0.5 * (dz[k] + dz[k + 1]))
+            } else {
+                0.0
+            };
+            a[k] = -dt * up / dz[k];
+            c[k] = -dt * dn / dz[k];
+            b[k] = 1.0 - a[k] - c[k];
+            d[k] = x[k];
+        }
+        d[0] += dt * surface_flux / dz[0];
+        for k in 1..n {
+            let m = a[k] / b[k - 1];
+            b[k] -= m * c[k - 1];
+            d[k] -= m * d[k - 1];
+        }
+        x[n - 1] = d[n - 1] / b[n - 1];
+        for k in (0..n - 1).rev() {
+            x[k] = (d[k] - c[k] * x[k + 1]) / b[k];
+        }
+    }
+
+    #[test]
+    fn factor_once_matches_four_independent_solves_bitwise() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let m = CanutoMixing::default();
+        let mut rng = StdRng::seed_from_u64(12);
+        // One `TridiagFactors` across all columns, long and short in turn,
+        // as the model's workspace reuses it.
+        let mut factors = TridiagFactors::with_capacity(80);
+        let mut convective = 0;
+        for case in 0..4 {
+            for n in 1..=80usize {
+                let dz: Vec<f64> = (0..n).map(|_| rng.gen_range(5.0..300.0)).collect();
+                // Every fourth interface (and the whole column in case 0)
+                // is statically unstable and takes `k_convective`.
+                let k_int: Vec<f64> = (0..n - 1)
+                    .map(|k| {
+                        let n2 = if case == 0 || k % 4 == 3 {
+                            -rng.gen_range(1e-8..1e-4)
+                        } else {
+                            rng.gen_range(0.0..1e-3)
+                        };
+                        let k = m.diffusivity(n2, rng.gen_range(0.0..1e-3));
+                        convective += (k == m.k_convective) as usize;
+                        k
+                    })
+                    .collect();
+                let dt = rng.gen_range(10.0..7200.0);
+                let fields: Vec<(Vec<f64>, f64)> = (0..4)
+                    .map(|_| {
+                        let x = (0..n).map(|_| rng.gen_range(-2.0..35.0)).collect();
+                        (x, rng.gen_range(-1e-4..1e-4))
+                    })
+                    .collect();
+
+                m.factor(&dz, &k_int, dt, &mut factors);
+                for (x, flux) in &fields {
+                    let mut expect = x.clone();
+                    parent_diffuse_implicit(&mut expect, &dz, &k_int, dt, *flux);
+                    let mut split = x.clone();
+                    m.solve(&factors, &mut split, *flux);
+                    let mut wrapped = x.clone();
+                    m.diffuse_implicit(&mut wrapped, &dz, &k_int, dt, *flux);
+                    for k in 0..n {
+                        assert_eq!(
+                            split[k].to_bits(),
+                            expect[k].to_bits(),
+                            "n = {n}, level {k}"
+                        );
+                        assert_eq!(
+                            wrapped[k].to_bits(),
+                            expect[k].to_bits(),
+                            "n = {n}, level {k}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(convective > 80, "unstable interfaces were never exercised");
     }
 
     #[test]

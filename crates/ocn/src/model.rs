@@ -7,7 +7,7 @@ use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_physics::constants::CP_SEAWATER;
 
 use crate::eos::density;
-use crate::mixing::CanutoMixing;
+use crate::mixing::{CanutoMixing, TridiagFactors};
 use crate::state::OcnState;
 use crate::{G, RHO0};
 
@@ -100,6 +100,91 @@ impl OcnForcing {
     }
 }
 
+/// Every buffer a step needs beyond the state itself, sized once in
+/// [`OcnModel::new`], so that a step allocates nothing but its halo
+/// message payloads. Contents are dead between steps.
+struct OcnWorkspace {
+    /// Barotropic targets, swapped with `state.{eta, ubar, vbar}` at the
+    /// end of each half-substep.
+    eta: Vec<f64>,
+    ubar: Vec<f64>,
+    vbar: Vec<f64>,
+    /// Start-of-step `u, v, T, S` for neighbor reads, flat `nlev × slab`.
+    u_old: Vec<f64>,
+    v_old: Vec<f64>,
+    t_old: Vec<f64>,
+    s_old: Vec<f64>,
+    /// Baroclinic pressure / ρ0, flat `nlev × slab`.
+    press: Vec<f64>,
+    /// One column of vertical mixing: interface diffusivities, the
+    /// factored matrix, and the field being solved.
+    kq: Vec<f64>,
+    factors: TridiagFactors,
+    col: Vec<f64>,
+}
+
+impl OcnWorkspace {
+    fn new(slab: usize, nlev: usize) -> Self {
+        OcnWorkspace {
+            eta: vec![0.0; slab],
+            ubar: vec![0.0; slab],
+            vbar: vec![0.0; slab],
+            u_old: vec![0.0; nlev * slab],
+            v_old: vec![0.0; nlev * slab],
+            t_old: vec![0.0; nlev * slab],
+            s_old: vec![0.0; nlev * slab],
+            press: vec![0.0; nlev * slab],
+            kq: vec![0.0; nlev.saturating_sub(1)],
+            factors: TridiagFactors::with_capacity(nlev),
+            col: vec![0.0; nlev],
+        }
+    }
+}
+
+/// Copy a per-level field into a flat `nlev × slab` snapshot.
+fn snapshot(old: &mut [f64], field: &[Vec<f64>], slab: usize) {
+    for (dst, level) in old.chunks_exact_mut(slab).zip(field) {
+        dst.copy_from_slice(level);
+    }
+}
+
+/// The loop policy over interior columns: the packed active list (§5.2.2
+/// point exclusion) or the dense box.
+struct ColumnLoop<'a> {
+    exclude_land: bool,
+    active: &'a [(usize, usize)],
+}
+
+impl ColumnLoop<'_> {
+    /// Call `f(state, i, j, idx)` for every *ocean* column. Returns the
+    /// number of columns visited (exclusion accounting for Fig. 5).
+    fn for_each(
+        &self,
+        state: &mut OcnState,
+        mut f: impl FnMut(&mut OcnState, usize, usize, usize),
+    ) -> usize {
+        let mut visited = 0;
+        if self.exclude_land {
+            for &(i, j) in self.active {
+                let idx = state.at(i, j);
+                visited += 1;
+                f(state, i, j, idx);
+            }
+        } else {
+            for j in 0..state.nj {
+                for i in 0..state.ni {
+                    visited += 1; // dense policy visits land too
+                    let idx = state.at(i, j);
+                    if state.kmt[idx] > 0 {
+                        f(state, i, j, idx);
+                    }
+                }
+            }
+        }
+        visited
+    }
+}
+
 /// The assembled per-rank ocean model.
 pub struct OcnModel {
     pub config: OcnConfig,
@@ -109,6 +194,7 @@ pub struct OcnModel {
     mixing: CanutoMixing,
     /// Packed active-column list (used when `exclude_land`).
     active: Vec<(usize, usize)>,
+    ws: OcnWorkspace,
     /// Columns visited last step (exclusion accounting for Fig. 5).
     pub columns_visited: usize,
 }
@@ -124,6 +210,7 @@ impl OcnModel {
         let halo2d = HaloExchange::new(spec.clone(), 100);
         let halo3d = HaloExchange::new(spec, 200);
         let active = state.active_columns();
+        let ws = OcnWorkspace::new(state.eta.len(), state.nlev);
         OcnModel {
             config,
             state,
@@ -131,32 +218,9 @@ impl OcnModel {
             halo3d,
             mixing: CanutoMixing::default(),
             active,
+            ws,
             columns_visited: 0,
         }
-    }
-
-    /// Iterate interior columns under the configured loop policy, calling
-    /// `f(i, j, idx)` for every *ocean* column.
-    fn for_active_columns(&mut self, mut f: impl FnMut(&mut OcnState, usize, usize, usize)) {
-        let mut visited = 0;
-        if self.config.exclude_land {
-            for &(i, j) in &self.active {
-                let idx = self.state.at(i, j);
-                visited += 1;
-                f(&mut self.state, i, j, idx);
-            }
-        } else {
-            for j in 0..self.state.nj {
-                for i in 0..self.state.ni {
-                    visited += 1; // dense policy visits land too
-                    let idx = self.state.at(i, j);
-                    if self.state.kmt[idx] > 0 {
-                        f(&mut self.state, i, j, idx);
-                    }
-                }
-            }
-        }
-        self.columns_visited = visited;
     }
 
     /// One barotropic substep (forward-backward, rotation-implicit
@@ -168,11 +232,13 @@ impl OcnModel {
         dt: f64,
     ) -> Result<(), CommError> {
         let st = &mut self.state;
+        let ws = &mut self.ws;
         let stride = st.stride;
         let (ni, nj) = (st.ni, st.nj);
 
         // Continuity: η ← η − dt·∇·(H u) with masked face fluxes.
-        let mut new_eta = st.eta.clone();
+        let new_eta = &mut ws.eta;
+        new_eta.copy_from_slice(&st.eta);
         for j in 0..nj {
             for i in 0..ni {
                 let idx = st.at(i, j);
@@ -202,14 +268,14 @@ impl OcnModel {
                 new_eta[idx] = st.eta[idx] - dt * div;
             }
         }
-        st.eta = new_eta;
-        self.halo2d.exchange(rank, &mut self.state.eta)?;
+        std::mem::swap(&mut st.eta, new_eta);
+        self.halo2d.exchange(rank, &mut st.eta)?;
 
         // Momentum: pressure gradient from the *new* η (forward-backward),
         // wind stress, drag, then implicit rotation.
-        let st = &mut self.state;
-        let mut new_u = st.ubar.clone();
-        let mut new_v = st.vbar.clone();
+        let (new_u, new_v) = (&mut ws.ubar, &mut ws.vbar);
+        new_u.copy_from_slice(&st.ubar);
+        new_v.copy_from_slice(&st.vbar);
         for j in 0..nj {
             for i in 0..ni {
                 let idx = st.at(i, j);
@@ -250,10 +316,10 @@ impl OcnModel {
                 new_v[idx] = (v1 - a * u1) / denom;
             }
         }
-        st.ubar = new_u;
-        st.vbar = new_v;
+        std::mem::swap(&mut st.ubar, new_u);
+        std::mem::swap(&mut st.vbar, new_v);
         self.halo2d
-            .exchange_many(rank, &mut [&mut self.state.ubar, &mut self.state.vbar])?;
+            .exchange_many(rank, &mut [&mut st.ubar, &mut st.vbar])?;
         Ok(())
     }
 
@@ -267,8 +333,23 @@ impl OcnModel {
     /// One full step, surfacing halo-exchange failures (dropped messages
     /// under fault injection, deadlocks) as [`CommError`] so the coupled
     /// driver can roll back instead of aborting.
+    ///
+    /// Panics if `forcing` was built for a block of another size.
     pub fn try_step(&mut self, rank: &Rank, forcing: &OcnForcing) -> Result<(), CommError> {
         let _span = ap3esm_obs::span("ocn_step");
+        let (ni, nj) = (self.state.ni, self.state.nj);
+        for (name, field) in [
+            ("taux", &forcing.taux),
+            ("tauy", &forcing.tauy),
+            ("qnet", &forcing.qnet),
+            ("salt_flux", &forcing.salt_flux),
+        ] {
+            assert_eq!(
+                field.len(),
+                ni * nj,
+                "OcnForcing::{name} was built for another block: this one needs ni × nj = {ni} × {nj} values",
+            );
+        }
         let nbt = self.config.n_barotropic;
         let dt_btr = self.config.dt_baroclinic / nbt as f64;
         {
@@ -282,98 +363,115 @@ impl OcnModel {
         let dt = self.config.dt_baroclinic;
         let nlev = self.state.nlev;
         let stride = self.state.stride;
+        let slab = self.state.eta.len();
+        let OcnWorkspace {
+            u_old,
+            v_old,
+            t_old,
+            s_old,
+            press,
+            kq,
+            factors,
+            col,
+            ..
+        } = &mut self.ws;
 
         // --- Baroclinic pressure: p[k]/ρ0 = g·η + g·Σ (ρ'−ρ0)/ρ0·dz ---
-        let slab = self.state.eta.len();
-        let mut press = vec![vec![0.0; slab]; nlev];
         {
             let st = &self.state;
             for (idx, &eta) in st.eta.iter().enumerate() {
                 let mut acc = G * eta;
-                for (k, pk) in press.iter_mut().enumerate() {
+                for k in 0..nlev {
                     let rho = density(st.t[k][idx], st.s[k][idx]);
                     acc += G * (rho - RHO0) / RHO0 * st.dz[k];
-                    pk[idx] = acc;
+                    press[k * slab + idx] = acc;
                 }
             }
         }
 
         // --- Momentum + tracer advection per level (old-field copies for
         //     neighbor reads keep the update order-independent). ---
-        let u_old: Vec<Vec<f64>> = self.state.u.clone();
-        let v_old: Vec<Vec<f64>> = self.state.v.clone();
-        let t_old: Vec<Vec<f64>> = self.state.t.clone();
-        let s_old: Vec<Vec<f64>> = self.state.s.clone();
+        snapshot(u_old, &self.state.u, slab);
+        snapshot(v_old, &self.state.v, slab);
+        snapshot(t_old, &self.state.t, slab);
+        snapshot(s_old, &self.state.s, slab);
         let r_drag = self.config.r_drag;
-        self.for_active_columns(|st, _i, j, idx| {
+        let columns = ColumnLoop {
+            exclude_land: self.config.exclude_land,
+            active: &self.active,
+        };
+        columns.for_each(&mut self.state, |st, _i, j, idx| {
             let kmax = st.kmt[idx] as usize;
             let (e, w, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
             for k in 0..kmax {
                 let ocean = |nb: usize| (k as u16) < st.kmt[nb];
+                let level = k * slab..(k + 1) * slab;
                 // Pressure gradient (masked one-sided fallbacks).
+                let p = &press[level.clone()];
                 let dpdx = if ocean(e) && ocean(w) {
-                    (press[k][e] - press[k][w]) / (2.0 * st.dx[j])
+                    (p[e] - p[w]) / (2.0 * st.dx[j])
                 } else if ocean(e) {
-                    (press[k][e] - press[k][idx]) / st.dx[j]
+                    (p[e] - p[idx]) / st.dx[j]
                 } else if ocean(w) {
-                    (press[k][idx] - press[k][w]) / st.dx[j]
+                    (p[idx] - p[w]) / st.dx[j]
                 } else {
                     0.0
                 };
                 let dpdy = if ocean(n) && ocean(s_) {
-                    (press[k][n] - press[k][s_]) / (2.0 * st.dy)
+                    (p[n] - p[s_]) / (2.0 * st.dy)
                 } else if ocean(n) {
-                    (press[k][n] - press[k][idx]) / st.dy
+                    (p[n] - p[idx]) / st.dy
                 } else if ocean(s_) {
-                    (press[k][idx] - press[k][s_]) / st.dy
+                    (p[idx] - p[s_]) / st.dy
                 } else {
                     0.0
                 };
-                let du = dt * (-dpdx - r_drag * u_old[k][idx]);
-                let dv = dt * (-dpdy - r_drag * v_old[k][idx]);
-                let (u1, v1) = (u_old[k][idx] + du, v_old[k][idx] + dv);
+                let (uo, vo) = (u_old[level.start + idx], v_old[level.start + idx]);
+                let du = dt * (-dpdx - r_drag * uo);
+                let dv = dt * (-dpdy - r_drag * vo);
+                let (u1, v1) = (uo + du, vo + dv);
                 let a = dt * st.fcor[j];
                 let denom = 1.0 + a * a;
                 st.u[k][idx] = (u1 + a * v1) / denom;
                 st.v[k][idx] = (v1 - a * u1) / denom;
 
                 // Upwind advection of T, S by the old velocity.
-                let adv = |field: &Vec<Vec<f64>>| -> f64 {
-                    let uo = u_old[k][idx];
-                    let vo = v_old[k][idx];
+                let adv = |old: &[f64]| -> f64 {
+                    let field = &old[level.clone()];
                     let fx = if uo >= 0.0 {
-                        let upw = if ocean(w) { field[k][w] } else { field[k][idx] };
-                        uo * (field[k][idx] - upw) / st.dx[j]
+                        let upw = if ocean(w) { field[w] } else { field[idx] };
+                        uo * (field[idx] - upw) / st.dx[j]
                     } else {
-                        let upw = if ocean(e) { field[k][e] } else { field[k][idx] };
-                        uo * (upw - field[k][idx]) / st.dx[j]
+                        let upw = if ocean(e) { field[e] } else { field[idx] };
+                        uo * (upw - field[idx]) / st.dx[j]
                     };
                     let fy = if vo >= 0.0 {
-                        let upw = if ocean(s_) { field[k][s_] } else { field[k][idx] };
-                        vo * (field[k][idx] - upw) / st.dy
+                        let upw = if ocean(s_) { field[s_] } else { field[idx] };
+                        vo * (field[idx] - upw) / st.dy
                     } else {
-                        let upw = if ocean(n) { field[k][n] } else { field[k][idx] };
-                        vo * (upw - field[k][idx]) / st.dy
+                        let upw = if ocean(n) { field[n] } else { field[idx] };
+                        vo * (upw - field[idx]) / st.dy
                     };
                     -(fx + fy)
                 };
-                st.t[k][idx] += dt * adv(&t_old);
-                st.s[k][idx] += dt * adv(&s_old);
+                st.t[k][idx] += dt * adv(t_old);
+                st.s[k][idx] += dt * adv(s_old);
             }
         });
 
-        // --- Vertical mixing (implicit) + surface forcing per column. ---
-        let ni = self.state.ni;
+        // --- Vertical mixing (implicit) + surface forcing per column: the
+        //     matrix depends on the column's diffusivities only, so it is
+        //     factored once and solved for T, S, u, v in turn. ---
         let mixing = self.mixing;
-        self.for_active_columns(|st, i, j, idx| {
+        self.columns_visited = columns.for_each(&mut self.state, |st, i, j, idx| {
             let kmax = st.kmt[idx] as usize;
             if kmax == 0 {
                 return;
             }
             let fi = j * ni + i;
             // Interface diffusivities from Ri.
-            let mut kq = Vec::with_capacity(kmax.saturating_sub(1));
-            for k in 0..kmax.saturating_sub(1) {
+            let kq = &mut kq[..kmax - 1];
+            for (k, kq_k) in kq.iter_mut().enumerate() {
                 let dzi = 0.5 * (st.dz[k] + st.dz[k + 1]);
                 let n2 = crate::eos::brunt_vaisala_sq(
                     st.t[k][idx],
@@ -384,25 +482,25 @@ impl OcnModel {
                 );
                 let du = (st.u[k][idx] - st.u[k + 1][idx]) / dzi;
                 let dv = (st.v[k][idx] - st.v[k + 1][idx]) / dzi;
-                kq.push(mixing.diffusivity(n2, du * du + dv * dv));
+                *kq_k = mixing.diffusivity(n2, du * du + dv * dv);
             }
-            let dz = &st.dz[..kmax];
-            // Gather columns, diffuse, scatter.
-            let mut col_t: Vec<f64> = (0..kmax).map(|k| st.t[k][idx]).collect();
-            let mut col_s: Vec<f64> = (0..kmax).map(|k| st.s[k][idx]).collect();
-            let mut col_u: Vec<f64> = (0..kmax).map(|k| st.u[k][idx]).collect();
-            let mut col_v: Vec<f64> = (0..kmax).map(|k| st.v[k][idx]).collect();
+            mixing.factor(&st.dz[..kmax], kq, dt, factors);
+            // Gather a column, solve, scatter.
+            let col = &mut col[..kmax];
+            let mut diffuse = |field: &mut [Vec<f64>], surface_flux: f64| {
+                for (c, level) in col.iter_mut().zip(field.iter()) {
+                    *c = level[idx];
+                }
+                mixing.solve(factors, col, surface_flux);
+                for (c, level) in col.iter().zip(field.iter_mut()) {
+                    level[idx] = *c;
+                }
+            };
             let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
-            mixing.diffuse_implicit(&mut col_t, dz, &kq, dt, heat_flux);
-            mixing.diffuse_implicit(&mut col_s, dz, &kq, dt, forcing.salt_flux[fi]);
-            mixing.diffuse_implicit(&mut col_u, dz, &kq, dt, forcing.taux[fi] / RHO0);
-            mixing.diffuse_implicit(&mut col_v, dz, &kq, dt, forcing.tauy[fi] / RHO0);
-            for k in 0..kmax {
-                st.t[k][idx] = col_t[k];
-                st.s[k][idx] = col_s[k];
-                st.u[k][idx] = col_u[k];
-                st.v[k][idx] = col_v[k];
-            }
+            diffuse(&mut st.t, heat_flux);
+            diffuse(&mut st.s, forcing.salt_flux[fi]);
+            diffuse(&mut st.u, forcing.taux[fi] / RHO0);
+            diffuse(&mut st.v, forcing.tauy[fi] / RHO0);
         });
 
         // --- Refresh 3-D halos for the next step: one packed message per
@@ -532,6 +630,26 @@ mod tests {
                 "volume drift {v0} -> {v1}"
             );
         });
+    }
+
+    #[test]
+    fn forcing_for_another_block_is_refused_at_entry() {
+        let g = grid(4);
+        let config = OcnConfig::for_grid(36, 24, 4, 1, 1);
+        let messages = World::new(1).run(|rank| {
+            let mut model = OcnModel::new(&g, config.clone(), 0);
+            // A forcing sized for one block of a 2×2 mesh.
+            let forcing = OcnForcing::zeros(18, 12);
+            let step = std::panic::AssertUnwindSafe(|| model.step(rank, &forcing));
+            let panic = std::panic::catch_unwind(step).expect_err("step accepted the forcing");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        });
+        assert!(
+            messages[0].contains("OcnForcing::taux was built for another block")
+                && messages[0].contains("ni × nj = 36 × 24"),
+            "{}",
+            messages[0]
+        );
     }
 
     #[test]

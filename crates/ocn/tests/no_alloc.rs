@@ -1,0 +1,59 @@
+//! Allocation regression: after warm-up an ocean step allocates only its
+//! halo message payloads. Its own test binary, because the counting
+//! allocator is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use ap3esm_comm::World;
+use ap3esm_grid::decomp::BlockDecomp2d;
+use ap3esm_grid::mask::MaskGenerator;
+use ap3esm_grid::tripolar::TripolarGrid;
+use ap3esm_ocn::model::OcnForcing;
+use ap3esm_ocn::{OcnConfig, OcnModel};
+
+struct Counting;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn steady_state_step_allocates_only_halo_payloads() {
+    let (nlon, nlat, nlev) = (72, 46, 10);
+    let grid = TripolarGrid::new(nlon, nlat, nlev, MaskGenerator::default());
+    let config = OcnConfig::for_grid(nlon, nlat, nlev, 1, 1);
+    let counts = World::new(1).run(|rank| {
+        let decomp = BlockDecomp2d::new(nlon, nlat, 1, 1);
+        let mut model = OcnModel::new(&grid, config.clone(), 0);
+        let forcing = OcnForcing::climatology(&grid, &decomp, 0);
+        model.try_step(rank, &forcing).unwrap(); // warm-up
+        [(); 2].map(|()| {
+            ALLOCS.store(0, Ordering::Relaxed);
+            COUNTING.store(true, Ordering::Relaxed);
+            model.try_step(rank, &forcing).unwrap();
+            COUNTING.store(false, Ordering::Relaxed);
+            ALLOCS.load(Ordering::Relaxed)
+        })
+    });
+    let [first, second] = counts[0];
+    // 60 self-halo messages a step (10 substeps × (η + packed ū,v̄) + 10
+    // levels, two links each); before the workspace this read 46 551.
+    assert!(first <= 400, "{first} allocations in one step");
+    assert_eq!(first, second, "allocation count does not repeat");
+}

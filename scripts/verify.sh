@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, lint-clean clippy.
+# Tier-1 verification: release build, every workspace member's tests (the
+# root package's integration tests alone miss the per-crate unit tests, e.g.
+# the ocean's bitwise goldens), lint-clean clippy.
 # CI runs exactly this; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings

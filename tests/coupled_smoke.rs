@@ -92,3 +92,37 @@ fn different_mask_seeds_give_different_climates() {
     let b = run(2);
     assert_ne!(a, b, "continents should shape the climate");
 }
+
+/// FNV-1a over the bit patterns of a series.
+fn fnv1a(hash: &mut u64, values: &[f64]) {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            *hash ^= byte as u64;
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Bitwise golden of a 1-day sequential `test_tiny` run, recorded on the
+/// commit before the ocean workspace / factor-once rewrite (PR 12): that
+/// rewrite must not move a bit of any coupled diagnostic.
+#[test]
+fn sequential_one_day_matches_parent_bitwise() {
+    let mut config = CoupledConfig::test_tiny();
+    config.ocn_px = 1;
+    config.ocn_py = 1;
+    config.single_domain = true;
+    let opts = CoupledOptions {
+        days: 1.0,
+        ..Default::default()
+    };
+    let world = World::new(config.world_size());
+    let all = world.run(|rank| run_coupled(rank, &config, &opts));
+    let root = &all[0];
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(&mut hash, &root.sst_series);
+    fnv1a(&mut hash, &root.theta_series);
+    fnv1a(&mut hash, &root.ke_series);
+    assert_eq!(root.sst_series.len(), 4);
+    assert_eq!(hash, 0xa7750d6867ae77a9_u64, "coupled diagnostics moved");
+}
