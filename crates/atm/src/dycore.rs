@@ -13,11 +13,12 @@
 //! `dt_tracer` (30 s) inside the model/physics step `dt_model` (120 s);
 //! tracer transport uses the dycore-accumulated mean mass flux.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
+use ap3esm_grid::icosahedral::MAX_CELL_EDGES;
 use ap3esm_grid::{GeodesicGrid, EARTH_RADIUS};
 use ap3esm_physics::constants::{coriolis, KAPPA, R_DRY};
-use ap3esm_pp::{ExecSpace, Serial, SharedSlice};
 
 use crate::state::AtmState;
 use crate::P_REF;
@@ -59,125 +60,223 @@ impl DycoreConfig {
     }
 }
 
-/// Precomputed geometry + work buffers for the dycore.
+/// One cell's row: what the divergence and reconstruction passes read beside
+/// the grid's `CellStencil` (edge ids, n̂·east, n̂·north), in the same slot
+/// order.
+#[derive(Clone, Copy)]
+struct CellRow {
+    /// sign·le: +le where the edge normal points out of this cell, else −le
+    /// (m). `f·(sign·le)` and `(sign·f)·le` round identically (sign = ±1).
+    sle: [f64; MAX_CELL_EDGES],
+    /// (a11, a12, a22) of the inverse 2×2 least-squares normal matrix.
+    ls_inv: [f64; 3],
+    /// Physical cell area (m²).
+    area: f64,
+}
+
+/// A cell's east and north unit vectors (3-D): what the per-edge tangential
+/// wind gathers from its two cells.
+#[derive(Clone, Copy)]
+struct CellFrame {
+    east: [f64; 3],
+    north: [f64; 3],
+}
+
+/// One edge's row.
+#[derive(Clone, Copy)]
+struct EdgeRow {
+    /// The two cells; the normal points a → b.
+    a: u32,
+    b: u32,
+    /// The two adjacent corners ordered along +t̂ (down-, up-tangent) so
+    /// ∂ζ/∂t̂ has a consistent sign.
+    corner_down: u32,
+    corner_up: u32,
+    /// Physical cell-center distance across the edge (m).
+    de: f64,
+    /// Physical Voronoi-face length (m).
+    le: f64,
+    /// Coriolis parameter at the midpoint.
+    f: f64,
+    /// Tangent unit vector t̂ = r̂ × n̂ (3-D).
+    tangent: [f64; 3],
+}
+
+/// One corner's row: the triangle's three edges with sign·de, the
+/// circulation sign folded into the dual-edge length like `CellRow::sle`.
+#[derive(Clone, Copy)]
+struct CornerRow {
+    edge: [u32; 3],
+    sde: [f64; 3],
+    /// Physical triangle area (m²).
+    area: f64,
+}
+
+/// Scratch of one dynamics substep: slices of the `Dycore`'s one workspace
+/// slab. Every value is written before it is read within a substep, so
+/// nothing carries from one call to the next, and no size depends on the
+/// level count. Per cell unless noted.
+struct Scratch<'a> {
+    dps_dt: &'a mut [f64],
+    ln_ps: &'a mut [f64],
+    /// Geopotential of the level being stepped, accumulated upward.
+    phi: &'a mut [f64],
+    /// Temperature of the level being stepped.
+    t: &'a mut [f64],
+    bern: &'a mut [f64],
+    div_u: &'a mut [f64],
+    /// Reconstructed (east, north) wind, interleaved.
+    wind: &'a mut [f64],
+    /// Per edge: mean surface pressure of the two cells.
+    ps_edge: &'a mut [f64],
+    /// Per edge: ∇ₙ ln pₛ.
+    grad_ln_ps: &'a mut [f64],
+    /// Per edge, interleaved: mass flux, upwind θ flux, upwind q flux of the
+    /// level being stepped (one gather per divergence slot, not three).
+    fluxes: &'a mut [f64],
+    /// Per corner: relative vorticity of the level being stepped.
+    zeta: &'a mut [f64],
+}
+
+/// Length of the workspace slab [`carve`] cuts up.
+fn slab_len(ncells: usize, nedges: usize, ncorners: usize) -> usize {
+    8 * ncells + 5 * nedges + ncorners
+}
+
+fn carve(slab: &mut [f64], n: usize, ne: usize) -> Scratch<'_> {
+    let mut rest = slab;
+    let mut take = |len: usize| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        head
+    };
+    Scratch {
+        dps_dt: take(n),
+        ln_ps: take(n),
+        phi: take(n),
+        t: take(n),
+        bern: take(n),
+        div_u: take(n),
+        wind: take(2 * n),
+        ps_edge: take(ne),
+        grad_ln_ps: take(ne),
+        fluxes: take(3 * ne),
+        zeta: rest,
+    }
+}
+
+/// Precomputed connectivity/geometry tables + the substep workspace.
 pub struct Dycore {
     grid: Arc<GeodesicGrid>,
-    /// Physical Voronoi-face lengths (m).
-    le: Vec<f64>,
-    /// Physical cell-center distances across each edge (m).
-    de: Vec<f64>,
-    /// Physical cell areas (m²).
-    area: Vec<f64>,
-    /// Physical corner (triangle) areas (m²).
-    corner_area: Vec<f64>,
-    /// Coriolis parameter at edge midpoints.
-    f_edge: Vec<f64>,
-    /// Per corner: the three (edge, circulation sign) pairs.
-    corner_edges: Vec<[(usize, f64); 3]>,
-    /// Per cell: east and north unit vectors (3-D) for reconstruction.
-    cell_east: Vec<[f64; 3]>,
-    cell_north: Vec<[f64; 3]>,
-    /// Per cell: inverse of the 2×2 least-squares normal matrix.
-    cell_ls_inv: Vec<[f64; 3]>, // (a11, a12, a22) of the inverse
-    /// Per edge: tangent unit vector t̂ = r̂ × n̂ (3-D).
-    edge_tangent: Vec<[f64; 3]>,
-    /// Per edge: the two adjacent corners ordered along +t̂ (down-, up-
-    /// tangent) so ∂ζ/∂t̂ has a consistent sign.
-    edge_corners_oriented: Vec<(usize, usize)>,
-    /// Per edge: normal (3-D), cached from the grid.
-    edge_normal: Vec<[f64; 3]>,
+    cells: Vec<CellRow>,
+    frames: Vec<CellFrame>,
+    edges: Vec<EdgeRow>,
+    corners: Vec<CornerRow>,
+    /// The substep's scratch slab (see [`Scratch`]). Interior-mutable because
+    /// stepping takes `&self`: one uncontended borrow per substep.
+    workspace: RefCell<Vec<f64>>,
     pub config: DycoreConfig,
+}
+
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("mesh entity index exceeds u32")
 }
 
 impl Dycore {
     pub fn new(grid: Arc<GeodesicGrid>, config: DycoreConfig) -> Self {
         let r = EARTH_RADIUS;
-        let le: Vec<f64> = grid.edge_lengths.iter().map(|l| l * r).collect();
-        let de: Vec<f64> = grid.edge_cell_dist.iter().map(|d| d * r).collect();
-        let area: Vec<f64> = grid.cell_areas.iter().map(|a| a * r * r).collect();
-        let f_edge: Vec<f64> = grid.edge_midpoints.iter().map(|m| coriolis(m.lat())).collect();
 
-        // Corner circulation: triangle [a, b, c] traversed a→b→c; each side
-        // is a dual edge whose stored normal points min(id)→max(id).
-        let mut corner_edges = Vec::with_capacity(grid.ncorners());
-        let mut corner_area = Vec::with_capacity(grid.ncorners());
-        let mut edge_lookup = std::collections::HashMap::new();
-        for (e, &(a, b)) in grid.edges.iter().enumerate() {
-            edge_lookup.insert((a, b), e);
-        }
-        for (t, &[a, b, c]) in grid.triangles.iter().enumerate() {
-            let mut entry = [(0usize, 0.0f64); 3];
-            for (slot, &(u, v)) in [(a, b), (b, c), (c, a)].iter().enumerate() {
-                let key = (u.min(v), u.max(v));
-                let e = edge_lookup[&key];
-                // Stored direction is u<v; traversal u→v gives +1 when
-                // u < v, else −1.
-                entry[slot] = (e, if u < v { 1.0 } else { -1.0 });
-            }
-            corner_edges.push(entry);
-            corner_area.push(
-                ap3esm_grid::sphere::spherical_triangle_area(
-                    grid.cells[grid.triangles[t][0]],
-                    grid.cells[grid.triangles[t][1]],
-                    grid.cells[grid.triangles[t][2]],
-                ) * r
-                    * r,
-            );
-        }
-
-        let mut cell_east = Vec::with_capacity(grid.ncells());
-        let mut cell_north = Vec::with_capacity(grid.ncells());
-        let mut cell_ls_inv = Vec::with_capacity(grid.ncells());
-        for i in 0..grid.ncells() {
-            let east = grid.cells[i].east();
-            let north = grid.cells[i].north();
-            cell_east.push([east.x, east.y, east.z]);
-            cell_north.push([north.x, north.y, north.z]);
+        let mut cells = Vec::with_capacity(grid.ncells());
+        let mut frames = Vec::with_capacity(grid.ncells());
+        for (i, stencil) in grid.cell_stencils.iter().enumerate() {
+            let mut row = CellRow {
+                sle: [0.0; MAX_CELL_EDGES],
+                ls_inv: [0.0; 3],
+                area: grid.cell_areas[i] * r * r,
+            };
             let (mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0);
-            for &(e, _) in &grid.cell_edges[i] {
-                let n = grid.edge_normals[e];
-                let ne = n.dot(east);
-                let nn = n.dot(north);
+            for ((e, ne, nn), (&(_, sign), sle)) in stencil
+                .slots()
+                .zip(grid.cell_edges[i].iter().zip(&mut row.sle))
+            {
                 a11 += ne * ne;
                 a12 += ne * nn;
                 a22 += nn * nn;
+                *sle = sign * (grid.edge_lengths[e] * r);
             }
             let det = a11 * a22 - a12 * a12;
             assert!(det.abs() > 1e-12, "degenerate reconstruction at cell {i}");
-            cell_ls_inv.push([a22 / det, -a12 / det, a11 / det]);
+            row.ls_inv = [a22 / det, -a12 / det, a11 / det];
+            cells.push(row);
+            let (east, north) = (grid.cells[i].east(), grid.cells[i].north());
+            frames.push(CellFrame {
+                east: [east.x, east.y, east.z],
+                north: [north.x, north.y, north.z],
+            });
         }
 
-        let mut edge_tangent = Vec::with_capacity(grid.nedges());
-        let mut edge_normal = Vec::with_capacity(grid.nedges());
-        let mut edge_corners_oriented = Vec::with_capacity(grid.nedges());
-        for e in 0..grid.nedges() {
-            let n = grid.edge_normals[e];
-            let t = grid.edge_midpoints[e].cross(n);
-            edge_tangent.push([t.x, t.y, t.z]);
-            edge_normal.push([n.x, n.y, n.z]);
+        let mut edges = Vec::with_capacity(grid.nedges());
+        for (e, &(a, b)) in grid.edges.iter().enumerate() {
+            let t = grid.edge_midpoints[e].cross(grid.edge_normals[e]);
             let (c0, c1) = grid.edge_corners[e];
             let along = grid.corners[c1] - grid.corners[c0];
-            if along.dot(t) >= 0.0 {
-                edge_corners_oriented.push((c0, c1));
+            let (down, up) = if along.dot(t) >= 0.0 {
+                (c0, c1)
             } else {
-                edge_corners_oriented.push((c1, c0));
-            }
+                (c1, c0)
+            };
+            edges.push(EdgeRow {
+                a: index_u32(a),
+                b: index_u32(b),
+                corner_down: index_u32(down),
+                corner_up: index_u32(up),
+                de: grid.edge_cell_dist[e] * r,
+                le: grid.edge_lengths[e] * r,
+                f: coriolis(grid.edge_midpoints[e].lat()),
+                tangent: [t.x, t.y, t.z],
+            });
         }
 
+        // Corner circulation: triangle [a, b, c] traversed a→b→c; each side
+        // is a dual edge whose stored normal points min(id)→max(id).
+        let edge_between = |u: usize, v: usize| {
+            let slot = grid.cell_neighbors[u]
+                .iter()
+                .position(|&w| w == v)
+                .expect("triangle sides join neighbouring cells");
+            grid.cell_edges[u][slot].0
+        };
+        let mut corners = Vec::with_capacity(grid.ncorners());
+        for &[a, b, c] in &grid.triangles {
+            let mut row = CornerRow {
+                edge: [0; 3],
+                sde: [0.0; 3],
+                area: ap3esm_grid::sphere::spherical_triangle_area(
+                    grid.cells[a],
+                    grid.cells[b],
+                    grid.cells[c],
+                ) * r
+                    * r,
+            };
+            for (slot, &(u, v)) in [(a, b), (b, c), (c, a)].iter().enumerate() {
+                let e = edge_between(u, v);
+                // Stored direction is u<v; traversal u→v gives +1 when
+                // u < v, else −1.
+                let sign = if u < v { 1.0 } else { -1.0 };
+                row.edge[slot] = index_u32(e);
+                row.sde[slot] = sign * edges[e].de;
+            }
+            corners.push(row);
+        }
+
+        let workspace = vec![0.0; slab_len(cells.len(), edges.len(), corners.len())];
         Dycore {
             grid,
-            le,
-            de,
-            area,
-            corner_area,
-            f_edge,
-            corner_edges,
-            cell_east,
-            cell_north,
-            cell_ls_inv,
-            edge_tangent,
-            edge_normal,
-            edge_corners_oriented,
+            cells,
+            frames,
+            edges,
+            corners,
+            workspace: RefCell::new(workspace),
             config,
         }
     }
@@ -186,190 +285,193 @@ impl Dycore {
         &self.grid
     }
 
-    /// Physical divergence of an edge flux field into `out` (per cell).
-    fn divergence(&self, flux: &[f64], out: &mut [f64]) {
-        for (i, edges) in self.grid.cell_edges.iter().enumerate() {
-            let mut acc = 0.0;
-            for &(e, sign) in edges {
-                acc += sign * flux[e] * self.le[e];
-            }
-            out[i] = acc / self.area[i];
-        }
-    }
-
-    /// Reconstruct (east, north) cell velocity components for one level.
-    fn reconstruct(&self, un: &[f64], out: &mut [(f64, f64)]) {
-        let grid = &self.grid;
-        let shared = SharedSlice::new(out);
-        let space = Serial;
-        space.for_each(grid.ncells(), &|i| {
-            let east = self.cell_east[i];
-            let north = self.cell_north[i];
-            let (mut b1, mut b2) = (0.0, 0.0);
-            for &(e, _) in &grid.cell_edges[i] {
-                let n = self.edge_normal[e];
-                let ne = n[0] * east[0] + n[1] * east[1] + n[2] * east[2];
-                let nn = n[0] * north[0] + n[1] * north[1] + n[2] * north[2];
-                b1 += ne * un[e];
-                b2 += nn * un[e];
-            }
-            let inv = self.cell_ls_inv[i];
-            unsafe { shared.set(i, (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2)) };
-        });
-    }
-
     /// Relative vorticity at corners for one level.
     fn vorticity(&self, un: &[f64], out: &mut [f64]) {
-        for (t, entry) in self.corner_edges.iter().enumerate() {
+        for (zeta, row) in out.iter_mut().zip(&self.corners) {
             let mut circ = 0.0;
-            for &(e, sign) in entry {
-                circ += sign * un[e] * self.de[e];
+            for (&e, &sde) in row.edge.iter().zip(&row.sde) {
+                circ += un[e as usize] * sde;
             }
-            out[t] = circ / self.corner_area[t];
+            *zeta = circ / row.area;
         }
     }
 
     /// One dynamics substep of length `dt`. Accumulates the layer mass flux
     /// (Pa·m/s, edge × level) into `mass_flux_accum` for tracer transport.
     pub fn step_dyn(&self, state: &mut AtmState, dt: f64, mass_flux_accum: &mut [f64]) {
-        let grid = &self.grid;
-        let n = grid.ncells();
-        let ne = grid.nedges();
+        self.substep(state, dt, Some(mass_flux_accum));
+    }
+
+    fn substep(&self, state: &mut AtmState, dt: f64, mut mass_flux_accum: Option<&mut [f64]>) {
+        let stencils = &self.grid.cell_stencils;
+        let n = self.cells.len();
+        let ne = self.edges.len();
         let nlev = state.nlev;
+        let nu = self.config.nu;
+        let mut slab = self.workspace.borrow_mut();
+        let Scratch {
+            dps_dt,
+            ln_ps,
+            phi,
+            t,
+            bern,
+            div_u,
+            wind,
+            ps_edge,
+            grad_ln_ps,
+            fluxes,
+            zeta,
+        } = carve(&mut slab, n, ne);
+        let AtmState {
+            sigma,
+            dsigma,
+            ps,
+            theta,
+            q,
+            un,
+            ..
+        } = state;
+        assert!(ps.len() == n && theta.len() == nlev * n && q.len() == nlev * n);
+        assert_eq!(un.len(), nlev * ne);
 
         // --- Mass fluxes and continuity (from the old state). ---
-        let mut dps_dt = vec![0.0; n];
-        let mut div_layer = vec![0.0; n];
-        let mut flux = vec![0.0; ne];
-        let mut theta_flux_div = vec![0.0; nlev * n];
-        let mut q_flux_div = vec![0.0; nlev * n];
-        let mut tracer_div_buf = vec![0.0; n];
+        for (ps_e, row) in ps_edge.iter_mut().zip(&self.edges) {
+            *ps_e = 0.5 * (ps[row.a as usize] + ps[row.b as usize]);
+        }
+        dps_dt.fill(0.0);
         for k in 0..nlev {
-            let unk = &state.un[k * ne..(k + 1) * ne];
-            for (e, &(a, b)) in grid.edges.iter().enumerate() {
-                let ps_e = 0.5 * (state.ps[a] + state.ps[b]);
-                flux[e] = unk[e] * ps_e * state.dsigma[k];
+            let unk = &un[k * ne..(k + 1) * ne];
+            let thk = &mut theta[k * n..(k + 1) * n];
+            let qk = &mut q[k * n..(k + 1) * n];
+            // Layer mass flux and the upwind θ and q fluxes for the
+            // dycore-rate tracer update.
+            for (((f, row), &u), &ps_e) in fluxes
+                .chunks_exact_mut(3)
+                .zip(&self.edges)
+                .zip(unk)
+                .zip(ps_edge.iter())
+            {
+                let flux = u * ps_e * dsigma[k];
+                let up = if flux >= 0.0 { row.a } else { row.b } as usize;
+                f[0] = flux;
+                f[1] = flux * thk[up];
+                f[2] = flux * qk[up];
             }
-            self.divergence(&flux, &mut div_layer);
-            for i in 0..n {
-                dps_dt[i] -= div_layer[i];
+            if let Some(accum) = mass_flux_accum.as_deref_mut() {
+                for (acc, f) in accum[k * ne..(k + 1) * ne]
+                    .iter_mut()
+                    .zip(fluxes.chunks_exact(3))
+                {
+                    *acc += f[0] * dt;
+                }
             }
-            mass_flux_accum[k * ne..(k + 1) * ne]
-                .iter_mut()
-                .zip(&flux)
-                .for_each(|(acc, f)| *acc += f * dt);
-
-            // Upwind θ and q fluxes for the dycore-rate θ update.
-            let thk = &state.theta[k * n..(k + 1) * n];
-            let qk = &state.q[k * n..(k + 1) * n];
-            let mut tflux = vec![0.0; ne];
-            let mut qflux = vec![0.0; ne];
-            for (e, &(a, b)) in grid.edges.iter().enumerate() {
-                let up = if flux[e] >= 0.0 { a } else { b };
-                tflux[e] = flux[e] * thk[up];
-                qflux[e] = flux[e] * qk[up];
+            // The three divergences in one walk. θ and q leave this loop as
+            // tracer *mass* (θ·dp_old − dt·∇·(Fθ)); the staging pass below
+            // divides by the new layer thickness.
+            for (i, (stencil, row)) in stencils.iter().zip(&self.cells).enumerate() {
+                let (mut mass, mut th, mut qv) = (0.0, 0.0, 0.0);
+                for s in 0..stencil.nedges() {
+                    let e = stencil.edge[s] as usize;
+                    let f = &fluxes[3 * e..3 * e + 3];
+                    mass += f[0] * row.sle[s];
+                    th += f[1] * row.sle[s];
+                    qv += f[2] * row.sle[s];
+                }
+                dps_dt[i] -= mass / row.area;
+                let dp_old = dsigma[k] * ps[i];
+                thk[i] = thk[i] * dp_old - dt * (th / row.area);
+                qk[i] = qk[i] * dp_old - dt * (qv / row.area);
             }
-            self.divergence(&tflux, &mut tracer_div_buf);
-            theta_flux_div[k * n..(k + 1) * n].copy_from_slice(&tracer_div_buf);
-            self.divergence(&qflux, &mut tracer_div_buf);
-            q_flux_div[k * n..(k + 1) * n].copy_from_slice(&tracer_div_buf);
         }
 
-        // --- Forward-backward staging: apply continuity and tracer-mass
-        //     updates first, so the pressure-gradient force below sees the
+        // --- Forward-backward staging: apply continuity first, so the
+        //     tracer update and the pressure-gradient force below see the
         //     *new* mass field (stabilises external gravity waves). ---
-        for (i, &dps) in dps_dt.iter().enumerate() {
-            let ps_old = state.ps[i];
-            let ps_new = ps_old + dt * dps;
-            for k in 0..nlev {
-                let dp_old = state.dsigma[k] * ps_old;
-                let dp_new = state.dsigma[k] * ps_new;
-                let idx = k * n + i;
-                let th_mass = state.theta[idx] * dp_old - dt * theta_flux_div[idx];
-                state.theta[idx] = th_mass / dp_new;
-                let q_mass = state.q[idx] * dp_old - dt * q_flux_div[idx];
-                state.q[idx] = q_mass / dp_new;
-            }
-            state.ps[i] = ps_new;
+        for ((p, &dps), ln_p) in ps.iter_mut().zip(dps_dt.iter()).zip(ln_ps.iter_mut()) {
+            *p += dt * dps;
+            *ln_p = p.ln();
+        }
+        for (grad, row) in grad_ln_ps.iter_mut().zip(&self.edges) {
+            *grad = (ln_ps[row.b as usize] - ln_ps[row.a as usize]) / row.de;
         }
 
-        // --- Diagnose T, Φ from the updated mass field. ---
-        let mut t_field = vec![0.0; nlev * n];
-        let mut phi = vec![0.0; nlev * n];
-        for i in 0..n {
-            let ps = state.ps[i];
-            let mut phi_below = 0.0;
-            let mut p_below = ps;
-            for k in 0..nlev {
-                let p = state.sigma[k] * ps;
-                let t = state.theta[k * n + i] * (p / P_REF).powf(KAPPA);
-                t_field[k * n + i] = t;
-                // Hypsometric increment from the previous reference level.
-                phi[k * n + i] = phi_below + R_DRY * t * (p_below / p).ln();
-                phi_below = phi[k * n + i];
-                p_below = p;
-            }
-        }
-
-        // --- Momentum tendencies per level (old winds, new mass field). ---
-        let mut cell_vec = vec![(0.0, 0.0); n];
-        let mut zeta = vec![0.0; grid.ncorners()];
-        let mut div_u = vec![0.0; n];
-        let mut new_un = vec![0.0; nlev * ne];
+        // --- Per level: finish the tracer update, diagnose T and Φ from the
+        //     updated mass field, then the momentum tendency (old winds, new
+        //     mass field). `un[e]` is updated in place: its new value reads
+        //     only `un[e]` itself and cell/corner fields finished before the
+        //     edge loop. ---
+        phi.fill(0.0);
         for k in 0..nlev {
-            let unk = &state.un[k * ne..(k + 1) * ne];
-            self.reconstruct(unk, &mut cell_vec);
-            self.vorticity(unk, &mut zeta);
-            self.divergence(unk, &mut div_u);
+            let unk = &mut un[k * ne..(k + 1) * ne];
+            let thk = &mut theta[k * n..(k + 1) * n];
+            let qk = &mut q[k * n..(k + 1) * n];
+            // Pressure of the previous reference level: the surface below
+            // the lowest layer.
+            let sigma_below = if k == 0 { 1.0 } else { sigma[k - 1] };
+            for (i, (stencil, row)) in stencils.iter().zip(&self.cells).enumerate() {
+                let dp_new = dsigma[k] * ps[i];
+                thk[i] /= dp_new;
+                qk[i] /= dp_new;
 
-            // Bernoulli function K + Φ at cells.
-            let mut bern = vec![0.0; n];
-            for i in 0..n {
-                let (ue, uno) = cell_vec[i];
-                bern[i] = 0.5 * (ue * ue + uno * uno) + phi[k * n + i];
+                let p = sigma[k] * ps[i];
+                let p_below = sigma_below * ps[i];
+                t[i] = thk[i] * (p / P_REF).powf(KAPPA);
+                // Hypsometric increment from the previous reference level.
+                phi[i] += R_DRY * t[i] * (p_below / p).ln();
+
+                // Least-squares (east, north) wind and ∇·u in one walk.
+                let (mut b1, mut b2, mut div) = (0.0, 0.0, 0.0);
+                for s in 0..stencil.nedges() {
+                    let u = unk[stencil.edge[s] as usize];
+                    b1 += stencil.n_east[s] * u;
+                    b2 += stencil.n_north[s] * u;
+                    div += u * row.sle[s];
+                }
+                let inv = row.ls_inv;
+                let (ue, uno) = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
+                wind[2 * i] = ue;
+                wind[2 * i + 1] = uno;
+                div_u[i] = div / row.area;
+                // Bernoulli function K + Φ.
+                bern[i] = 0.5 * (ue * ue + uno * uno) + phi[i];
             }
+            self.vorticity(unk, zeta);
 
-            let out = &mut new_un[k * ne..(k + 1) * ne];
-            for (e, &(a, b)) in grid.edges.iter().enumerate() {
+            for ((u, row), &grad_lnps) in unk.iter_mut().zip(&self.edges).zip(grad_ln_ps.iter()) {
+                let (a, b) = (row.a as usize, row.b as usize);
                 // Tangential velocity from averaged cell vectors.
-                let va = cell_vec[a];
-                let vb = cell_vec[b];
+                let (fa, fb) = (&self.frames[a], &self.frames[b]);
+                let va = (wind[2 * a], wind[2 * a + 1]);
+                let vb = (wind[2 * b], wind[2 * b + 1]);
                 let v3 = [
-                    0.5 * (va.0 * self.cell_east[a][0]
-                        + va.1 * self.cell_north[a][0]
-                        + vb.0 * self.cell_east[b][0]
-                        + vb.1 * self.cell_north[b][0]),
-                    0.5 * (va.0 * self.cell_east[a][1]
-                        + va.1 * self.cell_north[a][1]
-                        + vb.0 * self.cell_east[b][1]
-                        + vb.1 * self.cell_north[b][1]),
-                    0.5 * (va.0 * self.cell_east[a][2]
-                        + va.1 * self.cell_north[a][2]
-                        + vb.0 * self.cell_east[b][2]
-                        + vb.1 * self.cell_north[b][2]),
+                    0.5 * (va.0 * fa.east[0]
+                        + va.1 * fa.north[0]
+                        + vb.0 * fb.east[0]
+                        + vb.1 * fb.north[0]),
+                    0.5 * (va.0 * fa.east[1]
+                        + va.1 * fa.north[1]
+                        + vb.0 * fb.east[1]
+                        + vb.1 * fb.north[1]),
+                    0.5 * (va.0 * fa.east[2]
+                        + va.1 * fa.north[2]
+                        + vb.0 * fb.east[2]
+                        + vb.1 * fb.north[2]),
                 ];
-                let t = self.edge_tangent[e];
-                let ut = v3[0] * t[0] + v3[1] * t[1] + v3[2] * t[2];
+                let tan = row.tangent;
+                let ut = v3[0] * tan[0] + v3[1] * tan[1] + v3[2] * tan[2];
 
-                let (c0, c1) = grid.edge_corners[e];
-                let eta = self.f_edge[e] + 0.5 * (zeta[c0] + zeta[c1]);
+                let (cd, cu) = (row.corner_down as usize, row.corner_up as usize);
+                let eta = row.f + 0.5 * (zeta[cd] + zeta[cu]);
 
-                let grad_bern = (bern[b] - bern[a]) / self.de[e];
-                let t_e = 0.5 * (t_field[k * n + a] + t_field[k * n + b]);
-                let grad_lnps = (state.ps[b].ln() - state.ps[a].ln()) / self.de[e];
+                let grad_bern = (bern[b] - bern[a]) / row.de;
+                let t_e = 0.5 * (t[a] + t[b]);
 
                 // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
-                let (cd, cu) = self.edge_corners_oriented[e];
-                let lap = (div_u[b] - div_u[a]) / self.de[e]
-                    - (zeta[cu] - zeta[cd]) / self.le[e];
+                let lap = (div_u[b] - div_u[a]) / row.de - (zeta[cu] - zeta[cd]) / row.le;
 
-                out[e] = unk[e]
-                    + dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps
-                        + self.config.nu * lap);
+                *u += dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps + nu * lap);
             }
         }
-
-        state.un.copy_from_slice(&new_un);
     }
 
     /// One tracer step: kept as a structural hook matching GRIST's slower
@@ -385,12 +487,12 @@ impl Dycore {
             let qk = &mut state.q[k * n..(k + 1) * n];
             let mut deficit = 0.0;
             let mut positive = 0.0;
-            for (q, a) in qk.iter_mut().zip(&self.area) {
+            for (q, row) in qk.iter_mut().zip(&self.cells) {
                 if *q < 0.0 {
-                    deficit += -*q * a;
+                    deficit += -*q * row.area;
                     *q = 0.0;
                 } else {
-                    positive += *q * a;
+                    positive += *q * row.area;
                 }
             }
             if deficit > 0.0 && positive > 0.0 {
@@ -407,21 +509,17 @@ impl Dycore {
     /// by the caller (the physics–dynamics coupler) afterwards.
     pub fn step_model_dynamics(&self, state: &mut AtmState) {
         let _span = ap3esm_obs::span("dycore");
-        let ne = self.grid.nedges();
-        let mut mass_flux = vec![0.0; state.nlev * ne];
         for _ in 0..self.config.tracer_substeps() {
-            mass_flux.fill(0.0);
             {
                 let _dyn = ap3esm_obs::span("dyn_substeps");
                 for _ in 0..self.config.dyn_substeps() {
-                    self.step_dyn(state, self.config.dt_dyn, &mut mass_flux);
+                    // No mass-flux accumulation: its one consumer,
+                    // `step_tracer`, does not read it.
+                    self.substep(state, self.config.dt_dyn, None);
                 }
             }
-            for f in mass_flux.iter_mut() {
-                *f /= self.config.dt_tracer;
-            }
             let _tracer = ap3esm_obs::span("tracer_step");
-            self.step_tracer(state, &mass_flux);
+            self.step_tracer(state, &[]);
         }
     }
 }
@@ -545,6 +643,53 @@ mod tests {
         // q is clipped but conservatively rescaled: change stays tiny.
         assert!(((state.moisture_mass() - q0) / q0).abs() < 1e-6);
         assert!(state.max_wind() < 60.0);
+    }
+
+    #[test]
+    fn workspace_carries_no_state() {
+        fn bits(state: &AtmState) -> Vec<u64> {
+            [&state.ps, &state.theta, &state.q, &state.un]
+                .into_iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        }
+        fn stirred(grid: &Arc<GeodesicGrid>, nlev: usize, phase: f64) -> AtmState {
+            let mut state = AtmState::isothermal(Arc::clone(grid), nlev, 285.0);
+            for (i, p) in state.ps.iter_mut().enumerate() {
+                *p += 250.0 * (i as f64 * 0.37 + phase).sin();
+            }
+            for (e, u) in state.un.iter_mut().enumerate() {
+                *u = 4.0 * (e as f64 * 0.11 + phase).cos();
+            }
+            state
+        }
+        let (warm, AtmState { grid, .. }) = setup(3, 4);
+        let (fresh, _) = setup(3, 4);
+        // Warm one dycore on another state, then through a model step at a
+        // different level count (no workspace buffer is sized by it).
+        let mut other = stirred(&grid, 4, 0.0);
+        let mut acc = vec![0.0; 4 * other.nedges()];
+        for _ in 0..10 {
+            warm.step_dyn(&mut other, warm.config.dt_dyn, &mut acc);
+        }
+        warm.step_model_dynamics(&mut stirred(&grid, 6, 1.0));
+
+        let mut a = stirred(&grid, 3, 2.0);
+        let mut b = a.clone();
+        let mut acc_a = vec![0.0; 3 * a.nedges()];
+        let mut acc_b = acc_a.clone();
+        for _ in 0..5 {
+            warm.step_dyn(&mut a, warm.config.dt_dyn, &mut acc_a);
+            fresh.step_dyn(&mut b, fresh.config.dt_dyn, &mut acc_b);
+        }
+        warm.step_model_dynamics(&mut a);
+        fresh.step_model_dynamics(&mut b);
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(
+            acc_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            acc_b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

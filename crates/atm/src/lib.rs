@@ -10,7 +10,8 @@
 //! The paper's 1-km GRIST carries 3.4×10⁸ columns; the dycore here is the
 //! same *numerics* on the same mesh family at whatever glevel fits the
 //! machine (tests use G3–G5). Timestep ratios follow Table 1's 8 s / 30 s /
-//! 120 s configuration (15 dycore and 4 tracer substeps per model step).
+//! 120 s configuration as the 1 : 4 : 16 split (4 dycore substeps per tracer
+//! step, 4 tracer steps per model step: 16 dycore substeps per model step).
 //!
 //! Prognostics: surface pressure `ps` (cells), potential temperature θ and
 //! specific humidity q (cell × level, flux-form transport), and normal

@@ -7,12 +7,16 @@
 //! (plus the conventional diagnostic module for precipitation — the paper's
 //! suite keeps a "conventional physics diagnostic module" too).
 
+use std::sync::Arc;
+
 use ap3esm_ai::modules::{ColumnState, RadiationModule, TendencyModule};
-use ap3esm_physics::suite::{Column, ConventionalSuite, SurfaceProperties};
+use ap3esm_physics::constants::{temperature_from_theta, GRAVITY, KAPPA, R_DRY};
+use ap3esm_physics::suite::{
+    Column, ColumnPhysicsOutput, ColumnScratch, ConventionalSuite, SurfaceProperties,
+};
 
 use crate::state::AtmState;
 use crate::P_REF;
-use ap3esm_physics::constants::{temperature_from_theta, KAPPA};
 
 /// The surface forcing the physics needs per cell (supplied by the coupler
 /// or by simple analytic boundary conditions in standalone runs).
@@ -53,41 +57,48 @@ pub enum PhysicsDriver {
 /// Applies a physics suite to the whole atmosphere state.
 pub struct PhysicsDynamicsCoupler {
     pub driver: PhysicsDriver,
+    /// Lowest-level (east, north) wind per cell.
+    cell_vectors: Vec<(f64, f64)>,
+    /// One column of input, output and suite scratch, reused for every cell
+    /// of every call.
+    column: Column,
+    out: ColumnPhysicsOutput,
+    scratch: ColumnScratch,
 }
 
 impl PhysicsDynamicsCoupler {
     pub fn new(driver: PhysicsDriver) -> Self {
-        PhysicsDynamicsCoupler { driver }
+        PhysicsDynamicsCoupler {
+            driver,
+            cell_vectors: Vec::new(),
+            column: Column::zeros(0),
+            out: ColumnPhysicsOutput::zeros(0),
+            scratch: ColumnScratch::default(),
+        }
+    }
+
+    /// Fill `col` (sized for `state.nlev`) with one cell's physics column.
+    fn fill_column(state: &AtmState, cell_vectors: &[(f64, f64)], i: usize, col: &mut Column) {
+        let n = state.ncells();
+        let ps = state.ps[i];
+        let (ue, un) = cell_vectors[i];
+        for k in 0..state.nlev {
+            let pk = state.sigma[k] * ps;
+            col.p[k] = pk;
+            col.dp[k] = state.dsigma[k] * ps;
+            col.t[k] = temperature_from_theta(state.theta[k * n + i], pk);
+            col.dz[k] = R_DRY * col.t[k] * col.dp[k] / (col.p[k] * GRAVITY);
+            col.u[k] = ue;
+            col.v[k] = un;
+            col.q[k] = state.q[k * n + i];
+        }
     }
 
     /// Extract one cell's physics column from the prognostic state.
     fn build_column(state: &AtmState, cell_vectors: &[(f64, f64)], i: usize) -> Column {
-        let n = state.ncells();
-        let nlev = state.nlev;
-        let ps = state.ps[i];
-        let mut t = Vec::with_capacity(nlev);
-        let mut p = Vec::with_capacity(nlev);
-        let mut dp = Vec::with_capacity(nlev);
-        for k in 0..nlev {
-            let pk = state.sigma[k] * ps;
-            p.push(pk);
-            dp.push(state.dsigma[k] * ps);
-            t.push(temperature_from_theta(state.theta[k * n + i], pk));
-        }
-        let dz: Vec<f64> = (0..nlev)
-            .map(|k| ap3esm_physics::constants::R_DRY * t[k] * dp[k]
-                / (p[k] * ap3esm_physics::constants::GRAVITY))
-            .collect();
-        let (ue, un) = cell_vectors[i];
-        Column {
-            u: vec![ue; nlev],
-            v: vec![un; nlev],
-            t,
-            q: (0..nlev).map(|k| state.q[k * n + i]).collect(),
-            p,
-            dp,
-            dz,
-        }
+        let mut col = Column::zeros(state.nlev);
+        Self::fill_column(state, cell_vectors, i, &mut col);
+        col
     }
 
     /// Apply one physics step of length `dt` to every column. Returns the
@@ -96,21 +107,40 @@ impl PhysicsDynamicsCoupler {
         let _span = ap3esm_obs::span("physics");
         let n = state.ncells();
         let nlev = state.nlev;
-        let e = state.nedges();
-        let cell_vectors = state.grid.reconstruct_cell_vectors(&state.un[0..e]);
+        assert!(
+            forcing.tskin.len() == n && forcing.coszr.len() == n && forcing.wetness.len() == n,
+            "surface forcing has {} / {} / {} (tskin / coszr / wetness) values for a grid of ncells = {n}",
+            forcing.tskin.len(),
+            forcing.coszr.len(),
+            forcing.wetness.len(),
+        );
+        let Self {
+            driver,
+            cell_vectors,
+            column,
+            out,
+            scratch,
+        } = self;
+        let grid = Arc::clone(&state.grid);
+        grid.reconstruct_cell_vectors_into(&state.un[0..state.nedges()], cell_vectors);
         let mut total_precip = 0.0;
         let mut total_area = 0.0;
 
-        match &mut self.driver {
+        match driver {
             PhysicsDriver::Conventional(suite) => {
-                for i in 0..n {
-                    let col = Self::build_column(state, &cell_vectors, i);
+                if column.nlev() != nlev {
+                    *column = Column::zeros(nlev);
+                    *out = ColumnPhysicsOutput::zeros(nlev);
+                }
+                suite.prepare_scratch(nlev, scratch);
+                for (i, stencil) in grid.cell_stencils.iter().enumerate() {
+                    Self::fill_column(state, cell_vectors, i, column);
                     let sfc = SurfaceProperties {
                         tskin: forcing.tskin[i],
                         coszr: forcing.coszr[i],
                         wetness: forcing.wetness[i],
                     };
-                    let out = suite.step_column(&col, &sfc);
+                    suite.step_column_into(column, &sfc, out, scratch);
                     for k in 0..nlev {
                         let idx = k * n + i;
                         // Tendencies on T converted back to θ.
@@ -122,17 +152,14 @@ impl PhysicsDynamicsCoupler {
                     state.gsw[i] = out.gsw;
                     state.glw[i] = out.glw;
                     state.precip_accum[i] += out.precipitation * dt;
-                    total_precip += out.precipitation * state.grid.cell_areas[i];
-                    total_area += state.grid.cell_areas[i];
+                    total_precip += out.precipitation * grid.cell_areas[i];
+                    total_area += grid.cell_areas[i];
                     // Momentum tendency: distribute the lowest-level drag
                     // onto the cell's edges (dominant PBL effect).
                     let du = out.du[0] * dt;
                     let dv = out.dv[0] * dt;
-                    let east = state.grid.cells[i].east();
-                    let north = state.grid.cells[i].north();
-                    for &(edge, _) in &state.grid.cell_edges[i] {
-                        let nvec = state.grid.edge_normals[edge];
-                        let proj = du * nvec.dot(east) + dv * nvec.dot(north);
+                    for (edge, n_east, n_north) in stencil.slots() {
+                        let proj = du * n_east + dv * n_north;
                         // Each edge is shared by two cells; half weight.
                         state.un[edge] += 0.5 * proj;
                     }
@@ -147,7 +174,7 @@ impl PhysicsDynamicsCoupler {
                 // efficient tensor kernels" path of §5.2.1).
                 let columns: Vec<ColumnState> = (0..n)
                     .map(|i| {
-                        let col = Self::build_column(state, &cell_vectors, i);
+                        let col = Self::build_column(state, cell_vectors, i);
                         ColumnState {
                             u: col.u,
                             v: col.v,
@@ -195,7 +222,7 @@ impl PhysicsDynamicsCoupler {
                     state.gsw[i] = rads[i].gsw;
                     state.glw[i] = rads[i].glw;
                     // Conventional diagnostic module: precipitation.
-                    let col = Self::build_column(state, &cell_vectors, i);
+                    let col = Self::build_column(state, cell_vectors, i);
                     let conv = diagnostics.convection.column(
                         &col.t, &col.q, &col.p, &col.dp, &col.dz,
                     );
@@ -222,7 +249,6 @@ impl PhysicsDynamicsCoupler {
 mod tests {
     use super::*;
     use ap3esm_grid::GeodesicGrid;
-    use std::sync::Arc;
 
     #[test]
     fn conventional_physics_step_is_stable() {
@@ -240,6 +266,17 @@ mod tests {
         // Warm-ocean heating should not blow θ up in one step.
         assert!((state.mean_theta() - theta0).abs() < 5.0);
         assert!(state.gsw.iter().all(|&g| g > 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ncells = 162")]
+    fn forcing_for_another_grid_is_rejected_at_entry() {
+        let grid = Arc::new(GeodesicGrid::new(2));
+        let mut state = AtmState::isothermal(Arc::clone(&grid), 4, 290.0);
+        let forcing = SurfaceForcing::uniform(GeodesicGrid::new(1).ncells(), 300.0, 0.5, 1.0);
+        let mut pdc =
+            PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(ConventionalSuite::default()));
+        pdc.apply(&mut state, &forcing, 600.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::P_REF;
 pub struct AtmState {
     pub grid: Arc<GeodesicGrid>,
     pub nlev: usize,
-    /// Sigma mid-layer values (surface-first, decreasing with index? —
-    /// index 0 is the lowest layer, σ close to 1).
+    /// Sigma mid-layer values, surface first: index 0 is the lowest layer
+    /// (σ close to 1) and σ decreases with index.
     pub sigma: Vec<f64>,
     /// Layer sigma thicknesses (sum = 1).
     pub dsigma: Vec<f64>,

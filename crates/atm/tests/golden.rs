@@ -1,0 +1,493 @@
+//! Bitwise goldens for the atmosphere step. The hashes were recorded on the
+//! commit *before* the workspace / table-driven rewrite of `step_dyn` and of
+//! the conventional physics path (PR 13); any change to the operand order of
+//! a model expression moves them. `reference::RefDycore` is that commit's
+//! `step_dyn`, kept here only: the property test compares the library against
+//! it on random states.
+
+use std::sync::Arc;
+
+use ap3esm_atm::pdc::SurfaceForcing;
+use ap3esm_atm::{AtmState, Dycore, DycoreConfig, PhysicsDriver, PhysicsDynamicsCoupler};
+use ap3esm_grid::GeodesicGrid;
+use ap3esm_physics::suite::ConventionalSuite;
+use proptest::prelude::*;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(hash: &mut u64, values: &[f64]) {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            *hash ^= byte as u64;
+            *hash = hash.wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+fn state_hash(state: &AtmState, mass_flux_accum: &[f64]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for field in [
+        &state.ps,
+        &state.theta,
+        &state.q,
+        &state.un,
+        &state.precip_accum,
+        &state.gsw,
+        &state.glw,
+    ] {
+        fnv1a(&mut hash, field);
+    }
+    fnv1a(&mut hash, mass_flux_accum);
+    hash
+}
+
+/// A smooth, windy, moist state: wavy `ps`, θ and q, a zonal jet that weakens
+/// with height plus a small cross-flow on every edge.
+fn windy_state(grid: &Arc<GeodesicGrid>, nlev: usize) -> AtmState {
+    let mut state = AtmState::isothermal(Arc::clone(grid), nlev, 285.0);
+    let (n, ne) = (state.ncells(), state.nedges());
+    for i in 0..n {
+        let (lat, lon) = (grid.cells[i].lat(), grid.cells[i].lon());
+        state.ps[i] += 300.0 * (2.0 * lon).sin() * lat.cos() + 120.0 * (3.0 * lat).sin();
+        for k in 0..nlev {
+            state.theta[k * n + i] += 2.0 * (3.0 * lon + k as f64).cos() * lat.cos();
+            state.q[k * n + i] = (4.0e-3 * (1.0 + 0.6 * (lon - 0.7 * k as f64).sin()) * lat.cos()
+                - 2.0e-4)
+                .max(-1.0e-4);
+        }
+    }
+    for k in 0..nlev {
+        for e in 0..ne {
+            let m = grid.edge_midpoints[e];
+            let east = m.east();
+            let jet = 12.0 * m.lat().cos() / (1.0 + 0.3 * k as f64);
+            state.un[k * ne + e] =
+                jet * grid.edge_normals[e].dot(east) + 1.5 * ((e % 23) as f64 / 23.0 - 0.5);
+        }
+    }
+    state
+}
+
+fn dycore_for(grid: &Arc<GeodesicGrid>) -> Dycore {
+    Dycore::new(
+        Arc::clone(grid),
+        DycoreConfig::for_spacing_km(grid.mean_spacing_km()),
+    )
+}
+
+/// (a) 40 dynamics substeps at G4 × 5.
+fn dyn_substeps_hash() -> u64 {
+    let grid = Arc::new(GeodesicGrid::new(4));
+    let dycore = dycore_for(&grid);
+    let mut state = windy_state(&grid, 5);
+    let mut acc = vec![0.0; 5 * state.nedges()];
+    for _ in 0..40 {
+        dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
+    }
+    assert!(state.un.iter().chain(&state.ps).all(|v| v.is_finite()));
+    state_hash(&state, &acc)
+}
+
+/// (b) 6 model steps of dynamics + conventional physics under a surface that
+/// varies with latitude and mixes ocean, land and half-wet cells.
+fn model_steps_hash(glevel: u32, nlev: usize) -> u64 {
+    let grid = Arc::new(GeodesicGrid::new(glevel));
+    let dycore = dycore_for(&grid);
+    let mut state = windy_state(&grid, nlev);
+    let n = state.ncells();
+    let mut forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
+    for i in 0..n {
+        let (lat, lon) = (grid.cells[i].lat(), grid.cells[i].lon());
+        forcing.tskin[i] = 273.0 + 29.0 * lat.cos().powi(2);
+        forcing.coszr[i] = (lat.cos() * lon.cos()).max(0.0);
+        forcing.wetness[i] = [1.0, 0.0, 0.35][i % 3];
+    }
+    let mut pdc =
+        PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(ConventionalSuite::default()));
+    for _ in 0..6 {
+        dycore.step_model_dynamics(&mut state);
+        pdc.apply(&mut state, &forcing, dycore.config.dt_model);
+    }
+    assert!(state.theta.iter().chain(&state.un).all(|v| v.is_finite()));
+    assert!(
+        state.precip_accum.iter().any(|&p| p > 0.0),
+        "no column rained"
+    );
+    state_hash(&state, &[])
+}
+
+const GOLDEN_DYN_G4X5: u64 = 0x32d82f263363093a;
+const GOLDEN_MODEL_G3X5: u64 = 0x2e52cc72797ad246;
+const GOLDEN_MODEL_G2X6: u64 = 0x0eee3c630b358dcf;
+
+#[test]
+fn dyn_substeps_match_parent_bitwise() {
+    let hash = dyn_substeps_hash();
+    assert_eq!(hash, GOLDEN_DYN_G4X5, "G4 x 5: {hash:#x}");
+}
+
+#[test]
+fn model_steps_match_parent_bitwise() {
+    let (g3, g2) = (model_steps_hash(3, 5), model_steps_hash(2, 6));
+    assert_eq!(g3, GOLDEN_MODEL_G3X5, "G3 x 5: {g3:#x}");
+    assert_eq!(g2, GOLDEN_MODEL_G2X6, "G2 x 6 (pentagon-heavy): {g2:#x}");
+}
+
+/// xorshift64* stream for the property test's random states.
+struct Noise(u64);
+
+impl Noise {
+    fn unit(&mut self) -> f64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn between(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The table-driven `step_dyn` equals the parent's on any state, level
+    /// count and mesh, bit for bit, including a reused `Dycore` whose
+    /// workspace last saw another level count.
+    #[test]
+    fn step_dyn_equals_parent_reference(
+        glevel in 1u32..4,
+        nlev in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let grid = Arc::new(GeodesicGrid::new(glevel));
+        let config = DycoreConfig::for_spacing_km(grid.mean_spacing_km());
+        let dycore = Dycore::new(Arc::clone(&grid), config);
+        let reference = reference::RefDycore::new(Arc::clone(&grid), config);
+        let mut noise = Noise(seed | 1);
+        let mut state = AtmState::isothermal(Arc::clone(&grid), nlev, 285.0);
+        for p in state.ps.iter_mut() {
+            *p += noise.between(-400.0, 400.0);
+        }
+        for th in state.theta.iter_mut() {
+            *th += noise.between(-3.0, 3.0);
+        }
+        for q in state.q.iter_mut() {
+            *q = noise.between(-2.0e-4, 8.0e-3);
+        }
+        for u in state.un.iter_mut() {
+            *u = noise.between(-15.0, 15.0);
+        }
+        let mut expect = state.clone();
+        let mut acc = vec![0.0; nlev * state.nedges()];
+        let mut acc_expect = acc.clone();
+        for _ in 0..3 {
+            dycore.step_dyn(&mut state, config.dt_dyn, &mut acc);
+            reference.step_dyn(&mut expect, config.dt_dyn, &mut acc_expect);
+        }
+        prop_assert_eq!(state_hash(&state, &acc), state_hash(&expect, &acc_expect));
+    }
+}
+
+/// The parent commit's dycore substep, verbatim (its `reconstruct` went
+/// through `pp::Serial::for_each`; the loop body is the same).
+mod reference {
+    use std::sync::Arc;
+
+    use ap3esm_atm::{AtmState, DycoreConfig, P_REF};
+    use ap3esm_grid::{GeodesicGrid, EARTH_RADIUS};
+    use ap3esm_physics::constants::{coriolis, KAPPA, R_DRY};
+
+    pub struct RefDycore {
+        grid: Arc<GeodesicGrid>,
+        le: Vec<f64>,
+        de: Vec<f64>,
+        area: Vec<f64>,
+        corner_area: Vec<f64>,
+        f_edge: Vec<f64>,
+        corner_edges: Vec<[(usize, f64); 3]>,
+        cell_east: Vec<[f64; 3]>,
+        cell_north: Vec<[f64; 3]>,
+        cell_ls_inv: Vec<[f64; 3]>,
+        edge_tangent: Vec<[f64; 3]>,
+        edge_corners_oriented: Vec<(usize, usize)>,
+        edge_normal: Vec<[f64; 3]>,
+        config: DycoreConfig,
+    }
+
+    impl RefDycore {
+        pub fn new(grid: Arc<GeodesicGrid>, config: DycoreConfig) -> Self {
+            let r = EARTH_RADIUS;
+            let le: Vec<f64> = grid.edge_lengths.iter().map(|l| l * r).collect();
+            let de: Vec<f64> = grid.edge_cell_dist.iter().map(|d| d * r).collect();
+            let area: Vec<f64> = grid.cell_areas.iter().map(|a| a * r * r).collect();
+            let f_edge: Vec<f64> = grid
+                .edge_midpoints
+                .iter()
+                .map(|m| coriolis(m.lat()))
+                .collect();
+
+            let mut corner_edges = Vec::with_capacity(grid.ncorners());
+            let mut corner_area = Vec::with_capacity(grid.ncorners());
+            let mut edge_lookup = std::collections::HashMap::new();
+            for (e, &(a, b)) in grid.edges.iter().enumerate() {
+                edge_lookup.insert((a, b), e);
+            }
+            for (t, &[a, b, c]) in grid.triangles.iter().enumerate() {
+                let mut entry = [(0usize, 0.0f64); 3];
+                for (slot, &(u, v)) in [(a, b), (b, c), (c, a)].iter().enumerate() {
+                    let key = (u.min(v), u.max(v));
+                    let e = edge_lookup[&key];
+                    entry[slot] = (e, if u < v { 1.0 } else { -1.0 });
+                }
+                corner_edges.push(entry);
+                corner_area.push(
+                    ap3esm_grid::sphere::spherical_triangle_area(
+                        grid.cells[grid.triangles[t][0]],
+                        grid.cells[grid.triangles[t][1]],
+                        grid.cells[grid.triangles[t][2]],
+                    ) * r
+                        * r,
+                );
+            }
+
+            let mut cell_east = Vec::with_capacity(grid.ncells());
+            let mut cell_north = Vec::with_capacity(grid.ncells());
+            let mut cell_ls_inv = Vec::with_capacity(grid.ncells());
+            for i in 0..grid.ncells() {
+                let east = grid.cells[i].east();
+                let north = grid.cells[i].north();
+                cell_east.push([east.x, east.y, east.z]);
+                cell_north.push([north.x, north.y, north.z]);
+                let (mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0);
+                for &(e, _) in &grid.cell_edges[i] {
+                    let n = grid.edge_normals[e];
+                    let ne = n.dot(east);
+                    let nn = n.dot(north);
+                    a11 += ne * ne;
+                    a12 += ne * nn;
+                    a22 += nn * nn;
+                }
+                let det = a11 * a22 - a12 * a12;
+                assert!(det.abs() > 1e-12, "degenerate reconstruction at cell {i}");
+                cell_ls_inv.push([a22 / det, -a12 / det, a11 / det]);
+            }
+
+            let mut edge_tangent = Vec::with_capacity(grid.nedges());
+            let mut edge_normal = Vec::with_capacity(grid.nedges());
+            let mut edge_corners_oriented = Vec::with_capacity(grid.nedges());
+            for e in 0..grid.nedges() {
+                let n = grid.edge_normals[e];
+                let t = grid.edge_midpoints[e].cross(n);
+                edge_tangent.push([t.x, t.y, t.z]);
+                edge_normal.push([n.x, n.y, n.z]);
+                let (c0, c1) = grid.edge_corners[e];
+                let along = grid.corners[c1] - grid.corners[c0];
+                if along.dot(t) >= 0.0 {
+                    edge_corners_oriented.push((c0, c1));
+                } else {
+                    edge_corners_oriented.push((c1, c0));
+                }
+            }
+
+            RefDycore {
+                grid,
+                le,
+                de,
+                area,
+                corner_area,
+                f_edge,
+                corner_edges,
+                cell_east,
+                cell_north,
+                cell_ls_inv,
+                edge_tangent,
+                edge_normal,
+                edge_corners_oriented,
+                config,
+            }
+        }
+
+        fn divergence(&self, flux: &[f64], out: &mut [f64]) {
+            for (i, edges) in self.grid.cell_edges.iter().enumerate() {
+                let mut acc = 0.0;
+                for &(e, sign) in edges {
+                    acc += sign * flux[e] * self.le[e];
+                }
+                out[i] = acc / self.area[i];
+            }
+        }
+
+        fn reconstruct(&self, un: &[f64], out: &mut [(f64, f64)]) {
+            for (i, slot) in out.iter_mut().enumerate() {
+                let east = self.cell_east[i];
+                let north = self.cell_north[i];
+                let (mut b1, mut b2) = (0.0, 0.0);
+                for &(e, _) in &self.grid.cell_edges[i] {
+                    let n = self.edge_normal[e];
+                    let ne = n[0] * east[0] + n[1] * east[1] + n[2] * east[2];
+                    let nn = n[0] * north[0] + n[1] * north[1] + n[2] * north[2];
+                    b1 += ne * un[e];
+                    b2 += nn * un[e];
+                }
+                let inv = self.cell_ls_inv[i];
+                *slot = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
+            }
+        }
+
+        fn vorticity(&self, un: &[f64], out: &mut [f64]) {
+            for (t, entry) in self.corner_edges.iter().enumerate() {
+                let mut circ = 0.0;
+                for &(e, sign) in entry {
+                    circ += sign * un[e] * self.de[e];
+                }
+                out[t] = circ / self.corner_area[t];
+            }
+        }
+
+        pub fn step_dyn(&self, state: &mut AtmState, dt: f64, mass_flux_accum: &mut [f64]) {
+            let grid = &self.grid;
+            let n = grid.ncells();
+            let ne = grid.nedges();
+            let nlev = state.nlev;
+
+            // --- Mass fluxes and continuity (from the old state). ---
+            let mut dps_dt = vec![0.0; n];
+            let mut div_layer = vec![0.0; n];
+            let mut flux = vec![0.0; ne];
+            let mut theta_flux_div = vec![0.0; nlev * n];
+            let mut q_flux_div = vec![0.0; nlev * n];
+            let mut tracer_div_buf = vec![0.0; n];
+            for k in 0..nlev {
+                let unk = &state.un[k * ne..(k + 1) * ne];
+                for (e, &(a, b)) in grid.edges.iter().enumerate() {
+                    let ps_e = 0.5 * (state.ps[a] + state.ps[b]);
+                    flux[e] = unk[e] * ps_e * state.dsigma[k];
+                }
+                self.divergence(&flux, &mut div_layer);
+                for i in 0..n {
+                    dps_dt[i] -= div_layer[i];
+                }
+                mass_flux_accum[k * ne..(k + 1) * ne]
+                    .iter_mut()
+                    .zip(&flux)
+                    .for_each(|(acc, f)| *acc += f * dt);
+
+                // Upwind θ and q fluxes for the dycore-rate θ update.
+                let thk = &state.theta[k * n..(k + 1) * n];
+                let qk = &state.q[k * n..(k + 1) * n];
+                let mut tflux = vec![0.0; ne];
+                let mut qflux = vec![0.0; ne];
+                for (e, &(a, b)) in grid.edges.iter().enumerate() {
+                    let up = if flux[e] >= 0.0 { a } else { b };
+                    tflux[e] = flux[e] * thk[up];
+                    qflux[e] = flux[e] * qk[up];
+                }
+                self.divergence(&tflux, &mut tracer_div_buf);
+                theta_flux_div[k * n..(k + 1) * n].copy_from_slice(&tracer_div_buf);
+                self.divergence(&qflux, &mut tracer_div_buf);
+                q_flux_div[k * n..(k + 1) * n].copy_from_slice(&tracer_div_buf);
+            }
+
+            // --- Forward-backward staging: apply continuity and tracer-mass
+            //     updates first, so the pressure-gradient force below sees the
+            //     *new* mass field (stabilises external gravity waves). ---
+            for (i, &dps) in dps_dt.iter().enumerate() {
+                let ps_old = state.ps[i];
+                let ps_new = ps_old + dt * dps;
+                for k in 0..nlev {
+                    let dp_old = state.dsigma[k] * ps_old;
+                    let dp_new = state.dsigma[k] * ps_new;
+                    let idx = k * n + i;
+                    let th_mass = state.theta[idx] * dp_old - dt * theta_flux_div[idx];
+                    state.theta[idx] = th_mass / dp_new;
+                    let q_mass = state.q[idx] * dp_old - dt * q_flux_div[idx];
+                    state.q[idx] = q_mass / dp_new;
+                }
+                state.ps[i] = ps_new;
+            }
+
+            // --- Diagnose T, Φ from the updated mass field. ---
+            let mut t_field = vec![0.0; nlev * n];
+            let mut phi = vec![0.0; nlev * n];
+            for i in 0..n {
+                let ps = state.ps[i];
+                let mut phi_below = 0.0;
+                let mut p_below = ps;
+                for k in 0..nlev {
+                    let p = state.sigma[k] * ps;
+                    let t = state.theta[k * n + i] * (p / P_REF).powf(KAPPA);
+                    t_field[k * n + i] = t;
+                    // Hypsometric increment from the previous reference level.
+                    phi[k * n + i] = phi_below + R_DRY * t * (p_below / p).ln();
+                    phi_below = phi[k * n + i];
+                    p_below = p;
+                }
+            }
+
+            // --- Momentum tendencies per level (old winds, new mass field). ---
+            let mut cell_vec = vec![(0.0, 0.0); n];
+            let mut zeta = vec![0.0; grid.ncorners()];
+            let mut div_u = vec![0.0; n];
+            let mut new_un = vec![0.0; nlev * ne];
+            for k in 0..nlev {
+                let unk = &state.un[k * ne..(k + 1) * ne];
+                self.reconstruct(unk, &mut cell_vec);
+                self.vorticity(unk, &mut zeta);
+                self.divergence(unk, &mut div_u);
+
+                // Bernoulli function K + Φ at cells.
+                let mut bern = vec![0.0; n];
+                for i in 0..n {
+                    let (ue, uno) = cell_vec[i];
+                    bern[i] = 0.5 * (ue * ue + uno * uno) + phi[k * n + i];
+                }
+
+                let out = &mut new_un[k * ne..(k + 1) * ne];
+                for (e, &(a, b)) in grid.edges.iter().enumerate() {
+                    // Tangential velocity from averaged cell vectors.
+                    let va = cell_vec[a];
+                    let vb = cell_vec[b];
+                    let v3 = [
+                        0.5 * (va.0 * self.cell_east[a][0]
+                            + va.1 * self.cell_north[a][0]
+                            + vb.0 * self.cell_east[b][0]
+                            + vb.1 * self.cell_north[b][0]),
+                        0.5 * (va.0 * self.cell_east[a][1]
+                            + va.1 * self.cell_north[a][1]
+                            + vb.0 * self.cell_east[b][1]
+                            + vb.1 * self.cell_north[b][1]),
+                        0.5 * (va.0 * self.cell_east[a][2]
+                            + va.1 * self.cell_north[a][2]
+                            + vb.0 * self.cell_east[b][2]
+                            + vb.1 * self.cell_north[b][2]),
+                    ];
+                    let t = self.edge_tangent[e];
+                    let ut = v3[0] * t[0] + v3[1] * t[1] + v3[2] * t[2];
+
+                    let (c0, c1) = grid.edge_corners[e];
+                    let eta = self.f_edge[e] + 0.5 * (zeta[c0] + zeta[c1]);
+
+                    let grad_bern = (bern[b] - bern[a]) / self.de[e];
+                    let t_e = 0.5 * (t_field[k * n + a] + t_field[k * n + b]);
+                    let grad_lnps = (state.ps[b].ln() - state.ps[a].ln()) / self.de[e];
+
+                    // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
+                    let (cd, cu) = self.edge_corners_oriented[e];
+                    let lap =
+                        (div_u[b] - div_u[a]) / self.de[e] - (zeta[cu] - zeta[cd]) / self.le[e];
+
+                    out[e] = unk[e]
+                        + dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps
+                            + self.config.nu * lap);
+                }
+            }
+
+            state.un.copy_from_slice(&new_un);
+        }
+    }
+}

@@ -43,6 +43,47 @@ pub struct GeodesicGrid {
     pub cell_neighbors: Vec<Vec<usize>>,
     /// Per cell: spherical area (unit sphere; multiply by R² for physical).
     pub cell_areas: Vec<f64>,
+    /// Per cell: `cell_edges` as one fixed-width row with every edge normal
+    /// resolved in the cell's (east, north) frame, for loops that walk the
+    /// mesh every step.
+    pub cell_stencils: Vec<CellStencil>,
+}
+
+/// Most edges a Voronoi cell has: 6, and 5 at the twelve pentagons.
+pub const MAX_CELL_EDGES: usize = 6;
+
+/// One cell's edges in `cell_edges` order, and the components of each edge
+/// normal along the cell's local east and north unit vectors (what the
+/// least-squares wind reconstruction and any projection onto the cell's
+/// edges need; it never changes, so it is computed once with the grid).
+#[derive(Debug, Clone, Copy)]
+pub struct CellStencil {
+    /// Edges around the cell; the arrays are valid up to here.
+    nedges: u32,
+    pub edge: [u32; MAX_CELL_EDGES],
+    /// n̂·east per edge.
+    pub n_east: [f64; MAX_CELL_EDGES],
+    /// n̂·north per edge.
+    pub n_north: [f64; MAX_CELL_EDGES],
+}
+
+impl CellStencil {
+    /// Number of edges around the cell: the arrays' valid length (the `min`
+    /// lets the compiler drop the bounds checks of `array[slot]`).
+    #[inline]
+    pub fn nedges(&self) -> usize {
+        (self.nedges as usize).min(MAX_CELL_EDGES)
+    }
+
+    /// `(edge, n̂·east, n̂·north)` for each edge around the cell.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
+        let m = self.nedges();
+        self.edge[..m]
+            .iter()
+            .zip(&self.n_east[..m])
+            .zip(&self.n_north[..m])
+            .map(|((&e, &ne), &nn)| (e as usize, ne, nn))
+    }
 }
 
 /// Counts without building the mesh (used for Table 1 and the machine model
@@ -219,6 +260,31 @@ impl GeodesicGrid {
             cell_areas[c] += area / 3.0;
         }
 
+        let cell_stencils = cell_edges
+            .iter()
+            .zip(&vertices)
+            .map(|(around, center)| {
+                assert!(
+                    around.len() <= MAX_CELL_EDGES,
+                    "{} edges around a cell",
+                    around.len()
+                );
+                let (east, north) = (center.east(), center.north());
+                let mut stencil = CellStencil {
+                    nedges: around.len() as u32,
+                    edge: [0; MAX_CELL_EDGES],
+                    n_east: [0.0; MAX_CELL_EDGES],
+                    n_north: [0.0; MAX_CELL_EDGES],
+                };
+                for (slot, &(e, _sign)) in around.iter().enumerate() {
+                    stencil.edge[slot] = u32::try_from(e).expect("edge index exceeds u32");
+                    stencil.n_east[slot] = edge_normals[e].dot(east);
+                    stencil.n_north[slot] = edge_normals[e].dot(north);
+                }
+                stencil
+            })
+            .collect();
+
         GeodesicGrid {
             glevel,
             cells: vertices,
@@ -233,6 +299,7 @@ impl GeodesicGrid {
             cell_edges,
             cell_neighbors,
             cell_areas,
+            cell_stencils,
         }
     }
 
@@ -281,16 +348,22 @@ impl GeodesicGrid {
     /// edge-normal components by unweighted least squares (2×2 normal
     /// equations in the local (east, north) basis).
     pub fn reconstruct_cell_vectors(&self, edge_normal_vel: &[f64]) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        self.reconstruct_cell_vectors_into(edge_normal_vel, &mut out);
+        out
+    }
+
+    /// [`Self::reconstruct_cell_vectors`] into a reused buffer.
+    pub fn reconstruct_cell_vectors_into(
+        &self,
+        edge_normal_vel: &[f64],
+        out: &mut Vec<(f64, f64)>,
+    ) {
         assert_eq!(edge_normal_vel.len(), self.nedges());
-        let mut out = Vec::with_capacity(self.ncells());
-        for (i, edges) in self.cell_edges.iter().enumerate() {
-            let east = self.cells[i].east();
-            let north = self.cells[i].north();
+        out.clear();
+        out.extend(self.cell_stencils.iter().map(|stencil| {
             let (mut a11, mut a12, mut a22, mut b1, mut b2) = (0.0, 0.0, 0.0, 0.0, 0.0);
-            for &(e, _sign) in edges {
-                let n = self.edge_normals[e];
-                let ne = n.dot(east);
-                let nn = n.dot(north);
+            for (e, ne, nn) in stencil.slots() {
                 a11 += ne * ne;
                 a12 += ne * nn;
                 a22 += nn * nn;
@@ -299,12 +372,11 @@ impl GeodesicGrid {
             }
             let det = a11 * a22 - a12 * a12;
             if det.abs() < 1e-14 {
-                out.push((0.0, 0.0));
+                (0.0, 0.0)
             } else {
-                out.push(((a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det));
+                ((a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det)
             }
-        }
-        out
+        }));
     }
 }
 

@@ -52,10 +52,35 @@ impl MoistConvection {
         dp: &[f64],
         dz: &[f64],
     ) -> ConvectionResult {
+        let mut dt = vec![0.0; t.len()];
+        let mut dq = vec![0.0; t.len()];
+        let precipitation = self.column_into(t, q, p, dp, dz, &mut dt, &mut dq);
+        ConvectionResult {
+            dt,
+            dq,
+            precipitation,
+        }
+    }
+
+    /// [`Self::column`] with the tendencies written to `dt` and `dq`
+    /// (overwritten); returns the surface precipitation rate.
+    // The argument list is the column's physical inputs plus the two outputs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn column_into(
+        &self,
+        t: &[f64],
+        q: &[f64],
+        p: &[f64],
+        dp: &[f64],
+        dz: &[f64],
+        dt: &mut [f64],
+        dq: &mut [f64],
+    ) -> f64 {
         let nlev = t.len();
         assert!(q.len() == nlev && p.len() == nlev && dp.len() == nlev && dz.len() == nlev);
-        let mut dt = vec![0.0; nlev];
-        let mut dq = vec![0.0; nlev];
+        assert!(dt.len() == nlev && dq.len() == nlev);
+        dt.fill(0.0);
+        dq.fill(0.0);
         let mut precip_flux = 0.0; // kg/m²/s column-integrated condensate
 
         // --- Large-scale condensation: relax supersaturation away. ---
@@ -92,11 +117,7 @@ impl MoistConvection {
             }
         }
 
-        ConvectionResult {
-            dt,
-            dq,
-            precipitation: precip_flux.max(0.0),
-        }
+        precip_flux.max(0.0)
     }
 }
 

@@ -26,16 +26,22 @@ impl KProfilePbl {
     /// Eddy diffusivity per interface (between layer k and k+1), cubic
     /// K-profile that peaks in the lower boundary layer and vanishes above.
     pub fn k_profile(&self, nlev: usize) -> Vec<f64> {
-        (0..nlev.saturating_sub(1))
-            .map(|k| {
-                let z = (k as f64 + 1.0) / self.bl_layers as f64;
-                if z >= 1.0 {
-                    0.0
-                } else {
-                    self.k_max * z * (1.0 - z) * (1.0 - z) * 4.0
-                }
-            })
-            .collect()
+        let mut kp = Vec::new();
+        self.k_profile_into(nlev, &mut kp);
+        kp
+    }
+
+    /// [`Self::k_profile`] into a reused buffer (`nlev − 1` values).
+    pub fn k_profile_into(&self, nlev: usize, kp: &mut Vec<f64>) {
+        kp.clear();
+        kp.extend((0..nlev.saturating_sub(1)).map(|k| {
+            let z = (k as f64 + 1.0) / self.bl_layers as f64;
+            if z >= 1.0 {
+                0.0
+            } else {
+                self.k_max * z * (1.0 - z) * (1.0 - z) * 4.0
+            }
+        }));
     }
 
     /// Diffusion tendency of a field (per second), surface-first layers with
@@ -43,22 +49,44 @@ impl KProfilePbl {
     /// lowest layer (field-units · m/s, e.g. W/m² ÷ (ρ·cp) for temperature).
     pub fn diffuse(&self, field: &[f64], dz: &[f64], surface_flux: f64) -> Vec<f64> {
         let nlev = field.len();
-        assert_eq!(dz.len(), nlev);
-        let kp = self.k_profile(nlev);
         let mut tend = vec![0.0; nlev];
-        // Interface fluxes F_{k+1/2} = -K (f_{k+1} - f_k)/dz_interface,
-        // positive upward.
         let mut flux = vec![0.0; nlev + 1];
-        flux[0] = surface_flux;
-        for k in 0..nlev - 1 {
-            let dzi = 0.5 * (dz[k] + dz[k + 1]);
-            flux[k + 1] = -kp[k] * (field[k + 1] - field[k]) / dzi;
-        }
-        // top flux = 0
-        for k in 0..nlev {
-            tend[k] = (flux[k] - flux[k + 1]) / dz[k];
-        }
+        diffuse_into(
+            &self.k_profile(nlev),
+            field,
+            dz,
+            surface_flux,
+            &mut flux,
+            &mut tend,
+        );
         tend
+    }
+}
+
+/// [`KProfilePbl::diffuse`] with the K-profile `kp` (`nlev − 1` interfaces)
+/// given and the results written to `tend` (`nlev`); `flux` is `nlev + 1`
+/// values of scratch.
+pub fn diffuse_into(
+    kp: &[f64],
+    field: &[f64],
+    dz: &[f64],
+    surface_flux: f64,
+    flux: &mut [f64],
+    tend: &mut [f64],
+) {
+    let nlev = field.len();
+    assert_eq!(dz.len(), nlev);
+    assert!(kp.len() + 1 == nlev && flux.len() == nlev + 1 && tend.len() == nlev);
+    // Interface fluxes F_{k+1/2} = -K (f_{k+1} - f_k)/dz_interface,
+    // positive upward.
+    flux[0] = surface_flux;
+    for k in 0..nlev - 1 {
+        let dzi = 0.5 * (dz[k] + dz[k + 1]);
+        flux[k + 1] = -kp[k] * (field[k + 1] - field[k]) / dzi;
+    }
+    flux[nlev] = 0.0; // top flux = 0
+    for k in 0..nlev {
+        tend[k] = (flux[k] - flux[k + 1]) / dz[k];
     }
 }
 

@@ -59,8 +59,25 @@ impl GrayRadiation {
         dp: &[f64],
         coszr: f64,
     ) -> RadiationResult {
+        let mut heating = vec![0.0; t.len()];
+        let (gsw, glw) = self.column_into(t, q, p, dp, coszr, &mut heating);
+        RadiationResult { gsw, glw, heating }
+    }
+
+    /// [`Self::column`] with the heating rates written to `heating`; returns
+    /// `(gsw, glw)`.
+    pub fn column_into(
+        &self,
+        t: &[f64],
+        q: &[f64],
+        p: &[f64],
+        dp: &[f64],
+        coszr: f64,
+        heating: &mut [f64],
+    ) -> (f64, f64) {
         let nlev = t.len();
         assert!(q.len() == nlev && p.len() == nlev && dp.len() == nlev);
+        assert_eq!(heating.len(), nlev);
         let coszr = coszr.clamp(0.0, 1.0);
 
         // --- Shortwave: Beer-Lambert through the whole column ---
@@ -89,23 +106,23 @@ impl GrayRadiation {
 
         // --- Heating rates: SW absorption heats where it is absorbed;
         // LW gives a smooth clear-sky cooling profile. ---
-        let mut heating = vec![0.0; nlev];
         let sw_absorbed = if coszr > 0.0 {
             SOLAR_CONSTANT * coszr * (1.0 - (-slant).exp())
         } else {
             0.0
         };
         let total_dp: f64 = dp.iter().sum();
+        let column_water = q.iter().zip(dp).map(|(a, b)| a * b).sum::<f64>() + 1e-12;
         let cool = self.cooling_k_per_day / 86_400.0;
         for k in 0..nlev {
             // Distribute SW absorption by layer water-path share.
-            let share = q[k] * dp[k] / (q.iter().zip(dp).map(|(a, b)| a * b).sum::<f64>() + 1e-12);
+            let share = q[k] * dp[k] / column_water;
             let mass = dp[k] / GRAVITY;
             heating[k] = sw_absorbed * share * 0.3 / (CP_DRY * mass.max(1e-6))
                 - cool * (dp[k] / (total_dp / nlev as f64)).min(2.0);
         }
 
-        RadiationResult { gsw, glw, heating }
+        (gsw, glw)
     }
 }
 

@@ -5,7 +5,7 @@
 
 use crate::constants::{CP_DRY, GRAVITY, RHO_AIR};
 use crate::convection::MoistConvection;
-use crate::pbl::KProfilePbl;
+use crate::pbl::{diffuse_into, KProfilePbl};
 use crate::radiation::GrayRadiation;
 use crate::surface::{bulk_fluxes, BulkCoefficients, SurfaceFluxes};
 
@@ -27,6 +27,20 @@ pub struct Column {
 }
 
 impl Column {
+    /// An all-zero column of `nlev` levels, to be filled in place.
+    pub fn zeros(nlev: usize) -> Self {
+        let zeros = vec![0.0; nlev];
+        Column {
+            u: zeros.clone(),
+            v: zeros.clone(),
+            t: zeros.clone(),
+            q: zeros.clone(),
+            p: zeros.clone(),
+            dp: zeros.clone(),
+            dz: zeros,
+        }
+    }
+
     pub fn nlev(&self) -> usize {
         self.t.len()
     }
@@ -60,6 +74,42 @@ pub struct ColumnPhysicsOutput {
     pub surface_fluxes: SurfaceFluxes,
 }
 
+impl ColumnPhysicsOutput {
+    /// An all-zero output for `nlev` levels, to be filled by
+    /// [`ConventionalSuite::step_column_into`].
+    pub fn zeros(nlev: usize) -> Self {
+        ColumnPhysicsOutput {
+            du: vec![0.0; nlev],
+            dv: vec![0.0; nlev],
+            dt: vec![0.0; nlev],
+            dq: vec![0.0; nlev],
+            gsw: 0.0,
+            glw: 0.0,
+            precipitation: 0.0,
+            surface_fluxes: SurfaceFluxes {
+                taux: 0.0,
+                tauy: 0.0,
+                sensible: 0.0,
+                latent: 0.0,
+                evaporation: 0.0,
+            },
+        }
+    }
+}
+
+/// Per-column work buffers of [`ConventionalSuite::step_column_into`], plus
+/// the PBL K-profile, which depends on the level count only: a caller
+/// stepping many columns prepares it once
+/// ([`ConventionalSuite::prepare_scratch`]).
+#[derive(Debug, Clone, Default)]
+pub struct ColumnScratch {
+    k_profile: Vec<f64>,
+    diffusion_flux: Vec<f64>,
+    heating: Vec<f64>,
+    conv_dt: Vec<f64>,
+    conv_dq: Vec<f64>,
+}
+
 /// The conventional suite: radiation + surface + PBL + convection.
 #[derive(Debug, Clone)]
 #[derive(Default)]
@@ -74,8 +124,44 @@ pub struct ConventionalSuite {
 impl ConventionalSuite {
     /// Run all parameterizations on one column.
     pub fn step_column(&self, col: &Column, sfc: &SurfaceProperties) -> ColumnPhysicsOutput {
+        let mut out = ColumnPhysicsOutput::zeros(col.nlev());
+        let mut scratch = ColumnScratch::default();
+        self.prepare_scratch(col.nlev(), &mut scratch);
+        self.step_column_into(col, sfc, &mut out, &mut scratch);
+        out
+    }
+
+    /// Size `scratch` for columns of `nlev` levels and fill in the K-profile
+    /// of this suite's PBL parameters; allocates only when `nlev` grows.
+    pub fn prepare_scratch(&self, nlev: usize, scratch: &mut ColumnScratch) {
+        self.pbl.k_profile_into(nlev, &mut scratch.k_profile);
+        scratch.diffusion_flux.resize(nlev + 1, 0.0);
+        scratch.heating.resize(nlev, 0.0);
+        scratch.conv_dt.resize(nlev, 0.0);
+        scratch.conv_dq.resize(nlev, 0.0);
+    }
+
+    /// [`Self::step_column`] into a reused `out`, allocating nothing. `out`
+    /// and `scratch` must be sized for the column's level count
+    /// ([`ColumnPhysicsOutput::zeros`], [`Self::prepare_scratch`]).
+    pub fn step_column_into(
+        &self,
+        col: &Column,
+        sfc: &SurfaceProperties,
+        out: &mut ColumnPhysicsOutput,
+        scratch: &mut ColumnScratch,
+    ) {
         let nlev = col.nlev();
-        let rad = self.radiation.column(&col.t, &col.q, &col.p, &col.dp, sfc.coszr);
+        let ColumnScratch {
+            k_profile,
+            diffusion_flux,
+            heating,
+            conv_dt,
+            conv_dq,
+        } = scratch;
+        let (gsw, glw) = self
+            .radiation
+            .column_into(&col.t, &col.q, &col.p, &col.dp, sfc.coszr, heating);
         let fluxes = bulk_fluxes(
             &self.bulk,
             col.u[0],
@@ -92,18 +178,21 @@ impl ConventionalSuite {
         let u_flux = -fluxes.taux / RHO_AIR;
         let v_flux = -fluxes.tauy / RHO_AIR;
 
-        let mut du = self.pbl.diffuse(&col.u, &col.dz, u_flux);
-        let mut dv = self.pbl.diffuse(&col.v, &col.dz, v_flux);
-        let mut dt = self.pbl.diffuse(&col.t, &col.dz, t_flux);
-        let mut dq = self.pbl.diffuse(&col.q, &col.dz, q_flux);
+        let ColumnPhysicsOutput { du, dv, dt, dq, .. } = out;
+        diffuse_into(k_profile, &col.u, &col.dz, u_flux, diffusion_flux, du);
+        diffuse_into(k_profile, &col.v, &col.dz, v_flux, diffusion_flux, dv);
+        diffuse_into(k_profile, &col.t, &col.dz, t_flux, diffusion_flux, dt);
+        diffuse_into(k_profile, &col.q, &col.dz, q_flux, diffusion_flux, dq);
 
-        for (d, h) in dt.iter_mut().zip(&rad.heating) {
+        for (d, h) in dt.iter_mut().zip(heating.iter()) {
             *d += h;
         }
-        let conv = self.convection.column(&col.t, &col.q, &col.p, &col.dp, &col.dz);
+        let precipitation = self
+            .convection
+            .column_into(&col.t, &col.q, &col.p, &col.dp, &col.dz, conv_dt, conv_dq);
         for k in 0..nlev {
-            dt[k] += conv.dt[k];
-            dq[k] += conv.dq[k];
+            dt[k] += conv_dt[k];
+            dq[k] += conv_dq[k];
             // Weak Rayleigh drag near the top absorbs gravity waves.
             if k + 2 >= nlev {
                 du[k] -= col.u[k] / (10.0 * 86_400.0);
@@ -111,16 +200,10 @@ impl ConventionalSuite {
             }
         }
 
-        ColumnPhysicsOutput {
-            du,
-            dv,
-            dt,
-            dq,
-            gsw: rad.gsw,
-            glw: rad.glw,
-            precipitation: conv.precipitation,
-            surface_fluxes: fluxes,
-        }
+        out.gsw = gsw;
+        out.glw = glw;
+        out.precipitation = precipitation;
+        out.surface_fluxes = fluxes;
     }
 
     /// Rough FLOP count per column step (for the F4 cost comparison).
