@@ -1,171 +1,585 @@
-//! MCT-style component interfaces.
+//! The MCT-style component contract and its four implementations.
 //!
 //! "CPL7 uses MCT-based *init*, *run*, and *finalize* interfaces in each
 //! component to control the whole workflow… the *import* and *export*
 //! methods are also implemented for GRIST and LICOM to get boundary
 //! condition data from other models and provide output boundary condition
-//! data" (§5.1.1).
+//! data" (§5.1.1). Construction is `init`, drop is `finalize`; what is left
+//! is what the [`Coupler`](crate::coupler::Coupler) calls every coupling —
+//! `import → run → export` — plus what the recovery layer needs from
+//! whatever components a rank holds.
 
+use std::path::Path;
+use std::sync::Arc;
+
+use ap3esm_atm::dycore::{Dycore, DycoreConfig};
+use ap3esm_atm::pdc::{PhysicsDriver, PhysicsDynamicsCoupler, SurfaceForcing};
+use ap3esm_atm::state::AtmState;
+use ap3esm_atm::vortex::{seed_vortex, track_vortex, TrackPoint};
+use ap3esm_comm::{CommError, Rank};
 use ap3esm_cpl::AttrVect;
+use ap3esm_grid::decomp::BlockDecomp2d;
+use ap3esm_grid::tripolar::TripolarGrid;
+use ap3esm_grid::GeodesicGrid;
+use ap3esm_ice::{IceExport, IceForcing, IceModel};
+use ap3esm_io::IoError;
+use ap3esm_lnd::{LndForcing, LndModel};
+use ap3esm_ocn::model::{OcnConfig, OcnForcing, OcnModel};
+use ap3esm_physics::constants::temperature_from_theta;
+use ap3esm_physics::ConventionalSuite;
 
-/// Lifecycle phase (for sequencing assertions and progress reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComponentPhase {
-    Created,
-    Initialized,
-    Running,
-    Finalized,
-}
+use crate::config::CoupledConfig;
+use crate::coupled::{CoupledOptions, Perturbation, SstPattern};
+use crate::resilience::{AtmGuard, GuardConfig, HealthVerdict, OcnGuard};
+use crate::restart::{self, read_aux, write_aux};
 
 /// The coupler-facing contract every AP3ESM component implements.
 pub trait Component {
-    /// Component name ("atm", "ocn", "ice", "lnd").
-    fn name(&self) -> &'static str;
-
-    /// One-time setup; must be called before the first `run`.
-    fn init(&mut self);
-
-    /// Advance the component by `seconds` of simulated time. The import
-    /// state must have been refreshed by the coupler beforehand.
-    fn run(&mut self, seconds: f64);
-
-    /// Tear-down; after this only `phase` may be called.
-    fn finalize(&mut self);
-
-    fn phase(&self) -> ComponentPhase;
-
     /// Copy boundary conditions *into* the component from the coupler's
     /// attribute vector (fields on the component's own grid).
     fn import(&mut self, av: &AttrVect);
 
+    /// Advance by `seconds` of simulated time — a whole number of internal
+    /// steps (§5.1.1's consistency requirement, fitted at construction).
+    /// Only a component that communicates (the decomposed ocean) can fail.
+    fn run(&mut self, rank: &Rank, seconds: f64) -> Result<(), CommError>;
+
     /// Fill the coupler's attribute vector with this component's exports.
     fn export(&self, av: &mut AttrVect);
 
-    /// Internal timestep (s) — checked against the coupling period
-    /// (§5.1.1's consistency requirement).
-    fn internal_dt(&self) -> f64;
+    /// The scalar the driver's per-coupling series records: mass-weighted
+    /// mean θ (atm), this rank's kinetic energy (ocn), mean cover (ice).
+    fn diagnostic(&self) -> f64;
+
+    /// Locate the tracked vortex, searching near `prev` (atmospheres that
+    /// were asked to track one).
+    fn track(&self, _prev: Option<(f64, f64)>) -> Option<TrackPoint> {
+        None
+    }
+
+    /// State-health verdict at a coupling boundary. Ice and land have no
+    /// guard: both clamp their own state to its physical range.
+    fn health(&self) -> HealthVerdict {
+        HealthVerdict::Healthy
+    }
+
+    /// Simulated rank loss: turn the prognostic state into garbage that
+    /// [`health`](Component::health) detects (nothing to do without a
+    /// guard).
+    fn poison(&mut self) {}
+
+    /// Write / read this component's share of a checkpoint directory.
+    fn save(&self, dir: &Path) -> Result<(), IoError>;
+    fn restore(&mut self, dir: &Path) -> Result<(), IoError>;
 }
 
-/// A trivial component used to test coupler sequencing without heavy
-/// models (and exercised by the sequencing unit tests).
-pub struct NullComponent {
-    pub nameplate: &'static str,
-    pub phase: ComponentPhase,
-    pub simulated: f64,
-    pub dt: f64,
-    pub last_import: Option<f64>,
+/// Fit the atmosphere stepping so an integer number of model steps covers
+/// the coupling period (§5.1.1's consistency requirement).
+pub fn fitted_atm_config(dx_km: f64, period: f64) -> DycoreConfig {
+    let base = DycoreConfig::for_spacing_km(dx_km);
+    let n = (period / base.dt_model).ceil().max(1.0);
+    let dt_model = period / n;
+    let dt_tracer = dt_model / 4.0;
+    let dt_dyn = dt_tracer / 4.0;
+    DycoreConfig {
+        dt_dyn,
+        dt_tracer,
+        dt_model,
+        nu: 0.015 * (dx_km * 1000.0).powi(2) / dt_dyn,
+    }
 }
 
-impl NullComponent {
-    pub fn new(name: &'static str, dt: f64) -> Self {
-        NullComponent {
-            nameplate: name,
-            phase: ComponentPhase::Created,
-            simulated: 0.0,
-            dt,
-            last_import: None,
+/// Same fitting for the ocean, on the configured process mesh.
+pub fn fitted_ocn_config(config: &CoupledConfig, period: f64) -> OcnConfig {
+    let mut c = OcnConfig::for_grid(
+        config.ocn_nlon,
+        config.ocn_nlat,
+        config.ocn_nlev,
+        config.ocn_px,
+        config.ocn_py,
+    );
+    let n = (period / c.dt_baroclinic).ceil().max(1.0);
+    c.dt_baroclinic = period / n;
+    c
+}
+
+/// Build the AI physics suite for the coupled model: a quick in-situ
+/// training pass over conventional-physics supervision (our stand-in for
+/// loading the paper's pre-trained 5-km weights; DESIGN.md substitution).
+fn build_ai_driver(nlev: usize) -> PhysicsDriver {
+    use ap3esm_ai::modules::{Normalizer, RadiationModule, TendencyModule};
+    use ap3esm_ai::net::{RadiationMlp, TendencyCnn};
+    use ap3esm_ai::train::{TrainConfig, Trainer};
+    use ap3esm_physics::suite::{hydrostatic_thickness, Column, SurfaceProperties};
+
+    let suite = ConventionalSuite::default();
+    let sigma: Vec<f64> = (0..nlev)
+        .map(|k| 1.0 - (k as f64 + 0.5) / nlev as f64)
+        .collect();
+    let ds = vec![1.0 / nlev as f64; nlev];
+    let mut inputs = Vec::new();
+    let mut targets = Vec::new();
+    for s in 0..240 {
+        let t_surf = 278.0 + 24.0 * ((s as f64) * 0.41).sin().abs();
+        let t: Vec<f64> = (0..nlev)
+            .map(|k| t_surf - (50.0 / nlev as f64) * k as f64)
+            .collect();
+        let (p, dp, dz) = hydrostatic_thickness(&sigma, &ds, 1.0e5, &t);
+        let q: Vec<f64> = (0..nlev)
+            .map(|k| 0.012 * (-1.5 * k as f64 / nlev as f64).exp())
+            .collect();
+        let col = Column {
+            u: vec![6.0 * ((s % 7) as f64 - 3.0); nlev],
+            v: vec![0.0; nlev],
+            t: t.clone(),
+            q: q.clone(),
+            p: p.clone(),
+            dp,
+            dz,
+        };
+        let out = suite.step_column(
+            &col,
+            &SurfaceProperties {
+                tskin: t_surf + 1.0,
+                coszr: 0.25 * (s % 4) as f64,
+                wetness: 1.0,
+            },
+        );
+        let mut x = Vec::new();
+        for src in [&col.u, &col.v, &col.t, &col.q, &col.p] {
+            x.extend(src.iter().map(|&v| v as f32));
+        }
+        let mut y = Vec::new();
+        for src in [&out.du, &out.dv, &out.dt, &out.dq] {
+            y.extend(src.iter().map(|&v| v as f32));
+        }
+        inputs.push(x);
+        targets.push(y);
+    }
+    let in_norm = Normalizer::fit(&inputs, 5);
+    let out_norm = Normalizer::fit(&targets, 4);
+    for s in inputs.iter_mut() {
+        *s = in_norm.normalize(s, 5);
+    }
+    for s in targets.iter_mut() {
+        *s = out_norm.normalize(s, 4);
+    }
+    let mut net = TendencyCnn::with_width(nlev, 12, 11);
+    let trainer = Trainer::new(TrainConfig {
+        epochs: 6,
+        batch_size: 16,
+        lr: 2e-3,
+    });
+    trainer.train_cnn(&mut net, &inputs, &targets);
+    PhysicsDriver::AiSuite {
+        tendency: TendencyModule::new(net, in_norm, out_norm),
+        radiation: RadiationModule::new(
+            RadiationMlp::with_width(nlev, 24, 13),
+            Normalizer {
+                mean: vec![0.0],
+                std: vec![100.0],
+            },
+            Normalizer {
+                mean: vec![200.0, 350.0],
+                std: vec![100.0, 50.0],
+            },
+        ),
+        diagnostics: ConventionalSuite::default(),
+    }
+}
+
+/// Whole internal steps in `seconds` (at least one).
+fn whole_steps(seconds: f64, dt: f64) -> usize {
+    ((seconds / dt).round() as usize).max(1)
+}
+
+/// The GRIST-analogue atmosphere: dycore + physics on the geodesic grid.
+pub struct Atm {
+    pub state: AtmState,
+    dycore: Dycore,
+    pdc: PhysicsDynamicsCoupler,
+    forcing: SurfaceForcing,
+    guard: AtmGuard,
+    /// Precipitation rate over the last `run` (kg/m²/s); during a `run` it
+    /// holds the accumulator as of the run's start.
+    precip_rate: Vec<f64>,
+    tracking: bool,
+}
+
+impl Atm {
+    /// Cold start: isothermal with a meridional structure so the
+    /// circulation is not degenerate (warm tropics, cold poles), then the
+    /// options' vortices and θ noise. Stepping is fitted to `period`.
+    pub fn new(
+        grid: Arc<GeodesicGrid>,
+        config: &CoupledConfig,
+        opts: &CoupledOptions,
+        period: f64,
+    ) -> Self {
+        let n = grid.ncells();
+        let mut state = AtmState::isothermal(Arc::clone(&grid), config.atm_nlev, 288.0);
+        for k in 0..config.atm_nlev {
+            for i in 0..n {
+                let phi = grid.cells[i].lat();
+                state.theta[k * n + i] += 15.0 * (phi.cos().powi(2) - 0.5);
+            }
+        }
+        for spec in opts.vortex.iter().chain(&opts.extra_vortices) {
+            seed_vortex(&mut state, spec);
+        }
+        if let Some(p) = &opts.perturb {
+            for (i, th) in state.theta.iter_mut().enumerate() {
+                *th += p.noise(i);
+            }
+        }
+        let dycore = Dycore::new(
+            Arc::clone(&grid),
+            fitted_atm_config(grid.mean_spacing_km(), period),
+        );
+        let pdc = PhysicsDynamicsCoupler::new(if config.ai_physics {
+            build_ai_driver(config.atm_nlev)
+        } else {
+            PhysicsDriver::Conventional(ConventionalSuite::default())
+        });
+        let guard = AtmGuard::new(&state, GuardConfig::default(), dycore.config.dt_dyn);
+        Atm {
+            state,
+            dycore,
+            pdc,
+            forcing: SurfaceForcing::uniform(n, 288.0, 0.0, 1.0),
+            guard,
+            precip_rate: vec![0.0; n],
+            tracking: opts.record_track && opts.vortex.is_some(),
         }
     }
 }
 
-impl Component for NullComponent {
-    fn name(&self) -> &'static str {
-        self.nameplate
-    }
-
-    fn init(&mut self) {
-        assert_eq!(self.phase, ComponentPhase::Created, "double init");
-        self.phase = ComponentPhase::Initialized;
-    }
-
-    fn run(&mut self, seconds: f64) {
-        assert!(
-            matches!(
-                self.phase,
-                ComponentPhase::Initialized | ComponentPhase::Running
-            ),
-            "run before init"
-        );
-        self.phase = ComponentPhase::Running;
-        // The coupling period must be a whole number of internal steps.
-        let steps = seconds / self.dt;
-        assert!(
-            (steps - steps.round()).abs() < 1e-9,
-            "coupling period {seconds} not a multiple of dt {}",
-            self.dt
-        );
-        self.simulated += seconds;
-    }
-
-    fn finalize(&mut self) {
-        self.phase = ComponentPhase::Finalized;
-    }
-
-    fn phase(&self) -> ComponentPhase {
-        self.phase
-    }
-
+impl Component for Atm {
     fn import(&mut self, av: &AttrVect) {
-        if av.num_fields() > 0 {
-            let name = av.field_names()[0].to_string();
-            self.last_import = av.get(&name).first().copied();
+        self.forcing.tskin.copy_from_slice(av.get("tskin"));
+        self.forcing.wetness.copy_from_slice(av.get("wetness"));
+        self.forcing.coszr.copy_from_slice(av.get("coszr"));
+    }
+
+    fn run(&mut self, _rank: &Rank, seconds: f64) -> Result<(), CommError> {
+        self.precip_rate.copy_from_slice(&self.state.precip_accum);
+        let dt = self.dycore.config.dt_model;
+        for _ in 0..whole_steps(seconds, dt) {
+            self.dycore.step_model_dynamics(&mut self.state);
+            self.pdc.apply(&mut self.state, &self.forcing, dt);
         }
+        for (rate, now) in self.precip_rate.iter_mut().zip(&self.state.precip_accum) {
+            *rate = (now - *rate).max(0.0) / seconds;
+        }
+        Ok(())
     }
 
     fn export(&self, av: &mut AttrVect) {
-        let names: Vec<String> = av.field_names().iter().map(|s| s.to_string()).collect();
-        for name in names {
-            let n = av.npoints();
-            av.set(&name, &vec![self.simulated; n]);
+        let st = &self.state;
+        let n = st.ncells();
+        let winds = st.surface_wind();
+        for (u, wind) in av.get_mut("u").iter_mut().zip(&winds) {
+            *u = wind.0;
         }
+        for (v, wind) in av.get_mut("v").iter_mut().zip(&winds) {
+            *v = wind.1;
+        }
+        for (i, t) in av.get_mut("tbot").iter_mut().enumerate() {
+            *t = temperature_from_theta(st.theta[i], st.sigma[0] * st.ps[i]);
+        }
+        av.set("qbot", &st.q[..n]);
+        av.set("ps", &st.ps);
+        av.set("gsw", &st.gsw);
+        av.set("glw", &st.glw);
+        av.set("precip", &self.precip_rate);
     }
 
-    fn internal_dt(&self) -> f64 {
-        self.dt
+    fn diagnostic(&self) -> f64 {
+        self.state.mean_theta()
+    }
+
+    fn track(&self, prev: Option<(f64, f64)>) -> Option<TrackPoint> {
+        self.tracking
+            .then(|| track_vortex(&self.state, prev, 1_500_000.0))
+    }
+
+    fn health(&self) -> HealthVerdict {
+        self.guard.check(&self.state)
+    }
+
+    fn poison(&mut self) {
+        self.state.theta.fill(f64::NAN);
+    }
+
+    fn save(&self, dir: &Path) -> Result<(), IoError> {
+        restart::write_atm_restart(dir, &self.state)
+    }
+
+    fn restore(&mut self, dir: &Path) -> Result<(), IoError> {
+        restart::read_atm_restart(dir, &mut self.state)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The LICOM-analogue ocean on this rank's block of the tripolar grid.
+pub struct Ocn {
+    pub model: OcnModel,
+    forcing: OcnForcing,
+    guard: OcnGuard,
+    /// Index of this rank's block in the ocean decomposition.
+    ocn_rank: usize,
+}
 
-    #[test]
-    fn lifecycle_enforced() {
-        let mut c = NullComponent::new("atm", 120.0);
-        assert_eq!(c.phase(), ComponentPhase::Created);
-        c.init();
-        c.run(480.0);
-        c.run(480.0);
-        assert_eq!(c.simulated, 960.0);
-        c.finalize();
-        assert_eq!(c.phase(), ComponentPhase::Finalized);
+impl Ocn {
+    pub fn new(grid: &TripolarGrid, config: OcnConfig, ocn_rank: usize) -> Self {
+        let dt_barotropic = config.dt_baroclinic / config.n_barotropic.max(1) as f64;
+        let model = OcnModel::new(grid, config, ocn_rank);
+        let guard = OcnGuard::new(&model.state, GuardConfig::default(), dt_barotropic);
+        let forcing = OcnForcing::zeros(model.state.ni, model.state.nj);
+        Ocn {
+            model,
+            forcing,
+            guard,
+            ocn_rank,
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "run before init")]
-    fn run_before_init_panics() {
-        let mut c = NullComponent::new("ocn", 100.0);
-        c.run(100.0);
+    /// Add an SST anomaly pattern and/or seeded noise to the *true*
+    /// initial surface temperature (the coupled model can only nudge the
+    /// coupler's boundary copy) — the standalone ocean's initial-condition
+    /// families.
+    pub fn perturb_sst(
+        &mut self,
+        grid: &TripolarGrid,
+        pattern: Option<SstPattern>,
+        noise: Option<&Perturbation>,
+    ) {
+        let st = &mut self.model.state;
+        for j in 0..st.nj {
+            let phi = grid.lat[st.block.j0 + j];
+            for i in 0..st.ni {
+                let idx = st.at(i, j);
+                if st.kmt[idx] == 0 {
+                    continue;
+                }
+                if let Some(p) = &pattern {
+                    st.t[0][idx] += p.anomaly(phi, grid.lon[st.block.i0 + i]);
+                }
+                if let Some(p) = noise {
+                    st.t[0][idx] += p.noise(j * st.ni + i);
+                }
+            }
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn inconsistent_coupling_period_panics() {
-        let mut c = NullComponent::new("ocn", 700.0);
-        c.init();
-        c.run(2400.0);
+    /// Area-weighted mean free-surface elevation (m) over this rank's
+    /// ocean columns — the volume-conservation drift metric (a perfect
+    /// barotropic solver keeps it at its initial value).
+    pub fn volume_anomaly(&self) -> f64 {
+        let st = &self.model.state;
+        let (mut vol, mut area) = (0.0, 0.0);
+        for j in 0..st.nj {
+            for i in 0..st.ni {
+                let idx = st.at(i, j);
+                if st.kmt[idx] > 0 {
+                    let da = st.dx[j] * st.dy;
+                    vol += st.eta[idx] * da;
+                    area += da;
+                }
+            }
+        }
+        if area > 0.0 {
+            vol / area
+        } else {
+            0.0
+        }
+    }
+}
+
+impl Component for Ocn {
+    fn import(&mut self, av: &AttrVect) {
+        self.forcing.taux.copy_from_slice(av.get("taux"));
+        self.forcing.tauy.copy_from_slice(av.get("tauy"));
+        self.forcing.qnet.copy_from_slice(av.get("qnet"));
+        self.forcing.salt_flux.copy_from_slice(av.get("salt"));
     }
 
-    #[test]
-    fn import_export_roundtrip() {
-        let mut c = NullComponent::new("ice", 480.0);
-        c.init();
-        c.run(960.0);
-        let mut av = AttrVect::new(3, &["ifrac"]);
-        c.export(&mut av);
-        assert_eq!(av.get("ifrac"), &[960.0, 960.0, 960.0]);
-        let mut d = NullComponent::new("ocn", 480.0);
-        d.import(&av);
-        assert_eq!(d.last_import, Some(960.0));
+    fn run(&mut self, rank: &Rank, seconds: f64) -> Result<(), CommError> {
+        for _ in 0..whole_steps(seconds, self.model.config.dt_baroclinic) {
+            self.model.try_step(rank, &self.forcing)?;
+        }
+        Ok(())
+    }
+
+    /// Local row-major interior order == ascending global ids for a block.
+    fn export(&self, av: &mut AttrVect) {
+        let st = &self.model.state;
+        let surface = |out: &mut [f64], value: &dyn Fn(usize) -> f64| {
+            for j in 0..st.nj {
+                for i in 0..st.ni {
+                    out[j * st.ni + i] = value(st.at(i, j));
+                }
+            }
+        };
+        surface(av.get_mut("sst"), &|idx| st.t[0][idx]);
+        surface(av.get_mut("ssu"), &|idx| st.u[0][idx] + st.ubar[idx]);
+        surface(av.get_mut("ssv"), &|idx| st.v[0][idx] + st.vbar[idx]);
+    }
+
+    fn diagnostic(&self) -> f64 {
+        self.model.state.kinetic_energy()
+    }
+
+    fn health(&self) -> HealthVerdict {
+        self.guard.check(&self.model.state)
+    }
+
+    fn poison(&mut self) {
+        self.model.state.eta.fill(f64::NAN);
+    }
+
+    fn save(&self, dir: &Path) -> Result<(), IoError> {
+        restart::write_ocn_restart(dir, &self.model.state, self.ocn_rank)
+    }
+
+    fn restore(&mut self, dir: &Path) -> Result<(), IoError> {
+        restart::read_ocn_restart(dir, &mut self.model.state, self.ocn_rank)
+    }
+}
+
+/// The CICE-analogue sea ice on the full ocean grid (the coupler's rank
+/// owns it: "the sea ice component contributes minimal computational
+/// overhead").
+pub struct Ice {
+    pub model: IceModel,
+    forcing: IceForcing,
+    /// What the last step handed back (cold start: the seeded cover).
+    last: IceExport,
+}
+
+impl Ice {
+    pub fn new(grid: &TripolarGrid) -> Self {
+        let decomp = BlockDecomp2d::new(grid.nlon, grid.nlat, 1, 1);
+        let model = IceModel::new(grid, &decomp, 0);
+        let n = grid.nlon * grid.nlat;
+        let last = IceExport {
+            fresh: vec![0.0; n],
+            heat: vec![0.0; n],
+            fraction: model.state.fraction.clone(),
+        };
+        Ice {
+            model,
+            forcing: IceForcing::uniform(n, 0.0, 0.0),
+            last,
+        }
+    }
+}
+
+impl Component for Ice {
+    fn import(&mut self, av: &AttrVect) {
+        let f = &mut self.forcing;
+        for (dst, name) in [
+            (&mut f.tair, "tair"),
+            (&mut f.sst, "sst"),
+            (&mut f.uwind, "uwind"),
+            (&mut f.vwind, "vwind"),
+            (&mut f.uocn, "uocn"),
+            (&mut f.vocn, "vocn"),
+        ] {
+            dst.copy_from_slice(av.get(name));
+        }
+    }
+
+    fn run(&mut self, _rank: &Rank, seconds: f64) -> Result<(), CommError> {
+        self.last = self.model.step(&self.forcing, seconds);
+        Ok(())
+    }
+
+    fn export(&self, av: &mut AttrVect) {
+        av.set("icefrac", &self.last.fraction);
+        av.set("iceheat", &self.last.heat);
+        av.set("icefresh", &self.last.fresh);
+    }
+
+    fn diagnostic(&self) -> f64 {
+        self.model.ice_cover()
+    }
+
+    fn save(&self, dir: &Path) -> Result<(), IoError> {
+        let st = &self.model.state;
+        write_aux(dir, "ice_frac", &st.fraction)?;
+        write_aux(dir, "ice_thick", &st.thickness)?;
+        write_aux(dir, "ice_tsfc", &st.tsfc)
+    }
+
+    fn restore(&mut self, dir: &Path) -> Result<(), IoError> {
+        let st = &mut self.model.state;
+        st.fraction = read_aux(dir, "ice_frac", st.fraction.len())?;
+        st.thickness = read_aux(dir, "ice_thick", st.thickness.len())?;
+        st.tsfc = read_aux(dir, "ice_tsfc", st.tsfc.len())?;
+        Ok(())
+    }
+}
+
+/// The bucket land model on the atmosphere's cells ("the land component is
+/// inherently coupled with the atmospheric component").
+pub struct Lnd {
+    pub model: LndModel,
+    forcing: LndForcing,
+}
+
+impl Lnd {
+    pub fn new(land: Vec<bool>) -> Self {
+        let zeros = vec![0.0; land.len()];
+        Lnd {
+            model: LndModel::new(land, 285.0),
+            forcing: LndForcing {
+                gsw: zeros.clone(),
+                glw: zeros.clone(),
+                tair: zeros.clone(),
+                precip: zeros.clone(),
+                wind: zeros,
+            },
+        }
+    }
+}
+
+impl Component for Lnd {
+    fn import(&mut self, av: &AttrVect) {
+        let f = &mut self.forcing;
+        for (dst, name) in [
+            (&mut f.gsw, "gsw"),
+            (&mut f.glw, "glw"),
+            (&mut f.tair, "tair"),
+            (&mut f.precip, "precip"),
+            (&mut f.wind, "wind"),
+        ] {
+            dst.copy_from_slice(av.get(name));
+        }
+    }
+
+    fn run(&mut self, _rank: &Rank, seconds: f64) -> Result<(), CommError> {
+        self.model.step(&self.forcing, seconds);
+        Ok(())
+    }
+
+    fn export(&self, av: &mut AttrVect) {
+        av.set("tskin", &self.model.state.tskin);
+        av.set("wetness", &self.model.wetness());
+    }
+
+    fn diagnostic(&self) -> f64 {
+        self.model.mean_tskin()
+    }
+
+    fn save(&self, dir: &Path) -> Result<(), IoError> {
+        write_aux(dir, "lnd_tskin", &self.model.state.tskin)?;
+        write_aux(dir, "lnd_moist", &self.model.state.moisture)
+    }
+
+    fn restore(&mut self, dir: &Path) -> Result<(), IoError> {
+        let st = &mut self.model.state;
+        st.tskin = read_aux(dir, "lnd_tskin", st.tskin.len())?;
+        st.moisture = read_aux(dir, "lnd_moist", st.moisture.len())?;
+        Ok(())
     }
 }

@@ -4,8 +4,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use ap3esm_cpl::clock::CouplingClock;
 use ap3esm_cpl::rearrange::RearrangeStrategy;
 use ap3esm_grid::icosahedral::GeodesicCounts;
+use ap3esm_grid::mask::MaskGenerator;
+use ap3esm_grid::tripolar::TripolarGrid;
 
 /// A structured configuration error: which field is wrong and why. The
 /// whole point of [`CoupledConfig::validate`] is that a bad setup names
@@ -179,6 +182,25 @@ impl CoupledConfig {
         } else {
             1 + self.ocn_px * self.ocn_py
         }
+    }
+
+    /// The synthetic-continent generator every component's mask comes from.
+    pub fn mask(&self) -> MaskGenerator {
+        MaskGenerator {
+            seed: self.mask_seed,
+            ..MaskGenerator::default()
+        }
+    }
+
+    /// The global ocean grid (every rank builds its own copy).
+    pub fn ocean_grid(&self) -> TripolarGrid {
+        TripolarGrid::new(self.ocn_nlon, self.ocn_nlat, self.ocn_nlev, self.mask())
+    }
+
+    /// The coupling clock at this configuration's cadence, at t = 0.
+    pub fn clock(&self) -> CouplingClock {
+        let (atm, ocn, ice) = self.couplings_per_day;
+        CouplingClock::new(atm, ocn, ice)
     }
 
     /// Upfront consistency check, called by both [`run_coupled`]

@@ -8,144 +8,31 @@
 //! sea ice component contributes minimal computational overhead") — and
 //! world ranks 1..=N are **domain O**, exclusively the ocean ("the ocean
 //! component represents the second largest computational cost,
-//! necessitating its allocation to a separate domain").
+//! necessitating its allocation to a separate domain"). The two domains
+//! differ only in which components a rank's [`Coupler`] holds
+//! ([`Parts::of_rank`]); every rank runs the same loop below.
 //!
 //! Data crosses domains through GSMap/Router rearrangement (`ap3esm-cpl`),
 //! under the coupling clock's 180/36/180-per-day cadence (configurable).
 
-use ap3esm_atm::dycore::{Dycore, DycoreConfig};
-use ap3esm_atm::pdc::{PhysicsDriver, PhysicsDynamicsCoupler, SurfaceForcing};
-use ap3esm_atm::state::AtmState;
-use ap3esm_atm::vortex::{seed_vortex, track_vortex, TrackPoint, VortexSpec};
-use ap3esm_comm::Rank;
-use ap3esm_cpl::clock::CouplingClock;
-use ap3esm_cpl::fluxes::{blended_surface_temperature, merge_ocean_forcing};
-use ap3esm_cpl::gsmap::GSMap;
-use ap3esm_cpl::mapping::RemapMatrix;
-use ap3esm_cpl::rearrange::Rearranger;
-use ap3esm_cpl::router::Router;
-use ap3esm_grid::decomp::BlockDecomp2d;
-use ap3esm_grid::mask::MaskGenerator;
-use ap3esm_grid::sphere::Vec3;
-use ap3esm_grid::tripolar::TripolarGrid;
-use ap3esm_grid::GeodesicGrid;
-use ap3esm_ice::{IceForcing, IceModel};
-use ap3esm_lnd::{LndForcing, LndModel};
-use ap3esm_ocn::model::{OcnConfig, OcnForcing, OcnModel};
-use ap3esm_physics::constants::{temperature_from_theta, STEFAN_BOLTZMANN};
-use ap3esm_physics::surface::{bulk_fluxes, BulkCoefficients};
-use ap3esm_physics::ConventionalSuite;
+use std::time::Instant;
 
-use ap3esm_io::subfile::{SubfileReader, SubfileWriter};
-use ap3esm_io::IoError;
+use ap3esm_atm::vortex::{TrackPoint, VortexSpec};
+use ap3esm_comm::collectives::{allreduce_max, allreduce_sum};
+use ap3esm_comm::Rank;
 
 use crate::config::CoupledConfig;
-use crate::resilience::{
-    with_retry, AtmGuard, CheckpointStore, GuardConfig, HealthVerdict, OcnGuard, RecoveryConfig,
-    RecoveryFailure,
-};
-use crate::timing::{get_timing, Timers};
+use crate::coupler::{Coupler, Parts};
+use crate::recovery::{resume, Flow, Recovery};
+use crate::resilience::RecoveryConfig;
+use crate::session::Session;
+use crate::timing::get_timing;
 
-/// Tag of the per-ocean-coupling health agreement (severity max-reduce).
-const HEALTH_TAG: u64 = 0x7EA1;
-/// Tag broadcasting the checkpoint id chosen for a rollback.
-const CKPT_ID_TAG: u64 = 0x7EA2;
-/// Tag of the all-ranks-loaded-ok vote during a rollback.
-const CKPT_OK_TAG: u64 = 0x7EA3;
-/// Reply tag of the widened-window health agreement (root → peers).
-const HEALTH_REPLY_TAG: u64 = 0x7EA4;
-/// Sub-files per checkpoint field (matches the restart layer).
-const CKPT_SUBFILES: usize = 4;
 /// Telemetry busy-time exchange tags (max-reduce, sum-reduce). Dedicated
 /// tags, only exchanged when `CoupledOptions::telemetry` is set, so fault
 /// plans counting messages on the physics/health tags are unaffected.
 const TELE_MAX_TAG: u64 = 0x7E1E;
 const TELE_SUM_TAG: u64 = 0x7E1F;
-
-/// Build the AI physics suite for the coupled model: a quick in-situ
-/// training pass over conventional-physics supervision (our stand-in for
-/// loading the paper's pre-trained 5-km weights; DESIGN.md substitution).
-fn build_ai_driver(nlev: usize) -> PhysicsDriver {
-    use ap3esm_ai::modules::{Normalizer, RadiationModule, TendencyModule};
-    use ap3esm_ai::net::{RadiationMlp, TendencyCnn};
-    use ap3esm_ai::train::{TrainConfig, Trainer};
-    use ap3esm_physics::suite::{hydrostatic_thickness, Column, SurfaceProperties};
-
-    let suite = ConventionalSuite::default();
-    let sigma: Vec<f64> = (0..nlev)
-        .map(|k| 1.0 - (k as f64 + 0.5) / nlev as f64)
-        .collect();
-    let ds = vec![1.0 / nlev as f64; nlev];
-    let mut inputs = Vec::new();
-    let mut targets = Vec::new();
-    for s in 0..240 {
-        let t_surf = 278.0 + 24.0 * ((s as f64) * 0.41).sin().abs();
-        let t: Vec<f64> = (0..nlev)
-            .map(|k| t_surf - (50.0 / nlev as f64) * k as f64)
-            .collect();
-        let (p, dp, dz) = hydrostatic_thickness(&sigma, &ds, 1.0e5, &t);
-        let q: Vec<f64> = (0..nlev)
-            .map(|k| 0.012 * (-1.5 * k as f64 / nlev as f64).exp())
-            .collect();
-        let col = Column {
-            u: vec![6.0 * ((s % 7) as f64 - 3.0); nlev],
-            v: vec![0.0; nlev],
-            t: t.clone(),
-            q: q.clone(),
-            p: p.clone(),
-            dp,
-            dz,
-        };
-        let out = suite.step_column(
-            &col,
-            &SurfaceProperties {
-                tskin: t_surf + 1.0,
-                coszr: 0.25 * (s % 4) as f64,
-                wetness: 1.0,
-            },
-        );
-        let mut x = Vec::new();
-        for src in [&col.u, &col.v, &col.t, &col.q, &col.p] {
-            x.extend(src.iter().map(|&v| v as f32));
-        }
-        let mut y = Vec::new();
-        for src in [&out.du, &out.dv, &out.dt, &out.dq] {
-            y.extend(src.iter().map(|&v| v as f32));
-        }
-        inputs.push(x);
-        targets.push(y);
-    }
-    let in_norm = Normalizer::fit(&inputs, 5);
-    let out_norm = Normalizer::fit(&targets, 4);
-    for s in inputs.iter_mut() {
-        *s = in_norm.normalize(s, 5);
-    }
-    for s in targets.iter_mut() {
-        *s = out_norm.normalize(s, 4);
-    }
-    let mut net = TendencyCnn::with_width(nlev, 12, 11);
-    let trainer = Trainer::new(TrainConfig {
-        epochs: 6,
-        batch_size: 16,
-        lr: 2e-3,
-    });
-    trainer.train_cnn(&mut net, &inputs, &targets);
-    PhysicsDriver::AiSuite {
-        tendency: TendencyModule::new(net, in_norm, out_norm),
-        radiation: RadiationModule::new(
-            RadiationMlp::with_width(nlev, 24, 13),
-            Normalizer {
-                mean: vec![0.0],
-                std: vec![100.0],
-            },
-            Normalizer {
-                mean: vec![200.0, 350.0],
-                std: vec![100.0, 50.0],
-            },
-        ),
-        diagnostics: ConventionalSuite::default(),
-    }
-}
 
 /// Idealised initial-condition SST anomaly families, applied to the
 /// coupler's initial SST boundary state at t = 0 (the reforecast-style
@@ -356,7 +243,9 @@ pub struct CoupledStats {
     pub track: Vec<TrackPoint>,
     /// Mean ice cover at each ice coupling.
     pub ice_series: Vec<f64>,
-    /// Coupler bytes moved (from the world's stats, measured by rank 0).
+    /// Wall seconds per driver section (`atm_run`, `lnd_run`, `ice_run`,
+    /// `ocn_run`, `cpl_rearrange`): this rank's timers, and on rank 0 of a
+    /// run with a report the cross-rank maxima, sorted by name.
     pub per_section_seconds: Vec<(String, f64)>,
     /// The serialised run report (rank 0, when `report_name` was set).
     pub report_json: Option<String>,
@@ -447,11 +336,7 @@ impl CoupledStats {
                 }
                 out.push((
                     format!("perf.sim.critpath.section.{}.on_path_s", s.name),
-                    Stat::single(
-                        s.on_path_us() as f64 / 1e6,
-                        "s",
-                        Direction::Informational,
-                    ),
+                    Stat::single(s.on_path_us() as f64 / 1e6, "s", Direction::Informational),
                 ));
             }
             if let Some(w) = &a.what_if_half_top {
@@ -499,333 +384,78 @@ impl CoupledStats {
     }
 }
 
-/// Fit the atmosphere stepping so an integer number of model steps covers
-/// the coupling period (§5.1.1's consistency requirement).
-fn fitted_atm_config(dx_km: f64, period: f64) -> DycoreConfig {
-    let base = DycoreConfig::for_spacing_km(dx_km);
-    let n = (period / base.dt_model).ceil().max(1.0);
-    let dt_model = period / n;
-    let dt_tracer = dt_model / 4.0;
-    let dt_dyn = dt_tracer / 4.0;
-    DycoreConfig {
-        dt_dyn,
-        dt_tracer,
-        dt_model,
-        nu: 0.015 * (dx_km * 1000.0).powi(2) / dt_dyn,
-    }
+/// Per-generation pacing state of the live heartbeat and the continuous
+/// telemetry gauges.
+struct Pulse {
+    /// Wall clock + sim time at the last heartbeat.
+    hb_last: Option<(Instant, f64)>,
+    /// Cumulative busy seconds + wall clock at the previous ocean coupling.
+    prev_busy: f64,
+    last_wall: Instant,
 }
 
-/// Same fitting for the ocean.
-fn fitted_ocn_config(config: &CoupledConfig, period: f64) -> OcnConfig {
-    let mut c = OcnConfig::for_grid(
-        config.ocn_nlon,
-        config.ocn_nlat,
-        config.ocn_nlev,
-        config.ocn_px,
-        config.ocn_py,
-    );
-    let n = (period / c.dt_baroclinic).ceil().max(1.0);
-    c.dt_baroclinic = period / n;
-    c
-}
-
-/// The ocean block decomposition of one world generation: the configured
-/// mesh at generation 0, a shrink-to-fit re-decomposition over whatever
-/// ocean ranks survive afterwards.
-fn generation_ocn_decomp(config: &CoupledConfig, rank: &Rank) -> BlockDecomp2d {
-    if rank.generation() == 0 {
-        BlockDecomp2d::new(
-            config.ocn_nlon,
-            config.ocn_nlat,
-            config.ocn_px,
-            config.ocn_py,
-        )
-    } else {
-        BlockDecomp2d::auto(config.ocn_nlon, config.ocn_nlat, rank.size() - 1)
-    }
-}
-
-/// Per-rank runtime of the recovery layer.
-struct Resilience {
-    store: CheckpointStore,
-    cfg: RecoveryConfig,
-    recoveries: usize,
-    /// Corruption events already applied (one-shot: a checkpoint rewritten
-    /// after a rollback is not re-corrupted, or recovery could never
-    /// converge).
-    applied_corruptions: std::collections::HashSet<(u64, String, u32, u64)>,
-}
-
-impl Resilience {
-    fn new(dir: &std::path::Path, cfg: &RecoveryConfig) -> Self {
-        Resilience {
-            store: CheckpointStore::new(dir, cfg.keep_checkpoints),
-            cfg: cfg.clone(),
-            recoveries: 0,
-            applied_corruptions: std::collections::HashSet::new(),
+impl Pulse {
+    fn new() -> Self {
+        Pulse {
+            hb_last: None,
+            prev_busy: 0.0,
+            last_wall: Instant::now(),
         }
     }
-}
 
-/// Write one auxiliary (non-restart-layer) checkpoint field.
-fn write_aux(dir: &std::path::Path, name: &str, data: &[f64]) -> Result<(), IoError> {
-    SubfileWriter::new(dir, name, &[data.len()], CKPT_SUBFILES).write_all(data)
-}
-
-/// Read one auxiliary checkpoint field, validating its length.
-fn read_aux(dir: &std::path::Path, name: &str, want: usize) -> Result<Vec<f64>, IoError> {
-    let (_, data) = SubfileReader::new(dir, name).read_all()?;
-    if data.len() != want {
-        return Err(IoError::Inconsistent(format!(
-            "{name}: {} elements, expected {want}",
-            data.len()
-        )));
-    }
-    Ok(data)
-}
-
-/// All-ranks "did your checkpoint load succeed" vote: `Ok(true)` only if
-/// every rank loaded cleanly. A comm error means the vote itself could not
-/// complete (a peer vanished mid-restore) and is escalated by the caller.
-fn try_vote_all_ok(rank: &Rank, ok: bool) -> Result<bool, ap3esm_comm::CommError> {
-    let mine: f64 = if ok { 1.0 } else { 0.0 };
-    let all =
-        ap3esm_comm::collectives::allreduce(rank, CKPT_OK_TAG, vec![mine], |a: &f64, b| a.min(*b))?
-            [0];
-    Ok(all >= 1.0)
-}
-
-/// [`try_vote_all_ok`] for the rollback path, where the health agreement
-/// has already established that every member is alive.
-fn vote_all_ok(rank: &Rank, ok: bool) -> bool {
-    try_vote_all_ok(rank, ok).expect("checkpoint vote")
-}
-
-/// Rank 0 announces which committed checkpoint a rollback restores
-/// (`-1` = none left); every rank returns the agreed id.
-fn agree_candidate(rank: &Rank, mine: i64) -> i64 {
-    ap3esm_comm::collectives::bcast(rank, CKPT_ID_TAG, 0, vec![mine]).expect("checkpoint id")[0]
-}
-
-/// The per-ocean-coupling health agreement (severity max-reduce), with a
-/// window widened to 4x the world's receive timeout on every leg: a
-/// healthy peer can legitimately arrive a couple of timed-out data legs
-/// late (each stall is bounded by one receive timeout), and the sync
-/// point must out-wait that skew or a slow-but-alive rank would be
-/// misdeclared dead. Root keeps polling the remaining peers after a
-/// timeout so the *first* failure — the real casualty — carries the blame.
-fn agree_severity(rank: &Rank, sev: f64) -> Result<f64, ap3esm_comm::CommError> {
-    let n = rank.size();
-    if n == 1 {
-        return Ok(sev);
-    }
-    let window = rank.recv_timeout() * 4;
-    if rank.id() == 0 {
-        let mut max = sev;
-        let mut first_err = None;
-        for src in 1..n {
-            match rank.recv_within::<f64>(src, HEALTH_TAG, window) {
-                Ok(v) => max = max.max(v[0]),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
+    /// Live heartbeat (opt-in, rank 0 only): step rate, SYPD estimate and
+    /// component split since the previous heartbeat.
+    fn heartbeat(&mut self, opts: &CoupledOptions, run: &Session, cpl: &Coupler) {
+        let Some(every) = opts.progress_every.filter(|&n| n > 0) else {
+            return;
+        };
+        if !(run.stats.ke_series.len() as u64).is_multiple_of(every) {
+            return;
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        for dst in 1..n {
-            rank.send(dst, HEALTH_REPLY_TAG, vec![max]);
-        }
-        Ok(max)
-    } else {
-        rank.send(0, HEALTH_TAG, vec![sev]);
-        Ok(rank.recv_within::<f64>(0, HEALTH_REPLY_TAG, window)?[0])
-    }
-}
-
-/// Record on the world-shared flight recorder, if one is installed in the
-/// world's blackbox slot. Journals are keyed by *physical* rank id, so
-/// entries stay attributable across shrinks. One relaxed load plus a
-/// `OnceLock` read when no recorder is installed.
-fn fr_record(rank: &Rank, kind: ap3esm_obs::FrKind, a: u64, b: u64, detail: &str) {
-    if let Some(slot) = rank.blackbox().get() {
-        if let Some(rec) = slot.downcast_ref::<ap3esm_obs::FlightRecorder>() {
-            rec.record(rank.world_id(), kind, a, b, detail);
-        }
-    }
-}
-
-/// What the membership escalation decided after a failed health agreement.
-enum SurvivorOutcome {
-    /// Everyone answered the liveness poll: the failure was transient
-    /// (dropped/late messages). The caller proceeds with a normal rollback.
-    Transient,
-    /// The world shrank: a successor membership one generation up is
-    /// installed and the caller must rebuild its layout from the
-    /// redistributed checkpoint hand-off.
-    Shrunk,
-    /// This rank is out of the run: evicted by the survivors, or the
-    /// shrink budget is exhausted. Carries the structured failure text.
-    Failed(String),
-}
-
-/// Escalate a failed health agreement to a membership vote (DESIGN.md
-/// §13): blame the peer the timeout names, let virtual rank 0 poll
-/// liveness, and install the survivors' successor view if someone is
-/// permanently gone. Deterministic on every survivor: they all observe
-/// the same verdict sequence, so local shrink counters stay in agreement
-/// without extra communication.
-fn agree_survivors(
-    rank: &Rank,
-    err: &ap3esm_comm::CommError,
-    stats: &mut CoupledStats,
-    shrinks: &mut usize,
-    max_shrinks: usize,
-) -> SurvivorOutcome {
-    let blamed = match err {
-        ap3esm_comm::CommError::Deadlock { waiting, .. } => waiting.first().map(|&(src, _)| src),
-        _ => None,
-    };
-    stats
-        .fault_events
-        .push(format!("health agreement failed: {err}"));
-    ap3esm_obs::instant("health.agreement_lost");
-    fr_record(
-        rank,
-        ap3esm_obs::FrKind::Health,
-        2,
-        blamed.map(|b| b as u64).unwrap_or(u64::MAX),
-        &format!("health agreement failed: {err}"),
-    );
-    match rank.membership_vote(blamed) {
-        Ok(ap3esm_comm::MembershipVerdict::AllAlive) => SurvivorOutcome::Transient,
-        Ok(ap3esm_comm::MembershipVerdict::Shrink(m)) => {
-            *shrinks += 1;
-            stats.shrinks = *shrinks;
-            let dropped = rank.drain_stale();
-            let total: usize = dropped.iter().map(|&(_, n)| n).sum();
-            if total > 0 {
-                ap3esm_obs::counter_add("resilience.drained_messages", total as u64);
-                stats.fault_events.push(format!(
-                    "stale traffic discarded post-shrink: {}",
-                    dropped
-                        .iter()
-                        .map(|&(src, n)| format!("{n} from rank {src}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-            stats.fault_events.push(format!(
-                "membership shrunk to {:?} (generation {})",
-                m.members, m.generation
-            ));
-            fr_record(
-                rank,
-                ap3esm_obs::FrKind::Shrink,
-                m.generation,
-                m.members.len() as u64,
-                &format!("survivors {:?}", m.members),
-            );
-            if *shrinks > max_shrinks {
-                return SurvivorOutcome::Failed(format!(
-                    "shrink budget exhausted: {} permanent rank losses exceed max_shrinks {}",
-                    *shrinks, max_shrinks
-                ));
-            }
-            SurvivorOutcome::Shrunk
-        }
-        Err(e) => SurvivorOutcome::Failed(format!(
-            "evicted from the world during membership agreement: {e}"
-        )),
-    }
-}
-
-/// Count a guard verdict on the obs registry; returns the verdict back.
-fn observe_verdict(verdict: HealthVerdict, rank_id: usize) -> HealthVerdict {
-    match &verdict {
-        HealthVerdict::Healthy => {}
-        HealthVerdict::Degraded(m) => {
-            ap3esm_obs::counter_add("resilience.guard_degraded", 1);
-            ap3esm_obs::instant("health.degraded");
-            eprintln!("[resilience] rank {rank_id} degraded: {m}");
-        }
-        HealthVerdict::Fatal(m) => {
-            ap3esm_obs::counter_add("resilience.guard_fatal", 1);
-            ap3esm_obs::instant("health.fatal");
-            eprintln!("[resilience] rank {rank_id} fatal: {m}");
-        }
-    }
-    verdict
-}
-
-/// Enter a rollback: count it against the budget and synchronise + drain
-/// every mailbox so replayed message streams start from clean FIFO queues.
-/// Returns the structured failure if the budget is exhausted.
-fn begin_rollback(rank: &Rank, resil: &mut Resilience, reason: &str) -> Option<RecoveryFailure> {
-    resil.recoveries += 1;
-    ap3esm_obs::counter_add("resilience.rollbacks", 1);
-    ap3esm_obs::instant("rollback");
-    fr_record(
-        rank,
-        ap3esm_obs::FrKind::Recovery,
-        resil.recoveries as u64,
-        0,
-        reason,
-    );
-    if resil.recoveries > resil.cfg.max_recoveries {
-        return Some(RecoveryFailure {
-            recoveries_attempted: resil.recoveries - 1,
-            reason: reason.to_string(),
-        });
-    }
-    rank.barrier();
-    let drained = rank.drain_mailbox();
-    if drained > 0 {
-        ap3esm_obs::counter_add("resilience.drained_messages", drained as u64);
-    }
-    rank.barrier();
-    None
-}
-
-/// Commit a freshly written checkpoint (rank 0 only) and apply any
-/// checkpoint-corruption fault events targeting it.
-fn commit_checkpoint(rank: &Rank, resil: &mut Resilience, id: u64) {
-    with_retry(
-        "checkpoint commit",
-        resil.cfg.retries,
-        resil.cfg.backoff,
-        || resil.store.commit(id),
-    )
-    .expect("checkpoint commit");
-    ap3esm_obs::counter_add("resilience.checkpoints", 1);
-    ap3esm_obs::instant("checkpoint.commit");
-    fr_record(rank, ap3esm_obs::FrKind::CkptCommit, id, 0, "");
-    if let Some(inj) = rank.fault_injector() {
-        let corruptions: Vec<(String, u32, u64)> = inj
-            .plan()
-            .corruptions_for(id)
-            .into_iter()
-            .map(|(f, s, b)| (f.to_string(), s, b))
+        let now = Instant::now();
+        let sim_s = cpl.clock.time as f64;
+        let (dw, ds) = match self.hb_last {
+            Some((w, s)) => (now.duration_since(w).as_secs_f64(), sim_s - s),
+            None => (run.t_start.elapsed().as_secs_f64(), sim_s),
+        };
+        let dw = dw.max(1e-9);
+        let split: Vec<String> = ["atm_run", "lnd_run", "ocn_run", "ice_run", "cpl_rearrange"]
+            .iter()
+            .filter(|s| run.timers.count(s) > 0)
+            .map(|s| format!("{s} {:.2}s", run.timers.seconds(s)))
             .collect();
-        for (field, sub, byte) in corruptions {
-            let key = (id, field.clone(), sub, byte);
-            if !resil.applied_corruptions.insert(key) {
-                continue;
-            }
-            if resil
-                .store
-                .corrupt_subfile_byte(id, &field, sub, byte)
-                .unwrap_or(false)
-            {
-                inj.record_external(format!(
-                    "corrupted checkpoint {id} field {field} subfile {sub} byte {byte}"
-                ));
-                ap3esm_obs::counter_add("resilience.faults", 1);
-                ap3esm_obs::instant("fault.corrupt");
-            }
+        eprintln!(
+            "[telemetry] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
+            cpl.clock.days(),
+            opts.days,
+            (ds / cpl.clock.ocn_alarm.period as f64) / dw,
+            get_timing(ds, dw),
+            split.join(", ")
+        );
+        self.hb_last = Some((now, sim_s));
+    }
+
+    /// Continuous telemetry: global busy-time exchange at the coupling
+    /// sync point, then rank 0 gauges what the sampler thread turns into
+    /// series (the other ranks only take part in the exchange).
+    fn telemetry(&mut self, rank: &Rank, run: &Session, ocn_period: f64) {
+        let timers = &run.timers;
+        let busy: f64 = timers.sections().iter().map(|s| timers.seconds(s)).sum();
+        let d_busy = (busy - self.prev_busy).max(0.0);
+        self.prev_busy = busy;
+        let max_busy = allreduce_max(rank, TELE_MAX_TAG, d_busy).unwrap_or(d_busy);
+        let sum_busy = allreduce_sum(rank, TELE_SUM_TAG, d_busy).unwrap_or(d_busy);
+        if rank.id() != 0 {
+            return;
+        }
+        let now = Instant::now();
+        let dw = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
+        self.last_wall = now;
+        ap3esm_obs::gauge_set("sim.step_wall_s", dw);
+        ap3esm_obs::gauge_set("sim.sypd", get_timing(ocn_period, dw));
+        let mean_busy = sum_busy / rank.size() as f64;
+        if mean_busy > 0.0 {
+            ap3esm_obs::gauge_set("sim.imbalance", max_busy / mean_busy);
         }
     }
 }
@@ -836,1418 +466,72 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
         panic!("invalid configuration: {e}");
     }
     assert_eq!(rank.size(), config.world_size(), "world size mismatch");
-    // Physical rank 0 chairs the membership vote, so a shrink can never
-    // evict it: root-ness is stable across generations even though
-    // `rank.id()`/`rank.size()` are per-view.
-    let is_root = rank.id() == 0;
-
-    let mask = MaskGenerator {
-        seed: config.mask_seed,
-        ..MaskGenerator::default()
-    };
-    let ocn_grid = TripolarGrid::new(config.ocn_nlon, config.ocn_nlat, config.ocn_nlev, mask);
-    let ncols = ocn_grid.ncols();
-
-    let mut clock = CouplingClock::new(
-        config.couplings_per_day.0,
-        config.couplings_per_day.1,
-        config.couplings_per_day.2,
-    );
-    let atm_period = clock.atm_alarm.period as f64;
-    let ocn_period = clock.ocn_alarm.period as f64;
-    let ice_period = clock.ice_alarm.period as f64;
-
-    // One observability instance per rank: timer sections and the leaf-crate
-    // spans (dycore substeps, rearranger, sub-file I/O) land in one tree.
-    let obs = std::sync::Arc::new(ap3esm_obs::Obs::new());
-    let _obs_guard = ap3esm_obs::install(std::sync::Arc::clone(&obs));
-    let mut timers = Timers::attached(std::sync::Arc::clone(&obs));
-    // Timeline tracing: every rank buffers its span/instant events in a
-    // bounded sink and the world's comm-event rings start recording; both
-    // are drained into one chrome-trace file after the run.
-    let tracing = opts.trace && opts.report_name.is_some();
-    let trace_sink = tracing.then(|| {
-        let sink = std::sync::Arc::new(ap3esm_obs::TraceSink::default());
-        obs.profiler
-            .set_trace_sink(Some(std::sync::Arc::clone(&sink)));
-        rank.comm_events().set_enabled(true);
-        sink
-    });
-    // Black-box flight recorder (always-on by default): one recorder for
-    // the whole world, shared through the blackbox slot — the first rank
-    // to arrive installs it, no messages exchanged. The comm-event rings
-    // start recording too, so a postmortem bundle has both journal halves.
-    let flightrec_on = opts.flightrec;
-    if flightrec_on {
-        rank.blackbox().get_or_init(|| {
-            std::sync::Arc::new(ap3esm_obs::FlightRecorder::new(
-                rank.world_size(),
-                ap3esm_obs::DEFAULT_FLIGHT_CAPACITY,
-            )) as std::sync::Arc<dyn std::any::Any + Send + Sync>
-        });
-        rank.comm_events().set_enabled(true);
-        fr_record(rank, ap3esm_obs::FrKind::Mark, rank.generation(), 0, "run start");
-    }
-    let t_start = std::time::Instant::now();
+    let ocn_grid = config.ocean_grid();
     let total_seconds = (opts.days * 86_400.0).round();
-    let mut stats = CoupledStats::default();
-
-    // --- Continuous telemetry (opt-in). Every rank notes the flag (the
-    //     busy-time exchange is collective); rank 0 additionally runs the
-    //     sampler thread, the alert engine, and the scrape endpoint. ---
-    let telemetry_on = opts.telemetry.is_some();
-    let mut telemetry = opts.telemetry.as_ref().filter(|_| is_root).map(|t| {
-        let store = std::sync::Arc::new(ap3esm_obs::SeriesStore::new(t.capacity));
-        let mut rules = if t.builtin_rules {
-            ap3esm_obs::sim_rules()
-        } else {
-            Vec::new()
-        };
-        rules.extend(ap3esm_obs::parse_rules(&t.rules).expect("telemetry alert rules"));
-        let engine = std::sync::Arc::new(ap3esm_obs::AlertEngine::new(rules));
-        let sampler = ap3esm_obs::Sampler::start(
-            std::sync::Arc::clone(&obs),
-            std::sync::Arc::clone(&store),
-            Some(std::sync::Arc::clone(&engine)),
-            t.cadence,
-            Vec::new(),
-        );
-        let server = t.metrics_addr.as_ref().map(|addr| {
-            ap3esm_obs::MetricsServer::start(
-                addr,
-                std::sync::Arc::clone(&obs),
-                std::sync::Arc::clone(&store),
-                Some(std::sync::Arc::clone(&engine)),
-            )
-            .expect("bind OpenMetrics endpoint")
-        });
-        (store, engine, sampler, server)
-    });
-    if let Some((_, _, _, Some(server))) = &telemetry {
-        stats.metrics_addr = Some(server.local_addr().to_string());
-    }
-
-    // --- Recovery-layer state that must survive world reconstruction: the
-    //     checkpoint store (rollback + shrink budgets accumulate across
-    //     generations), the restore hand-off, and the shrink counter. ---
-    let mut resil = opts
+    let mut run = Session::start(rank, opts);
+    // `None` disables the entire resilience path: no guards, no health
+    // exchange, no checkpoints.
+    let mut recovery = opts
         .checkpoint_dir
         .as_ref()
-        .map(|d| Resilience::new(d, &opts.recovery));
-    if is_root {
-        if let Some(r) = &resil {
-            // Checkpoint ids are this run's ocean-coupling indices: stale
-            // checkpoints from an earlier run sharing the directory must
-            // not shadow them. Safe without a barrier — no other rank
-            // touches the store before the first checkpoint barrier, which
-            // rank 0 only reaches after this point.
-            r.store.reset().expect("clear stale checkpoints");
-        }
-        ap3esm_obs::gauge_set("sim.degraded_ranks", 0.0);
-    }
+        .map(|dir| Recovery::new(rank, dir, &opts.recovery));
     // A directory every rank restores from at the top of the next world
     // generation: an explicit `resume_from`, or the redistributed
     // checkpoint a shrink hands off.
-    let mut pending_restore: Option<std::path::PathBuf> = opts.resume_from.clone();
-    let mut shrinks = 0usize;
+    let mut pending_restore = opts.resume_from.clone();
 
-    // ===== The world loop: one iteration per membership generation. A
-    //       shrink re-enters it with a smaller world; everything layout-
-    //       dependent below is rebuilt, everything above persists. =====
+    // One iteration per membership generation. A shrink re-enters it with
+    // a smaller world: the coupler (cheap at our sizes; on Sunway its
+    // routers would be loaded from the offline store) is rebuilt, the
+    // session and the recovery budgets persist.
     'world: loop {
-        let world_ranks = rank.size();
-        let me = rank.id();
-
-        // --- Coupler data structures (rebuilt per generation; cheap at our
-        //     sizes, and on Sunway they would be loaded from the offline
-        //     store). The generation-0 block decomposition is the configured
-        //     px x py mesh; after a shrink it is re-fitted to the survivors. ---
-        let ocn_decomp = generation_ocn_decomp(config, rank);
-        let ocn_map = if config.single_domain {
-            GSMap::all_on_rank(ncols, world_ranks, 0)
-        } else {
-            GSMap::from_block2d(&ocn_decomp, world_ranks, 1)
-        };
-        let root_map = GSMap::all_on_rank(ncols, world_ranks, 0);
-        let scatter = Rearranger::new(Router::build(&root_map, &ocn_map), 21);
-        let gather = Rearranger::new(Router::build(&ocn_map, &root_map), 22);
-        let my_ocn_cols = ocn_map.local_size(me);
-
-        if is_root {
-            // ================= Domain A: coupler + ATM + ICE + LND ==========
-            let grid = std::sync::Arc::new(GeodesicGrid::new(config.atm_glevel));
-            let dx_km = grid.mean_spacing_km();
-            let mut atm =
-                AtmState::isothermal(std::sync::Arc::clone(&grid), config.atm_nlev, 288.0);
-            // Meridional temperature structure so the circulation is not
-            // degenerate: warm tropics, cold poles.
-            {
-                let n = grid.ncells();
-                for k in 0..config.atm_nlev {
-                    for i in 0..n {
-                        let phi = grid.cells[i].lat();
-                        atm.theta[k * n + i] += 15.0 * (phi.cos().powi(2) - 0.5);
+        let mut cpl = Coupler::build(rank, config, opts, &ocn_grid, Parts::of_rank(rank, config));
+        let mut pulse = Pulse::new();
+        if let Some(dir) = pending_restore.take() {
+            resume(rank, &mut cpl, &mut run.stats, &dir);
+        }
+        while run.stats.failure.is_none() && (cpl.clock.time as f64) < total_seconds {
+            let step = cpl.step(rank, &mut run.timers, &mut run.stats);
+            // Ocean couplings are the global synchronisation points.
+            if !step.event.ocn {
+                continue;
+            }
+            match recovery.as_mut() {
+                // Without the recovery layer a failed exchange is fatal.
+                None => {
+                    if let Some(e) = step.comm_fault {
+                        panic!("coupler exchange failed: {e}");
                     }
                 }
-            }
-            if let Some(spec) = &opts.vortex {
-                seed_vortex(&mut atm, spec);
-            }
-            for spec in &opts.extra_vortices {
-                seed_vortex(&mut atm, spec);
-            }
-            if let Some(p) = &opts.perturb {
-                for (i, th) in atm.theta.iter_mut().enumerate() {
-                    *th += p.noise(i);
-                }
-            }
-            let dycore = Dycore::new(
-                std::sync::Arc::clone(&grid),
-                fitted_atm_config(dx_km, atm_period),
-            );
-            let mut pdc = PhysicsDynamicsCoupler::new(if config.ai_physics {
-                build_ai_driver(config.atm_nlev)
-            } else {
-                PhysicsDriver::Conventional(ConventionalSuite::default())
-            });
-
-            // Land on atmosphere cells, same synthetic continents.
-            let (atm_land, _) = mask.land_mask(&grid.cells, 0.29);
-            let mut lnd = LndModel::new(atm_land.clone(), 285.0);
-
-            // Ice on the full ocean grid (domain A owns ice).
-            let ice_decomp = BlockDecomp2d::new(config.ocn_nlon, config.ocn_nlat, 1, 1);
-            let mut ice = IceModel::new(&ocn_grid, &ice_decomp, 0);
-
-            // Remap matrices.
-            let ocn_points: Vec<Vec3> = (0..config.ocn_nlat)
-                .flat_map(|j| {
-                    (0..config.ocn_nlon)
-                        .map(move |i| (i, j))
-                        .collect::<Vec<_>>()
-                })
-                .map(|(i, j)| Vec3::from_lat_lon(ocn_grid.lat[j], ocn_grid.lon[i]))
-                .collect();
-            let atm_to_ocn = RemapMatrix::inverse_distance(&grid.cells, &ocn_points, 3);
-            let ocn_to_atm = RemapMatrix::inverse_distance(&ocn_points, &grid.cells, 3);
-            let ocn_valid: Vec<bool> = (0..ncols).map(|c| ocn_grid.kmt[c] > 0).collect();
-
-            // Sequential layout: the ocean lives on this rank too (§5.1.2's
-            // "all components are executed sequentially within a single
-            // domain").
-            let mut ocn_inline = if config.single_domain {
-                let mut c = fitted_ocn_config(config, ocn_period);
-                c.px = 1;
-                c.py = 1;
-                c.rank_offset = 0;
-                Some((OcnModel::new(&ocn_grid, c.clone(), 0), c))
-            } else {
-                None
-            };
-
-            // Rank-0 global copies of ocean/ice surface state.
-            let mut sst_global: Vec<f64> = (0..ncols)
-                .map(|c| {
-                    let j = c / config.ocn_nlon;
-                    let i = c % config.ocn_nlon;
-                    let phi = ocn_grid.lat[j];
-                    let base = 2.0 + 26.0 * phi.cos().powi(2);
-                    match &opts.sst_pattern {
-                        Some(p) => base + p.anomaly(phi, ocn_grid.lon[i]),
-                        None => base,
-                    }
-                })
-                .collect();
-            let mut ssu_global = vec![0.0; ncols];
-            let mut ssv_global = vec![0.0; ncols];
-            let mut ice_frac_global = ice.state.fraction.clone();
-            let mut ice_heat_global = vec![0.0; ncols];
-            let mut ice_fresh_global = vec![0.0; ncols];
-            let mut last_precip_accum = vec![0.0; grid.ncells()];
-            let mut prev_track: Option<(f64, f64)> = None;
-
-            let bulk = BulkCoefficients::default();
-
-            // Live-telemetry state: wall clock + sim time at the last heartbeat.
-            let mut hb_last: Option<(std::time::Instant, f64)> = None;
-            // Continuous-telemetry state: cumulative busy seconds + wall clock
-            // at the previous ocean coupling.
-            let mut tele_prev_busy = 0.0f64;
-            let mut tele_last_wall = std::time::Instant::now();
-
-            let atm_guard = AtmGuard::new(&atm, GuardConfig::default(), dycore.config.dt_dyn);
-            let inline_guard = ocn_inline.as_ref().map(|(ocn, c)| {
-                OcnGuard::new(
-                    &ocn.state,
-                    GuardConfig::default(),
-                    c.dt_baroclinic / c.n_barotropic.max(1) as f64,
-                )
-            });
-
-            // Restore the full domain-A state from a checkpoint directory.
-            // A macro (not a closure) because it borrows half the locals above
-            // mutably; shared between rollbacks and generation-entry resumes.
-            // Evaluates to `Result<Vec<f64>, IoError>` carrying `cpl_meta`.
-            macro_rules! restore_domain_a {
-                ($dir:expr) => {{
-                    let dir: &std::path::Path = $dir;
-                    (|| -> Result<Vec<f64>, IoError> {
-                        crate::restart::read_atm_restart(dir, &mut atm)?;
-                        lnd.state.tskin = read_aux(dir, "lnd_tskin", lnd.state.tskin.len())?;
-                        lnd.state.moisture = read_aux(dir, "lnd_moist", lnd.state.moisture.len())?;
-                        ice.state.fraction = read_aux(dir, "ice_frac", ice.state.fraction.len())?;
-                        ice.state.thickness =
-                            read_aux(dir, "ice_thick", ice.state.thickness.len())?;
-                        ice.state.tsfc = read_aux(dir, "ice_tsfc", ice.state.tsfc.len())?;
-                        sst_global = read_aux(dir, "cpl_sst", ncols)?;
-                        ssu_global = read_aux(dir, "cpl_ssu", ncols)?;
-                        ssv_global = read_aux(dir, "cpl_ssv", ncols)?;
-                        ice_frac_global = read_aux(dir, "cpl_icefrac", ncols)?;
-                        ice_heat_global = read_aux(dir, "cpl_iceheat", ncols)?;
-                        ice_fresh_global = read_aux(dir, "cpl_icefresh", ncols)?;
-                        last_precip_accum = read_aux(dir, "cpl_precip", last_precip_accum.len())?;
-                        if let Some((ocn, _)) = ocn_inline.as_mut() {
-                            crate::restart::read_ocn_restart(dir, &mut ocn.state, 0)?;
-                        }
-                        read_aux(dir, "cpl_meta", 9)
-                    })()
-                }};
-            }
-            // Apply a restored `cpl_meta`: rewind the clock and truncate the
-            // diagnostic series to the checkpoint's lengths (replayed couplings
-            // re-push them), restoring the tracker's continuity point.
-            macro_rules! apply_domain_a_meta {
-                ($meta:expr) => {{
-                    let meta = $meta;
-                    clock.time = meta[0] as i64;
-                    stats.theta_series.truncate(meta[1] as usize);
-                    stats.sst_series.truncate(meta[2] as usize);
-                    stats.ke_series.truncate(meta[3] as usize);
-                    stats.ice_series.truncate(meta[4] as usize);
-                    stats.track.truncate(meta[5] as usize);
-                    prev_track = (meta[6] > 0.5).then_some((meta[7], meta[8]));
-                }};
-            }
-
-            // Generation entry: resume from a hand-off directory (a shrink's
-            // redistributed checkpoint, or an explicit `resume_from`). The vote
-            // keeps every rank's verdict identical — a failed resume is a
-            // structured failure on all of them, never a divergent world.
-            if let Some(dir) = pending_restore.take() {
-                let loaded = restore_domain_a!(&dir);
-                if let Err(e) = &loaded {
-                    eprintln!("[resilience] resume from {} failed: {e}", dir.display());
-                }
-                match try_vote_all_ok(rank, loaded.is_ok()) {
-                    Ok(true) => {
-                        apply_domain_a_meta!(loaded.expect("vote passed"));
-                        ap3esm_obs::instant("recovery.resumed");
-                        eprintln!(
-                            "[resilience] generation {}: resumed from {} at t = {} s",
-                            rank.generation(),
-                            dir.display(),
-                            clock.time
-                        );
-                    }
-                    _ => {
-                        stats.failure = Some(format!(
-                            "resume from {} failed on at least one rank",
-                            dir.display()
-                        ));
-                    }
-                }
-            }
-
-            'sim: while stats.failure.is_none() && (clock.time as f64) < total_seconds {
-                let event = clock.advance();
-                let day_of_year = 202.0 + clock.days(); // late July (Doksuri)
-                let seconds_utc = (clock.time % 86_400) as f64;
-
-                if event.atm {
-                    timers.start("atm_run");
-                    // Surface forcing seen by the atmosphere physics.
-                    let n = grid.ncells();
-                    let sst_on_atm = ocn_to_atm.apply_masked(&sst_global, &ocn_valid, 15.0);
-                    let ice_on_atm = ocn_to_atm.apply(&ice_frac_global);
-                    let wet = lnd.wetness();
-                    let mut forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
-                    for i in 0..n {
-                        let phi = grid.cells[i].lat();
-                        let lam = grid.cells[i].lon();
-                        forcing.coszr[i] =
-                            crate::solar::cos_zenith(phi, lam, day_of_year, seconds_utc);
-                        if atm_land[i] {
-                            forcing.tskin[i] = lnd.state.tskin[i];
-                            forcing.wetness[i] = wet[i];
-                        } else {
-                            forcing.tskin[i] =
-                                blended_surface_temperature(sst_on_atm[i], -5.0, ice_on_atm[i]);
-                            forcing.wetness[i] = 1.0;
-                        }
-                    }
-                    // Advance the atmosphere one coupling period: model steps
-                    // with physics applied at each model step.
-                    let steps = (atm_period / dycore.config.dt_model).round() as usize;
-                    for _ in 0..steps.max(1) {
-                        dycore.step_model_dynamics(&mut atm);
-                        pdc.apply(&mut atm, &forcing, dycore.config.dt_model);
-                    }
-                    stats.theta_series.push(atm.mean_theta());
-                    if opts.record_track && opts.vortex.is_some() {
-                        let p = track_vortex(&atm, prev_track, 1_500_000.0);
-                        prev_track = Some((p.lat_deg, p.lon_deg));
-                        stats.track.push(p);
-                    }
-                    timers.stop("atm_run");
-
-                    // Land step from the atmosphere's surface fields, timed
-                    // as its own top-level section so the critical-path
-                    // analyzer and the per-section trajectory see the land
-                    // model's share separately from the dycore's.
-                    timers.start("lnd_run");
-                    let winds = atm.surface_wind();
-                    let precip_rate: Vec<f64> = atm
-                        .precip_accum
-                        .iter()
-                        .zip(&last_precip_accum)
-                        .map(|(now, before)| (now - before).max(0.0) / atm_period)
-                        .collect();
-                    last_precip_accum.copy_from_slice(&atm.precip_accum);
-                    let tair: Vec<f64> = (0..n)
-                        .map(|i| temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]))
-                        .collect();
-                    let lnd_forcing = LndForcing {
-                        gsw: atm.gsw.clone(),
-                        glw: atm.glw.clone(),
-                        tair: tair.clone(),
-                        precip: precip_rate.clone(),
-                        wind: winds.iter().map(|&(u, v)| (u * u + v * v).sqrt()).collect(),
-                    };
-                    lnd.step(&lnd_forcing, atm_period);
-                    timers.stop("lnd_run");
-                }
-
-                if event.ice {
-                    timers.start("ice_run");
-                    // Ice forcing from atm fields remapped to the ocean grid.
-                    let n = grid.ncells();
-                    let winds = atm.surface_wind();
-                    let tair_c: Vec<f64> = (0..n)
-                        .map(|i| {
-                            temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]) - 273.15
-                        })
-                        .collect();
-                    let u_atm: Vec<f64> = winds.iter().map(|&(u, _)| u).collect();
-                    let v_atm: Vec<f64> = winds.iter().map(|&(_, v)| v).collect();
-                    let ice_forcing = IceForcing {
-                        tair: atm_to_ocn.apply(&tair_c),
-                        sst: sst_global.clone(),
-                        flux_down: vec![0.0; ncols],
-                        uwind: atm_to_ocn.apply(&u_atm),
-                        vwind: atm_to_ocn.apply(&v_atm),
-                        uocn: ssu_global.clone(),
-                        vocn: ssv_global.clone(),
-                    };
-                    let export = ice.step(&ice_forcing, ice_period);
-                    ice_frac_global = export.fraction;
-                    ice_heat_global = export.heat;
-                    ice_fresh_global = export.fresh;
-                    stats.ice_series.push(ice.ice_cover());
-                    timers.stop("ice_run");
-                }
-
-                if event.ocn {
-                    timers.start("cpl_rearrange");
-                    // Atmosphere-side fluxes on atm cells, then onto the ocean
-                    // grid, merged with ice, then scattered to domain O.
-                    let n = grid.ncells();
-                    let winds = atm.surface_wind();
-                    let sst_on_atm = ocn_to_atm.apply_masked(&sst_global, &ocn_valid, 15.0);
-                    let mut taux = vec![0.0; n];
-                    let mut tauy = vec![0.0; n];
-                    let mut qnet = vec![0.0; n];
-                    let mut emp = vec![0.0; n]; // evaporation − precipitation (m/s)
-                    for i in 0..n {
-                        let (u, v) = winds[i];
-                        let ta = temperature_from_theta(atm.theta[i], atm.sigma[0] * atm.ps[i]);
-                        let qa = atm.q[i];
-                        let ts_k = sst_on_atm[i] + 273.15;
-                        let fx = bulk_fluxes(&bulk, u, v, ta, qa, atm.ps[i], ts_k, 1.0);
-                        taux[i] = fx.taux;
-                        tauy[i] = fx.tauy;
-                        const OCN_ALBEDO: f64 = 0.07;
-                        const EMISSIVITY: f64 = 0.97;
-                        qnet[i] = atm.gsw[i] * (1.0 - OCN_ALBEDO)
-                            + EMISSIVITY * (atm.glw[i] - STEFAN_BOLTZMANN * ts_k.powi(4))
-                            - fx.sensible
-                            - fx.latent;
-                        emp[i] = fx.evaporation / 1000.0; // kg/m²/s → m/s
-                    }
-                    let taux_o = atm_to_ocn.apply(&taux);
-                    let tauy_o = atm_to_ocn.apply(&tauy);
-                    let qnet_o = atm_to_ocn.apply(&qnet);
-                    let emp_o = atm_to_ocn.apply(&emp);
-                    let mut f_taux = vec![0.0; ncols];
-                    let mut f_tauy = vec![0.0; ncols];
-                    let mut f_qnet = vec![0.0; ncols];
-                    let mut f_salt = vec![0.0; ncols];
-                    for c in 0..ncols {
-                        let merged = merge_ocean_forcing(
-                            taux_o[c],
-                            tauy_o[c],
-                            qnet_o[c],
-                            emp_o[c],
-                            ice_frac_global[c],
-                            ice_heat_global[c],
-                            ice_fresh_global[c],
-                        );
-                        f_taux[c] = merged.taux;
-                        f_tauy[c] = merged.tauy;
-                        f_qnet[c] = merged.qnet;
-                        f_salt[c] = merged.salt_flux;
-                    }
-                    // Under the recovery layer a failed exchange is a fault
-                    // verdict (rollback), not a panic; without it the original
-                    // panic-on-error behaviour is preserved below.
-                    let mut comm_fault: Option<String> = None;
-                    if let Some((ocn, ocn_config)) = ocn_inline.as_mut() {
-                        // Sequential layout: the rearrangement is a self-route
-                        // (still through the Router), then the ocean runs
-                        // inline on this rank.
-                        let mut fields = Vec::new();
-                        for field in [&f_taux, &f_tauy, &f_qnet, &f_salt] {
-                            match scatter.try_rearrange(rank, config.strategy, field, ncols) {
-                                Ok(v) => fields.push(v),
-                                Err(e) => {
-                                    comm_fault.get_or_insert_with(|| e.to_string());
-                                    fields.push(vec![0.0; ncols]);
-                                }
-                            }
-                        }
-                        timers.stop("cpl_rearrange");
-                        timers.start("ocn_run");
-                        let (ni, nj) = (ocn.state.ni, ocn.state.nj);
-                        let mut forcing = ap3esm_ocn::model::OcnForcing::zeros(ni, nj);
-                        forcing.taux.copy_from_slice(&fields[0]);
-                        forcing.tauy.copy_from_slice(&fields[1]);
-                        forcing.qnet.copy_from_slice(&fields[2]);
-                        forcing.salt_flux.copy_from_slice(&fields[3]);
-                        let steps = (ocn_period / ocn_config.dt_baroclinic).round() as usize;
-                        for _ in 0..steps.max(1) {
-                            if let Err(e) = ocn.try_step(rank, &forcing) {
-                                comm_fault.get_or_insert_with(|| e.to_string());
-                                break;
-                            }
-                        }
-                        let st = &ocn.state;
-                        let mut sst = Vec::with_capacity(ncols);
-                        let mut ssu = Vec::with_capacity(ncols);
-                        let mut ssv = Vec::with_capacity(ncols);
-                        for j in 0..nj {
-                            for i in 0..ni {
-                                let idx = st.at(i, j);
-                                sst.push(st.t[0][idx]);
-                                ssu.push(st.u[0][idx] + st.ubar[idx]);
-                                ssv.push(st.v[0][idx] + st.vbar[idx]);
-                            }
-                        }
-                        for (dst, src) in [
-                            (&mut sst_global, &sst),
-                            (&mut ssu_global, &ssu),
-                            (&mut ssv_global, &ssv),
-                        ] {
-                            match gather.try_rearrange(rank, config.strategy, src, ncols) {
-                                Ok(v) => *dst = v,
-                                Err(e) => {
-                                    comm_fault.get_or_insert_with(|| e.to_string());
-                                }
-                            }
-                        }
-                        timers.stop("ocn_run");
-                    } else {
-                        for field in [&f_taux, &f_tauy, &f_qnet, &f_salt] {
-                            if let Err(e) = scatter.try_rearrange(rank, config.strategy, field, 0) {
-                                comm_fault.get_or_insert_with(|| e.to_string());
-                            }
-                        }
-                        // Gather the ocean's exports (keeping the previous
-                        // surface state on a failed leg — rollback follows).
-                        for dst in [&mut sst_global, &mut ssu_global, &mut ssv_global] {
-                            match gather.try_rearrange(rank, config.strategy, &[], ncols) {
-                                Ok(v) => *dst = v,
-                                Err(e) => {
-                                    comm_fault.get_or_insert_with(|| e.to_string());
-                                }
-                            }
-                        }
-                        timers.stop("cpl_rearrange");
-                    }
-                    // Diagnostics series.
-                    let (mut sum, mut cnt) = (0.0f64, 0.0f64);
-                    for c in 0..ncols {
-                        if ocn_valid[c] {
-                            sum += sst_global[c];
-                            cnt += 1.0;
-                        }
-                    }
-                    stats.sst_series.push(sum / cnt.max(1.0));
-                    let local_ke = ocn_inline
-                        .as_ref()
-                        .map(|(m, _)| m.state.kinetic_energy())
-                        .unwrap_or(0.0);
-                    let ke = match ap3esm_comm::collectives::allreduce_sum(rank, 77, local_ke) {
-                        Ok(ke) => ke,
-                        Err(e) => {
-                            comm_fault.get_or_insert_with(|| e.to_string());
-                            f64::NAN
-                        }
-                    };
-                    stats.ke_series.push(ke);
-                    if resil.is_none() {
-                        if let Some(e) = &comm_fault {
-                            panic!("coupler exchange failed: {e}");
-                        }
-                    }
-
-                    // ----- Recovery layer: guards, health agreement, then
-                    //       checkpoint or rollback (ocean couplings are the
-                    //       global synchronisation points). -----
-                    if let Some(resil) = resil.as_mut() {
-                        let ocn_idx = ((clock.time as f64) / ocn_period).round() as u64;
-                        if let Some(inj) = rank.fault_injector() {
-                            // Fault plans name physical (machine) ranks.
-                            if inj.take_kill(rank.world_id(), ocn_idx) {
-                                // Simulated rank loss: the surviving state is
-                                // garbage, which the guards detect.
-                                for v in atm.theta.iter_mut() {
-                                    *v = f64::NAN;
-                                }
-                                ap3esm_obs::counter_add("resilience.faults", 1);
-                                ap3esm_obs::instant("fault.kill");
-                                fr_record(
-                                    rank,
-                                    ap3esm_obs::FrKind::Fault,
-                                    ocn_idx,
-                                    0,
-                                    "killed (state corrupted, injected)",
-                                );
-                            }
-                        }
-                        let mut verdict = atm_guard.check(&atm);
-                        if let (Some((ocn, _)), Some(guard)) = (&ocn_inline, &inline_guard) {
-                            verdict = verdict.worst(guard.check(&ocn.state));
-                        }
-                        if let Some(e) = comm_fault.take() {
-                            stats
-                                .fault_events
-                                .push(format!("comm fault at ocn coupling {ocn_idx}: {e}"));
-                            verdict = verdict.worst(HealthVerdict::Fatal(format!("comm: {e}")));
-                        }
-                        let verdict = observe_verdict(verdict, me);
-                        let sev = match agree_severity(rank, verdict.severity()) {
-                            Ok(sev) => sev,
-                            // The health agreement itself lost a peer: escalate
-                            // to a membership vote (DESIGN.md §13 rung 3).
-                            Err(e) => match agree_survivors(
-                                rank,
-                                &e,
-                                &mut stats,
-                                &mut shrinks,
-                                resil.cfg.max_shrinks,
-                            ) {
-                                // Everyone is alive after all (dropped or very
-                                // late messages): treat as a fatal transient
-                                // and roll back.
-                                SurvivorOutcome::Transient => 2.0,
-                                SurvivorOutcome::Shrunk => {
-                                    // Shrink-to-fit hand-off: redistribute the
-                                    // last committed checkpoint onto the
-                                    // survivor layout, announce it, and rebuild
-                                    // the world one generation up.
-                                    let gen = rank.generation();
-                                    let dst = resil.store.root().join(format!("shrunk_g{gen}"));
-                                    let cand = resil.store.latest().map(|i| i as i64).unwrap_or(-1);
-                                    let ready = cand >= 0 && {
-                                        let _ = std::fs::remove_dir_all(&dst);
-                                        crate::restart::redistribute_ocn_restart(
-                                            &resil.store.dir(cand as u64),
-                                            &dst,
-                                            &ocn_grid,
-                                            &ocn_decomp,
-                                            &BlockDecomp2d::auto(
-                                                config.ocn_nlon,
-                                                config.ocn_nlat,
-                                                rank.size() - 1,
-                                            ),
-                                        )
-                                        .map_err(|e| {
-                                            eprintln!(
-                                            "[resilience] checkpoint redistribution failed: {e}"
-                                        )
-                                        })
-                                        .is_ok()
-                                    };
-                                    let sig = if ready { cand } else { -1i64 };
-                                    match ap3esm_comm::collectives::bcast(
-                                        rank,
-                                        CKPT_ID_TAG,
-                                        0,
-                                        vec![sig],
-                                    ) {
-                                        Ok(v) if v[0] >= 0 => {
-                                            stats.degraded_ranks = rank.world_size() - rank.size();
-                                            ap3esm_obs::instant("recovery.shrink");
-                                            ap3esm_obs::counter_add("resilience.shrinks", 1);
-                                            ap3esm_obs::gauge_set(
-                                                "sim.degraded_ranks",
-                                                stats.degraded_ranks as f64,
-                                            );
-                                            eprintln!(
-                                            "[resilience] shrink-to-fit: continuing degraded on {} of {} ranks from checkpoint {cand}",
-                                            rank.size(),
-                                            rank.world_size()
-                                        );
-                                            pending_restore = Some(dst);
-                                            continue 'world;
-                                        }
-                                        _ => {
-                                            stats.failure = Some(
-                                                "no committed checkpoint to continue degraded from"
-                                                    .to_string(),
-                                            );
-                                            break 'sim;
-                                        }
-                                    }
-                                }
-                                SurvivorOutcome::Failed(msg) => {
-                                    stats.failure = Some(msg);
-                                    break 'sim;
-                                }
-                            },
-                        };
-                        if sev >= 2.0 {
-                            let reason =
-                                format!("fatal state at ocn coupling {ocn_idx}: {verdict}");
-                            if let Some(fail) = begin_rollback(rank, resil, &reason) {
-                                stats.failure = Some(fail.to_string());
-                                break 'sim;
-                            }
-                            loop {
-                                let cand = agree_candidate(
-                                    rank,
-                                    resil.store.latest().map(|i| i as i64).unwrap_or(-1),
-                                );
-                                if cand < 0 {
-                                    stats.failure = Some(
-                                        RecoveryFailure {
-                                            recoveries_attempted: resil.recoveries,
-                                            reason: "no committed checkpoint to roll back to"
-                                                .into(),
-                                        }
-                                        .to_string(),
-                                    );
-                                    break 'sim;
-                                }
-                                let dir = resil.store.dir(cand as u64);
-                                let loaded = restore_domain_a!(&dir);
-                                if vote_all_ok(rank, loaded.is_ok()) {
-                                    apply_domain_a_meta!(loaded.expect("vote passed"));
-                                    ap3esm_obs::instant("rollback.restored");
-                                    eprintln!(
-                                    "[resilience] restored checkpoint {cand}, replaying from t = {} s",
-                                    clock.time
-                                );
-                                    break;
-                                }
-                                if let Err(e) = &loaded {
-                                    eprintln!("[resilience] checkpoint {cand} unusable: {e}");
-                                }
-                                stats
-                                    .fault_events
-                                    .push(format!("checkpoint {cand} rejected at restore"));
-                                resil
-                                    .store
-                                    .invalidate(cand as u64)
-                                    .expect("invalidate damaged checkpoint");
-                                rank.barrier();
-                            }
-                        } else if resil.cfg.checkpoint_interval > 0
-                            && ocn_idx.is_multiple_of(resil.cfg.checkpoint_interval as u64)
-                        {
-                            let id = ocn_idx;
-                            ap3esm_obs::instant("checkpoint.begin");
-                            fr_record(rank, ap3esm_obs::FrKind::CkptBegin, id, 0, "");
-                            with_retry(
-                                "checkpoint begin",
-                                resil.cfg.retries,
-                                resil.cfg.backoff,
-                                || resil.store.begin(id),
-                            )
-                            .expect("checkpoint begin");
-                            rank.barrier();
-                            let dir = resil.store.dir(id);
-                            with_retry(
-                                "checkpoint write",
-                                resil.cfg.retries,
-                                resil.cfg.backoff,
-                                || -> Result<(), IoError> {
-                                    crate::restart::write_atm_restart(&dir, &atm)?;
-                                    write_aux(&dir, "lnd_tskin", &lnd.state.tskin)?;
-                                    write_aux(&dir, "lnd_moist", &lnd.state.moisture)?;
-                                    write_aux(&dir, "ice_frac", &ice.state.fraction)?;
-                                    write_aux(&dir, "ice_thick", &ice.state.thickness)?;
-                                    write_aux(&dir, "ice_tsfc", &ice.state.tsfc)?;
-                                    write_aux(&dir, "cpl_sst", &sst_global)?;
-                                    write_aux(&dir, "cpl_ssu", &ssu_global)?;
-                                    write_aux(&dir, "cpl_ssv", &ssv_global)?;
-                                    write_aux(&dir, "cpl_icefrac", &ice_frac_global)?;
-                                    write_aux(&dir, "cpl_iceheat", &ice_heat_global)?;
-                                    write_aux(&dir, "cpl_icefresh", &ice_fresh_global)?;
-                                    write_aux(&dir, "cpl_precip", &last_precip_accum)?;
-                                    if let Some((ocn, _)) = ocn_inline.as_ref() {
-                                        crate::restart::write_ocn_restart(&dir, &ocn.state, 0)?;
-                                    }
-                                    let meta = [
-                                        clock.time as f64,
-                                        stats.theta_series.len() as f64,
-                                        stats.sst_series.len() as f64,
-                                        stats.ke_series.len() as f64,
-                                        stats.ice_series.len() as f64,
-                                        stats.track.len() as f64,
-                                        if prev_track.is_some() { 1.0 } else { 0.0 },
-                                        prev_track.map(|(la, _)| la).unwrap_or(0.0),
-                                        prev_track.map(|(_, lo)| lo).unwrap_or(0.0),
-                                    ];
-                                    write_aux(&dir, "cpl_meta", &meta)
-                                },
-                            )
-                            .expect("checkpoint write");
-                            rank.barrier();
-                            commit_checkpoint(rank, resil, id);
-                        }
-                    }
-
-                    // ----- Live telemetry heartbeat (opt-in, rank 0 only):
-                    //       step rate, SYPD estimate and component split since
-                    //       the previous heartbeat. -----
-                    if let Some(every) = opts.progress_every {
-                        let ocn_count = stats.ke_series.len() as u64;
-                        if every > 0 && ocn_count.is_multiple_of(every) {
-                            let now = std::time::Instant::now();
-                            let sim_s = clock.time as f64;
-                            let (dw, ds) = match hb_last {
-                                Some((w, s)) => (now.duration_since(w).as_secs_f64(), sim_s - s),
-                                None => (t_start.elapsed().as_secs_f64(), sim_s),
-                            };
-                            let dw = dw.max(1e-9);
-                            let split: Vec<String> =
-                                ["atm_run", "lnd_run", "ocn_run", "ice_run", "cpl_rearrange"]
-                                    .iter()
-                                    .filter(|s| timers.count(s) > 0)
-                                    .map(|s| format!("{s} {:.2}s", timers.seconds(s)))
-                                    .collect();
-                            eprintln!(
-                            "[telemetry] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
-                            clock.days(),
-                            opts.days,
-                            (ds / ocn_period) / dw,
-                            get_timing(ds, dw),
-                            split.join(", ")
-                        );
-                            hb_last = Some((now, sim_s));
-                        }
-                    }
-
-                    // ----- Continuous telemetry: global busy-time exchange at
-                    //       the coupling sync point, then rank-0 gauges the
-                    //       sampler thread turns into series. -----
-                    if telemetry_on {
-                        let busy: f64 = timers.sections().iter().map(|s| timers.seconds(s)).sum();
-                        let d_busy = (busy - tele_prev_busy).max(0.0);
-                        tele_prev_busy = busy;
-                        let max_busy =
-                            ap3esm_comm::collectives::allreduce_max(rank, TELE_MAX_TAG, d_busy)
-                                .unwrap_or(d_busy);
-                        let sum_busy =
-                            ap3esm_comm::collectives::allreduce_sum(rank, TELE_SUM_TAG, d_busy)
-                                .unwrap_or(d_busy);
-                        let now = std::time::Instant::now();
-                        let dw = now.duration_since(tele_last_wall).as_secs_f64().max(1e-9);
-                        tele_last_wall = now;
-                        ap3esm_obs::gauge_set("sim.step_wall_s", dw);
-                        ap3esm_obs::gauge_set("sim.sypd", get_timing(ocn_period, dw));
-                        let mean_busy = sum_busy / world_ranks as f64;
-                        if mean_busy > 0.0 {
-                            ap3esm_obs::gauge_set("sim.imbalance", max_busy / mean_busy);
-                        }
-                    }
-                }
-            }
-            stats.simulated_seconds = clock.time as f64;
-            if let Some(r) = &resil {
-                stats.recoveries = r.recoveries;
-            }
-        } else {
-            // ================= Domain O: the ocean ==========================
-            let mut ocn_config = fitted_ocn_config(config, ocn_period);
-            // This generation's decomposition (the configured mesh, or the
-            // shrink-to-fit re-fit over the survivors).
-            ocn_config.px = ocn_decomp.px;
-            ocn_config.py = ocn_decomp.py;
-            ocn_config.rank_offset = 1; // world rank = 1 + ocean rank
-            let mut ocn = OcnModel::new(&ocn_grid, ocn_config.clone(), me - 1);
-            let (ni, nj) = (ocn.state.ni, ocn.state.nj);
-            let mut forcing = OcnForcing::zeros(ni, nj);
-
-            let ocn_guard = OcnGuard::new(
-                &ocn.state,
-                GuardConfig::default(),
-                ocn_config.dt_baroclinic / ocn_config.n_barotropic.max(1) as f64,
-            );
-            let mut tele_prev_busy = 0.0f64;
-
-            // Generation entry: resume this rank's slab from a hand-off
-            // directory (mirrors domain A; the vote keeps everyone agreed).
-            if let Some(dir) = pending_restore.take() {
-                let loaded: Result<Vec<f64>, IoError> = (|| {
-                    crate::restart::read_ocn_restart(&dir, &mut ocn.state, me - 1)?;
-                    read_aux(&dir, "cpl_meta", 9)
-                })();
-                if let Err(e) = &loaded {
-                    eprintln!(
-                        "[resilience] rank {me}: resume from {} failed: {e}",
-                        dir.display()
-                    );
-                }
-                match try_vote_all_ok(rank, loaded.is_ok()) {
-                    Ok(true) => {
-                        clock.time = loaded.expect("vote passed")[0] as i64;
-                    }
-                    _ => {
-                        stats.failure = Some(format!(
-                            "resume from {} failed on at least one rank",
-                            dir.display()
-                        ));
-                    }
-                }
-            }
-
-            'sim: while stats.failure.is_none() && (clock.time as f64) < total_seconds {
-                let event = clock.advance();
-                if event.ocn {
-                    timers.start("ocn_run");
-                    let mut comm_fault: Option<String> = None;
-                    // Receive merged forcing fields from domain A (keeping the
-                    // previous period's forcing on a failed leg).
-                    let mut fields = Vec::new();
-                    for _ in 0..4 {
-                        match scatter.try_rearrange(rank, config.strategy, &[], my_ocn_cols) {
-                            Ok(v) => fields.push(v),
-                            Err(e) => {
-                                comm_fault.get_or_insert_with(|| e.to_string());
-                                fields.push(vec![0.0; my_ocn_cols]);
-                            }
-                        }
-                    }
-                    forcing.taux.copy_from_slice(&fields[0]);
-                    forcing.tauy.copy_from_slice(&fields[1]);
-                    forcing.qnet.copy_from_slice(&fields[2]);
-                    // salt_flux (psu·m/s): convert from the merged convention.
-                    forcing.salt_flux.copy_from_slice(&fields[3]);
-                    // Advance the ocean through the coupling period.
-                    let steps = (ocn_period / ocn_config.dt_baroclinic).round() as usize;
-                    for _ in 0..steps.max(1) {
-                        if let Err(e) = ocn.try_step(rank, &forcing) {
-                            comm_fault.get_or_insert_with(|| e.to_string());
-                            break;
-                        }
-                    }
-                    // Export surface state back to domain A (local row-major
-                    // interior order == ascending global ids for a block).
-                    let st = &ocn.state;
-                    let mut sst = Vec::with_capacity(my_ocn_cols);
-                    let mut ssu = Vec::with_capacity(my_ocn_cols);
-                    let mut ssv = Vec::with_capacity(my_ocn_cols);
-                    for j in 0..nj {
-                        for i in 0..ni {
-                            let idx = st.at(i, j);
-                            sst.push(st.t[0][idx]);
-                            ssu.push(st.u[0][idx] + st.ubar[idx]);
-                            ssv.push(st.v[0][idx] + st.vbar[idx]);
-                        }
-                    }
-                    for data in [&sst, &ssu, &ssv] {
-                        if let Err(e) = gather.try_rearrange(rank, config.strategy, data, 0) {
-                            comm_fault.get_or_insert_with(|| e.to_string());
-                        }
-                    }
-                    timers.stop("ocn_run");
-                    if let Err(e) = ap3esm_comm::collectives::allreduce_sum(
+                Some(r) => {
+                    match r.after_coupling(
                         rank,
-                        77,
-                        ocn.state.kinetic_energy(),
+                        &mut cpl,
+                        &ocn_grid,
+                        &mut run.stats,
+                        step.comm_fault,
                     ) {
-                        comm_fault.get_or_insert_with(|| e.to_string());
-                    }
-                    if resil.is_none() {
-                        if let Some(e) = &comm_fault {
-                            panic!("coupler exchange failed: {e}");
+                        Flow::Continue => {}
+                        Flow::Rebuild(dir) => {
+                            pending_restore = Some(dir);
+                            continue 'world;
                         }
-                    }
-
-                    // ----- Recovery layer (mirrors the domain-A sequence). ----
-                    if let Some(resil) = resil.as_mut() {
-                        let ocn_idx = ((clock.time as f64) / ocn_period).round() as u64;
-                        if let Some(inj) = rank.fault_injector() {
-                            // Fault plans name physical (machine) ranks.
-                            if inj.take_die(rank.world_id(), ocn_idx) {
-                                // Permanent loss: this thread stops participating
-                                // entirely — no farewell message, exactly like a
-                                // node dropping off the interconnect. The
-                                // survivors detect the silence at the health
-                                // agreement and shrink around it.
-                                stats.lost = true;
-                                stats.fault_events.push(format!(
-                                    "rank {} died permanently at ocn coupling {ocn_idx}",
-                                    rank.world_id()
-                                ));
-                                ap3esm_obs::counter_add("resilience.faults", 1);
-                                ap3esm_obs::instant("fault.die");
-                                fr_record(
-                                    rank,
-                                    ap3esm_obs::FrKind::Fault,
-                                    ocn_idx,
-                                    0,
-                                    "died permanently (injected)",
-                                );
-                                eprintln!(
-                                "[resilience] rank {} dying permanently at ocn coupling {ocn_idx}",
-                                rank.world_id()
-                            );
-                                break 'sim;
-                            }
-                            if inj.take_kill(rank.world_id(), ocn_idx) {
-                                for v in ocn.state.eta.iter_mut() {
-                                    *v = f64::NAN;
-                                }
-                                ap3esm_obs::counter_add("resilience.faults", 1);
-                                ap3esm_obs::instant("fault.kill");
-                                fr_record(
-                                    rank,
-                                    ap3esm_obs::FrKind::Fault,
-                                    ocn_idx,
-                                    0,
-                                    "killed (state corrupted, injected)",
-                                );
-                            }
-                        }
-                        let mut verdict = ocn_guard.check(&ocn.state);
-                        if let Some(e) = comm_fault.take() {
-                            stats
-                                .fault_events
-                                .push(format!("comm fault at ocn coupling {ocn_idx}: {e}"));
-                            verdict = verdict.worst(HealthVerdict::Fatal(format!("comm: {e}")));
-                        }
-                        let verdict = observe_verdict(verdict, me);
-                        let sev = match agree_severity(rank, verdict.severity()) {
-                            Ok(sev) => sev,
-                            Err(e) => match agree_survivors(
-                                rank,
-                                &e,
-                                &mut stats,
-                                &mut shrinks,
-                                resil.cfg.max_shrinks,
-                            ) {
-                                SurvivorOutcome::Transient => 2.0,
-                                SurvivorOutcome::Shrunk => {
-                                    // Wait for rank 0's hand-off announcement:
-                                    // the checkpoint id it redistributed onto
-                                    // the survivor layout (-1 = nothing left).
-                                    let gen = rank.generation();
-                                    match ap3esm_comm::collectives::bcast(
-                                        rank,
-                                        CKPT_ID_TAG,
-                                        0,
-                                        vec![-1i64],
-                                    ) {
-                                        Ok(v) if v[0] >= 0 => {
-                                            stats.degraded_ranks = rank.world_size() - rank.size();
-                                            pending_restore = Some(
-                                                resil.store.root().join(format!("shrunk_g{gen}")),
-                                            );
-                                            continue 'world;
-                                        }
-                                        _ => {
-                                            stats.failure = Some(
-                                                "no committed checkpoint to continue degraded from"
-                                                    .to_string(),
-                                            );
-                                            break 'sim;
-                                        }
-                                    }
-                                }
-                                SurvivorOutcome::Failed(msg) => {
-                                    stats.failure = Some(msg);
-                                    break 'sim;
-                                }
-                            },
-                        };
-                        if sev >= 2.0 {
-                            let reason =
-                                format!("fatal state at ocn coupling {ocn_idx}: {verdict}");
-                            if let Some(fail) = begin_rollback(rank, resil, &reason) {
-                                stats.failure = Some(fail.to_string());
-                                break 'sim;
-                            }
-                            loop {
-                                let cand = agree_candidate(rank, -1);
-                                if cand < 0 {
-                                    stats.failure =
-                                        Some("no committed checkpoint to roll back to".into());
-                                    break 'sim;
-                                }
-                                let dir = resil.store.dir(cand as u64);
-                                let loaded =
-                                    crate::restart::read_ocn_restart(&dir, &mut ocn.state, me - 1);
-                                if vote_all_ok(rank, loaded.is_ok()) {
-                                    clock.time = (cand as f64 * ocn_period).round() as i64;
-                                    ap3esm_obs::instant("rollback.restored");
-                                    break;
-                                }
-                                if let Err(e) = &loaded {
-                                    eprintln!(
-                                        "[resilience] checkpoint {cand} unusable on rank {me}: {e}"
-                                    );
-                                }
-                                rank.barrier(); // rank 0 invalidates the candidate
-                            }
-                        } else if resil.cfg.checkpoint_interval > 0
-                            && ocn_idx.is_multiple_of(resil.cfg.checkpoint_interval as u64)
-                        {
-                            let id = ocn_idx;
-                            ap3esm_obs::instant("checkpoint.begin");
-                            fr_record(rank, ap3esm_obs::FrKind::CkptBegin, id, 0, "");
-                            rank.barrier(); // rank 0 clears the checkpoint dir
-                            let dir = resil.store.dir(id);
-                            with_retry(
-                                "checkpoint write",
-                                resil.cfg.retries,
-                                resil.cfg.backoff,
-                                || crate::restart::write_ocn_restart(&dir, &ocn.state, me - 1),
-                            )
-                            .expect("checkpoint write");
-                            rank.barrier(); // rank 0 commits after this
-                        }
-                    }
-
-                    // Continuous telemetry: the collective leg of rank 0's
-                    // busy-time exchange (results only consumed there).
-                    if telemetry_on {
-                        let busy = timers.seconds("ocn_run");
-                        let d_busy = (busy - tele_prev_busy).max(0.0);
-                        tele_prev_busy = busy;
-                        let _ = ap3esm_comm::collectives::allreduce_max(rank, TELE_MAX_TAG, d_busy);
-                        let _ = ap3esm_comm::collectives::allreduce_sum(rank, TELE_SUM_TAG, d_busy);
+                        Flow::Stop => break,
                     }
                 }
             }
-            stats.simulated_seconds = clock.time as f64;
-            if let Some(r) = &resil {
-                stats.recoveries = r.recoveries;
+            if rank.id() == 0 {
+                pulse.heartbeat(opts, &run, &cpl);
+            }
+            if opts.telemetry.is_some() {
+                pulse.telemetry(rank, &run, cpl.clock.ocn_alarm.period as f64);
             }
         }
-
-        // Both branches fall through here when the run is over (completed,
-        // structurally failed, or this rank died); only a shrink hand-off
-        // re-enters the loop with the next world generation.
-        break 'world;
-    } // 'world
-
-    // Injected faults that actually fired (message faults, kills,
-    // corruptions) join the locally observed comm faults in one stream.
-    if let Some(inj) = rank.fault_injector() {
-        stats
-            .fault_events
-            .extend(inj.fired().into_iter().map(|f| f.description));
+        run.stats.simulated_seconds = cpl.clock.time as f64;
+        break;
     }
-
-    stats.wall_seconds = t_start.elapsed().as_secs_f64();
-    stats.sypd = get_timing(stats.simulated_seconds, stats.wall_seconds);
-    stats.per_section_seconds = timers
-        .sections()
-        .iter()
-        .map(|s| (s.to_string(), timers.seconds(s)))
-        .collect();
-
-    // Telemetry teardown before the report: the shutdown handshake forces
-    // one final sample + alert pass, so the report's alerts array and the
-    // series snapshot include the run's last state. The scrape endpoint
-    // stays up until the snapshot is on disk.
-    let mut alert_events: Vec<ap3esm_obs::AlertEvent> = Vec::new();
-    let mut bundle_series: Option<String> = None;
-    if let Some((store, engine, sampler, server)) = telemetry.take() {
-        sampler.shutdown();
-        alert_events = engine.events();
-        stats.alerts = alert_events.iter().map(|e| e.message.clone()).collect();
-        if let Some(name) = &opts.report_name {
-            if opts.telemetry.as_ref().is_some_and(|t| t.snapshot) {
-                stats.series_path = store.write_snapshot(name).ok();
-            }
-        }
-        // Keep the final tsdb state for the diagnostics bundle (the store
-        // itself is consumed here).
-        if flightrec_on {
-            bundle_series = Some(store.snapshot_json());
-        }
-        if let Some(server) = server {
-            server.stop();
-        }
-    }
-
-    // --- Flight-recorder bundle: when the run ended in trouble, rank 0
-    //     dumps a self-contained diagnostics bundle before the (collective)
-    //     report path, using non-draining snapshots so the later trace
-    //     export still sees every comm event. Non-collective by design:
-    //     dead ranks cannot be waited on. ---
-    if flightrec_on {
-        if let Some(f) = &stats.failure {
-            fr_record(
-                rank,
-                ap3esm_obs::FrKind::Fault,
-                0,
-                0,
-                &format!("structured failure: {f}"),
-            );
-        }
-        for a in &alert_events {
-            fr_record(rank, ap3esm_obs::FrKind::Alert, 0, 0, &a.message);
-        }
-        let troubled = stats.failure.is_some()
-            || stats.shrinks > 0
-            || stats.recoveries > 0
-            || !stats.fault_events.is_empty();
-        if is_root && troubled {
-            let name = opts
-                .bundle_name
-                .clone()
-                .or_else(|| opts.report_name.clone())
-                .unwrap_or_else(|| format!("pid{}", std::process::id()));
-            let reason = if let Some(f) = &stats.failure {
-                format!("recovery-failure: {f}")
-            } else if stats.shrinks > 0 {
-                "shrink".to_string()
-            } else if stats
-                .fault_events
-                .iter()
-                .any(|e| e.contains("deadlock"))
-            {
-                "deadlock".to_string()
-            } else {
-                "fault".to_string()
-            };
-            // A comm-only Chrome trace so the bundle opens in Perfetto even
-            // when full span tracing was off.
-            let mut ct = ap3esm_obs::ChromeTrace::new();
-            for r in 0..rank.world_size() {
-                ct.add_process(r, &format!("rank {r}"));
-                let (comm_events, _) = rank.comm_events().snapshot(r);
-                ct.add_comm_events(r, &comm_events);
-            }
-            let recorder = rank
-                .blackbox()
-                .get()
-                .and_then(|s| s.downcast_ref::<ap3esm_obs::FlightRecorder>());
-            let spec = ap3esm_obs::BundleSpec {
-                reason: &reason,
-                recorder,
-                comm_events: Some(rank.comm_events()),
-                series_json: bundle_series.take(),
-                alerts: &alert_events,
-                fault_plan: rank.fault_injector().map(|i| i.plan().to_string()),
-                scenario: None,
-                trace_json: Some(ct.to_json()),
-            };
-            match ap3esm_obs::dump_bundle(&name, &spec) {
-                Ok(dir) => {
-                    eprintln!("[flightrec] diagnostics bundle: {}", dir.display());
-                    stats.bundle_path = Some(dir);
-                }
-                Err(e) => eprintln!("[flightrec] bundle dump failed: {e}"),
-            }
-        }
-    }
-
-    if stats.lost {
-        // A dead rank takes no part in the (collective) report: the
-        // survivors build it over the shrunk membership without it.
-        return stats;
-    }
-
-    if let Some(name) = &opts.report_name {
-        // Paper §6.2 measurement rule: per-section times reduced to the
-        // maximum across ranks. Collective — every rank participates.
-        // Softened: a report must never turn a degraded-but-successful run
-        // into a crash, so a failed aggregation just yields a thinner one.
-        let spans = obs.profiler.snapshot();
-        let sections = match ap3esm_obs::aggregate_sections(rank, 0x0B70, &spans) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("[report] section aggregation failed: {e}");
-                Vec::new()
-            }
-        };
-        // Paper §6.2: the trajectory's per-section walls are cross-rank
-        // maxima, not rank 0's local timers — otherwise sections that only
-        // run on other ranks (ocn_run on the ocean task domain) vanish
-        // from the BENCH point. Sorted by name so the metric set is
-        // independent of rank layout.
-        if is_root && !sections.is_empty() {
-            let mut merged = stats.per_section_seconds.clone();
-            for s in sections.iter().filter(|s| !s.path.contains('/')) {
-                match merged.iter_mut().find(|(n, _)| *n == s.path) {
-                    Some(entry) => entry.1 = s.max_s,
-                    None => merged.push((s.path.clone(), s.max_s)),
-                }
-            }
-            merged.sort_by(|a, b| a.0.cmp(&b.0));
-            stats.per_section_seconds = merged;
-        }
-        // Every rank's tree (bounded) lands in the report, not just rank 0's.
-        let trees = match ap3esm_obs::gather_span_trees(rank, 0x0B74, &spans, 16, 512) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("[report] span tree gather failed: {e}");
-                None
-            }
-        };
-        // Timeline export: stop recording everywhere, then ship each rank's
-        // buffered span events to rank 0. The comm-event rings live in the
-        // shared world structure, so rank 0 drains them directly once the
-        // barrier guarantees all ranks have stopped recording.
-        let mut trace_events: Option<Vec<Vec<ap3esm_obs::TraceEvent>>> = None;
-        if let Some(sink) = &trace_sink {
-            rank.comm_events().set_enabled(false);
-            obs.profiler.set_trace_sink(None);
-            rank.barrier();
-            let (events, dropped) = sink.take();
-            if dropped > 0 {
-                eprintln!(
-                    "[trace] rank {}: {dropped} span events dropped (sink full)",
-                    rank.world_id()
-                );
-            }
-            let wire = ap3esm_obs::trace::encode_events(&events);
-            match ap3esm_comm::collectives::gather::<u8>(rank, 0x0B76, 0, wire) {
-                Ok(gathered) => {
-                    trace_events = gathered.map(|parts| {
-                        parts
-                            .iter()
-                            .map(|bytes| ap3esm_obs::trace::decode_events(bytes))
-                            .collect()
-                    });
-                }
-                Err(e) => eprintln!("[trace] event gather failed: {e}"),
-            }
-        }
-        if is_root {
-            if let Some(per_rank) = trace_events {
-                // Drain every rank's comm ring exactly once; the same
-                // events feed the chrome trace and the critical-path
-                // analyzer below.
-                let (all_comm, comm_dropped) = rank.comm_events().take_all();
-                if comm_dropped > 0 {
-                    eprintln!("[trace] {comm_dropped} comm events evicted (rings full)");
-                }
-                let mut ct = ap3esm_obs::ChromeTrace::new();
-                for (r, events) in per_rank.iter().enumerate() {
-                    ct.add_process(r, &format!("rank {r}"));
-                    ct.add_span_events(r, events);
-                    if let Some(comm_events) = all_comm.get(r) {
-                        ct.add_comm_events(r, comm_events);
-                    }
-                }
-                stats.trace_path = ct.write(name).ok();
-                if let Some(trees) = &trees {
-                    let folded = ap3esm_obs::trace::folded_stacks(trees);
-                    stats.folded_path = ap3esm_obs::trace::write_folded(name, &folded).ok();
-                }
-                // End-of-run critical-path analysis over the same
-                // timelines: where did the SYPD go, and what would
-                // halving the top section buy?
-                let timelines: Vec<ap3esm_obs::RankTimeline> = per_rank
-                    .iter()
-                    .enumerate()
-                    .map(|(r, events)| ap3esm_obs::RankTimeline {
-                        rank: r,
-                        spans: events.clone(),
-                        comms: all_comm.get(r).cloned().unwrap_or_default(),
-                    })
-                    .collect();
-                let analyzer = ap3esm_obs::Analyzer::new(&timelines).with_sypd(stats.sypd);
-                stats.critpath = Some(analyzer.analyze());
-            }
-            let comm = rank.stats();
-            let stream = |label: &str, tags: [u64; 2]| {
-                let (m, b) = tags.iter().fold((0u64, 0u64), |(m, b), &t| {
-                    let (tm, tb) = comm.tag_traffic(t);
-                    (m + tm, b + tb)
-                });
-                (label.to_string(), m, b)
-            };
-            let mut report = ap3esm_obs::ReportBuilder::new(name)
-                .meta("world_size", rank.size())
-                .meta("launched_world_size", rank.world_size())
-                .meta("generation", rank.generation())
-                .meta(
-                    "layout",
-                    if config.single_domain {
-                        "sequential"
-                    } else {
-                        "concurrent"
-                    },
-                )
-                .meta("strategy", format!("{:?}", config.strategy).as_str())
-                .meta("simulated_seconds", stats.simulated_seconds)
-                .meta("wall_seconds", stats.wall_seconds)
-                .meta("sypd", stats.sypd)
-                .meta("recoveries", stats.recoveries as u64)
-                .meta("shrinks", stats.shrinks as u64)
-                .meta("degraded_ranks", stats.degraded_ranks as u64)
-                .meta("failure", stats.failure.as_deref().unwrap_or(""))
-                .meta(
-                    "fault_events",
-                    ap3esm_obs::json::Json::Arr(
-                        stats
-                            .fault_events
-                            .iter()
-                            .map(|e| ap3esm_obs::json::Json::Str(e.clone()))
-                            .collect(),
-                    ),
-                )
-                .spans(spans)
-                .alerts(alert_events)
-                .sections(sections)
-                .rank_trees(trees.unwrap_or_default())
-                .metrics(obs.metrics.snapshot());
-            if let Some(a) = &stats.critpath {
-                report = report.critpath(a.to_json());
-            }
-            let report = report
-                .comm(ap3esm_obs::CommSummary {
-                    total_messages: comm.total_messages(),
-                    total_bytes: comm.total_bytes(),
-                    top_pairs: comm.top_pairs(5),
-                    streams: vec![
-                        stream("cpl_scatter", Rearranger::wire_tags_for(21)),
-                        stream("cpl_gather", Rearranger::wire_tags_for(22)),
-                    ],
-                })
-                .build();
-            stats.report_json = Some(report.to_json());
-            stats.report_path = report.write().ok();
-        }
-    }
-    stats
+    run.stats.recoveries = recovery.map_or(0, |r| r.recoveries);
+    run.finish(rank, config, opts)
 }
 
 #[cfg(test)]

@@ -18,17 +18,25 @@
 //! * the scaling-experiment driver bridging to the machine model
 //!   ([`scaling`], Table 2 / Fig. 8).
 
+// One long function is how the driver grew to 1 400 lines; the threshold
+// is `too-many-lines-threshold` in the workspace-root clippy.toml.
+#![deny(clippy::too_many_lines)]
+
 pub mod component;
 pub mod config;
 pub mod coupled;
+pub mod coupler;
 pub mod forecast;
+mod recovery;
 pub mod resilience;
 pub mod restart;
 pub mod scaling;
+mod session;
 pub mod solar;
 pub mod timing;
 
-pub use component::{Component, ComponentPhase};
+pub use component::{Atm, Component, Ice, Lnd, Ocn};
+pub use coupler::{Coupler, Parts};
 pub use config::{ConfigError, CoupledConfig, Resolution};
 pub use coupled::{run_coupled, CoupledOptions, CoupledStats, Perturbation, SstPattern};
 pub use forecast::{run_forecast, run_forecast_with, ForecastResult};

@@ -43,6 +43,24 @@ fn read_checked(dir: &Path, name: &str, want: &[usize]) -> Result<Vec<f64>, IoEr
     Ok(data)
 }
 
+/// Write one auxiliary checkpoint field (a flat vector outside the
+/// atmosphere/ocean restart sets: land, ice and coupler state).
+pub(crate) fn write_aux(dir: &Path, name: &str, data: &[f64]) -> Result<(), IoError> {
+    SubfileWriter::new(dir, name, &[data.len()], RESTART_SUBFILES).write_all(data)
+}
+
+/// Read one auxiliary checkpoint field, validating its length.
+pub(crate) fn read_aux(dir: &Path, name: &str, want: usize) -> Result<Vec<f64>, IoError> {
+    let (_, data) = SubfileReader::new(dir, name).read_all()?;
+    if data.len() != want {
+        return Err(IoError::Inconsistent(format!(
+            "{name}: {} elements, expected {want}",
+            data.len()
+        )));
+    }
+    Ok(data)
+}
+
 /// Write an atmosphere restart: the prognostic fields ps, θ, q (cell
 /// fields) and uₙ (edge field), plus the auxiliary surface fields
 /// (precip_accum, gsw, glw) that feed land forcing and ocean fluxes — a

@@ -1,0 +1,428 @@
+//! What a coupled run carries besides the model: one rank's observability
+//! set-up (span profiler, timers, trace sink, flight recorder, continuous
+//! telemetry) and, in [`Session::finish`], the artifacts it leaves behind —
+//! the telemetry snapshot, the diagnostics bundle, the run report, the
+//! chrome trace and the critical-path analysis.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use ap3esm_comm::Rank;
+use ap3esm_cpl::Rearranger;
+use ap3esm_obs::json::Json;
+use ap3esm_obs::{AlertEngine, AlertEvent, FrKind, MetricsServer, Obs, Sampler, SeriesStore};
+use ap3esm_obs::{TraceEvent, TraceSink};
+
+use crate::config::CoupledConfig;
+use crate::coupled::{CoupledOptions, CoupledStats, TelemetryOptions};
+use crate::recovery::fr_record;
+use crate::timing::{get_timing, Timers};
+
+/// Rank 0's continuous-telemetry machinery.
+struct Telemetry {
+    store: Arc<SeriesStore>,
+    engine: Arc<AlertEngine>,
+    sampler: Sampler,
+    server: Option<MetricsServer>,
+}
+
+impl Telemetry {
+    fn start(obs: &Arc<Obs>, t: &TelemetryOptions) -> Self {
+        let store = Arc::new(SeriesStore::new(t.capacity));
+        let mut rules = if t.builtin_rules {
+            ap3esm_obs::sim_rules()
+        } else {
+            Vec::new()
+        };
+        rules.extend(ap3esm_obs::parse_rules(&t.rules).expect("telemetry alert rules"));
+        let engine = Arc::new(AlertEngine::new(rules));
+        let sampler = Sampler::start(
+            Arc::clone(obs),
+            Arc::clone(&store),
+            Some(Arc::clone(&engine)),
+            t.cadence,
+            Vec::new(),
+        );
+        let server = t.metrics_addr.as_ref().map(|addr| {
+            let engine = Some(Arc::clone(&engine));
+            MetricsServer::start(addr, Arc::clone(obs), Arc::clone(&store), engine)
+                .expect("bind OpenMetrics endpoint")
+        });
+        Telemetry {
+            store,
+            engine,
+            sampler,
+            server,
+        }
+    }
+}
+
+/// One rank's run: stats, timers and the observability around them.
+/// Everything here survives world reconstruction after a shrink.
+pub(crate) struct Session {
+    pub(crate) stats: CoupledStats,
+    pub(crate) timers: Timers,
+    pub(crate) t_start: Instant,
+    /// One observability instance per rank: timer sections and the leaf-
+    /// crate spans (dycore substeps, rearranger, sub-file I/O) land in one
+    /// tree.
+    obs: Arc<Obs>,
+    _obs_guard: ap3esm_obs::InstallGuard,
+    /// Timeline tracing: this rank's span/instant events, drained into one
+    /// chrome-trace file after the run.
+    trace_sink: Option<Arc<TraceSink>>,
+    telemetry: Option<Telemetry>,
+}
+
+impl Session {
+    pub(crate) fn start(rank: &Rank, opts: &CoupledOptions) -> Self {
+        let obs = Arc::new(Obs::new());
+        let _obs_guard = ap3esm_obs::install(Arc::clone(&obs));
+        let timers = Timers::attached(Arc::clone(&obs));
+        let tracing = opts.trace && opts.report_name.is_some();
+        let trace_sink = tracing.then(|| {
+            let sink = Arc::new(TraceSink::default());
+            obs.profiler.set_trace_sink(Some(Arc::clone(&sink)));
+            rank.comm_events().set_enabled(true);
+            sink
+        });
+        // Black-box flight recorder: one recorder for the whole world,
+        // shared through the blackbox slot — the first rank to arrive
+        // installs it, no messages exchanged. The comm-event rings start
+        // recording too, so a postmortem bundle has both journal halves.
+        if opts.flightrec {
+            rank.blackbox().get_or_init(|| {
+                Arc::new(ap3esm_obs::FlightRecorder::new(
+                    rank.world_size(),
+                    ap3esm_obs::DEFAULT_FLIGHT_CAPACITY,
+                )) as Arc<dyn std::any::Any + Send + Sync>
+            });
+            rank.comm_events().set_enabled(true);
+            fr_record(rank, FrKind::Mark, rank.generation(), 0, "run start");
+        }
+        let mut stats = CoupledStats::default();
+        // Every rank takes part in the telemetry busy-time exchange; rank 0
+        // additionally runs the sampler thread, the alert engine and the
+        // scrape endpoint.
+        let is_root = rank.id() == 0;
+        let telemetry = opts
+            .telemetry
+            .as_ref()
+            .filter(|_| is_root)
+            .map(|t| Telemetry::start(&obs, t));
+        if let Some(server) = telemetry.as_ref().and_then(|t| t.server.as_ref()) {
+            stats.metrics_addr = Some(server.local_addr().to_string());
+        }
+        if is_root {
+            ap3esm_obs::gauge_set("sim.degraded_ranks", 0.0);
+        }
+        Session {
+            stats,
+            timers,
+            t_start: Instant::now(),
+            obs,
+            _obs_guard,
+            trace_sink,
+            telemetry,
+        }
+    }
+
+    /// Close the run and write its artifacts. Collective over the final
+    /// membership when a report was asked for.
+    pub(crate) fn finish(
+        mut self,
+        rank: &Rank,
+        config: &CoupledConfig,
+        opts: &CoupledOptions,
+    ) -> CoupledStats {
+        // Injected faults that actually fired (message faults, kills,
+        // corruptions) join the locally observed comm faults in one stream.
+        if let Some(inj) = rank.fault_injector() {
+            let fired = inj.fired().into_iter().map(|f| f.description);
+            self.stats.fault_events.extend(fired);
+        }
+        self.stats.wall_seconds = self.t_start.elapsed().as_secs_f64();
+        self.stats.sypd = get_timing(self.stats.simulated_seconds, self.stats.wall_seconds);
+        self.stats.per_section_seconds = self
+            .timers
+            .sections()
+            .iter()
+            .map(|s| (s.to_string(), self.timers.seconds(s)))
+            .collect();
+
+        let (alerts, series_json) = self.stop_telemetry(opts);
+        if opts.flightrec {
+            self.dump_bundle(rank, opts, &alerts, series_json);
+        }
+        // A dead rank takes no part in the (collective) report: the
+        // survivors build it over the shrunk membership without it.
+        if let Some(name) = opts.report_name.as_ref().filter(|_| !self.stats.lost) {
+            self.write_report(rank, config, name, alerts);
+        }
+        self.stats
+    }
+
+    /// Telemetry teardown before the report: the shutdown handshake forces
+    /// one final sample + alert pass, so the report's alerts array and the
+    /// series snapshot include the run's last state. The scrape endpoint
+    /// stays up until the snapshot is on disk. Returns the alert firings
+    /// and, for the diagnostics bundle, the final tsdb state.
+    fn stop_telemetry(&mut self, opts: &CoupledOptions) -> (Vec<AlertEvent>, Option<String>) {
+        let Some(t) = self.telemetry.take() else {
+            return (Vec::new(), None);
+        };
+        t.sampler.shutdown();
+        let alerts = t.engine.events();
+        self.stats.alerts = alerts.iter().map(|e| e.message.clone()).collect();
+        if let Some(name) = &opts.report_name {
+            if opts.telemetry.as_ref().is_some_and(|t| t.snapshot) {
+                self.stats.series_path = t.store.write_snapshot(name).ok();
+            }
+        }
+        let series_json = opts.flightrec.then(|| t.store.snapshot_json());
+        if let Some(server) = t.server {
+            server.stop();
+        }
+        (alerts, series_json)
+    }
+
+    /// Flight-recorder bundle: when the run ended in trouble, rank 0 dumps
+    /// a self-contained diagnostics bundle before the (collective) report
+    /// path, using non-draining snapshots so the later trace export still
+    /// sees every comm event. Non-collective by design: dead ranks cannot
+    /// be waited on.
+    fn dump_bundle(
+        &mut self,
+        rank: &Rank,
+        opts: &CoupledOptions,
+        alerts: &[AlertEvent],
+        series_json: Option<String>,
+    ) {
+        let stats = &mut self.stats;
+        if let Some(f) = &stats.failure {
+            let detail = format!("structured failure: {f}");
+            fr_record(rank, FrKind::Fault, 0, 0, &detail);
+        }
+        for a in alerts {
+            fr_record(rank, FrKind::Alert, 0, 0, &a.message);
+        }
+        let troubled = stats.failure.is_some()
+            || stats.shrinks > 0
+            || stats.recoveries > 0
+            || !stats.fault_events.is_empty();
+        if rank.id() != 0 || !troubled {
+            return;
+        }
+        let name = opts
+            .bundle_name
+            .clone()
+            .or_else(|| opts.report_name.clone())
+            .unwrap_or_else(|| format!("pid{}", std::process::id()));
+        let reason = if let Some(f) = &stats.failure {
+            format!("recovery-failure: {f}")
+        } else if stats.shrinks > 0 {
+            "shrink".to_string()
+        } else if stats.fault_events.iter().any(|e| e.contains("deadlock")) {
+            "deadlock".to_string()
+        } else {
+            "fault".to_string()
+        };
+        // A comm-only Chrome trace so the bundle opens in Perfetto even
+        // when full span tracing was off.
+        let mut ct = ap3esm_obs::ChromeTrace::new();
+        for r in 0..rank.world_size() {
+            ct.add_process(r, &format!("rank {r}"));
+            let (comm_events, _) = rank.comm_events().snapshot(r);
+            ct.add_comm_events(r, &comm_events);
+        }
+        let recorder = rank
+            .blackbox()
+            .get()
+            .and_then(|s| s.downcast_ref::<ap3esm_obs::FlightRecorder>());
+        let spec = ap3esm_obs::BundleSpec {
+            reason: &reason,
+            recorder,
+            comm_events: Some(rank.comm_events()),
+            series_json,
+            alerts,
+            fault_plan: rank.fault_injector().map(|i| i.plan().to_string()),
+            scenario: None,
+            trace_json: Some(ct.to_json()),
+        };
+        match ap3esm_obs::dump_bundle(&name, &spec) {
+            Ok(dir) => {
+                eprintln!("[flightrec] diagnostics bundle: {}", dir.display());
+                stats.bundle_path = Some(dir);
+            }
+            Err(e) => eprintln!("[flightrec] bundle dump failed: {e}"),
+        }
+    }
+
+    /// The run report. Paper §6.2 measurement rule: per-section times
+    /// reduced to the maximum across ranks — collective, every rank
+    /// participates. Softened: a report must never turn a degraded-but-
+    /// successful run into a crash, so a failed aggregation just yields a
+    /// thinner one.
+    fn write_report(
+        &mut self,
+        rank: &Rank,
+        config: &CoupledConfig,
+        name: &str,
+        alerts: Vec<AlertEvent>,
+    ) {
+        let is_root = rank.id() == 0;
+        let spans = self.obs.profiler.snapshot();
+        let sections = ap3esm_obs::aggregate_sections(rank, 0x0B70, &spans).unwrap_or_else(|e| {
+            eprintln!("[report] section aggregation failed: {e}");
+            Vec::new()
+        });
+        // The trajectory's per-section walls are cross-rank maxima, not
+        // rank 0's local timers — otherwise sections that only run on
+        // other ranks (ocn_run on the ocean task domain) vanish from the
+        // BENCH point. Sorted by name so the metric set is independent of
+        // rank layout.
+        if is_root && !sections.is_empty() {
+            let merged = &mut self.stats.per_section_seconds;
+            for s in sections.iter().filter(|s| !s.path.contains('/')) {
+                match merged.iter_mut().find(|(n, _)| *n == s.path) {
+                    Some(entry) => entry.1 = s.max_s,
+                    None => merged.push((s.path.clone(), s.max_s)),
+                }
+            }
+            merged.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        // Every rank's tree (bounded) lands in the report, not just rank 0's.
+        let trees =
+            ap3esm_obs::gather_span_trees(rank, 0x0B74, &spans, 16, 512).unwrap_or_else(|e| {
+                eprintln!("[report] span tree gather failed: {e}");
+                None
+            });
+        let trace_events = self.gather_trace(rank);
+        if !is_root {
+            return;
+        }
+        if let Some(per_rank) = trace_events {
+            self.export_trace(rank, name, &per_rank, trees.as_deref());
+        }
+        let stats = &mut self.stats;
+        let comm = rank.stats();
+        let stream = |label: &str, tags: [u64; 2]| {
+            let (m, b) = tags.iter().fold((0u64, 0u64), |(m, b), &t| {
+                let (tm, tb) = comm.tag_traffic(t);
+                (m + tm, b + tb)
+            });
+            (label.to_string(), m, b)
+        };
+        let layout = if config.single_domain {
+            "sequential"
+        } else {
+            "concurrent"
+        };
+        let fault_events = stats.fault_events.iter().cloned().map(Json::Str).collect();
+        let mut report = ap3esm_obs::ReportBuilder::new(name)
+            .meta("world_size", rank.size())
+            .meta("launched_world_size", rank.world_size())
+            .meta("generation", rank.generation())
+            .meta("layout", layout)
+            .meta("strategy", format!("{:?}", config.strategy).as_str())
+            .meta("simulated_seconds", stats.simulated_seconds)
+            .meta("wall_seconds", stats.wall_seconds)
+            .meta("sypd", stats.sypd)
+            .meta("recoveries", stats.recoveries as u64)
+            .meta("shrinks", stats.shrinks as u64)
+            .meta("degraded_ranks", stats.degraded_ranks as u64)
+            .meta("failure", stats.failure.as_deref().unwrap_or(""))
+            .meta("fault_events", Json::Arr(fault_events))
+            .spans(spans)
+            .alerts(alerts)
+            .sections(sections)
+            .rank_trees(trees.unwrap_or_default())
+            .metrics(self.obs.metrics.snapshot());
+        if let Some(a) = &stats.critpath {
+            report = report.critpath(a.to_json());
+        }
+        let report = report
+            .comm(ap3esm_obs::CommSummary {
+                total_messages: comm.total_messages(),
+                total_bytes: comm.total_bytes(),
+                top_pairs: comm.top_pairs(5),
+                streams: vec![
+                    stream("cpl_scatter", Rearranger::wire_tags_for(21)),
+                    stream("cpl_gather", Rearranger::wire_tags_for(22)),
+                ],
+            })
+            .build();
+        stats.report_json = Some(report.to_json());
+        stats.report_path = report.write().ok();
+    }
+
+    /// Timeline export, collective half: stop recording everywhere, then
+    /// ship each rank's buffered span events to rank 0. The comm-event
+    /// rings live in the shared world structure, so rank 0 drains them
+    /// directly once the barrier guarantees all ranks have stopped
+    /// recording.
+    fn gather_trace(&self, rank: &Rank) -> Option<Vec<Vec<TraceEvent>>> {
+        let sink = self.trace_sink.as_ref()?;
+        rank.comm_events().set_enabled(false);
+        self.obs.profiler.set_trace_sink(None);
+        rank.barrier();
+        let (events, dropped) = sink.take();
+        if dropped > 0 {
+            let me = rank.world_id();
+            eprintln!("[trace] rank {me}: {dropped} span events dropped (sink full)");
+        }
+        let wire = ap3esm_obs::trace::encode_events(&events);
+        match ap3esm_comm::collectives::gather::<u8>(rank, 0x0B76, 0, wire) {
+            Ok(gathered) => gathered.map(|parts| {
+                let decode = |bytes: &Vec<u8>| ap3esm_obs::trace::decode_events(bytes);
+                parts.iter().map(decode).collect()
+            }),
+            Err(e) => {
+                eprintln!("[trace] event gather failed: {e}");
+                None
+            }
+        }
+    }
+
+    /// Timeline export, rank 0's half: drain every rank's comm ring
+    /// exactly once; the same events feed the chrome trace, the folded
+    /// stacks and the end-of-run critical-path analysis (where did the
+    /// SYPD go, and what would halving the top section buy?).
+    fn export_trace(
+        &mut self,
+        rank: &Rank,
+        name: &str,
+        per_rank: &[Vec<TraceEvent>],
+        trees: Option<&[ap3esm_obs::RankTree]>,
+    ) {
+        let stats = &mut self.stats;
+        let (all_comm, comm_dropped) = rank.comm_events().take_all();
+        if comm_dropped > 0 {
+            eprintln!("[trace] {comm_dropped} comm events evicted (rings full)");
+        }
+        let mut ct = ap3esm_obs::ChromeTrace::new();
+        for (r, events) in per_rank.iter().enumerate() {
+            ct.add_process(r, &format!("rank {r}"));
+            ct.add_span_events(r, events);
+            if let Some(comm_events) = all_comm.get(r) {
+                ct.add_comm_events(r, comm_events);
+            }
+        }
+        stats.trace_path = ct.write(name).ok();
+        if let Some(trees) = trees {
+            let folded = ap3esm_obs::trace::folded_stacks(trees);
+            stats.folded_path = ap3esm_obs::trace::write_folded(name, &folded).ok();
+        }
+        let timelines: Vec<ap3esm_obs::RankTimeline> = per_rank
+            .iter()
+            .enumerate()
+            .map(|(r, events)| ap3esm_obs::RankTimeline {
+                rank: r,
+                spans: events.clone(),
+                comms: all_comm.get(r).cloned().unwrap_or_default(),
+            })
+            .collect();
+        let analyzer = ap3esm_obs::Analyzer::new(&timelines).with_sypd(stats.sypd);
+        stats.critpath = Some(analyzer.analyze());
+    }
+}

@@ -1,38 +1,17 @@
 //! Composition: from a parsed [`Scenario`] to runnable model objects.
 //!
-//! Two halves:
-//!
-//! * configuration — [`Scenario::coupled_config`] /
-//!   [`coupled_options`](Scenario::coupled_options) assemble the coupled
-//!   driver's inputs, and [`sypd_proxy`](Scenario::sypd_proxy) prices the
-//!   configuration with a deterministic cost model (the leaderboard ranks
-//!   on this projection, never on wall clock — see
-//!   [`ap3esm_obs::leaderboard`]);
-//! * standalone subsets — [`OcnOnlyComponent`], [`AtmOnlyComponent`] and
-//!   [`IceOnlyComponent`] wrap one model each behind
-//!   [`esm::Component`](Component), exchanging boundary state through the
-//!   same [`AttrVect`] field sets the coupled driver rearranges, so an
-//!   ocean-spinup scenario exercises the exact MCT-style surface a coupled
-//!   run does — minus the coupler.
+//! [`Scenario::coupled_config`] / [`coupled_options`](Scenario::coupled_options)
+//! assemble the coupled driver's inputs — a standalone subset is the same
+//! [`Coupler`](ap3esm_esm::Coupler) with components absent, so it takes the
+//! same two — and [`sypd_proxy`](Scenario::sypd_proxy) prices the
+//! configuration with a deterministic cost model (the leaderboard ranks on
+//! this projection, never on wall clock — see [`ap3esm_obs::leaderboard`]).
 
-use std::sync::Arc;
-
-use ap3esm_atm::dycore::{Dycore, DycoreConfig};
-use ap3esm_atm::pdc::{PhysicsDriver, PhysicsDynamicsCoupler, SurfaceForcing};
-use ap3esm_atm::state::AtmState;
-use ap3esm_atm::vortex::seed_vortex;
-use ap3esm_comm::Rank;
-use ap3esm_cpl::avect::AttrVect;
+use ap3esm_atm::dycore::DycoreConfig;
 use ap3esm_cpl::rearrange::RearrangeStrategy;
-use ap3esm_esm::component::{Component, ComponentPhase};
 use ap3esm_esm::{CoupledConfig, CoupledOptions, Perturbation, SstPattern};
-use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::icosahedral::GeodesicCounts;
-use ap3esm_grid::tripolar::TripolarGrid;
-use ap3esm_grid::GeodesicGrid;
-use ap3esm_ice::{IceForcing, IceModel};
-use ap3esm_ocn::model::{OcnConfig, OcnForcing, OcnModel};
-use ap3esm_physics::ConventionalSuite;
+use ap3esm_ocn::model::OcnConfig;
 
 use ap3esm_comm::faultplan::{PlanParseError, ScenarioExpectation};
 
@@ -68,16 +47,16 @@ impl GridPreset {
 }
 
 impl Scenario {
-    /// The `CoupledConfig` this scenario composes. Standalone subsets use
-    /// it for grid dimensions and cadence only (their mesh is pinned to
-    /// 1×1 — `Catalog::validate` rejects an explicit mesh on them).
+    /// The `CoupledConfig` this scenario composes. A standalone subset is
+    /// one rank holding one component, i.e. the sequential layout
+    /// (`Catalog::validate` rejects an explicit mesh or layout on them).
     pub fn coupled_config(&self) -> CoupledConfig {
         let (nlon, nlat, nlev) = self.grid.ocn_dims();
-        let sequential = self.layout == Some(Layout::Sequential);
-        let (px, py) = if self.model == ModelKind::Full && !sequential {
-            self.mesh.unwrap_or_else(|| self.grid.default_mesh())
-        } else {
+        let sequential = self.layout == Some(Layout::Sequential) || self.model != ModelKind::Full;
+        let (px, py) = if sequential {
             (1, 1)
+        } else {
+            self.mesh.unwrap_or_else(|| self.grid.default_mesh())
         };
         CoupledConfig {
             atm_glevel: self.grid.atm_glevel(),
@@ -95,16 +74,13 @@ impl Scenario {
         }
     }
 
-    /// World size a full-model member needs (1 for standalone subsets).
+    /// World size a member needs (1 for standalone subsets).
     pub fn world_size(&self) -> usize {
-        match self.model {
-            ModelKind::Full => self.coupled_config().world_size(),
-            _ => 1,
-        }
+        self.coupled_config().world_size()
     }
 
-    /// The coupled driver's options for ensemble member `member` (full
-    /// model only; checkpoint/resume fields are the runner's business).
+    /// The coupled driver's options for ensemble member `member`
+    /// (checkpoint/resume fields are the runner's business).
     pub fn coupled_options(&self, member: usize) -> CoupledOptions {
         let mut vortices = self.vortices.iter().map(|v| v.to_spec());
         CoupledOptions {
@@ -281,364 +257,14 @@ impl Catalog {
     }
 }
 
-/// The scenario engine's copy of the driver's period fitting (the driver's
-/// helpers are private to `esm::coupled`; the fitting rule is part of the
-/// §5.1.1 coupling contract, duplicated here verbatim).
-pub fn fitted_atm_config(dx_km: f64, period: f64) -> DycoreConfig {
-    let base = DycoreConfig::for_spacing_km(dx_km);
-    let n = (period / base.dt_model).ceil().max(1.0);
-    let dt_model = period / n;
-    let dt_tracer = dt_model / 4.0;
-    let dt_dyn = dt_tracer / 4.0;
-    DycoreConfig {
-        dt_dyn,
-        dt_tracer,
-        dt_model,
-        nu: 0.015 * (dx_km * 1000.0).powi(2) / dt_dyn,
-    }
-}
+/// The driver's atmosphere period fitting (§5.1.1), re-exported where the
+/// scenario engine's callers look for it.
+pub use ap3esm_esm::component::fitted_atm_config;
 
-/// Same fitting for the ocean (single-rank standalone mesh).
+/// The driver's ocean period fitting on the single-rank standalone mesh.
 pub fn fitted_ocn_config(config: &CoupledConfig, period: f64) -> OcnConfig {
-    let mut c = OcnConfig::for_grid(
-        config.ocn_nlon,
-        config.ocn_nlat,
-        config.ocn_nlev,
-        1,
-        1,
-    );
-    let n = (period / c.dt_baroclinic).ceil().max(1.0);
-    c.dt_baroclinic = period / n;
-    c.rank_offset = 0;
+    let mut c = ap3esm_esm::component::fitted_ocn_config(config, period);
+    c.px = 1;
+    c.py = 1;
     c
-}
-
-// ---------------------------------------------------------------------------
-// Standalone component wrappers
-// ---------------------------------------------------------------------------
-
-/// The standalone ocean behind [`Component`]: imports the
-/// [`ATM_TO_OCN_FIELDS`] forcing, steps the LICOM-analogue through the
-/// coupling period, exports [`OCN_TO_ATM_FIELDS`] surface state.
-pub struct OcnOnlyComponent<'a> {
-    rank: &'a Rank,
-    pub model: OcnModel,
-    forcing: OcnForcing,
-    phase: ComponentPhase,
-}
-
-impl<'a> OcnOnlyComponent<'a> {
-    /// Single-rank ocean over `grid`; `enso` adds the warm-pool anomaly to
-    /// the *true* initial SST field (the coupled model can only nudge its
-    /// boundary copy), `perturb` decorrelates ensemble members.
-    pub fn new(
-        grid: &TripolarGrid,
-        config: OcnConfig,
-        rank: &'a Rank,
-        enso: Option<f64>,
-        perturb: Option<&Perturbation>,
-    ) -> Self {
-        let mut model = OcnModel::new(grid, config, 0);
-        let st = &mut model.state;
-        let (ni, nj) = (st.ni, st.nj);
-        for j in 0..nj {
-            let phi = grid.lat[st.block.j0 + j];
-            for i in 0..ni {
-                let idx = st.at(i, j);
-                if st.kmt[idx] == 0 {
-                    continue;
-                }
-                if let Some(amp) = enso {
-                    let lam = grid.lon[st.block.i0 + i];
-                    st.t[0][idx] += SstPattern::Enso { amplitude: amp }.anomaly(phi, lam);
-                }
-                if let Some(p) = perturb {
-                    st.t[0][idx] += p.noise(j * ni + i);
-                }
-            }
-        }
-        let forcing = OcnForcing::zeros(ni, nj);
-        OcnOnlyComponent {
-            rank,
-            model,
-            forcing,
-            phase: ComponentPhase::Created,
-        }
-    }
-
-    /// Area-weighted mean free-surface elevation (m) over ocean columns —
-    /// the volume-conservation drift metric (a perfect barotropic solver
-    /// keeps it at its initial value).
-    pub fn volume_anomaly(&self) -> f64 {
-        let st = &self.model.state;
-        let (mut vol, mut area) = (0.0, 0.0);
-        for j in 0..st.nj {
-            for i in 0..st.ni {
-                let idx = st.at(i, j);
-                if st.kmt[idx] > 0 {
-                    let da = st.dx[j] * st.dy;
-                    vol += st.eta[idx] * da;
-                    area += da;
-                }
-            }
-        }
-        if area > 0.0 {
-            vol / area
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean SST (°C) over ocean columns.
-    pub fn mean_sst(&self) -> f64 {
-        let (sum, count) = self.model.state.sst_sum_count();
-        if count > 0 {
-            sum / count as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-impl Component for OcnOnlyComponent<'_> {
-    fn name(&self) -> &'static str {
-        "ocn"
-    }
-
-    fn init(&mut self) {
-        self.phase = ComponentPhase::Initialized;
-    }
-
-    fn run(&mut self, seconds: f64) {
-        self.phase = ComponentPhase::Running;
-        let steps = (seconds / self.model.config.dt_baroclinic).round() as usize;
-        for _ in 0..steps.max(1) {
-            self.model.step(self.rank, &self.forcing);
-        }
-    }
-
-    fn finalize(&mut self) {
-        self.phase = ComponentPhase::Finalized;
-    }
-
-    fn phase(&self) -> ComponentPhase {
-        self.phase
-    }
-
-    fn import(&mut self, av: &AttrVect) {
-        self.forcing.taux.copy_from_slice(av.get("taux"));
-        self.forcing.tauy.copy_from_slice(av.get("tauy"));
-        self.forcing.qnet.copy_from_slice(av.get("qnet"));
-        // Precipitation freshens the surface: the coupled merge's virtual
-        // salt-flux convention (psu·m/s, negative freshens).
-        for (salt, p) in self.forcing.salt_flux.iter_mut().zip(av.get("precip")) {
-            *salt = -0.035 * p;
-        }
-    }
-
-    fn export(&self, av: &mut AttrVect) {
-        let st = &self.model.state;
-        let n = st.ni * st.nj;
-        let (mut sst, mut ssu, mut ssv) =
-            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
-        for j in 0..st.nj {
-            for i in 0..st.ni {
-                let idx = st.at(i, j);
-                sst.push(st.t[0][idx]);
-                ssu.push(st.u[0][idx] + st.ubar[idx]);
-                ssv.push(st.v[0][idx] + st.vbar[idx]);
-            }
-        }
-        av.set("sst", &sst);
-        av.set("ssu", &ssu);
-        av.set("ssv", &ssv);
-    }
-
-    fn internal_dt(&self) -> f64 {
-        self.model.config.dt_baroclinic
-    }
-}
-
-/// The standalone aqua-planet atmosphere behind [`Component`]: imports an
-/// `sst` field on its own cells, steps dynamics+physics, exports the
-/// [`ATM_TO_OCN_FIELDS`] it would hand a coupler.
-pub struct AtmOnlyComponent {
-    pub grid: Arc<GeodesicGrid>,
-    pub state: AtmState,
-    dycore: Dycore,
-    pdc: PhysicsDynamicsCoupler,
-    forcing: SurfaceForcing,
-    last_precip: Vec<f64>,
-    /// Simulated seconds since start (drives the zenith angle).
-    time: f64,
-}
-
-impl AtmOnlyComponent {
-    pub fn new(
-        glevel: u32,
-        nlev: usize,
-        period: f64,
-        vortices: &[ap3esm_atm::vortex::VortexSpec],
-        perturb: Option<&Perturbation>,
-    ) -> Self {
-        let grid = Arc::new(GeodesicGrid::new(glevel));
-        let dx_km = grid.mean_spacing_km();
-        let mut state = AtmState::isothermal(Arc::clone(&grid), nlev, 288.0);
-        let n = grid.ncells();
-        // Same meridional structure as the coupled driver's cold start.
-        for k in 0..nlev {
-            for i in 0..n {
-                let phi = grid.cells[i].lat();
-                state.theta[k * n + i] += 15.0 * (phi.cos().powi(2) - 0.5);
-            }
-        }
-        for spec in vortices {
-            seed_vortex(&mut state, spec);
-        }
-        if let Some(p) = perturb {
-            for (i, th) in state.theta.iter_mut().enumerate() {
-                *th += p.noise(i);
-            }
-        }
-        let dycore = Dycore::new(Arc::clone(&grid), fitted_atm_config(dx_km, period));
-        let pdc = PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(
-            ConventionalSuite::default(),
-        ));
-        let forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
-        AtmOnlyComponent {
-            grid,
-            state,
-            dycore,
-            pdc,
-            forcing,
-            last_precip: vec![0.0; n],
-            time: 0.0,
-        }
-    }
-
-    /// Global precipitation rate (m/s) over the last `run` period.
-    pub fn precip_rate(&self, period: f64) -> Vec<f64> {
-        self.state
-            .precip_accum
-            .iter()
-            .zip(&self.last_precip)
-            .map(|(now, before)| (now - before).max(0.0) / period)
-            .collect()
-    }
-}
-
-impl Component for AtmOnlyComponent {
-    fn name(&self) -> &'static str {
-        "atm"
-    }
-
-    fn init(&mut self) {}
-
-    fn run(&mut self, seconds: f64) {
-        // Zenith angle refreshed once per coupling, as in the coupled
-        // driver (late-July epoch).
-        let day_of_year = 202.0 + self.time / 86_400.0;
-        let seconds_utc = self.time % 86_400.0;
-        for i in 0..self.grid.ncells() {
-            let phi = self.grid.cells[i].lat();
-            let lam = self.grid.cells[i].lon();
-            self.forcing.coszr[i] =
-                ap3esm_esm::solar::cos_zenith(phi, lam, day_of_year, seconds_utc);
-        }
-        self.last_precip.copy_from_slice(&self.state.precip_accum);
-        let steps = (seconds / self.dycore.config.dt_model).round() as usize;
-        for _ in 0..steps.max(1) {
-            self.dycore.step_model_dynamics(&mut self.state);
-            self.pdc
-                .apply(&mut self.state, &self.forcing, self.dycore.config.dt_model);
-        }
-        self.time += seconds;
-    }
-
-    fn finalize(&mut self) {}
-
-    fn phase(&self) -> ComponentPhase {
-        ComponentPhase::Running
-    }
-
-    fn import(&mut self, av: &AttrVect) {
-        // Aqua planet: skin temperature is the imported SST (K), sea
-        // everywhere, unit wetness.
-        self.forcing.tskin.copy_from_slice(av.get("sst"));
-        self.forcing.wetness.iter_mut().for_each(|w| *w = 1.0);
-    }
-
-    fn export(&self, av: &mut AttrVect) {
-        let winds = self.state.surface_wind();
-        let n = self.grid.ncells();
-        let (mut taux, mut tauy) = (vec![0.0; n], vec![0.0; n]);
-        // Bulk-like stress from the surface wind (fixed exchange coeff).
-        const RHO_CD: f64 = 1.2 * 1.3e-3;
-        for (i, &(u, v)) in winds.iter().enumerate() {
-            let speed = (u * u + v * v).sqrt();
-            taux[i] = RHO_CD * speed * u;
-            tauy[i] = RHO_CD * speed * v;
-        }
-        av.set("taux", &taux);
-        av.set("tauy", &tauy);
-        av.set("qnet", &vec![0.0; n]);
-        av.set("precip", &self.precip_rate(self.dycore.config.dt_model.max(1.0)));
-    }
-
-    fn internal_dt(&self) -> f64 {
-        self.dycore.config.dt_model
-    }
-}
-
-/// The standalone thermodynamic sea ice behind [`Component`]: imports
-/// `tair`/`sst` forcing, steps the CICE-analogue, exports cover/volume
-/// diagnostics through its state.
-pub struct IceOnlyComponent {
-    pub model: IceModel,
-    forcing: IceForcing,
-    dt: f64,
-}
-
-impl IceOnlyComponent {
-    pub fn new(grid: &TripolarGrid, dt: f64) -> Self {
-        let decomp = BlockDecomp2d::new(grid.nlon, grid.nlat, 1, 1);
-        let model = IceModel::new(grid, &decomp, 0);
-        let n = grid.nlon * grid.nlat;
-        let forcing = IceForcing::uniform(n, -5.0, -1.5);
-        IceOnlyComponent { model, forcing, dt }
-    }
-}
-
-impl Component for IceOnlyComponent {
-    fn name(&self) -> &'static str {
-        "ice"
-    }
-
-    fn init(&mut self) {}
-
-    fn run(&mut self, seconds: f64) {
-        let steps = (seconds / self.dt).round() as usize;
-        for _ in 0..steps.max(1) {
-            self.model.step(&self.forcing, self.dt);
-        }
-    }
-
-    fn finalize(&mut self) {}
-
-    fn phase(&self) -> ComponentPhase {
-        ComponentPhase::Running
-    }
-
-    fn import(&mut self, av: &AttrVect) {
-        self.forcing.tair.copy_from_slice(av.get("tair"));
-        self.forcing.sst.copy_from_slice(av.get("sst"));
-    }
-
-    fn export(&self, av: &mut AttrVect) {
-        av.set("ifrac", &self.model.state.fraction);
-    }
-
-    fn internal_dt(&self) -> f64 {
-        self.dt
-    }
 }

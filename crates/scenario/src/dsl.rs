@@ -333,6 +333,54 @@ fn parse_u64(key: &str, v: &str, line: usize) -> Result<u64, PlanParseError> {
     })
 }
 
+/// The `amp=<unit>` value of an `enso` / `perturb` line.
+fn parse_amp(verb: &str, unit: &str, rest: &[&str], line: usize) -> Result<f64, PlanParseError> {
+    let mut amp = None;
+    for tok in rest {
+        let (k, v) = parse_kv(tok, line)?;
+        match k {
+            "amp" => amp = Some(parse_f64("amp", v, line)?),
+            _ => {
+                return Err(PlanParseError {
+                    line,
+                    message: format!("unknown key {k:?} for {verb}"),
+                })
+            }
+        }
+    }
+    amp.ok_or_else(|| PlanParseError {
+        line,
+        message: format!("{verb} needs amp=<{unit}>"),
+    })
+}
+
+/// The `atm= ocn= ice=` triple of a `couplings` line.
+fn parse_couplings(rest: &[&str], lineno: usize) -> Result<(i64, i64, i64), PlanParseError> {
+    let (mut atm, mut ocn, mut ice) = (None, None, None);
+    for tok in rest {
+        let (k, v) = parse_kv(tok, lineno)?;
+        let n = parse_u64(k, v, lineno)? as i64;
+        match k {
+            "atm" => atm = Some(n),
+            "ocn" => ocn = Some(n),
+            "ice" => ice = Some(n),
+            _ => {
+                return Err(PlanParseError {
+                    line: lineno,
+                    message: format!("unknown key {k:?} for couplings"),
+                })
+            }
+        }
+    }
+    match (atm, ocn, ice) {
+        (Some(a), Some(o), Some(i)) => Ok((a, o, i)),
+        _ => Err(PlanParseError {
+            line: lineno,
+            message: "couplings needs atm=, ocn= and ice=".into(),
+        }),
+    }
+}
+
 /// One occurrence of a once-only key: the value plus the line that set it
 /// (for duplicate diagnostics citing both lines).
 #[derive(Debug, Clone)]
@@ -434,29 +482,8 @@ impl RawSpec {
                 self.days.set(verb, d, lineno)
             }
             "couplings" => {
-                let (mut atm, mut ocn, mut ice) = (None, None, None);
-                for tok in rest {
-                    let (k, v) = parse_kv(tok, lineno)?;
-                    let n = parse_u64(k, v, lineno)? as i64;
-                    match k {
-                        "atm" => atm = Some(n),
-                        "ocn" => ocn = Some(n),
-                        "ice" => ice = Some(n),
-                        _ => {
-                            return Err(PlanParseError {
-                                line: lineno,
-                                message: format!("unknown key {k:?} for couplings"),
-                            })
-                        }
-                    }
-                }
-                match (atm, ocn, ice) {
-                    (Some(a), Some(o), Some(i)) => self.couplings.set(verb, (a, o, i), lineno),
-                    _ => Err(PlanParseError {
-                        line: lineno,
-                        message: "couplings needs atm=, ocn= and ice=".into(),
-                    }),
-                }
+                let v = parse_couplings(rest, lineno)?;
+                self.couplings.set(verb, v, lineno)
             }
             "mesh" => {
                 let v = one(rest)?;
@@ -516,23 +543,7 @@ impl RawSpec {
                 self.seed.set(verb, n, lineno)
             }
             "enso" => {
-                let mut amp = None;
-                for tok in rest {
-                    let (k, v) = parse_kv(tok, lineno)?;
-                    match k {
-                        "amp" => amp = Some(parse_f64("amp", v, lineno)?),
-                        _ => {
-                            return Err(PlanParseError {
-                                line: lineno,
-                                message: format!("unknown key {k:?} for enso"),
-                            })
-                        }
-                    }
-                }
-                let amp = amp.ok_or_else(|| PlanParseError {
-                    line: lineno,
-                    message: "enso needs amp=<°C>".into(),
-                })?;
+                let amp = parse_amp(verb, "°C", rest, lineno)?;
                 if amp == 0.0 || amp.abs() > 10.0 {
                     return Err(PlanParseError {
                         line: lineno,
@@ -542,23 +553,7 @@ impl RawSpec {
                 self.enso.set(verb, amp, lineno)
             }
             "perturb" => {
-                let mut amp = None;
-                for tok in rest {
-                    let (k, v) = parse_kv(tok, lineno)?;
-                    match k {
-                        "amp" => amp = Some(parse_f64("amp", v, lineno)?),
-                        _ => {
-                            return Err(PlanParseError {
-                                line: lineno,
-                                message: format!("unknown key {k:?} for perturb"),
-                            })
-                        }
-                    }
-                }
-                let amp = amp.ok_or_else(|| PlanParseError {
-                    line: lineno,
-                    message: "perturb needs amp=<K>".into(),
-                })?;
+                let amp = parse_amp(verb, "K", rest, lineno)?;
                 if !(amp > 0.0 && amp <= 5.0) {
                     return Err(PlanParseError {
                         line: lineno,
@@ -567,67 +562,70 @@ impl RawSpec {
                 }
                 self.perturb.set(verb, amp, lineno)
             }
-            "vortex" => {
-                let mut v = VortexDef {
-                    lat_deg: f64::NAN,
-                    lon_deg: f64::NAN,
-                    vmax: 35.0,
-                    rmw_km: 80.0,
-                    dp: 3500.0,
-                    warm: 3.0,
-                };
-                for tok in rest {
-                    let (k, val) = parse_kv(tok, lineno)?;
-                    let x = parse_f64(k, val, lineno)?;
-                    match k {
-                        "lat" => v.lat_deg = x,
-                        "lon" => v.lon_deg = x,
-                        "vmax" => v.vmax = x,
-                        "rmw_km" => v.rmw_km = x,
-                        "dp" => v.dp = x,
-                        "warm" => v.warm = x,
-                        _ => {
-                            return Err(PlanParseError {
-                                line: lineno,
-                                message: format!("unknown key {k:?} for vortex"),
-                            })
-                        }
-                    }
-                }
-                if v.lat_deg.is_nan() || v.lon_deg.is_nan() {
-                    return Err(PlanParseError {
-                        line: lineno,
-                        message: "vortex needs lat=<deg> and lon=<deg>".into(),
-                    });
-                }
-                if v.lat_deg.abs() > 90.0 || v.vmax <= 0.0 || v.rmw_km <= 0.0 || v.dp < 0.0 {
-                    return Err(PlanParseError {
-                        line: lineno,
-                        message: "vortex wants |lat| <= 90, vmax > 0, rmw_km > 0, dp >= 0".into(),
-                    });
-                }
-                if let Some((dup, first)) = self
-                    .vortices
-                    .iter()
-                    .find(|(w, _)| *w == v)
-                    .map(|(w, l)| (w.clone(), *l))
-                {
-                    return Err(PlanParseError {
-                        line: lineno,
-                        message: format!(
-                            "duplicate vortex {:?} (first seeded at line {first})",
-                            dup.to_string()
-                        ),
-                    });
-                }
-                self.vortices.push((v, lineno));
-                Ok(())
-            }
+            "vortex" => self.take_vortex(rest, lineno),
             other => Err(PlanParseError {
                 line: lineno,
                 message: format!("unknown key {other:?} in scenario body"),
             }),
         }
+    }
+
+    /// One `vortex` line: parse, range-check, reject an exact repeat.
+    fn take_vortex(&mut self, rest: &[&str], lineno: usize) -> Result<(), PlanParseError> {
+        let mut v = VortexDef {
+            lat_deg: f64::NAN,
+            lon_deg: f64::NAN,
+            vmax: 35.0,
+            rmw_km: 80.0,
+            dp: 3500.0,
+            warm: 3.0,
+        };
+        for tok in rest {
+            let (k, val) = parse_kv(tok, lineno)?;
+            let x = parse_f64(k, val, lineno)?;
+            match k {
+                "lat" => v.lat_deg = x,
+                "lon" => v.lon_deg = x,
+                "vmax" => v.vmax = x,
+                "rmw_km" => v.rmw_km = x,
+                "dp" => v.dp = x,
+                "warm" => v.warm = x,
+                _ => {
+                    return Err(PlanParseError {
+                        line: lineno,
+                        message: format!("unknown key {k:?} for vortex"),
+                    })
+                }
+            }
+        }
+        if v.lat_deg.is_nan() || v.lon_deg.is_nan() {
+            return Err(PlanParseError {
+                line: lineno,
+                message: "vortex needs lat=<deg> and lon=<deg>".into(),
+            });
+        }
+        if v.lat_deg.abs() > 90.0 || v.vmax <= 0.0 || v.rmw_km <= 0.0 || v.dp < 0.0 {
+            return Err(PlanParseError {
+                line: lineno,
+                message: "vortex wants |lat| <= 90, vmax > 0, rmw_km > 0, dp >= 0".into(),
+            });
+        }
+        if let Some((dup, first)) = self
+            .vortices
+            .iter()
+            .find(|(w, _)| *w == v)
+            .map(|(w, l)| (w.clone(), *l))
+        {
+            return Err(PlanParseError {
+                line: lineno,
+                message: format!(
+                    "duplicate vortex {:?} (first seeded at line {first})",
+                    dup.to_string()
+                ),
+            });
+        }
+        self.vortices.push((v, lineno));
+        Ok(())
     }
 }
 

@@ -20,10 +20,12 @@ use std::time::{Duration, Instant};
 
 use ap3esm_comm::faultplan::{FaultInjector, ScenarioExpectation};
 use ap3esm_comm::World;
-use ap3esm_cpl::avect::{AttrVect, ATM_TO_OCN_FIELDS, ICE_TO_OCN_FIELDS, OCN_TO_ATM_FIELDS};
-use ap3esm_esm::{run_coupled, Perturbation, RecoveryConfig, SstPattern};
+use ap3esm_esm::solar::cos_zenith;
+use ap3esm_esm::{
+    run_coupled, CheckpointStore, CoupledOptions, CoupledStats, Coupler, Parts, RecoveryConfig,
+    Timers,
+};
 use ap3esm_grid::decomp::BlockDecomp2d;
-use ap3esm_grid::mask::MaskGenerator;
 use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_obs::flightrec::{dump_bundle, BundleSpec, FlightRecorder};
 use ap3esm_obs::leaderboard::{score, Leaderboard, LeaderboardRow};
@@ -31,9 +33,7 @@ use ap3esm_obs::tsdb::{snapshot_to_json, SeriesStore};
 use ap3esm_ocn::model::OcnForcing;
 use ap3esm_pp::exec::{ExecSpace, Threads};
 
-use crate::compose::{fitted_ocn_config, AtmOnlyComponent, IceOnlyComponent, OcnOnlyComponent};
 use crate::dsl::{Catalog, ModelKind, Scenario};
-use ap3esm_esm::component::Component;
 
 /// Knobs of one campaign execution.
 #[derive(Debug, Clone)]
@@ -226,7 +226,7 @@ pub fn run_campaign(catalog: &Catalog, opts: &CampaignOptions) -> CampaignReport
         let sc = selected[si];
         let outcome = catch_unwind(AssertUnwindSafe(|| run_member(sc, member, opts)))
             .unwrap_or_else(|payload| {
-                Verdict::Panic.into_outcome(member, panic_message(&payload))
+                MemberOutcome::fail(member, Verdict::Panic, panic_message(&payload))
             });
         *results[u].lock().expect("result slot") = Some(outcome);
     };
@@ -334,12 +334,6 @@ pub fn run_campaign(catalog: &Catalog, opts: &CampaignOptions) -> CampaignReport
     }
 }
 
-impl Verdict {
-    fn into_outcome(self, member: usize, detail: String) -> MemberOutcome {
-        MemberOutcome::fail(member, self, detail)
-    }
-}
-
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<String>()
@@ -354,9 +348,7 @@ fn run_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOut
     let wall0 = Instant::now();
     let mut out = match sc.model {
         ModelKind::Full => run_full_member(sc, member, opts),
-        ModelKind::OceanOnly => run_ocean_member(sc, member, opts),
-        ModelKind::AtmOnly => run_atm_member(sc, member),
-        ModelKind::IceOnly => run_ice_member(sc, member),
+        _ => run_subset_member(sc, member, opts),
     };
     out.wall_seconds = wall0.elapsed().as_secs_f64();
     out
@@ -487,8 +479,9 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
 
         if cycle + 1 < sc.cycles {
             let dir = ckpt_dir.expect("cycled runs checkpoint");
-            match latest_committed(&dir) {
-                Some(p) => resume = Some(p),
+            let store = CheckpointStore::new(&dir, 0);
+            match store.latest() {
+                Some(id) => resume = Some(store.dir(id)),
                 None => {
                     out.verdict = Verdict::Divergence;
                     out.detail =
@@ -522,193 +515,190 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
     out
 }
 
-/// Newest committed checkpoint (`ckpt_<id>/COMMIT`) under `dir`.
-fn latest_committed(dir: &Path) -> Option<PathBuf> {
-    let mut best: Option<(u64, PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(id) = name.strip_prefix("ckpt_").and_then(|s| s.parse::<u64>().ok()) {
-            if entry.path().join("COMMIT").exists()
-                && best.as_ref().map(|(b, _)| id > *b).unwrap_or(true)
-            {
-                best = Some((id, entry.path()));
+/// A standalone subset: the coupled driver's [`Coupler`] holding one
+/// component on a single-rank world, stepped by the same `step()`. What the
+/// absent components would have handed it is prescribed here, into the
+/// coupler's attribute vectors:
+///
+/// * ocean-only — climatological wind stress and heat flux; the ENSO
+///   anomaly and the member's noise go into the *true* initial SST;
+/// * atm-only — an aqua planet over a zonal (optionally ENSO-warmed) SST,
+///   the zenith angle taken at the start of each coupling period;
+/// * ice-only — a seasonal air-temperature swing over near-freezing water.
+fn run_subset_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOutcome {
+    let config = sc.coupled_config();
+    let copts = sc.coupled_options(member);
+    let grid = config.ocean_grid();
+    let clock = config.clock();
+    let mut parts = Parts::default();
+    let (present, per_day, alarm) = match sc.model {
+        ModelKind::OceanOnly => (&mut parts.ocn, sc.couplings.1, clock.ocn_alarm),
+        ModelKind::AtmOnly => (&mut parts.atm, sc.couplings.0, clock.atm_alarm),
+        ModelKind::IceOnly => (&mut parts.ice, sc.couplings.2, clock.ice_alarm),
+        ModelKind::Full => unreachable!("the full model runs through run_coupled"),
+    };
+    *present = true;
+    let period = alarm.period as f64;
+    let total_seconds = (sc.days * per_day as f64).round() * period;
+
+    let world = World::new(config.world_size()).with_recv_timeout(opts.recv_timeout);
+    let mut results = world.run(|rank| {
+        let mut cpl = Coupler::build(rank, &config, &copts, &grid, parts);
+        prescribe_boundary(sc, &copts, &grid, &mut cpl);
+        let mut timers = Timers::new();
+        let mut stats = CoupledStats::default();
+        // The conserved quantity each subset is scored on, per coupling.
+        let invariant = |cpl: &Coupler| match (&cpl.ocn, &cpl.atm, &cpl.ice) {
+            (Some(ocn), _, _) => ocn.volume_anomaly(),
+            (_, Some(atm), _) => atm.state.total_mass(),
+            (_, _, Some(ice)) => ice.model.total_volume(),
+            _ => unreachable!("a subset holds one component"),
+        };
+        let initial = invariant(&cpl);
+        let mut invariants = Vec::new();
+        while (cpl.clock.time as f64) < total_seconds {
+            prescribe_forcing(sc, period, &mut cpl);
+            let step = cpl.step(rank, &mut timers, &mut stats);
+            if let Some(e) = step.comm_fault {
+                panic!("coupler exchange failed: {e}");
+            }
+            if alarm.ringing(step.event.time) {
+                invariants.push(invariant(&cpl));
             }
         }
-    }
-    best.map(|(_, p)| p)
-}
-
-/// Standalone ocean spin-up: climatological forcing through the
-/// `Component` surface, single-rank world for the halo plumbing.
-fn run_ocean_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOutcome {
-    let cfg = sc.coupled_config();
-    let mask = MaskGenerator {
-        seed: cfg.mask_seed,
-        ..MaskGenerator::default()
-    };
-    let grid = TripolarGrid::new(cfg.ocn_nlon, cfg.ocn_nlat, cfg.ocn_nlev, mask);
-    let period = 86_400.0 / sc.couplings.1 as f64;
-    let ocn_config = fitted_ocn_config(&cfg, period);
-    let ncpl = (sc.days * sc.couplings.1 as f64).round() as usize;
-    let perturb = sc.perturb.map(|amplitude| Perturbation {
-        seed: sc.member_seed(member),
-        amplitude,
-    });
-    let decomp = BlockDecomp2d::new(cfg.ocn_nlon, cfg.ocn_nlat, 1, 1);
-    let clim = OcnForcing::climatology(&grid, &decomp, 0);
-
-    let world = World::new(1).with_recv_timeout(opts.recv_timeout);
-    let mut results = world.run(|rank| {
-        let mut comp =
-            OcnOnlyComponent::new(&grid, ocn_config.clone(), rank, sc.enso, perturb.as_ref());
-        comp.init();
-        let n = comp.model.state.ni * comp.model.state.nj;
-        let mut av_in = AttrVect::new(n, ATM_TO_OCN_FIELDS);
-        av_in.set("taux", &clim.taux);
-        av_in.set("qnet", &clim.qnet);
-        let mut av_out = AttrVect::new(n, OCN_TO_ATM_FIELDS);
-
-        let v0 = comp.volume_anomaly();
-        let (mut sst, mut ke, mut vol) = (Vec::new(), Vec::new(), Vec::new());
-        for k in 0..ncpl {
-            comp.import(&av_in);
-            comp.run(period);
-            comp.export(&mut av_out);
-            let t = (k + 1) as f64 * period;
-            sst.push((t, comp.mean_sst()));
-            ke.push((t, comp.model.state.kinetic_energy()));
-            vol.push((t, comp.volume_anomaly()));
-        }
-        comp.finalize();
-        let mut out = MemberOutcome::new(member);
-        out.simulated_seconds = ncpl as f64 * period;
-        out.drift = comp.volume_anomaly() - v0;
-        out.primary = comp.mean_sst();
-        let healthy = sst.iter().all(|&(_, v)| v.is_finite() && (-5.0..60.0).contains(&v))
-            && ke.iter().all(|&(_, v)| v.is_finite());
-        if !healthy {
-            out.verdict = Verdict::Divergence;
-            out.detail = "ocean diagnostics left the physical range".into();
-        }
-        out.series = vec![("sst".into(), sst), ("ke".into(), ke), ("vol".into(), vol)];
-        out
+        subset_outcome(sc, member, period, &stats, initial, invariants)
     });
     results.remove(0)
 }
 
-/// Standalone aqua-planet atmosphere over a zonal (optionally ENSO-warmed)
-/// SST, importing it through the `Component` surface each coupling.
-fn run_atm_member(sc: &Scenario, member: usize) -> MemberOutcome {
-    let period = 86_400.0 / sc.couplings.0 as f64;
-    let ncpl = (sc.days * sc.couplings.0 as f64).round() as usize;
-    let perturb = sc.perturb.map(|amplitude| Perturbation {
-        seed: sc.member_seed(member),
-        amplitude,
-    });
-    let vortices: Vec<_> = sc.vortices.iter().map(|v| v.to_spec()).collect();
-    let mut comp = AtmOnlyComponent::new(
-        sc.grid.atm_glevel(),
-        sc.grid.atm_nlev(),
-        period,
-        &vortices,
-        perturb.as_ref(),
-    );
-    comp.init();
-    let n = comp.grid.ncells();
-    // Aqua planet: zonal SST (K), ENSO anomaly applied to the *surface the
-    // atmosphere feels* (there is no ocean to warm).
-    let mut sst_k = vec![0.0; n];
-    for (i, cell) in comp.grid.cells.iter().enumerate() {
-        let phi = cell.lat();
-        let mut sst_c = 2.0 + 26.0 * phi.cos().powi(2);
-        if let Some(amp) = sc.enso {
-            sst_c += SstPattern::Enso { amplitude: amp }.anomaly(phi, cell.lon());
+/// The time-independent half of a subset's prescribed data (and the
+/// standalone ocean's initial-condition families).
+fn prescribe_boundary(
+    sc: &Scenario,
+    copts: &CoupledOptions,
+    grid: &TripolarGrid,
+    cpl: &mut Coupler,
+) {
+    if let Some(ocn) = cpl.ocn.as_mut() {
+        ocn.perturb_sst(grid, copts.sst_pattern, copts.perturb.as_ref());
+        let decomp = BlockDecomp2d::new(grid.nlon, grid.nlat, 1, 1);
+        let clim = OcnForcing::climatology(grid, &decomp, 0);
+        cpl.x2o.set("taux", &clim.taux);
+        cpl.x2o.set("qnet", &clim.qnet);
+    }
+    if let Some(atm) = &cpl.atm {
+        // Aqua planet: sea everywhere, the ENSO anomaly applied to the
+        // *surface the atmosphere feels* (there is no ocean to warm).
+        for (tskin, cell) in cpl
+            .x2a
+            .get_mut("tskin")
+            .iter_mut()
+            .zip(&atm.state.grid.cells)
+        {
+            let phi = cell.lat();
+            let anomaly = copts
+                .sst_pattern
+                .map_or(0.0, |p| p.anomaly(phi, cell.lon()));
+            let sst_c = 2.0 + 26.0 * phi.cos().powi(2) + anomaly;
+            *tskin = 273.15 + sst_c.max(-1.8);
         }
-        sst_k[i] = 273.15 + sst_c.max(-1.8);
+        cpl.x2a.get_mut("wetness").fill(1.0);
     }
-    let mut av_in = AttrVect::new(n, &["sst"]);
-    av_in.set("sst", &sst_k);
-    let mut av_out = AttrVect::new(n, ATM_TO_OCN_FIELDS);
-
-    let mass0 = comp.state.total_mass();
-    let (mut theta, mut mass) = (Vec::new(), Vec::new());
-    for k in 0..ncpl {
-        comp.import(&av_in);
-        comp.run(period);
-        comp.export(&mut av_out);
-        let t = (k + 1) as f64 * period;
-        theta.push((t, comp.state.mean_theta()));
-        mass.push((t, comp.state.total_mass() / mass0));
+    if cpl.ice.is_some() {
+        cpl.x2i
+            .get_mut("sst")
+            .fill(-1.5 + 0.1 * sc.enso.unwrap_or(0.0));
     }
-    comp.finalize();
-
-    let mut out = MemberOutcome::new(member);
-    out.simulated_seconds = ncpl as f64 * period;
-    out.drift = mass.last().map(|&(_, m)| m - 1.0).unwrap_or(0.0);
-    out.primary = theta.last().map(|&(_, v)| v).unwrap_or(0.0);
-    let healthy = theta
-        .iter()
-        .all(|&(_, v)| v.is_finite() && (150.0..400.0).contains(&v))
-        && out.drift.is_finite();
-    if !healthy {
-        out.verdict = Verdict::Divergence;
-        out.detail = "atmosphere diagnostics left the physical range".into();
-    }
-    out.series = vec![("theta".into(), theta), ("mass".into(), mass)];
-    out
 }
 
-/// Standalone thermodynamic sea ice under a seasonal air-temperature swing.
-fn run_ice_member(sc: &Scenario, member: usize) -> MemberOutcome {
-    let cfg = sc.coupled_config();
-    let mask = MaskGenerator {
-        seed: cfg.mask_seed,
-        ..MaskGenerator::default()
-    };
-    let grid = TripolarGrid::new(cfg.ocn_nlon, cfg.ocn_nlat, cfg.ocn_nlev, mask);
-    let period = 86_400.0 / sc.couplings.2 as f64;
-    let ncpl = (sc.days * sc.couplings.2 as f64).round() as usize;
-    let mut comp = IceOnlyComponent::new(&grid, period);
-    comp.init();
-    let n = grid.nlon * grid.nlat;
-    let sst_c = -1.5 + 0.1 * sc.enso.unwrap_or(0.0);
-    let mut av_in = AttrVect::new(n, &["tair", "sst"]);
-    av_in.set("sst", &vec![sst_c; n]);
-    let mut av_out = AttrVect::new(n, ICE_TO_OCN_FIELDS);
-
-    let (mut cover, mut volume) = (Vec::new(), Vec::new());
-    for k in 0..ncpl {
-        let t = (k + 1) as f64 * period;
-        // Seasonal swing about a sub-freezing mean (late-July epoch).
-        let tair = -12.0 + 10.0 * (std::f64::consts::TAU * t / (365.0 * 86_400.0)).sin();
-        av_in.set("tair", &vec![tair; n]);
-        comp.import(&av_in);
-        comp.run(period);
-        comp.export(&mut av_out);
-        cover.push((t, comp.model.ice_cover()));
-        volume.push((t, comp.model.total_volume()));
+/// The time-dependent half, refreshed before every step.
+fn prescribe_forcing(sc: &Scenario, period: f64, cpl: &mut Coupler) {
+    let now = cpl.clock.time as f64;
+    match sc.model {
+        ModelKind::AtmOnly => {
+            let atm = cpl.atm.as_ref().expect("atm-only holds an atmosphere");
+            // Late-July epoch, as in the coupled driver.
+            let (day_of_year, seconds_utc) = (202.0 + now / 86_400.0, now % 86_400.0);
+            for (coszr, cell) in cpl
+                .x2a
+                .get_mut("coszr")
+                .iter_mut()
+                .zip(&atm.state.grid.cells)
+            {
+                *coszr = cos_zenith(cell.lat(), cell.lon(), day_of_year, seconds_utc);
+            }
+        }
+        ModelKind::IceOnly => {
+            // Seasonal swing about a sub-freezing mean, at the period's end.
+            let phase = std::f64::consts::TAU * (now + period) / (365.0 * 86_400.0);
+            cpl.x2i.get_mut("tair").fill(-12.0 + 10.0 * phase.sin());
+        }
+        _ => {}
     }
-    comp.finalize();
+}
 
+/// Score a finished subset run from the coupler's series and the
+/// per-coupling `invariants`.
+fn subset_outcome(
+    sc: &Scenario,
+    member: usize,
+    period: f64,
+    stats: &CoupledStats,
+    initial: f64,
+    invariants: Vec<f64>,
+) -> MemberOutcome {
+    let timed = |values: &[f64]| -> Vec<(f64, f64)> {
+        let at = |(k, &v): (usize, &f64)| ((k + 1) as f64 * period, v);
+        values.iter().enumerate().map(at).collect()
+    };
+    let all =
+        |values: &[f64], ok: &dyn Fn(f64) -> bool| values.iter().all(|&v| v.is_finite() && ok(v));
+    let last = invariants.last().copied();
     let mut out = MemberOutcome::new(member);
-    out.simulated_seconds = ncpl as f64 * period;
-    // Thermodynamic ice has no conserved invariant to drift against; the
-    // health check is the physical range of the cover fraction.
-    out.drift = 0.0;
-    out.primary = cover.last().map(|&(_, v)| v).unwrap_or(0.0);
-    let healthy = cover
-        .iter()
-        .all(|&(_, v)| v.is_finite() && (0.0..=1.0).contains(&v))
-        && volume.iter().all(|&(_, v)| v.is_finite() && v >= 0.0);
+    out.simulated_seconds = invariants.len() as f64 * period;
+    let (primary, healthy, what) = match sc.model {
+        ModelKind::OceanOnly => {
+            // Volume drift: mean free-surface anomaly gained since t = 0.
+            out.drift = last.map_or(0.0, |v| v - initial);
+            out.series = vec![
+                ("sst".into(), timed(&stats.sst_series)),
+                ("ke".into(), timed(&stats.ke_series)),
+                ("vol".into(), timed(&invariants)),
+            ];
+            let healthy = all(&stats.sst_series, &|v| (-5.0..60.0).contains(&v))
+                && all(&stats.ke_series, &|_| true);
+            (&stats.sst_series, healthy, "ocean")
+        }
+        ModelKind::AtmOnly => {
+            let mass: Vec<f64> = invariants.iter().map(|m| m / initial).collect();
+            out.drift = mass.last().map_or(0.0, |m| m - 1.0);
+            out.series = vec![
+                ("theta".into(), timed(&stats.theta_series)),
+                ("mass".into(), timed(&mass)),
+            ];
+            let healthy =
+                all(&stats.theta_series, &|v| (150.0..400.0).contains(&v)) && out.drift.is_finite();
+            (&stats.theta_series, healthy, "atmosphere")
+        }
+        _ => {
+            // Thermodynamic ice has no conserved invariant to drift
+            // against; the health check is the physical range of the cover
+            // fraction.
+            out.series = vec![
+                ("cover".into(), timed(&stats.ice_series)),
+                ("volume".into(), timed(&invariants)),
+            ];
+            let healthy = all(&stats.ice_series, &|v| (0.0..=1.0).contains(&v))
+                && all(&invariants, &|v| v >= 0.0);
+            (&stats.ice_series, healthy, "ice")
+        }
+    };
+    out.primary = primary.last().copied().unwrap_or(0.0);
     if !healthy {
         out.verdict = Verdict::Divergence;
-        out.detail = "ice diagnostics left the physical range".into();
+        out.detail = format!("{what} diagnostics left the physical range");
     }
-    out.series = vec![("cover".into(), cover), ("volume".into(), volume)];
     out
-    // `member` is carried for symmetry: ice-only scenarios cannot perturb,
-    // so every member is identical and validate caps them at 1.
 }
 
 /// Write one scenario's member series as an `ap3esm-tsdb/1` snapshot.
