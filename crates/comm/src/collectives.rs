@@ -202,6 +202,11 @@ pub fn allreduce<T: Send + Clone + 'static>(
 /// fault-plan authoring: `delay src=1 dst=0 tag=<gather leg> nth=3 ms=100`
 /// stalls exactly the third allreduce on `tag`, without counting any other
 /// traffic. (Non-root ranks send one gather-leg message per allreduce.)
+/// The coupled driver's ocean exchange no longer all-reduces anything — the
+/// kinetic energy rides the packed gather message — so a plan that wants
+/// "the n-th ocean coupling" addresses the rearranger's gather stream
+/// (`cpl::Rearranger::wire_tags_for(22)`, one message per ocean rank per
+/// coupling) instead.
 pub fn allreduce_wire_tags(tag: u64) -> [u64; 2] {
     [
         TAG_GATHER + TAG_ALLREDUCE + tag,

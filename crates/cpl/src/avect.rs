@@ -3,24 +3,24 @@
 //! communication variables that are registered in MCT and are not used in
 //! GRIST and LICOM".
 
-/// A bundle of named fields over `npoints` local points. Fields keep their
-/// declaration order (MCT's rList): iteration, [`pack`](AttrVect::pack) and
-/// the driver's per-field rearranges all follow it, so the order is part of
-/// the wire format.
+/// A bundle of named fields over `npoints` local points, stored field after
+/// field in one buffer. Fields keep their declaration order (MCT's rList):
+/// iteration, [`as_slice`](AttrVect::as_slice) and the rearranger's packed
+/// messages all follow it, so the order is part of the wire format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrVect {
     npoints: usize,
-    fields: Vec<(String, Vec<f64>)>,
+    names: Vec<String>,
+    /// `names.len() × npoints` values, field-major.
+    data: Vec<f64>,
 }
 
 impl AttrVect {
     pub fn new(npoints: usize, field_names: &[&str]) -> Self {
         AttrVect {
             npoints,
-            fields: field_names
-                .iter()
-                .map(|n| (n.to_string(), vec![0.0; npoints]))
-                .collect(),
+            names: field_names.iter().map(|n| n.to_string()).collect(),
+            data: vec![0.0; field_names.len() * npoints],
         }
     }
 
@@ -29,39 +29,48 @@ impl AttrVect {
     }
 
     pub fn field_names(&self) -> Vec<&str> {
-        self.fields.iter().map(|(n, _)| n.as_str()).collect()
+        self.names.iter().map(|n| n.as_str()).collect()
     }
 
     pub fn num_fields(&self) -> usize {
-        self.fields.len()
+        self.names.len()
     }
 
     /// `(name, data)` of every field, in declaration order.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &[f64])> {
-        self.fields.iter().map(|(n, d)| (n.as_str(), d.as_slice()))
+        let n = self.npoints;
+        self.names
+            .iter()
+            .enumerate()
+            .map(move |(k, name)| (name.as_str(), &self.data[k * n..(k + 1) * n]))
     }
 
     /// Mutable counterpart of [`fields`](AttrVect::fields).
     pub fn fields_mut(&mut self) -> impl Iterator<Item = (&str, &mut [f64])> {
-        self.fields
-            .iter_mut()
-            .map(|(n, d)| (n.as_str(), d.as_mut_slice()))
+        let n = self.npoints;
+        let mut rest = self.data.as_mut_slice();
+        self.names.iter().map(move |name| {
+            let (field, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            (name.as_str(), field)
+        })
+    }
+
+    fn index_of(&self, name: &str) -> usize {
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| panic!("no field {name:?} in attribute vector"))
     }
 
     pub fn get(&self, name: &str) -> &[f64] {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d.as_slice())
-            .unwrap_or_else(|| panic!("no field {name:?} in attribute vector"))
+        let k = self.index_of(name);
+        &self.data[k * self.npoints..(k + 1) * self.npoints]
     }
 
     pub fn get_mut(&mut self, name: &str) -> &mut [f64] {
-        self.fields
-            .iter_mut()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d.as_mut_slice())
-            .unwrap_or_else(|| panic!("no field {name:?} in attribute vector"))
+        let k = self.index_of(name);
+        &mut self.data[k * self.npoints..(k + 1) * self.npoints]
     }
 
     pub fn set(&mut self, name: &str, data: &[f64]) {
@@ -72,32 +81,37 @@ impl AttrVect {
     /// Drop every field not in `used` — the paper's removal of registered-
     /// but-unused coupling variables. Returns how many were trimmed.
     pub fn retain_used(&mut self, used: &[&str]) -> usize {
-        let before = self.fields.len();
-        self.fields.retain(|(name, _)| used.contains(&name.as_str()));
-        before - self.fields.len()
+        let before = self.names.len();
+        let n = self.npoints;
+        let kept: Vec<usize> = (0..before)
+            .filter(|&k| used.contains(&self.names[k].as_str()))
+            .collect();
+        self.data = kept
+            .iter()
+            .flat_map(|&k| &self.data[k * n..(k + 1) * n])
+            .copied()
+            .collect();
+        self.names = kept
+            .iter()
+            .map(|&k| std::mem::take(&mut self.names[k]))
+            .collect();
+        before - self.names.len()
     }
 
     /// Bytes of payload this bundle contributes to one rearrangement.
     pub fn payload_bytes(&self) -> usize {
-        self.fields.len() * self.npoints * 8
+        self.data.len() * 8
     }
 
-    /// Pack all fields (in declaration order) into one flat buffer for a
-    /// single rearrangement message, and the unpack inverse.
-    pub fn pack(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.fields.len() * self.npoints);
-        for (_, data) in &self.fields {
-            out.extend_from_slice(data);
-        }
-        out
+    /// All fields, one after the other in declaration order: what a single
+    /// rearrangement message is packed from.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 
-    pub fn unpack(&mut self, buf: &[f64]) {
-        assert_eq!(buf.len(), self.fields.len() * self.npoints, "unpack size");
-        let n = self.npoints;
-        for (k, (_, data)) in self.fields.iter_mut().enumerate() {
-            data.copy_from_slice(&buf[k * n..(k + 1) * n]);
-        }
+    /// Mutable counterpart of [`as_slice`](AttrVect::as_slice).
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 }
 
@@ -105,11 +119,11 @@ impl AttrVect {
 // coupler hands component `c`, `c2x` what the component hands back.
 
 /// Coupler → ocean: the merged atmosphere + ice forcing (stress, net heat,
-/// virtual salt flux). Scattered field by field, in this order, on
-/// rearranger tag 21.
+/// virtual salt flux). Scattered as one packed message per ocean rank, fields
+/// in this order, on rearranger tag 21.
 pub const X2O_FIELDS: &[&str] = &["taux", "tauy", "qnet", "salt"];
-/// Ocean → coupler: surface temperature and currents. Gathered field by
-/// field, in this order, on rearranger tag 22.
+/// Ocean → coupler: surface temperature and currents. Gathered as one packed
+/// message per ocean rank, fields in this order, on rearranger tag 22.
 pub const O2X_FIELDS: &[&str] = &["sst", "ssu", "ssv"];
 /// Coupler → ice: air temperature and winds on the ocean grid, SST and
 /// surface currents.
@@ -151,17 +165,22 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip_in_declaration_order() {
+    fn packed_storage_is_in_declaration_order() {
         // Declared out of name order: the wire order is the declared one.
         let mut av = AttrVect::new(3, &["b", "a"]);
         av.set("a", &[1.0, 2.0, 3.0]);
         av.set("b", &[-1.0, -2.0, -3.0]);
         assert_eq!(av.field_names(), ["b", "a"]);
-        let packed = av.pack();
-        assert_eq!(packed, [-1.0, -2.0, -3.0, 1.0, 2.0, 3.0]);
+        assert_eq!(av.as_slice(), [-1.0, -2.0, -3.0, 1.0, 2.0, 3.0]);
         let mut other = AttrVect::new(3, &["b", "a"]);
-        other.unpack(&packed);
+        other.as_mut_slice().copy_from_slice(av.as_slice());
         assert_eq!(av, other);
+        let fields: Vec<(&str, &[f64])> = av.fields().collect();
+        assert_eq!(fields[1], ("a", &[1.0, 2.0, 3.0][..]));
+        for (_, data) in other.fields_mut() {
+            data[0] = 9.0;
+        }
+        assert_eq!(other.as_slice(), [9.0, -2.0, -3.0, 9.0, 2.0, 3.0]);
         assert_eq!(AttrVect::new(1, X2O_FIELDS).field_names(), X2O_FIELDS);
     }
 

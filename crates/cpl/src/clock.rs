@@ -78,6 +78,13 @@ impl CouplingClock {
         event
     }
 
+    /// Ocean couplings begun so far (their alarm rang at a time before
+    /// `self.time`).
+    pub fn ocn_couplings(&self) -> u64 {
+        let period = self.ocn_alarm.period;
+        ((self.time + period - 1) / period) as u64
+    }
+
     /// Simulated days elapsed.
     pub fn days(&self) -> f64 {
         self.time as f64 / DAY as f64

@@ -77,37 +77,46 @@ impl RemapMatrix {
 
     /// Apply the map: `out[d] = Σ w·field[s]`.
     pub fn apply(&self, field: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_dst];
+        self.apply_into(field, &mut out);
+        out
+    }
+
+    /// [`apply`](RemapMatrix::apply) into a caller-owned buffer.
+    pub fn apply_into(&self, field: &[f64], out: &mut [f64]) {
         assert_eq!(field.len(), self.n_src, "remap input length");
-        self.weights
-            .iter()
-            .map(|row| row.iter().map(|&(s, w)| w * field[s]).sum())
-            .collect()
+        assert_eq!(out.len(), self.n_dst, "remap output length");
+        for (out, row) in out.iter_mut().zip(&self.weights) {
+            *out = row.iter().map(|&(s, w)| w * field[s]).sum();
+        }
     }
 
     /// Apply with a source validity mask (e.g. ocean-only SST): masked
     /// sources are dropped and the remaining weights renormalised; if no
     /// valid source contributes, `fallback` is used.
     pub fn apply_masked(&self, field: &[f64], valid: &[bool], fallback: f64) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_dst];
+        self.apply_masked_into(field, valid, fallback, &mut out);
+        out
+    }
+
+    /// [`apply_masked`](RemapMatrix::apply_masked) into a caller-owned
+    /// buffer.
+    pub fn apply_masked_into(&self, field: &[f64], valid: &[bool], fallback: f64, out: &mut [f64]) {
         assert_eq!(field.len(), self.n_src);
         assert_eq!(valid.len(), self.n_src);
-        self.weights
-            .iter()
-            .map(|row| {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for &(s, w) in row {
-                    if valid[s] {
-                        num += w * field[s];
-                        den += w;
-                    }
+        assert_eq!(out.len(), self.n_dst, "remap output length");
+        for (out, row) in out.iter_mut().zip(&self.weights) {
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for &(s, w) in row {
+                if valid[s] {
+                    num += w * field[s];
+                    den += w;
                 }
-                if den > 0.0 {
-                    num / den
-                } else {
-                    fallback
-                }
-            })
-            .collect()
+            }
+            *out = if den > 0.0 { num / den } else { fallback };
+        }
     }
 
     /// Weight-sum check (≈1 everywhere for an interpolation matrix).

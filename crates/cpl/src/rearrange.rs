@@ -5,11 +5,18 @@
 //! point-to-point MPI, which overlaps communication and computation for
 //! improved performance" (§5.2.4). Both strategies are implemented so the
 //! S524 benchmark can compare them on identical routers.
+//!
+//! A rearrangement is split-phase: [`Rearranger::post`] packs and sends,
+//! [`Rearranger::complete`] receives and unpacks, and the caller may compute
+//! between the two. One message per (source, destination) leg carries every
+//! field of the bundle — for each field in declaration order the leg's
+//! points, then any trailing scalars — so a coupling costs one message per
+//! leg, not one per field.
 
-use ap3esm_comm::collectives::alltoallv;
 use ap3esm_comm::{CommError, Rank};
 
-use crate::router::Router;
+use crate::avect::AttrVect;
+use crate::router::{RouteLeg, Router};
 
 /// Wire-tag namespace of the non-blocking point-to-point strategy.
 const P2P_TAG_BASE: u64 = 0x5240_0000;
@@ -17,14 +24,17 @@ const P2P_TAG_BASE: u64 = 0x5240_0000;
 /// Which MPI pattern moves the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RearrangeStrategy {
-    /// One `MPI_Alltoallv`-style collective (the original implementation).
+    /// `MPI_Alltoallv`-style: every rank sends one (possibly empty) buffer
+    /// to every rank and receives one from each (the original
+    /// implementation).
     AllToAll,
     /// Non-blocking point-to-point sends to only the ranks that need data,
-    /// receives drained in arrival-friendly order (the optimisation).
+    /// receives only from the ranks that have some (the optimisation).
     NonBlockingP2p,
 }
 
-/// Executes one router in either direction.
+/// Executes one router in either direction. Holds no per-call state, so one
+/// instance can serve every rank thread of a world.
 pub struct Rearranger {
     pub router: Router,
     tag: u64,
@@ -54,7 +64,8 @@ impl Rearranger {
 
     /// Fallible variant of [`Rearranger::rearrange`]: a dropped or delayed
     /// message under fault injection surfaces as [`CommError`] instead of a
-    /// panic, keeping the driver's recovery path reachable.
+    /// panic, keeping the driver's recovery path reachable. One field,
+    /// posted and completed back to back.
     pub fn try_rearrange(
         &self,
         rank: &Rank,
@@ -62,14 +73,32 @@ impl Rearranger {
         src_data: &[f64],
         dst_len: usize,
     ) -> Result<Vec<f64>, CommError> {
-        let _span = ap3esm_obs::span("rearrange");
-        let t0 = std::time::Instant::now();
-        let out = match strategy {
-            RearrangeStrategy::AllToAll => self.rearrange_a2a(rank, src_data, dst_len),
-            RearrangeStrategy::NonBlockingP2p => self.rearrange_p2p(rank, src_data, dst_len),
-        };
-        ap3esm_obs::histogram_record("cpl.rearrange.ns", t0.elapsed().as_nanos() as u64);
-        out
+        self.post_packed(rank, strategy, src_data, 1, &[]);
+        let mut out = vec![0.0; dst_len];
+        self.complete_packed(rank, strategy, &mut out, 1, &mut [])?;
+        Ok(out)
+    }
+
+    /// First half of a rearrangement of the whole bundle: pack and send one
+    /// message per destination leg — every field of `src` in declaration
+    /// order, then `scalars`. Never blocks.
+    pub fn post(&self, rank: &Rank, strategy: RearrangeStrategy, src: &AttrVect, scalars: &[f64]) {
+        self.post_packed(rank, strategy, src.as_slice(), src.num_fields(), scalars);
+    }
+
+    /// Second half: receive the posted messages in source-rank order and
+    /// unpack them into `dst`'s fields; `scalars` ends as the sum, in that
+    /// order, of what the sources attached. Points no source covers keep
+    /// their contents, as does everything after a failed receive.
+    pub fn complete(
+        &self,
+        rank: &Rank,
+        strategy: RearrangeStrategy,
+        dst: &mut AttrVect,
+        scalars: &mut [f64],
+    ) -> Result<(), CommError> {
+        let nfields = dst.num_fields();
+        self.complete_packed(rank, strategy, dst.as_mut_slice(), nfields, scalars)
     }
 
     /// The wire tags this rearranger's traffic travels under (all-to-all
@@ -90,91 +119,102 @@ impl Rearranger {
         ]
     }
 
-    fn gather_for(&self, me: usize, dst: usize, src_data: &[f64]) -> Vec<f64> {
-        let leg = &self.router.legs[me][dst];
-        leg.src_local
-            .iter()
-            .map(|&p| src_data[p as usize])
-            .collect()
-    }
-
-    fn scatter_from(&self, src: usize, me: usize, buf: &[f64], out: &mut [f64]) {
-        let leg = &self.router.legs[src][me];
-        assert_eq!(buf.len(), leg.dst_local.len(), "leg length mismatch");
-        for (&p, &v) in leg.dst_local.iter().zip(buf) {
-            out[p as usize] = v;
+    fn wire_tag(&self, strategy: RearrangeStrategy) -> u64 {
+        let [a2a, p2p] = self.wire_tags();
+        match strategy {
+            RearrangeStrategy::AllToAll => a2a,
+            RearrangeStrategy::NonBlockingP2p => p2p,
         }
     }
 
-    fn rearrange_a2a(
+    /// The leg `src → dst`, if it carries any point.
+    fn leg(&self, src: usize, dst: usize) -> Option<&RouteLeg> {
+        let leg = self.router.legs.get(src)?.get(dst)?;
+        (!leg.src_local.is_empty()).then_some(leg)
+    }
+
+    /// `src` holds `nfields` fields of equal length, one after the other.
+    fn post_packed(
         &self,
         rank: &Rank,
-        src_data: &[f64],
-        dst_len: usize,
-    ) -> Result<Vec<f64>, CommError> {
-        let me = rank.id();
-        let sends: Vec<Vec<f64>> = (0..rank.size())
-            .map(|dst| {
-                if me < self.router.src_ranks && dst < self.router.dst_ranks {
-                    self.gather_for(me, dst, src_data)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let recvd = alltoallv(rank, self.tag, sends)?;
-        let mut out = vec![0.0; dst_len];
-        if me < self.router.dst_ranks {
-            for (src, buf) in recvd.into_iter().enumerate() {
-                if src < self.router.src_ranks && !buf.is_empty() {
-                    self.scatter_from(src, me, &buf, &mut out);
+        strategy: RearrangeStrategy,
+        src: &[f64],
+        nfields: usize,
+        scalars: &[f64],
+    ) {
+        observed(|| {
+            let tag = self.wire_tag(strategy);
+            let npoints = src.len() / nfields.max(1);
+            for dst in 0..rank.size() {
+                if let Some(leg) = self.leg(rank.id(), dst) {
+                    let mut buf = Vec::with_capacity(nfields * leg.src_local.len() + scalars.len());
+                    for field in src.chunks_exact(npoints) {
+                        buf.extend(leg.src_local.iter().map(|&p| field[p as usize]));
+                    }
+                    buf.extend_from_slice(scalars);
+                    rank.isend(dst, tag, buf);
+                } else if strategy == RearrangeStrategy::AllToAll {
+                    rank.send(dst, tag, Vec::<f64>::new());
                 }
             }
-        }
-        Ok(out)
+        })
     }
 
-    fn rearrange_p2p(
+    fn complete_packed(
         &self,
         rank: &Rank,
-        src_data: &[f64],
-        dst_len: usize,
-    ) -> Result<Vec<f64>, CommError> {
-        let me = rank.id();
-        let tag = P2P_TAG_BASE + self.tag;
-        // Post sends only to destinations with nonempty legs.
-        if me < self.router.src_ranks {
-            for dst in 0..self.router.dst_ranks {
-                if !self.router.legs[me][dst].src_local.is_empty() {
-                    rank.isend(dst, tag, self.gather_for(me, dst, src_data));
+        strategy: RearrangeStrategy,
+        dst: &mut [f64],
+        nfields: usize,
+        scalars: &mut [f64],
+    ) -> Result<(), CommError> {
+        observed(|| {
+            let tag = self.wire_tag(strategy);
+            let npoints = dst.len() / nfields.max(1);
+            scalars.fill(0.0);
+            for src in 0..rank.size() {
+                let leg = self.leg(src, rank.id());
+                if leg.is_none() && strategy == RearrangeStrategy::NonBlockingP2p {
+                    continue;
+                }
+                let buf: Vec<f64> = rank.recv(src, tag)?;
+                let Some(leg) = leg else { continue };
+                let n = leg.dst_local.len();
+                assert_eq!(
+                    buf.len(),
+                    nfields * n + scalars.len(),
+                    "leg length mismatch"
+                );
+                for (field, values) in dst.chunks_exact_mut(npoints).zip(buf.chunks_exact(n)) {
+                    for (&p, &v) in leg.dst_local.iter().zip(values) {
+                        field[p as usize] = v;
+                    }
+                }
+                for (sum, v) in scalars.iter_mut().zip(&buf[nfields * n..]) {
+                    *sum += v;
                 }
             }
-        }
-        // Receive only from sources with nonempty legs for us; scatter as
-        // each message arrives (communication/computation overlap).
-        let mut out = vec![0.0; dst_len];
-        if me < self.router.dst_ranks {
-            for src in 0..self.router.src_ranks {
-                if !self.router.legs[src][me].dst_local.is_empty() {
-                    let buf: Vec<f64> = rank.recv(src, tag)?;
-                    self.scatter_from(src, me, &buf, &mut out);
-                }
-            }
-        }
-        Ok(out)
+            Ok(())
+        })
     }
 
     /// Messages the P2P strategy sends from this rank (sparsity gain over
     /// all-to-all's `world_size` buffers).
     pub fn p2p_message_count(&self, me: usize) -> usize {
-        if me >= self.router.src_ranks {
-            return 0;
-        }
-        self.router.legs[me]
-            .iter()
-            .filter(|l| !l.src_local.is_empty())
+        (0..self.router.dst_ranks)
+            .filter(|&dst| self.leg(me, dst).is_some())
             .count()
     }
+}
+
+/// Run one half of a rearrangement under a `rearrange` span and record its
+/// duration as a `cpl.rearrange.ns` sample.
+fn observed<T>(half: impl FnOnce() -> T) -> T {
+    let _span = ap3esm_obs::span("rearrange");
+    let t0 = std::time::Instant::now();
+    let out = half();
+    ap3esm_obs::histogram_record("cpl.rearrange.ns", t0.elapsed().as_nanos() as u64);
+    out
 }
 
 #[cfg(test)]
@@ -284,11 +324,57 @@ mod tests {
                 r.wire_tags()
             });
             let (msgs, bytes) = world.stats().tag_traffic(tags[0][tag_slot]);
-            assert!(msgs > 0 && bytes > 0, "{strategy:?} left no traffic on its tag");
+            assert!(
+                msgs > 0 && bytes > 0,
+                "{strategy:?} left no traffic on its tag"
+            );
             // The other strategy's tag stays quiet (a2a runs through the
             // collective namespace, p2p through its own).
             let (other_msgs, _) = world.stats().tag_traffic(tags[0][1 - tag_slot]);
             assert_eq!(other_msgs, 0, "{strategy:?} leaked onto the other tag");
+        }
+    }
+
+    /// A whole bundle is one message per leg: fields at their declared
+    /// offsets, the scalars behind them, summed over sources in rank order.
+    #[test]
+    fn bundle_is_posted_packed_and_completed_later() {
+        let (nglobal, nranks) = (10, 3);
+        let root = GSMap::all_on_rank(nglobal, nranks, 0);
+        let spread = GSMap::from_ranges(nglobal, &[(0, 0), (0, 4), (4, 10)]);
+        for (strategy, tag_slot, messages) in [
+            (RearrangeStrategy::NonBlockingP2p, 1, 2),
+            (RearrangeStrategy::AllToAll, 0, 9),
+        ] {
+            let world = World::new(nranks);
+            let gathered = world.run(|rank| {
+                let me = rank.id();
+                let gather = Rearranger::new(Router::build(&spread, &root), 12);
+                let mut src = AttrVect::new(spread.local_size(me), &["b", "a"]);
+                for (k, (_, data)) in src.fields_mut().enumerate() {
+                    for (v, g) in data.iter_mut().zip(spread.local_indices(me)) {
+                        *v = (100 * k + g) as f64;
+                    }
+                }
+                gather.post(rank, strategy, &src, &[me as f64, 0.5]);
+                // Nothing is received until `complete` asks for it.
+                let mut dst = AttrVect::new(root.local_size(me), &["b", "a"]);
+                let mut sums = [f64::NAN; 2];
+                gather
+                    .complete(rank, strategy, &mut dst, &mut sums)
+                    .expect("complete");
+                (dst, sums)
+            });
+            let (dst, sums) = &gathered[0];
+            let want: Vec<f64> = (0..nglobal).map(|g| g as f64).collect();
+            assert_eq!(dst.get("b"), want);
+            assert_eq!(dst.get("a")[3], 103.0);
+            // Ranks 1 and 2 hold points; rank 0's empty leg carries nothing.
+            assert_eq!(*sums, [3.0, 1.0]);
+            assert_eq!(gathered[1].1, [0.0, 0.0]);
+            let tag = Rearranger::wire_tags_for(12)[tag_slot];
+            let (msgs, bytes) = world.stats().tag_traffic(tag);
+            assert_eq!((msgs, bytes), (messages, (2 * nglobal as u64 + 2 * 2) * 8));
         }
     }
 

@@ -20,6 +20,7 @@ use std::time::Instant;
 use ap3esm_atm::vortex::{TrackPoint, VortexSpec};
 use ap3esm_comm::collectives::{allreduce_max, allreduce_sum};
 use ap3esm_comm::Rank;
+use ap3esm_cpl::CouplingClock;
 
 use crate::config::CoupledConfig;
 use crate::coupler::{Coupler, Parts};
@@ -403,13 +404,16 @@ impl Pulse {
         }
     }
 
+    /// Whether a heartbeat is due: after every `progress_every`-th ocean
+    /// coupling, counted on the clock (the ocean series lag it by one).
+    fn heartbeat_due(progress_every: Option<u64>, clock: &CouplingClock) -> bool {
+        progress_every.is_some_and(|every| every > 0 && clock.ocn_couplings().is_multiple_of(every))
+    }
+
     /// Live heartbeat (opt-in, rank 0 only): step rate, SYPD estimate and
     /// component split since the previous heartbeat.
     fn heartbeat(&mut self, opts: &CoupledOptions, run: &Session, cpl: &Coupler) {
-        let Some(every) = opts.progress_every.filter(|&n| n > 0) else {
-            return;
-        };
-        if !(run.stats.ke_series.len() as u64).is_multiple_of(every) {
+        if !Pulse::heartbeat_due(opts.progress_every, &cpl.clock) {
             return;
         }
         let now = Instant::now();
@@ -504,13 +508,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
                     }
                 }
                 Some(r) => {
-                    match r.after_coupling(
-                        rank,
-                        &mut cpl,
-                        &ocn_grid,
-                        &mut run.stats,
-                        step.comm_fault,
-                    ) {
+                    match r.after_coupling(rank, &mut cpl, &ocn_grid, &mut run, step.comm_fault) {
                         Flow::Continue => {}
                         Flow::Rebuild(dir) => {
                             pending_restore = Some(dir);
@@ -527,6 +525,12 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
                 pulse.telemetry(rank, &run, cpl.clock.ocn_alarm.period as f64);
             }
         }
+        // The last ocean coupling's export is still on its way.
+        if run.stats.failure.is_none() && !run.stats.lost {
+            if let Some(e) = cpl.finish(rank, &mut run.timers, &mut run.stats) {
+                panic!("coupler exchange failed: {e}");
+            }
+        }
         run.stats.simulated_seconds = cpl.clock.time as f64;
         break;
     }
@@ -538,6 +542,21 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
 mod tests {
     use super::*;
     use ap3esm_comm::World;
+
+    #[test]
+    fn heartbeat_counts_ocean_couplings_on_the_clock() {
+        // 8 base steps a day, the ocean couples on every other one.
+        let mut clock = CoupledConfig::test_tiny().clock();
+        let mut beats = Vec::new();
+        for _ in 0..8 {
+            if clock.advance().ocn && Pulse::heartbeat_due(Some(2), &clock) {
+                beats.push(clock.ocn_couplings());
+            }
+        }
+        assert_eq!(beats, [2, 4]);
+        assert!(!Pulse::heartbeat_due(None, &clock));
+        assert!(!Pulse::heartbeat_due(Some(0), &clock));
+    }
 
     #[test]
     fn coupled_model_runs_one_day_stably() {

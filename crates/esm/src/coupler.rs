@@ -9,11 +9,16 @@
 //! import vector is merged by the coupler when this rank holds the whole
 //! surface exchange (atm + ice + lnd); otherwise it keeps what the caller
 //! prescribed, which is how a subset model gets its boundary data.
+//!
+//! The ocean's export is consumed one ocean coupling late: posted at the end
+//! of coupling *k*, received and published at the start of coupling *k + 1*,
+//! so ranks that hold only the ocean run beside the next interval's
+//! atmosphere (§5.1.2). After the last step [`Coupler::finish`] drains the
+//! export still in flight.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use ap3esm_comm::collectives::allreduce_sum;
 use ap3esm_comm::{CommError, Rank};
 use ap3esm_cpl::avect::{
     A2X_FIELDS, I2X_FIELDS, L2X_FIELDS, O2X_FIELDS, X2A_FIELDS, X2I_FIELDS, X2L_FIELDS, X2O_FIELDS,
@@ -71,9 +76,23 @@ pub struct Stepped {
     pub comm_fault: Option<String>,
 }
 
+/// Where the ocean's latest export is on its way from `o2x_ocn` to `o2x`.
+/// Every rank of a world goes through the same states at the same points of
+/// the program, whatever the messages' arrival times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Export {
+    /// In `o2x` (or there has been no ocean coupling yet).
+    Published,
+    /// Posted on the gather tag, not yet received.
+    InFlight,
+    /// Received into `o2x_next`, not yet published.
+    Staged,
+}
+
 /// The surface exchange between the atmosphere grid and the ocean grid:
 /// present when this rank holds atm + ice + lnd, and then every import
-/// vector is merged from the other components' exports.
+/// vector is merged from the other components' exports. Owns the merges'
+/// scratch, so a coupling allocates nothing.
 struct Surface {
     grid: Arc<GeodesicGrid>,
     /// Which atmosphere cells are land.
@@ -81,6 +100,15 @@ struct Surface {
     atm_to_ocn: RemapMatrix,
     ocn_to_atm: RemapMatrix,
     bulk: BulkCoefficients,
+    /// The published SST (°C) on atmosphere cells, remapped once per
+    /// publication by [`Surface::remap_sst`].
+    sst_on_atm: Vec<f64>,
+    ice_on_atm: Vec<f64>,
+    /// Lowest-level air temperature (°C) on atmosphere cells.
+    tair_c: Vec<f64>,
+    /// Bulk air–sea fluxes on atmosphere cells, in `X2O_FIELDS` order:
+    /// stress east and north, net heat, evaporation − precipitation (m/s).
+    flux: [Vec<f64>; 4],
 }
 
 impl Surface {
@@ -89,30 +117,40 @@ impl Surface {
             .flat_map(|j| (0..ocn_grid.nlon).map(move |i| (i, j)))
             .map(|(i, j)| Vec3::from_lat_lon(ocn_grid.lat[j], ocn_grid.lon[i]))
             .collect();
+        let cells = vec![0.0; grid.ncells()];
         Surface {
             atm_to_ocn: RemapMatrix::inverse_distance(&grid.cells, &ocn_points, 3),
             ocn_to_atm: RemapMatrix::inverse_distance(&ocn_points, &grid.cells, 3),
             grid,
             land,
             bulk: BulkCoefficients::default(),
+            sst_on_atm: cells.clone(),
+            ice_on_atm: cells.clone(),
+            tair_c: cells.clone(),
+            flux: std::array::from_fn(|_| cells.clone()),
         }
+    }
+
+    /// Bring a newly published ocean export's SST onto atmosphere cells.
+    fn remap_sst(&mut self, o2x: &AttrVect, ocn_valid: &[bool]) {
+        let sst = o2x.get("sst");
+        self.ocn_to_atm
+            .apply_masked_into(sst, ocn_valid, 15.0, &mut self.sst_on_atm);
     }
 
     /// The atmosphere's lower boundary: land skin over land, SST blended
     /// with ice elsewhere, and the zenith angle at the clock's time.
     fn merge_x2a(
-        &self,
+        &mut self,
         clock: &CouplingClock,
-        ocn_valid: &[bool],
-        (o2x, i2x, l2x): (&AttrVect, &AttrVect, &AttrVect),
+        i2x: &AttrVect,
+        l2x: &AttrVect,
         x2a: &mut AttrVect,
     ) {
         let day_of_year = 202.0 + clock.days(); // late July (Doksuri)
         let seconds_utc = (clock.time % 86_400) as f64;
-        let sst_on_atm = self
-            .ocn_to_atm
-            .apply_masked(o2x.get("sst"), ocn_valid, 15.0);
-        let ice_on_atm = self.ocn_to_atm.apply(i2x.get("icefrac"));
+        self.ocn_to_atm
+            .apply_into(i2x.get("icefrac"), &mut self.ice_on_atm);
         for (coszr, cell) in x2a.get_mut("coszr").iter_mut().zip(&self.grid.cells) {
             *coszr = crate::solar::cos_zenith(cell.lat(), cell.lon(), day_of_year, seconds_utc);
         }
@@ -121,7 +159,7 @@ impl Surface {
             *tskin = if self.land[i] {
                 land_tskin[i]
             } else {
-                blended_surface_temperature(sst_on_atm[i], -5.0, ice_on_atm[i])
+                blended_surface_temperature(self.sst_on_atm[i], -5.0, self.ice_on_atm[i])
             };
         }
         let land_wetness = l2x.get("wetness");
@@ -144,36 +182,32 @@ impl Surface {
 
     /// Ice forcing: atmosphere fields remapped to the ocean grid, plus the
     /// ocean's surface state.
-    fn merge_x2i(&self, a2x: &AttrVect, o2x: &AttrVect, x2i: &mut AttrVect) {
-        let tair_c: Vec<f64> = a2x.get("tbot").iter().map(|t| t - 273.15).collect();
-        x2i.set("tair", &self.atm_to_ocn.apply(&tair_c));
-        x2i.set("uwind", &self.atm_to_ocn.apply(a2x.get("u")));
-        x2i.set("vwind", &self.atm_to_ocn.apply(a2x.get("v")));
+    fn merge_x2i(&mut self, a2x: &AttrVect, o2x: &AttrVect, x2i: &mut AttrVect) {
+        for (c, k) in self.tair_c.iter_mut().zip(a2x.get("tbot")) {
+            *c = k - 273.15;
+        }
+        self.atm_to_ocn
+            .apply_into(&self.tair_c, x2i.get_mut("tair"));
+        self.atm_to_ocn
+            .apply_into(a2x.get("u"), x2i.get_mut("uwind"));
+        self.atm_to_ocn
+            .apply_into(a2x.get("v"), x2i.get_mut("vwind"));
         x2i.set("sst", o2x.get("sst"));
         x2i.set("uocn", o2x.get("ssu"));
         x2i.set("vocn", o2x.get("ssv"));
     }
 
-    /// Ocean forcing: bulk air–sea fluxes on atmosphere cells, remapped to
-    /// the ocean grid, merged with the ice exports.
-    fn merge_x2o(
-        &self,
-        ocn_valid: &[bool],
-        (a2x, o2x, i2x): (&AttrVect, &AttrVect, &AttrVect),
-        x2o: &mut AttrVect,
-    ) {
+    /// Ocean forcing: bulk air–sea fluxes on atmosphere cells over the
+    /// published SST, remapped to the ocean grid, merged with the ice
+    /// exports.
+    fn merge_x2o(&mut self, a2x: &AttrVect, i2x: &AttrVect, x2o: &mut AttrVect) {
         const OCN_ALBEDO: f64 = 0.07;
         const EMISSIVITY: f64 = 0.97;
-        let n = a2x.npoints();
-        let sst_on_atm = self
-            .ocn_to_atm
-            .apply_masked(o2x.get("sst"), ocn_valid, 15.0);
         let (u, v, tbot, qbot) = (a2x.get("u"), a2x.get("v"), a2x.get("tbot"), a2x.get("qbot"));
         let (ps, gsw, glw) = (a2x.get("ps"), a2x.get("gsw"), a2x.get("glw"));
-        let (mut taux, mut tauy) = (vec![0.0; n], vec![0.0; n]);
-        let (mut qnet, mut emp) = (vec![0.0; n], vec![0.0; n]); // emp: evaporation − precipitation (m/s)
-        for i in 0..n {
-            let ts_k = sst_on_atm[i] + 273.15;
+        let [taux, tauy, qnet, emp] = &mut self.flux;
+        for i in 0..a2x.npoints() {
+            let ts_k = self.sst_on_atm[i] + 273.15;
             let fx = bulk_fluxes(&self.bulk, u[i], v[i], tbot[i], qbot[i], ps[i], ts_k, 1.0);
             taux[i] = fx.taux;
             tauy[i] = fx.tauy;
@@ -183,10 +217,14 @@ impl Surface {
                 - fx.latent;
             emp[i] = fx.evaporation / 1000.0; // kg/m²/s → m/s
         }
-        let [mut taux, mut tauy, mut qnet, mut salt] =
-            [taux, tauy, qnet, emp].map(|f| self.atm_to_ocn.apply(&f));
+        debug_assert_eq!(x2o.field_names(), X2O_FIELDS);
+        for (flux, (_, on_ocn)) in self.flux.iter().zip(x2o.fields_mut()) {
+            self.atm_to_ocn.apply_into(flux, on_ocn);
+        }
         let (frac, heat, fresh) = (i2x.get("icefrac"), i2x.get("iceheat"), i2x.get("icefresh"));
-        for c in 0..x2o.npoints() {
+        let mut fields = x2o.fields_mut().map(|(_, data)| data);
+        let [taux, tauy, qnet, salt] = std::array::from_fn(|_| fields.next().expect("X2O_FIELDS"));
+        for c in 0..frac.len() {
             let merged = merge_ocean_forcing(
                 taux[c], tauy[c], qnet[c], salt[c], frac[c], heat[c], fresh[c],
             );
@@ -194,14 +232,6 @@ impl Surface {
             tauy[c] = merged.tauy;
             qnet[c] = merged.qnet;
             salt[c] = merged.salt_flux;
-        }
-        for (name, merged) in [
-            ("taux", taux),
-            ("tauy", tauy),
-            ("qnet", qnet),
-            ("salt", salt),
-        ] {
-            x2o.set(name, &merged);
         }
     }
 }
@@ -269,6 +299,10 @@ pub struct Coupler<A = Atm, O = Ocn, I = Ice, L = Lnd> {
     /// The ocean's side of the exchange: this rank's block of columns.
     pub x2o_ocn: AttrVect,
     pub o2x_ocn: AttrVect,
+    /// The ocean's latest export, staged on the coupler's rank until the
+    /// next ocean coupling publishes it as `o2x`.
+    o2x_next: AttrVect,
+    export: Export,
     surface: Option<Surface>,
     /// Ocean columns (kmt > 0) of the global grid.
     ocn_valid: Vec<bool>,
@@ -336,6 +370,9 @@ impl Coupler {
                 + 26.0 * phi.cos().powi(2)
                 + opts.sst_pattern.map_or(0.0, |p| p.anomaly(phi, lam));
         }
+        if let Some(sfc) = &mut cpl.surface {
+            sfc.remap_sst(&cpl.o2x, &cpl.ocn_valid);
+        }
         cpl
     }
 }
@@ -373,6 +410,8 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             o2x: AttrVect::new(cpl_cols, O2X_FIELDS),
             x2o_ocn: AttrVect::new(ocn_cols, X2O_FIELDS),
             o2x_ocn: AttrVect::new(ocn_cols, O2X_FIELDS),
+            o2x_next: AttrVect::new(cpl_cols, O2X_FIELDS),
+            export: Export::Published,
             surface: None,
             ocn_valid: (0..ncols).map(|c| ocn_grid.kmt[c] > 0).collect(),
             scatter: Rearranger::new(Router::build(&root_map, &ocn_map), 21),
@@ -409,9 +448,8 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         let atm_period = self.clock.atm_alarm.period as f64;
         if let Some(atm) = self.atm.as_mut().filter(|_| event.atm) {
             timers.start("atm_run");
-            if let Some(sfc) = &self.surface {
-                let exports = (&self.o2x, &self.i2x, &self.l2x);
-                sfc.merge_x2a(&self.clock, &self.ocn_valid, exports, &mut self.x2a);
+            if let Some(sfc) = &mut self.surface {
+                sfc.merge_x2a(&self.clock, &self.i2x, &self.l2x, &mut self.x2a);
             }
             cycle(atm, rank, atm_period, &self.x2a, &mut self.a2x, &mut fault);
             stats.theta_series.push(atm.diagnostic());
@@ -435,7 +473,7 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         }
         if let Some(ice) = self.ice.as_mut().filter(|_| event.ice) {
             timers.start("ice_run");
-            if let Some(sfc) = &self.surface {
+            if let Some(sfc) = &mut self.surface {
                 sfc.merge_x2i(&self.a2x, &self.o2x, &mut self.x2i);
             }
             let period = self.clock.ice_alarm.period as f64;
@@ -452,12 +490,20 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         }
     }
 
-    /// The ocean exchange, one sequence on every rank: scatter the merged
-    /// forcing field by field, run the ocean if it is here, gather its
-    /// surface state field by field, reduce the kinetic energy. Rank 0
-    /// times it as `cpl_rearrange` until its own ocean (if any) takes over
-    /// as `ocn_run`; an ocean rank times all of it, its wait for the
-    /// forcing included, as `ocn_run`.
+    /// The ocean exchange of coupling *k*, one sequence on every rank:
+    /// receive the export the ocean posted at coupling *k − 1* (the ocean
+    /// series get their entry *k − 1* here, and it is the only place the
+    /// coupler's rank can wait for the ocean), publish it, merge
+    /// and post the forcing, and where the ocean is, receive the forcing,
+    /// run, and post the new export without waiting for anyone to take it.
+    /// So between two ocean couplings the other components see the export
+    /// of the coupling before the last one — in every layout, which is
+    /// what keeps the layouts bitwise equal while the two-domain one
+    /// overlaps the ocean with the next interval's atmosphere.
+    ///
+    /// Rank 0 times it as `cpl_rearrange` until its own ocean (if any)
+    /// takes over as `ocn_run`; an ocean rank times all of it, its wait for
+    /// the forcing included, as `ocn_run`.
     fn ocean_exchange(
         &mut self,
         rank: &Rank,
@@ -465,25 +511,21 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         stats: &mut CoupledStats,
         fault: &mut Option<String>,
     ) {
-        let mut section = if self.is_root {
-            "cpl_rearrange"
-        } else {
-            "ocn_run"
-        };
+        let mut section = self.exchange_section();
         timers.start(section);
-        if let Some(sfc) = &self.surface {
-            let exports = (&self.a2x, &self.o2x, &self.i2x);
-            sfc.merge_x2o(&self.ocn_valid, exports, &mut self.x2o);
+        note(fault, self.receive_export(rank, stats));
+        self.publish();
+        if let Some(sfc) = &mut self.surface {
+            sfc.merge_x2o(&self.a2x, &self.i2x, &mut self.x2o);
         }
         let strategy = self.strategy;
-        rearrange(
-            rank,
-            &self.scatter,
-            strategy,
-            &self.x2o,
-            &mut self.x2o_ocn,
+        self.scatter.post(rank, strategy, &self.x2o, &[]);
+        let forcing = &mut self.x2o_ocn;
+        note(
             fault,
+            self.scatter.complete(rank, strategy, forcing, &mut []),
         );
+        let mut ke = 0.0;
         if let Some(ocn) = self.ocn.as_mut() {
             if section != "ocn_run" {
                 timers.stop(section);
@@ -492,23 +534,38 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             }
             let period = self.clock.ocn_alarm.period as f64;
             cycle(ocn, rank, period, &self.x2o_ocn, &mut self.o2x_ocn, fault);
+            ke = ocn.diagnostic();
         }
-        rearrange(
-            rank,
-            &self.gather,
-            strategy,
-            &self.o2x_ocn,
-            &mut self.o2x,
-            fault,
-        );
+        self.gather.post(rank, strategy, &self.o2x_ocn, &[ke]);
+        self.export = Export::InFlight;
         timers.stop(section);
+    }
 
-        let local_ke = self.ocn.as_ref().map_or(0.0, |o| o.diagnostic());
-        let ke = note(fault, allreduce_sum(rank, 77, local_ke)).unwrap_or(f64::NAN);
+    /// The section this rank's side of the exchange is timed under.
+    fn exchange_section(&self) -> &'static str {
+        if self.is_root {
+            "cpl_rearrange"
+        } else {
+            "ocn_run"
+        }
+    }
+
+    /// Receive the export in flight, if any, into the staging vector, and
+    /// give the ocean series their entry for it; the kinetic energies riding
+    /// on it are summed in rank order.
+    fn receive_export(&mut self, rank: &Rank, stats: &mut CoupledStats) -> Result<(), CommError> {
+        if self.export != Export::InFlight {
+            return Ok(());
+        }
+        self.export = Export::Staged;
+        let mut ke = [0.0];
+        let received = self
+            .gather
+            .complete(rank, self.strategy, &mut self.o2x_next, &mut ke);
         if self.is_root {
             let (mut sum, mut cnt) = (0.0f64, 0.0f64);
             for (sst, _) in self
-                .o2x
+                .o2x_next
                 .get("sst")
                 .iter()
                 .zip(&self.ocn_valid)
@@ -518,8 +575,54 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
                 cnt += 1.0;
             }
             stats.sst_series.push(sum / cnt.max(1.0));
-            stats.ke_series.push(ke);
+            stats
+                .ke_series
+                .push(if received.is_ok() { ke[0] } else { f64::NAN });
         }
+        received
+    }
+
+    /// Make the staged export the one every merge sees.
+    fn publish(&mut self) {
+        if self.export != Export::Staged {
+            return;
+        }
+        self.export = Export::Published;
+        std::mem::swap(&mut self.o2x, &mut self.o2x_next);
+        if let Some(sfc) = &mut self.surface {
+            sfc.remap_sst(&self.o2x, &self.ocn_valid);
+        }
+    }
+
+    /// Receive the export in flight without publishing it, so that a lost
+    /// export is noticed (and a checkpoint is complete) at the coupling
+    /// that posted it. The recovery layer calls this before its health
+    /// vote; returns the communication failure, if any.
+    pub fn settle(
+        &mut self,
+        rank: &Rank,
+        timers: &mut Timers,
+        stats: &mut CoupledStats,
+    ) -> Option<String> {
+        let section = self.exchange_section();
+        timers.start(section);
+        let received = self.receive_export(rank, stats);
+        timers.stop(section);
+        received.err().map(|e| e.to_string())
+    }
+
+    /// Drain the last coupling's export after the stepping loop, so the
+    /// ocean series get their final entry. Call once per run; a second call
+    /// does nothing. Returns the communication failure, if any.
+    pub fn finish(
+        &mut self,
+        rank: &Rank,
+        timers: &mut Timers,
+        stats: &mut CoupledStats,
+    ) -> Option<String> {
+        let fault = self.settle(rank, timers, stats);
+        self.publish();
+        fault
     }
 
     /// The components this rank holds.
@@ -557,10 +660,14 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
     }
 
     /// Write this rank's share of a checkpoint: its components, and on the
-    /// coupler's rank the last exports of ocean and ice (they are step
-    /// outputs, not functions of the saved state) plus `cpl_meta` — the
-    /// clock, the diagnostic series' lengths, the tracker's position.
+    /// coupler's rank the published exports of ocean and ice (they are step
+    /// outputs, not functions of the saved state), the staged ocean export
+    /// (`cpl_next_*`) plus `cpl_meta` — the clock, the diagnostic series'
+    /// lengths, the tracker's position, whether an export is staged. An
+    /// export still in flight is not in any file: [`settle`](Coupler::settle)
+    /// first.
     pub fn save(&self, dir: &Path, stats: &CoupledStats) -> Result<(), IoError> {
+        assert_ne!(self.export, Export::InFlight, "settle before saving");
         for c in self.components() {
             c.save(dir)?;
         }
@@ -569,6 +676,9 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         }
         for (name, data) in self.o2x.fields().chain(self.i2x.fields()) {
             write_aux(dir, &format!("cpl_{name}"), data)?;
+        }
+        for (name, data) in self.o2x_next.fields() {
+            write_aux(dir, &format!("cpl_next_{name}"), data)?;
         }
         let (lat, lon) = self.prev_track.unwrap_or((0.0, 0.0));
         let meta = [
@@ -581,6 +691,7 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             f64::from(self.prev_track.is_some()),
             lat,
             lon,
+            f64::from(self.export == Export::Staged),
         ];
         write_aux(dir, "cpl_meta", &meta)
     }
@@ -596,6 +707,12 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             for (name, data) in self.o2x.fields_mut().chain(self.i2x.fields_mut()) {
                 data.copy_from_slice(&read_aux(dir, &format!("cpl_{name}"), data.len())?);
             }
+            for (name, data) in self.o2x_next.fields_mut() {
+                data.copy_from_slice(&read_aux(dir, &format!("cpl_next_{name}"), data.len())?);
+            }
+        }
+        if let Some(sfc) = &mut self.surface {
+            sfc.remap_sst(&self.o2x, &self.ocn_valid);
         }
         // These exports are functions of the restored state.
         if let Some(c) = &self.atm {
@@ -604,12 +721,14 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         if let Some(c) = &self.lnd {
             c.export(&mut self.l2x);
         }
-        read_aux(dir, "cpl_meta", 9)
+        read_aux(dir, "cpl_meta", 10)
     }
 
     /// Apply a restored `cpl_meta`: rewind the clock and truncate the
     /// diagnostic series to the checkpoint's lengths (replayed couplings
-    /// re-push them), restoring the tracker's continuity point.
+    /// re-push them), restoring the tracker's continuity point and, on
+    /// every rank, where the ocean's export was: staged in the restored
+    /// `o2x_next`, so nothing has to be sent again.
     pub fn apply_meta(&mut self, meta: &[f64], stats: &mut CoupledStats) {
         self.clock.time = meta[0] as i64;
         stats.theta_series.truncate(meta[1] as usize);
@@ -618,26 +737,10 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         stats.ice_series.truncate(meta[4] as usize);
         stats.track.truncate(meta[5] as usize);
         self.prev_track = (meta[6] > 0.5).then_some((meta[7], meta[8]));
-    }
-}
-
-/// Move every field of `src` through `rearranger` into `dst`, one message
-/// set per field in declaration order; a failed field keeps its previous
-/// contents (a rollback follows).
-fn rearrange(
-    rank: &Rank,
-    rearranger: &Rearranger,
-    strategy: RearrangeStrategy,
-    src: &AttrVect,
-    dst: &mut AttrVect,
-    fault: &mut Option<String>,
-) {
-    for ((_, data), (_, out)) in src.fields().zip(dst.fields_mut()) {
-        if let Some(v) = note(
-            fault,
-            rearranger.try_rearrange(rank, strategy, data, out.len()),
-        ) {
-            out.copy_from_slice(&v);
-        }
+        self.export = if meta[9] > 0.5 {
+            Export::Staged
+        } else {
+            Export::Published
+        };
     }
 }

@@ -20,6 +20,7 @@ use crate::resilience::{
     with_retry, CheckpointStore, HealthVerdict, RecoveryConfig, RecoveryFailure,
 };
 use crate::restart::redistribute_ocn_restart;
+use crate::session::Session;
 
 /// Tag of the per-ocean-coupling health agreement (severity max-reduce).
 const HEALTH_TAG: u64 = 0x7EA1;
@@ -195,14 +196,21 @@ impl Recovery {
     }
 
     /// The ladder, after ocean coupling number `clock.time / ocn_period`.
+    /// It first settles the export that coupling posted: a lost export is
+    /// blamed on the coupling that lost it, and a checkpoint written below
+    /// holds it staged. (Rank 0 therefore waits for the ocean here; the
+    /// vote below would make it wait anyway.)
     pub(crate) fn after_coupling(
         &mut self,
         rank: &Rank,
         cpl: &mut Coupler,
         ocn_grid: &TripolarGrid,
-        stats: &mut CoupledStats,
+        run: &mut Session,
         comm_fault: Option<String>,
     ) -> Flow {
+        let lost_export = cpl.settle(rank, &mut run.timers, &mut run.stats);
+        let comm_fault = comm_fault.or(lost_export);
+        let stats = &mut run.stats;
         let ocn_period = cpl.clock.ocn_alarm.period as f64;
         let ocn_idx = (cpl.clock.time as f64 / ocn_period).round() as u64;
         if self.inject(rank, cpl, stats, ocn_idx) {

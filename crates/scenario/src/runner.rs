@@ -566,6 +566,9 @@ fn run_subset_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Me
                 invariants.push(invariant(&cpl));
             }
         }
+        if let Some(e) = cpl.finish(rank, &mut timers, &mut stats) {
+            panic!("coupler exchange failed: {e}");
+        }
         subset_outcome(sc, member, period, &stats, initial, invariants)
     });
     results.remove(0)

@@ -47,7 +47,9 @@ const RECV_TIMEOUT: Duration = Duration::from_millis(800);
 /// budget has hung — exactly what the campaign exists to catch.
 const WATCHDOG: Duration = Duration::from_secs(180);
 
-/// Wire tag of the ocean→coupler gather stream (p2p strategy, user tag 22).
+/// Wire tag of the ocean→coupler gather stream (p2p strategy, user tag 22):
+/// one packed message per ocean rank per coupling, so a plan's `nth` on it
+/// is the coupling.
 const GATHER_P2P_TAG: u64 = 0x5240_0000 + 22;
 
 /// The campaign in the scenario-catalog grammar: every rung of the
@@ -62,9 +64,9 @@ mesh 3x1
 days 1
 scenario baseline expect=healthy
 scenario transient-drop expect=healthy
-drop src=1 dst=0 tag={gather} nth=4
+drop src=1 dst=0 tag={gather} nth=2
 scenario delay-jitter expect=healthy
-delay src=2 dst=0 tag={gather} nth=2 ms=50
+delay src=2 dst=0 tag={gather} nth=1 ms=50
 scenario transient-kill expect=healthy
 kill rank=2 step=3
 scenario corrupt-fallback expect=healthy

@@ -60,15 +60,16 @@ fn assert_checkpoint_dirs_match(a: &Path, b: &Path) {
     }
 }
 
-/// Drop the first gathered export of ocean coupling 2 (rank 1 -> root,
-/// p2p wire tag of user tag 22; 3 messages per coupling, so `nth=4`).
-/// Root's third gather receive must time out into a Deadlock that blames
-/// `(src 1, tag)`, and the recovery layer must roll back and finish.
+/// Drop the gathered export of ocean coupling 2 (rank 1 -> root, p2p wire
+/// tag of user tag 22; one packed message per coupling, so `nth=2`). Root's
+/// receive of it — settled before that coupling's health vote — must time
+/// out into a Deadlock that blames `(src 1, tag)`, and the recovery layer
+/// must roll back and finish.
 #[test]
 fn dropped_coupling_message_is_detected_attributed_and_recovered() {
     let config = CoupledConfig::test_tiny();
     let gather_p2p_tag: u64 = 0x5240_0000 + 22;
-    let plan = FaultPlan::parse(&format!("drop src=1 dst=0 tag={gather_p2p_tag} nth=4\n"))
+    let plan = FaultPlan::parse(&format!("drop src=1 dst=0 tag={gather_p2p_tag} nth=2\n"))
         .expect("plan parses");
     plan.validate(config.world_size()).expect("plan validates");
 

@@ -1,5 +1,5 @@
 //! The one coupled driver (`esm::Coupler`): sequencing of its single
-//! `step()` over fake components, the wire order of the ocean exchange,
+//! `step()` over fake components, the packed layout of the ocean exchange,
 //! the atmosphere's exported precipitation rate, and the subset analogue of
 //! `scenario.rs::full_esm_member_is_bitwise_run_coupled`.
 
@@ -20,7 +20,7 @@ use ap3esm::prelude::*;
 type Log = Arc<Mutex<Vec<String>>>;
 
 /// A component that only records what the coupler does to it, and the
-/// first value of every field it was last handed.
+/// bundle it was last handed (all fields, packed in declaration order).
 struct Fake {
     name: &'static str,
     log: Log,
@@ -43,7 +43,7 @@ impl Fake {
 
 impl Component for Fake {
     fn import(&mut self, av: &AttrVect) {
-        self.imported = av.fields().map(|(_, data)| data[0]).collect();
+        self.imported = av.as_slice().to_vec();
         self.note("import".into());
     }
 
@@ -79,7 +79,8 @@ fn tiny(single_domain: bool) -> CoupledConfig {
     }
 }
 
-/// Step `cpl` through `days`, panicking on a communication failure.
+/// Step `cpl` through `days` and drain the last ocean export, panicking on a
+/// communication failure.
 fn run_days<A: Component, O: Component, I: Component, L: Component>(
     rank: &Rank,
     cpl: &mut Coupler<A, O, I, L>,
@@ -91,6 +92,7 @@ fn run_days<A: Component, O: Component, I: Component, L: Component>(
         let step = cpl.step(rank, &mut timers, &mut stats);
         assert_eq!(step.comm_fault, None);
     }
+    assert_eq!(cpl.finish(rank, &mut timers, &mut stats), None);
     stats
 }
 
@@ -153,8 +155,9 @@ fn absent_components_are_never_touched_and_exchange_counts_hold() {
     let log = log.lock().unwrap();
     assert_eq!(log.len(), 1 + 4 * 3, "{log:?}");
     assert!(log.iter().all(|entry| entry.starts_with("ocn.")), "{log:?}");
-    // Four ocean couplings: 4 scatters and 3 gathers each, one message per
-    // field between the two ranks.
+    // Four ocean couplings, one packed message each way between the two
+    // ranks: 4 forcing fields out, 3 surface fields and the ocean's kinetic
+    // energy back.
     let traffic = |tag| {
         Rearranger::wire_tags_for(tag)
             .iter()
@@ -164,38 +167,59 @@ fn absent_components_are_never_touched_and_exchange_counts_hold() {
             })
     };
     let field_bytes = (grid.ncols() * 8) as u64;
-    assert_eq!(traffic(21), (16, 16 * field_bytes));
-    assert_eq!(traffic(22), (12, 12 * field_bytes));
+    assert_eq!(traffic(21), (4, 4 * 4 * field_bytes));
+    assert_eq!(traffic(22), (4, 4 * (3 * field_bytes + 8)));
 }
 
-/// Fault plans address the n-th message on a tag, so the order of the
-/// per-field rearranges is behaviour: dropping the scatter's 2nd message
-/// must shift `qnet`, `salt` into `tauy`, `qnet` and starve `salt`.
-#[test]
-fn scatter_wire_order_is_the_declared_field_order() {
+/// One ocean coupling of the two-domain layout over a fake ocean on rank 1,
+/// the forcing prescribed on rank 0 with a different value at every point of
+/// every field. Returns what the ocean imported and whether rank 1's step
+/// reported a communication failure.
+fn one_scatter(world: World) -> (Vec<f64>, bool) {
     let config = tiny(false);
     let grid = config.ocean_grid();
-    let scatter_p2p_tag = Rearranger::wire_tags_for(21)[1];
-    let plan = FaultPlan::parse(&format!("drop src=0 dst=1 tag={scatter_p2p_tag} nth=2\n"))
-        .expect("plan parses");
-    let world = World::new(config.world_size())
-        .with_recv_timeout(Duration::from_millis(300))
-        .with_fault_injector(Arc::new(FaultInjector::new(plan)));
     let log = Log::default();
-    let imported = world.run(|rank| {
+    let mut out = world.run(|rank| {
         let ocn = Fake::new("ocn", &log).filter(|_| rank.id() == 1);
         let mut cpl: Coupler<Fake, Fake, Fake, Fake> =
             Coupler::assemble(rank, &config, &grid, 0, (None, ocn, None, None));
-        // Prescribed forcing on the coupler's rank, one value per field.
-        for (k, (_, data)) in cpl.x2o.fields_mut().enumerate() {
-            data.fill(1.0 + k as f64);
+        for (i, v) in cpl.x2o.as_mut_slice().iter_mut().enumerate() {
+            *v = 1.0 + i as f64;
         }
         let step = cpl.step(rank, &mut Timers::new(), &mut CoupledStats::default());
-        // The starved rank sees the timeout (rank 0 may, waiting for it).
-        assert!(step.comm_fault.is_some() || rank.id() == 0);
-        cpl.ocn.map(|ocn| ocn.imported)
+        (cpl.ocn.map(|ocn| ocn.imported), step.comm_fault.is_some())
     });
-    assert_eq!(imported[1], Some(vec![1.0, 3.0, 4.0, 0.0]));
+    let (imported, faulted) = out.remove(1);
+    (imported.expect("rank 1 holds the ocean"), faulted)
+}
+
+/// The scatter is one message holding every field at its declared offset:
+/// field `k` of the import is points `k·n .. (k+1)·n` of what rank 0 packed.
+#[test]
+fn scatter_packs_fields_at_their_declared_offsets() {
+    let n = tiny(false).ocean_grid().ncols();
+    let (imported, faulted) = one_scatter(World::new(2));
+    assert!(!faulted);
+    let want: Vec<f64> = (0..4 * n).map(|i| 1.0 + i as f64).collect();
+    assert_eq!(imported, want);
+    // `qnet` is the third of `X2O_FIELDS`.
+    assert_eq!(imported[2 * n], 1.0 + (2 * n) as f64);
+}
+
+/// Fault plans address the n-th message on a tag, which is now the n-th
+/// coupling: dropping the first scatter starves the whole import, not one
+/// field of it, and the starved rank reports the failure.
+#[test]
+fn dropped_scatter_starves_the_whole_import() {
+    let scatter_p2p_tag = Rearranger::wire_tags_for(21)[1];
+    let plan = FaultPlan::parse(&format!("drop src=0 dst=1 tag={scatter_p2p_tag} nth=1\n"))
+        .expect("plan parses");
+    let world = World::new(2)
+        .with_recv_timeout(Duration::from_millis(300))
+        .with_fault_injector(Arc::new(FaultInjector::new(plan)));
+    let (imported, faulted) = one_scatter(world);
+    assert!(faulted, "the starved rank must see the timeout");
+    assert!(imported.iter().all(|v| *v == 0.0), "{imported:?}");
 }
 
 /// The standalone atmosphere used to divide the period's precipitation by

@@ -30,11 +30,13 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
     config.ocn_py = 1;
     assert_eq!(config.world_size(), 2);
 
-    // Stall rank 1's cpl_gather send (ocean fields back to the coupler) at
-    // couplings 3 and 4. The delay lands on the *point-to-point* wire tag —
-    // a collective tag would classify as `Collective` instead — and the
-    // injector sleeps the sender before posting, so the send timestamp is
-    // late and the receiver's blocking window is the sender's fault.
+    // Stall rank 1's cpl_gather send (the ocean's packed export back to the
+    // coupler, one message per coupling, so `nth` is the coupling) at
+    // couplings 3 and 4; rank 0 meets each stall one coupling later, where
+    // it receives that export. The delay lands on the *point-to-point* wire
+    // tag — a collective tag would classify as `Collective` instead — and
+    // the injector sleeps the sender before posting, so the send timestamp
+    // is late and the receiver's blocking window is the sender's fault.
     let [_, gather_p2p] = Rearranger::wire_tags_for(22);
     let plan = FaultPlan::parse(&format!(
         "delay src=1 dst=0 tag={gather_p2p} nth=3 ms=800\n\

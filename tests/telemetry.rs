@@ -1,6 +1,6 @@
 //! Tier-1 integration test for the continuous-telemetry layer: a 2-rank
 //! coupled run with sampling on, a deterministic injected slowdown (delay
-//! faults on the KE allreduce's gather leg), a live OpenMetrics scrape
+//! faults on the ocean export's gather message), a live OpenMetrics scrape
 //! taken mid-run, and an offline replay of the saved series snapshot.
 //!
 //! Asserts the whole pipeline: per-coupling SYPD/imbalance gauges →
@@ -9,8 +9,8 @@
 //! the run report's `alerts` array, in `CoupledStats::alerts`, and as an
 //! instant event in the chrome trace → snapshot replay re-fires offline.
 
-use ap3esm::comm::collectives::allreduce_wire_tags;
 use ap3esm::comm::{FaultInjector, FaultPlan};
+use ap3esm::cpl::Rearranger;
 use ap3esm::esm::coupled::TelemetryOptions;
 use ap3esm::obs::{alert, openmetrics, parse_rules, tsdb};
 use ap3esm::prelude::*;
@@ -41,15 +41,16 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     config.ocn_py = 1;
     assert_eq!(config.world_size(), 2);
 
-    // Injected slowdown: stall rank 0's recv of the KE allreduce at ocean
-    // couplings 9 and 10 (the gather-leg wire tag matches exactly one
-    // message per coupling, so `nth` counts couplings deterministically).
-    // 2.5 s dwarfs a coupling's wall time even on a loaded single-core
-    // debug run, so the >50% SYPD deviation is unambiguous.
-    let [ke_gather, _] = allreduce_wire_tags(77);
+    // Injected slowdown: stall the ocean's export (which carries its kinetic
+    // energy) on its way to rank 0 at ocean couplings 9 and 10 (the gather's
+    // point-to-point wire tag carries exactly one message per coupling, so
+    // `nth` counts couplings deterministically). 2.5 s dwarfs a coupling's
+    // wall time even on a loaded single-core debug run, so the >50% SYPD
+    // deviation is unambiguous.
+    let [_, gather_p2p] = Rearranger::wire_tags_for(22);
     let plan = FaultPlan::parse(&format!(
-        "delay src=1 dst=0 tag={ke_gather} nth=9 ms=2500\n\
-         delay src=1 dst=0 tag={ke_gather} nth=10 ms=2500\n"
+        "delay src=1 dst=0 tag={gather_p2p} nth=9 ms=2500\n\
+         delay src=1 dst=0 tag={gather_p2p} nth=10 ms=2500\n"
     ))
     .unwrap();
 
