@@ -12,6 +12,19 @@
 //! the paper's three-rate split: `dt_dyn` (8 s at 1 km) sub-steps inside
 //! `dt_tracer` (30 s) inside the model/physics step `dt_model` (120 s);
 //! tracer transport uses the dycore-accumulated mean mass flux.
+//!
+//! A substep is six *phases*, each one `pp` range kernel on the dycore's
+//! execution space with its outputs carved per range. The three heavy ones
+//! range over **levels**: a level's fluxes, divergences, temperature,
+//! reconstruction, vorticity and momentum update read that level's fields
+//! and the surface pressure only, so a lane that owns a range of levels
+//! walks the whole mesh for them with one lane-private scratch set, and what
+//! it gathers through the stencils it wrote itself. The three light ones
+//! (mean edge pressure; continuity; ∇ₙ ln pₛ) range over edges or cells and
+//! stream what the level phases left. Every entity of every level is written
+//! from exactly one iteration, in the operand order of the serial loops, so
+//! one lane (`Serial`, the default: each phase is one call over the whole
+//! range) and a team of any size give the same bits.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -19,6 +32,7 @@ use std::sync::Arc;
 use ap3esm_grid::icosahedral::MAX_CELL_EDGES;
 use ap3esm_grid::{GeodesicGrid, EARTH_RADIUS};
 use ap3esm_physics::constants::{coriolis, KAPPA, R_DRY};
+use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
 
 use crate::state::AtmState;
 use crate::P_REF;
@@ -112,56 +126,101 @@ struct CornerRow {
     area: f64,
 }
 
-/// Scratch of one dynamics substep: slices of the `Dycore`'s one workspace
-/// slab. Every value is written before it is read within a substep, so
-/// nothing carries from one call to the next, and no size depends on the
-/// level count. Per cell unless noted.
-struct Scratch<'a> {
-    dps_dt: &'a mut [f64],
-    ln_ps: &'a mut [f64],
-    /// Geopotential of the level being stepped, accumulated upward.
-    phi: &'a mut [f64],
-    /// Temperature of the level being stepped.
-    t: &'a mut [f64],
-    bern: &'a mut [f64],
-    div_u: &'a mut [f64],
-    /// Reconstructed (east, north) wind, interleaved.
-    wind: &'a mut [f64],
+/// Scratch of one dynamics substep. Every value is written before it is
+/// read within a substep, so nothing carries from one call to the next.
+#[derive(Default)]
+struct Workspace {
+    /// What one phase leaves for the next, over the whole mesh (see
+    /// [`Fields`]).
+    fields: Vec<f64>,
+    /// Per-level scratch of the level phases (see [`LevelScratch`]): a
+    /// kernel takes a set and reuses it for each of its levels.
+    lanes: PerLane<Vec<f64>>,
+}
+
+impl Workspace {
+    /// Size for `nlev` levels and `kernels` level kernels at once. Allocates
+    /// when either grew or the level count changed, not in steady state.
+    fn fit(&mut self, (n, ne, ncorners): (usize, usize, usize), nlev: usize, kernels: usize) {
+        self.fields.resize(Fields::len(n, ne, nlev), 0.0);
+        let lane_len = LevelScratch::len(n, ne, ncorners);
+        self.lanes.grow(kernels, || vec![0.0; lane_len]);
+    }
+}
+
+/// Cuts `len`-long pieces off the front of a slab.
+fn taker<'a>(slab: &'a mut [f64]) -> impl FnMut(usize) -> &'a mut [f64] {
+    let mut rest = slab;
+    move |len| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        head
+    }
+}
+
+/// The whole-mesh fields one phase hands to the next.
+struct Fields<'a> {
     /// Per edge: mean surface pressure of the two cells.
     ps_edge: &'a mut [f64],
     /// Per edge: ∇ₙ ln pₛ.
     grad_ln_ps: &'a mut [f64],
-    /// Per edge, interleaved: mass flux, upwind θ flux, upwind q flux of the
-    /// level being stepped (one gather per divergence slot, not three).
+    /// Per cell: ln pₛ (new).
+    ln_ps: &'a mut [f64],
+    /// Level-major: the layer's mass-flux divergence ÷ cell area; its
+    /// temperature; its hypsometric increment `R·T·ln(p_below / p)`.
+    div_mass: &'a mut [f64],
+    t: &'a mut [f64],
+    dphi: &'a mut [f64],
+}
+
+impl<'a> Fields<'a> {
+    fn len(n: usize, ne: usize, nlev: usize) -> usize {
+        2 * ne + n + 3 * nlev * n
+    }
+
+    fn of(slab: &'a mut [f64], n: usize, ne: usize, nlev: usize) -> Self {
+        let mut take = taker(slab);
+        Fields {
+            ps_edge: take(ne),
+            grad_ln_ps: take(ne),
+            ln_ps: take(n),
+            div_mass: take(nlev * n),
+            t: take(nlev * n),
+            dphi: take(nlev * n),
+        }
+    }
+}
+
+/// Scratch of the level being stepped. Per cell unless noted.
+struct LevelScratch<'a> {
+    /// Per edge, interleaved: mass flux, upwind θ flux, upwind q flux (one
+    /// gather per divergence slot, not three).
     fluxes: &'a mut [f64],
-    /// Per corner: relative vorticity of the level being stepped.
+    /// Geopotential, accumulated upward through the levels below.
+    phi: &'a mut [f64],
+    /// Reconstructed (east, north) wind, interleaved.
+    wind: &'a mut [f64],
+    div_u: &'a mut [f64],
+    bern: &'a mut [f64],
+    /// Per corner: relative vorticity.
     zeta: &'a mut [f64],
 }
 
-/// Length of the workspace slab [`carve`] cuts up.
-fn slab_len(ncells: usize, nedges: usize, ncorners: usize) -> usize {
-    8 * ncells + 5 * nedges + ncorners
-}
+impl<'a> LevelScratch<'a> {
+    fn len(n: usize, ne: usize, ncorners: usize) -> usize {
+        3 * ne + 5 * n + ncorners
+    }
 
-fn carve(slab: &mut [f64], n: usize, ne: usize) -> Scratch<'_> {
-    let mut rest = slab;
-    let mut take = |len: usize| {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        rest = tail;
-        head
-    };
-    Scratch {
-        dps_dt: take(n),
-        ln_ps: take(n),
-        phi: take(n),
-        t: take(n),
-        bern: take(n),
-        div_u: take(n),
-        wind: take(2 * n),
-        ps_edge: take(ne),
-        grad_ln_ps: take(ne),
-        fluxes: take(3 * ne),
-        zeta: rest,
+    fn of(slab: &'a mut [f64], n: usize, ne: usize, ncorners: usize) -> Self {
+        let mut take = taker(slab);
+        LevelScratch {
+            fluxes: take(3 * ne),
+            phi: take(n),
+            wind: take(2 * n),
+            div_u: take(n),
+            bern: take(n),
+            zeta: take(ncorners),
+        }
     }
 }
 
@@ -172,9 +231,11 @@ pub struct Dycore {
     frames: Vec<CellFrame>,
     edges: Vec<EdgeRow>,
     corners: Vec<CornerRow>,
-    /// The substep's scratch slab (see [`Scratch`]). Interior-mutable because
-    /// stepping takes `&self`: one uncontended borrow per substep.
-    workspace: RefCell<Vec<f64>>,
+    /// The substep's scratch. Interior-mutable because stepping takes
+    /// `&self`: one uncontended borrow per substep.
+    workspace: RefCell<Workspace>,
+    /// Where the phases of a substep run.
+    space: Arc<dyn ExecSpace>,
     pub config: DycoreConfig,
 }
 
@@ -183,6 +244,8 @@ fn index_u32(i: usize) -> u32 {
 }
 
 impl Dycore {
+    /// Tables and workspace for `grid`; steps on one lane until a space is
+    /// attached with [`Dycore::on`].
     pub fn new(grid: Arc<GeodesicGrid>, config: DycoreConfig) -> Self {
         let r = EARTH_RADIUS;
 
@@ -269,25 +332,32 @@ impl Dycore {
             corners.push(row);
         }
 
-        let workspace = vec![0.0; slab_len(cells.len(), edges.len(), corners.len())];
         Dycore {
             grid,
             cells,
             frames,
             edges,
             corners,
-            workspace: RefCell::new(workspace),
+            workspace: RefCell::default(),
+            space: Arc::new(Serial),
             config,
         }
+    }
+
+    /// Run every phase of every substep on `space`. The answer does not
+    /// depend on it, bit for bit.
+    pub fn on(mut self, space: Arc<dyn ExecSpace>) -> Self {
+        self.space = space;
+        self
     }
 
     pub fn grid(&self) -> &GeodesicGrid {
         &self.grid
     }
 
-    /// Relative vorticity at corners for one level.
-    fn vorticity(&self, un: &[f64], out: &mut [f64]) {
-        for (zeta, row) in out.iter_mut().zip(&self.corners) {
+    /// Relative vorticity at `corners` for one level.
+    fn vorticity(corners: &[CornerRow], un: &[f64], out: &mut [f64]) {
+        for (zeta, row) in out.iter_mut().zip(corners) {
             let mut circ = 0.0;
             for (&e, &sde) in row.edge.iter().zip(&row.sde) {
                 circ += un[e as usize] * sde;
@@ -302,26 +372,34 @@ impl Dycore {
         self.substep(state, dt, Some(mass_flux_accum));
     }
 
-    fn substep(&self, state: &mut AtmState, dt: f64, mut mass_flux_accum: Option<&mut [f64]>) {
-        let stencils = &self.grid.cell_stencils;
-        let n = self.cells.len();
-        let ne = self.edges.len();
+    fn substep(&self, state: &mut AtmState, dt: f64, mass_flux_accum: Option<&mut [f64]>) {
+        let space = &*self.space;
+        let stencils = &self.grid.cell_stencils[..];
+        let (cells, frames, edges, corners) = (
+            &self.cells[..],
+            &self.frames[..],
+            &self.edges[..],
+            &self.corners[..],
+        );
+        let (n, ne, ncorners) = (cells.len(), edges.len(), corners.len());
         let nlev = state.nlev;
         let nu = self.config.nu;
-        let mut slab = self.workspace.borrow_mut();
-        let Scratch {
-            dps_dt,
-            ln_ps,
-            phi,
-            t,
-            bern,
-            div_u,
-            wind,
+        let mut workspace = self.workspace.borrow_mut();
+        workspace.fit(
+            (n, ne, ncorners),
+            nlev,
+            space.concurrency().min(nlev).max(1),
+        );
+        let Workspace { fields, lanes } = &mut *workspace;
+        let Fields {
             ps_edge,
             grad_ln_ps,
-            fluxes,
-            zeta,
-        } = carve(&mut slab, n, ne);
+            ln_ps,
+            div_mass,
+            t,
+            dphi,
+        } = Fields::of(fields, n, ne, nlev);
+        let lanes = &*lanes;
         let AtmState {
             sigma,
             dsigma,
@@ -331,147 +409,213 @@ impl Dycore {
             un,
             ..
         } = state;
+        let (sigma, dsigma) = (&sigma[..], &dsigma[..]);
         assert!(ps.len() == n && theta.len() == nlev * n && q.len() == nlev * n);
         assert_eq!(un.len(), nlev * ne);
+        // Without an accumulator every range's part of it is empty.
+        let accum = mass_flux_accum.unwrap_or_default();
+        assert!(accum.is_empty() || accum.len() == nlev * ne);
 
-        // --- Mass fluxes and continuity (from the old state). ---
-        for (ps_e, row) in ps_edge.iter_mut().zip(&self.edges) {
-            *ps_e = 0.5 * (ps[row.a as usize] + ps[row.b as usize]);
-        }
-        dps_dt.fill(0.0);
-        for k in 0..nlev {
-            let unk = &un[k * ne..(k + 1) * ne];
-            let thk = &mut theta[k * n..(k + 1) * n];
-            let qk = &mut q[k * n..(k + 1) * n];
-            // Layer mass flux and the upwind θ and q fluxes for the
-            // dycore-rate tracer update.
-            for (((f, row), &u), &ps_e) in fluxes
-                .chunks_exact_mut(3)
-                .zip(&self.edges)
-                .zip(unk)
-                .zip(ps_edge.iter())
-            {
-                let flux = u * ps_e * dsigma[k];
-                let up = if flux >= 0.0 { row.a } else { row.b } as usize;
-                f[0] = flux;
-                f[1] = flux * thk[up];
-                f[2] = flux * qk[up];
+        // --- Phase 1, edges: mean surface pressure (old state). ---
+        for_chunks_mut(space, ne, [&mut *ps_edge], |r, [ps_edge]| {
+            for (ps_e, row) in ps_edge.iter_mut().zip(&edges[r]) {
+                *ps_e = 0.5 * (ps[row.a as usize] + ps[row.b as usize]);
             }
-            if let Some(accum) = mass_flux_accum.as_deref_mut() {
-                for (acc, f) in accum[k * ne..(k + 1) * ne]
-                    .iter_mut()
-                    .zip(fluxes.chunks_exact(3))
-                {
-                    *acc += f[0] * dt;
+        });
+
+        // --- Phase 2, levels: mass fluxes and the three divergences (from
+        //     the old state). θ and q leave as tracer *mass*
+        //     (θ·dp_old − dt·∇·(Fθ)); phase 5 divides by the new layer
+        //     thickness. ---
+        for_chunks_mut(
+            space,
+            nlev,
+            [&mut theta[..], &mut q[..], &mut *div_mass, accum],
+            |levels, [theta, q, div_mass, accum]| {
+                let mut lane = lanes.take();
+                let LevelScratch { fluxes, .. } = LevelScratch::of(&mut lane, n, ne, ncorners);
+                for (j, k) in levels.enumerate() {
+                    let unk = &un[k * ne..(k + 1) * ne];
+                    let thk = &mut theta[j * n..(j + 1) * n];
+                    let qk = &mut q[j * n..(j + 1) * n];
+                    let div_k = &mut div_mass[j * n..(j + 1) * n];
+                    // Layer mass flux and the upwind θ and q fluxes for the
+                    // dycore-rate tracer update.
+                    for (((f, row), &u), &ps_e) in fluxes
+                        .chunks_exact_mut(3)
+                        .zip(edges)
+                        .zip(unk)
+                        .zip(ps_edge.iter())
+                    {
+                        let flux = u * ps_e * dsigma[k];
+                        let up = if flux >= 0.0 { row.a } else { row.b } as usize;
+                        f[0] = flux;
+                        f[1] = flux * thk[up];
+                        f[2] = flux * qk[up];
+                    }
+                    if !accum.is_empty() {
+                        for (acc, f) in accum[j * ne..(j + 1) * ne]
+                            .iter_mut()
+                            .zip(fluxes.chunks_exact(3))
+                        {
+                            *acc += f[0] * dt;
+                        }
+                    }
+                    // The three divergences in one walk.
+                    for (i, (stencil, row)) in stencils.iter().zip(cells).enumerate() {
+                        let (mut mass, mut th, mut qv) = (0.0, 0.0, 0.0);
+                        for s in 0..stencil.nedges() {
+                            let e = stencil.edge[s] as usize;
+                            let f = &fluxes[3 * e..3 * e + 3];
+                            mass += f[0] * row.sle[s];
+                            th += f[1] * row.sle[s];
+                            qv += f[2] * row.sle[s];
+                        }
+                        div_k[i] = mass / row.area;
+                        let dp_old = dsigma[k] * ps[i];
+                        thk[i] = thk[i] * dp_old - dt * (th / row.area);
+                        qk[i] = qk[i] * dp_old - dt * (qv / row.area);
+                    }
+                }
+            },
+        );
+
+        // --- Phase 3, cells: forward-backward staging — apply continuity
+        //     first, so the tracer update and the pressure-gradient force
+        //     below see the *new* mass field (stabilises external gravity
+        //     waves). ---
+        for_chunks_mut(space, n, [&mut ps[..], &mut *ln_ps], |r, [ps, ln_ps]| {
+            for ((p, ln_p), i) in ps.iter_mut().zip(ln_ps).zip(r) {
+                let mut dps_dt = 0.0;
+                for k in 0..nlev {
+                    dps_dt -= div_mass[k * n + i];
+                }
+                *p += dt * dps_dt;
+                *ln_p = p.ln();
+            }
+        });
+
+        // --- Phase 4, edges. ---
+        for_chunks_mut(space, ne, [&mut *grad_ln_ps], |r, [grad_ln_ps]| {
+            for (grad, row) in grad_ln_ps.iter_mut().zip(&edges[r]) {
+                *grad = (ln_ps[row.b as usize] - ln_ps[row.a as usize]) / row.de;
+            }
+        });
+
+        // --- Phase 5, levels: finish the tracer update and diagnose T and
+        //     the layer's share of Φ from the updated mass field. ---
+        for_chunks_mut(
+            space,
+            nlev,
+            [&mut theta[..], &mut q[..], &mut *t, &mut *dphi],
+            |levels, [theta, q, t, dphi]| {
+                for (j, k) in levels.enumerate() {
+                    // Pressure of the previous reference level: the surface
+                    // below the lowest layer.
+                    let sigma_below = if k == 0 { 1.0 } else { sigma[k - 1] };
+                    for ((((th, qv), t), dphi), &ps) in theta[j * n..(j + 1) * n]
+                        .iter_mut()
+                        .zip(&mut q[j * n..(j + 1) * n])
+                        .zip(&mut t[j * n..(j + 1) * n])
+                        .zip(&mut dphi[j * n..(j + 1) * n])
+                        .zip(ps.iter())
+                    {
+                        let dp_new = dsigma[k] * ps;
+                        *th /= dp_new;
+                        *qv /= dp_new;
+
+                        let p = sigma[k] * ps;
+                        let p_below = sigma_below * ps;
+                        *t = *th * (p / P_REF).powf(KAPPA);
+                        // Hypsometric increment from the previous reference level.
+                        *dphi = R_DRY * *t * (p_below / p).ln();
+                    }
+                }
+            },
+        );
+
+        // --- Phase 6, levels: the momentum tendency (old winds, new mass
+        //     field). `un[e]` is updated in place: its new value reads only
+        //     `un[e]` itself and cell/corner fields finished before the edge
+        //     loop. ---
+        for_chunks_mut(space, nlev, [&mut un[..]], |levels, [un]| {
+            let mut lane = lanes.take();
+            let LevelScratch {
+                phi,
+                wind,
+                div_u,
+                bern,
+                zeta,
+                ..
+            } = LevelScratch::of(&mut lane, n, ne, ncorners);
+            // Φ below this kernel's first level: the levels under it, summed
+            // upward from zero as the running Φ of one pass over all levels.
+            phi.fill(0.0);
+            for below in dphi[..levels.start * n].chunks_exact(n) {
+                for (phi, dphi) in phi.iter_mut().zip(below) {
+                    *phi += dphi;
                 }
             }
-            // The three divergences in one walk. θ and q leave this loop as
-            // tracer *mass* (θ·dp_old − dt·∇·(Fθ)); the staging pass below
-            // divides by the new layer thickness.
-            for (i, (stencil, row)) in stencils.iter().zip(&self.cells).enumerate() {
-                let (mut mass, mut th, mut qv) = (0.0, 0.0, 0.0);
-                for s in 0..stencil.nedges() {
-                    let e = stencil.edge[s] as usize;
-                    let f = &fluxes[3 * e..3 * e + 3];
-                    mass += f[0] * row.sle[s];
-                    th += f[1] * row.sle[s];
-                    qv += f[2] * row.sle[s];
+            for (j, k) in levels.enumerate() {
+                let unk = &mut un[j * ne..(j + 1) * ne];
+                let (tk, dphi_k) = (&t[k * n..(k + 1) * n], &dphi[k * n..(k + 1) * n]);
+                for (i, (stencil, row)) in stencils.iter().zip(cells).enumerate() {
+                    phi[i] += dphi_k[i];
+
+                    // Least-squares (east, north) wind and ∇·u in one walk.
+                    let (mut b1, mut b2, mut div) = (0.0, 0.0, 0.0);
+                    for s in 0..stencil.nedges() {
+                        let u = unk[stencil.edge[s] as usize];
+                        b1 += stencil.n_east[s] * u;
+                        b2 += stencil.n_north[s] * u;
+                        div += u * row.sle[s];
+                    }
+                    let inv = row.ls_inv;
+                    let (ue, uno) = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
+                    wind[2 * i] = ue;
+                    wind[2 * i + 1] = uno;
+                    div_u[i] = div / row.area;
+                    // Bernoulli function K + Φ.
+                    bern[i] = 0.5 * (ue * ue + uno * uno) + phi[i];
                 }
-                dps_dt[i] -= mass / row.area;
-                let dp_old = dsigma[k] * ps[i];
-                thk[i] = thk[i] * dp_old - dt * (th / row.area);
-                qk[i] = qk[i] * dp_old - dt * (qv / row.area);
-            }
-        }
+                Self::vorticity(corners, unk, zeta);
 
-        // --- Forward-backward staging: apply continuity first, so the
-        //     tracer update and the pressure-gradient force below see the
-        //     *new* mass field (stabilises external gravity waves). ---
-        for ((p, &dps), ln_p) in ps.iter_mut().zip(dps_dt.iter()).zip(ln_ps.iter_mut()) {
-            *p += dt * dps;
-            *ln_p = p.ln();
-        }
-        for (grad, row) in grad_ln_ps.iter_mut().zip(&self.edges) {
-            *grad = (ln_ps[row.b as usize] - ln_ps[row.a as usize]) / row.de;
-        }
+                for ((u, row), &grad_lnps) in unk.iter_mut().zip(edges).zip(grad_ln_ps.iter()) {
+                    let (a, b) = (row.a as usize, row.b as usize);
+                    // Tangential velocity from averaged cell vectors.
+                    let (fa, fb) = (&frames[a], &frames[b]);
+                    let va = (wind[2 * a], wind[2 * a + 1]);
+                    let vb = (wind[2 * b], wind[2 * b + 1]);
+                    let v3 = [
+                        0.5 * (va.0 * fa.east[0]
+                            + va.1 * fa.north[0]
+                            + vb.0 * fb.east[0]
+                            + vb.1 * fb.north[0]),
+                        0.5 * (va.0 * fa.east[1]
+                            + va.1 * fa.north[1]
+                            + vb.0 * fb.east[1]
+                            + vb.1 * fb.north[1]),
+                        0.5 * (va.0 * fa.east[2]
+                            + va.1 * fa.north[2]
+                            + vb.0 * fb.east[2]
+                            + vb.1 * fb.north[2]),
+                    ];
+                    let tan = row.tangent;
+                    let ut = v3[0] * tan[0] + v3[1] * tan[1] + v3[2] * tan[2];
 
-        // --- Per level: finish the tracer update, diagnose T and Φ from the
-        //     updated mass field, then the momentum tendency (old winds, new
-        //     mass field). `un[e]` is updated in place: its new value reads
-        //     only `un[e]` itself and cell/corner fields finished before the
-        //     edge loop. ---
-        phi.fill(0.0);
-        for k in 0..nlev {
-            let unk = &mut un[k * ne..(k + 1) * ne];
-            let thk = &mut theta[k * n..(k + 1) * n];
-            let qk = &mut q[k * n..(k + 1) * n];
-            // Pressure of the previous reference level: the surface below
-            // the lowest layer.
-            let sigma_below = if k == 0 { 1.0 } else { sigma[k - 1] };
-            for (i, (stencil, row)) in stencils.iter().zip(&self.cells).enumerate() {
-                let dp_new = dsigma[k] * ps[i];
-                thk[i] /= dp_new;
-                qk[i] /= dp_new;
+                    let (cd, cu) = (row.corner_down as usize, row.corner_up as usize);
+                    let eta = row.f + 0.5 * (zeta[cd] + zeta[cu]);
 
-                let p = sigma[k] * ps[i];
-                let p_below = sigma_below * ps[i];
-                t[i] = thk[i] * (p / P_REF).powf(KAPPA);
-                // Hypsometric increment from the previous reference level.
-                phi[i] += R_DRY * t[i] * (p_below / p).ln();
+                    let grad_bern = (bern[b] - bern[a]) / row.de;
+                    let t_e = 0.5 * (tk[a] + tk[b]);
 
-                // Least-squares (east, north) wind and ∇·u in one walk.
-                let (mut b1, mut b2, mut div) = (0.0, 0.0, 0.0);
-                for s in 0..stencil.nedges() {
-                    let u = unk[stencil.edge[s] as usize];
-                    b1 += stencil.n_east[s] * u;
-                    b2 += stencil.n_north[s] * u;
-                    div += u * row.sle[s];
+                    // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
+                    let lap = (div_u[b] - div_u[a]) / row.de - (zeta[cu] - zeta[cd]) / row.le;
+
+                    *u += dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps + nu * lap);
                 }
-                let inv = row.ls_inv;
-                let (ue, uno) = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
-                wind[2 * i] = ue;
-                wind[2 * i + 1] = uno;
-                div_u[i] = div / row.area;
-                // Bernoulli function K + Φ.
-                bern[i] = 0.5 * (ue * ue + uno * uno) + phi[i];
             }
-            self.vorticity(unk, zeta);
-
-            for ((u, row), &grad_lnps) in unk.iter_mut().zip(&self.edges).zip(grad_ln_ps.iter()) {
-                let (a, b) = (row.a as usize, row.b as usize);
-                // Tangential velocity from averaged cell vectors.
-                let (fa, fb) = (&self.frames[a], &self.frames[b]);
-                let va = (wind[2 * a], wind[2 * a + 1]);
-                let vb = (wind[2 * b], wind[2 * b + 1]);
-                let v3 = [
-                    0.5 * (va.0 * fa.east[0]
-                        + va.1 * fa.north[0]
-                        + vb.0 * fb.east[0]
-                        + vb.1 * fb.north[0]),
-                    0.5 * (va.0 * fa.east[1]
-                        + va.1 * fa.north[1]
-                        + vb.0 * fb.east[1]
-                        + vb.1 * fb.north[1]),
-                    0.5 * (va.0 * fa.east[2]
-                        + va.1 * fa.north[2]
-                        + vb.0 * fb.east[2]
-                        + vb.1 * fb.north[2]),
-                ];
-                let tan = row.tangent;
-                let ut = v3[0] * tan[0] + v3[1] * tan[1] + v3[2] * tan[2];
-
-                let (cd, cu) = (row.corner_down as usize, row.corner_up as usize);
-                let eta = row.f + 0.5 * (zeta[cd] + zeta[cu]);
-
-                let grad_bern = (bern[b] - bern[a]) / row.de;
-                let t_e = 0.5 * (t[a] + t[b]);
-
-                // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
-                let lap = (div_u[b] - div_u[a]) / row.de - (zeta[cu] - zeta[cd]) / row.le;
-
-                *u += dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps + nu * lap);
-            }
-        }
+        });
     }
 
     /// One tracer step: kept as a structural hook matching GRIST's slower
@@ -667,7 +811,7 @@ mod tests {
         let (warm, AtmState { grid, .. }) = setup(3, 4);
         let (fresh, _) = setup(3, 4);
         // Warm one dycore on another state, then through a model step at a
-        // different level count (no workspace buffer is sized by it).
+        // different level count (the fields are re-cut for it).
         let mut other = stirred(&grid, 4, 0.0);
         let mut acc = vec![0.0; 4 * other.nedges()];
         for _ in 0..10 {
@@ -708,7 +852,7 @@ mod tests {
             })
             .collect();
         let mut zeta = vec![0.0; grid.ncorners()];
-        dycore.vorticity(&un, &mut zeta);
+        Dycore::vorticity(&dycore.corners, &un, &mut zeta);
         for (t, &z) in zeta.iter().enumerate().step_by(97) {
             let lat = dycore.grid.corners[t].lat();
             let expect = 2.0 * omega * lat.sin();

@@ -6,6 +6,12 @@
 //! `AiSuite` runs the trained CNN tendency module and MLP radiation module
 //! (plus the conventional diagnostic module for precipitation — the paper's
 //! suite keeps a "conventional physics diagnostic module" too).
+//!
+//! The conventional arm is a column phase on the coupler's execution space
+//! (columns are independent: each reads and writes its own cell) followed by
+//! a serial remainder in cell order: the copy of the staged θ and q back to
+//! level-major storage, the half-weight drag scatter onto edges that two
+//! cells share, and the precipitation sum.
 
 use std::sync::Arc;
 
@@ -14,6 +20,7 @@ use ap3esm_physics::constants::{temperature_from_theta, GRAVITY, KAPPA, R_DRY};
 use ap3esm_physics::suite::{
     Column, ColumnPhysicsOutput, ColumnScratch, ConventionalSuite, SurfaceProperties,
 };
+use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
 
 use crate::state::AtmState;
 use crate::P_REF;
@@ -54,51 +61,109 @@ pub enum PhysicsDriver {
     },
 }
 
-/// Applies a physics suite to the whole atmosphere state.
-pub struct PhysicsDynamicsCoupler {
-    pub driver: PhysicsDriver,
-    /// Lowest-level (east, north) wind per cell.
-    cell_vectors: Vec<(f64, f64)>,
-    /// One column of input, output and suite scratch, reused for every cell
-    /// of every call.
+/// One column of input, output and suite scratch, reused for every cell a
+/// lane steps. Every entry is written before it is read within a cell.
+struct LaneColumn {
     column: Column,
     out: ColumnPhysicsOutput,
     scratch: ColumnScratch,
 }
 
-impl PhysicsDynamicsCoupler {
-    pub fn new(driver: PhysicsDriver) -> Self {
-        PhysicsDynamicsCoupler {
-            driver,
-            cell_vectors: Vec::new(),
+impl LaneColumn {
+    fn new() -> Self {
+        LaneColumn {
             column: Column::zeros(0),
             out: ColumnPhysicsOutput::zeros(0),
             scratch: ColumnScratch::default(),
         }
     }
+}
 
-    /// Fill `col` (sized for `state.nlev`) with one cell's physics column.
-    fn fill_column(state: &AtmState, cell_vectors: &[(f64, f64)], i: usize, col: &mut Column) {
-        let n = state.ncells();
-        let ps = state.ps[i];
-        let (ue, un) = cell_vectors[i];
-        for k in 0..state.nlev {
-            let pk = state.sigma[k] * ps;
-            col.p[k] = pk;
-            col.dp[k] = state.dsigma[k] * ps;
-            col.t[k] = temperature_from_theta(state.theta[k * n + i], pk);
-            col.dz[k] = R_DRY * col.t[k] * col.dp[k] / (col.p[k] * GRAVITY);
-            col.u[k] = ue;
-            col.v[k] = un;
-            col.q[k] = state.q[k * n + i];
+/// The prognostic fields a physics column is read from, and the lowest-level
+/// (east, north) wind per cell.
+struct Profiles<'a> {
+    sigma: &'a [f64],
+    dsigma: &'a [f64],
+    ps: &'a [f64],
+    theta: &'a [f64],
+    q: &'a [f64],
+    winds: &'a [(f64, f64)],
+}
+
+impl<'a> Profiles<'a> {
+    fn of(state: &'a AtmState, winds: &'a [(f64, f64)]) -> Self {
+        Profiles {
+            sigma: &state.sigma,
+            dsigma: &state.dsigma,
+            ps: &state.ps,
+            theta: &state.theta,
+            q: &state.q,
+            winds,
         }
     }
 
-    /// Extract one cell's physics column from the prognostic state.
-    fn build_column(state: &AtmState, cell_vectors: &[(f64, f64)], i: usize) -> Column {
-        let mut col = Column::zeros(state.nlev);
-        Self::fill_column(state, cell_vectors, i, &mut col);
+    /// Fill `col` (sized for the state's levels) with cell `i`'s column.
+    fn fill(&self, i: usize, col: &mut Column) {
+        let n = self.ps.len();
+        let ps = self.ps[i];
+        let (ue, un) = self.winds[i];
+        for k in 0..self.sigma.len() {
+            let pk = self.sigma[k] * ps;
+            col.p[k] = pk;
+            col.dp[k] = self.dsigma[k] * ps;
+            col.t[k] = temperature_from_theta(self.theta[k * n + i], pk);
+            col.dz[k] = R_DRY * col.t[k] * col.dp[k] / (col.p[k] * GRAVITY);
+            col.u[k] = ue;
+            col.v[k] = un;
+            col.q[k] = self.q[k * n + i];
+        }
+    }
+
+    /// Cell `i`'s column, freshly allocated.
+    fn column(&self, i: usize) -> Column {
+        let mut col = Column::zeros(self.sigma.len());
+        self.fill(i, &mut col);
         col
+    }
+}
+
+/// Applies a physics suite to the whole atmosphere state.
+pub struct PhysicsDynamicsCoupler {
+    pub driver: PhysicsDriver,
+    /// Where the column phase runs.
+    space: Arc<dyn ExecSpace>,
+    /// Lowest-level (east, north) wind per cell.
+    cell_vectors: Vec<(f64, f64)>,
+    /// A column set per kernel of the column phase.
+    lanes: PerLane<LaneColumn>,
+    /// What the column phase leaves per cell for the serial remainder:
+    /// the new θ then q of every level (cell-major), the lowest-level drag
+    /// increment (du, dv), and the precipitation rate.
+    staged: Vec<f64>,
+    drag: Vec<f64>,
+    precip: Vec<f64>,
+}
+
+impl PhysicsDynamicsCoupler {
+    /// Steps columns on one lane until a space is attached with
+    /// [`PhysicsDynamicsCoupler::on`].
+    pub fn new(driver: PhysicsDriver) -> Self {
+        PhysicsDynamicsCoupler {
+            driver,
+            space: Arc::new(Serial),
+            cell_vectors: Vec::new(),
+            lanes: PerLane::default(),
+            staged: Vec::new(),
+            drag: Vec::new(),
+            precip: Vec::new(),
+        }
+    }
+
+    /// Run the column phase on `space`. The answer does not depend on it,
+    /// bit for bit.
+    pub fn on(mut self, space: Arc<dyn ExecSpace>) -> Self {
+        self.space = space;
+        self
     }
 
     /// Apply one physics step of length `dt` to every column. Returns the
@@ -116,52 +181,119 @@ impl PhysicsDynamicsCoupler {
         );
         let Self {
             driver,
+            space,
             cell_vectors,
-            column,
-            out,
-            scratch,
+            lanes,
+            staged,
+            drag,
+            precip,
         } = self;
-        let grid = Arc::clone(&state.grid);
-        grid.reconstruct_cell_vectors_into(&state.un[0..state.nedges()], cell_vectors);
+        state
+            .grid
+            .reconstruct_cell_vectors_into(&state.un[0..state.nedges()], cell_vectors);
         let mut total_precip = 0.0;
         let mut total_area = 0.0;
 
         match driver {
             PhysicsDriver::Conventional(suite) => {
-                if column.nlev() != nlev {
-                    *column = Column::zeros(nlev);
-                    *out = ColumnPhysicsOutput::zeros(nlev);
-                }
-                suite.prepare_scratch(nlev, scratch);
-                for (i, stencil) in grid.cell_stencils.iter().enumerate() {
-                    Self::fill_column(state, cell_vectors, i, column);
-                    let sfc = SurfaceProperties {
-                        tskin: forcing.tskin[i],
-                        coszr: forcing.coszr[i],
-                        wetness: forcing.wetness[i],
-                    };
-                    suite.step_column_into(column, &sfc, out, scratch);
-                    for k in 0..nlev {
-                        let idx = k * n + i;
-                        // Tendencies on T converted back to θ.
-                        let pk = state.sigma[k] * state.ps[i];
-                        let factor = (P_REF / pk).powf(KAPPA);
-                        state.theta[idx] += dt * out.dt[k] * factor;
-                        state.q[idx] = (state.q[idx] + dt * out.dq[k]).max(0.0);
+                lanes.grow(space.concurrency(), LaneColumn::new);
+                for lane in lanes.iter_mut() {
+                    if lane.column.nlev() != nlev {
+                        lane.column = Column::zeros(nlev);
+                        lane.out = ColumnPhysicsOutput::zeros(nlev);
                     }
-                    state.gsw[i] = out.gsw;
-                    state.glw[i] = out.glw;
-                    state.precip_accum[i] += out.precipitation * dt;
-                    total_precip += out.precipitation * grid.cell_areas[i];
+                    suite.prepare_scratch(nlev, &mut lane.scratch);
+                }
+                staged.resize(2 * nlev * n, 0.0);
+                drag.resize(2 * n, 0.0);
+                precip.resize(n, 0.0);
+                let AtmState {
+                    grid,
+                    sigma,
+                    dsigma,
+                    ps,
+                    theta,
+                    q,
+                    un,
+                    gsw,
+                    glw,
+                    precip_accum,
+                    ..
+                } = state;
+                let profiles = Profiles {
+                    sigma,
+                    dsigma,
+                    ps,
+                    theta,
+                    q,
+                    winds: cell_vectors,
+                };
+                let (suite, lanes) = (&*suite, &*lanes);
+
+                // --- Column phase: every cell's outputs from its own column. ---
+                for_chunks_mut(
+                    &**space,
+                    n,
+                    [
+                        &mut staged[..],
+                        &mut drag[..],
+                        &mut precip[..],
+                        &mut gsw[..],
+                        &mut glw[..],
+                        &mut precip_accum[..],
+                    ],
+                    |r, [staged, drag, precip, gsw, glw, precip_accum]| {
+                        let mut lane = lanes.take();
+                        let LaneColumn {
+                            column,
+                            out,
+                            scratch,
+                        } = &mut *lane;
+                        for (j, i) in r.enumerate() {
+                            profiles.fill(i, column);
+                            let sfc = SurfaceProperties {
+                                tskin: forcing.tskin[i],
+                                coszr: forcing.coszr[i],
+                                wetness: forcing.wetness[i],
+                            };
+                            suite.step_column_into(column, &sfc, out, scratch);
+                            let (new_theta, new_q) =
+                                staged[2 * nlev * j..2 * nlev * (j + 1)].split_at_mut(nlev);
+                            for k in 0..nlev {
+                                let idx = k * n + i;
+                                // Tendencies on T converted back to θ.
+                                let pk = profiles.sigma[k] * profiles.ps[i];
+                                let factor = (P_REF / pk).powf(KAPPA);
+                                new_theta[k] = profiles.theta[idx] + dt * out.dt[k] * factor;
+                                new_q[k] = (profiles.q[idx] + dt * out.dq[k]).max(0.0);
+                            }
+                            gsw[j] = out.gsw;
+                            glw[j] = out.glw;
+                            precip_accum[j] += out.precipitation * dt;
+                            precip[j] = out.precipitation;
+                            drag[2 * j] = out.du[0] * dt;
+                            drag[2 * j + 1] = out.dv[0] * dt;
+                        }
+                    },
+                );
+
+                // --- Serial remainder, in cell order. ---
+                for (i, new) in staged.chunks_exact(2 * nlev).enumerate() {
+                    for k in 0..nlev {
+                        theta[k * n + i] = new[k];
+                        q[k * n + i] = new[nlev + k];
+                    }
+                }
+                for (i, stencil) in grid.cell_stencils.iter().enumerate() {
+                    total_precip += precip[i] * grid.cell_areas[i];
                     total_area += grid.cell_areas[i];
                     // Momentum tendency: distribute the lowest-level drag
                     // onto the cell's edges (dominant PBL effect).
-                    let du = out.du[0] * dt;
-                    let dv = out.dv[0] * dt;
+                    let (du, dv) = (drag[2 * i], drag[2 * i + 1]);
                     for (edge, n_east, n_north) in stencil.slots() {
                         let proj = du * n_east + dv * n_north;
                         // Each edge is shared by two cells; half weight.
-                        state.un[edge] += 0.5 * proj;
+                        un[edge] += 0.5 * proj;
                     }
                 }
             }
@@ -174,7 +306,7 @@ impl PhysicsDynamicsCoupler {
                 // efficient tensor kernels" path of §5.2.1).
                 let columns: Vec<ColumnState> = (0..n)
                     .map(|i| {
-                        let col = Self::build_column(state, cell_vectors, i);
+                        let col = Profiles::of(state, cell_vectors).column(i);
                         ColumnState {
                             u: col.u,
                             v: col.v,
@@ -222,7 +354,7 @@ impl PhysicsDynamicsCoupler {
                     state.gsw[i] = rads[i].gsw;
                     state.glw[i] = rads[i].glw;
                     // Conventional diagnostic module: precipitation.
-                    let col = Self::build_column(state, cell_vectors, i);
+                    let col = Profiles::of(state, cell_vectors).column(i);
                     let conv = diagnostics.convection.column(
                         &col.t, &col.q, &col.p, &col.dp, &col.dz,
                     );

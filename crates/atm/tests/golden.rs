@@ -3,7 +3,8 @@
 //! the conventional physics path (PR 13); any change to the operand order of
 //! a model expression moves them. `reference::RefDycore` is that commit's
 //! `step_dyn`, kept here only: the property test compares the library against
-//! it on random states.
+//! it on random states. The same hashes must come out of every execution
+//! space the phases can run on: any lane count, any tiling.
 
 use std::sync::Arc;
 
@@ -11,7 +12,11 @@ use ap3esm_atm::pdc::SurfaceForcing;
 use ap3esm_atm::{AtmState, Dycore, DycoreConfig, PhysicsDriver, PhysicsDynamicsCoupler};
 use ap3esm_grid::GeodesicGrid;
 use ap3esm_physics::suite::ConventionalSuite;
+use ap3esm_pp::{ExecSpace, Serial, SimulatedCpe, Threads};
 use proptest::prelude::*;
+
+/// `None`: as `Dycore::new` / `PhysicsDynamicsCoupler::new` build them.
+type Space = Option<Arc<dyn ExecSpace>>;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -69,17 +74,48 @@ fn windy_state(grid: &Arc<GeodesicGrid>, nlev: usize) -> AtmState {
     state
 }
 
-fn dycore_for(grid: &Arc<GeodesicGrid>) -> Dycore {
-    Dycore::new(
+fn dycore_for(grid: &Arc<GeodesicGrid>, space: &Space) -> Dycore {
+    let dycore = Dycore::new(
         Arc::clone(grid),
         DycoreConfig::for_spacing_km(grid.mean_spacing_km()),
-    )
+    );
+    match space {
+        Some(space) => dycore.on(Arc::clone(space)),
+        None => dycore,
+    }
+}
+
+fn conventional_physics(space: &Space) -> PhysicsDynamicsCoupler {
+    let pdc =
+        PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(ConventionalSuite::default()));
+    match space {
+        Some(space) => pdc.on(Arc::clone(space)),
+        None => pdc,
+    }
+}
+
+/// A surface that varies with latitude and mixes ocean, land and half-wet
+/// cells.
+fn mixed_surface(grid: &GeodesicGrid) -> SurfaceForcing {
+    let n = grid.ncells();
+    let mut forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
+    for i in 0..n {
+        let (lat, lon) = (grid.cells[i].lat(), grid.cells[i].lon());
+        forcing.tskin[i] = 273.0 + 29.0 * lat.cos().powi(2);
+        forcing.coszr[i] = (lat.cos() * lon.cos()).max(0.0);
+        forcing.wetness[i] = [1.0, 0.0, 0.35][i % 3];
+    }
+    forcing
 }
 
 /// (a) 40 dynamics substeps at G4 × 5.
 fn dyn_substeps_hash() -> u64 {
+    dyn_substeps_hash_on(&None)
+}
+
+fn dyn_substeps_hash_on(space: &Space) -> u64 {
     let grid = Arc::new(GeodesicGrid::new(4));
-    let dycore = dycore_for(&grid);
+    let dycore = dycore_for(&grid, space);
     let mut state = windy_state(&grid, 5);
     let mut acc = vec![0.0; 5 * state.nedges()];
     for _ in 0..40 {
@@ -92,19 +128,15 @@ fn dyn_substeps_hash() -> u64 {
 /// (b) 6 model steps of dynamics + conventional physics under a surface that
 /// varies with latitude and mixes ocean, land and half-wet cells.
 fn model_steps_hash(glevel: u32, nlev: usize) -> u64 {
+    model_steps_hash_on(glevel, nlev, &None)
+}
+
+fn model_steps_hash_on(glevel: u32, nlev: usize, space: &Space) -> u64 {
     let grid = Arc::new(GeodesicGrid::new(glevel));
-    let dycore = dycore_for(&grid);
+    let dycore = dycore_for(&grid, space);
     let mut state = windy_state(&grid, nlev);
-    let n = state.ncells();
-    let mut forcing = SurfaceForcing::uniform(n, 288.0, 0.0, 1.0);
-    for i in 0..n {
-        let (lat, lon) = (grid.cells[i].lat(), grid.cells[i].lon());
-        forcing.tskin[i] = 273.0 + 29.0 * lat.cos().powi(2);
-        forcing.coszr[i] = (lat.cos() * lon.cos()).max(0.0);
-        forcing.wetness[i] = [1.0, 0.0, 0.35][i % 3];
-    }
-    let mut pdc =
-        PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(ConventionalSuite::default()));
+    let forcing = mixed_surface(&grid);
+    let mut pdc = conventional_physics(space);
     for _ in 0..6 {
         dycore.step_model_dynamics(&mut state);
         pdc.apply(&mut state, &forcing, dycore.config.dt_model);
@@ -134,6 +166,37 @@ fn model_steps_match_parent_bitwise() {
     assert_eq!(g2, GOLDEN_MODEL_G2X6, "G2 x 6 (pentagon-heavy): {g2:#x}");
 }
 
+/// The same three hashes from one lane, from teams of one to four lanes (more
+/// lanes than this box has cores: ranges change hands), and from LDM tiles of
+/// two indices: two levels of five or six, two cells of 162 to 2562.
+#[test]
+fn goldens_hold_on_every_execution_space() {
+    let mut spaces: Vec<(String, Space)> = vec![("serial".into(), Some(Arc::new(Serial)))];
+    for lanes in 1..=4 {
+        spaces.push((
+            format!("threads({lanes})"),
+            Some(Arc::new(Threads::new(lanes))),
+        ));
+    }
+    spaces.push((
+        "simulated-cpe, 2 per tile".into(),
+        Some(Arc::new(SimulatedCpe::new(64, 16, 8))),
+    ));
+    for (name, space) in &spaces {
+        assert_eq!(dyn_substeps_hash_on(space), GOLDEN_DYN_G4X5, "{name}");
+        assert_eq!(
+            model_steps_hash_on(3, 5, space),
+            GOLDEN_MODEL_G3X5,
+            "{name}"
+        );
+        assert_eq!(
+            model_steps_hash_on(2, 6, space),
+            GOLDEN_MODEL_G2X6,
+            "{name}"
+        );
+    }
+}
+
 /// xorshift64* stream for the property test's random states.
 struct Noise(u64);
 
@@ -152,8 +215,52 @@ impl Noise {
     }
 }
 
+/// A random state: noisy pₛ, θ, q (some of it negative) and winds.
+fn noisy_state(grid: &Arc<GeodesicGrid>, nlev: usize, seed: u64) -> AtmState {
+    let mut noise = Noise(seed | 1);
+    let mut state = AtmState::isothermal(Arc::clone(grid), nlev, 285.0);
+    for p in state.ps.iter_mut() {
+        *p += noise.between(-400.0, 400.0);
+    }
+    for th in state.theta.iter_mut() {
+        *th += noise.between(-3.0, 3.0);
+    }
+    for q in state.q.iter_mut() {
+        *q = noise.between(-2.0e-4, 8.0e-3);
+    }
+    for u in state.un.iter_mut() {
+        *u = noise.between(-15.0, 15.0);
+    }
+    state
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A model step of dynamics and a physics step on a team of any size
+    /// equal the one-lane step, bit for bit, on any state, level count and
+    /// mesh.
+    #[test]
+    fn lane_count_changes_no_bit(
+        glevel in 1u32..4,
+        nlev in 1usize..9,
+        lanes in 1usize..=7,
+        seed in any::<u64>(),
+    ) {
+        let grid = Arc::new(GeodesicGrid::new(glevel));
+        let forcing = mixed_surface(&grid);
+        let step = |space: &Space| {
+            let dycore = dycore_for(&grid, space);
+            let mut pdc = conventional_physics(space);
+            let mut state = noisy_state(&grid, nlev, seed);
+            for _ in 0..2 {
+                dycore.step_model_dynamics(&mut state);
+                pdc.apply(&mut state, &forcing, dycore.config.dt_model);
+            }
+            state_hash(&state, &[])
+        };
+        prop_assert_eq!(step(&Some(Arc::new(Threads::new(lanes)))), step(&None));
+    }
 
     /// The table-driven `step_dyn` equals the parent's on any state, level
     /// count and mesh, bit for bit, including a reused `Dycore` whose
@@ -168,20 +275,7 @@ proptest! {
         let config = DycoreConfig::for_spacing_km(grid.mean_spacing_km());
         let dycore = Dycore::new(Arc::clone(&grid), config);
         let reference = reference::RefDycore::new(Arc::clone(&grid), config);
-        let mut noise = Noise(seed | 1);
-        let mut state = AtmState::isothermal(Arc::clone(&grid), nlev, 285.0);
-        for p in state.ps.iter_mut() {
-            *p += noise.between(-400.0, 400.0);
-        }
-        for th in state.theta.iter_mut() {
-            *th += noise.between(-3.0, 3.0);
-        }
-        for q in state.q.iter_mut() {
-            *q = noise.between(-2.0e-4, 8.0e-3);
-        }
-        for u in state.un.iter_mut() {
-            *u = noise.between(-15.0, 15.0);
-        }
+        let mut state = noisy_state(&grid, nlev, seed);
         let mut expect = state.clone();
         let mut acc = vec![0.0; nlev * state.nedges()];
         let mut acc_expect = acc.clone();

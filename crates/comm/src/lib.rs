@@ -33,7 +33,9 @@ pub use faultplan::{
 };
 pub use halo::{HaloExchange, HaloSpec};
 pub use stats::CommStats;
-pub use world::{Membership, MembershipVerdict, Rank, RecvHandle, SubComm, World};
+pub use world::{
+    live_rank_threads, Membership, MembershipVerdict, Rank, RecvHandle, SubComm, World,
+};
 
 /// Errors surfaced by the communication layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

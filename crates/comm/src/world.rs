@@ -126,6 +126,36 @@ struct WorldShared {
     blackbox: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
+/// Rank threads of every [`World::run`] in flight in this process.
+static LIVE_RANK_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// How many rank threads are alive in this process right now: the ranks of
+/// every world between the start and the end of its [`World::run`] — all of a
+/// world's ranks from before the first is spawned, so no rank can see a
+/// sibling missing. What a component divides the machine's cores by when it
+/// sizes a thread team inside its rank (`rank.size()` would not do: two
+/// one-rank worlds side by side, campaign members or parallel tests, are two
+/// threads on the same cores).
+pub fn live_rank_threads() -> usize {
+    LIVE_RANK_THREADS.load(Ordering::SeqCst)
+}
+
+/// Counts a world's ranks as alive for as long as it lives.
+struct LiveRanks(usize);
+
+impl LiveRanks {
+    fn enter(n: usize) -> Self {
+        LIVE_RANK_THREADS.fetch_add(n, Ordering::SeqCst);
+        LiveRanks(n)
+    }
+}
+
+impl Drop for LiveRanks {
+    fn drop(&mut self) {
+        LIVE_RANK_THREADS.fetch_sub(self.0, Ordering::SeqCst);
+    }
+}
+
 /// A communication world of `n` ranks, each running on its own OS thread.
 ///
 /// `World::run` mirrors `mpirun -np N`: it spawns the ranks, hands each a
@@ -208,6 +238,7 @@ impl World {
     pub fn run<R: Send>(&self, f: impl Fn(&Rank) -> R + Sync) -> Vec<R> {
         let shared = &self.shared;
         let mut results: Vec<Option<R>> = (0..shared.n).map(|_| None).collect();
+        let _live = LiveRanks::enter(shared.n);
         crossbeam::scope(|s| {
             let mut handles = Vec::with_capacity(shared.n);
             for (id, slot) in results.iter_mut().enumerate() {
@@ -970,6 +1001,21 @@ impl SubComm<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Other tests of this binary run worlds of their own at the same time,
+    /// so the count is bounded from below only.
+    #[test]
+    fn every_rank_sees_all_its_siblings_alive() {
+        let seen = World::new(3).run(|rank| {
+            let at_start = live_rank_threads();
+            rank.barrier();
+            (at_start, live_rank_threads())
+        });
+        assert!(seen.iter().all(|&(a, b)| a >= 3 && b >= 3), "{seen:?}");
+        // A nested world counts on top of the one it runs in.
+        let nested = World::new(1).run(|_| World::new(2).run(|_| live_rank_threads()));
+        assert!(nested[0].iter().all(|&live| live >= 3), "{nested:?}");
+    }
 
     #[test]
     fn ping_pong_two_ranks() {

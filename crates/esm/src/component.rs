@@ -27,6 +27,7 @@ use ap3esm_lnd::{LndForcing, LndModel};
 use ap3esm_ocn::model::{OcnConfig, OcnForcing, OcnModel};
 use ap3esm_physics::constants::temperature_from_theta;
 use ap3esm_physics::ConventionalSuite;
+use ap3esm_pp::{ExecSpace, Serial, Threads};
 
 use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, Perturbation, SstPattern};
@@ -193,11 +194,24 @@ fn whole_steps(seconds: f64, dt: f64) -> usize {
     ((seconds / dt).round() as usize).max(1)
 }
 
+/// Lanes for a thread team inside a rank built now: the machine's cores
+/// shared out among the rank threads alive in this process (not
+/// `rank.size()`: worlds running side by side share the same cores), at
+/// least one. Measured, not configured: a one-rank world on an idle process
+/// gets every core, the ranks of a concurrent layout, campaign members and
+/// parallel test worlds get one lane each and spawn nothing.
+fn lanes_per_rank() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
+    (cores / ap3esm_comm::live_rank_threads().max(1)).max(1)
+}
+
 /// The GRIST-analogue atmosphere: dycore + physics on the geodesic grid.
 pub struct Atm {
     pub state: AtmState,
     dycore: Dycore,
     pdc: PhysicsDynamicsCoupler,
+    /// Lanes the dycore phases and the physics columns run on.
+    lanes: usize,
     forcing: SurfaceForcing,
     guard: AtmGuard,
     /// Precipitation rate over the last `run` (kg/m²/s); during a `run` it
@@ -246,11 +260,32 @@ impl Atm {
             state,
             dycore,
             pdc,
+            lanes: 1,
             forcing: SurfaceForcing::uniform(n, 288.0, 0.0, 1.0),
             guard,
             precip_rate: vec![0.0; n],
             tracking: opts.record_track && opts.vortex.is_some(),
         }
+        .with_lanes(lanes_per_rank())
+    }
+
+    /// Step on a team of `lanes` (one lane: the calling thread alone). The
+    /// answer does not depend on it, bit for bit.
+    pub fn with_lanes(mut self, lanes: usize) -> Self {
+        let space: Arc<dyn ExecSpace> = if lanes > 1 {
+            Arc::new(Threads::new(lanes))
+        } else {
+            Arc::new(Serial)
+        };
+        self.lanes = space.concurrency();
+        self.dycore = self.dycore.on(Arc::clone(&space));
+        self.pdc = self.pdc.on(space);
+        ap3esm_obs::gauge_set("atm.lanes", self.lanes as f64);
+        self
+    }
+
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 }
 

@@ -4,9 +4,10 @@
 //! while the device computes. [`Hybrid`] splits every index range between
 //! a host and a device execution space by a tunable fraction.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::exec::ExecSpace;
+use crate::exec::{sealed, ExecSpace};
 
 /// Runs the leading `device_fraction` of each range on the device space
 /// and the rest on the host space, concurrently.
@@ -50,6 +51,8 @@ impl<D: ExecSpace, H: ExecSpace> Hybrid<D, H> {
     }
 }
 
+impl<D: ExecSpace, H: ExecSpace> sealed::Sealed for Hybrid<D, H> {}
+
 impl<D: ExecSpace, H: ExecSpace> ExecSpace for Hybrid<D, H> {
     fn name(&self) -> &'static str {
         "hybrid-host-device"
@@ -73,6 +76,24 @@ impl<D: ExecSpace, H: ExecSpace> ExecSpace for Hybrid<D, H> {
         crossbeam::scope(|s| {
             s.spawn(|_| self.device.for_each(cut, f));
             self.host.for_each(n - cut, &|i| f(cut + i));
+        })
+        .expect("hybrid scope");
+    }
+
+    /// The device's ranges cover `0..cut`, the host's `cut..n`.
+    fn for_chunks(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
+        self.launches.fetch_add(1, Ordering::Relaxed);
+        let cut = self.split(n);
+        if cut == 0 {
+            return self.host.for_chunks(n, f);
+        }
+        if cut == n {
+            return self.device.for_chunks(n, f);
+        }
+        crossbeam::scope(|s| {
+            s.spawn(|_| self.device.for_chunks(cut, f));
+            self.host
+                .for_chunks(n - cut, &|r| f(cut + r.start..cut + r.end));
         })
         .expect("hybrid scope");
     }

@@ -10,8 +10,10 @@
 //!
 //! * [`Serial`] — reference single-thread backend (the paper's "MPE-only"
 //!   execution path),
-//! * [`Threads`] — a work-stealing thread-pool backend (stands in for the
-//!   host-parallel/GPU paths),
+//! * [`Threads`] — a persistent lane team (stands in for the
+//!   host-parallel/GPU paths): fixed ranges per lane for model loops
+//!   ([`ExecSpace::for_chunks`], [`for_chunks_mut`]), dynamic grabbing for
+//!   task pools (`for_each`),
 //! * [`SimulatedCpe`] — an emulation of one Sunway core group: 64 compute
 //!   processing elements with a small local device memory (LDM), which forces
 //!   kernels through the same tiling discipline the real CPE code uses,
@@ -34,7 +36,7 @@ pub use hybrid::Hybrid;
 pub use mdrange::MDRangePolicy;
 pub use profile::{measure, KernelProfile, SampleSet, SampleSummary, TileProfiler};
 pub use registry::{KernelArgs, KernelRegistry};
-pub use shared::SharedSlice;
+pub use shared::{for_chunks_mut, PerLane, SharedSlice};
 pub use view::{Layout, View, View3};
 
 /// Convenience: run `f(i)` for `i in 0..n` on the given execution space.

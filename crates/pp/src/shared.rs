@@ -1,8 +1,127 @@
 //! Disjoint-write shared slices — the OpenMP "parallel loop writes its own
 //! index" pattern that SWGOMP generates for GRIST loops (§5.1.1: "most of
-//! the GRIST loops are conflict-free").
+//! the GRIST loops are conflict-free"). [`for_chunks_mut`] is the safe form
+//! for kernels whose outputs are contiguous per index range;
+//! [`SharedSlice`] the unsafe one for arbitrary one-writer index sets.
 
 use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard};
+
+use crate::exec::ExecSpace;
+
+/// The part of a `len`-long array holding `len / n` entries per index that
+/// belongs to `range` of the index space `0..n` — a level-major field over a
+/// range of levels, an interleaved field over a range of cells, an empty
+/// array (an optional output left out) over anything. Disjoint ranges get
+/// disjoint parts.
+fn carve(len: usize, n: usize, range: &Range<usize>) -> Range<usize> {
+    let stride = len.checked_div(n).unwrap_or(0);
+    assert_eq!(
+        stride * n,
+        len,
+        "{len} entries do not divide among {n} indices"
+    );
+    stride * range.start..stride * range.end
+}
+
+/// A `&mut [T]` taken apart so that the lanes of a phase can each be handed
+/// their own part of it.
+struct RawSlice<T> {
+    ptr: *mut T,
+    len: usize,
+}
+
+impl<T> Clone for RawSlice<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for RawSlice<T> {}
+
+// SAFETY: only `for_chunks_mut` builds one, from a `&mut [T]` it holds for
+// the whole phase, and each lane turns it back into a `&mut` of a part no
+// other lane gets; `T: Send` because those parts are written on other
+// threads.
+unsafe impl<T: Send> Sync for RawSlice<T> {}
+
+/// Run `f(range, parts)` over contiguous ranges covering `0..n` on `space`
+/// (see [`ExecSpace::for_chunks`]), where `parts[j]` is the part of `outs[j]`
+/// that belongs to `range`: with `s = outs[j].len() / n` entries per index,
+/// `outs[j][s·range.start .. s·range.end]`. A kernel receives exactly the
+/// output entries of its own indices, so a phase that reads shared inputs
+/// and writes per-index outputs needs no `unsafe` and gives the same bits
+/// however the space cuts the range.
+pub fn for_chunks_mut<E, T, const K: usize>(
+    space: &E,
+    n: usize,
+    outs: [&mut [T]; K],
+    f: impl Fn(Range<usize>, [&mut [T]; K]) + Sync,
+) where
+    E: ExecSpace + ?Sized,
+    T: Send,
+{
+    let raw = outs.map(|out| RawSlice {
+        ptr: out.as_mut_ptr(),
+        len: out.len(),
+    });
+    space.for_chunks(n, &|range| {
+        assert!(range.start <= range.end && range.end <= n);
+        let parts = raw.map(|out| {
+            let part = carve(out.len, n, &range);
+            // SAFETY: `part` lies within `0..out.len` (checked above:
+            // `range` lies within `0..n`), the allocation is exclusively
+            // borrowed by this call through `outs`, and the ranges of one
+            // `for_chunks` call are pairwise disjoint (only this crate
+            // implements `ExecSpace`), hence so are the parts: no two
+            // `&mut` handed out here overlap, and none outlives the call
+            // (`f` takes them at any lifetime, so it cannot keep them).
+            unsafe { std::slice::from_raw_parts_mut(out.ptr.add(part.start), part.len()) }
+        });
+        f(range, parts);
+    });
+}
+
+/// Scratch for the kernels of a phase: one set per kernel that can run at
+/// once ([`ExecSpace::concurrency`] bounds that), and a kernel takes
+/// whichever set is free for as long as it runs. A set is not tied to a
+/// range or to a thread, so whatever a kernel leaves in one must not matter
+/// to the next: write before read.
+pub struct PerLane<T> {
+    sets: Vec<Mutex<T>>,
+}
+
+impl<T> Default for PerLane<T> {
+    fn default() -> Self {
+        PerLane { sets: Vec::new() }
+    }
+}
+
+impl<T> PerLane<T> {
+    /// Add sets until there are `count`.
+    pub fn grow(&mut self, count: usize, make: impl Fn() -> T) {
+        while self.sets.len() < count {
+            self.sets.push(Mutex::new(make()));
+        }
+    }
+
+    /// Every set, while no phase is running.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.sets
+            .iter_mut()
+            .map(|set| set.get_mut().expect("a kernel panicked holding this set"))
+    }
+
+    /// A set no other kernel holds. Panics if there are fewer sets than
+    /// kernels running.
+    pub fn take(&self) -> MutexGuard<'_, T> {
+        self.sets
+            .iter()
+            .find_map(|set| set.try_lock().ok())
+            .expect("a scratch set per kernel the space runs at once")
+    }
+}
 
 /// A slice handle that permits concurrent writes from a data-parallel loop
 /// **provided each index is written by at most one iteration** — the
@@ -60,7 +179,7 @@ impl<'a, T> SharedSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecSpace, Threads};
+    use crate::exec::{Serial, SimulatedCpe, Threads};
 
     #[test]
     fn parallel_disjoint_writes_land() {
@@ -73,6 +192,66 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i * 3);
         }
+    }
+
+    #[test]
+    fn carve_cuts_by_stride() {
+        assert_eq!(carve(30, 10, &(2..5)), 6..15);
+        assert_eq!(carve(10, 10, &(0..10)), 0..10);
+        assert_eq!(carve(0, 10, &(2..5)), 0..0);
+        assert_eq!(carve(0, 0, &(0..0)), 0..0);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not divide")]
+    fn an_output_must_hold_whole_entries_per_index() {
+        for_chunks_mut(&Serial, 10, [&mut [0.0; 7][..]], |_, _| ());
+    }
+
+    #[test]
+    fn chunked_outputs_are_the_same_on_every_space() {
+        let n = 1000;
+        let run = |space: &dyn ExecSpace| {
+            let (mut one, mut three) = (vec![0.0; n], vec![0.0; 3 * n]);
+            for_chunks_mut(
+                space,
+                n,
+                [&mut one[..], &mut three[..], &mut []],
+                |range, [one, three, none]| {
+                    assert!(none.is_empty());
+                    for (j, i) in range.enumerate() {
+                        one[j] = i as f64;
+                        three[3 * j + 2] = -(i as f64);
+                    }
+                },
+            );
+            (one, three)
+        };
+        let serial = run(&Serial);
+        assert!(serial.0.iter().enumerate().all(|(i, v)| *v == i as f64));
+        assert_eq!(serial.1[3 * 999 + 2], -999.0);
+        for lanes in 1..=5 {
+            assert_eq!(run(&Threads::new(lanes)), serial, "{lanes} lanes");
+        }
+        assert_eq!(run(&SimulatedCpe::new(64, 256, 8)), serial);
+    }
+
+    #[test]
+    fn kernels_running_at_once_hold_different_sets() {
+        let team = Threads::new(4);
+        let mut sets = PerLane::default();
+        sets.grow(team.concurrency(), || 0usize);
+        sets.grow(2, || 0usize);
+        for _ in 0..200 {
+            team.for_chunks(64, &|range| {
+                let mut set = sets.take();
+                // No one else is in this set: the read and the write pair up.
+                let seen = *set;
+                *set = seen + range.len();
+            });
+        }
+        assert_eq!(sets.iter_mut().map(|s| *s).sum::<usize>(), 200 * 64);
+        assert_eq!(sets.iter_mut().count(), 4);
     }
 
     #[test]

@@ -2,12 +2,33 @@
 # Tier-1 verification: release build, every workspace member's tests (the
 # root package's integration tests alone miss the per-crate unit tests, e.g.
 # the ocean's bitwise goldens), lint-clean clippy, a syntax check of the
-# benchmark pairing script (which takes ~10 min per workload to run).
-# CI runs exactly this; run it locally before pushing.
+# benchmark pairing script (which takes ~10 min per workload to run); then
+# the lanes step. CI runs exactly this (`tier1` and `lanes` as two steps);
+# run it locally before pushing.
+#
+#   scripts/verify.sh [tier1|lanes]     (default: both)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+step=${1:-all}
 
-bash -n scripts/bench_pair.sh
-cargo build --release
-cargo test -q --workspace
-cargo clippy --workspace -- -D warnings
+if [[ $step == all || $step == tier1 ]]; then
+    bash -n scripts/bench_pair.sh
+    cargo build --release
+    cargo test -q --workspace
+    cargo clippy --workspace -- -D warnings
+fi
+
+# The lane team, the atmosphere's goldens across lane counts and execution
+# spaces, its allocation count on a team, and the lanes axis of the coupled
+# layouts — optimized, because a lane waits by spinning and a debug build
+# times the hand-offs differently. Twice: with a binary's tests side by side
+# (more lanes than cores: ranges change hands, lanes yield and park) and one
+# at a time (a team has the cores to itself).
+lanes() {
+    cargo test -q --release -p ap3esm-pp -p ap3esm-atm
+    cargo test -q --release --test layouts lane_count
+}
+if [[ $step == all || $step == lanes ]]; then
+    lanes
+    RUST_TEST_THREADS=1 lanes
+fi

@@ -2,7 +2,8 @@
 //! layout: the ocean's export of coupling *k* is published at coupling
 //! *k + 1* whether it crossed a thread boundary or not, and however long it
 //! took to arrive. So layouts, exchange strategies, message delays, the
-//! recovery layer and a restart in the middle all give the same bits.
+//! recovery layer and a restart in the middle all give the same bits — and
+//! so does the number of lanes the atmosphere steps on inside its rank.
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::cpl::{RearrangeStrategy, Rearranger};
@@ -85,6 +86,70 @@ fn p2p_is_bitwise_alltoall_on_the_five_rank_mesh() {
     let a2a = run(World::new(5), &config, &days(0.5));
     assert_eq!(p2p.ke_series.len(), 2);
     assert_eq!(bits(&p2p), bits(&a2a));
+}
+
+/// One simulated day stepped by hand through a `Coupler` whose atmosphere
+/// was re-teamed to `lanes` (`None`: whatever `Atm::new` measured).
+fn one_day_on(lanes: Option<usize>, strategy: RearrangeStrategy) -> (CoupledStats, usize) {
+    let config = tiny(true, strategy);
+    let grid = config.ocean_grid();
+    let mut out = World::new(1).run(|rank| {
+        let parts = Parts::of_rank(rank, &config);
+        let mut cpl = Coupler::build(rank, &config, &days(1.0), &grid, parts);
+        if let Some(lanes) = lanes {
+            cpl.atm = cpl.atm.take().map(|atm| atm.with_lanes(lanes));
+        }
+        let ran_on = cpl
+            .atm
+            .as_ref()
+            .expect("rank 0 holds the atmosphere")
+            .lanes();
+        let mut timers = Timers::new();
+        let mut stats = CoupledStats::default();
+        while cpl.clock.time < 86_400 {
+            let step = cpl.step(rank, &mut timers, &mut stats);
+            assert_eq!(step.comm_fault, None);
+        }
+        assert_eq!(cpl.finish(rank, &mut timers, &mut stats), None);
+        (stats, ran_on)
+    });
+    out.swap_remove(0)
+}
+
+/// The lanes axis, beside layout × strategy: a three-lane atmosphere (more
+/// lanes than this box has cores) gives the one-lane day bit for bit, which
+/// is the day `run_coupled` gives with whatever lane count it measures.
+#[test]
+fn lane_count_changes_no_bit_of_a_coupled_day() {
+    let strategy = RearrangeStrategy::NonBlockingP2p;
+    let (one, ran_on) = one_day_on(Some(1), strategy);
+    assert_eq!(ran_on, 1);
+    assert_eq!((one.sst_series.len(), one.theta_series.len()), (4, 8));
+    let (three, ran_on) = one_day_on(Some(3), strategy);
+    assert_eq!(ran_on, 3);
+    assert_eq!(bits(&one), bits(&three), "three lanes changed the answer");
+    let (two, _) = one_day_on(Some(2), RearrangeStrategy::AllToAll);
+    assert_eq!(bits(&one), bits(&two), "two lanes, all-to-all");
+    let (measured, ran_on) = one_day_on(None, strategy);
+    assert!(ran_on >= 1);
+    assert_eq!(bits(&one), bits(&measured), "{ran_on} lanes (measured)");
+    let driver = run(World::new(1), &tiny(true, strategy), &days(1.0));
+    assert_eq!(
+        bits(&one),
+        bits(&driver),
+        "{} lanes (run_coupled)",
+        driver.atm_lanes
+    );
+    // Two live ranks share the cores: no rank of the two-domain layout gets
+    // more than half of them.
+    let two_domain =
+        World::new(2).run(|rank| run_coupled(rank, &tiny(false, strategy), &days(0.25)));
+    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
+    assert!((1..=(cores / 2).max(1)).contains(&two_domain[0].atm_lanes));
+    assert_eq!(
+        two_domain[1].atm_lanes, 0,
+        "the ocean rank holds no atmosphere"
+    );
 }
 
 /// The lag is in program order, never in arrival time: an export that
