@@ -26,7 +26,7 @@ pub mod stats;
 pub mod world;
 
 pub use collectives::{collective_kind, is_collective_tag};
-pub use events::{trace_epoch, trace_now_us, CommEvent, CommEventKind, CommEventLog};
+pub use events::{trace_epoch, trace_now_us, Event, EventLog, Kind, Name};
 pub use faultplan::{
     scenario_seed, Campaign, ChaosScenario, FaultEvent, FaultInjector, FaultPlan, MsgFault,
     MsgSelector, PlanParseError, ScenarioExpectation,

@@ -13,12 +13,12 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::events::{trace_now_us, CommEvent, CommEventKind, CommEventLog};
+use crate::events::{trace_now_us, Event, EventLog, Kind};
 use crate::faultplan::{FaultInjector, MsgFault};
 use crate::stats::CommStats;
 use crate::CommError;
@@ -114,16 +114,12 @@ struct WorldShared {
     /// Fault-injection hook; `None` in production runs (one pointer check
     /// per send, nothing per receive — zero-cost when disabled).
     injector: Option<Arc<FaultInjector>>,
-    /// Per-rank timestamped send/recv timeline; disabled by default (one
-    /// relaxed load per message when off).
-    events: CommEventLog,
-    /// World-shared diagnostic attachment slot. The comm layer never looks
-    /// inside it: higher layers (the flight recorder in `ap3esm-obs`) use it
-    /// to share one per-world object across all rank threads without
-    /// exchanging messages — so installing it perturbs no fault-plan
-    /// message counts. First `get_or_init` wins; every rank sees the same
-    /// `Arc`.
-    blackbox: OnceLock<Arc<dyn Any + Send + Sync>>,
+    /// The world's event log: `comm` records sends, receives, timeouts and
+    /// stale discards here, the layers above their spans and journal
+    /// entries. Disabled by default (one relaxed load per message when
+    /// off); recording into it exchanges no messages, so it perturbs no
+    /// fault-plan message count.
+    events: Arc<EventLog>,
 }
 
 /// Rank threads of every [`World::run`] in flight in this process.
@@ -180,8 +176,7 @@ impl World {
                 stats: CommStats::default(),
                 recv_timeout: env_recv_timeout(),
                 injector: None,
-                events: CommEventLog::new(n, crate::events::DEFAULT_COMM_EVENT_CAPACITY),
-                blackbox: OnceLock::new(),
+                events: Arc::new(EventLog::new(n)),
             }),
         }
     }
@@ -219,18 +214,10 @@ impl World {
         &self.shared.stats
     }
 
-    /// The world's comm-event timeline (disabled until
-    /// [`CommEventLog::set_enabled`] is called).
-    pub fn comm_events(&self) -> &CommEventLog {
+    /// The world's event log (disabled until [`EventLog::set_enabled`] is
+    /// called).
+    pub fn events(&self) -> &Arc<EventLog> {
         &self.shared.events
-    }
-
-    /// World-shared diagnostic attachment slot. The comm layer never looks
-    /// inside it; higher layers (the obs flight recorder) use it to share
-    /// one recorder across every rank thread without sending messages —
-    /// installing it perturbs no fault-plan message counts.
-    pub fn blackbox(&self) -> &OnceLock<Arc<dyn Any + Send + Sync>> {
-        &self.shared.blackbox
     }
 
     /// Run `f` on every rank concurrently; returns per-rank results in rank
@@ -408,16 +395,10 @@ impl Rank {
         self.shared.injector.as_ref()
     }
 
-    /// The shared comm-event timeline (same instance for every rank, one
-    /// ring per rank).
-    pub fn comm_events(&self) -> &CommEventLog {
+    /// The world's event log (same instance for every rank, one pair of
+    /// rings per physical rank: index it with [`Rank::world_id`]).
+    pub fn events(&self) -> &Arc<EventLog> {
         &self.shared.events
-    }
-
-    /// World-shared diagnostic attachment slot (see [`World::blackbox`]).
-    /// The first `get_or_init` wins; every rank observes the same `Arc`.
-    pub fn blackbox(&self) -> &OnceLock<Arc<dyn Any + Send + Sync>> {
-        &self.shared.blackbox
     }
 
     /// Send `data` to (virtual) rank `dst` under `tag`. Non-blocking in the
@@ -443,14 +424,7 @@ impl Rank {
         if self.shared.events.is_enabled() {
             self.shared.events.record(
                 self.id,
-                CommEvent {
-                    kind: CommEventKind::Send,
-                    ts_us: trace_now_us(),
-                    dur_us: 0,
-                    peer: dst,
-                    tag,
-                    bytes: bytes as u64,
-                },
+                Event::msg(Kind::Send, trace_now_us(), 0, dst, tag, bytes as u64),
             );
         }
         if copies == 0 {
@@ -533,14 +507,7 @@ impl Rank {
                             if self.shared.events.is_enabled() {
                                 self.shared.events.record(
                                     self.id,
-                                    CommEvent {
-                                        kind: CommEventKind::Stale,
-                                        ts_us: trace_now_us(),
-                                        dur_us: 0,
-                                        peer: src,
-                                        tag,
-                                        bytes: 1,
-                                    },
+                                    Event::msg(Kind::Stale, trace_now_us(), 0, src, tag, 1),
                                 );
                             }
                         } else {
@@ -560,14 +527,14 @@ impl Rank {
                         // dropped message shows as a full-timeout stall.
                         self.shared.events.record(
                             self.id,
-                            CommEvent {
-                                kind: CommEventKind::Timeout,
-                                ts_us: ts,
-                                dur_us: trace_now_us().saturating_sub(ts),
-                                peer: src,
+                            Event::msg(
+                                Kind::Timeout,
+                                ts,
+                                trace_now_us().saturating_sub(ts),
+                                src,
                                 tag,
-                                bytes: 0,
-                            },
+                                0,
+                            ),
                         );
                     }
                     return Err(CommError::Deadlock {
@@ -593,14 +560,14 @@ impl Rank {
                 .unwrap_or(0);
             self.shared.events.record(
                 self.id,
-                CommEvent {
-                    kind: CommEventKind::Recv,
-                    ts_us: ts,
-                    dur_us: trace_now_us().saturating_sub(ts),
-                    peer: src,
+                Event::msg(
+                    Kind::Recv,
+                    ts,
+                    trace_now_us().saturating_sub(ts),
+                    src,
                     tag,
                     bytes,
-                },
+                ),
             );
         }
         result
@@ -647,14 +614,7 @@ impl Rank {
             if events_on {
                 self.shared.events.record(
                     self.id,
-                    CommEvent {
-                        kind: CommEventKind::Stale,
-                        ts_us: trace_now_us(),
-                        dur_us: 0,
-                        peer: src,
-                        tag: 0,
-                        bytes: count as u64,
-                    },
+                    Event::msg(Kind::Stale, trace_now_us(), 0, src, 0, count as u64),
                 );
             }
         }
@@ -679,14 +639,7 @@ impl Rank {
                 if self.shared.events.is_enabled() {
                     self.shared.events.record(
                         self.id,
-                        CommEvent {
-                            kind: CommEventKind::Stale,
-                            ts_us: trace_now_us(),
-                            dur_us: 0,
-                            peer: src,
-                            tag,
-                            bytes: 1,
-                        },
+                        Event::msg(Kind::Stale, trace_now_us(), 0, src, tag, 1),
                     );
                 }
             } else {
@@ -1217,10 +1170,9 @@ mod tests {
     }
 
     #[test]
-    fn comm_event_timeline_records_sends_and_blocking_recvs() {
-        use crate::events::CommEventKind;
+    fn event_log_records_sends_and_blocking_recvs() {
         let world = World::new(2);
-        world.comm_events().set_enabled(true);
+        world.events().set_enabled(true);
         world.run(|rank| {
             if rank.id() == 0 {
                 rank.send(1, 9, vec![0u64; 50]);
@@ -1228,21 +1180,22 @@ mod tests {
                 rank.recv::<u64>(0, 9).unwrap();
             }
         });
-        let (sends, d0) = world.comm_events().take(0);
-        let (recvs, d1) = world.comm_events().take(1);
-        assert_eq!((d0, d1), (0, 0));
+        let log = world.events();
+        let snap = log.snapshot();
+        let (sends, recvs) = (&snap[0], &snap[1]);
+        assert_eq!((log.evicted(0), log.evicted(1)), (0, 0));
         assert_eq!(sends.len(), 1);
-        assert_eq!(sends[0].kind, CommEventKind::Send);
-        assert_eq!((sends[0].peer, sends[0].tag, sends[0].bytes), (1, 9, 400));
+        assert_eq!(sends[0].kind, Kind::Send);
+        assert_eq!((sends[0].peer(), sends[0].b, sends[0].n), (1, 9, 400));
         let recv = recvs
             .iter()
-            .find(|e| e.kind == CommEventKind::Recv)
+            .find(|e| e.kind == Kind::Recv)
             .expect("recv recorded");
-        assert_eq!((recv.peer, recv.tag, recv.bytes), (0, 9, 400));
+        assert_eq!((recv.peer(), recv.b, recv.n), (0, 9, 400));
     }
 
     #[test]
-    fn comm_event_timeline_is_off_by_default() {
+    fn event_log_is_off_by_default() {
         let world = World::new(2);
         world.run(|rank| {
             if rank.id() == 0 {
@@ -1251,8 +1204,7 @@ mod tests {
                 rank.recv::<u8>(0, 1).unwrap();
             }
         });
-        assert!(world.comm_events().is_empty(0));
-        assert!(world.comm_events().is_empty(1));
+        assert!(world.events().snapshot().iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -145,16 +145,15 @@ pub struct CoupledOptions {
     /// runs no sampler thread and exchanges no telemetry messages, so
     /// fault plans that count messages see an unchanged stream.
     pub telemetry: Option<TelemetryOptions>,
-    /// Black-box flight recorder (default **on**): every rank journals
-    /// structured resilience events (health transitions, rollbacks,
-    /// shrinks, checkpoint begin/commit, fault firings) into a bounded
-    /// per-rank ring shared through the world's blackbox slot, and the
-    /// comm-event timeline records always. When the run ends in trouble
-    /// (structured failure, shrink, rollback, or any fault event), rank 0
-    /// dumps a self-contained diagnostics bundle to
+    /// Black-box flight recorder (default **on**): the world's event log
+    /// records — every rank journals structured resilience events (health
+    /// transitions, rollbacks, shrinks, checkpoint begin/commit, fault
+    /// firings) and its messages into its bounded rings. When the run ends
+    /// in trouble (structured failure, shrink, rollback, or any fault
+    /// event), rank 0 dumps a self-contained diagnostics bundle to
     /// `target/obs/bundle-<name>/` for `ap3esm_obs::flightrec::analyze`.
-    /// Steady-state cost is one relaxed load per journal call plus the
-    /// bounded comm-event rings.
+    /// Steady-state cost is one ring push per message and journal entry,
+    /// no allocation.
     pub flightrec: bool,
     /// Bundle directory name (`bundle-<name>`). Defaults to `report_name`,
     /// then to `pid<process id>`.

@@ -12,7 +12,7 @@ use ap3esm_comm::collectives::{allreduce, bcast};
 use ap3esm_comm::{CommError, MembershipVerdict, Rank};
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
-use ap3esm_obs::FrKind;
+use ap3esm_obs::{mark, Kind};
 
 use crate::coupled::CoupledStats;
 use crate::coupler::Coupler;
@@ -54,18 +54,6 @@ pub(crate) struct Recovery {
     /// after a rollback is not re-corrupted, or recovery could never
     /// converge).
     applied_corruptions: HashSet<(u64, String, u32, u64)>,
-}
-
-/// Record on the world-shared flight recorder, if one is installed in the
-/// world's blackbox slot. Journals are keyed by *physical* rank id, so
-/// entries stay attributable across shrinks. One relaxed load plus a
-/// `OnceLock` read when no recorder is installed.
-pub(crate) fn fr_record(rank: &Rank, kind: FrKind, a: u64, b: u64, detail: &str) {
-    if let Some(slot) = rank.blackbox().get() {
-        if let Some(rec) = slot.downcast_ref::<ap3esm_obs::FlightRecorder>() {
-            rec.record(rank.world_id(), kind, a, b, detail);
-        }
-    }
 }
 
 /// The per-ocean-coupling health agreement (severity max-reduce), with a
@@ -111,12 +99,12 @@ fn observe_verdict(verdict: &HealthVerdict, rank_id: usize) {
         HealthVerdict::Healthy => {}
         HealthVerdict::Degraded(m) => {
             ap3esm_obs::counter_add("resilience.guard_degraded", 1);
-            ap3esm_obs::instant("health.degraded");
+            mark(Kind::Health, "health.degraded", 1, 0);
             eprintln!("[resilience] rank {rank_id} degraded: {m}");
         }
         HealthVerdict::Fatal(m) => {
             ap3esm_obs::counter_add("resilience.guard_fatal", 1);
-            ap3esm_obs::instant("health.fatal");
+            mark(Kind::Health, "health.fatal", 2, 0);
             eprintln!("[resilience] rank {rank_id} fatal: {m}");
         }
     }
@@ -165,7 +153,7 @@ fn restore_voted(
 pub(crate) fn resume(rank: &Rank, cpl: &mut Coupler, stats: &mut CoupledStats, dir: &Path) {
     if let Ok(true) = restore_voted(rank, cpl, stats, dir) {
         if rank.id() == 0 {
-            ap3esm_obs::instant("recovery.resumed");
+            mark(Kind::Mark, "recovery.resumed", rank.generation(), 0);
         }
     } else {
         stats.failure = Some(format!(
@@ -265,8 +253,7 @@ impl Recovery {
                 .fault_events
                 .push(format!("rank {me} died permanently at ocn coupling {step}"));
             ap3esm_obs::counter_add("resilience.faults", 1);
-            ap3esm_obs::instant("fault.die");
-            fr_record(rank, FrKind::Fault, step, 0, "died permanently (injected)");
+            mark(Kind::Fault, "fault.die", step, 0);
             eprintln!("[resilience] rank {me} dying permanently at ocn coupling {step}");
             return true;
         }
@@ -275,14 +262,7 @@ impl Recovery {
             // the guards detect.
             cpl.poison();
             ap3esm_obs::counter_add("resilience.faults", 1);
-            ap3esm_obs::instant("fault.kill");
-            fr_record(
-                rank,
-                FrKind::Fault,
-                step,
-                0,
-                "killed (state corrupted, injected)",
-            );
+            mark(Kind::Fault, "fault.kill", step, 0);
         }
         false
     }
@@ -308,9 +288,8 @@ impl Recovery {
             _ => None,
         };
         let lost = format!("health agreement failed: {err}");
-        ap3esm_obs::instant("health.agreement_lost");
         let blamed_id = blamed.map_or(u64::MAX, |b| b as u64);
-        fr_record(rank, FrKind::Health, 2, blamed_id, &lost);
+        mark(Kind::Health, "health.agreement_lost", 2, blamed_id);
         stats.fault_events.push(lost);
         let m = match rank.membership_vote(blamed) {
             Ok(MembershipVerdict::AllAlive) => return Ok(None),
@@ -340,13 +319,11 @@ impl Recovery {
             "membership shrunk to {:?} (generation {})",
             m.members, m.generation
         ));
-        let survivors = format!("survivors {:?}", m.members);
-        fr_record(
-            rank,
-            FrKind::Shrink,
+        mark(
+            Kind::Shrink,
+            "recovery.shrink",
             m.generation,
             m.members.len() as u64,
-            &survivors,
         );
         if self.shrinks > self.cfg.max_shrinks {
             return Err(format!(
@@ -385,7 +362,6 @@ impl Recovery {
             Ok(v) if v[0] >= 0 => {
                 stats.degraded_ranks = rank.world_size() - rank.size();
                 if rank.id() == 0 {
-                    ap3esm_obs::instant("recovery.shrink");
                     ap3esm_obs::counter_add("resilience.shrinks", 1);
                     ap3esm_obs::gauge_set("sim.degraded_ranks", stats.degraded_ranks as f64);
                     eprintln!(
@@ -417,8 +393,7 @@ impl Recovery {
         // queues.
         self.recoveries += 1;
         ap3esm_obs::counter_add("resilience.rollbacks", 1);
-        ap3esm_obs::instant("rollback");
-        fr_record(rank, FrKind::Recovery, self.recoveries as u64, 0, reason);
+        mark(Kind::Recovery, "rollback", self.recoveries as u64, 0);
         let failure = |recoveries_attempted, reason: &str| RecoveryFailure {
             recoveries_attempted,
             reason: reason.to_string(),
@@ -447,7 +422,12 @@ impl Recovery {
             // alive, so the vote itself cannot lose a peer.
             let dir = self.store.dir(cand as u64);
             if restore_voted(rank, cpl, stats, &dir).expect("checkpoint vote") {
-                ap3esm_obs::instant("rollback.restored");
+                mark(
+                    Kind::Recovery,
+                    "rollback.restored",
+                    self.recoveries as u64,
+                    cand as u64,
+                );
                 return Flow::Continue;
             }
             if rank.id() == 0 {
@@ -466,8 +446,7 @@ impl Recovery {
     /// their share between two barriers, rank 0 commits.
     fn checkpoint(&mut self, rank: &Rank, cpl: &Coupler, stats: &CoupledStats, id: u64) {
         let (retries, backoff) = (self.cfg.retries, self.cfg.backoff);
-        ap3esm_obs::instant("checkpoint.begin");
-        fr_record(rank, FrKind::CkptBegin, id, 0, "");
+        mark(Kind::CkptBegin, "checkpoint.begin", id, 0);
         if rank.id() == 0 {
             with_retry("checkpoint begin", retries, backoff, || {
                 self.store.begin(id)
@@ -495,8 +474,7 @@ impl Recovery {
         })
         .expect("checkpoint commit");
         ap3esm_obs::counter_add("resilience.checkpoints", 1);
-        ap3esm_obs::instant("checkpoint.commit");
-        fr_record(rank, FrKind::CkptCommit, id, 0, "");
+        mark(Kind::CkptCommit, "checkpoint.commit", id, 0);
         let Some(inj) = rank.fault_injector() else {
             return;
         };
@@ -514,7 +492,7 @@ impl Recovery {
                     "corrupted checkpoint {id} field {field} subfile {sub} byte {byte}"
                 ));
                 ap3esm_obs::counter_add("resilience.faults", 1);
-                ap3esm_obs::instant("fault.corrupt");
+                mark(Kind::Fault, "fault.corrupt", id, 0);
             }
         }
     }

@@ -1,21 +1,21 @@
 //! What a coupled run carries besides the model: one rank's observability
-//! set-up (span profiler, timers, trace sink, flight recorder, continuous
-//! telemetry) and, in [`Session::finish`], the artifacts it leaves behind —
+//! set-up (span profiler and timers, recording into the world's event log;
+//! continuous telemetry) and, in [`Session::finish`], the artifacts it
+//! leaves behind —
 //! the telemetry snapshot, the diagnostics bundle, the run report, the
 //! chrome trace and the critical-path analysis.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use ap3esm_comm::collectives::gather;
 use ap3esm_comm::Rank;
 use ap3esm_cpl::Rearranger;
 use ap3esm_obs::json::Json;
-use ap3esm_obs::{AlertEngine, AlertEvent, FrKind, MetricsServer, Obs, Sampler, SeriesStore};
-use ap3esm_obs::{TraceEvent, TraceSink};
+use ap3esm_obs::{AlertEngine, AlertEvent, Kind, MetricsServer, Obs, Sampler, SeriesStore};
 
 use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, CoupledStats, TelemetryOptions};
-use crate::recovery::fr_record;
 use crate::timing::{get_timing, Timers};
 
 /// Rank 0's continuous-telemetry machinery.
@@ -68,9 +68,9 @@ pub(crate) struct Session {
     /// tree.
     obs: Arc<Obs>,
     _obs_guard: ap3esm_obs::InstallGuard,
-    /// Timeline tracing: this rank's span/instant events, drained into one
-    /// chrome-trace file after the run.
-    trace_sink: Option<Arc<TraceSink>>,
+    /// Timeline tracing: this rank's spans go to the event log too, and the
+    /// log becomes one chrome-trace file after the run.
+    tracing: bool,
     telemetry: Option<Telemetry>,
 }
 
@@ -80,25 +80,17 @@ impl Session {
         let _obs_guard = ap3esm_obs::install(Arc::clone(&obs));
         let timers = Timers::attached(Arc::clone(&obs));
         let tracing = opts.trace && opts.report_name.is_some();
-        let trace_sink = tracing.then(|| {
-            let sink = Arc::new(TraceSink::default());
-            obs.profiler.set_trace_sink(Some(Arc::clone(&sink)));
-            rank.comm_events().set_enabled(true);
-            sink
-        });
-        // Black-box flight recorder: one recorder for the whole world,
-        // shared through the blackbox slot — the first rank to arrive
-        // installs it, no messages exchanged. The comm-event rings start
-        // recording too, so a postmortem bundle has both journal halves.
-        if opts.flightrec {
-            rank.blackbox().get_or_init(|| {
-                Arc::new(ap3esm_obs::FlightRecorder::new(
-                    rank.world_size(),
-                    ap3esm_obs::DEFAULT_FLIGHT_CAPACITY,
-                )) as Arc<dyn std::any::Any + Send + Sync>
-            });
-            rank.comm_events().set_enabled(true);
-            fr_record(rank, FrKind::Mark, rank.generation(), 0, "run start");
+        // Black-box flight recorder and timeline tracing are the same log,
+        // the world's: either turns it on (messages and journal entries
+        // record from here on, no messages exchanged), tracing adds the
+        // spans. Journals are keyed by *physical* rank id, so entries stay
+        // attributable across shrinks.
+        if opts.flightrec || tracing {
+            rank.events().set_enabled(true);
+            obs.profiler
+                .attach(Arc::clone(rank.events()), rank.world_id());
+            obs.profiler.set_tracing(tracing);
+            ap3esm_obs::mark(Kind::Mark, "run.start", rank.generation(), 0);
         }
         let mut stats = CoupledStats::default();
         // Every rank takes part in the telemetry busy-time exchange; rank 0
@@ -122,7 +114,7 @@ impl Session {
             t_start: Instant::now(),
             obs,
             _obs_guard,
-            trace_sink,
+            tracing,
             telemetry,
         }
     }
@@ -188,9 +180,9 @@ impl Session {
 
     /// Flight-recorder bundle: when the run ended in trouble, rank 0 dumps
     /// a self-contained diagnostics bundle before the (collective) report
-    /// path, using non-draining snapshots so the later trace export still
-    /// sees every comm event. Non-collective by design: dead ranks cannot
-    /// be waited on.
+    /// path, from a snapshot of the log — the later trace export still sees
+    /// every event. Non-collective by design: dead ranks cannot be waited
+    /// on.
     fn dump_bundle(
         &mut self,
         rank: &Rank,
@@ -199,12 +191,9 @@ impl Session {
         series_json: Option<String>,
     ) {
         let stats = &mut self.stats;
-        if let Some(f) = &stats.failure {
-            let detail = format!("structured failure: {f}");
-            fr_record(rank, FrKind::Fault, 0, 0, &detail);
-        }
-        for a in alerts {
-            fr_record(rank, FrKind::Alert, 0, 0, &a.message);
+        if stats.failure.is_some() {
+            // What failed is the bundle's reason; when, this entry.
+            ap3esm_obs::mark(Kind::Fault, "run.failed", 0, 0);
         }
         let troubled = stats.failure.is_some()
             || stats.shrinks > 0
@@ -227,27 +216,13 @@ impl Session {
         } else {
             "fault".to_string()
         };
-        // A comm-only Chrome trace so the bundle opens in Perfetto even
-        // when full span tracing was off.
-        let mut ct = ap3esm_obs::ChromeTrace::new();
-        for r in 0..rank.world_size() {
-            ct.add_process(r, &format!("rank {r}"));
-            let (comm_events, _) = rank.comm_events().snapshot(r);
-            ct.add_comm_events(r, &comm_events);
-        }
-        let recorder = rank
-            .blackbox()
-            .get()
-            .and_then(|s| s.downcast_ref::<ap3esm_obs::FlightRecorder>());
         let spec = ap3esm_obs::BundleSpec {
             reason: &reason,
-            recorder,
-            comm_events: Some(rank.comm_events()),
+            events: &rank.events().snapshot(),
             series_json,
             alerts,
             fault_plan: rank.fault_injector().map(|i| i.plan().to_string()),
             scenario: None,
-            trace_json: Some(ct.to_json()),
         };
         match ap3esm_obs::dump_bundle(&name, &spec) {
             Ok(dir) => {
@@ -272,16 +247,28 @@ impl Session {
     ) {
         let is_root = rank.id() == 0;
         let spans = self.obs.profiler.snapshot();
-        let sections = ap3esm_obs::aggregate_sections(rank, 0x0B70, &spans).unwrap_or_else(|e| {
-            eprintln!("[report] section aggregation failed: {e}");
-            Vec::new()
+        // Every rank's tree lands in the report, not just rank 0's.
+        let gathered = gather(rank, 0x0B70, 0, spans.clone()).unwrap_or_else(|e| {
+            eprintln!("[report] span gather failed: {e}");
+            None
         });
+        if self.tracing {
+            // This rank's spans are all closed; past the barrier every
+            // rank's are, and rank 0 may read the timeline.
+            self.obs.profiler.set_tracing(false);
+            rank.barrier();
+        }
+        if !is_root {
+            return;
+        }
+        let per_rank = gathered.unwrap_or_default();
+        let sections = ap3esm_obs::aggregate_sections(&per_rank);
         // The trajectory's per-section walls are cross-rank maxima, not
         // rank 0's local timers — otherwise sections that only run on
         // other ranks (ocn_run on the ocean task domain) vanish from the
         // BENCH point. Sorted by name so the metric set is independent of
         // rank layout.
-        if is_root && !sections.is_empty() {
+        if !sections.is_empty() {
             let merged = &mut self.stats.per_section_seconds;
             for s in sections.iter().filter(|s| !s.path.contains('/')) {
                 match merged.iter_mut().find(|(n, _)| *n == s.path) {
@@ -291,18 +278,9 @@ impl Session {
             }
             merged.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        // Every rank's tree (bounded) lands in the report, not just rank 0's.
-        let trees =
-            ap3esm_obs::gather_span_trees(rank, 0x0B74, &spans, 16, 512).unwrap_or_else(|e| {
-                eprintln!("[report] span tree gather failed: {e}");
-                None
-            });
-        let trace_events = self.gather_trace(rank);
-        if !is_root {
-            return;
-        }
-        if let Some(per_rank) = trace_events {
-            self.export_trace(rank, name, &per_rank, trees.as_deref());
+        let trees = ap3esm_obs::rank_trees(&per_rank, 16, 512);
+        if self.tracing {
+            self.export_trace(rank, name, &trees);
         }
         let stats = &mut self.stats;
         let comm = rank.stats();
@@ -336,7 +314,7 @@ impl Session {
             .spans(spans)
             .alerts(alerts)
             .sections(sections)
-            .rank_trees(trees.unwrap_or_default())
+            .rank_trees(trees)
             .metrics(self.obs.metrics.snapshot());
         if let Some(a) = &stats.critpath {
             report = report.critpath(a.to_json());
@@ -356,73 +334,25 @@ impl Session {
         stats.report_path = report.write().ok();
     }
 
-    /// Timeline export, collective half: stop recording everywhere, then
-    /// ship each rank's buffered span events to rank 0. The comm-event
-    /// rings live in the shared world structure, so rank 0 drains them
-    /// directly once the barrier guarantees all ranks have stopped
-    /// recording.
-    fn gather_trace(&self, rank: &Rank) -> Option<Vec<Vec<TraceEvent>>> {
-        let sink = self.trace_sink.as_ref()?;
-        rank.comm_events().set_enabled(false);
-        self.obs.profiler.set_trace_sink(None);
-        rank.barrier();
-        let (events, dropped) = sink.take();
-        if dropped > 0 {
-            let me = rank.world_id();
-            eprintln!("[trace] rank {me}: {dropped} span events dropped (sink full)");
-        }
-        let wire = ap3esm_obs::trace::encode_events(&events);
-        match ap3esm_comm::collectives::gather::<u8>(rank, 0x0B76, 0, wire) {
-            Ok(gathered) => gathered.map(|parts| {
-                let decode = |bytes: &Vec<u8>| ap3esm_obs::trace::decode_events(bytes);
-                parts.iter().map(decode).collect()
-            }),
-            Err(e) => {
-                eprintln!("[trace] event gather failed: {e}");
-                None
-            }
-        }
-    }
-
-    /// Timeline export, rank 0's half: drain every rank's comm ring
-    /// exactly once; the same events feed the chrome trace, the folded
-    /// stacks and the end-of-run critical-path analysis (where did the
-    /// SYPD go, and what would halving the top section buy?).
-    fn export_trace(
-        &mut self,
-        rank: &Rank,
-        name: &str,
-        per_rank: &[Vec<TraceEvent>],
-        trees: Option<&[ap3esm_obs::RankTree]>,
-    ) {
+    /// Timeline export: one snapshot of the world's log (complete since the
+    /// barrier in [`Session::write_report`]) feeds the chrome trace and the
+    /// end-of-run critical-path analysis (where did the SYPD go, and what
+    /// would halving the top section buy?); the span trees become the
+    /// folded stacks.
+    fn export_trace(&mut self, rank: &Rank, name: &str, trees: &[ap3esm_obs::RankTree]) {
         let stats = &mut self.stats;
-        let (all_comm, comm_dropped) = rank.comm_events().take_all();
-        if comm_dropped > 0 {
-            eprintln!("[trace] {comm_dropped} comm events evicted (rings full)");
+        let log = rank.events();
+        for r in (0..log.n_ranks()).filter(|&r| log.evicted(r) > 0) {
+            eprintln!(
+                "[trace] rank {r}: {} events evicted (ring full)",
+                log.evicted(r)
+            );
         }
-        let mut ct = ap3esm_obs::ChromeTrace::new();
-        for (r, events) in per_rank.iter().enumerate() {
-            ct.add_process(r, &format!("rank {r}"));
-            ct.add_span_events(r, events);
-            if let Some(comm_events) = all_comm.get(r) {
-                ct.add_comm_events(r, comm_events);
-            }
-        }
-        stats.trace_path = ct.write(name).ok();
-        if let Some(trees) = trees {
-            let folded = ap3esm_obs::trace::folded_stacks(trees);
-            stats.folded_path = ap3esm_obs::trace::write_folded(name, &folded).ok();
-        }
-        let timelines: Vec<ap3esm_obs::RankTimeline> = per_rank
-            .iter()
-            .enumerate()
-            .map(|(r, events)| ap3esm_obs::RankTimeline {
-                rank: r,
-                spans: events.clone(),
-                comms: all_comm.get(r).cloned().unwrap_or_default(),
-            })
-            .collect();
-        let analyzer = ap3esm_obs::Analyzer::new(&timelines).with_sypd(stats.sypd);
+        let events = log.snapshot();
+        stats.trace_path = ap3esm_obs::trace::write_trace(name, &events).ok();
+        let folded = ap3esm_obs::trace::folded_stacks(trees);
+        stats.folded_path = ap3esm_obs::trace::write_folded(name, &folded).ok();
+        let analyzer = ap3esm_obs::Analyzer::new(&events).with_sypd(stats.sypd);
         stats.critpath = Some(analyzer.analyze());
     }
 }

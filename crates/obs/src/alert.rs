@@ -20,9 +20,10 @@
 //! (default 1) — one noisy tick never pages — and it re-arms once a sample
 //! passes again, so each sustained episode emits exactly one
 //! [`AlertEvent`]. Firing emits to three places at once: stderr
-//! (`[alert] ...`), the chrome trace as an `alert.<rule>` instant event
-//! (when tracing is on), and the engine's bounded event log, which the
-//! coupled driver copies into the run report (`"alerts"` array).
+//! (`[alert] ...`), the rank's event log as an `alert.<rule>` journal entry
+//! (an instant in the chrome trace), and the engine's own bounded list of
+//! firings, which the coupled driver copies into the run report
+//! (`"alerts"` array).
 //!
 //! ## Rule grammar
 //!
@@ -288,7 +289,7 @@ impl AlertEngine {
     }
 
     /// Evaluate every rule over the samples that arrived since the last
-    /// call. Firings land on `obs`'s trace sink as `alert.<rule>` instants
+    /// call. Firings are journaled in `obs`'s event log as `alert.<rule>`
     /// and bump the `alert.fired` counter when `obs` is given.
     pub fn evaluate(&self, store: &SeriesStore, obs: Option<&Obs>) {
         for (rule, state) in self.rules.iter().zip(&self.states) {
@@ -308,7 +309,8 @@ impl AlertEngine {
             eprintln!("[alert] {}", event.message);
         }
         if let Some(obs) = obs {
-            obs.profiler.record_instant(&format!("alert.{}", event.rule));
+            let name = format!("alert.{}", event.rule);
+            obs.profiler.mark(crate::event::Kind::Alert, &name, 0, 0);
             obs.metrics.counter("alert.fired").add(1);
         }
         let mut events = lock(&self.events);
@@ -666,16 +668,18 @@ mod tests {
     }
 
     #[test]
-    fn firing_reaches_trace_sink_and_counter() {
+    fn firing_reaches_event_log_and_counter() {
         let obs = Obs::new();
-        let sink = std::sync::Arc::new(crate::trace::TraceSink::new(64));
-        obs.profiler.set_trace_sink(Some(std::sync::Arc::clone(&sink)));
+        let log = std::sync::Arc::new(crate::event::EventLog::new(1));
+        log.set_enabled(true);
+        obs.profiler.attach(std::sync::Arc::clone(&log), 0);
         let store = SeriesStore::new(64);
         store.record_at("temp", 0.0, 9.0);
         let engine = AlertEngine::new(vec![parse_rule("hot: temp above 3").unwrap()]).quiet();
         engine.evaluate(&store, Some(&obs));
         assert_eq!(obs.metrics.counter("alert.fired").get(), 1);
-        let (events, _) = sink.take();
-        assert_eq!(events[0].name, "alert.hot");
+        let events = &log.snapshot()[0];
+        assert_eq!(events[0].name.as_str(), "alert.hot");
+        assert_eq!(events[0].kind, crate::event::Kind::Alert);
     }
 }

@@ -1,7 +1,7 @@
 //! Critical-path analyzer: where did the coupled run's wall clock go?
 //!
-//! Replays each rank's span timeline plus the `CommEventLog` send/recv
-//! rings into the cross-rank *program-activity graph*, then answers the
+//! Replays each rank's events — spans and messages of one log snapshot —
+//! into the cross-rank *program-activity graph*, then answers the
 //! three questions `BENCH_*.json` alone cannot:
 //!
 //! 1. **What is on the critical path?** A backward walk from the last
@@ -29,34 +29,24 @@
 //! [`ap3esm-machine`](ap3esm_machine) α–β network model for the
 //! per-section compute-vs-bandwidth-vs-latency verdict.
 //!
-//! Works end-of-run (the coupled driver feeds drained rings directly) and
-//! offline ([`Analyzer::from_chrome_trace`] rebuilds the timelines from a
-//! `trace-<name>.json`, whose comm rows carry machine-readable `args`).
+//! Works end-of-run (the coupled driver feeds the log snapshot directly)
+//! and offline ([`Analyzer::from_chrome_trace`] decodes the same events
+//! from a `trace-<name>.json` through the shared row codec).
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ap3esm_comm::events::{CommEvent, CommEventKind};
 use ap3esm_comm::{collective_kind, is_collective_tag};
 use ap3esm_machine::{section_bound, MachineSpec};
 
+use crate::event::{parse_chrome_row, Event, Kind};
 use crate::json::Json;
-use crate::msgflow::{pair_fifo, FlowEvent, PairedMessage};
-use crate::trace::{TraceEvent, TracePhase};
+use crate::msgflow::{pair_fifo, PairedMessage};
 
 /// Schema tag of [`Analysis::to_json`].
 pub const SCHEMA: &str = "ap3esm-critpath/1";
 
 /// Section label for busy time not covered by any top-level span.
 pub const UNTRACKED: &str = "(untracked)";
-
-/// One rank's raw material: its span/instant events (from the trace sink)
-/// and its comm-event ring, both on the shared trace-epoch clock.
-#[derive(Debug, Clone, Default)]
-pub struct RankTimeline {
-    pub rank: usize,
-    pub spans: Vec<TraceEvent>,
-    pub comms: Vec<CommEvent>,
-}
 
 /// Scalasca-style class of one blocking wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -293,12 +283,10 @@ struct RankPrep {
 /// Extract top-level (depth-0) spans per thread track via a containment
 /// sweep: sort by `(ts, dur desc)` so parents precede children, keep a
 /// stack of open span ends.
-fn top_level_sections(spans: &[TraceEvent]) -> Vec<Sect> {
-    let mut by_tid: BTreeMap<u64, Vec<&TraceEvent>> = BTreeMap::new();
+fn top_level_sections(spans: &[Event]) -> Vec<Sect> {
+    let mut by_tid: BTreeMap<u16, Vec<&Event>> = BTreeMap::new();
     for e in spans {
-        if e.ph == TracePhase::Complete {
-            by_tid.entry(e.tid).or_default().push(e);
-        }
+        by_tid.entry(e.tid).or_default().push(e);
     }
     let mut out = Vec::new();
     for group in by_tid.values_mut() {
@@ -310,7 +298,7 @@ fn top_level_sections(spans: &[TraceEvent]) -> Vec<Sect> {
             }
             if stack.is_empty() {
                 out.push(Sect {
-                    name: e.name.clone(),
+                    name: e.name.as_str().to_string(),
                     ts: e.ts_us,
                     end: e.ts_us + e.dur_us,
                 });
@@ -323,10 +311,10 @@ fn top_level_sections(spans: &[TraceEvent]) -> Vec<Sect> {
 }
 
 /// Merge possibly-overlapping `io_*` windows into a sorted disjoint set.
-fn io_windows(spans: &[TraceEvent]) -> Vec<(u64, u64)> {
+fn io_windows(spans: &[Event]) -> Vec<(u64, u64)> {
     let mut raw: Vec<(u64, u64)> = spans
         .iter()
-        .filter(|e| e.ph == TracePhase::Complete && e.name.starts_with("io_"))
+        .filter(|e| e.name.as_str().starts_with("io_"))
         .map(|e| (e.ts_us, e.ts_us + e.dur_us))
         .collect();
     raw.sort_unstable();
@@ -355,6 +343,40 @@ fn overlap_us(windows: &[(u64, u64)], a: u64, b: u64) -> u64 {
     total
 }
 
+/// Per-class totals (in class order) and per-(class, blamed rank) totals
+/// (by attributed wait time, descending) of every classified wait.
+fn tally_waits(waits: &[WaitRecord]) -> (Vec<WaitClassTotal>, Vec<BlameEntry>) {
+    let mut class_tot: BTreeMap<WaitClass, (u64, u64)> = BTreeMap::new();
+    let mut blame_tot: BTreeMap<(WaitClass, usize), (u64, u64)> = BTreeMap::new();
+    for w in waits {
+        let c = class_tot.entry(w.class).or_default();
+        c.0 += 1;
+        c.1 += w.dur_us;
+        let b = blame_tot.entry((w.class, w.blamed)).or_default();
+        b.0 += 1;
+        b.1 += w.dur_us;
+    }
+    let wait_classes = class_tot
+        .into_iter()
+        .map(|(class, (count, total_us))| WaitClassTotal {
+            class,
+            count,
+            total_us,
+        })
+        .collect();
+    let mut blame: Vec<BlameEntry> = blame_tot
+        .into_iter()
+        .map(|((class, rank), (count, total_us))| BlameEntry {
+            class,
+            rank,
+            count,
+            total_us,
+        })
+        .collect();
+    blame.sort_by_key(|b| (std::cmp::Reverse(b.total_us), b.rank));
+    (wait_classes, blame)
+}
+
 // --- the analyzer -------------------------------------------------------
 
 /// Builder + engine. Construct with [`Analyzer::new`] (end-of-run) or
@@ -365,43 +387,39 @@ pub struct Analyzer {
     sypd: f64,
     interval_section: String,
     preps: Vec<RankPrep>,
-    comms: Vec<Vec<CommEvent>>,
+    /// Each rank's messages (send, recv, timeout, stale), in arrival order.
+    comms: Vec<Vec<Event>>,
 }
 
 impl Analyzer {
-    /// Build from per-rank timelines. Rank ids index the internal tables;
-    /// gaps (a rank with no timeline) become empty ranks.
-    pub fn new(timelines: &[RankTimeline]) -> Analyzer {
-        let n = timelines.iter().map(|t| t.rank + 1).max().unwrap_or(0);
-        let mut comms: Vec<Vec<CommEvent>> = vec![Vec::new(); n];
-        let mut spans: Vec<&[TraceEvent]> = vec![&[]; n];
-        for t in timelines {
-            comms[t.rank] = t.comms.clone();
-            spans[t.rank] = &t.spans;
-        }
+    /// Build from one log snapshot, `events[rank]` being that rank's
+    /// events: spans and messages feed the graph, journal kinds are not
+    /// activity and are ignored.
+    pub fn new(events: &[Vec<Event>]) -> Analyzer {
+        let of = |keep: fn(Kind) -> bool| -> Vec<Vec<Event>> {
+            let ring = |ring: &Vec<Event>| ring.iter().filter(|e| keep(e.kind)).copied().collect();
+            events.iter().map(ring).collect()
+        };
+        let spans = of(|k| k == Kind::Span);
+        let comms = of(Kind::is_message);
         // Shared FIFO pairing over every rank's ring, then hand each recv
         // its pair back by walking rings in order with per-channel counters.
-        let flow: Vec<FlowEvent> = comms
-            .iter()
-            .enumerate()
-            .flat_map(|(r, ring)| ring.iter().filter_map(move |e| FlowEvent::from_comm(r, e)))
-            .collect();
-        let pairing = pair_fifo(&flow);
+        let pairing = pair_fifo(events);
         let mut chan_pairs: BTreeMap<(usize, usize, u64), Vec<&PairedMessage>> = BTreeMap::new();
         for p in &pairing.pairs {
             chan_pairs.entry((p.src, p.dst, p.tag)).or_default().push(p);
         }
 
-        let mut preps = Vec::with_capacity(n);
+        let mut preps = Vec::with_capacity(events.len());
         for (r, ring) in comms.iter().enumerate() {
             let mut prep = RankPrep {
-                sections: top_level_sections(spans[r]),
-                io: io_windows(spans[r]),
+                sections: top_level_sections(&spans[r]),
+                io: io_windows(&spans[r]),
                 ..RankPrep::default()
             };
             let mut first = u64::MAX;
             let mut last = 0u64;
-            for e in spans[r].iter().filter(|e| e.ph == TracePhase::Complete) {
+            for e in &spans[r] {
                 first = first.min(e.ts_us);
                 last = last.max(e.ts_us + e.dur_us);
             }
@@ -410,8 +428,8 @@ impl Analyzer {
                 first = first.min(e.ts_us);
                 last = last.max(e.ts_us + e.dur_us);
                 match e.kind {
-                    CommEventKind::Recv => {
-                        let key = (e.peer, r, e.tag);
+                    Kind::Recv => {
+                        let key = (e.peer(), r, e.b);
                         let k = recv_seen.entry(key).or_default();
                         let pair = chan_pairs
                             .get(&key)
@@ -422,18 +440,18 @@ impl Analyzer {
                             prep.waits.push(Wait {
                                 ts: e.ts_us,
                                 end: e.ts_us + e.dur_us,
-                                peer: e.peer,
-                                tag: e.tag,
+                                peer: e.peer(),
+                                tag: e.b,
                                 timeout: false,
                                 pair,
                             });
                         }
                     }
-                    CommEventKind::Timeout if e.dur_us > 0 => prep.waits.push(Wait {
+                    Kind::Timeout if e.dur_us > 0 => prep.waits.push(Wait {
                         ts: e.ts_us,
                         end: e.ts_us + e.dur_us,
-                        peer: e.peer,
-                        tag: e.tag,
+                        peer: e.peer(),
+                        tag: e.b,
                         timeout: true,
                         pair: None,
                     }),
@@ -710,103 +728,9 @@ impl Analyzer {
         }
         let total_us = compute_us + comm_us + wait_us;
 
-        // Wait taxonomy and blame.
         let waits = self.classify_all();
-        let mut class_tot: BTreeMap<WaitClass, (u64, u64)> = BTreeMap::new();
-        let mut blame_tot: BTreeMap<(WaitClass, usize), (u64, u64)> = BTreeMap::new();
-        for w in &waits {
-            let c = class_tot.entry(w.class).or_default();
-            c.0 += 1;
-            c.1 += w.dur_us;
-            let b = blame_tot.entry((w.class, w.blamed)).or_default();
-            b.0 += 1;
-            b.1 += w.dur_us;
-        }
-        let wait_classes: Vec<WaitClassTotal> = class_tot
-            .into_iter()
-            .map(|(class, (count, total_us))| WaitClassTotal {
-                class,
-                count,
-                total_us,
-            })
-            .collect();
-        let mut blame: Vec<BlameEntry> = blame_tot
-            .into_iter()
-            .map(|((class, rank), (count, total_us))| BlameEntry {
-                class,
-                rank,
-                count,
-                total_us,
-            })
-            .collect();
-        blame.sort_by_key(|b| (std::cmp::Reverse(b.total_us), b.rank));
-
-        // Section table: wall(max rank), traffic, verdicts, what-if gains.
-        let mut wall_by_rank: BTreeMap<String, BTreeMap<usize, u64>> = BTreeMap::new();
-        for (r, p) in self.preps.iter().enumerate() {
-            for s in &p.sections {
-                *wall_by_rank
-                    .entry(s.name.clone())
-                    .or_default()
-                    .entry(r)
-                    .or_default() += s.end - s.ts;
-            }
-        }
-        let mut traffic: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for (r, ring) in self.comms.iter().enumerate() {
-            for e in ring {
-                if e.kind == CommEventKind::Send {
-                    let t = traffic.entry(self.section_at(r, e.ts_us)).or_default();
-                    t.0 += 1;
-                    t.1 += e.bytes;
-                }
-            }
-        }
-        let traffic: BTreeMap<String, (u64, u64)> = traffic
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        let mut names: Vec<String> = wall_by_rank.keys().cloned().collect();
-        for n in sec_compute.keys().chain(sec_wait.keys()) {
-            if !names.contains(n) {
-                names.push(n.clone());
-            }
-        }
-        let n_ranks_f = self.n_ranks().max(1) as u64;
-        let mut sections: Vec<SectionCost> = names
-            .into_iter()
-            .map(|name| {
-                let wall_max_s = wall_by_rank
-                    .get(&name)
-                    .and_then(|m| m.values().max())
-                    .map(|us| *us as f64 / 1e6)
-                    .unwrap_or(0.0);
-                let (msgs, bytes) = traffic.get(&name).copied().unwrap_or((0, 0));
-                let (verdict, comm_model_s) =
-                    section_bound(&self.machine, wall_max_s, msgs / n_ranks_f, bytes / n_ranks_f);
-                SectionCost {
-                    on_path_compute_us: sec_compute.get(&name).copied().unwrap_or(0),
-                    on_path_wait_us: sec_wait.get(&name).copied().unwrap_or(0),
-                    wall_max_s,
-                    msgs,
-                    bytes,
-                    verdict: verdict.label(),
-                    comm_model_s,
-                    what_if_half_gain_pct: 0.0,
-                    name,
-                }
-            })
-            .collect();
-        sections.sort_by(|a, b| {
-            b.on_path_us()
-                .cmp(&a.on_path_us())
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        for s in sections.iter_mut().take(4) {
-            if s.name != UNTRACKED && s.on_path_us() > 0 {
-                s.what_if_half_gain_pct = self.what_if(&s.name, 0.5).gain_pct;
-            }
-        }
+        let (wait_classes, blame) = tally_waits(&waits);
+        let sections = self.section_table(&sec_compute, &sec_wait);
         let top_section = sections
             .iter()
             .find(|s| s.name != UNTRACKED && s.on_path_us() > 0)
@@ -836,6 +760,78 @@ impl Analyzer {
             sypd: self.sypd,
             what_if_half_top,
         }
+    }
+
+    /// The ranked optimization-targets table: wall (max rank), traffic,
+    /// α–β verdicts and what-if gains per section, given the on-path
+    /// compute and wait microseconds the walk attributed to each.
+    fn section_table(
+        &self,
+        sec_compute: &BTreeMap<String, u64>,
+        sec_wait: &BTreeMap<String, u64>,
+    ) -> Vec<SectionCost> {
+        let mut wall_by_rank: BTreeMap<String, BTreeMap<usize, u64>> = BTreeMap::new();
+        for (r, p) in self.preps.iter().enumerate() {
+            for s in &p.sections {
+                *wall_by_rank
+                    .entry(s.name.clone())
+                    .or_default()
+                    .entry(r)
+                    .or_default() += s.end - s.ts;
+            }
+        }
+        let mut traffic: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for (r, ring) in self.comms.iter().enumerate() {
+            for e in ring {
+                if e.kind == Kind::Send {
+                    let t = traffic.entry(self.section_at(r, e.ts_us)).or_default();
+                    t.0 += 1;
+                    t.1 += e.n;
+                }
+            }
+        }
+        let mut names: Vec<String> = wall_by_rank.keys().cloned().collect();
+        for n in sec_compute.keys().chain(sec_wait.keys()) {
+            if !names.contains(n) {
+                names.push(n.clone());
+            }
+        }
+        let n_ranks_f = self.n_ranks().max(1) as u64;
+        let mut sections: Vec<SectionCost> = names
+            .into_iter()
+            .map(|name| {
+                let wall_max_s = wall_by_rank
+                    .get(&name)
+                    .and_then(|m| m.values().max())
+                    .map(|us| *us as f64 / 1e6)
+                    .unwrap_or(0.0);
+                let (msgs, bytes) = traffic.get(name.as_str()).copied().unwrap_or((0, 0));
+                let (verdict, comm_model_s) =
+                    section_bound(&self.machine, wall_max_s, msgs / n_ranks_f, bytes / n_ranks_f);
+                SectionCost {
+                    on_path_compute_us: sec_compute.get(&name).copied().unwrap_or(0),
+                    on_path_wait_us: sec_wait.get(&name).copied().unwrap_or(0),
+                    wall_max_s,
+                    msgs,
+                    bytes,
+                    verdict: verdict.label(),
+                    comm_model_s,
+                    what_if_half_gain_pct: 0.0,
+                    name,
+                }
+            })
+            .collect();
+        sections.sort_by(|a, b| {
+            b.on_path_us()
+                .cmp(&a.on_path_us())
+                .then_with(|| a.name.cmp(&b.name))
+        });
+        for s in sections.iter_mut().take(4) {
+            if s.name != UNTRACKED && s.on_path_us() > 0 {
+                s.what_if_half_gain_pct = self.what_if(&s.name, 0.5).gain_pct;
+            }
+        }
+        sections
     }
 
     /// Slice the path by the interval section's instance starts on the
@@ -942,7 +938,7 @@ impl Analyzer {
 
         struct Ev {
             rank: usize,
-            kind: CommEventKind,
+            kind: Kind,
             ts: u64,
             end: u64,
             peer: usize,
@@ -953,7 +949,7 @@ impl Analyzer {
         let mut events: Vec<Ev> = Vec::new();
         for (r, ring) in self.comms.iter().enumerate() {
             for (seq, e) in ring.iter().enumerate() {
-                if e.kind == CommEventKind::Stale {
+                if e.kind == Kind::Stale {
                     continue;
                 }
                 events.push(Ev {
@@ -961,9 +957,9 @@ impl Analyzer {
                     kind: e.kind,
                     ts: e.ts_us,
                     end: e.ts_us + e.dur_us,
-                    peer: e.peer,
-                    tag: e.tag,
-                    bytes: e.bytes,
+                    peer: e.peer(),
+                    tag: e.b,
+                    bytes: e.n,
                     seq,
                 });
             }
@@ -972,17 +968,17 @@ impl Analyzer {
         // paired send completes no later than its receive's delivery (same
         // address space), so sorting by original completion — sends first
         // on ties — processes every producer before its consumer.
-        events.sort_by_key(|e| (e.end, (e.kind != CommEventKind::Send) as u8, e.rank, e.seq));
+        events.sort_by_key(|e| (e.end, (e.kind != Kind::Send) as u8, e.rank, e.seq));
 
         let mut chans: BTreeMap<(usize, usize, u64), VecDeque<f64>> = BTreeMap::new();
         for e in &events {
             let r = e.rank;
             t_new[r] += self.scaled_work(r, last_orig[r], e.ts, target, factor);
             match e.kind {
-                CommEventKind::Send => {
+                Kind::Send => {
                     chans.entry((r, e.peer, e.tag)).or_default().push_back(t_new[r]);
                 }
-                CommEventKind::Recv => {
+                Kind::Recv => {
                     let sent = (e.peer < n)
                         .then(|| chans.get_mut(&(e.peer, r, e.tag)).and_then(VecDeque::pop_front))
                         .flatten();
@@ -995,8 +991,8 @@ impl Analyzer {
                         None => t_new[r] += (e.end - e.ts) as f64,
                     }
                 }
-                CommEventKind::Timeout => t_new[r] += (e.end - e.ts) as f64,
-                CommEventKind::Stale => {}
+                Kind::Timeout => t_new[r] += (e.end - e.ts) as f64,
+                _ => {}
             }
             last_orig[r] = last_orig[r].max(e.end);
         }
@@ -1032,88 +1028,26 @@ impl Analyzer {
         }
     }
 
-    /// Rebuild timelines from a chrome-trace document written by
-    /// [`crate::trace::ChromeTrace`]. Comm rows are recognised by their
-    /// `args` object (`kind`/`peer`/`tag`/`bytes`), with a fallback parse
-    /// of the human-facing row name for traces from older builds.
+    /// Decode the events of a chrome-trace document written by
+    /// [`crate::trace::chrome_trace`] ([`parse_chrome_row`], the shared
+    /// codec) and build from them.
     pub fn from_chrome_trace(doc: &Json) -> Result<Analyzer, String> {
         let rows = doc
             .get("traceEvents")
             .and_then(Json::as_arr)
             .ok_or("trace missing traceEvents")?;
-        let mut by_rank: BTreeMap<usize, RankTimeline> = BTreeMap::new();
-        for row in rows {
-            let ph = row.get("ph").and_then(Json::as_str).unwrap_or("");
-            if ph != "X" {
-                continue;
+        let mut events: Vec<Vec<Event>> = Vec::new();
+        for (pid, event) in rows.iter().filter_map(parse_chrome_row) {
+            if pid >= events.len() {
+                events.resize_with(pid + 1, Vec::new);
             }
-            let pid = row.get("pid").and_then(Json::as_u64).unwrap_or(0) as usize;
-            let tid = row.get("tid").and_then(Json::as_u64).unwrap_or(0);
-            let ts = row.get("ts").and_then(Json::as_u64).unwrap_or(0);
-            let dur = row.get("dur").and_then(Json::as_u64).unwrap_or(0);
-            let name = row.get("name").and_then(Json::as_str).unwrap_or("");
-            let tl = by_rank.entry(pid).or_insert_with(|| RankTimeline {
-                rank: pid,
-                ..RankTimeline::default()
-            });
-            if tid == 0 {
-                if let Some(e) = parse_comm_row(row, name, ts, dur) {
-                    tl.comms.push(e);
-                }
-            } else {
-                tl.spans.push(TraceEvent {
-                    name: name.to_string(),
-                    ph: TracePhase::Complete,
-                    ts_us: ts,
-                    dur_us: dur,
-                    tid,
-                });
-            }
+            events[pid].push(event);
         }
-        if by_rank.is_empty() {
+        if events.is_empty() {
             return Err("trace has no complete events".to_string());
         }
-        let timelines: Vec<RankTimeline> = by_rank.into_values().collect();
-        Ok(Analyzer::new(&timelines))
+        Ok(Analyzer::new(&events))
     }
-}
-
-/// Decode one comm-track `X` row back into a [`CommEvent`].
-fn parse_comm_row(row: &Json, name: &str, ts: u64, dur: u64) -> Option<CommEvent> {
-    let (kind, peer, tag, bytes) = match row.get("args") {
-        Some(args) => (
-            args.get("kind").and_then(Json::as_str)?.to_string(),
-            args.get("peer").and_then(Json::as_u64)? as usize,
-            args.get("tag").and_then(Json::as_u64)?,
-            args.get("bytes").and_then(Json::as_u64).unwrap_or(0),
-        ),
-        None => {
-            // Fallback: "send→1 tag 0x7" / "recv←0 tag 0x7" / "timeout←…".
-            let (kind, rest) = name.split_once(['→', '←'])?;
-            let (peer, tag) = rest.split_once(" tag ")?;
-            (
-                kind.to_string(),
-                peer.trim().parse().ok()?,
-                u64::from_str_radix(tag.trim().trim_start_matches("0x"), 16).ok()?,
-                0,
-            )
-        }
-    };
-    let kind = match kind.as_str() {
-        "send" => CommEventKind::Send,
-        "recv" => CommEventKind::Recv,
-        "timeout" => CommEventKind::Timeout,
-        _ => return None,
-    };
-    Some(CommEvent {
-        kind,
-        ts_us: ts,
-        // Sends render with a 1 µs sliver for visibility; restore 0.
-        dur_us: if kind == CommEventKind::Send { 0 } else { dur },
-        peer,
-        tag,
-        bytes,
-    })
 }
 
 // --- reporting ----------------------------------------------------------
@@ -1157,28 +1091,7 @@ impl Analysis {
             .set("wait_us", self.wait_us.into())
             .set("io_us", self.io_us.into());
         o.set("totals", tot);
-        o.set(
-            "sections",
-            Json::Arr(
-                self.sections
-                    .iter()
-                    .map(|s| {
-                        let mut so = Json::obj();
-                        so.set("name", s.name.as_str().into())
-                            .set("on_path_us", s.on_path_us().into())
-                            .set("on_path_compute_us", s.on_path_compute_us.into())
-                            .set("on_path_wait_us", s.on_path_wait_us.into())
-                            .set("wall_max_s", s.wall_max_s.into())
-                            .set("msgs", s.msgs.into())
-                            .set("bytes", s.bytes.into())
-                            .set("verdict", s.verdict.into())
-                            .set("comm_model_s", s.comm_model_s.into())
-                            .set("what_if_half_gain_pct", s.what_if_half_gain_pct.into());
-                        so
-                    })
-                    .collect(),
-            ),
-        );
+        o.set("sections", self.sections_json());
         o.set(
             "wait_classes",
             Json::Arr(
@@ -1210,32 +1123,7 @@ impl Analysis {
                     .collect(),
             ),
         );
-        o.set(
-            "waits",
-            Json::Arr(
-                self.waits
-                    .iter()
-                    .take(JSON_WAIT_CAP)
-                    .map(|w| {
-                        let mut wo = Json::obj();
-                        wo.set("rank", w.rank.into())
-                            .set("peer", w.peer.into())
-                            .set("tag", w.tag.into())
-                            .set("ts_us", w.ts_us.into())
-                            .set("dur_us", w.dur_us.into())
-                            .set("class", w.class.label().into())
-                            .set("blamed", w.blamed.into())
-                            .set("section", w.section.as_str().into());
-                        if w.class == WaitClass::Collective {
-                            if let Some(kind) = collective_kind(w.tag) {
-                                wo.set("collective", kind.into());
-                            }
-                        }
-                        wo
-                    })
-                    .collect(),
-            ),
-        );
+        o.set("waits", self.waits_json());
         o.set("waits_truncated", Json::Bool(self.waits.len() > JSON_WAIT_CAP));
         o.set(
             "intervals",
@@ -1255,31 +1143,7 @@ impl Analysis {
                     .collect(),
             ),
         );
-        o.set(
-            "path",
-            Json::Arr(
-                self.steps
-                    .iter()
-                    .take(JSON_STEP_CAP)
-                    .map(|s| {
-                        let mut so = Json::obj();
-                        so.set("rank", s.rank.into())
-                            .set(
-                                "kind",
-                                match s.kind {
-                                    StepKind::Compute => "compute".into(),
-                                    StepKind::Comm => "comm".into(),
-                                    StepKind::Wait(c) => c.label().into(),
-                                },
-                            )
-                            .set("ts_us", s.ts_us.into())
-                            .set("dur_us", s.dur_us.into())
-                            .set("section", s.section.as_str().into());
-                        so
-                    })
-                    .collect(),
-            ),
-        );
+        o.set("path", self.path_json());
         o.set("path_truncated", Json::Bool(self.steps.len() > JSON_STEP_CAP));
         o.set("top_section", self.top_section.as_str().into());
         o.set("sypd", self.sypd.into());
@@ -1288,6 +1152,63 @@ impl Analysis {
             None => o.set("what_if_half_top", Json::Null),
         };
         o
+    }
+
+    fn sections_json(&self) -> Json {
+        let row = |s: &SectionCost| {
+            let mut so = Json::obj();
+            so.set("name", s.name.as_str().into())
+                .set("on_path_us", s.on_path_us().into())
+                .set("on_path_compute_us", s.on_path_compute_us.into())
+                .set("on_path_wait_us", s.on_path_wait_us.into())
+                .set("wall_max_s", s.wall_max_s.into())
+                .set("msgs", s.msgs.into())
+                .set("bytes", s.bytes.into())
+                .set("verdict", s.verdict.into())
+                .set("comm_model_s", s.comm_model_s.into())
+                .set("what_if_half_gain_pct", s.what_if_half_gain_pct.into());
+            so
+        };
+        Json::Arr(self.sections.iter().map(row).collect())
+    }
+
+    fn waits_json(&self) -> Json {
+        let row = |w: &WaitRecord| {
+            let mut wo = Json::obj();
+            wo.set("rank", w.rank.into())
+                .set("peer", w.peer.into())
+                .set("tag", w.tag.into())
+                .set("ts_us", w.ts_us.into())
+                .set("dur_us", w.dur_us.into())
+                .set("class", w.class.label().into())
+                .set("blamed", w.blamed.into())
+                .set("section", w.section.as_str().into());
+            if w.class == WaitClass::Collective {
+                if let Some(kind) = collective_kind(w.tag) {
+                    wo.set("collective", kind.into());
+                }
+            }
+            wo
+        };
+        Json::Arr(self.waits.iter().take(JSON_WAIT_CAP).map(row).collect())
+    }
+
+    fn path_json(&self) -> Json {
+        let row = |s: &PathStep| {
+            let kind = match s.kind {
+                StepKind::Compute => "compute",
+                StepKind::Comm => "comm",
+                StepKind::Wait(c) => c.label(),
+            };
+            let mut so = Json::obj();
+            so.set("rank", s.rank.into())
+                .set("kind", kind.into())
+                .set("ts_us", s.ts_us.into())
+                .set("dur_us", s.dur_us.into())
+                .set("section", s.section.as_str().into());
+            so
+        };
+        Json::Arr(self.steps.iter().take(JSON_STEP_CAP).map(row).collect())
     }
 
     /// Human-readable "where is my SYPD going?" table.
@@ -1367,53 +1288,37 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Name;
 
-    fn span(name: &str, ts: u64, dur: u64) -> TraceEvent {
-        TraceEvent {
-            name: name.into(),
-            ph: TracePhase::Complete,
-            ts_us: ts,
-            dur_us: dur,
-            tid: 1,
-        }
+    fn span(name: &str, ts: u64, dur: u64) -> Event {
+        Event::span(Name::new(name), 1, ts, dur)
     }
 
-    fn send(ts: u64, peer: usize, tag: u64, bytes: u64) -> CommEvent {
-        CommEvent {
-            kind: CommEventKind::Send,
-            ts_us: ts,
-            dur_us: 0,
-            peer,
-            tag,
-            bytes,
-        }
+    fn send(ts: u64, peer: usize, tag: u64, bytes: u64) -> Event {
+        Event::msg(Kind::Send, ts, 0, peer, tag, bytes)
     }
 
-    fn recv(ts: u64, dur: u64, peer: usize, tag: u64, bytes: u64) -> CommEvent {
-        CommEvent {
-            kind: CommEventKind::Recv,
-            ts_us: ts,
-            dur_us: dur,
-            peer,
-            tag,
-            bytes,
-        }
+    fn recv(ts: u64, dur: u64, peer: usize, tag: u64, bytes: u64) -> Event {
+        Event::msg(Kind::Recv, ts, dur, peer, tag, bytes)
+    }
+
+    /// One rank's events: its spans, then its messages.
+    fn rank(spans: Vec<Event>, comms: Vec<Event>) -> Vec<Event> {
+        spans.into_iter().chain(comms).collect()
     }
 
     /// rank 1 computes 5 ms then sends; rank 0 blocks from 1 ms — the
     /// canonical late-sender shape.
-    fn late_sender_world() -> Vec<RankTimeline> {
+    fn late_sender_world() -> Vec<Vec<Event>> {
         vec![
-            RankTimeline {
-                rank: 0,
-                spans: vec![span("atm_run", 0, 1_000), span("cpl_rearrange", 5_100, 900)],
-                comms: vec![recv(1_000, 4_100, 1, 7, 64)],
-            },
-            RankTimeline {
-                rank: 1,
-                spans: vec![span("ocn_run", 0, 5_000), span("cpl_rearrange", 5_000, 1_000)],
-                comms: vec![send(5_000, 0, 7, 64)],
-            },
+            rank(
+                vec![span("atm_run", 0, 1_000), span("cpl_rearrange", 5_100, 900)],
+                vec![recv(1_000, 4_100, 1, 7, 64)],
+            ),
+            rank(
+                vec![span("ocn_run", 0, 5_000), span("cpl_rearrange", 5_000, 1_000)],
+                vec![send(5_000, 0, 7, 64)],
+            ),
         ]
     }
 
@@ -1424,18 +1329,16 @@ mod tests {
     #[test]
     fn eviction_skewed_pair_stays_on_path() {
         let worlds = vec![
-            RankTimeline {
-                rank: 0,
-                spans: vec![span("atm_run", 0, 1_000), span("cpl_rearrange", 3_100, 900)],
+            rank(
+                vec![span("atm_run", 0, 1_000), span("cpl_rearrange", 3_100, 900)],
                 // The recv ends at 3000; the only surviving send on the
                 // channel was posted at 9000 (the real partner evicted).
-                comms: vec![recv(1_000, 2_000, 1, 7, 64)],
-            },
-            RankTimeline {
-                rank: 1,
-                spans: vec![span("ocn_run", 0, 9_000)],
-                comms: vec![send(9_000, 0, 7, 64)],
-            },
+                vec![recv(1_000, 2_000, 1, 7, 64)],
+            ),
+            rank(
+                vec![span("ocn_run", 0, 9_000)],
+                vec![send(9_000, 0, 7, 64)],
+            ),
         ];
         let a = Analyzer::new(&worlds).analyze();
         // Classified late-sender (send after recv start), but on-path as a
@@ -1484,18 +1387,16 @@ mod tests {
     #[test]
     fn late_receiver_wait_stays_on_path() {
         let world = vec![
-            RankTimeline {
-                rank: 0,
-                spans: vec![span("atm_run", 0, 1_000)],
+            rank(
+                vec![span("atm_run", 0, 1_000)],
                 // Send already posted at 500; the 600 µs wait is arrival
                 // lag on the receiver.
-                comms: vec![recv(1_000, 600, 1, 7, 64)],
-            },
-            RankTimeline {
-                rank: 1,
-                spans: vec![span("ocn_run", 0, 500)],
-                comms: vec![send(500, 0, 7, 64)],
-            },
+                vec![recv(1_000, 600, 1, 7, 64)],
+            ),
+            rank(
+                vec![span("ocn_run", 0, 500)],
+                vec![send(500, 0, 7, 64)],
+            ),
         ];
         let a = Analyzer::new(&world).analyze();
         assert_eq!(a.waits[0].class, WaitClass::LateReceiver);
@@ -1510,16 +1411,14 @@ mod tests {
     fn collective_tag_waits_classify_as_collective() {
         let tag = 0xC0_0000_0000u64 + 0x7000 + 3; // sub-barrier block
         let world = vec![
-            RankTimeline {
-                rank: 0,
-                spans: vec![span("atm_run", 0, 200)],
-                comms: vec![recv(200, 900, 1, tag, 8)],
-            },
-            RankTimeline {
-                rank: 1,
-                spans: vec![span("ocn_run", 0, 1_100)],
-                comms: vec![send(1_100, 0, tag, 8)],
-            },
+            rank(
+                vec![span("atm_run", 0, 200)],
+                vec![recv(200, 900, 1, tag, 8)],
+            ),
+            rank(
+                vec![span("ocn_run", 0, 1_100)],
+                vec![send(1_100, 0, tag, 8)],
+            ),
         ];
         let a = Analyzer::new(&world).analyze();
         assert_eq!(a.waits[0].class, WaitClass::Collective);
@@ -1532,21 +1431,13 @@ mod tests {
 
     #[test]
     fn orphan_and_timeout_waits_classify() {
-        let world = vec![RankTimeline {
-            rank: 0,
-            spans: vec![span("atm_run", 0, 100)],
-            comms: vec![
+        let world = vec![rank(
+            vec![span("atm_run", 0, 100)],
+            vec![
                 recv(100, 50, 1, 9, 0), // no matching send anywhere
-                CommEvent {
-                    kind: CommEventKind::Timeout,
-                    ts_us: 200,
-                    dur_us: 300,
-                    peer: 1,
-                    tag: 9,
-                    bytes: 0,
-                },
+                Event::msg(Kind::Timeout, 200, 300, 1, 9, 0),
             ],
-        }];
+        )];
         let a = Analyzer::new(&world).analyze();
         let classes: Vec<WaitClass> = a.waits.iter().map(|w| w.class).collect();
         assert_eq!(classes, vec![WaitClass::Orphan, WaitClass::Timeout]);
@@ -1566,22 +1457,20 @@ mod tests {
     /// Build a two-rank world where rank 0's atm_run dominates, with the
     /// given atm_run length, so the what-if projection can be checked
     /// against an *actually shrunk* rerun.
-    fn scalable_world(atm_us: u64) -> Vec<RankTimeline> {
+    fn scalable_world(atm_us: u64) -> Vec<Vec<Event>> {
         let recv_start = atm_us; // rank 0 receives right after atm_run
         vec![
-            RankTimeline {
-                rank: 0,
-                spans: vec![
+            rank(
+                vec![
                     span("atm_run", 0, atm_us),
                     span("cpl_rearrange", recv_start, 100),
                 ],
-                comms: vec![recv(recv_start, 50, 1, 21, 1_024)],
-            },
-            RankTimeline {
-                rank: 1,
-                spans: vec![span("ocn_run", 0, 4_000)],
-                comms: vec![send(4_000, 0, 21, 1_024)],
-            },
+                vec![recv(recv_start, 50, 1, 21, 1_024)],
+            ),
+            rank(
+                vec![span("ocn_run", 0, 4_000)],
+                vec![send(4_000, 0, 21, 1_024)],
+            ),
         ]
     }
 
@@ -1621,21 +1510,19 @@ mod tests {
     #[test]
     fn intervals_slice_the_path() {
         let world = vec![
-            RankTimeline {
-                rank: 0,
-                spans: vec![
+            rank(
+                vec![
                     span("atm_run", 0, 900),
                     span("cpl_rearrange", 900, 100),
                     span("atm_run", 1_000, 900),
                     span("cpl_rearrange", 1_900, 100),
                 ],
-                comms: vec![],
-            },
-            RankTimeline {
-                rank: 1,
-                spans: vec![span("ocn_run", 0, 1_500)],
-                comms: vec![],
-            },
+                vec![],
+            ),
+            rank(
+                vec![span("ocn_run", 0, 1_500)],
+                vec![],
+            ),
         ];
         let a = Analyzer::new(&world).analyze();
         assert!(a.intervals.len() >= 2, "intervals: {:?}", a.intervals);
@@ -1649,17 +1536,10 @@ mod tests {
 
     #[test]
     fn roundtrips_through_a_chrome_trace() {
-        use crate::trace::ChromeTrace;
         let world = late_sender_world();
         let direct = Analyzer::new(&world).analyze();
 
-        let mut ct = ChromeTrace::new();
-        for t in &world {
-            ct.add_process(t.rank, &format!("rank {}", t.rank));
-            ct.add_span_events(t.rank, &t.spans);
-            ct.add_comm_events(t.rank, &t.comms);
-        }
-        let doc = Json::parse(&ct.to_json()).unwrap();
+        let doc = Json::parse(&crate::trace::chrome_trace(&world)).unwrap();
         let offline = Analyzer::from_chrome_trace(&doc).unwrap().analyze();
 
         assert_eq!(offline.total_us, direct.total_us);

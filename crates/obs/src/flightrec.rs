@@ -2,219 +2,50 @@
 //!
 //! The paper's year-scale runs live or die by diagnosing rare failures at
 //! scale: after a multi-hour run collapses, the question is *which rank
-//! stalled first and why*. This module is the forensic layer:
+//! stalled first and why*. This module is the forensic layer over the
+//! world's always-on [`EventLog`](crate::event::EventLog):
 //!
-//! * [`FlightRecorder`] — an always-on, bounded, last-writer-wins journal:
-//!   one ring of structured [`FrEvent`]s per rank (health transitions,
-//!   alert firings, recovery/shrink actions, checkpoint begin/commit,
-//!   serve ticket lifecycle), timestamped on the same
-//!   [`trace_epoch`](ap3esm_comm::events::trace_epoch) the comm-event
-//!   timeline uses. Recording when disabled costs one relaxed atomic
-//!   load; when the ring is full the oldest events are evicted, so what
-//!   survives a crash is the tail — the part a postmortem needs.
+//! * [`journal`] — every rank's journal entries (health transitions, alert
+//!   firings, recovery/shrink actions, checkpoint begin/commit, serve
+//!   ticket lifecycle) and messages (send, recv, timeout, stale), merged
+//!   on the shared trace clock into one causally-ordered cross-rank
+//!   timeline. Both come from the same log snapshot, so what survives a
+//!   crash is the tail of both — the part a postmortem needs.
 //! * [`dump_bundle`] — on panic, `Deadlock`, shrink, `RecoveryFailure`,
 //!   or chaos-scenario violation, the driver writes a self-contained
-//!   diagnostics bundle to `target/obs/bundle-<name>/`: every rank's
-//!   journal tail merged with the comm timeline (`journal.json`), the
-//!   current tsdb snapshot, fired alerts, `BuildInfo`, the active fault
-//!   plan/scenario, and the Chrome trace.
-//! * [`analyze`] — the postmortem: merges the journals on the shared
-//!   trace clock into a causally-ordered cross-rank timeline, finds the
-//!   first-stalled rank (the rank whose activity ends earliest — the
-//!   silence the rest of the world then times out against), matches
-//!   unpaired sends to missing receives per FIFO channel, and renders a
-//!   blame report as JSON ([`Postmortem::to_json`]) and a human table
+//!   diagnostics bundle to `target/obs/bundle-<name>/`: the journal
+//!   (`journal.json`), the same events as a Chrome trace, the current tsdb
+//!   snapshot, fired alerts, `BuildInfo`, and the active fault
+//!   plan/scenario.
+//! * [`analyze`] — the postmortem: finds the first-stalled rank (the rank
+//!   whose activity ends earliest — the silence the rest of the world then
+//!   times out against), matches unpaired sends to missing receives per
+//!   FIFO channel, and renders a blame report as JSON
+//!   ([`Postmortem::to_json`]) and a human table
 //!   ([`Postmortem::render_table`]).
-//!
-//! The recorder deliberately does **not** own the comm half of the
-//! journal: `comm` cannot depend on `obs`, so send/recv/timeout/stale
-//! events live in [`CommEventLog`](ap3esm_comm::events::CommEventLog) and
-//! the two halves are merged at dump time, where both sides' shared
-//! trace clock makes the interleave causally meaningful.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use ap3esm_comm::events::{trace_now_us, CommEvent, CommEventLog};
 
 use crate::alert::AlertEvent;
+use crate::event::{journal_row, parse_journal_row, Event, Kind, Name};
 use crate::json::Json;
-use crate::msgflow::{pair_fifo, FlowEvent, FlowKind};
+use crate::msgflow::pair_fifo;
 use crate::perf::BuildInfo;
 use crate::report::alert_event_json;
-
-/// What a flight-recorder event records. Comm-level kinds (send, recv,
-/// timeout, stale) are *not* duplicated here — they come from the
-/// [`CommEventLog`] half of the journal at dump time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrKind {
-    /// A health-agreement verdict (`a` = severity code: 0 healthy,
-    /// 1 degraded, 2 fatal).
-    Health,
-    /// An alert rule fired (detail names the rule).
-    Alert,
-    /// A recovery action: rollback begun (`a` = rollback count so far).
-    Recovery,
-    /// The world shrank (`a` = new generation, `b` = surviving rank count).
-    Shrink,
-    /// Checkpoint write begun (`a` = checkpoint id).
-    CkptBegin,
-    /// Checkpoint committed and agreed (`a` = checkpoint id).
-    CkptCommit,
-    /// An injected or detected fault (detail carries the record).
-    Fault,
-    /// Serve: a ticket entered the system (`a` = ticket/job id).
-    ServeSubmit,
-    /// Serve: a ticket completed (`a` = ticket/job id).
-    ServeDone,
-    /// Serve: a ticket was shed by admission control (`a` = ticket id).
-    ServeShed,
-    /// Free-form milestone marker (run start, scenario boundary, …).
-    Mark,
-}
-
-impl FrKind {
-    /// Stable lower-case label used in `journal.json`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FrKind::Health => "health",
-            FrKind::Alert => "alert",
-            FrKind::Recovery => "recovery",
-            FrKind::Shrink => "shrink",
-            FrKind::CkptBegin => "ckpt.begin",
-            FrKind::CkptCommit => "ckpt.commit",
-            FrKind::Fault => "fault",
-            FrKind::ServeSubmit => "serve.submit",
-            FrKind::ServeDone => "serve.done",
-            FrKind::ServeShed => "serve.shed",
-            FrKind::Mark => "mark",
-        }
-    }
-}
-
-/// One journal entry on a rank's flight-recorder ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrEvent {
-    /// Microseconds since the shared trace epoch.
-    pub ts_us: u64,
-    pub kind: FrKind,
-    /// Kind-specific payload (see [`FrKind`] variants).
-    pub a: u64,
-    pub b: u64,
-    /// Short human-readable context (empty when the kind says it all).
-    pub detail: String,
-}
-
-/// Default per-rank journal capacity (events). Small enough that an
-/// always-on recorder is memory-trivial, large enough that the failure
-/// window of interest survives eviction.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4_096;
-
-/// Always-on bounded per-rank journal of structured [`FrEvent`]s.
-///
-/// Mirrors the comm layer's [`CommEventLog`] discipline: an `AtomicBool`
-/// gate read with one relaxed load on every record call, per-rank rings
-/// under independent mutexes (ranks are threads; each writes its own
-/// ring, so contention is nil in steady state), oldest-evicted when full
-/// with per-rank eviction counters.
-pub struct FlightRecorder {
-    enabled: AtomicBool,
-    capacity: usize,
-    rings: Vec<Mutex<VecDeque<FrEvent>>>,
-    dropped: Vec<AtomicU64>,
-}
-
-impl FlightRecorder {
-    /// A recorder for `n_ranks` journals, enabled from birth (the whole
-    /// point is to already be on when the failure happens).
-    pub fn new(n_ranks: usize, capacity: usize) -> Self {
-        FlightRecorder {
-            enabled: AtomicBool::new(true),
-            capacity: capacity.max(1),
-            rings: (0..n_ranks).map(|_| Mutex::new(VecDeque::new())).collect(),
-            dropped: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// The hot-path gate: one relaxed load.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn n_ranks(&self) -> usize {
-        self.rings.len()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Record an event on `rank`'s journal, stamped with the shared trace
-    /// clock. A no-op (one relaxed load) when the recorder is disabled.
-    pub fn record(&self, rank: usize, kind: FrKind, a: u64, b: u64, detail: &str) {
-        if !self.is_enabled() {
-            return;
-        }
-        let event = FrEvent {
-            ts_us: trace_now_us(),
-            kind,
-            a,
-            b,
-            detail: detail.to_string(),
-        };
-        let mut ring = lock(&self.rings[rank]);
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-            self.dropped[rank].fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
-    }
-
-    /// Clone `rank`'s retained journal tail (oldest first) plus the
-    /// eviction count, without draining — a bundle dump must not steal
-    /// events from a later dump of the same run.
-    pub fn snapshot(&self, rank: usize) -> (Vec<FrEvent>, u64) {
-        let ring = lock(&self.rings[rank]);
-        (
-            ring.iter().cloned().collect(),
-            self.dropped[rank].load(Ordering::Relaxed),
-        )
-    }
-
-    /// Events currently journaled for `rank` (test/diagnostic helper).
-    pub fn len(&self, rank: usize) -> usize {
-        lock(&self.rings[rank]).len()
-    }
-
-    pub fn is_empty(&self, rank: usize) -> bool {
-        self.len(rank) == 0
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use crate::trace::chrome_trace;
 
 // --- diagnostics bundle -------------------------------------------------
 
 /// Everything a bundle dump can attach. All fields are optional except
-/// the name and reason: a postmortem of a half-dead world must be able to
-/// dump whatever rank 0 can still reach.
+/// the reason: a postmortem of a half-dead world must be able to dump
+/// whatever rank 0 can still reach.
 #[derive(Default)]
 pub struct BundleSpec<'a> {
     /// Human reason the bundle exists ("deadlock", "shrink",
     /// "recovery-failure", "panic", "scenario-violation", …).
     pub reason: &'a str,
-    /// The obs half of the journal.
-    pub recorder: Option<&'a FlightRecorder>,
-    /// The comm half of the journal (snapshot, not drained).
-    pub comm_events: Option<&'a CommEventLog>,
+    /// One snapshot of the world's event log (`events[rank]`).
+    pub events: &'a [Vec<Event>],
     /// Current tsdb snapshot (`ap3esm-tsdb/1` JSON text).
     pub series_json: Option<String>,
     /// Alerts fired so far.
@@ -223,13 +54,26 @@ pub struct BundleSpec<'a> {
     pub fault_plan: Option<String>,
     /// The active campaign scenario (name / expectation / plan).
     pub scenario: Option<String>,
-    /// A rendered Chrome trace JSON document.
-    pub trace_json: Option<String>,
+}
+
+/// The merged cross-rank journal of one log snapshot: every event but the
+/// spans, as `(rank, event)`, sorted on the shared trace clock so the
+/// interleave is causally ordered. At equal timestamps journal kinds come
+/// before messages, each rank-major in arrival order (the sort is stable).
+pub fn journal(events: &[Vec<Event>]) -> Vec<(usize, Event)> {
+    let mut rows: Vec<(usize, Event)> = events
+        .iter()
+        .enumerate()
+        .flat_map(|(rank, ring)| ring.iter().map(move |e| (rank, *e)))
+        .filter(|(_, e)| e.kind != Kind::Span)
+        .collect();
+    rows.sort_by_key(|(_, e)| (e.ts_us, e.kind.is_message()));
+    rows
 }
 
 /// Write a self-contained diagnostics bundle to `dir/bundle-<name>/`.
 /// Returns the bundle directory. Existing files are overwritten —
-/// last-writer-wins, like the recorder itself.
+/// last-writer-wins, like the log itself.
 pub fn dump_bundle_to(
     dir: impl AsRef<Path>,
     name: &str,
@@ -241,23 +85,16 @@ pub fn dump_bundle_to(
     // and CI logs carry a clean, clickable bundle location.
     let bundle = bundle.canonicalize().unwrap_or(bundle);
 
-    let journal = merge_journal(spec.recorder, spec.comm_events);
-    let n_ranks = spec
-        .recorder
-        .map(|r| r.n_ranks())
-        .or(spec.comm_events.map(|c| c.n_ranks()))
-        .unwrap_or(0);
-
+    let rows = journal(spec.events);
+    let n_ranks = spec.events.len();
     let mut files: Vec<&str> = vec!["manifest.json", "journal.json", "alerts.json"];
 
-    // journal.json — the merged cross-rank timeline, sorted on the shared
-    // trace clock so the interleave is causally ordered.
     let mut jdoc = Json::obj();
     jdoc.set("schema", "ap3esm-journal/1".into())
         .set("ranks", n_ranks.into())
         .set(
             "events",
-            Json::Arr(journal.iter().map(journal_row_json).collect()),
+            Json::Arr(rows.iter().map(|(rank, e)| journal_row(*rank, e)).collect()),
         );
     std::fs::write(bundle.join("journal.json"), jdoc.to_string() + "\n")?;
 
@@ -265,21 +102,19 @@ pub fn dump_bundle_to(
     let alerts = Json::Arr(spec.alerts.iter().map(alert_event_json).collect());
     std::fs::write(bundle.join("alerts.json"), alerts.to_string() + "\n")?;
 
-    if let Some(series) = &spec.series_json {
-        std::fs::write(bundle.join("series.json"), series)?;
-        files.push("series.json");
-    }
-    if let Some(plan) = &spec.fault_plan {
-        std::fs::write(bundle.join("faultplan.txt"), plan)?;
-        files.push("faultplan.txt");
-    }
-    if let Some(scenario) = &spec.scenario {
-        std::fs::write(bundle.join("scenario.txt"), scenario)?;
-        files.push("scenario.txt");
-    }
-    if let Some(trace) = &spec.trace_json {
-        std::fs::write(bundle.join("trace.json"), trace)?;
-        files.push("trace.json");
+    // The same events as a timeline, so the bundle opens in Perfetto.
+    let trace = (n_ranks > 0).then(|| chrome_trace(spec.events));
+    let optional = [
+        ("series.json", spec.series_json.as_deref()),
+        ("faultplan.txt", spec.fault_plan.as_deref()),
+        ("scenario.txt", spec.scenario.as_deref()),
+        ("trace.json", trace.as_deref()),
+    ];
+    for (file, body) in optional {
+        if let Some(body) = body {
+            std::fs::write(bundle.join(file), body)?;
+            files.push(file);
+        }
     }
 
     // manifest.json last: it indexes what was actually written.
@@ -289,7 +124,7 @@ pub fn dump_bundle_to(
         .set("name", name.into())
         .set("reason", spec.reason.into())
         .set("ranks", n_ranks.into())
-        .set("events", journal.len().into())
+        .set("events", rows.len().into())
         .set("build", BuildInfo::current().to_json())
         .set(
             "files",
@@ -304,86 +139,6 @@ pub fn dump_bundle(name: &str, spec: &BundleSpec) -> std::io::Result<PathBuf> {
     dump_bundle_to(crate::report::default_dir(), name, spec)
 }
 
-/// One merged journal row: either half of the journal normalised to a
-/// single shape so the analyzer (and a human with `jq`) reads one stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalRow {
-    pub rank: usize,
-    pub ts_us: u64,
-    pub dur_us: u64,
-    /// Kind label: `send`/`recv`/`timeout`/`stale` from the comm half,
-    /// [`FrKind::label`] values from the recorder half.
-    pub kind: String,
-    /// Peer rank for comm rows; kind-specific `a` for recorder rows.
-    pub peer: u64,
-    /// Message tag for comm rows; kind-specific `b` for recorder rows.
-    pub tag: u64,
-    /// Payload bytes (sends/recvs), dropped-message count (stale), 0 else.
-    pub n: u64,
-    pub detail: String,
-}
-
-fn merge_journal(
-    recorder: Option<&FlightRecorder>,
-    comm: Option<&CommEventLog>,
-) -> Vec<JournalRow> {
-    let mut rows = Vec::new();
-    if let Some(rec) = recorder {
-        for rank in 0..rec.n_ranks() {
-            let (events, _) = rec.snapshot(rank);
-            for e in events {
-                rows.push(JournalRow {
-                    rank,
-                    ts_us: e.ts_us,
-                    dur_us: 0,
-                    kind: e.kind.label().to_string(),
-                    peer: e.a,
-                    tag: e.b,
-                    n: 0,
-                    detail: e.detail,
-                });
-            }
-        }
-    }
-    if let Some(log) = comm {
-        for rank in 0..log.n_ranks() {
-            let (events, _) = log.snapshot(rank);
-            for e in events {
-                rows.push(comm_row(rank, &e));
-            }
-        }
-    }
-    // Stable sort: equal timestamps keep rank-major insertion order.
-    rows.sort_by_key(|r| r.ts_us);
-    rows
-}
-
-fn comm_row(rank: usize, e: &CommEvent) -> JournalRow {
-    JournalRow {
-        rank,
-        ts_us: e.ts_us,
-        dur_us: e.dur_us,
-        kind: e.kind.label().to_string(),
-        peer: e.peer as u64,
-        tag: e.tag,
-        n: e.bytes,
-        detail: String::new(),
-    }
-}
-
-fn journal_row_json(r: &JournalRow) -> Json {
-    let mut o = Json::obj();
-    o.set("rank", r.rank.into())
-        .set("ts_us", r.ts_us.into())
-        .set("dur_us", r.dur_us.into())
-        .set("kind", r.kind.as_str().into())
-        .set("peer", r.peer.into())
-        .set("tag", r.tag.into())
-        .set("n", r.n.into())
-        .set("detail", r.detail.as_str().into());
-    o
-}
-
 // --- postmortem analyzer ------------------------------------------------
 
 /// Per-rank activity envelope on the merged timeline.
@@ -395,8 +150,8 @@ pub struct RankActivity {
     /// End of the rank's last activity (`ts + dur` of its final event);
     /// 0 when the rank journaled nothing at all.
     pub last_us: u64,
-    /// The rank's final journal row, for the blame table.
-    pub last_event: Option<JournalRow>,
+    /// The rank's final journal event, for the blame table.
+    pub last_event: Option<Event>,
 }
 
 /// A send with no matching receive on its FIFO channel (the shared
@@ -434,8 +189,8 @@ pub struct Postmortem {
 }
 
 /// Analyze a bundle directory written by [`dump_bundle_to`]: parse
-/// `journal.json` (and `manifest.json` for the reason), merge the
-/// timeline, and derive blame.
+/// `journal.json` (and `manifest.json` for the reason) back into per-rank
+/// events and derive blame.
 pub fn analyze(bundle_dir: impl AsRef<Path>) -> Result<Postmortem, String> {
     let bundle = bundle_dir.as_ref();
     let journal_text = std::fs::read_to_string(bundle.join("journal.json"))
@@ -449,13 +204,18 @@ pub fn analyze(bundle_dir: impl AsRef<Path>) -> Result<Postmortem, String> {
         .get("ranks")
         .and_then(Json::as_u64)
         .ok_or("journal missing ranks")? as usize;
-    let rows: Vec<JournalRow> = jdoc
+    let mut events: Vec<Vec<Event>> = vec![Vec::new(); n_ranks];
+    for row in jdoc
         .get("events")
         .and_then(Json::as_arr)
         .ok_or("journal missing events")?
-        .iter()
-        .map(parse_row)
-        .collect::<Result<_, _>>()?;
+    {
+        let (rank, event) = parse_journal_row(row)?;
+        if rank >= events.len() {
+            events.resize_with(rank + 1, Vec::new);
+        }
+        events[rank].push(event);
+    }
 
     let reason = std::fs::read_to_string(bundle.join("manifest.json"))
         .ok()
@@ -463,42 +223,16 @@ pub fn analyze(bundle_dir: impl AsRef<Path>) -> Result<Postmortem, String> {
         .and_then(|m| m.get("reason").and_then(Json::as_str).map(str::to_string))
         .unwrap_or_default();
 
-    Ok(analyze_rows(bundle.to_path_buf(), reason, n_ranks, rows))
+    Ok(analyze_events(bundle.to_path_buf(), reason, &events))
 }
 
-fn parse_row(v: &Json) -> Result<JournalRow, String> {
-    let u = |k: &str| v.get(k).and_then(Json::as_u64).ok_or(format!("row missing {k}"));
-    Ok(JournalRow {
-        rank: u("rank")? as usize,
-        ts_us: u("ts_us")?,
-        dur_us: u("dur_us")?,
-        kind: v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("row missing kind")?
-            .to_string(),
-        peer: u("peer")?,
-        tag: u("tag")?,
-        n: u("n")?,
-        detail: v
-            .get("detail")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string(),
-    })
-}
-
-/// The pure core of [`analyze`], separated so tests and in-process
-/// callers can run it on rows they already hold.
-pub fn analyze_rows(
-    bundle: PathBuf,
-    reason: String,
-    n_ranks: usize,
-    rows: Vec<JournalRow>,
-) -> Postmortem {
+/// The pure core of [`analyze`]: blame over one log snapshot (or one parsed
+/// journal), `events[rank]` being that rank's events.
+pub fn analyze_events(bundle: PathBuf, reason: String, events: &[Vec<Event>]) -> Postmortem {
+    let rows = journal(events);
     // Per-rank envelopes. A rank with no events keeps last_us = 0: total
     // silence sorts first, which is exactly the right blame order.
-    let mut ranks: Vec<RankActivity> = (0..n_ranks)
+    let mut ranks: Vec<RankActivity> = (0..events.len())
         .map(|rank| RankActivity {
             rank,
             events: 0,
@@ -507,28 +241,15 @@ pub fn analyze_rows(
             last_event: None,
         })
         .collect();
-    for row in &rows {
-        if row.rank >= ranks.len() {
-            ranks.resize_with(row.rank + 1, || RankActivity {
-                rank: 0,
-                events: 0,
-                first_us: 0,
-                last_us: 0,
-                last_event: None,
-            });
-            for (i, r) in ranks.iter_mut().enumerate() {
-                r.rank = i;
-            }
-        }
-        let r = &mut ranks[row.rank];
-        let end = row.ts_us + row.dur_us;
+    for (rank, e) in &rows {
+        let r = &mut ranks[*rank];
         if r.events == 0 {
-            r.first_us = row.ts_us;
+            r.first_us = e.ts_us;
         }
         r.events += 1;
-        if end >= r.last_us {
-            r.last_us = end;
-            r.last_event = Some(row.clone());
+        if e.end_us() >= r.last_us {
+            r.last_us = e.end_us();
+            r.last_event = Some(*e);
         }
     }
 
@@ -543,45 +264,24 @@ pub fn analyze_rows(
     // k-th recv on the same channel; the excess tail of sends is unpaired.
     // The pairing itself is the shared msgflow implementation, so the
     // postmortem and the chrome-trace flow arrows can never disagree.
-    let mut flow_events = Vec::new();
-    let mut timeouts = Vec::new();
-    for row in &rows {
-        match row.kind.as_str() {
-            "send" => flow_events.push(FlowEvent {
-                rank: row.rank,
-                kind: FlowKind::Send,
-                ts_us: row.ts_us,
-                dur_us: row.dur_us,
-                peer: row.peer as usize,
-                tag: row.tag,
-                bytes: row.n,
-            }),
-            "recv" => flow_events.push(FlowEvent {
-                rank: row.rank,
-                kind: FlowKind::Recv,
-                ts_us: row.ts_us,
-                dur_us: row.dur_us,
-                peer: row.peer as usize,
-                tag: row.tag,
-                bytes: row.n,
-            }),
-            "timeout" => timeouts.push(TimeoutRecord {
-                rank: row.rank,
-                peer: row.peer as usize,
-                tag: row.tag,
-                ts_us: row.ts_us,
-                dur_us: row.dur_us,
-            }),
-            _ => {}
-        }
-    }
-    let mut unpaired_sends = pair_fifo(&flow_events).unpaired_sends;
+    let mut unpaired_sends = pair_fifo(events).unpaired_sends;
     // Sends into (or out of) the blamed rank first — those are the
     // messages the silence orphaned — then chronological.
     unpaired_sends.sort_by_key(|u| {
         let involves_blamed = Some(u.dst) == blamed || Some(u.src) == blamed;
         (!involves_blamed, u.ts_us)
     });
+    let timeouts = rows
+        .iter()
+        .filter(|(_, e)| e.kind == Kind::Timeout)
+        .map(|(rank, e)| TimeoutRecord {
+            rank: *rank,
+            peer: e.peer(),
+            tag: e.b,
+            ts_us: e.ts_us,
+            dur_us: e.dur_us,
+        })
+        .collect();
 
     Postmortem {
         bundle,
@@ -622,7 +322,7 @@ impl Postmortem {
                             .set("first_us", r.first_us.into())
                             .set("last_us", r.last_us.into());
                         match &r.last_event {
-                            Some(e) => ro.set("last_event", journal_row_json(e)),
+                            Some(e) => ro.set("last_event", journal_row(r.rank, e)),
                             None => ro.set("last_event", Json::Null),
                         };
                         ro
@@ -672,7 +372,11 @@ impl Postmortem {
         out.push_str(&format!(
             "postmortem: {}\nreason: {}\n",
             self.bundle.display(),
-            if self.reason.is_empty() { "(unknown)" } else { &self.reason }
+            if self.reason.is_empty() {
+                "(unknown)"
+            } else {
+                &self.reason
+            }
         ));
         match self.blamed {
             Some(b) => out.push_str(&format!(
@@ -685,15 +389,19 @@ impl Postmortem {
         for r in &self.ranks {
             let last = match &r.last_event {
                 Some(e) => {
-                    let mut s = format!("{} peer={} tag={:#x}", e.kind, e.peer, e.tag);
-                    if !e.detail.is_empty() {
-                        s.push_str(&format!(" — {}", e.detail));
+                    let mut s = format!("{} peer={} tag={:#x}", e.kind.label(), e.a, e.b);
+                    if e.name != Name::default() {
+                        s.push_str(&format!(" — {}", e.name.as_str()));
                     }
                     s
                 }
                 None => "(silent — no events journaled)".to_string(),
             };
-            let mark = if Some(r.rank) == self.blamed { "*" } else { " " };
+            let mark = if Some(r.rank) == self.blamed {
+                "*"
+            } else {
+                " "
+            };
             out.push_str(&format!(
                 "{mark}{:<4} {:>7} {:>10} {:>10}  {last}\n",
                 r.rank, r.events, r.first_us, r.last_us
@@ -736,41 +444,22 @@ impl Postmortem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ap3esm_comm::events::{CommEvent, CommEventKind};
+    use crate::event::{trace_now_us, EventLog};
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ap3esm-flightrec-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ap3esm-flightrec-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    #[test]
-    fn recorder_is_bounded_and_counts_evictions() {
-        let rec = FlightRecorder::new(1, 3);
-        for i in 0..5u64 {
-            rec.record(0, FrKind::Mark, i, 0, "");
-        }
-        let (events, dropped) = rec.snapshot(0);
-        assert_eq!(events.len(), 3);
-        assert_eq!(dropped, 2);
-        let ids: Vec<u64> = events.iter().map(|e| e.a).collect();
-        assert_eq!(ids, vec![2, 3, 4], "oldest evicted, tail kept");
-        // Snapshot does not drain.
-        assert_eq!(rec.len(0), 3);
+    fn msg(kind: Kind, ts: u64, dur: u64, peer: usize, tag: u64, n: u64) -> Event {
+        Event::msg(kind, ts, dur, peer, tag, n)
     }
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = FlightRecorder::new(2, 8);
-        rec.set_enabled(false);
-        rec.record(0, FrKind::Health, 2, 0, "fatal");
-        rec.record(1, FrKind::Alert, 0, 0, "sypd-collapse");
-        assert!(rec.is_empty(0));
-        assert!(rec.is_empty(1));
+    fn mark(kind: Kind, name: &str, a: u64, ts: u64) -> Event {
+        Event::mark(kind, Name::new(name), a, 0, 1, ts)
     }
 
     #[test]
@@ -778,17 +467,26 @@ mod tests {
         // Rank 1 stops at t=100; ranks 0 and 2 keep going to t=900. Rank 0
         // sent rank 1 two messages of which one was never received, and
         // timed out waiting on rank 1.
-        let rows = vec![
-            JournalRow { rank: 0, ts_us: 10, dur_us: 0, kind: "send".into(), peer: 1, tag: 7, n: 64, detail: String::new() },
-            JournalRow { rank: 1, ts_us: 20, dur_us: 30, kind: "recv".into(), peer: 0, tag: 7, n: 64, detail: String::new() },
-            JournalRow { rank: 1, ts_us: 100, dur_us: 0, kind: "ckpt.begin".into(), peer: 1, tag: 0, n: 0, detail: String::new() },
-            JournalRow { rank: 0, ts_us: 200, dur_us: 0, kind: "send".into(), peer: 1, tag: 7, n: 64, detail: String::new() },
-            JournalRow { rank: 2, ts_us: 300, dur_us: 50, kind: "recv".into(), peer: 0, tag: 9, n: 8, detail: String::new() },
-            JournalRow { rank: 0, ts_us: 250, dur_us: 0, kind: "send".into(), peer: 2, tag: 9, n: 8, detail: String::new() },
-            JournalRow { rank: 0, ts_us: 400, dur_us: 500, kind: "timeout".into(), peer: 1, tag: 7, n: 0, detail: String::new() },
-            JournalRow { rank: 2, ts_us: 880, dur_us: 20, kind: "mark".into(), peer: 0, tag: 0, n: 0, detail: "tail".into() },
+        let events = vec![
+            vec![
+                msg(Kind::Send, 10, 0, 1, 7, 64),
+                msg(Kind::Send, 200, 0, 1, 7, 64),
+                msg(Kind::Send, 250, 0, 2, 9, 8),
+                msg(Kind::Timeout, 400, 500, 1, 7, 0),
+            ],
+            vec![
+                msg(Kind::Recv, 20, 30, 0, 7, 64),
+                mark(Kind::CkptBegin, "checkpoint.begin", 1, 100),
+            ],
+            vec![
+                msg(Kind::Recv, 300, 50, 0, 9, 8),
+                Event {
+                    dur_us: 20,
+                    ..mark(Kind::Mark, "tail", 0, 880)
+                },
+            ],
         ];
-        let pm = analyze_rows(PathBuf::from("x"), "test".into(), 3, rows);
+        let pm = analyze_events(PathBuf::from("x"), "test".into(), &events);
         assert_eq!(pm.blamed, Some(1));
         assert_eq!(pm.ranks[1].last_us, 100);
         assert_eq!(pm.silence_gap_us, 900 - 100);
@@ -803,53 +501,75 @@ mod tests {
     #[test]
     fn silent_rank_outranks_slow_rank_in_blame() {
         // Rank 1 never journaled anything: maximal suspicion.
-        let rows = vec![
-            JournalRow { rank: 0, ts_us: 10, dur_us: 0, kind: "mark".into(), peer: 0, tag: 0, n: 0, detail: String::new() },
-            JournalRow { rank: 2, ts_us: 15, dur_us: 0, kind: "mark".into(), peer: 0, tag: 0, n: 0, detail: String::new() },
+        let events = vec![
+            vec![mark(Kind::Mark, "", 0, 10)],
+            vec![],
+            vec![mark(Kind::Mark, "", 0, 15)],
         ];
-        let pm = analyze_rows(PathBuf::from("x"), String::new(), 3, rows);
+        let pm = analyze_events(PathBuf::from("x"), String::new(), &events);
         assert_eq!(pm.blamed, Some(1));
         assert!(pm.ranks[1].last_event.is_none());
     }
 
     #[test]
+    fn spans_stay_out_of_the_journal() {
+        let events = vec![vec![
+            Event::span(Name::new("atm_run"), 1, 0, 5_000),
+            mark(Kind::Mark, "run.start", 0, 10),
+        ]];
+        assert_eq!(journal(&events).len(), 1);
+        let pm = analyze_events(PathBuf::from("x"), String::new(), &events);
+        assert_eq!((pm.total_events, pm.ranks[0].last_us), (1, 10));
+    }
+
+    #[test]
     fn bundle_roundtrips_through_the_analyzer() {
         let dir = tmpdir("roundtrip");
-        let rec = FlightRecorder::new(3, 64);
-        let comm = CommEventLog::new(3, 64);
-        comm.set_enabled(true);
+        let log = EventLog::with_capacity(3, 64, 64);
+        log.set_enabled(true);
 
         // Synthetic history on the real trace clock: rank 1 dies after one
         // recv; ranks 0/2 continue and rank 0 times out on rank 1.
         let t0 = trace_now_us();
-        comm.record(0, CommEvent { kind: CommEventKind::Send, ts_us: t0 + 1, dur_us: 0, peer: 1, tag: 42, bytes: 800 });
-        comm.record(1, CommEvent { kind: CommEventKind::Recv, ts_us: t0 + 2, dur_us: 1, peer: 0, tag: 42, bytes: 800 });
-        rec.record(1, FrKind::CkptBegin, 1, 0, "");
-        comm.record(0, CommEvent { kind: CommEventKind::Send, ts_us: t0 + 500, dur_us: 0, peer: 1, tag: 42, bytes: 800 });
-        comm.record(0, CommEvent { kind: CommEventKind::Timeout, ts_us: t0 + 600, dur_us: 900, peer: 1, tag: 42, bytes: 0 });
-        rec.record(0, FrKind::Recovery, 1, 0, "rollback 1");
-        rec.record(2, FrKind::Mark, 0, 0, "still alive");
-        comm.record(2, CommEvent { kind: CommEventKind::Recv, ts_us: t0 + 2_000, dur_us: 10, peer: 0, tag: 9, bytes: 8 });
-        comm.record(0, CommEvent { kind: CommEventKind::Send, ts_us: t0 + 1_990, dur_us: 0, peer: 2, tag: 9, bytes: 8 });
+        log.record(0, msg(Kind::Send, t0 + 1, 0, 1, 42, 800));
+        log.record(1, msg(Kind::Recv, t0 + 2, 1, 0, 42, 800));
+        log.mark(1, Kind::CkptBegin, "checkpoint.begin", 1, 0);
+        log.record(0, msg(Kind::Send, t0 + 500, 0, 1, 42, 800));
+        log.record(0, msg(Kind::Timeout, t0 + 600, 900, 1, 42, 0));
+        log.mark(0, Kind::Recovery, "rollback", 1, 0);
+        log.mark(2, Kind::Mark, "still alive", 0, 0);
+        log.record(2, msg(Kind::Recv, t0 + 2_000, 10, 0, 9, 8));
+        log.record(0, msg(Kind::Send, t0 + 1_990, 0, 2, 9, 8));
 
         let spec = BundleSpec {
             reason: "deadlock",
-            recorder: Some(&rec),
-            comm_events: Some(&comm),
+            events: &log.snapshot(),
             series_json: Some("{\"schema\":\"ap3esm-tsdb/1\",\"series\":[]}".to_string()),
             fault_plan: Some("die rank=1 step=1\n".to_string()),
             ..Default::default()
         };
         let bundle = dump_bundle_to(&dir, "unit", &spec).unwrap();
         assert!(bundle.ends_with("bundle-unit"));
-        for f in ["manifest.json", "journal.json", "alerts.json", "series.json", "faultplan.txt"] {
+        for f in [
+            "manifest.json",
+            "journal.json",
+            "alerts.json",
+            "series.json",
+            "faultplan.txt",
+            "trace.json",
+        ] {
             assert!(bundle.join(f).is_file(), "bundle missing {f}");
         }
 
         let pm = analyze(&bundle).unwrap();
         assert_eq!(pm.reason, "deadlock");
         assert_eq!(pm.n_ranks, 3);
-        assert_eq!(pm.blamed, Some(1), "rank 1 stalled first: {}", pm.render_table());
+        assert_eq!(
+            pm.blamed,
+            Some(1),
+            "rank 1 stalled first: {}",
+            pm.render_table()
+        );
         assert_eq!(pm.unpaired_sends.len(), 1);
         assert_eq!((pm.unpaired_sends[0].src, pm.unpaired_sends[0].dst), (0, 1));
         assert_eq!(pm.timeouts.len(), 1);
@@ -857,7 +577,10 @@ mod tests {
         // JSON form round-trips through the parser with the right schema.
         let text = pm.to_json().to_string();
         let doc = Json::parse(&text).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("ap3esm-postmortem/1"));
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("ap3esm-postmortem/1")
+        );
         assert_eq!(doc.get("blamed_rank").and_then(Json::as_u64), Some(1));
         // The table names the blamed rank and the orphaned channel.
         let table = pm.render_table();
@@ -870,7 +593,10 @@ mod tests {
     fn dump_tolerates_a_minimal_spec() {
         // A panic handler may have almost nothing: name + reason only.
         let dir = tmpdir("minimal");
-        let spec = BundleSpec { reason: "panic", ..Default::default() };
+        let spec = BundleSpec {
+            reason: "panic",
+            ..Default::default()
+        };
         let bundle = dump_bundle_to(&dir, "bare", &spec).unwrap();
         let pm = analyze(&bundle).unwrap();
         assert_eq!(pm.blamed, None);

@@ -3,49 +3,49 @@
 //! The paper's §6.2 measurement methodology in library form, shared by the
 //! coupled driver, the component dycores, the coupler and the I/O layer:
 //!
+//! * [`event`] — the event model's codec. The world owns one bounded
+//!   per-rank log of one typed event ([`EventLog`], [`Event`]: spans,
+//!   messages, journal entries — defined in `ap3esm-comm` so that `comm`
+//!   can record into it); this module moves events to and from the two
+//!   frozen row shapes, `journal.json` rows and chrome-trace rows. Every
+//!   exporter below is a plain function of one log snapshot,
+//!   `&[Vec<Event>]`.
 //! * [`span`] — a hierarchical wall-clock profiler: nestable named spans
 //!   form a call tree (GPTL-analogue), with per-node total time, self time
-//!   and call counts. Entering a span when profiling is disabled costs one
-//!   relaxed atomic load.
+//!   and call counts; the rank's front end to the event log (traced spans,
+//!   [`mark()`]). Entering a span when profiling is disabled costs one
+//!   relaxed atomic load; a warm enter/drop allocates nothing.
+//! * [`trace`] — [`trace::chrome_trace`]: a snapshot as one Chrome Trace
+//!   Event Format timeline (`target/obs/trace-<name>.json`, openable in
+//!   Perfetto), one `pid` per rank, with send/recv flow arrows; plus the
+//!   span trees as collapsed stacks (`trace-<name>.folded`).
+//! * [`msgflow`] — [`pair_fifo`]: the k-th send on a `(src, dst, tag)`
+//!   channel matches the k-th recv. The one pairing behind the flow arrows,
+//!   the postmortem and the critical path.
+//! * [`flightrec`] — [`flightrec::journal`], [`dump_bundle`], [`analyze`]:
+//!   a snapshot as a merged cross-rank journal, a self-contained
+//!   diagnostics bundle around it, and the postmortem that names the
+//!   first-stalled rank from the bundle alone.
+//! * [`critpath`] — [`Analyzer`]: a snapshot as a cross-rank activity
+//!   graph; critical path, Scalasca-style wait classes (late-sender,
+//!   late-receiver, collective, timeout), section costs against the
+//!   [`ap3esm_machine`] α–β model, what-if projections.
+//! * [`rankagg`] — the paper's rule, "the maximum value across all MPI
+//!   ranks": per-section max/min/mean and imbalance over the gathered span
+//!   snapshots, and every rank's bounded span tree.
 //! * [`metrics`] — a registry of named counters, gauges and log-bucketed
 //!   histograms (p50/p95/max), all atomic on the hot path.
-//! * [`rankagg`] — per-section max/min/mean across the ranks of a
-//!   [`World`](ap3esm_comm::World) plus the load-imbalance ratio, following
-//!   the paper's rule of recording "the maximum value across all MPI ranks".
-//! * [`report`] — a run-report sink that renders the span tree for humans
-//!   and writes one machine-readable JSON object per run to
-//!   `target/obs/run-<name>.json`.
-//! * [`trace`] — per-rank timeline export: Chrome Trace Event Format
-//!   (`target/obs/trace-<name>.json`, openable in Perfetto) with one `pid`
-//!   per rank, span `X` events, resilience instant events and send/recv
-//!   flow arrows, plus collapsed-stack flamegraph output
-//!   (`trace-<name>.folded` for `inferno`/`flamegraph.pl`).
-//! * [`tsdb`] — continuous telemetry: a lock-sharded in-process time-series
-//!   store with ring-buffered downsampling tiers (raw → 10× → 100×) and a
-//!   [`Sampler`](tsdb::Sampler) thread that snapshots the registry on a
-//!   configurable cadence, so week-long runs keep bounded in-flight history.
-//! * [`openmetrics`] — OpenMetrics text exposition of the registry and
-//!   series, a strict parser for CI validation, and a std-only blocking
-//!   HTTP scrape endpoint (opt-in `--metrics-addr`).
-//! * [`alert`] — declarative SLO/anomaly rules (threshold, rolling-mean
-//!   deviation, rate-of-change) evaluated on the sampled series; firings
-//!   land on stderr, in the chrome trace as instants, and in the run
-//!   report's `"alerts"` array.
-//! * [`msgflow`] — the shared FIFO send/recv pairing used by the trace
-//!   exporter's flow arrows, the flight recorder's unpaired-send analysis
-//!   and the critical-path analyzer: the k-th send on a `(src, dst, tag)`
-//!   channel matches the k-th recv, deterministically.
-//! * [`critpath`] — the "where is my SYPD going?" analyzer: replays
-//!   per-rank span timelines and comm-event rings into a cross-rank
-//!   activity graph, extracts the critical path, classifies off-path waits
-//!   Scalasca-style (late-sender, late-receiver, collective, timeout),
-//!   costs sections against the [`ap3esm_machine`] α–β model, and projects
-//!   what-if SYPD gains from shrinking a named section.
-//! * [`perf`] — the performance observatory: the schema-versioned
-//!   `ap3esm-bench/1` BENCH-file format (`BENCH_<n>.json` at the repo
-//!   root, one point per PR), shared build/machine stamping
-//!   ([`perf::BuildInfo`], also embedded in run reports and traces), and
-//!   the trajectory regression gate ([`perf::gate`]).
+//! * [`report`] — the run report (`ap3esm-obs/5`): span tree, sections,
+//!   rank trees, metrics, alerts, comm summary and critical path as one
+//!   JSON object per run in `target/obs/run-<name>.json`.
+//! * [`json`] — the one JSON value, writer and parser every artifact uses.
+//! * [`tsdb`], [`openmetrics`], [`alert`] — continuous telemetry: a sampled
+//!   time-series store with downsampling tiers, its OpenMetrics exposition
+//!   and scrape endpoint, and declarative SLO/anomaly rules evaluated on it
+//!   (a sampled-series store, not an event log: firings are journaled, the
+//!   series are not events).
+//! * [`perf`], [`leaderboard`] — the `ap3esm-bench/1` trajectory files with
+//!   their regression gate and build stamp, and the campaign leaderboard.
 //!
 //! Leaf crates instrument hot paths through the free functions below
 //! ([`span()`], [`counter_add()`], …), which act on a **thread-local active
@@ -55,8 +55,13 @@
 //! bitwise trajectory of the model is unchanged whether or not profiling is
 //! on — timing is observed, never consulted.
 
+// The threshold is `too-many-lines-threshold` in the workspace-root
+// clippy.toml; an exporter that outgrows it wants splitting, not allowing.
+#![deny(clippy::too_many_lines)]
+
 pub mod alert;
 pub mod critpath;
+pub mod event;
 pub mod flightrec;
 pub mod json;
 pub mod leaderboard;
@@ -73,22 +78,17 @@ pub mod tsdb;
 pub use alert::{
     parse_rules, serve_rules, sim_rules, AlertEngine, AlertEvent, Rule, RuleKind, RuleStatus,
 };
-pub use critpath::{Analysis, Analyzer, RankTimeline, WaitClass};
-pub use flightrec::{
-    analyze, dump_bundle, dump_bundle_to, BundleSpec, FlightRecorder, FrEvent, FrKind,
-    Postmortem, DEFAULT_FLIGHT_CAPACITY,
-};
+pub use critpath::{Analysis, Analyzer, WaitClass};
+pub use event::{Event, EventLog, Kind, Name};
+pub use flightrec::{analyze, dump_bundle, dump_bundle_to, BundleSpec, Postmortem};
 pub use leaderboard::{Leaderboard, LeaderboardRow, LEADERBOARD_SCHEMA};
-pub use metrics::{Counter, Gauge, Histogram, Metrics, MetricSnapshot};
-pub use msgflow::{
-    pair_fifo, pair_rings, FlowEvent, FlowKind, FlowPairing, PairedMessage, UnpairedSend,
-};
+pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Metrics};
+pub use msgflow::{pair_fifo, FlowPairing, PairedMessage, UnpairedSend};
 pub use openmetrics::MetricsServer;
 pub use perf::{BenchFile, BuildInfo, Direction, Stat};
-pub use rankagg::{aggregate_sections, gather_span_trees, RankTree, SectionStats};
+pub use rankagg::{aggregate_sections, rank_trees, RankTree, SectionStats};
 pub use report::{alert_event_json, CommSummary, ReportBuilder, RunReport};
 pub use span::{Profiler, SpanGuard, SpanSnapshot};
-pub use trace::{ChromeTrace, TraceEvent, TracePhase, TraceSink};
 pub use tsdb::{Derived, Sampler, SeriesSnapshot, SeriesStore};
 
 use std::cell::RefCell;
@@ -176,12 +176,13 @@ pub fn histogram_record(name: &str, value: u64) {
     }
 }
 
-/// Records an instant trace event (fault injection, health verdict,
-/// rollback, checkpoint begin/commit…) on the active profiler's trace
-/// sink; a no-op without an active instance or with tracing off.
-pub fn instant(name: &str) {
+/// Journals `kind` (fault injection, health verdict, rollback, checkpoint
+/// begin/commit…) under the marker `name` in the active profiler's event
+/// log: one entry, an instant in the chrome trace and a row in the bundle's
+/// journal. A no-op without an active instance or an attached, enabled log.
+pub fn mark(kind: Kind, name: &str, a: u64, b: u64) {
     if let Some(obs) = active() {
-        obs.profiler.record_instant(name);
+        obs.profiler.mark(kind, name, a, b);
     }
 }
 

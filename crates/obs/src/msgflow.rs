@@ -2,13 +2,13 @@
 //! k-th-send-matches-k-th-recv rule.
 //!
 //! The mailbox in `ap3esm-comm` is FIFO per `(src, dst, tag)` channel, so
-//! arrival order *is* pairing order. Three consumers rely on that fact and
-//! used to re-derive it independently: the chrome-trace flow arrows
-//! ([`crate::trace::ChromeTrace`]), the flight-recorder postmortem
-//! ([`crate::flightrec::analyze`]), and the critical-path analyzer
-//! ([`crate::critpath`]). They now all call [`pair_fifo`], so a pairing
-//! bug (or a pairing improvement) lands everywhere at once — and a
-//! regression test can assert the exporters agree event-for-event.
+//! arrival order *is* pairing order. Three consumers rely on that fact: the
+//! chrome-trace flow arrows ([`crate::trace::chrome_trace`]), the
+//! flight-recorder postmortem ([`crate::flightrec::analyze`]), and the
+//! critical-path analyzer ([`crate::critpath`]). They all call
+//! [`pair_fifo`] on the same per-rank event slices, so a pairing bug (or a
+//! pairing improvement) lands everywhere at once — and a regression test
+//! can assert the exporters agree event-for-event.
 //!
 //! Channels are walked in `BTreeMap` key order `(src, dst, tag)` and pairs
 //! within a channel in arrival order, so the output is deterministic for a
@@ -16,54 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use ap3esm_comm::events::{CommEvent, CommEventKind};
-
-/// Which side of a channel a [`FlowEvent`] sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowKind {
-    Send,
-    Recv,
-}
-
-/// One send or blocking-receive record, normalised to the *recording*
-/// rank's point of view (`peer` is the other end, as in [`CommEvent`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowEvent {
-    /// The rank that recorded the event.
-    pub rank: usize,
-    pub kind: FlowKind,
-    /// Microseconds since the trace epoch at event start (for receives:
-    /// the start of the blocking window).
-    pub ts_us: u64,
-    /// Blocking-window length for receives; 0 for sends.
-    pub dur_us: u64,
-    /// Destination for sends, source for receives.
-    pub peer: usize,
-    pub tag: u64,
-    pub bytes: u64,
-}
-
-impl FlowEvent {
-    /// Adapt a comm-ring event. Timed-out waits never consumed a message
-    /// and stale discards never delivered one, so neither participates in
-    /// pairing — both map to `None`.
-    pub fn from_comm(rank: usize, e: &CommEvent) -> Option<FlowEvent> {
-        let kind = match e.kind {
-            CommEventKind::Send => FlowKind::Send,
-            CommEventKind::Recv => FlowKind::Recv,
-            CommEventKind::Timeout | CommEventKind::Stale => return None,
-        };
-        Some(FlowEvent {
-            rank,
-            kind,
-            ts_us: e.ts_us,
-            dur_us: e.dur_us,
-            peer: e.peer,
-            tag: e.tag,
-            bytes: e.bytes,
-        })
-    }
-}
+use crate::event::{Event, Kind};
 
 /// A send matched with the receive that consumed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,18 +69,22 @@ pub struct FlowPairing {
 }
 
 /// Pair the k-th send on `(src, dst, tag)` with the k-th recv on the same
-/// channel. Events may arrive in any order and from any rank's ring; each
-/// channel's sends and recvs are taken in the order given, which for ring
-/// drains is arrival order (the rings are append-only per rank and a
-/// channel's events all come from one rank's ring on each side).
-pub fn pair_fifo(events: &[FlowEvent]) -> FlowPairing {
-    let mut sends: BTreeMap<(usize, usize, u64), Vec<&FlowEvent>> = BTreeMap::new();
-    let mut recvs: BTreeMap<(usize, usize, u64), Vec<&FlowEvent>> = BTreeMap::new();
-    for e in events {
-        match e.kind {
-            // Channel key: (sender rank, receiver rank, tag).
-            FlowKind::Send => sends.entry((e.rank, e.peer, e.tag)).or_default().push(e),
-            FlowKind::Recv => recvs.entry((e.peer, e.rank, e.tag)).or_default().push(e),
+/// channel, `rings[rank]` being rank `rank`'s events. Each channel's sends
+/// and recvs are taken in the order given, which for a log snapshot is
+/// arrival order (a channel's events all come from one rank's ring on each
+/// side). Timed-out waits never consumed a message and stale discards never
+/// delivered one, so neither takes part; nor does any other kind.
+pub fn pair_fifo(rings: &[Vec<Event>]) -> FlowPairing {
+    let mut sends: BTreeMap<(usize, usize, u64), Vec<&Event>> = BTreeMap::new();
+    let mut recvs: BTreeMap<(usize, usize, u64), Vec<&Event>> = BTreeMap::new();
+    for (rank, ring) in rings.iter().enumerate() {
+        for e in ring {
+            match e.kind {
+                // Channel key: (sender rank, receiver rank, tag).
+                Kind::Send => sends.entry((rank, e.peer(), e.b)).or_default().push(e),
+                Kind::Recv => recvs.entry((e.peer(), rank, e.b)).or_default().push(e),
+                _ => {}
+            }
         }
     }
     let mut out = FlowPairing::default();
@@ -143,7 +100,7 @@ pub fn pair_fifo(events: &[FlowEvent]) -> FlowPairing {
                     send_ts_us: s.ts_us,
                     recv_ts_us: r.ts_us,
                     recv_dur_us: r.dur_us,
-                    bytes: s.bytes,
+                    bytes: s.n,
                 }),
                 None => out.unpaired_sends.push(UnpairedSend {
                     src,
@@ -157,58 +114,26 @@ pub fn pair_fifo(events: &[FlowEvent]) -> FlowPairing {
     out
 }
 
-/// Convenience wrapper: pair the drained comm rings of a whole world,
-/// `rings[rank]` being rank `rank`'s events (timeouts and stale discards
-/// are skipped, as in [`FlowEvent::from_comm`]).
-pub fn pair_rings(rings: &[Vec<CommEvent>]) -> FlowPairing {
-    let events: Vec<FlowEvent> = rings
-        .iter()
-        .enumerate()
-        .flat_map(|(rank, ring)| ring.iter().filter_map(move |e| FlowEvent::from_comm(rank, e)))
-        .collect();
-    pair_fifo(&events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn send(rank: usize, ts: u64, peer: usize, tag: u64) -> FlowEvent {
-        FlowEvent {
-            rank,
-            kind: FlowKind::Send,
-            ts_us: ts,
-            dur_us: 0,
-            peer,
-            tag,
-            bytes: 64,
-        }
+    fn send(ts: u64, peer: usize, tag: u64) -> Event {
+        Event::msg(Kind::Send, ts, 0, peer, tag, 64)
     }
 
-    fn recv(rank: usize, ts: u64, dur: u64, peer: usize, tag: u64) -> FlowEvent {
-        FlowEvent {
-            rank,
-            kind: FlowKind::Recv,
-            ts_us: ts,
-            dur_us: dur,
-            peer,
-            tag,
-            bytes: 64,
-        }
+    fn recv(ts: u64, dur: u64, peer: usize, tag: u64) -> Event {
+        Event::msg(Kind::Recv, ts, dur, peer, tag, 64)
     }
 
     #[test]
     fn kth_send_matches_kth_recv_per_channel() {
-        let events = vec![
-            send(0, 10, 1, 7),
-            send(0, 20, 1, 7),
-            recv(1, 5, 8, 0, 7),
-            recv(1, 25, 4, 0, 7),
+        let rings = vec![
             // A different tag is a different channel.
-            send(0, 12, 1, 9),
-            recv(1, 11, 3, 0, 9),
+            vec![send(10, 1, 7), send(20, 1, 7), send(12, 1, 9)],
+            vec![recv(5, 8, 0, 7), recv(25, 4, 0, 7), recv(11, 3, 0, 9)],
         ];
-        let p = pair_fifo(&events);
+        let p = pair_fifo(&rings);
         assert_eq!(p.pairs.len(), 3);
         assert!(p.unpaired_sends.is_empty());
         // Channel order (0,1,7) then (0,1,9); arrival order within.
@@ -224,8 +149,13 @@ mod tests {
 
     #[test]
     fn excess_sends_are_unpaired_in_order() {
-        let events = vec![send(2, 1, 3, 5), send(2, 2, 3, 5), recv(3, 0, 4, 2, 5)];
-        let p = pair_fifo(&events);
+        let rings = vec![
+            vec![],
+            vec![],
+            vec![send(1, 3, 5), send(2, 3, 5)],
+            vec![recv(0, 4, 2, 5)],
+        ];
+        let p = pair_fifo(&rings);
         assert_eq!(p.pairs.len(), 1);
         assert_eq!(
             p.unpaired_sends,
@@ -239,32 +169,24 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_and_stale_events_never_pair() {
-        use ap3esm_comm::events::{CommEvent, CommEventKind};
-        let t = CommEvent {
-            kind: CommEventKind::Timeout,
-            ts_us: 0,
-            dur_us: 9,
-            peer: 1,
-            tag: 2,
-            bytes: 0,
-        };
-        let s = CommEvent {
-            kind: CommEventKind::Stale,
-            ts_us: 0,
-            dur_us: 0,
-            peer: 1,
-            tag: 2,
-            bytes: 3,
-        };
-        assert!(FlowEvent::from_comm(0, &t).is_none());
-        assert!(FlowEvent::from_comm(0, &s).is_none());
+    fn only_sends_and_recvs_pair() {
+        use crate::event::Name;
+        let rings = vec![vec![
+            Event::msg(Kind::Timeout, 0, 9, 1, 2, 0),
+            Event::msg(Kind::Stale, 0, 0, 1, 2, 3),
+            Event::span(Name::new("atm_run"), 1, 0, 10),
+            Event::mark(Kind::Fault, Name::new("fault.kill"), 1, 2, 1, 5),
+        ]];
+        assert_eq!(pair_fifo(&rings), FlowPairing::default());
     }
 
     #[test]
-    fn pairing_is_order_insensitive_across_ranks() {
-        let a = vec![send(0, 10, 1, 7), recv(1, 5, 8, 0, 7)];
-        let b = vec![recv(1, 5, 8, 0, 7), send(0, 10, 1, 7)];
-        assert_eq!(pair_fifo(&a), pair_fifo(&b));
+    fn pairing_ignores_what_else_a_ring_holds() {
+        use crate::event::Name;
+        let bare = vec![vec![send(10, 1, 7)], vec![recv(5, 8, 0, 7)]];
+        let mut busy = bare.clone();
+        busy[0].insert(0, Event::span(Name::new("atm_run"), 1, 0, 10));
+        busy[1].push(Event::msg(Kind::Timeout, 30, 9, 0, 7, 0));
+        assert_eq!(pair_fifo(&bare), pair_fifo(&busy));
     }
 }

@@ -2,18 +2,16 @@
 //!
 //! §6.2: "Wall-clock time measurements are obtained using timers … with the
 //! maximum value across all MPI ranks recorded to account for potential
-//! load imbalance." [`aggregate_sections`] implements that rule on top of
-//! the `ap3esm-comm` collectives — every rank contributes its local span
-//! snapshot and every rank returns the same merged table of per-section
-//! max/min/mean plus the load-imbalance ratio. [`gather_span_trees`]
-//! additionally ships every rank's *full tree* (bounded by depth and span
-//! count) to the reporting rank, so the run report and the chrome-trace
-//! export can show each rank's structure, not just a flat table.
+//! load imbalance." Every rank ships its span snapshot to the reporting
+//! rank (one `gather::<SpanSnapshot>` — ranks are threads, so the typed
+//! snapshot travels as it is), and two plain functions of the gathered
+//! snapshots do the rest: [`aggregate_sections`] implements the paper's
+//! rule — per-section max/min/mean plus the load-imbalance ratio — and
+//! [`rank_trees`] bounds every rank's *full tree* by depth and span count,
+//! so the run report and the flamegraph show each rank's structure, not
+//! just a flat table.
 
 use std::collections::BTreeMap;
-
-use ap3esm_comm::collectives::{allgather, gather};
-use ap3esm_comm::{CommError, Rank};
 
 use crate::span::SpanSnapshot;
 
@@ -42,76 +40,29 @@ pub struct SectionStats {
     pub count: u64,
 }
 
-// Wire encoding of one rank's sections: [u32 path len][path bytes]
-// [f64 total bits][u64 count] per span, concatenated.
-fn encode(spans: &[SpanSnapshot]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for s in spans {
-        out.extend_from_slice(&(s.path.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.path.as_bytes());
-        out.extend_from_slice(&s.total_s.to_bits().to_le_bytes());
-        out.extend_from_slice(&s.count.to_le_bytes());
+/// Merges every rank's span snapshot (`per_rank[rank]`) into per-section
+/// cross-rank stats, sorted by path.
+pub fn aggregate_sections(per_rank: &[Vec<SpanSnapshot>]) -> Vec<SectionStats> {
+    let world = per_rank.len();
+    let mut merged: BTreeMap<&str, SectionStats> = BTreeMap::new();
+    for s in per_rank.iter().flatten() {
+        let entry = merged.entry(&s.path).or_insert_with(|| SectionStats {
+            path: s.path.clone(),
+            max_s: f64::NEG_INFINITY,
+            min_s: f64::INFINITY,
+            mean_s: 0.0, // holds the running sum until the final pass
+            imbalance: 1.0,
+            ranks: 0,
+            world,
+            count: 0,
+        });
+        entry.max_s = entry.max_s.max(s.total_s);
+        entry.min_s = entry.min_s.min(s.total_s);
+        entry.mean_s += s.total_s;
+        entry.ranks += 1;
+        entry.count = entry.count.max(s.count);
     }
-    out
-}
-
-fn decode(mut buf: &[u8]) -> Vec<(String, f64, u64)> {
-    let mut out = Vec::new();
-    while buf.len() >= 4 {
-        let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        if buf.len() < 4 + len + 16 {
-            break; // truncated record: keep the complete prefix
-        }
-        buf = &buf[4..];
-        let path = String::from_utf8_lossy(&buf[..len]).into_owned();
-        buf = &buf[len..];
-        let total = f64::from_bits(u64::from_le_bytes(buf[..8].try_into().unwrap()));
-        buf = &buf[8..];
-        let count = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        buf = &buf[8..];
-        out.push((path, total, count));
-    }
-    out
-}
-
-/// Merges every rank's span snapshot into per-section cross-rank stats;
-/// collective over the whole world (every rank must call it), and every
-/// rank returns the identical table, sorted by path.
-pub fn aggregate_sections(
-    rank: &Rank,
-    tag: u64,
-    spans: &[SpanSnapshot],
-) -> Result<Vec<SectionStats>, CommError> {
-    let mine = encode(spans);
-    // Variable-length allgather: lengths first, then the concatenated bytes.
-    let lens = allgather(rank, tag, vec![mine.len() as u64])?;
-    let all = allgather(rank, tag + 1, mine)?;
-
-    let world = rank.size();
-    let mut merged: BTreeMap<String, SectionStats> = BTreeMap::new();
-    let mut offset = 0usize;
-    for &len in &lens {
-        let len = len as usize;
-        for (path, total, count) in decode(&all[offset..offset + len]) {
-            let entry = merged.entry(path.clone()).or_insert(SectionStats {
-                path,
-                max_s: f64::NEG_INFINITY,
-                min_s: f64::INFINITY,
-                mean_s: 0.0, // holds the running sum until the final pass
-                imbalance: 1.0,
-                ranks: 0,
-                world,
-                count: 0,
-            });
-            entry.max_s = entry.max_s.max(total);
-            entry.min_s = entry.min_s.min(total);
-            entry.mean_s += total;
-            entry.ranks += 1;
-            entry.count = entry.count.max(count);
-        }
-        offset += len;
-    }
-    Ok(merged
+    merged
         .into_values()
         .map(|mut s| {
             // Imbalance over the whole world: absent ranks contribute zero
@@ -125,10 +76,10 @@ pub fn aggregate_sections(
             };
             s
         })
-        .collect())
+        .collect()
 }
 
-/// One rank's (bounded) span tree as gathered by [`gather_span_trees`].
+/// One rank's (bounded) span tree, as [`rank_trees`] cuts it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankTree {
     pub rank: usize,
@@ -138,97 +89,38 @@ pub struct RankTree {
     pub spans: Vec<SpanSnapshot>,
 }
 
-// Wire encoding of one bounded tree: [u64 dropped] then per span
-// [u32 path len][path][u32 depth][f64 total bits][f64 self bits][u64 count].
-fn encode_tree(dropped: u64, spans: &[SpanSnapshot]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&dropped.to_le_bytes());
-    for s in spans {
-        out.extend_from_slice(&(s.path.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.path.as_bytes());
-        out.extend_from_slice(&(s.depth as u32).to_le_bytes());
-        out.extend_from_slice(&s.total_s.to_bits().to_le_bytes());
-        out.extend_from_slice(&s.self_s.to_bits().to_le_bytes());
-        out.extend_from_slice(&s.count.to_le_bytes());
-    }
-    out
-}
-
-fn decode_tree(rank: usize, mut buf: &[u8]) -> RankTree {
-    let dropped = if buf.len() >= 8 {
-        let d = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        buf = &buf[8..];
-        d
-    } else {
-        0
-    };
-    let mut spans = Vec::new();
-    while buf.len() >= 4 {
-        let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        if buf.len() < 4 + len + 28 {
-            break; // truncated record: keep the complete prefix
-        }
-        buf = &buf[4..];
-        let path = String::from_utf8_lossy(&buf[..len]).into_owned();
-        buf = &buf[len..];
-        let depth = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        buf = &buf[4..];
-        let total_s = f64::from_bits(u64::from_le_bytes(buf[..8].try_into().unwrap()));
-        buf = &buf[8..];
-        let self_s = f64::from_bits(u64::from_le_bytes(buf[..8].try_into().unwrap()));
-        buf = &buf[8..];
-        let count = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        buf = &buf[8..];
-        let name = path.rsplit('/').next().unwrap_or(&path).to_string();
-        spans.push(SpanSnapshot {
-            path,
-            name,
-            depth,
-            total_s,
-            self_s,
-            count,
-        });
-    }
-    RankTree {
-        rank,
-        dropped,
-        spans,
-    }
-}
-
-/// Ships every rank's span tree (preorder, bounded to `max_depth` and
-/// `max_spans` per rank) to rank 0. Collective over the whole world; rank 0
-/// returns `Some(trees)` in rank order, every other rank returns `None`.
-pub fn gather_span_trees(
-    rank: &Rank,
-    tag: u64,
-    spans: &[SpanSnapshot],
+/// Every rank's span tree (preorder), bounded to `max_depth` and
+/// `max_spans` per rank. Depth bound first: preorder keeps parents before
+/// children, and a node's children are strictly deeper, so the prefix stays
+/// a forest.
+pub fn rank_trees(
+    per_rank: &[Vec<SpanSnapshot>],
     max_depth: usize,
     max_spans: usize,
-) -> Result<Option<Vec<RankTree>>, CommError> {
-    // Depth bound first (preorder keeps parents before children, and a
-    // node's children are strictly deeper, so the prefix stays a forest).
-    let kept: Vec<&SpanSnapshot> = spans
+) -> Vec<RankTree> {
+    per_rank
         .iter()
-        .filter(|s| s.depth <= max_depth)
-        .take(max_spans)
-        .collect();
-    let dropped = (spans.len() - kept.len()) as u64;
-    let bounded: Vec<SpanSnapshot> = kept.into_iter().cloned().collect();
-    let wire = encode_tree(dropped, &bounded);
-    let gathered = gather::<u8>(rank, tag, 0, wire)?;
-    Ok(gathered.map(|parts| {
-        parts
-            .into_iter()
-            .enumerate()
-            .map(|(r, bytes)| decode_tree(r, &bytes))
-            .collect()
-    }))
+        .enumerate()
+        .map(|(rank, all)| {
+            let spans: Vec<SpanSnapshot> = all
+                .iter()
+                .filter(|s| s.depth <= max_depth)
+                .take(max_spans)
+                .cloned()
+                .collect();
+            RankTree {
+                rank,
+                dropped: (all.len() - spans.len()) as u64,
+                spans,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ap3esm_comm::collectives::gather;
     use ap3esm_comm::World;
 
     fn span(path: &str, total_s: f64, count: u64) -> SpanSnapshot {
@@ -244,74 +136,70 @@ mod tests {
 
     #[test]
     fn takes_max_across_ranks_and_computes_imbalance() {
-        let world = World::new(4);
-        let tables = world.run(|rank| {
-            // Rank r spends (r+1) seconds in "work": mean 2.5, max 4.
-            let spans = vec![span("work", (rank.id() + 1) as f64, 10)];
-            aggregate_sections(rank, 0x0B50, &spans).unwrap()
-        });
-        for t in &tables {
-            assert_eq!(t.len(), 1);
-            let w = &t[0];
-            assert_eq!(w.path, "work");
-            assert_eq!(w.ranks, 4);
-            assert_eq!(w.world, 4);
-            assert_eq!(w.max_s, 4.0);
-            assert_eq!(w.min_s, 1.0);
-            assert!((w.mean_s - 2.5).abs() < 1e-12);
-            assert!((w.imbalance - 1.6).abs() < 1e-12);
-            assert_eq!(w.count, 10);
-        }
-        // Every rank computed the identical table.
-        assert_eq!(tables[0], tables[3]);
+        // Rank r spends (r+1) seconds in "work": mean 2.5, max 4.
+        let per_rank: Vec<_> = (0..4)
+            .map(|r| vec![span("work", (r + 1) as f64, 10)])
+            .collect();
+        let t = aggregate_sections(&per_rank);
+        assert_eq!(t.len(), 1);
+        let w = &t[0];
+        assert_eq!(w.path, "work");
+        assert_eq!(w.ranks, 4);
+        assert_eq!(w.world, 4);
+        assert_eq!(w.max_s, 4.0);
+        assert_eq!(w.min_s, 1.0);
+        assert!((w.mean_s - 2.5).abs() < 1e-12);
+        assert!((w.imbalance - 1.6).abs() < 1e-12);
+        assert_eq!(w.count, 10);
     }
 
     #[test]
     fn sections_missing_on_some_ranks_read_as_world_imbalance() {
-        let world = World::new(3);
-        let tables = world.run(|rank| {
-            // Only rank 0 runs the atmosphere; all ranks run the ocean. The
-            // section also exists on ranks *other than 0* in real coupled
-            // runs (ocean spans absent on rank 0): either way the table
-            // must list it and flag the concentration, not report 1.0.
-            let mut spans = vec![span("ocn_run", 2.0, 4)];
-            if rank.id() == 0 {
-                spans.push(span("atm_run", 6.0, 8));
-            } else {
-                spans.push(span("ocn_run/barotropic", 1.0, 2));
-            }
-            aggregate_sections(rank, 0x0B60, &spans).unwrap()
-        });
-        let t = &tables[1];
+        // Only rank 0 runs the atmosphere; all ranks run the ocean. The
+        // section also exists on ranks *other than 0* in real coupled
+        // runs (ocean spans absent on rank 0): either way the table
+        // must list it and flag the concentration, not report 1.0.
+        let per_rank: Vec<_> = (0..3)
+            .map(|r| {
+                let mut spans = vec![span("ocn_run", 2.0, 4)];
+                if r == 0 {
+                    spans.push(span("atm_run", 6.0, 8));
+                } else {
+                    spans.push(span("ocn_run/barotropic", 1.0, 2));
+                }
+                spans
+            })
+            .collect();
+        let t = aggregate_sections(&per_rank);
         assert_eq!(t.len(), 3);
         assert_eq!(t[0].path, "atm_run"); // BTreeMap: sorted by path
         assert_eq!(t[0].ranks, 1);
         assert_eq!(t[0].world, 3);
         assert_eq!(t[0].mean_s, 6.0); // mean over participants is unchanged
-        // World mean is 6/3 = 2 s, so one-rank-of-three reads as 3×.
+                                      // World mean is 6/3 = 2 s, so one-rank-of-three reads as 3×.
         assert!((t[0].imbalance - 3.0).abs() < 1e-12);
         assert_eq!(t[1].path, "ocn_run");
         assert_eq!(t[1].ranks, 3);
         assert_eq!(t[1].imbalance, 1.0); // balanced sections still read 1.0
-        // Present on ranks 1..3 but absent on rank 0: 1.0/(2/3) = 1.5×.
+                                         // Present on ranks 1..3 but absent on rank 0: 1.0/(2/3) = 1.5×.
         assert_eq!(t[2].path, "ocn_run/barotropic");
         assert_eq!(t[2].ranks, 2);
         assert!((t[2].imbalance - 1.5).abs() < 1e-12);
     }
 
     #[test]
-    fn gathers_every_ranks_tree_to_root_in_rank_order() {
+    fn snapshots_gather_to_root_typed_and_cut_into_trees_in_rank_order() {
         let world = World::new(3);
-        let trees = world.run(|rank| {
+        let gathered = world.run(|rank| {
             let spans = vec![
                 span("top", (rank.id() + 1) as f64, 1),
                 span("top/leaf", 0.5, 2),
             ];
-            gather_span_trees(rank, 0x0B70, &spans, 16, 512).unwrap()
+            gather(rank, 0x0B70, 0, spans).unwrap()
         });
-        assert!(trees[1].is_none());
-        assert!(trees[2].is_none());
-        let trees = trees[0].as_ref().unwrap();
+        assert!(gathered[1].is_none());
+        assert!(gathered[2].is_none());
+        let trees = rank_trees(gathered[0].as_ref().unwrap(), 16, 512);
         assert_eq!(trees.len(), 3);
         for (r, t) in trees.iter().enumerate() {
             assert_eq!(t.rank, r);
@@ -326,31 +214,17 @@ mod tests {
     }
 
     #[test]
-    fn tree_gather_bounds_depth_and_count() {
-        let world = World::new(2);
-        let trees = world.run(|rank| {
-            let spans = vec![
-                span("a", 3.0, 1),
-                span("a/b", 2.0, 1),
-                span("a/b/c", 1.0, 1), // over max_depth
-                span("d", 1.0, 1),     // over max_spans after depth cut
-            ];
-            gather_span_trees(rank, 0x0B80, &spans, 1, 2).unwrap()
-        });
-        let trees = trees[0].as_ref().unwrap();
+    fn trees_are_bounded_by_depth_and_count() {
+        let spans = vec![
+            span("a", 3.0, 1),
+            span("a/b", 2.0, 1),
+            span("a/b/c", 1.0, 1), // over max_depth
+            span("d", 1.0, 1),     // over max_spans after depth cut
+        ];
+        let trees = rank_trees(&[Vec::new(), spans], 1, 2);
         let t = &trees[1];
         assert_eq!(t.dropped, 2);
         let paths: Vec<&str> = t.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["a", "a/b"]);
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_paths_and_bits() {
-        let spans = vec![span("a/b c", 0.1234567890123, 7), span("x", 0.0, 0)];
-        let decoded = decode(&encode(&spans));
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0].0, "a/b c");
-        assert_eq!(decoded[0].1.to_bits(), 0.1234567890123f64.to_bits());
-        assert_eq!(decoded[1], ("x".to_string(), 0.0, 0));
     }
 }

@@ -10,16 +10,19 @@
 //!
 //! When the profiler is disabled (or none is installed — see the crate
 //! root), `enter` returns an inert guard after a single relaxed load: cheap
-//! enough to leave instrumentation compiled into the dycore hot loops.
+//! enough to leave instrumentation compiled into the dycore hot loops. A
+//! warm enter/drop allocates nothing, traced or not.
+//!
+//! The profiler is also the rank's front end to the world's event log
+//! ([`Profiler::attach`]): journal entries go there through
+//! [`Profiler::mark`], and while [tracing](Profiler::set_tracing) every
+//! completed span is recorded there too, by its interned name.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use ap3esm_comm::events::trace_now_us;
-
-use crate::trace::TraceSink;
+use crate::event::{current_tid, trace_now_us, Event, EventLog, Kind, Name};
 
 /// Sentinel parent id for top-level spans.
 const ROOT: u32 = u32::MAX;
@@ -32,17 +35,21 @@ struct NodeStats {
 }
 
 struct Node {
-    name: String,
+    /// Interned once at creation: the id is what a span event carries.
+    name: Name,
+    name_str: &'static str,
     parent: u32,
     depth: usize,
     stats: Arc<NodeStats>,
+    /// Children are created once and reused; there are few, so lookup by
+    /// name is a scan (and allocates nothing).
+    children: Vec<u32>,
 }
 
 #[derive(Default)]
 struct Tree {
     nodes: Vec<Node>,
-    /// (parent, name) → node id; children are created once and reused.
-    index: HashMap<(u32, String), u32>,
+    roots: Vec<u32>,
 }
 
 /// A thread-safe hierarchical profiler (one per rank in a coupled run).
@@ -51,12 +58,12 @@ pub struct Profiler {
     /// Distinguishes profilers on the shared thread-local span stack.
     id: u64,
     tree: Mutex<Tree>,
-    /// Fast gate mirroring `trace.is_some()`; checked with one relaxed load
-    /// on the span path so non-traced runs pay nothing extra.
-    trace_on: AtomicBool,
-    /// When installed, every completed span and instant event is also
-    /// pushed here for chrome-trace export.
-    trace: Mutex<Option<Arc<TraceSink>>>,
+    /// Whether completed spans are also recorded as events; checked with
+    /// one relaxed load on the span path so non-traced runs pay nothing
+    /// extra.
+    tracing: AtomicBool,
+    /// The event log this profiler records into, and as which rank.
+    log: OnceLock<(Arc<EventLog>, usize)>,
 }
 
 impl Default for Profiler {
@@ -86,8 +93,8 @@ impl Profiler {
             enabled: AtomicBool::new(true),
             id: next_profiler_id(),
             tree: Mutex::new(Tree::default()),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
+            tracing: AtomicBool::new(false),
+            log: OnceLock::new(),
         }
     }
 
@@ -106,30 +113,24 @@ impl Profiler {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Install (or remove) a trace sink. While one is installed, every
-    /// completed span additionally records a chrome-trace complete event.
-    pub fn set_trace_sink(&self, sink: Option<Arc<TraceSink>>) {
-        let mut slot = self.trace.lock().unwrap_or_else(|p| p.into_inner());
-        self.trace_on.store(sink.is_some(), Ordering::Relaxed);
-        *slot = sink;
+    /// Record into `log` as `rank` from now on (the first attachment wins;
+    /// a profiler serves one rank of one world).
+    pub fn attach(&self, log: Arc<EventLog>, rank: usize) {
+        let _ = self.log.set((log, rank));
     }
 
-    /// The currently installed trace sink, if any.
-    pub fn trace_sink(&self) -> Option<Arc<TraceSink>> {
-        if !self.trace_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.trace
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+    /// While on, every span that opens is also recorded in the attached log
+    /// when it closes (nothing happens without one). This is the only gate
+    /// on spans; the log's own switch gates messages and marks.
+    pub fn set_tracing(&self, on: bool) {
+        self.tracing.store(on, Ordering::Relaxed);
     }
 
-    /// Record a point event (fault injection, health verdict, rollback…)
-    /// on the installed trace sink; a no-op when tracing is off.
-    pub fn record_instant(&self, name: &str) {
-        if let Some(sink) = self.trace_sink() {
-            sink.record_instant(name);
+    /// Journal `kind` (fault injection, health verdict, rollback…) in the
+    /// attached log; a no-op without one or while it is disabled.
+    pub fn mark(&self, kind: Kind, name: &str, a: u64, b: u64) {
+        if let Some((log, rank)) = self.log.get() {
+            log.mark(*rank, kind, name, a, b);
         }
     }
 
@@ -147,36 +148,27 @@ impl Profiler {
                 .map(|&(_, node)| node)
                 .unwrap_or(ROOT)
         });
-        let (node, stats) = {
+        let (node, interned, stats) = {
             let mut tree = lock_tree(&self.tree);
-            match tree.index.get(&(parent, name.to_string())) {
-                Some(&id) => (id, Arc::clone(&tree.nodes[id as usize].stats)),
-                None => {
-                    let id = tree.nodes.len() as u32;
-                    let depth = if parent == ROOT {
-                        0
-                    } else {
-                        tree.nodes[parent as usize].depth + 1
-                    };
-                    let stats = Arc::new(NodeStats {
-                        total_ns: AtomicU64::new(0),
-                        count: AtomicU64::new(0),
-                    });
-                    tree.nodes.push(Node {
-                        name: name.to_string(),
-                        parent,
-                        depth,
-                        stats: Arc::clone(&stats),
-                    });
-                    tree.index.insert((parent, name.to_string()), id);
-                    (id, stats)
-                }
-            }
+            let siblings = match parent {
+                ROOT => &tree.roots,
+                p => &tree.nodes[p as usize].children,
+            };
+            let found = siblings
+                .iter()
+                .copied()
+                .find(|&id| tree.nodes[id as usize].name_str == name);
+            let id = found.unwrap_or_else(|| tree.add_child(parent, name));
+            let node = &tree.nodes[id as usize];
+            (id, node.name, Arc::clone(&node.stats))
         };
         STACK.with(|s| s.borrow_mut().push((self.id, node)));
-        let trace = self
-            .trace_sink()
-            .map(|sink| (sink, name.to_string(), trace_now_us()));
+        let trace = match self.log.get() {
+            Some((log, rank)) if self.tracing.load(Ordering::Relaxed) => {
+                Some((Arc::clone(log), *rank, interned, trace_now_us()))
+            }
+            _ => None,
+        };
         SpanGuard {
             open: Some(OpenSpan {
                 profiler_id: self.id,
@@ -192,44 +184,66 @@ impl Profiler {
     pub fn snapshot(&self) -> Vec<SpanSnapshot> {
         let tree = lock_tree(&self.tree);
         let n = tree.nodes.len();
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut roots = Vec::new();
-        for (id, node) in tree.nodes.iter().enumerate() {
-            if node.parent == ROOT {
-                roots.push(id as u32);
-            } else {
-                children[node.parent as usize].push(id as u32);
-            }
-        }
         let mut out = Vec::with_capacity(n);
-        let mut stack: Vec<u32> = roots.into_iter().rev().collect();
+        let mut stack: Vec<u32> = tree.roots.iter().rev().copied().collect();
         let mut paths: Vec<String> = vec![String::new(); n];
         while let Some(id) = stack.pop() {
             let node = &tree.nodes[id as usize];
             let path = if node.parent == ROOT {
-                node.name.clone()
+                node.name_str.to_string()
             } else {
-                format!("{}/{}", paths[node.parent as usize], node.name)
+                format!("{}/{}", paths[node.parent as usize], node.name_str)
             };
             paths[id as usize] = path.clone();
             let total_ns = node.stats.total_ns.load(Ordering::Relaxed);
-            let child_ns: u64 = children[id as usize]
+            let child_ns: u64 = node
+                .children
                 .iter()
-                .map(|&c| tree.nodes[c as usize].stats.total_ns.load(Ordering::Relaxed))
+                .map(|&c| {
+                    tree.nodes[c as usize]
+                        .stats
+                        .total_ns
+                        .load(Ordering::Relaxed)
+                })
                 .sum();
             out.push(SpanSnapshot {
                 path,
-                name: node.name.clone(),
+                name: node.name_str.to_string(),
                 depth: node.depth,
                 total_s: total_ns as f64 * 1e-9,
                 self_s: total_ns.saturating_sub(child_ns) as f64 * 1e-9,
                 count: node.stats.count.load(Ordering::Relaxed),
             });
-            for &c in children[id as usize].iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(node.children.iter().rev());
         }
         out
+    }
+}
+
+impl Tree {
+    fn add_child(&mut self, parent: u32, name: &str) -> u32 {
+        let id = self.nodes.len() as u32;
+        let depth = match parent {
+            ROOT => 0,
+            p => self.nodes[p as usize].depth + 1,
+        };
+        let interned = Name::new(name);
+        self.nodes.push(Node {
+            name: interned,
+            name_str: interned.as_str(),
+            parent,
+            depth,
+            stats: Arc::new(NodeStats {
+                total_ns: AtomicU64::new(0),
+                count: AtomicU64::new(0),
+            }),
+            children: Vec::new(),
+        });
+        match parent {
+            ROOT => self.roots.push(id),
+            p => self.nodes[p as usize].children.push(id),
+        }
+        id
     }
 }
 
@@ -238,8 +252,8 @@ struct OpenSpan {
     node: u32,
     stats: Arc<NodeStats>,
     t0: Instant,
-    /// `(sink, span name, enter timestamp µs)` when tracing is active.
-    trace: Option<(Arc<TraceSink>, String, u64)>,
+    /// `(log, rank, span name, enter timestamp µs)` when tracing is active.
+    trace: Option<(Arc<EventLog>, usize, Name, u64)>,
 }
 
 /// RAII handle for an open span; accumulates on drop.
@@ -262,8 +276,12 @@ impl Drop for SpanGuard {
         let elapsed = open.t0.elapsed().as_nanos() as u64;
         open.stats.total_ns.fetch_add(elapsed, Ordering::Relaxed);
         open.stats.count.fetch_add(1, Ordering::Relaxed);
-        if let Some((sink, name, ts_us)) = &open.trace {
-            sink.record_complete(name, *ts_us, elapsed / 1_000);
+        // A span traced when it opened is recorded when it closes, whatever
+        // happened to the gates in between: a timeline with children but not
+        // the parent that was still open reads as a different program.
+        if let Some((log, rank, name, ts_us)) = &open.trace {
+            let span = Event::span(*name, current_tid(), *ts_us, elapsed / 1_000);
+            log.record(*rank, span);
         }
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
@@ -403,25 +421,39 @@ mod tests {
     }
 
     #[test]
-    fn installed_trace_sink_sees_spans_and_instants() {
+    fn attached_log_sees_traced_spans_and_marks() {
         let p = Profiler::new();
-        let sink = Arc::new(TraceSink::new(64));
-        p.set_trace_sink(Some(Arc::clone(&sink)));
+        let log = Arc::new(EventLog::with_capacity(2, 64, 64));
+        log.set_enabled(true);
+        p.mark(Kind::Fault, "fault.early", 0, 0); // nowhere to go yet
+        p.attach(Arc::clone(&log), 1);
+        {
+            let _u = p.enter("untraced"); // attached, but not tracing
+        }
+        p.set_tracing(true);
         {
             let _a = p.enter("a");
             spin(1_000);
         }
-        p.record_instant("fault.kill");
-        p.set_trace_sink(None);
+        p.mark(Kind::Fault, "fault.kill", 3, 0);
+        let still_open = p.enter("c");
+        p.set_tracing(false);
+        log.set_enabled(false);
         {
-            let _b = p.enter("b"); // not traced once the sink is removed
+            let _b = p.enter("b"); // not traced once tracing is off
         }
-        let (events, dropped) = sink.take();
-        assert_eq!(dropped, 0);
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "fault.kill"]);
-        assert!(events[0].dur_us >= 1_000);
-        assert_eq!(p.snapshot().len(), 2); // tree still records both spans
+        p.mark(Kind::Fault, "fault.late", 0, 0); // the log is off
+        drop(still_open); // opened traced: closes traced
+        let snap = log.snapshot();
+        assert!(snap[0].is_empty());
+        assert_eq!(log.evicted(1), 0);
+        let names: Vec<&str> = snap[1].iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "c", "fault.kill"]);
+        assert_eq!(snap[1][0].kind, Kind::Span);
+        assert!(snap[1][0].dur_us >= 1_000);
+        assert_eq!((snap[1][2].kind, snap[1][2].a), (Kind::Fault, 3));
+        assert_eq!(snap[1][0].tid, snap[1][2].tid);
+        assert_eq!(p.snapshot().len(), 4); // the tree records every span
     }
 
     #[test]

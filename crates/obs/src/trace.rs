@@ -1,406 +1,115 @@
 //! Trace export: Chrome Trace Event Format + collapsed-stack flamegraphs.
 //!
-//! The per-rank span trees and comm-event timelines become a single
-//! timeline file a human can open in Perfetto (`ui.perfetto.dev`) or
-//! `chrome://tracing`: one `pid` per rank, one `tid` per OS thread,
-//! complete (`X`) events for spans and blocking receives, instant (`i`)
-//! events for resilience markers (fault injections, health verdicts,
-//! rollbacks, checkpoint begin/commit), and flow (`s`/`f`) arrows pairing
-//! each send with the receive that consumed it — coupler rearrangement
-//! waits are visible *between* rank tracks, which is exactly the §6.2
-//! imbalance diagnosis the paper does with per-process timers.
+//! One snapshot of the world's event log becomes a single timeline file a
+//! human can open in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`:
+//! one `pid` per rank, one `tid` per OS thread, complete (`X`) events for
+//! spans and messages, instant (`i`) events for journal kinds (fault
+//! injections, health verdicts, rollbacks, checkpoint begin/commit), and
+//! flow (`s`/`f`) arrows pairing each send with the receive that consumed
+//! it — coupler rearrangement waits are visible *between* rank tracks,
+//! which is exactly the §6.2 imbalance diagnosis the paper does with
+//! per-process timers.
 //!
-//! The same span data also exports as collapsed stacks
+//! The profiler's span trees also export as collapsed stacks
 //! (`rank0;atm_run;dycore 1234` — weight is self time in µs), the input
-//! format of `inferno-flamegraph` and Brendan Gregg's `flamegraph.pl`.
+//! format of `inferno-flamegraph` and Brendan Gregg's `flamegraph.pl`. They
+//! come from the trees, not from the span events: a tree aggregates the
+//! whole run, the event ring holds its most recent window.
 //!
 //! All timestamps are microseconds since the shared
 //! [`trace_epoch`](ap3esm_comm::events::trace_epoch), so every rank (each
 //! an OS thread of one process) lands on one aligned timeline.
 
+use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use ap3esm_comm::events::{trace_now_us, CommEvent, CommEventKind};
-
+use crate::event::{chrome_dur, chrome_row, Event, COMM_TID};
 use crate::json::Json;
-use crate::msgflow::{pair_fifo, FlowEvent};
+use crate::msgflow::pair_fifo;
 use crate::rankagg::RankTree;
 
-/// Chrome-trace phase of a recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// `ph:"X"` — a span with a start and a duration.
-    Complete,
-    /// `ph:"i"` — a point event (thread scope).
-    Instant,
-}
-
-/// One event recorded by a [`TraceSink`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    pub name: String,
-    pub ph: TracePhase,
-    /// Microseconds since the shared trace epoch.
-    pub ts_us: u64,
-    /// Duration in microseconds (0 for instants).
-    pub dur_us: u64,
-    /// Track id within the rank (stable small integer per OS thread).
-    pub tid: u64,
-}
-
-/// Small stable per-thread track id. Comm events use track 0; span tracks
-/// start at 1.
-pub fn current_tid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+/// One flow row (`s` at the send, `f` at the delivery) of arrow `id`.
+fn flow_row(ph: &str, id: usize, pid: usize, ts: u64, tag: u64) -> Json {
+    let mut o = Json::obj();
+    o.set("name", format!("msg tag {tag:#x}").as_str().into())
+        .set("ph", ph.into())
+        .set("ts", ts.into())
+        .set("pid", pid.into())
+        .set("tid", u64::from(COMM_TID).into())
+        .set("id", id.into())
+        .set("cat", "comm".into());
+    if ph == "f" {
+        o.set("bp", "e".into()); // bind to enclosing slice
     }
-    TID.with(|t| *t)
+    o
 }
 
-/// Default per-rank sink capacity (span events; instants are bounded
-/// separately so a span flood cannot evict the rare resilience markers).
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-const INSTANT_CAPACITY: usize = 4_096;
-
-/// A bounded per-rank buffer of trace events, fed by the span profiler.
-///
-/// Spans and instants are stored separately: span events stop being
-/// recorded once `capacity` is reached (the drop count is reported by
-/// [`TraceSink::take`]), while instant events — fault injections, health
-/// verdicts, rollbacks — have their own small bound and survive even when
-/// the span buffer is full.
-pub struct TraceSink {
-    capacity: usize,
-    spans: Mutex<Vec<TraceEvent>>,
-    instants: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        TraceSink::new(DEFAULT_TRACE_CAPACITY)
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-impl TraceSink {
-    pub fn new(capacity: usize) -> Self {
-        TraceSink {
-            capacity,
-            spans: Mutex::new(Vec::new()),
-            instants: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
+/// Render `rings[rank]` (one [`EventLog::snapshot`](crate::event::EventLog::snapshot))
+/// as one Chrome Trace Event Format document, `pid` = rank. Every event is
+/// one row ([`chrome_row`]); the k-th send on `(src, dst, tag)` is joined
+/// to the k-th recv on the same channel by a flow arrow
+/// ([`crate::msgflow::pair_fifo`], the shared pairing), bound to the end of
+/// the receiver's blocking window — the moment the message was consumed.
+/// Rows are ordered by `(pid, tid, ts)` with longer events first on ties,
+/// so timestamps are monotone per track and parents precede children.
+pub fn chrome_trace(rings: &[Vec<Event>]) -> String {
+    let mut rows = Vec::new();
+    for (pid, ring) in rings.iter().enumerate() {
+        for e in ring {
+            let key = (pid, e.tid, e.ts_us, Reverse(chrome_dur(e)));
+            rows.push((key, chrome_row(pid, e)));
         }
     }
-
-    /// Record a completed span (called from the profiler's guard drop).
-    pub fn record_complete(&self, name: &str, ts_us: u64, dur_us: u64) {
-        let mut spans = lock(&self.spans);
-        if spans.len() >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        spans.push(TraceEvent {
-            name: name.to_string(),
-            ph: TracePhase::Complete,
-            ts_us,
-            dur_us,
-            tid: current_tid(),
-        });
+    for (i, p) in pair_fifo(rings).pairs.iter().enumerate() {
+        let s = (p.src, COMM_TID, p.send_ts_us, Reverse(0));
+        rows.push((s, flow_row("s", i + 1, p.src, p.send_ts_us, p.tag)));
+        let f = (p.dst, COMM_TID, p.delivered_us(), Reverse(0));
+        rows.push((f, flow_row("f", i + 1, p.dst, p.delivered_us(), p.tag)));
     }
-
-    /// Record a point event at the current trace time.
-    pub fn record_instant(&self, name: &str) {
-        let mut instants = lock(&self.instants);
-        if instants.len() >= INSTANT_CAPACITY {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        instants.push(TraceEvent {
-            name: name.to_string(),
-            ph: TracePhase::Instant,
-            ts_us: trace_now_us(),
-            dur_us: 0,
-            tid: current_tid(),
-        });
+    rows.sort_by_key(|(key, _)| *key);
+    let mut events: Vec<Json> = Vec::with_capacity(rings.len() + rows.len());
+    for pid in 0..rings.len() {
+        let mut args = Json::obj();
+        args.set("name", format!("rank {pid}").as_str().into());
+        let mut o = Json::obj();
+        o.set("name", "process_name".into())
+            .set("ph", "M".into())
+            .set("ts", 0u64.into())
+            .set("pid", pid.into())
+            .set("tid", u64::from(COMM_TID).into())
+            .set("args", args);
+        events.push(o);
     }
-
-    /// Drain every recorded event (spans then instants) plus the number of
-    /// events lost to the capacity bounds.
-    pub fn take(&self) -> (Vec<TraceEvent>, u64) {
-        let mut events = std::mem::take(&mut *lock(&self.spans));
-        events.append(&mut lock(&self.instants));
-        (events, self.dropped.swap(0, Ordering::Relaxed))
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        lock(&self.spans).len() + lock(&self.instants).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    events.extend(rows.into_iter().map(|(_, row)| row));
+    let mut root = Json::obj();
+    root.set("traceEvents", Json::Arr(events));
+    root.set("displayTimeUnit", "ms".into());
+    // Build/run stamp (`ap3esm-obs/5` reports carry the same object), so a
+    // Perfetto timeline can be traced back to its exact build.
+    root.set("metadata", crate::perf::BuildInfo::current().to_json());
+    root.to_string()
 }
 
-// --- wire encoding (ship one rank's events to the reporting rank) -------
-
-/// Encode events for a byte-vector `gather` to the reporting rank:
-/// `[u8 ph][u32 name len][name][u64 ts][u64 dur][u64 tid]` per event.
-pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for e in events {
-        out.push(match e.ph {
-            TracePhase::Complete => 0u8,
-            TracePhase::Instant => 1,
-        });
-        out.extend_from_slice(&(e.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(e.name.as_bytes());
-        out.extend_from_slice(&e.ts_us.to_le_bytes());
-        out.extend_from_slice(&e.dur_us.to_le_bytes());
-        out.extend_from_slice(&e.tid.to_le_bytes());
-    }
-    out
+fn write_file(dir: &Path, file: String, body: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    std::fs::write(&path, body)?;
+    Ok(path)
 }
 
-/// Inverse of [`encode_events`]; stops cleanly at a truncated record.
-pub fn decode_events(mut buf: &[u8]) -> Vec<TraceEvent> {
-    let mut out = Vec::new();
-    while buf.len() >= 5 {
-        let ph = match buf[0] {
-            0 => TracePhase::Complete,
-            _ => TracePhase::Instant,
-        };
-        let len = u32::from_le_bytes(buf[1..5].try_into().unwrap()) as usize;
-        if buf.len() < 5 + len + 24 {
-            break;
-        }
-        buf = &buf[5..];
-        let name = String::from_utf8_lossy(&buf[..len]).into_owned();
-        buf = &buf[len..];
-        let ts_us = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let dur_us = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let tid = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-        buf = &buf[24..];
-        out.push(TraceEvent {
-            name,
-            ph,
-            ts_us,
-            dur_us,
-            tid,
-        });
-    }
-    out
+/// Write `<dir>/trace-<name>.json`; returns the path.
+pub fn write_trace_to(
+    dir: impl AsRef<Path>,
+    name: &str,
+    rings: &[Vec<Event>],
+) -> std::io::Result<PathBuf> {
+    let body = chrome_trace(rings) + "\n";
+    write_file(dir.as_ref(), format!("trace-{name}.json"), &body)
 }
 
-// --- chrome-trace building ---------------------------------------------
-
-/// The comm-event track within each rank's process group.
-const COMM_TID: u64 = 0;
-
-struct Row {
-    pid: u64,
-    tid: u64,
-    ts: u64,
-    dur: u64,
-    ph: char,
-    name: String,
-    /// Flow-binding id for `s`/`f` rows.
-    flow: Option<u64>,
-    /// For comm-track `X` rows: `(kind label, peer, tag, bytes)`, emitted
-    /// as an `args` object so offline analyzers (the critical-path CLI on
-    /// a bare trace file) can rebuild the event without parsing the
-    /// human-facing row name.
-    comm: Option<(&'static str, usize, u64, u64)>,
-}
-
-/// Builds one Chrome Trace Event Format file from per-rank span events and
-/// comm events; `pid` = rank, `tid` = thread track within the rank.
-#[derive(Default)]
-pub struct ChromeTrace {
-    procs: Vec<(u64, String)>,
-    rows: Vec<Row>,
-    comms: Vec<(u64, CommEvent)>,
-}
-
-impl ChromeTrace {
-    pub fn new() -> Self {
-        ChromeTrace::default()
-    }
-
-    /// Label rank `pid`'s process group (a `process_name` metadata event).
-    pub fn add_process(&mut self, pid: usize, name: &str) {
-        self.procs.push((pid as u64, name.to_string()));
-    }
-
-    /// Add one rank's recorded span/instant events.
-    pub fn add_span_events(&mut self, pid: usize, events: &[TraceEvent]) {
-        for e in events {
-            self.rows.push(Row {
-                pid: pid as u64,
-                tid: e.tid,
-                ts: e.ts_us,
-                dur: e.dur_us,
-                ph: match e.ph {
-                    TracePhase::Complete => 'X',
-                    TracePhase::Instant => 'i',
-                },
-                name: e.name.clone(),
-                flow: None,
-                comm: None,
-            });
-        }
-    }
-
-    /// Add one rank's comm-event timeline. Each event becomes a complete
-    /// event on the rank's comm track; matching send/recv pairs are joined
-    /// later by flow arrows (see [`ChromeTrace::to_json`]).
-    pub fn add_comm_events(&mut self, pid: usize, events: &[CommEvent]) {
-        for e in events {
-            let name = match e.kind {
-                CommEventKind::Send => format!("send→{} tag {:#x}", e.peer, e.tag),
-                CommEventKind::Recv => format!("recv←{} tag {:#x}", e.peer, e.tag),
-                CommEventKind::Timeout => {
-                    format!("timeout←{} tag {:#x}", e.peer, e.tag)
-                }
-                CommEventKind::Stale => format!("stale⊘{} ×{}", e.peer, e.bytes),
-            };
-            self.rows.push(Row {
-                pid: pid as u64,
-                tid: COMM_TID,
-                ts: e.ts_us,
-                // Render sends with a sliver of width so they are visible.
-                dur: e.dur_us.max(1),
-                ph: 'X',
-                name,
-                flow: None,
-                comm: Some((e.kind.label(), e.peer, e.tag, e.bytes)),
-            });
-            self.comms.push((pid as u64, e.clone()));
-        }
-    }
-
-    /// Pair the k-th send on `(src, dst, tag)` with the k-th recv on the
-    /// same channel (the mailbox is FIFO per channel, so arrival order is
-    /// pairing order — see [`crate::msgflow::pair_fifo`], the shared
-    /// implementation) and emit `s`/`f` flow rows joining the two tracks.
-    fn build_flows(&mut self) {
-        let events: Vec<FlowEvent> = self
-            .comms
-            .iter()
-            .filter_map(|(pid, e)| FlowEvent::from_comm(*pid as usize, e))
-            .collect();
-        let pairing = pair_fifo(&events);
-        for (i, p) in pairing.pairs.iter().enumerate() {
-            let flow_id = i as u64 + 1;
-            let name = format!("msg tag {:#x}", p.tag);
-            self.rows.push(Row {
-                pid: p.src as u64,
-                tid: COMM_TID,
-                ts: p.send_ts_us,
-                dur: 0,
-                ph: 's',
-                name: name.clone(),
-                flow: Some(flow_id),
-                comm: None,
-            });
-            self.rows.push(Row {
-                pid: p.dst as u64,
-                tid: COMM_TID,
-                // Bind the arrow to the end of the blocking window, the
-                // moment the message was consumed.
-                ts: p.delivered_us(),
-                dur: 0,
-                ph: 'f',
-                name,
-                flow: Some(flow_id),
-                comm: None,
-            });
-        }
-        self.comms.clear();
-    }
-
-    /// Serialise as `{"traceEvents":[...]}`. Events are ordered by
-    /// `(pid, tid, ts)` with longer events first on ties, so timestamps are
-    /// monotone per track and parents precede children.
-    pub fn to_json(&mut self) -> String {
-        self.build_flows();
-        self.rows
-            .sort_by(|a, b| (a.pid, a.tid, a.ts, b.dur).cmp(&(b.pid, b.tid, b.ts, a.dur)));
-        let mut events: Vec<Json> = Vec::with_capacity(self.procs.len() + self.rows.len());
-        for (pid, name) in &self.procs {
-            let mut args = Json::obj();
-            args.set("name", name.as_str().into());
-            let mut o = Json::obj();
-            o.set("name", "process_name".into())
-                .set("ph", "M".into())
-                .set("ts", 0u64.into())
-                .set("pid", (*pid).into())
-                .set("tid", COMM_TID.into())
-                .set("args", args);
-            events.push(o);
-        }
-        for row in &self.rows {
-            let mut o = Json::obj();
-            o.set("name", row.name.as_str().into())
-                .set("ph", row.ph.to_string().as_str().into())
-                .set("ts", row.ts.into())
-                .set("pid", row.pid.into())
-                .set("tid", row.tid.into());
-            match row.ph {
-                'X' => {
-                    o.set("dur", row.dur.into());
-                    if let Some((kind, peer, tag, bytes)) = row.comm {
-                        let mut args = Json::obj();
-                        args.set("kind", kind.into())
-                            .set("peer", peer.into())
-                            .set("tag", tag.into())
-                            .set("bytes", bytes.into());
-                        o.set("args", args);
-                    }
-                }
-                'i' => {
-                    o.set("s", "t".into()); // thread-scoped instant
-                }
-                's' | 'f' => {
-                    o.set("id", row.flow.unwrap_or(0).into());
-                    o.set("cat", "comm".into());
-                    if row.ph == 'f' {
-                        o.set("bp", "e".into()); // bind to enclosing slice
-                    }
-                }
-                _ => {}
-            }
-            events.push(o);
-        }
-        let mut root = Json::obj();
-        root.set("traceEvents", Json::Arr(events));
-        root.set("displayTimeUnit", "ms".into());
-        // Build/run stamp (`ap3esm-obs/5` reports carry the same object),
-        // so a Perfetto timeline can be traced back to its exact build.
-        root.set("metadata", crate::perf::BuildInfo::current().to_json());
-        root.to_string()
-    }
-
-    /// Write `<dir>/trace-<name>.json`; returns the path.
-    pub fn write_to(&mut self, dir: impl AsRef<Path>, name: &str) -> std::io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("trace-{name}.json"));
-        std::fs::write(&path, self.to_json() + "\n")?;
-        Ok(path)
-    }
-
-    /// Write to the workspace default sink, `target/obs/`.
-    pub fn write(&mut self, name: &str) -> std::io::Result<PathBuf> {
-        self.write_to(crate::report::default_dir(), name)
-    }
+/// Write the chrome trace to the workspace default sink, `target/obs/`.
+pub fn write_trace(name: &str, rings: &[Vec<Event>]) -> std::io::Result<PathBuf> {
+    write_trace_to(crate::report::default_dir(), name, rings)
 }
 
 // --- collapsed-stack flamegraph export ---------------------------------
@@ -429,11 +138,7 @@ pub fn write_folded_to(
     name: &str,
     folded: &str,
 ) -> std::io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("trace-{name}.folded"));
-    std::fs::write(&path, folded)?;
-    Ok(path)
+    write_file(dir.as_ref(), format!("trace-{name}.folded"), folded)
 }
 
 /// Write the folded stacks to the workspace default sink, `target/obs/`.
@@ -444,70 +149,24 @@ pub fn write_folded(name: &str, folded: &str) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Kind, Name};
     use crate::span::SpanSnapshot;
 
-    fn span_ev(name: &str, ts: u64, dur: u64) -> TraceEvent {
-        TraceEvent {
-            name: name.into(),
-            ph: TracePhase::Complete,
-            ts_us: ts,
-            dur_us: dur,
-            tid: 1,
-        }
-    }
-
-    fn comm_ev(kind: CommEventKind, ts: u64, dur: u64, peer: usize, tag: u64) -> CommEvent {
-        CommEvent {
-            kind,
-            ts_us: ts,
-            dur_us: dur,
-            peer,
-            tag,
-            bytes: 8,
-        }
-    }
-
-    #[test]
-    fn sink_bounds_spans_but_keeps_instants() {
-        let sink = TraceSink::new(2);
-        sink.record_complete("a", 0, 1);
-        sink.record_complete("b", 1, 1);
-        sink.record_complete("c", 2, 1); // over capacity: dropped
-        sink.record_instant("fault.kill"); // separate bound: kept
-        let (events, dropped) = sink.take();
-        assert_eq!(dropped, 1);
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "fault.kill"]);
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn events_roundtrip_through_the_wire_encoding() {
-        let events = vec![
-            span_ev("atm_run/dycore", 10, 500),
-            TraceEvent {
-                name: "rollback".into(),
-                ph: TracePhase::Instant,
-                ts_us: 999,
-                dur_us: 0,
-                tid: 3,
-            },
-        ];
-        assert_eq!(decode_events(&encode_events(&events)), events);
-        // Truncated buffers decode the complete prefix, never panic.
-        let bytes = encode_events(&events);
-        assert_eq!(decode_events(&bytes[..bytes.len() - 3]).len(), 1);
+    fn span_ev(name: &str, ts: u64, dur: u64) -> Event {
+        Event::span(Name::new(name), 1, ts, dur)
     }
 
     #[test]
     fn chrome_trace_orders_tracks_and_pairs_flows() {
-        let mut ct = ChromeTrace::new();
-        ct.add_process(0, "rank 0");
-        ct.add_process(1, "rank 1");
-        ct.add_span_events(0, &[span_ev("outer", 5, 100), span_ev("inner", 10, 20)]);
-        ct.add_comm_events(0, &[comm_ev(CommEventKind::Send, 12, 0, 1, 7)]);
-        ct.add_comm_events(1, &[comm_ev(CommEventKind::Recv, 13, 6, 0, 7)]);
-        let json = ct.to_json();
+        let rings = vec![
+            vec![
+                span_ev("inner", 10, 20),
+                span_ev("outer", 5, 100),
+                Event::msg(Kind::Send, 12, 0, 1, 7, 8),
+            ],
+            vec![Event::msg(Kind::Recv, 13, 6, 0, 7, 8)],
+        ];
+        let json = chrome_trace(&rings);
         // Both pids, metadata, a flow start and a bound flow finish.
         assert!(json.starts_with(r#"{"traceEvents":["#));
         assert!(json.contains(r#""ph":"M""#));
@@ -553,10 +212,7 @@ mod tests {
     #[test]
     fn trace_files_land_in_the_sink_directory() {
         let dir = std::env::temp_dir().join(format!("ap3esm-trace-{}", std::process::id()));
-        let mut ct = ChromeTrace::new();
-        ct.add_process(0, "rank 0");
-        ct.add_span_events(0, &[span_ev("x", 0, 10)]);
-        let path = ct.write_to(&dir, "unit").unwrap();
+        let path = write_trace_to(&dir, "unit", &[vec![span_ev("x", 0, 10)]]).unwrap();
         assert_eq!(path.file_name().unwrap(), "trace-unit.json");
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains(r#""traceEvents""#));

@@ -416,7 +416,7 @@ pub struct Sampler {
 
 impl Sampler {
     /// Spawn the sampling thread. `engine`, when given, is evaluated after
-    /// every tick (alert instants land on `obs`'s trace sink).
+    /// every tick (firings are journaled in `obs`'s event log).
     pub fn start(
         obs: Arc<Obs>,
         store: Arc<SeriesStore>,

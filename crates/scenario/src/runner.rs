@@ -27,7 +27,7 @@ use ap3esm_esm::{
 };
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
-use ap3esm_obs::flightrec::{dump_bundle, BundleSpec, FlightRecorder};
+use ap3esm_obs::flightrec::{dump_bundle, BundleSpec};
 use ap3esm_obs::leaderboard::{score, Leaderboard, LeaderboardRow};
 use ap3esm_obs::tsdb::{snapshot_to_json, SeriesStore};
 use ap3esm_ocn::model::OcnForcing;
@@ -409,14 +409,10 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
                 out.verdict = Verdict::Panic;
                 out.detail = panic_message(&payload);
                 // The driver never reached its own dump — salvage the
-                // flight recorder from the shared world.
-                let slot = world.blackbox().get().cloned();
+                // world's event log.
                 let spec = BundleSpec {
                     reason: "panic",
-                    recorder: slot
-                        .as_ref()
-                        .and_then(|s| s.downcast_ref::<FlightRecorder>()),
-                    comm_events: Some(world.comm_events()),
+                    events: &world.events().snapshot(),
                     fault_plan: have_faults.then(|| sc.plan.to_string()),
                     scenario: Some(format!("scenario {} member {member}", sc.name)),
                     ..Default::default()

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use ap3esm_ai::modules::{ColumnState, ColumnTendency};
 use ap3esm_obs::metrics::{Counter, Gauge, Histogram};
-use ap3esm_obs::Obs;
+use ap3esm_obs::{Kind, Obs};
 use ap3esm_pp::exec::{ExecSpace, Threads};
 use parking_lot::Mutex;
 
@@ -211,11 +211,11 @@ struct Inner {
     queue: BatchQueue,
     obs: Arc<Obs>,
     metrics: ServeMetrics,
-    /// Black-box ticket-lifecycle journal (single ring: the service is one
-    /// process). submit/done/shed events cost one relaxed load plus a
-    /// bounded ring push; on a worker crash the tail is dumped as a
-    /// diagnostics bundle.
-    flight: ap3esm_obs::FlightRecorder,
+    /// Black-box ticket-lifecycle journal: a one-rank event log (the
+    /// service is one process). submit/done/shed entries cost one relaxed
+    /// load plus a bounded ring push, no allocation; on a worker crash the
+    /// tail is dumped as a diagnostics bundle.
+    events: ap3esm_obs::EventLog,
     /// Monotonic ticket id source for the journal.
     ticket_seq: std::sync::atomic::AtomicU64,
 }
@@ -256,31 +256,21 @@ impl Inner {
                          and restarting the worker",
                         batch.len()
                     );
-                    self.flight.record(
-                        0,
-                        ap3esm_obs::FrKind::Fault,
-                        batch.len() as u64,
-                        0,
-                        &format!("worker crashed: {detail}"),
-                    );
+                    let n = batch.len() as u64;
+                    self.events.mark(0, Kind::Fault, "serve.worker_crashed", n, 0);
                     for p in batch {
-                        self.flight.record(
-                            0,
-                            ap3esm_obs::FrKind::ServeShed,
-                            p.id,
-                            0,
-                            "failed by worker crash",
-                        );
+                        self.events.mark(0, Kind::ServeShed, "worker-crashed", p.id, 0);
                         let _ = p.tx.send(Err(ServeError::WorkerCrashed {
                             detail: detail.clone(),
                         }));
                     }
                     // The bundle is the crash's black box: the ticket tail
-                    // leading up to the panicking forward, plus the panic
-                    // text, ready for `flightrec::analyze`/diagnose.sh.
+                    // leading up to the panicking forward, with the panic
+                    // text as its reason, ready for `flightrec::analyze`/
+                    // diagnose.sh.
                     let spec = ap3esm_obs::BundleSpec {
-                        reason: "serve-worker-crash",
-                        recorder: Some(&self.flight),
+                        reason: &format!("serve-worker-crash: {detail}"),
+                        events: &self.events.snapshot(),
                         ..Default::default()
                     };
                     let name = format!("serve-crash-pid{}", std::process::id());
@@ -298,13 +288,8 @@ impl Inner {
                 let latency = p.enqueued.elapsed();
                 self.metrics.latency_us.record(latency.as_micros() as u64);
                 self.metrics.served.add(1);
-                self.flight.record(
-                    0,
-                    ap3esm_obs::FrKind::ServeDone,
-                    p.id,
-                    latency.as_micros() as u64,
-                    "",
-                );
+                let latency_us = latency.as_micros() as u64;
+                self.events.mark(0, Kind::ServeDone, "", p.id, latency_us);
                 // A client that gave up (dropped its Ticket) is fine.
                 let _ = p.tx.send(Ok(out));
             }
@@ -337,12 +322,14 @@ impl Service {
     /// Spawn the worker pool and start serving.
     pub fn start(cfg: ServeConfig, registry: Arc<ModelRegistry>, obs: Arc<Obs>) -> Arc<Service> {
         let nlev = registry.nlev();
+        let events = ap3esm_obs::EventLog::new(1);
+        events.set_enabled(true);
         let inner = Arc::new(Inner {
             metrics: ServeMetrics::new(&obs),
             queue: BatchQueue::new(cfg.queue_capacity, cfg.max_batch, cfg.max_wait),
             registry,
             obs,
-            flight: ap3esm_obs::FlightRecorder::new(1, ap3esm_obs::DEFAULT_FLIGHT_CAPACITY),
+            events,
             ticket_seq: std::sync::atomic::AtomicU64::new(1),
         });
 
@@ -396,10 +383,10 @@ impl Service {
         self.inner.queue.depth()
     }
 
-    /// The service's black-box ticket journal (submit/done/shed events;
+    /// The service's black-box ticket journal (submit/done/shed entries;
     /// dumped as a diagnostics bundle when a worker crashes).
-    pub fn flight_recorder(&self) -> &ap3esm_obs::FlightRecorder {
-        &self.inner.flight
+    pub fn events(&self) -> &ap3esm_obs::EventLog {
+        &self.inner.events
     }
 
     /// Override one tenant's rate limit.
@@ -430,9 +417,7 @@ impl Service {
             .inner
             .ticket_seq
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inner
-            .flight
-            .record(0, ap3esm_obs::FrKind::ServeSubmit, id, 0, tenant);
+        self.inner.events.mark(0, Kind::ServeSubmit, tenant, id, 0);
         let pending = Pending {
             id,
             input: column,
@@ -445,18 +430,18 @@ impl Service {
                 Ok(Ticket { rx })
             }
             Err(e) => {
-                match e {
-                    ServeError::Overloaded { .. } => m.shed.add(1),
-                    ServeError::Draining => m.rejected_draining.add(1),
-                    _ => {}
-                }
-                self.inner.flight.record(
-                    0,
-                    ap3esm_obs::FrKind::ServeShed,
-                    id,
-                    0,
-                    &format!("{e}"),
-                );
+                let why = match e {
+                    ServeError::Overloaded { .. } => {
+                        m.shed.add(1);
+                        "overloaded"
+                    }
+                    ServeError::Draining => {
+                        m.rejected_draining.add(1);
+                        "draining"
+                    }
+                    _ => "rejected",
+                };
+                self.inner.events.mark(0, Kind::ServeShed, why, id, 0);
                 Err(e)
             }
         }

@@ -31,7 +31,7 @@
 
 use ap3esm::comm::{FaultInjector, ScenarioExpectation};
 use ap3esm::esm::RecoveryConfig;
-use ap3esm::obs::flightrec::{dump_bundle, BundleSpec, FlightRecorder};
+use ap3esm::obs::flightrec::{dump_bundle, BundleSpec};
 use ap3esm::obs::json::Json;
 use ap3esm::prelude::*;
 use ap3esm::scenario::dsl::Catalog;
@@ -372,11 +372,9 @@ fn main() {
         );
         let mut bundle = s.bundle_path.clone();
         if bundle.is_none() && matches!(observed, Observed::Panic | Observed::Hang) {
-            let slot = world.blackbox().get().cloned();
             let spec = BundleSpec {
                 reason: if observed == Observed::Panic { "panic" } else { "hang" },
-                recorder: slot.as_ref().and_then(|s| s.downcast_ref::<FlightRecorder>()),
-                comm_events: Some(world.comm_events()),
+                events: &world.events().snapshot(),
                 fault_plan: Some(sc.plan.to_string()),
                 scenario: Some(scenario_text.clone()),
                 ..Default::default()

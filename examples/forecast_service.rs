@@ -107,10 +107,12 @@ fn main() {
     let cli = parse_cli();
     let nlev = 30;
     let obs = Arc::new(Obs::new());
-    let sink = cli.trace.then(|| {
-        let s = Arc::new(ap3esm::obs::TraceSink::default());
-        obs.profiler.set_trace_sink(Some(Arc::clone(&s)));
-        s
+    let log = cli.trace.then(|| {
+        let log = Arc::new(ap3esm::obs::EventLog::new(1));
+        log.set_enabled(true);
+        obs.profiler.attach(Arc::clone(&log), 0);
+        obs.profiler.set_tracing(true);
+        log
     });
 
     // Continuous telemetry: background sampler feeding a time-series
@@ -312,16 +314,12 @@ fn main() {
 
     // Obs artefacts: run report + optional chrome trace.
     if let Some(name) = &cli.report_name {
-        if let Some(sink) = &sink {
-            obs.profiler.set_trace_sink(None);
-            let (events, dropped) = sink.take();
-            if dropped > 0 {
-                eprintln!("[trace] {dropped} span events dropped (sink full)");
+        if let Some(log) = &log {
+            obs.profiler.set_tracing(false);
+            if log.evicted(0) > 0 {
+                eprintln!("[trace] {} events evicted (ring full)", log.evicted(0));
             }
-            let mut ct = ap3esm::obs::ChromeTrace::new();
-            ct.add_process(0, "serve");
-            ct.add_span_events(0, &events);
-            if let Ok(p) = ct.write(name) {
+            if let Ok(p) = ap3esm::obs::trace::write_trace(name, &log.snapshot()) {
                 println!("trace:      {}", p.display());
             }
         }

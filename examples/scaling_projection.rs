@@ -50,12 +50,14 @@ fn main() {
     let cli = parse_cli();
 
     // This example has no World: it is a single-process projection, so the
-    // obs instance, trace sink and report are wired directly (one pid 0).
+    // obs instance, event log and report are wired directly (one pid 0).
     let obs_state = Arc::new(obs::Obs::new());
-    let sink = cli.trace.then(|| {
-        let sink = Arc::new(obs::TraceSink::default());
-        obs_state.profiler.set_trace_sink(Some(Arc::clone(&sink)));
-        sink
+    let log = cli.trace.then(|| {
+        let log = Arc::new(obs::EventLog::new(1));
+        log.set_enabled(true);
+        obs_state.profiler.attach(Arc::clone(&log), 0);
+        obs_state.profiler.set_tracing(true);
+        log
     });
     let _guard = obs::install(Arc::clone(&obs_state));
 
@@ -94,7 +96,7 @@ fn main() {
     println!("\nusage: cargo run --release --example scaling_projection 20000 40000");
 
     if let Some(name) = &cli.report_name {
-        obs_state.profiler.set_trace_sink(None);
+        obs_state.profiler.set_tracing(false);
         let spans = obs_state.profiler.snapshot();
         let tree = obs::RankTree {
             rank: 0,
@@ -112,12 +114,8 @@ fn main() {
             Ok(path) => println!("\nobs run report: {}", path.display()),
             Err(e) => eprintln!("cannot write report: {e}"),
         }
-        if let Some(sink) = sink {
-            let (events, _dropped) = sink.take();
-            let mut ct = obs::ChromeTrace::new();
-            ct.add_process(0, "rank 0");
-            ct.add_span_events(0, &events);
-            match ct.write(name) {
+        if let Some(log) = log {
+            match obs::trace::write_trace(name, &log.snapshot()) {
                 Ok(path) => println!("chrome trace:   {} (open in ui.perfetto.dev)", path.display()),
                 Err(e) => eprintln!("cannot write trace: {e}"),
             }

@@ -3,7 +3,7 @@
 # journals, name the first-stalled rank, list the orphaned sends and the
 # receive timeouts that detected the silence. With no argument, picks the
 # most recently modified target/obs/bundle-*/ — i.e. "diagnose whatever
-# just crashed". Arguments are forwarded to examples/postmortem.rs.
+# just crashed". Arguments are forwarded to `examples/obs.rs postmortem`.
 #
 #   scripts/diagnose.sh
 #   scripts/diagnose.sh target/obs/bundle-chaos-lose-ocean-rank
@@ -38,4 +38,4 @@ if ! $have_bundle; then
   fi
 fi
 
-exec cargo run --release --quiet --example postmortem -- "${args[@]}"
+exec cargo run --release --quiet --example obs -- postmortem "${args[@]}"

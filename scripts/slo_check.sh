@@ -3,7 +3,7 @@
 # (target/obs/series-<name>.json) through the alert engine and fail if
 # any rule fired. Defaults to the coupled_esm snapshot and the built-in
 # simulation rules; pass a snapshot path and/or --rules <file> to
-# override (arguments are forwarded to examples/slo_replay.rs).
+# override (arguments are forwarded to `examples/obs.rs slo`).
 #
 #   scripts/slo_check.sh
 #   scripts/slo_check.sh target/obs/series-myrun.json --rules rules.txt
@@ -23,4 +23,4 @@ if ! $have_snapshot; then
   args+=("target/obs/series-coupled-esm.json")
 fi
 
-exec cargo run --release --quiet --example slo_replay -- "${args[@]}"
+exec cargo run --release --quiet --example obs -- slo "${args[@]}"

@@ -3,10 +3,10 @@
 # root package's integration tests alone miss the per-crate unit tests, e.g.
 # the ocean's bitwise goldens), lint-clean clippy, a syntax check of the
 # benchmark pairing script (which takes ~10 min per workload to run); then
-# the lanes step. CI runs exactly this (`tier1` and `lanes` as two steps);
-# run it locally before pushing.
+# the lanes step and the obs step. CI runs exactly this (`tier1`, `lanes`
+# and `obs` as three steps); run it locally before pushing.
 #
-#   scripts/verify.sh [tier1|lanes]     (default: both)
+#   scripts/verify.sh [tier1|lanes|obs]     (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 step=${1:-all}
@@ -31,4 +31,15 @@ lanes() {
 if [[ $step == all || $step == lanes ]]; then
     lanes
     RUST_TEST_THREADS=1 lanes
+fi
+
+# The event model, optimized (that is the build whose allocations count):
+# the two crates' tests — the exporters' bytes against the goldens recorded
+# on the parent of PR 17 (`obs/tests/exporters_golden.rs`), recording
+# without allocating (`obs/tests/no_alloc.rs`), the retention classes and the
+# event's size (`comm::events`), the row codec — and the exporters agreeing
+# on one recorded run.
+if [[ $step == all || $step == obs ]]; then
+    cargo test -q --release -p ap3esm-obs -p ap3esm-comm
+    cargo test -q --release --test critpath exporters_share_one_fifo_pairing
 fi

@@ -4,15 +4,16 @@
 //! (the analyzer must classify the resulting wait as *late-sender* and
 //! blame the delayed rank, the on-path fractions must sum to 1, and the
 //! precomputed what-if must project a positive gain), and a scripted
-//! low-level run asserting the chrome-trace flow arrows and the
-//! flight-recorder postmortem agree event-for-event with the shared
-//! `msgflow` FIFO pairing.
+//! low-level run asserting the chrome-trace flow arrows, the
+//! flight-recorder postmortem and the analyzer agree event-for-event with
+//! the shared `msgflow` FIFO pairing — each consuming the same event slice.
 
 use ap3esm::comm::{FaultInjector, FaultPlan, World};
 use ap3esm::cpl::rearrange::Rearranger;
-use ap3esm::obs::critpath::WaitClass;
+use ap3esm::obs::critpath::{Analyzer, WaitClass};
+use ap3esm::obs::event::{parse_chrome_row, parse_journal_row, Event, Kind};
 use ap3esm::obs::json::Json;
-use ap3esm::obs::trace::ChromeTrace;
+use ap3esm::obs::trace::chrome_trace;
 use ap3esm::obs::{flightrec, msgflow};
 use ap3esm::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,6 +65,17 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
 
     let analysis = root.critpath.as_ref().expect("traced run must analyze");
     assert_eq!(analysis.n_ranks, 2);
+
+    // ---- Every rank's timeline is whole: a span that was open while another
+    //      rank already finished still closed into the log, so no child span
+    //      stands in as a top-level section for its missing parent. ---------
+    for child in ["dycore", "dyn_substeps", "tracer_step", "ocn_step", "barotropic"] {
+        assert!(
+            !analysis.sections.iter().any(|s| s.name == child),
+            "{child} reads as a top-level section: {:?}",
+            analysis.sections.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+    }
 
     // ---- Every on-path microsecond is exactly one of compute/comm/wait. --
     let sum = analysis.compute_frac() + analysis.comm_frac() + analysis.wait_frac();
@@ -138,13 +150,15 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
     }
 }
 
-/// The chrome-trace flow arrows and the flight-recorder postmortem both
-/// derive from [`msgflow::pair_fifo`]; on one recorded run they must agree
-/// with it (and hence with each other) event-for-event.
+/// The chrome-trace flow arrows, the flight-recorder postmortem and the
+/// critical-path analyzer all derive from [`msgflow::pair_fifo`]; on one
+/// recorded run they must agree with it (and hence with each other)
+/// event-for-event — and what each of them consumed is the same event slice,
+/// one snapshot of the world's log.
 #[test]
 fn exporters_share_one_fifo_pairing() {
     let world = World::new(2);
-    world.comm_events().set_enabled(true);
+    world.events().set_enabled(true);
     world.run(|rank| {
         if rank.id() == 0 {
             // Two paired sends on one channel, one cross recv, and one
@@ -160,11 +174,20 @@ fn exporters_share_one_fifo_pairing() {
         }
         rank.barrier();
     });
-    let (rings, dropped) = world.comm_events().snapshot_all();
+    let rings = world.events().snapshot();
+    let dropped: u64 = (0..2).map(|r| world.events().evicted(r)).sum();
     assert_eq!(dropped, 0, "ring eviction would skew the pairing");
+    let sorted_slice = |events: Vec<Vec<Event>>| -> Vec<Vec<Event>> {
+        let by_time = |mut ring: Vec<Event>| {
+            ring.sort_by_key(|e| (e.ts_us, e.dur_us, e.a, e.b, e.n));
+            ring
+        };
+        events.into_iter().map(by_time).collect()
+    };
+    let recorded = sorted_slice(rings.clone());
 
     // ---- Ground truth: the shared FIFO pairing over the raw rings. -------
-    let pairing = msgflow::pair_rings(&rings);
+    let pairing = msgflow::pair_fifo(&rings);
     assert!(pairing.pairs.len() >= 3, "3 scripted pairs at minimum");
     let unpaired: BTreeSet<(usize, usize, u64, u64)> = pairing
         .unpaired_sends
@@ -177,14 +200,35 @@ fn exporters_share_one_fifo_pairing() {
     );
 
     // ---- Exporter 1: chrome-trace flow arrows. ---------------------------
-    let mut trace = ChromeTrace::new();
-    for (pid, ring) in rings.iter().enumerate() {
-        trace.add_comm_events(pid, ring);
-    }
-    let doc = Json::parse(&trace.to_json()).unwrap();
+    let doc = Json::parse(&chrome_trace(&rings)).unwrap();
     let mut starts: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // id -> (pid, ts)
     let mut finishes: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for e in doc.get("traceEvents").and_then(Json::as_arr).unwrap() {
+    let rows = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+    // The trace rendered exactly the recorded slice (messages only here:
+    // nothing traced spans and nothing journaled).
+    let mut traced: Vec<Vec<Event>> = vec![Vec::new(); 2];
+    for (pid, e) in rows.iter().filter_map(parse_chrome_row) {
+        traced[pid].push(e);
+    }
+    // (A receive that did not have to wait is drawn, and so decodes, one
+    // microsecond wide.)
+    let drawn = |ring: &Vec<Event>| -> Vec<Event> {
+        let widen = |e: &Event| Event {
+            dur_us: if e.kind == Kind::Recv {
+                e.dur_us.max(1)
+            } else {
+                e.dur_us
+            },
+            ..*e
+        };
+        ring.iter().map(widen).collect()
+    };
+    assert_eq!(
+        sorted_slice(traced),
+        sorted_slice(rings.iter().map(drawn).collect()),
+        "trace rows vs recorded events"
+    );
+    for e in rows {
         let row = |e: &Json| {
             (
                 e.get("id").and_then(Json::as_u64).expect("flow id"),
@@ -225,16 +269,26 @@ fn exporters_share_one_fifo_pairing() {
         "pairing",
         &flightrec::BundleSpec {
             reason: "pairing-regression",
-            recorder: None,
-            comm_events: Some(world.comm_events()),
+            events: &rings,
             series_json: None,
             alerts: &[],
             fault_plan: None,
             scenario: None,
-            trace_json: None,
         },
     )
     .unwrap();
+    // The journal on disk holds exactly the recorded slice.
+    let jdoc = Json::parse(&std::fs::read_to_string(bundle.join("journal.json")).unwrap()).unwrap();
+    let mut journaled: Vec<Vec<Event>> = vec![Vec::new(); 2];
+    for row in jdoc.get("events").and_then(Json::as_arr).unwrap() {
+        let (rank, e) = parse_journal_row(row).unwrap();
+        journaled[rank].push(e);
+    }
+    assert_eq!(
+        sorted_slice(journaled),
+        recorded,
+        "journal rows vs recorded events"
+    );
     let postmortem = flightrec::analyze(&bundle).unwrap();
     // The postmortem re-sorts blamed-rank-first, so compare as sets.
     let pm_unpaired: BTreeSet<(usize, usize, u64, u64)> = postmortem
@@ -244,4 +298,22 @@ fn exporters_share_one_fifo_pairing() {
         .collect();
     assert_eq!(pm_unpaired, unpaired, "postmortem disagrees with msgflow");
     let _ = std::fs::remove_dir_all(&dir);
+
+    // ---- Exporter 3: the critical-path analyzer. -------------------------
+    // Every blocking receive it classified is a recorded receive, and the
+    // ones the pairing matched are exactly the ones it did not call orphans.
+    let analysis = Analyzer::new(&rings).analyze();
+    let paired_waits: BTreeSet<(usize, usize, u64, u64)> = pairing
+        .pairs
+        .iter()
+        .filter(|p| p.recv_dur_us > 0)
+        .map(|p| (p.dst, p.src, p.tag, p.recv_ts_us))
+        .collect();
+    let analyzed_waits: BTreeSet<(usize, usize, u64, u64)> = analysis
+        .waits
+        .iter()
+        .filter(|w| w.class != WaitClass::Orphan && w.class != WaitClass::Timeout)
+        .map(|w| (w.rank, w.peer, w.tag, w.ts_us))
+        .collect();
+    assert_eq!(analyzed_waits, paired_waits, "analyzer disagrees with msgflow");
 }
