@@ -19,13 +19,14 @@
 //! | `s525_io` | §5.2.5 sub-file parallel I/O |
 //!
 //! Each binary prints the paper-shaped rows to stdout and writes CSV under
-//! `target/experiments/`. Criterion micro-benches live in `benches/`.
+//! `target/experiments/`. None of them is a timing harness: how fast the
+//! code runs is measured by `benchmark/` alone (DESIGN.md §12).
 
 use std::io::Write;
 use std::path::PathBuf;
 
 /// Output directory for experiment CSVs. Anchored to the workspace root's
-/// `target/` (not the CWD): cargo runs benches with CWD = the crate dir,
+/// `target/` (not the CWD): `cargo test` runs with CWD = the crate dir,
 /// while `cargo run` binaries keep the invoker's CWD — both must land in
 /// the same `target/experiments/`.
 pub fn out_dir() -> PathBuf {
@@ -60,28 +61,6 @@ pub fn banner(title: &str, artifact: &str) {
     println!("AP3ESM-RS experiment: {title}");
     println!("reproduces: {artifact}");
     println!("==================================================================");
-}
-
-/// Emit a criterion bench's key points as an `ap3esm-bench/1` document at
-/// `target/experiments/<name>.json` — the same schema the repo-root
-/// `BENCH_<n>.json` trajectory uses, so per-bench artifacts and trajectory
-/// points are diffable with one vocabulary. Returns the path written.
-pub fn emit_bench_points(
-    name: &str,
-    metrics: Vec<(String, ap3esm_obs::perf::Stat)>,
-) -> PathBuf {
-    let mut file = ap3esm_obs::perf::BenchFile::new(
-        name,
-        ap3esm_obs::perf::BuildInfo::current().clone(),
-    );
-    file.created_unix = ap3esm_obs::perf::unix_now();
-    for (metric, stat) in metrics {
-        file.push(&metric, stat);
-    }
-    let path = out_dir().join(format!("{name}.json"));
-    std::fs::write(&path, file.to_json().to_string() + "\n").expect("write bench points");
-    println!("wrote {}", path.display());
-    path
 }
 
 #[cfg(test)]

@@ -293,100 +293,6 @@ pub struct CoupledStats {
     pub atm_lanes: usize,
 }
 
-impl CoupledStats {
-    /// Harvest this run's trajectory metrics (the `perf.sim.*` vocabulary
-    /// shared by `BENCH_*.json` files, run reports and tsdb gauges):
-    /// SYPD (gated, higher-is-better), the per-section wall breakdown
-    /// from the span tree, and — when a report was written — the
-    /// coupler's message/byte traffic and sub-file I/O byte counters
-    /// (informational: they attribute cost, they don't gate).
-    pub fn perf_metrics(&self) -> Vec<(String, ap3esm_obs::perf::Stat)> {
-        use ap3esm_obs::perf::{Direction, Stat};
-        let mut out = vec![
-            (
-                "perf.sim.sypd".to_string(),
-                Stat::single(self.sypd, "sypd", Direction::HigherIsBetter),
-            ),
-            (
-                "perf.sim.wall_s".to_string(),
-                Stat::single(self.wall_seconds, "s", Direction::Informational),
-            ),
-        ];
-        for (name, secs) in &self.per_section_seconds {
-            out.push((
-                format!("perf.sim.section.{name}.wall_s"),
-                Stat::single(*secs, "s", Direction::Informational),
-            ));
-        }
-        // Critical-path attribution (traced runs): where the wall time on
-        // the longest cross-rank chain actually went, plus the projected
-        // payoff of halving the top-blamed section. Informational — the
-        // fractions are attribution, not speed, and jitter run to run.
-        if let Some(a) = &self.critpath {
-            for (name, v) in [
-                ("compute_frac", a.compute_frac()),
-                ("comm_frac", a.comm_frac()),
-                ("wait_frac", a.wait_frac()),
-            ] {
-                out.push((
-                    format!("perf.sim.critpath.{name}"),
-                    Stat::single(v, "frac", Direction::Informational),
-                ));
-            }
-            for s in &a.sections {
-                if s.name == ap3esm_obs::critpath::UNTRACKED {
-                    continue;
-                }
-                out.push((
-                    format!("perf.sim.critpath.section.{}.on_path_s", s.name),
-                    Stat::single(s.on_path_us() as f64 / 1e6, "s", Direction::Informational),
-                ));
-            }
-            if let Some(w) = &a.what_if_half_top {
-                out.push((
-                    "perf.sim.critpath.what_if_half_top_gain_pct".to_string(),
-                    Stat::single(w.gain_pct, "%", Direction::Informational),
-                ));
-            }
-        }
-        if let Some(json) = &self.report_json {
-            if let Ok(report) = ap3esm_obs::json::Json::parse(json) {
-                let comm = report.get("comm");
-                for (field, metric) in [
-                    ("total_bytes", "perf.sim.comm_bytes"),
-                    ("total_messages", "perf.sim.comm_msgs"),
-                ] {
-                    if let Some(v) = comm.and_then(|c| c.get(field)).and_then(|v| v.as_f64()) {
-                        out.push((
-                            metric.to_string(),
-                            Stat::single(
-                                v,
-                                if field == "total_bytes" {
-                                    "bytes"
-                                } else {
-                                    "msgs"
-                                },
-                                Direction::Informational,
-                            ),
-                        ));
-                    }
-                }
-                if let Some(v) = report
-                    .get("metrics")
-                    .and_then(|m| m.get("io.write.bytes"))
-                    .and_then(|v| v.as_f64())
-                {
-                    out.push((
-                        "perf.sim.io_write_bytes".to_string(),
-                        Stat::single(v, "bytes", Direction::Informational),
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Per-generation pacing state of the live heartbeat and the continuous
 /// telemetry gauges.
 struct Pulse {

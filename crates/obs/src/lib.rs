@@ -44,8 +44,9 @@
 //!   and scrape endpoint, and declarative SLO/anomaly rules evaluated on it
 //!   (a sampled-series store, not an event log: firings are journaled, the
 //!   series are not events).
-//! * [`perf`], [`leaderboard`] — the `ap3esm-bench/1` trajectory files with
-//!   their regression gate and build stamp, and the campaign leaderboard.
+//! * [`perf`] — the build stamp ([`BuildInfo`]) every artifact above carries.
+//!   Nothing in this crate times the repository: that is `benchmark/`
+//!   (DESIGN.md §12).
 //!
 //! Leaf crates instrument hot paths through the free functions below
 //! ([`span()`], [`counter_add()`], …), which act on a **thread-local active
@@ -64,7 +65,6 @@ pub mod critpath;
 pub mod event;
 pub mod flightrec;
 pub mod json;
-pub mod leaderboard;
 pub mod metrics;
 pub mod msgflow;
 pub mod openmetrics;
@@ -81,11 +81,10 @@ pub use alert::{
 pub use critpath::{Analysis, Analyzer, WaitClass};
 pub use event::{Event, EventLog, Kind, Name};
 pub use flightrec::{analyze, dump_bundle, dump_bundle_to, BundleSpec, Postmortem};
-pub use leaderboard::{Leaderboard, LeaderboardRow, LEADERBOARD_SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Metrics};
 pub use msgflow::{pair_fifo, FlowPairing, PairedMessage, UnpairedSend};
 pub use openmetrics::MetricsServer;
-pub use perf::{BenchFile, BuildInfo, Direction, Stat};
+pub use perf::{BuildInfo, Direction, Stat};
 pub use rankagg::{aggregate_sections, rank_trees, RankTree, SectionStats};
 pub use report::{alert_event_json, CommSummary, ReportBuilder, RunReport};
 pub use span::{Profiler, SpanGuard, SpanSnapshot};

@@ -1,31 +1,18 @@
-//! Performance observatory: the `ap3esm-bench/1` schema and trajectory.
+//! Build metadata and the shape of one reported measurement.
 //!
-//! The paper's headline artifact is a speed number (112–184× MPE on ATM,
-//! §5.2/§6.2), and tracking that number across engineering iterations is
-//! what makes a speed claim auditable. This module is the offline half of
-//! the observatory: a schema-versioned benchmark point ([`BenchFile`],
-//! written as `BENCH_<n>.json` at the repository root), the machine/build
-//! metadata every point and run report is stamped with ([`BuildInfo`]),
-//! and the historical trajectory loader the [`gate`] judges new points
-//! against. The online half is the existing `obs` report/tsdb vocabulary:
-//! every metric in a BENCH file is mirrored as a `perf.*` gauge, so live
-//! runs and offline trajectories speak one language.
+//! [`BuildInfo`] stamps run reports, chrome traces and post-mortem bundles;
+//! [`Stat`] is what `serve::perf_snapshot` hands to its reader. Timing this
+//! repository is `benchmark/`'s job (DESIGN.md §12); nothing here measures
+//! or judges.
 
-pub mod gate;
-
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::sync::OnceLock;
 
 use crate::json::Json;
 
-/// Schema tag stamped into every BENCH file (bump on breaking changes).
-pub const BENCH_SCHEMA: &str = "ap3esm-bench/1";
-
-// --- build / machine metadata ------------------------------------------
-
-/// Build and machine metadata shared by BENCH files, run reports
-/// (`ap3esm-obs/5`) and chrome-trace exports, so any artifact can be
+/// Build and machine metadata shared by run reports (`ap3esm-obs/5`),
+/// chrome-trace exports and post-mortem bundles, so any artifact can be
 /// cross-referenced to the exact code and host that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildInfo {
@@ -59,7 +46,8 @@ impl BuildInfo {
             let s = String::from_utf8_lossy(&out.stdout).trim().to_string();
             (!s.is_empty()).then_some(s)
         };
-        let root = workspace_root();
+        // Resolved from this crate's manifest, not the caller's CWD.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         BuildInfo {
             git_sha: run("git", &["rev-parse", "--short=12", "HEAD"], Some(&root))
                 .unwrap_or_else(|| "unknown".into()),
@@ -108,29 +96,7 @@ impl BuildInfo {
             .set("os", self.os.as_str().into());
         o
     }
-
-    /// Parse the object written by [`BuildInfo::to_json`].
-    pub fn from_json(v: &Json) -> Result<BuildInfo, String> {
-        let s = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("build info missing string field {key:?}"))
-        };
-        Ok(BuildInfo {
-            git_sha: s("git_sha")?,
-            rustc: s("rustc")?,
-            host: s("host")?,
-            threads: v
-                .get("threads")
-                .and_then(Json::as_u64)
-                .ok_or("build info missing threads")?,
-            os: s("os")?,
-        })
-    }
 }
-
-// --- per-metric statistics ---------------------------------------------
 
 /// Which direction of change is an improvement for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,32 +105,13 @@ pub enum Direction {
     LowerIsBetter,
     /// Rates: SYPD, throughput.
     HigherIsBetter,
-    /// Recorded for context, never gated (byte counts, shed rates whose
-    /// "goodness" depends on the offered load).
+    /// Recorded for context (byte counts, shed rates whose "goodness"
+    /// depends on the offered load).
     Informational,
 }
 
-impl Direction {
-    pub fn label(&self) -> &'static str {
-        match self {
-            Direction::LowerIsBetter => "lower",
-            Direction::HigherIsBetter => "higher",
-            Direction::Informational => "info",
-        }
-    }
-
-    pub fn from_label(s: &str) -> Result<Direction, String> {
-        match s {
-            "lower" => Ok(Direction::LowerIsBetter),
-            "higher" => Ok(Direction::HigherIsBetter),
-            "info" => Ok(Direction::Informational),
-            other => Err(format!("unknown direction {other:?}")),
-        }
-    }
-}
-
-/// One measured metric: a central value plus enough dispersion context
-/// (`n` samples, sample stddev) for the gate to build a noise band.
+/// One measured metric: a central value plus its dispersion context
+/// (`n` samples, sample stddev).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stat {
     pub value: f64,
@@ -199,318 +146,11 @@ impl Stat {
             better,
         }
     }
-
-    pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("value", self.value.into())
-            .set("unit", self.unit.as_str().into())
-            .set("n", self.n.into())
-            .set("stddev", self.stddev.into())
-            .set("better", self.better.label().into());
-        o
-    }
-
-    pub fn from_json(v: &Json) -> Result<Stat, String> {
-        Ok(Stat {
-            value: v
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or("stat missing value")?,
-            unit: v
-                .get("unit")
-                .and_then(Json::as_str)
-                .ok_or("stat missing unit")?
-                .to_string(),
-            n: v.get("n").and_then(Json::as_u64).ok_or("stat missing n")?,
-            stddev: v
-                .get("stddev")
-                .and_then(Json::as_f64)
-                .ok_or("stat missing stddev")?,
-            better: Direction::from_label(
-                v.get("better")
-                    .and_then(Json::as_str)
-                    .ok_or("stat missing better")?,
-            )?,
-        })
-    }
-}
-
-// --- the BENCH file -----------------------------------------------------
-
-/// One point of the performance trajectory: everything `perf_trajectory`
-/// measured on one invocation, stamped with build metadata. Serialised as
-/// `BENCH_<seq>.json`; each PR commits the point it measured, so the repo
-/// root accumulates the project's speed history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchFile {
-    /// Suite name ("perf_trajectory" for the canonical quick suite;
-    /// criterion benches reuse the schema with their own names under
-    /// `target/experiments/`).
-    pub name: String,
-    /// Trajectory sequence number (the `<n>` in `BENCH_<n>.json`; 0 for
-    /// non-trajectory points).
-    pub seq: u64,
-    /// Unix seconds at emission (0 in deterministic tests).
-    pub created_unix: u64,
-    pub build: BuildInfo,
-    /// Insertion-ordered metric catalog.
-    pub metrics: Vec<(String, Stat)>,
-}
-
-impl BenchFile {
-    pub fn new(name: &str, build: BuildInfo) -> BenchFile {
-        BenchFile {
-            name: name.to_string(),
-            seq: 0,
-            created_unix: 0,
-            build,
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Append one metric (keeps insertion order; duplicate names are
-    /// rejected — a suite must not measure the same thing twice).
-    pub fn push(&mut self, name: &str, stat: Stat) {
-        assert!(
-            self.get(name).is_none(),
-            "duplicate perf metric {name:?} in suite {:?}",
-            self.name
-        );
-        self.metrics.push((name.to_string(), stat));
-    }
-
-    pub fn get(&self, name: &str) -> Option<&Stat> {
-        self.metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-    }
-
-    pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("schema", BENCH_SCHEMA.into())
-            .set("name", self.name.as_str().into())
-            .set("seq", self.seq.into())
-            .set("created_unix", self.created_unix.into())
-            .set("build", self.build.to_json());
-        let mut m = Json::obj();
-        for (name, stat) in &self.metrics {
-            m.set(name, stat.to_json());
-        }
-        o.set("metrics", m);
-        o
-    }
-
-    /// Parse and validate one BENCH document (strict: schema tag, build
-    /// block and every metric field must be present and well-typed).
-    pub fn parse(text: &str) -> Result<BenchFile, String> {
-        let v = Json::parse(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema tag")?;
-        if schema != BENCH_SCHEMA {
-            return Err(format!(
-                "schema mismatch: got {schema:?}, want {BENCH_SCHEMA:?}"
-            ));
-        }
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("missing name")?
-            .to_string();
-        let seq = v.get("seq").and_then(Json::as_u64).ok_or("missing seq")?;
-        let created_unix = v
-            .get("created_unix")
-            .and_then(Json::as_u64)
-            .ok_or("missing created_unix")?;
-        let build = BuildInfo::from_json(v.get("build").ok_or("missing build")?)?;
-        let metrics = match v.get("metrics") {
-            Some(Json::Obj(pairs)) => {
-                let mut out = Vec::with_capacity(pairs.len());
-                for (k, s) in pairs {
-                    out.push((
-                        k.clone(),
-                        Stat::from_json(s).map_err(|e| format!("metric {k:?}: {e}"))?,
-                    ));
-                }
-                out
-            }
-            _ => return Err("missing metrics object".into()),
-        };
-        Ok(BenchFile {
-            name,
-            seq,
-            created_unix,
-            build,
-            metrics,
-        })
-    }
-
-    /// Write as `<dir>/BENCH_<seq>.json`, assigning the next free sequence
-    /// number when `self.seq == 0`. Returns the path written.
-    pub fn write_next(&mut self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        if self.seq == 0 {
-            self.seq = next_seq(dir);
-        }
-        let path = dir.join(format!("BENCH_{}.json", self.seq));
-        std::fs::write(&path, self.to_json().to_string() + "\n")?;
-        Ok(path)
-    }
-}
-
-/// Unix seconds now (0 if the clock is before the epoch, which only
-/// happens on badly misconfigured hosts).
-pub fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-/// The workspace root (where `BENCH_<n>.json` files live), resolved from
-/// this crate's manifest so it does not depend on the caller's CWD.
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Sequence numbers of the `BENCH_<n>.json` files in `dir`, ascending.
-fn seqs_in(dir: &Path) -> Vec<u64> {
-    let mut seqs = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("BENCH_")
-                .and_then(|r| r.strip_suffix(".json"))
-            {
-                if let Ok(n) = num.parse::<u64>() {
-                    seqs.push(n);
-                }
-            }
-        }
-    }
-    seqs.sort_unstable();
-    seqs
-}
-
-/// The next free trajectory sequence number in `dir` (1 when empty).
-pub fn next_seq(dir: impl AsRef<Path>) -> u64 {
-    seqs_in(dir.as_ref()).last().map_or(1, |last| last + 1)
-}
-
-/// Load the whole `BENCH_*.json` trajectory in `dir`, ascending by
-/// sequence number. Unparseable files are errors — a corrupt trajectory
-/// point must be noticed, not silently skipped.
-pub fn load_trajectory(dir: impl AsRef<Path>) -> Result<Vec<BenchFile>, String> {
-    let dir = dir.as_ref();
-    let mut out = Vec::new();
-    for seq in seqs_in(dir) {
-        let path = dir.join(format!("BENCH_{seq}.json"));
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        let file =
-            BenchFile::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-        out.push(file);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_file() -> BenchFile {
-        let mut f = BenchFile::new("perf_trajectory", BuildInfo::fixed_for_tests());
-        f.push(
-            "perf.kernel.saxpy.serial.ns_per_gp",
-            Stat::sampled(1.25, "ns/gp", 12, 0.05, Direction::LowerIsBetter),
-        );
-        f.push(
-            "perf.sim.sypd",
-            Stat::single(42.5, "sypd", Direction::HigherIsBetter),
-        );
-        f.push(
-            "perf.sim.comm_bytes",
-            Stat::single(1.0e6, "bytes", Direction::Informational),
-        );
-        f
-    }
-
-    #[test]
-    fn bench_file_round_trips() {
-        let mut f = sample_file();
-        f.seq = 3;
-        f.created_unix = 1_700_000_000;
-        let text = f.to_json().to_string();
-        let back = BenchFile::parse(&text).unwrap();
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn bench_json_is_schema_tagged_and_ordered() {
-        let text = sample_file().to_json().to_string();
-        assert!(text.starts_with(r#"{"schema":"ap3esm-bench/1","name":"perf_trajectory""#));
-        assert!(text.contains(r#""git_sha":"0123456789ab""#));
-        assert!(text.contains(r#""better":"lower""#));
-        // Metric order is insertion order: saxpy before sypd before bytes.
-        let a = text.find("saxpy").unwrap();
-        let b = text.find("perf.sim.sypd").unwrap();
-        let c = text.find("comm_bytes").unwrap();
-        assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn parse_rejects_wrong_schema_and_malformed_stats() {
-        let text = sample_file()
-            .to_json()
-            .to_string()
-            .replace("ap3esm-bench/1", "ap3esm-bench/9");
-        assert!(BenchFile::parse(&text).unwrap_err().contains("schema"));
-        assert!(BenchFile::parse("{}").is_err());
-        assert!(BenchFile::parse("not json").is_err());
-        let no_unit = sample_file().to_json().to_string().replace(
-            r#""unit":"sypd","#,
-            "",
-        );
-        assert!(BenchFile::parse(&no_unit).unwrap_err().contains("unit"));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate perf metric")]
-    fn duplicate_metric_names_rejected() {
-        let mut f = sample_file();
-        f.push(
-            "perf.sim.sypd",
-            Stat::single(1.0, "sypd", Direction::HigherIsBetter),
-        );
-    }
-
-    #[test]
-    fn trajectory_write_load_assigns_sequence_numbers() {
-        let dir = std::env::temp_dir().join(format!("ap3esm-perf-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let p1 = sample_file().write_next(&dir).unwrap();
-        assert!(p1.ends_with("BENCH_1.json"));
-        let mut second = sample_file();
-        second.metrics[1].1.value = 44.0;
-        let p2 = second.write_next(&dir).unwrap();
-        assert!(p2.ends_with("BENCH_2.json"));
-        assert_eq!(next_seq(&dir), 3);
-
-        let traj = load_trajectory(&dir).unwrap();
-        assert_eq!(traj.len(), 2);
-        assert_eq!((traj[0].seq, traj[1].seq), (1, 2));
-        assert_eq!(traj[1].get("perf.sim.sypd").unwrap().value, 44.0);
-
-        // A corrupt point is a loud error, not a silent skip.
-        std::fs::write(dir.join("BENCH_3.json"), "{broken").unwrap();
-        assert!(load_trajectory(&dir).unwrap_err().contains("BENCH_3"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     #[test]
     fn build_info_collects_something_sane() {
@@ -518,8 +158,8 @@ mod tests {
         assert!(b.threads >= 1);
         assert!(!b.os.is_empty());
         assert!(!b.git_sha.is_empty());
-        // Round-trips through JSON.
-        let back = BuildInfo::from_json(&b.to_json()).unwrap();
-        assert_eq!(&back, b);
+        let json = b.to_json();
+        assert_eq!(json.get("git_sha").and_then(Json::as_str), Some(b.git_sha.as_str()));
+        assert_eq!(json.get("threads").and_then(Json::as_u64), Some(b.threads));
     }
 }

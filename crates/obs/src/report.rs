@@ -4,7 +4,7 @@
 //! local span tree, cross-rank section stats, metric snapshots, and the
 //! communication summary — and builds a [`RunReport`] whose JSON form is a
 //! single deterministic object written to `target/obs/run-<name>.json`, so
-//! benchmark trajectory tooling can diff runs field by field.
+//! two runs can be diffed field by field.
 
 use std::path::{Path, PathBuf};
 
@@ -20,9 +20,8 @@ use crate::span::SpanSnapshot;
 /// imbalance (`world` field on each `rank_sections` entry).
 /// `/3`: SLO/anomaly alert events (`alerts` array between `metrics` and
 /// `comm`).
-/// `/4`: build/machine metadata (`build` object after `name`, shared with
-/// `ap3esm-bench/1` BENCH files so reports and trajectory points are
-/// cross-referencable by git SHA and host).
+/// `/4`: build/machine metadata (`build` object after `name`, so reports,
+/// traces and bundles are cross-referencable by git SHA and host).
 /// `/5`: critical-path analysis (`critpath` object between `alerts` and
 /// `comm`, schema `ap3esm-critpath/1`), and comm `X` rows in the chrome
 /// trace carry `args` (`kind`/`peer`/`tag`/`bytes`) so traces round-trip

@@ -34,7 +34,7 @@ pub mod view;
 pub use exec::{ExecSpace, ExecSpaceExt, Serial, SimulatedCpe, Threads};
 pub use hybrid::Hybrid;
 pub use mdrange::MDRangePolicy;
-pub use profile::{measure, KernelProfile, SampleSet, SampleSummary, TileProfiler};
+pub use profile::{KernelProfile, TileProfiler};
 pub use registry::{KernelArgs, KernelRegistry};
 pub use shared::{for_chunks_mut, PerLane, SharedSlice};
 pub use view::{Layout, View, View3};

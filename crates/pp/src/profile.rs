@@ -4,14 +4,6 @@
 //! parallel iterations" (§5.3) to find imbalanced tiles (e.g. ocean panels
 //! that are mostly land). [`TileProfiler`] collects per-tile wall time and
 //! work counts; [`KernelProfile`] summarises them.
-//!
-//! For *cost attribution* (the perf-trajectory's ns/gridpoint numbers) the
-//! raw mean over every launch is too jittery to gate on: the first few
-//! iterations pay cold caches, lazy page faults and thread-pool wake-up,
-//! and a single descheduling blip can double one sample. [`SampleSet`]
-//! fixes both: warm-up samples are discarded and the summary is a
-//! **trimmed mean + sample stddev** over the survivors, which is what the
-//! `BENCH_*.json` gate builds its noise bands from.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -95,122 +87,6 @@ impl KernelProfile {
     }
 }
 
-// --- repeated-launch sampling (warm-up discard + trimmed statistics) ---
-
-/// Wall-time samples of repeated kernel launches.
-#[derive(Debug, Clone, Default)]
-pub struct SampleSet {
-    ns: Vec<u64>,
-}
-
-impl SampleSet {
-    pub fn new() -> Self {
-        SampleSet::default()
-    }
-
-    /// Record one launch's wall time.
-    pub fn record(&mut self, elapsed: Duration) {
-        self.ns.push(elapsed.as_nanos() as u64);
-    }
-
-    /// Time one invocation of `f` and record it.
-    pub fn time(&mut self, mut f: impl FnMut()) {
-        let t0 = std::time::Instant::now();
-        f();
-        self.record(t0.elapsed());
-    }
-
-    pub fn len(&self) -> usize {
-        self.ns.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ns.is_empty()
-    }
-
-    /// Summarise: drop the first `warmup` samples (cold caches, pool
-    /// wake-up), sort the rest, symmetrically trim `trim_frac` of the
-    /// remaining samples from *each* end, and report mean + sample stddev
-    /// of the survivors. At least one sample always survives.
-    pub fn summary(&self, warmup: usize, trim_frac: f64) -> SampleSummary {
-        let body = if self.ns.len() > warmup {
-            &self.ns[warmup..]
-        } else {
-            // Too few samples to afford a warm-up discard; keep the last.
-            &self.ns[self.ns.len().saturating_sub(1)..]
-        };
-        let mut sorted: Vec<u64> = body.to_vec();
-        sorted.sort_unstable();
-        let cut = ((sorted.len() as f64) * trim_frac.clamp(0.0, 0.45)) as usize;
-        let trimmed = &sorted[cut..sorted.len() - cut];
-        let n = trimmed.len();
-        let mean = trimmed.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
-        let stddev = if n < 2 {
-            0.0
-        } else {
-            let var = trimmed
-                .iter()
-                .map(|&x| (x as f64 - mean) * (x as f64 - mean))
-                .sum::<f64>()
-                / (n - 1) as f64;
-            var.sqrt()
-        };
-        SampleSummary {
-            n,
-            mean_ns: mean,
-            stddev_ns: stddev,
-            min_ns: *trimmed.first().unwrap_or(&0),
-            max_ns: *trimmed.last().unwrap_or(&0),
-        }
-    }
-}
-
-/// Warm-up-discarded, trimmed statistics of repeated launches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleSummary {
-    /// Samples surviving warm-up discard and trimming.
-    pub n: usize,
-    /// Trimmed mean wall time per launch.
-    pub mean_ns: f64,
-    /// Sample standard deviation of the surviving launches.
-    pub stddev_ns: f64,
-    pub min_ns: u64,
-    pub max_ns: u64,
-}
-
-impl SampleSummary {
-    /// Mean cost per iteration-space item (ns/gridpoint for field
-    /// kernels), the unit the perf trajectory gates on.
-    pub fn per_item(&self, items: usize) -> f64 {
-        if items == 0 {
-            0.0
-        } else {
-            self.mean_ns / items as f64
-        }
-    }
-
-    /// Stddev scaled per item (for the gate's noise band).
-    pub fn stddev_per_item(&self, items: usize) -> f64 {
-        if items == 0 {
-            0.0
-        } else {
-            self.stddev_ns / items as f64
-        }
-    }
-}
-
-/// Launch `f` `warmup + iters` times, discard the warm-up launches and
-/// return trimmed statistics over the measured ones (20% trimmed from
-/// each end). The standard way to produce a stable per-kernel cost.
-pub fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> SampleSummary {
-    assert!(iters > 0, "measure needs at least one measured iteration");
-    let mut set = SampleSet::new();
-    for _ in 0..warmup + iters {
-        set.time(&mut f);
-    }
-    set.summary(warmup, 0.2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,60 +131,5 @@ mod tests {
         assert_eq!(s.tiles, 0);
         assert_eq!(s.min_tile, Duration::ZERO);
         assert_eq!(s.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn samples_discard_warmup_and_trim_outliers() {
-        let mut set = SampleSet::new();
-        // Two cold first iterations, then a steady 100ns signal with one
-        // descheduling spike and one suspiciously fast sample.
-        for ns in [5000, 2000, 100, 101, 99, 100, 3000, 100, 5, 101, 100, 100] {
-            set.record(Duration::from_nanos(ns));
-        }
-        let s = set.summary(2, 0.2);
-        // Raw mean of the post-warm-up body would be ~580ns; the trimmed
-        // mean must sit on the 100ns signal.
-        assert!(
-            (s.mean_ns - 100.0).abs() < 2.0,
-            "trimmed mean {} not on signal",
-            s.mean_ns
-        );
-        assert!(s.stddev_ns < 5.0, "stddev {} inflated by outliers", s.stddev_ns);
-        assert!(s.n >= 6);
-        assert!(s.min_ns >= 99 && s.max_ns <= 101);
-    }
-
-    #[test]
-    fn summary_survives_tiny_sample_counts() {
-        let mut set = SampleSet::new();
-        set.record(Duration::from_nanos(42));
-        // warmup >= len: the last sample is still reported, not a panic.
-        let s = set.summary(5, 0.2);
-        assert_eq!(s.n, 1);
-        assert_eq!(s.mean_ns, 42.0);
-        assert_eq!(s.stddev_ns, 0.0);
-    }
-
-    #[test]
-    fn per_item_scales_by_work() {
-        let s = SampleSummary {
-            n: 4,
-            mean_ns: 1000.0,
-            stddev_ns: 100.0,
-            min_ns: 900,
-            max_ns: 1100,
-        };
-        assert_eq!(s.per_item(500), 2.0);
-        assert_eq!(s.stddev_per_item(500), 0.2);
-        assert_eq!(s.per_item(0), 0.0);
-    }
-
-    #[test]
-    fn measure_runs_and_reports() {
-        let mut calls = 0u32;
-        let s = measure(3, 8, || calls += 1);
-        assert_eq!(calls, 11);
-        assert!(s.n >= 5 && s.n <= 8);
-        assert!(s.mean_ns >= 0.0);
     }
 }

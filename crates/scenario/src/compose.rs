@@ -5,7 +5,7 @@
 //! [`Coupler`](ap3esm_esm::Coupler) with components absent, so it takes the
 //! same two — and [`sypd_proxy`](Scenario::sypd_proxy) prices the
 //! configuration with a deterministic cost model (the leaderboard ranks on
-//! this projection, never on wall clock — see [`ap3esm_obs::leaderboard`]).
+//! this projection, never on wall clock — see [`crate::leaderboard`]).
 
 use ap3esm_atm::dycore::DycoreConfig;
 use ap3esm_cpl::rearrange::RearrangeStrategy;

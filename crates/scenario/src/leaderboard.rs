@@ -1,7 +1,7 @@
 //! The `ap3esm-leaderboard/1` campaign-summary schema.
 //!
 //! A campaign run (the scenario engine's fan-out over a catalog — see
-//! `ap3esm-scenario`) ends in one machine-readable ranking of its
+//! [`crate::runner`]) ends in one machine-readable ranking of its
 //! scenarios. The schema is deliberately restricted to **deterministic**
 //! quantities: health verdicts, conservation drift, ensemble spread, and
 //! the cost-model SYPD projection derived from the configuration — never
@@ -11,14 +11,14 @@
 //! SYPD belongs in the human table and the per-scenario `ap3esm-tsdb/1`
 //! snapshots, not here.
 //!
-//! Like the other `ap3esm-*` schemas in this crate, the writer is the
+//! Like the `ap3esm-*` schemas of `ap3esm-obs`, the writer is the
 //! insertion-ordered [`Json`] tree and the reader is strict: unknown
 //! schema tags, missing fields, or mistyped values are errors, so a CI
 //! gate that validates a leaderboard actually validates it.
 
 use std::path::PathBuf;
 
-use crate::json::Json;
+use ap3esm_obs::json::Json;
 
 /// Schema tag of the campaign leaderboard document.
 pub const LEADERBOARD_SCHEMA: &str = "ap3esm-leaderboard/1";

@@ -41,6 +41,7 @@
 
 pub mod compose;
 pub mod dsl;
+pub mod leaderboard;
 pub mod runner;
 
 pub use dsl::{Catalog, GridPreset, Layout, ModelKind, Scenario, VortexDef};

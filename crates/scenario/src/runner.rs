@@ -28,12 +28,12 @@ use ap3esm_esm::{
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_obs::flightrec::{dump_bundle, BundleSpec};
-use ap3esm_obs::leaderboard::{score, Leaderboard, LeaderboardRow};
 use ap3esm_obs::tsdb::{snapshot_to_json, SeriesStore};
 use ap3esm_ocn::model::OcnForcing;
 use ap3esm_pp::exec::{ExecSpace, Threads};
 
 use crate::dsl::{Catalog, ModelKind, Scenario};
+use crate::leaderboard::{score, Leaderboard, LeaderboardRow};
 
 /// Knobs of one campaign execution.
 #[derive(Debug, Clone)]

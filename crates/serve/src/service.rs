@@ -127,13 +127,12 @@ pub fn telemetry_derived() -> Vec<ap3esm_obs::Derived> {
     })]
 }
 
-/// Harvest the serving path's trajectory metrics from a service's `Obs`
-/// (the `perf.serve.*` vocabulary shared by `BENCH_*.json` files and run
-/// reports): end-to-end latency p50/p95 and the batched forward's p50 are
-/// gated lower-is-better; shed rate, mean batch size and queue-wait p95
-/// are informational context (their "goodness" depends on offered load).
-/// Histogram percentiles carry a dispersion proxy — the p50→p95 spread —
-/// so the gate's noise band reflects within-run latency scatter.
+/// The serving path's `perf.serve.*` readings from a service's `Obs`:
+/// end-to-end latency p50/p95 and the batched forward's p50
+/// (lower-is-better); shed rate, mean batch size and queue-wait p95 are
+/// informational context (their "goodness" depends on offered load).
+/// Histogram percentiles carry the p50→p95 spread as their dispersion.
+/// `benchmark/` reads its `serve.*` layer metrics from here.
 pub fn perf_snapshot(obs: &Obs) -> Vec<(String, ap3esm_obs::perf::Stat)> {
     use ap3esm_obs::perf::{Direction, Stat};
     let m = &obs.metrics;

@@ -2,7 +2,8 @@
 # Tier-1 verification: release build, every workspace member's tests (the
 # root package's integration tests alone miss the per-crate unit tests, e.g.
 # the ocean's bitwise goldens), lint-clean clippy, a syntax check of the
-# benchmark pairing script (which takes ~10 min per workload to run); then
+# two benchmark scripts (a pairing takes ~10 min per workload, a point ~4 min,
+# too long to run here; CI's benchmark-smoke runs the point's quick form); then
 # the lanes step and the obs step. CI runs exactly this (`tier1`, `lanes`
 # and `obs` as three steps); run it locally before pushing.
 #
@@ -13,6 +14,7 @@ step=${1:-all}
 
 if [[ $step == all || $step == tier1 ]]; then
     bash -n scripts/bench_pair.sh
+    bash -n scripts/bench_point.sh
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace -- -D warnings

@@ -9,7 +9,7 @@ use std::time::Duration;
 use ap3esm::ai::modules::{ColumnState, ColumnTendency};
 use ap3esm::obs::Obs;
 use ap3esm::serve::registry::warm_modules;
-use ap3esm::serve::{ModelRegistry, ServeConfig, ServeError, Service, Ticket};
+use ap3esm::serve::{perf_snapshot, ModelRegistry, ServeConfig, ServeError, Service, Ticket};
 
 const NLEV: usize = 30;
 
@@ -100,6 +100,17 @@ fn overload_sheds_and_admitted_p95_stays_bounded() {
     let bs = m.histogram("serve.batch_size").summary();
     assert_eq!(bs.max, 8, "saturated queue must produce full batches");
     assert!(m.counter("serve.batches").get() < served_n, "batches < requests");
+
+    // The three names `benchmark/src/layers.rs` reads its serve layer from.
+    let snapshot = perf_snapshot(svc.obs());
+    let stat = |name: &str| {
+        let found = snapshot.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("perf_snapshot lacks {name}")).1.value
+    };
+    assert!(stat("perf.serve.queue_wait_p95_us").is_finite());
+    assert!(stat("perf.serve.forward_p50_us").is_finite());
+    let batch_mean = stat("perf.serve.batch_size_mean");
+    assert!(batch_mean.is_finite() && batch_mean >= 1.0, "mean batch {batch_mean}");
 }
 
 /// The drain contract: every submitted request resolves — to a result or
