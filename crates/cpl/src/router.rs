@@ -26,7 +26,7 @@ pub struct Router {
     pub nglobal: usize,
     pub src_ranks: usize,
     pub dst_ranks: usize,
-    /// legs[src][dst].
+    /// `legs[src][dst]`.
     pub legs: Vec<Vec<RouteLeg>>,
     /// Wall time spent building (reported by the S524 experiment).
     pub build_seconds: f64,

@@ -203,8 +203,8 @@ impl CoupledConfig {
         CouplingClock::new(atm, ocn, ice)
     }
 
-    /// Upfront consistency check, called by both [`run_coupled`]
-    /// (crate::coupled::run_coupled) and the scenario loader. Every rule
+    /// Upfront consistency check, called by both
+    /// [`run_coupled`](crate::coupled::run_coupled) and the scenario loader. Every rule
     /// here corresponds to a failure that would otherwise surface deep in
     /// the driver — an `Alarm` divisibility assert, a `BlockDecomp2d`
     /// bounds assert, or the silent 1×1 override of the ocean mesh in the

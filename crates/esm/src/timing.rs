@@ -4,11 +4,11 @@
 //! load imbalance."
 //!
 //! [`Timers`] is a thin facade over the `ap3esm-obs` span profiler: every
-//! `start`/`stop` section also opens/closes a span on the attached
-//! [`Obs`](ap3esm_obs::Obs) instance, so driver-level sections and the
-//! leaf-crate instrumentation (dycore substeps, rearranger, I/O) land in
-//! one call tree. Re-entrant `start` of the same name nests like a stack —
-//! recursion is recorded, never aborted.
+//! `start`/`stop` section also opens/closes a span on the attached [`Obs`]
+//! instance, so driver-level sections and the leaf-crate instrumentation
+//! (dycore substeps, rearranger, I/O) land in one call tree. Re-entrant
+//! `start` of the same name nests like a stack — recursion is recorded,
+//! never aborted.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

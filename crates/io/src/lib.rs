@@ -5,7 +5,7 @@
 //! ranks** to each sub-file set, and (c) uses a **binary format** instead of
 //! self-describing NetCDF. This crate implements all three:
 //!
-//! * [`format`] — the binary on-disk format: fixed header, partition index,
+//! * [`mod@format`] — the binary on-disk format: fixed header, partition index,
 //!   little-endian f64 payload, CRC-32 integrity check,
 //! * [`subfile`] — writing/reading a global field as N sub-files, the
 //!   rank-group aggregation plan, and a single-file baseline for the

@@ -21,7 +21,6 @@
 //! the reproduced scaling *shapes* are earned rather than copied.
 
 pub mod calibration;
-pub mod overheads;
 pub mod perf;
 pub mod topology;
 

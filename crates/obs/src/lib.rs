@@ -10,7 +10,7 @@
 //!   frozen row shapes, `journal.json` rows and chrome-trace rows. Every
 //!   exporter below is a plain function of one log snapshot,
 //!   `&[Vec<Event>]`.
-//! * [`span`] — a hierarchical wall-clock profiler: nestable named spans
+//! * [`mod@span`] — a hierarchical wall-clock profiler: nestable named spans
 //!   form a call tree (GPTL-analogue), with per-node total time, self time
 //!   and call counts; the rank's front end to the event log (traced spans,
 //!   [`mark()`]). Entering a span when profiling is disabled costs one

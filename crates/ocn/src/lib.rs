@@ -12,8 +12,6 @@
 //! * the §5.2.2 **3-D non-ocean point exclusion** path: kernels iterate a
 //!   packed active-column list instead of the dense (i, j) box, with
 //!   bitwise-identical results,
-//! * performance-portable kernels dispatched through `ap3esm-pp` execution
-//!   spaces (the Kokkos role in LICOMK++),
 //! * MPI-style domain decomposition over `ap3esm-comm` ranks with halo
 //!   exchange (one-cell rims, zonally periodic).
 //!
@@ -22,8 +20,6 @@
 //! advection — the communication pattern, masking machinery, and time-split
 //! structure (what the paper's optimisations act on) are preserved.
 
-pub mod diag;
-pub mod dynamics;
 pub mod eos;
 pub mod mixing;
 pub mod model;

@@ -2,11 +2,12 @@
 //!
 //! Mirrors Kokkos execution spaces as used by LICOMK++ (paper §5.3). A kernel
 //! written against [`ExecSpace`] runs unchanged on every backend; only
-//! performance differs. The `Serial` backend corresponds to the paper's
-//! MPE-only baseline; `Threads` to host/device parallel execution; and
-//! `SimulatedCpe` emulates a Sunway SW26010P core group, including its
+//! performance differs. [`Serial`] corresponds to the paper's MPE-only
+//! baseline; [`Threads`] to host/device parallel execution; and
+//! [`SimulatedCpe`] emulates a Sunway SW26010P core group, including its
 //! 64-lane structure and limited local device memory (LDM), so that kernels
 //! exercise the same tiling discipline the Athread/CPE code path requires.
+//! All three run their ranges on one mechanism, the lane team below.
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -14,8 +15,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex as PartialSlot;
 
 /// Only this crate implements [`ExecSpace`]: [`crate::for_chunks_mut`] hands
 /// out `&mut` sub-slices on the strength of `for_chunks`' disjoint-ranges
@@ -26,12 +25,18 @@ pub(crate) mod sealed {
 
 /// A backend capable of executing data-parallel index ranges.
 ///
-/// The primitive operations take `&dyn` closures so the trait stays
-/// object-safe: AP3ESM components hold an `Arc<dyn ExecSpace>` chosen at
-/// configuration time, exactly as the paper's ocean component "flexibly
-/// selects the most suitable implementation for each architecture" (§5.1.1).
+/// The whole contract: a kernel is a closure over an index range
+/// ([`for_chunks`](ExecSpace::for_chunks)) or over one index
+/// ([`for_each`](ExecSpace::for_each)); portable means the same bits on
+/// every space, and the goldens are the proof (`crates/atm/tests/golden.rs`
+/// steps the atmosphere on all three spaces and 1–7 lanes).
+///
+/// The operations take `&dyn` closures so the trait stays object-safe:
+/// AP3ESM components hold an `Arc<dyn ExecSpace>` chosen at configuration
+/// time, exactly as the paper's ocean component "flexibly selects the most
+/// suitable implementation for each architecture" (§5.1.1).
 pub trait ExecSpace: sealed::Sealed + Sync + Send {
-    /// Human-readable backend name (used in profiles and experiment CSVs).
+    /// Human-readable backend name, for messages.
     fn name(&self) -> &'static str;
 
     /// Number of hardware lanes the backend exposes (1 for serial, thread
@@ -42,59 +47,15 @@ pub trait ExecSpace: sealed::Sealed + Sync + Send {
     /// Execute `f(i)` for every `i in 0..n`.
     fn for_each(&self, n: usize, f: &(dyn Fn(usize) + Sync));
 
-    /// Cover `0..n` with contiguous ranges and execute `f(range)` once per
-    /// range; the call returns when every range is done. The ranges of one
-    /// call are pairwise disjoint, and how `0..n` is cut is the backend's
-    /// choice: `Serial` makes one call with `0..n`, `Threads` one fixed
-    /// range per lane, `SimulatedCpe` one per LDM tile. A kernel whose every
-    /// output index is written from its own range only is therefore bitwise
-    /// independent of the backend.
+    /// Cover `0..n` with contiguous non-empty ranges and execute `f(range)`
+    /// once per range (never, if `n` is 0); the call returns when every
+    /// range is done. The ranges of one call are pairwise disjoint, and how
+    /// `0..n` is cut is the backend's choice: `Serial` makes one call with
+    /// `0..n`, `Threads` one fixed range per lane, `SimulatedCpe` one per
+    /// LDM tile. A kernel whose every output index is written from its own
+    /// range only is therefore bitwise independent of the backend.
     fn for_chunks(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync));
-
-    /// Reduce `f(i)` over `0..n` into a single `f64` via `combine`.
-    ///
-    /// The f64-typed primitive keeps the trait object-safe; the generic
-    /// typed wrapper is [`ExecSpace::reduce`].
-    fn reduce_f64(
-        &self,
-        n: usize,
-        identity: f64,
-        f: &(dyn Fn(usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64;
 }
-
-/// Generic typed reduction built on `for_each` (works for any `ExecSpace`).
-pub trait ExecSpaceExt: ExecSpace {
-    fn reduce<T: Send + Sync + Clone>(
-        &self,
-        n: usize,
-        identity: T,
-        f: &(dyn Fn(usize) -> T + Sync),
-        combine: &(dyn Fn(T, T) -> T + Sync),
-    ) -> T {
-        // Accumulate per-chunk partials under short-lived locks, then fold.
-        const CHUNK: usize = 2048;
-        let nchunks = n.div_ceil(CHUNK);
-        let partials: Vec<PartialSlot<Option<T>>> =
-            (0..nchunks).map(|_| PartialSlot::new(None)).collect();
-        self.for_each(nchunks, &|c| {
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
-            let mut acc = identity.clone();
-            for i in lo..hi {
-                acc = combine(acc, f(i));
-            }
-            *partials[c].lock() = Some(acc);
-        });
-        partials
-            .into_iter()
-            .map(|m| m.into_inner().expect("partial"))
-            .fold(identity, combine)
-    }
-}
-
-impl<E: ExecSpace + ?Sized> ExecSpaceExt for E {}
 
 /// The host's parallelism, or 1 where the platform cannot tell: one lane is
 /// always correct, a guessed four can oversubscribe a one-core box.
@@ -132,21 +93,9 @@ impl ExecSpace for Serial {
     }
 
     fn for_chunks(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
-        f(0..n);
-    }
-
-    fn reduce_f64(
-        &self,
-        n: usize,
-        identity: f64,
-        f: &(dyn Fn(usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let mut acc = identity;
-        for i in 0..n {
-            acc = combine(acc, f(i));
+        if n > 0 {
+            f(0..n);
         }
-        acc
     }
 }
 
@@ -628,16 +577,6 @@ impl ExecSpace for Threads {
     fn for_chunks(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
         self.team.run(n, n.div_ceil(self.team.lanes()).max(1), f);
     }
-
-    fn reduce_f64(
-        &self,
-        n: usize,
-        identity: f64,
-        f: &(dyn Fn(usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce(n, identity, f, combine)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -721,21 +660,12 @@ impl ExecSpace for SimulatedCpe {
             .fetch_add(n.div_ceil(tile), Ordering::Relaxed);
         self.team.run(n, tile, f);
     }
-
-    fn reduce_f64(
-        &self,
-        n: usize,
-        identity: f64,
-        f: &(dyn Fn(usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce(n, identity, f, combine)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU64;
 
     fn check_space(space: &dyn ExecSpace) {
@@ -750,8 +680,6 @@ mod tests {
             "{} for_each visited wrong index set",
             space.name()
         );
-        let sum = space.reduce_f64(n, 0.0, &|i| i as f64, &|a, b| a + b);
-        assert_eq!(sum, ((n - 1) * n / 2) as f64);
     }
 
     #[test]
@@ -773,9 +701,8 @@ mod tests {
     fn cpe_visits_all_indices_and_counts_tiles() {
         let cpe = SimulatedCpe::new(64, 1024, 8); // tiny LDM => many tiles
         check_space(&cpe);
-        // 10_000 indices, 128 per tile -> 79 tiles for for_each, plus the
-        // reduce's internal chunked for_each.
-        assert!(cpe.tile_loads() >= 79, "tile loads = {}", cpe.tile_loads());
+        // 10_000 indices, 128 per tile.
+        assert_eq!(cpe.tile_loads(), 79);
     }
 
     #[test]
@@ -785,12 +712,14 @@ mod tests {
         space.for_chunks(0, &|_| panic!("must not be called"));
     }
 
-    /// Every index in exactly one range, for every way of cutting.
+    /// Every index in exactly one range and no range empty, so at most
+    /// `max_ranges.min(n)` of them: none for `n = 0`.
     fn check_chunks(space: &dyn ExecSpace, n: usize, max_ranges: usize) {
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let ranges = AtomicUsize::new(0);
         space.for_chunks(n, &|range| {
             ranges.fetch_add(1, Ordering::Relaxed);
+            assert!(!range.is_empty(), "{}: empty range", space.name());
             for i in range {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -798,21 +727,29 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         let ranges = ranges.load(Ordering::Relaxed);
         assert!(
-            (1..=max_ranges).contains(&ranges),
+            ranges <= max_ranges,
             "{}: {ranges} ranges for n = {n}",
             space.name()
         );
     }
 
-    #[test]
-    fn chunks_cover_the_range_once() {
-        for n in [1, 2, 7, 64, 1000] {
-            check_chunks(&Serial, n, 1);
-            for lanes in 1..=5 {
-                check_chunks(&Threads::new(lanes), n, lanes);
+    proptest! {
+        /// However a space cuts: one range for `Serial`, one per lane for
+        /// `Threads`, one per LDM tile for `SimulatedCpe`.
+        #[test]
+        fn chunks_cover_the_range_once(
+            n in 0usize..5000,
+            lanes in 1usize..=7,
+            tile in 1usize..=257,
+        ) {
+            let threads = Threads::new(lanes);
+            let cpe = SimulatedCpe::new(64, 8 * tile, 8);
+            // The sizes at the edges of a cut with every sampled one.
+            for n in [0, 1, 2, 7, 64, 1000, n] {
+                check_chunks(&Serial, n, 1);
+                check_chunks(&threads, n, lanes);
+                check_chunks(&cpe, n, n.div_ceil(tile));
             }
-            // 16 indices per LDM tile.
-            check_chunks(&SimulatedCpe::new(64, 128, 8), n, n.div_ceil(16));
         }
     }
 
@@ -866,12 +803,5 @@ mod tests {
                 .is_some_and(|m| m.contains("index 57")));
             check_space(&space);
         }
-    }
-
-    #[test]
-    fn typed_reduce_max() {
-        let space = Threads::new(4);
-        let m = space.reduce(1000, i64::MIN, &|i| (i as i64 % 97) * 3, &|a, b| a.max(b));
-        assert_eq!(m, 96 * 3);
     }
 }

@@ -180,6 +180,7 @@ impl<'a, T> SharedSlice<'a, T> {
 mod tests {
     use super::*;
     use crate::exec::{Serial, SimulatedCpe, Threads};
+    use proptest::prelude::*;
 
     #[test]
     fn parallel_disjoint_writes_land() {
@@ -208,32 +209,43 @@ mod tests {
         for_chunks_mut(&Serial, 10, [&mut [0.0; 7][..]], |_, _| ());
     }
 
-    #[test]
-    fn chunked_outputs_are_the_same_on_every_space() {
-        let n = 1000;
-        let run = |space: &dyn ExecSpace| {
-            let (mut one, mut three) = (vec![0.0; n], vec![0.0; 3 * n]);
-            for_chunks_mut(
-                space,
-                n,
-                [&mut one[..], &mut three[..], &mut []],
-                |range, [one, three, none]| {
-                    assert!(none.is_empty());
-                    for (j, i) in range.enumerate() {
-                        one[j] = i as f64;
-                        three[3 * j + 2] = -(i as f64);
-                    }
-                },
-            );
-            (one, three)
-        };
-        let serial = run(&Serial);
-        assert!(serial.0.iter().enumerate().all(|(i, v)| *v == i as f64));
-        assert_eq!(serial.1[3 * 999 + 2], -999.0);
-        for lanes in 1..=5 {
-            assert_eq!(run(&Threads::new(lanes)), serial, "{lanes} lanes");
+    proptest! {
+        /// A kernel gets the output entries of its own indices, whatever the
+        /// entries per index and however the space cuts the range.
+        #[test]
+        fn chunked_outputs_are_the_same_on_every_space(
+            n in 0usize..5000,
+            lanes in 1usize..=7,
+            tile in 1usize..=257,
+            stride in 1usize..=4,
+        ) {
+            let run = |space: &dyn ExecSpace, n: usize| {
+                let (mut one, mut strided) = (vec![0usize; n], vec![0usize; stride * n]);
+                for_chunks_mut(
+                    space,
+                    n,
+                    [&mut one[..], &mut strided[..], &mut []],
+                    |range, [one, strided, none]| {
+                        assert!(none.is_empty());
+                        for (j, i) in range.enumerate() {
+                            one[j] = i;
+                            strided[stride * j + stride - 1] = !i;
+                        }
+                    },
+                );
+                (one, strided)
+            };
+            let threads = Threads::new(lanes);
+            let cpe = SimulatedCpe::new(64, 8 * tile, 8);
+            for n in [0, 1, 1000, n] {
+                let serial = run(&Serial, n);
+                assert!(serial.0.iter().copied().eq(0..n));
+                let last_of_entry = serial.1.chunks(stride).map(|entry| entry[stride - 1]);
+                assert!(last_of_entry.eq((0..n).map(|i| !i)));
+                assert_eq!(run(&threads, n), serial, "{lanes} lanes, n = {n}");
+                assert_eq!(run(&cpe, n), serial, "tiles of {tile}, n = {n}");
+            }
         }
-        assert_eq!(run(&SimulatedCpe::new(64, 256, 8)), serial);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, every workspace member's tests (the
 # root package's integration tests alone miss the per-crate unit tests, e.g.
-# the ocean's bitwise goldens), lint-clean clippy, a syntax check of the
-# two benchmark scripts (a pairing takes ~10 min per workload, a point ~4 min,
-# too long to run here; CI's benchmark-smoke runs the point's quick form); then
+# the ocean's bitwise goldens), lint-clean clippy, rustdoc without a warning
+# (a dangling intra-doc link is how a doc comment outlives the code it
+# describes), a syntax check of the two benchmark scripts (a pairing takes
+# ~10 min per workload, a point ~4 min, too long to run here; CI's
+# benchmark-smoke runs the point's quick form); then
 # the lanes step and the obs step. CI runs exactly this (`tier1`, `lanes`
 # and `obs` as three steps); run it locally before pushing.
 #
@@ -18,6 +20,7 @@ if [[ $step == all || $step == tier1 ]]; then
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 
 # The lane team, the atmosphere's goldens across lane counts and execution
