@@ -20,16 +20,13 @@ use crate::CommError;
 pub(crate) const TAG_BASE: u64 = 0xC0_0000_0000;
 pub(crate) const TAG_BCAST: u64 = TAG_BASE + 0x1000;
 pub(crate) const TAG_GATHER: u64 = TAG_BASE + 0x2000;
-pub(crate) const TAG_ALLGATHER: u64 = TAG_BASE + 0x3000;
 pub(crate) const TAG_ALLREDUCE: u64 = TAG_BASE + 0x4000;
 pub(crate) const TAG_ALLTOALL: u64 = TAG_BASE + 0x5000;
-pub(crate) const TAG_SPLIT: u64 = TAG_BASE + 0x6000;
-pub(crate) const TAG_SUB_BARRIER: u64 = TAG_BASE + 0x7000;
-pub(crate) const TAG_SCATTER: u64 = TAG_BASE + 0x8000;
 
-/// The wire tag an `alltoallv` with user tag `tag` sends under — lets
-/// traffic observers ([`crate::CommStats::tag_traffic`]) attribute bytes to
-/// the collective that moved them.
+/// The wire tag the coupler's all-to-all rearrangement (`cpl::Rearranger`,
+/// which sends its own personalised exchange) travels under for user tag
+/// `tag` — lets traffic observers ([`crate::CommStats::tag_traffic`])
+/// attribute bytes to the strategy that moved them.
 pub fn alltoall_wire_tag(tag: u64) -> u64 {
     TAG_ALLTOALL + tag
 }
@@ -46,32 +43,24 @@ pub fn is_collective_tag(tag: u64) -> bool {
 /// Which collective family a reserved wire tag belongs to, or `None` for
 /// user (point-to-point) tags. Best-effort: the user tag is *added* to the
 /// block base, so a user tag larger than a block (≥ 0x1000) can spill into
-/// the next family's label — fine for display, don't branch on it. The
-/// sub-barrier of a shrunk world reports as `"barrier"`; the two-stage
-/// wire tags of `allreduce`/`allgather` (both blocks stacked, tag above
-/// `2 * TAG_BASE`) report as their composite family.
+/// the next family's label — fine for display, don't branch on it.
+/// Everything from block 0x7000 up — the membership plane of a shrunk
+/// world (`0xD7_…`: its dissemination barrier, vote and verdict) — reports
+/// as `"barrier"`; the two-stage wire tags of `allreduce` (both blocks
+/// stacked, tag above `2 * TAG_BASE`) as `"allreduce"`.
 pub fn collective_kind(tag: u64) -> Option<&'static str> {
     if !is_collective_tag(tag) {
         return None;
     }
     if tag >= 2 * TAG_BASE {
-        // Composed legs: allreduce's gather leg sits at block 0x6000 and
-        // its bcast leg at 0x5800; allgather's bcast leg at 0x4000.
-        return Some(if tag - 2 * TAG_BASE >= 0x4800 {
-            "allreduce"
-        } else {
-            "allgather"
-        });
+        return Some("allreduce");
     }
-    const BLOCKS: [(u64, &str); 8] = [
+    const BLOCKS: [(u64, &str); 5] = [
         (0x1000, "bcast"),
         (0x2000, "gather"),
-        (0x3000, "allgather"),
         (0x4000, "allreduce"),
         (0x5000, "alltoall"),
-        (0x6000, "split"),
         (0x7000, "barrier"),
-        (0x8000, "scatter"),
     ];
     let off = tag - TAG_BASE;
     Some(
@@ -130,40 +119,6 @@ pub fn gather<T: Send + Clone + 'static>(
         rank.send(root, tag, data);
         Ok(None)
     }
-}
-
-/// Scatter `parts[i]` from `root` to rank `i`; returns this rank's part.
-pub fn scatter<T: Send + Clone + 'static>(
-    rank: &Rank,
-    tag: u64,
-    root: usize,
-    parts: Option<Vec<Vec<T>>>,
-) -> Result<Vec<T>, CommError> {
-    let tag = TAG_SCATTER + tag;
-    if rank.id() == root {
-        let mut parts = parts.expect("root must supply parts");
-        assert_eq!(parts.len(), rank.size(), "scatter needs one part per rank");
-        let mine = std::mem::take(&mut parts[rank.id()]);
-        for (dst, part) in parts.into_iter().enumerate() {
-            if dst != root {
-                rank.send(dst, tag, part);
-            }
-        }
-        Ok(mine)
-    } else {
-        rank.recv(root, tag)
-    }
-}
-
-/// All ranks receive the concatenation (in rank order) of every rank's data.
-pub fn allgather<T: Send + Clone + 'static>(
-    rank: &Rank,
-    tag: u64,
-    data: Vec<T>,
-) -> Result<Vec<T>, CommError> {
-    let gathered = gather(rank, tag, 0, data)?;
-    let flat: Option<Vec<T>> = gathered.map(|parts| parts.into_iter().flatten().collect());
-    bcast(rank, TAG_ALLGATHER + tag, 0, flat.unwrap_or_default())
 }
 
 /// Element-wise all-reduce of equal-length vectors with `combine`, applied
@@ -225,37 +180,6 @@ pub fn allreduce_max(rank: &Rank, tag: u64, value: f64) -> Result<f64, CommError
     Ok(allreduce(rank, tag, vec![value], |a, b| a.max(*b))?[0])
 }
 
-/// Personalised all-to-all: `sends[j]` goes to rank `j`; returns the vector
-/// of messages received, indexed by source. This is the *baseline*
-/// rearrangement pattern AP3ESM's coupler optimisation replaces.
-pub fn alltoallv<T: Send + Clone + 'static>(
-    rank: &Rank,
-    tag: u64,
-    sends: Vec<Vec<T>>,
-) -> Result<Vec<Vec<T>>, CommError> {
-    assert_eq!(
-        sends.len(),
-        rank.size(),
-        "alltoallv needs one (possibly empty) buffer per destination"
-    );
-    let tag = TAG_ALLTOALL + tag;
-    let me = rank.id();
-    let mut recvs: Vec<Option<Vec<T>>> = (0..rank.size()).map(|_| None).collect();
-    for (dst, buf) in sends.into_iter().enumerate() {
-        if dst == me {
-            recvs[me] = Some(buf);
-        } else {
-            rank.send(dst, tag, buf);
-        }
-    }
-    for (src, slot) in recvs.iter_mut().enumerate() {
-        if src != me {
-            *slot = Some(rank.recv(src, tag)?);
-        }
-    }
-    Ok(recvs.into_iter().map(|r| r.expect("a2a slot")).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,26 +204,6 @@ mod tests {
         let root = out[0].as_ref().unwrap();
         assert_eq!(root, &vec![vec![0], vec![10], vec![20], vec![30]]);
         assert!(out[1].is_none());
-    }
-
-    #[test]
-    fn scatter_delivers_right_parts() {
-        let world = World::new(3);
-        let out = world.run(|rank| {
-            let parts = (rank.id() == 1)
-                .then(|| vec![vec![100u8], vec![101], vec![102]]);
-            scatter(rank, 0, 1, parts).unwrap()
-        });
-        assert_eq!(out, vec![vec![100], vec![101], vec![102]]);
-    }
-
-    #[test]
-    fn allgather_everyone_sees_everything() {
-        let world = World::new(4);
-        let out = world.run(|rank| allgather(rank, 0, vec![rank.id() as i16]).unwrap());
-        for v in out {
-            assert_eq!(v, vec![0, 1, 2, 3]);
-        }
     }
 
     #[test]
@@ -333,41 +237,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn alltoallv_transposes_messages() {
-        let world = World::new(4);
-        let out = world.run(|rank| {
-            // Rank r sends value 10*r + j to rank j.
-            let sends: Vec<Vec<u32>> = (0..rank.size())
-                .map(|j| vec![(10 * rank.id() + j) as u32])
-                .collect();
-            alltoallv(rank, 0, sends).unwrap()
-        });
-        // Rank j receives 10*r + j from each r.
-        for (j, recvd) in out.iter().enumerate() {
-            for (r, msg) in recvd.iter().enumerate() {
-                assert_eq!(msg, &vec![(10 * r + j) as u32]);
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_conserves_total_payload() {
-        let world = World::new(5);
-        let totals = world.run(|rank| {
-            let sends: Vec<Vec<u64>> = (0..rank.size())
-                .map(|j| (0..(rank.id() + j)).map(|k| k as u64).collect())
-                .collect();
-            let sent: usize = sends.iter().map(|v| v.len()).sum();
-            let recvd = alltoallv(rank, 0, sends).unwrap();
-            let got: usize = recvd.iter().map(|v| v.len()).sum();
-            (sent, got)
-        });
-        let total_sent: usize = totals.iter().map(|(s, _)| s).sum();
-        let total_recv: usize = totals.iter().map(|(_, g)| g).sum();
-        assert_eq!(total_sent, total_recv);
     }
 
     #[test]

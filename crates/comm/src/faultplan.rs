@@ -443,227 +443,6 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// What a chaos scenario is expected to do to the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioExpectation {
-    /// Faults are absent or transient: the run must finish healthy.
-    Healthy,
-    /// A rank is permanently lost: the run must finish in degraded mode on
-    /// the survivors, matching a fresh reference run on the smaller world.
-    Degraded,
-    /// Recovery cannot succeed: the run must end with a structured
-    /// `RecoveryFailure` — never a hang, panic, or silent wrong answer.
-    Failure,
-}
-
-impl ScenarioExpectation {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ScenarioExpectation::Healthy => "healthy",
-            ScenarioExpectation::Degraded => "degraded",
-            ScenarioExpectation::Failure => "failure",
-        }
-    }
-
-    /// Parse an `expect=` value, reporting `line` on failure. Public for
-    /// the scenario catalog, which shares this grammar.
-    pub fn parse(v: &str, line: usize) -> Result<Self, PlanParseError> {
-        match v {
-            "healthy" => Ok(ScenarioExpectation::Healthy),
-            "degraded" => Ok(ScenarioExpectation::Degraded),
-            "failure" => Ok(ScenarioExpectation::Failure),
-            other => Err(PlanParseError {
-                line,
-                message: format!(
-                    "expect must be healthy, degraded, or failure; got {other:?}"
-                ),
-            }),
-        }
-    }
-}
-
-/// One named scenario of a chaos [`Campaign`]: a seeded fault plan plus the
-/// outcome the campaign runner must observe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosScenario {
-    pub name: String,
-    pub expect: ScenarioExpectation,
-    pub plan: FaultPlan,
-}
-
-/// A deterministic chaos campaign: an ordered list of named scenarios, each
-/// with its own fault plan and expected outcome. Text format:
-///
-/// ```text
-/// seed 42                      # campaign seed (before the first scenario)
-/// scenario baseline expect=healthy
-/// scenario lose-ocean expect=degraded
-/// die rank=2 step=3
-/// scenario lose-coupler expect=failure
-/// die rank=1 step=2
-/// kill rank=1 step=4
-/// ```
-///
-/// Lines after a `scenario` header belong to that scenario's plan until the
-/// next header. Scenarios that do not set their own `seed` get one derived
-/// deterministically from the campaign seed and their position, so every
-/// scenario is reproducible in isolation but decorrelated from its
-/// neighbours. Plan parse errors report line numbers of the *campaign*
-/// file, not scenario-relative offsets.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Campaign {
-    pub seed: u64,
-    pub scenarios: Vec<ChaosScenario>,
-}
-
-/// splitmix64 of the campaign seed and scenario index: reproducible but
-/// decorrelated per-scenario seeds. Public because the scenario catalog
-/// (`ap3esm-scenario`), whose grammar supersets this campaign format,
-/// derives member and scenario seeds with the same mix so a catalog and a
-/// hand-built [`Campaign`] agree position-by-position.
-pub fn scenario_seed(campaign_seed: u64, index: usize) -> u64 {
-    let mut z = campaign_seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl Campaign {
-    pub fn new(seed: u64) -> Self {
-        Campaign {
-            seed,
-            scenarios: Vec::new(),
-        }
-    }
-
-    /// Append a scenario built from inline plan text. A plan without its
-    /// own `seed` line gets the derived per-scenario seed.
-    pub fn add(
-        &mut self,
-        name: &str,
-        expect: ScenarioExpectation,
-        plan_text: &str,
-    ) -> Result<&mut Self, PlanParseError> {
-        let mut plan = FaultPlan::parse(plan_text)?;
-        if plan.seed == 0 {
-            plan.seed = scenario_seed(self.seed, self.scenarios.len());
-        }
-        self.scenarios.push(ChaosScenario {
-            name: name.to_string(),
-            expect,
-            plan,
-        });
-        Ok(self)
-    }
-
-    /// Parse the campaign text format (see the type docs).
-    pub fn parse(text: &str) -> Result<Self, PlanParseError> {
-        let all: Vec<&str> = text.lines().collect();
-        let mut campaign = Campaign::default();
-        // (name, expect, index of the first body line)
-        let mut open: Option<(String, ScenarioExpectation, usize)> = None;
-        for (i, raw) in all.iter().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            let verb = toks.next().expect("non-empty line has a first token");
-            if verb == "scenario" {
-                if let Some((name, expect, start)) = open.take() {
-                    campaign.finish_scenario(&all, name, expect, start, i)?;
-                }
-                let name = toks
-                    .next()
-                    .ok_or_else(|| PlanParseError {
-                        line: lineno,
-                        message: "scenario needs a name".into(),
-                    })?
-                    .to_string();
-                let mut expect = None;
-                for tok in toks {
-                    let (k, v) = parse_kv(tok, lineno)?;
-                    match k {
-                        "expect" => expect = Some(ScenarioExpectation::parse(v, lineno)?),
-                        _ => {
-                            return Err(PlanParseError {
-                                line: lineno,
-                                message: format!("unknown key {k:?} for scenario"),
-                            })
-                        }
-                    }
-                }
-                let expect = expect.ok_or_else(|| PlanParseError {
-                    line: lineno,
-                    message: "scenario needs expect=healthy|degraded|failure".into(),
-                })?;
-                open = Some((name, expect, i + 1));
-            } else if open.is_none() {
-                if verb == "seed" {
-                    let v = toks.next().ok_or_else(|| PlanParseError {
-                        line: lineno,
-                        message: "seed needs a value".into(),
-                    })?;
-                    campaign.seed = parse_num("seed", v, lineno)?;
-                } else {
-                    return Err(PlanParseError {
-                        line: lineno,
-                        message: format!(
-                            "expected a scenario header before {verb:?} (only \
-                             `seed` may precede the first scenario)"
-                        ),
-                    });
-                }
-            }
-            // Body lines of an open scenario are consumed by finish_scenario.
-        }
-        if let Some((name, expect, start)) = open.take() {
-            campaign.finish_scenario(&all, name, expect, start, all.len())?;
-        }
-        Ok(campaign)
-    }
-
-    fn finish_scenario(
-        &mut self,
-        all: &[&str],
-        name: String,
-        expect: ScenarioExpectation,
-        start: usize,
-        end: usize,
-    ) -> Result<(), PlanParseError> {
-        // Pad with blank lines so plan errors carry campaign-file line
-        // numbers instead of scenario-relative offsets.
-        let mut padded = "\n".repeat(start);
-        padded.push_str(&all[start..end].join("\n"));
-        let mut plan = FaultPlan::parse(&padded)?;
-        if plan.seed == 0 {
-            plan.seed = scenario_seed(self.seed, self.scenarios.len());
-        }
-        if self.scenarios.iter().any(|s| s.name == name) {
-            return Err(PlanParseError {
-                line: start, // header line (1-based) = body start index
-                message: format!("duplicate scenario name {name:?}"),
-            });
-        }
-        self.scenarios.push(ChaosScenario { name, expect, plan });
-        Ok(())
-    }
-
-    /// Validate every scenario's plan against a concrete world size,
-    /// naming the offending scenario.
-    pub fn validate(&self, world_size: usize) -> Result<(), PlanParseError> {
-        for sc in &self.scenarios {
-            sc.plan.validate(world_size).map_err(|e| PlanParseError {
-                line: e.line,
-                message: format!("scenario {:?}: {}", sc.name, e.message),
-            })?;
-        }
-        Ok(())
-    }
-}
-
 /// A record of one fault that actually fired (for run reports).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiredFault {
@@ -923,66 +702,5 @@ corrupt ckpt=1 field=atm_theta subfile=0 byte=100
         let err = p0.validate(4).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("rank 0"), "{}", err.message);
-    }
-
-    #[test]
-    fn campaign_parses_named_scenarios_with_campaign_line_numbers() {
-        let text = "\
-seed 7
-scenario baseline expect=healthy
-
-scenario lose-ocean expect=degraded
-die rank=2 step=3
-scenario doomed expect=failure
-die rank=1 step=2
-kill rank=1 step=4
-";
-        let c = Campaign::parse(text).unwrap();
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.scenarios.len(), 3);
-        assert_eq!(c.scenarios[0].name, "baseline");
-        assert_eq!(c.scenarios[0].expect, ScenarioExpectation::Healthy);
-        assert!(c.scenarios[0].plan.events.is_empty());
-        assert_eq!(c.scenarios[1].plan.dies(), vec![(2, 3)]);
-        assert_eq!(c.scenarios[2].plan.dies(), vec![(1, 2)]);
-        assert_eq!(c.scenarios[2].plan.kills(), vec![(1, 4)]);
-        // Derived seeds: deterministic, nonzero, decorrelated.
-        assert_ne!(c.scenarios[0].plan.seed, c.scenarios[1].plan.seed);
-        assert_eq!(Campaign::parse(text).unwrap(), c);
-        // Validation names the scenario; die rank=2 is on campaign line 5.
-        let err = c.validate(2).unwrap_err();
-        assert_eq!(err.line, 5);
-        assert!(err.message.contains("lose-ocean"), "{}", err.message);
-        // A plan error inside scenario 3's body carries the campaign line.
-        let bad = text.replace("kill rank=1 step=4", "kill rank=1");
-        assert_eq!(Campaign::parse(&bad).unwrap_err().line, 8);
-        // Events before any scenario header are rejected.
-        let err = Campaign::parse("drop src=0 dst=1 tag=1 nth=1").unwrap_err();
-        assert_eq!(err.line, 1);
-        // Duplicate scenario names are rejected.
-        let err = Campaign::parse(
-            "scenario a expect=healthy\nscenario a expect=failure",
-        )
-        .unwrap_err();
-        assert_eq!(err.line, 2);
-    }
-
-    #[test]
-    fn campaign_builder_derives_scenario_seeds() {
-        let mut c = Campaign::new(42);
-        c.add("quiet", ScenarioExpectation::Healthy, "").unwrap();
-        c.add("loss", ScenarioExpectation::Degraded, "die rank=2 step=3")
-            .unwrap();
-        c.add("pinned", ScenarioExpectation::Healthy, "seed 9").unwrap();
-        assert_ne!(c.scenarios[0].plan.seed, 0);
-        assert_ne!(c.scenarios[0].plan.seed, c.scenarios[1].plan.seed);
-        assert_eq!(c.scenarios[2].plan.seed, 9, "explicit seed wins");
-        // Builder and text parse derive identical seeds per position.
-        let parsed = Campaign::parse(
-            "seed 42\nscenario quiet expect=healthy\nscenario loss expect=degraded\ndie rank=2 step=3",
-        )
-        .unwrap();
-        assert_eq!(parsed.scenarios[0].plan.seed, c.scenarios[0].plan.seed);
-        assert_eq!(parsed.scenarios[1].plan.seed, c.scenarios[1].plan.seed);
     }
 }

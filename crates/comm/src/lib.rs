@@ -3,16 +3,28 @@
 //! An MPI-analogue used by every AP3ESM component. The paper runs MPI over
 //! up to 37.2 million Sunway cores; reproducing that transport is out of
 //! scope (repro band 1/5), so this crate provides a *rank-per-thread*
-//! message-passing world with the same programming surface:
+//! message-passing world with the part of that programming surface the model
+//! uses:
 //!
-//! * point-to-point blocking and non-blocking send/recv with tags,
-//! * collectives (barrier, broadcast, gather, allgather, allreduce,
-//!   alltoallv) implemented **on top of point-to-point messages**, so the
+//! * point-to-point send/recv with tags (sends are buffered, i.e. already
+//!   non-blocking; receives block, poll, or wait out an explicit window),
+//! * the collectives the model calls (barrier, broadcast, gather,
+//!   allreduce) implemented **on top of point-to-point messages**, so the
 //!   traffic they generate is observable,
-//! * communicator splitting (used by the hybrid task–data parallelization
-//!   strategy of §5.1.2 to give the ocean its own task domain),
+//! * elastic shrink: a generation-stamped membership view the survivors of
+//!   a permanent rank loss agree on ([`world`]),
 //! * per-world traffic accounting (messages/bytes), which feeds the
 //!   `ap3esm-machine` network model when projecting to full machine scale.
+//!
+//! **Not reproduced: communicators.** The paper carves its two task domains
+//! (ATM+ICE+LND+CPL | OCN, §5.1.2) out of `MPI_COMM_WORLD` with
+//! `MPI_Comm_split`. Here a task domain is which components a rank's coupler
+//! holds (`esm::Parts::of_rank`), every message is addressed by world rank
+//! and tag, and the coupler's all-to-all strategy sends its own personalised
+//! exchange on [`collectives::alltoall_wire_tag`] — so a `split`/sub-
+//! communicator layer (and `scatter`, `allgather`, `alltoallv` and a
+//! receive-request handle beside it) had no caller and is not kept as an MPI
+//! look-alike.
 //!
 //! Messages move as `Box<dyn Any>` within one address space — zero
 //! serialisation, but byte volumes are still tracked via `size_of::<T>()`,
@@ -28,14 +40,11 @@ pub mod world;
 pub use collectives::{collective_kind, is_collective_tag};
 pub use events::{trace_epoch, trace_now_us, Event, EventLog, Kind, Name};
 pub use faultplan::{
-    scenario_seed, Campaign, ChaosScenario, FaultEvent, FaultInjector, FaultPlan, MsgFault,
-    MsgSelector, PlanParseError, ScenarioExpectation,
+    FaultEvent, FaultInjector, FaultPlan, MsgFault, MsgSelector, PlanParseError,
 };
 pub use halo::{HaloExchange, HaloSpec};
 pub use stats::CommStats;
-pub use world::{
-    live_rank_threads, Membership, MembershipVerdict, Rank, RecvHandle, SubComm, World,
-};
+pub use world::{live_rank_threads, Membership, MembershipVerdict, Rank, World};
 
 /// Errors surfaced by the communication layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

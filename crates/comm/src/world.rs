@@ -1,4 +1,4 @@
-//! The rank world: thread-backed ranks, mailboxes, and communicators.
+//! The rank world: thread-backed ranks and their mailboxes.
 //!
 //! Besides the MPI-like surface, the world supports **elastic shrink**: when
 //! a rank dies permanently, the survivors agree on a successor membership
@@ -25,19 +25,8 @@ use crate::CommError;
 
 /// Default blocking-receive deadline before declaring deadlock. Generous for
 /// slow CI machines but finite so test hangs turn into diagnostics. Override
-/// per-world with [`World::with_recv_timeout`] or globally with the
-/// `AP3ESM_RECV_TIMEOUT_MS` environment variable.
+/// per-world with [`World::with_recv_timeout`].
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(120);
-
-fn env_recv_timeout() -> Duration {
-    match std::env::var("AP3ESM_RECV_TIMEOUT_MS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Duration::from_millis(ms),
-            _ => DEFAULT_RECV_TIMEOUT,
-        },
-        Err(_) => DEFAULT_RECV_TIMEOUT,
-    }
-}
 
 struct Message {
     /// World generation the sender was in. Receivers in a newer generation
@@ -82,7 +71,7 @@ pub enum MembershipVerdict {
 }
 
 /// Tag namespaces of the membership machinery (distinct from collectives'
-/// `0xC0_..` base and `SubComm`'s `(color+1)<<32` scope).
+/// `0xC0_..` base).
 const TAG_VIEW_BARRIER: u64 = 0xD7_0000_0000;
 const TAG_VOTE: u64 = 0xD7_0100_0000;
 const TAG_VERDICT: u64 = 0xD7_0200_0000;
@@ -174,15 +163,15 @@ impl World {
                 }),
                 barrier_cv: Condvar::new(),
                 stats: CommStats::default(),
-                recv_timeout: env_recv_timeout(),
+                recv_timeout: DEFAULT_RECV_TIMEOUT,
                 injector: None,
                 events: Arc::new(EventLog::new(n)),
             }),
         }
     }
 
-    /// Builder: set this world's blocking-receive deadline (overrides the
-    /// `AP3ESM_RECV_TIMEOUT_MS` environment default).
+    /// Builder: set this world's blocking-receive deadline (the one way to
+    /// change it from [`DEFAULT_RECV_TIMEOUT`]).
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         Arc::get_mut(&mut self.shared)
             .expect("with_recv_timeout must be called before World::run")
@@ -273,26 +262,6 @@ pub struct Rank {
     /// Sequence number of dissemination barriers under a shrunk view, so
     /// back-to-back barriers never alias each other's round messages.
     barrier_seq: AtomicU64,
-}
-
-/// Handle returned by [`Rank::irecv`]; `wait` blocks until the message lands.
-pub struct RecvHandle<'a, T> {
-    rank: &'a Rank,
-    src: usize,
-    tag: u64,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: Send + 'static> RecvHandle<'_, T> {
-    /// Block until the message arrives.
-    pub fn wait(self) -> Result<Vec<T>, CommError> {
-        self.rank.recv(self.src, self.tag)
-    }
-
-    /// Non-blocking probe: returns the message if already delivered.
-    pub fn test(&self) -> Option<Result<Vec<T>, CommError>> {
-        self.rank.try_recv(self.src, self.tag)
-    }
 }
 
 impl Rank {
@@ -659,18 +628,6 @@ impl Rank {
         }))
     }
 
-    /// Post a non-blocking receive; the returned handle can be waited later,
-    /// letting callers overlap communication and computation (the paper's
-    /// rearranger optimisation, §5.2.4).
-    pub fn irecv<T: Send + 'static>(&self, src: usize, tag: u64) -> RecvHandle<'_, T> {
-        RecvHandle {
-            rank: self,
-            src,
-            tag,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
     /// Global synchronisation across every rank of the current membership.
     /// With the identity view this is the shared counting barrier (blocks
     /// indefinitely, exactly the pre-shrink behaviour); under a shrunk view
@@ -856,99 +813,6 @@ impl Rank {
             }
         }
     }
-
-    /// Split the world into sub-communicators by `color`; ranks sharing a
-    /// color form one [`SubComm`], ordered by world rank. Mirrors
-    /// `MPI_Comm_split`, which AP3ESM uses to carve the two task domains
-    /// (ATM+ICE+LND+CPL | OCN) of §7.2.
-    pub fn split(&self, color: u64) -> Result<SubComm<'_>, CommError> {
-        // Exchange colors via allgather so every rank learns the grouping.
-        let colors =
-            crate::collectives::allgather(self, crate::collectives::TAG_SPLIT, vec![color])?;
-        let members: Vec<usize> = colors
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == color)
-            .map(|(r, _)| r)
-            .collect();
-        let local = members
-            .iter()
-            .position(|&r| r == self.id)
-            .expect("rank is always a member of its own split group");
-        Ok(SubComm {
-            rank: self,
-            members,
-            local,
-            color,
-        })
-    }
-}
-
-/// A subset communicator produced by [`Rank::split`].
-pub struct SubComm<'a> {
-    rank: &'a Rank,
-    members: Vec<usize>,
-    local: usize,
-    color: u64,
-}
-
-impl SubComm<'_> {
-    /// Rank within the sub-communicator.
-    pub fn id(&self) -> usize {
-        self.local
-    }
-
-    /// Sub-communicator size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The split color that formed this communicator.
-    pub fn color(&self) -> u64 {
-        self.color
-    }
-
-    /// World rank of sub-rank `i`.
-    pub fn world_rank(&self, i: usize) -> usize {
-        self.members[i]
-    }
-
-    /// Underlying world rank handle.
-    pub fn world(&self) -> &Rank {
-        self.rank
-    }
-
-    fn scoped_tag(&self, tag: u64) -> u64 {
-        // Partition the tag space per color so concurrent sub-communicators
-        // never alias each other's messages.
-        (self.color.wrapping_add(1) << 32) ^ tag
-    }
-
-    /// Send to sub-rank `dst`.
-    pub fn send<T: Send + Clone + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        self.rank
-            .send(self.members[dst], self.scoped_tag(tag), data);
-    }
-
-    /// Receive from sub-rank `src`.
-    pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
-        self.rank.recv(self.members[src], self.scoped_tag(tag))
-    }
-
-    /// Barrier across this sub-communicator only (dissemination algorithm on
-    /// point-to-point messages).
-    pub fn barrier(&self) -> Result<(), CommError> {
-        let n = self.size();
-        let mut round = 1usize;
-        while round < n {
-            let dst = (self.local + round) % n;
-            let src = (self.local + n - round % n) % n;
-            self.send::<u8>(dst, crate::collectives::TAG_SUB_BARRIER + round as u64, vec![]);
-            self.recv::<u8>(src, crate::collectives::TAG_SUB_BARRIER + round as u64)?;
-            round <<= 1;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1034,22 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_overlaps_with_work() {
-        let world = World::new(2);
-        world.run(|rank| {
-            if rank.id() == 0 {
-                rank.send(1, 3, vec![42i32]);
-            } else {
-                let handle = rank.irecv::<i32>(0, 3);
-                // "Compute" while the message is (already) in flight.
-                let local: i64 = (0..1000).sum();
-                assert_eq!(local, 499_500);
-                assert_eq!(handle.wait().unwrap(), vec![42]);
-            }
-        });
-    }
-
-    #[test]
     fn barrier_orders_phases() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let world = World::new(8);
@@ -1059,36 +907,6 @@ mod tests {
             rank.barrier();
             // After the barrier every rank must observe all 8 arrivals.
             assert_eq!(phase1.load(Ordering::SeqCst), 8);
-        });
-    }
-
-    #[test]
-    fn split_forms_correct_groups() {
-        let world = World::new(6);
-        let infos = world.run(|rank| {
-            let comm = rank.split(if rank.id() < 4 { 0 } else { 1 }).unwrap();
-            (comm.color(), comm.id(), comm.size())
-        });
-        assert_eq!(infos[0], (0, 0, 4));
-        assert_eq!(infos[3], (0, 3, 4));
-        assert_eq!(infos[4], (1, 0, 2));
-        assert_eq!(infos[5], (1, 1, 2));
-    }
-
-    #[test]
-    fn subcomm_p2p_and_barrier() {
-        let world = World::new(5);
-        world.run(|rank| {
-            // Domain 0: ranks 0..3 (like ATM+CPL); domain 1: ranks 3..5 (OCN).
-            let comm = rank.split(if rank.id() < 3 { 0 } else { 1 }).unwrap();
-            if comm.size() == 3 {
-                if comm.id() == 0 {
-                    comm.send(2, 1, vec![99u16]);
-                } else if comm.id() == 2 {
-                    assert_eq!(comm.recv::<u16>(0, 1).unwrap(), vec![99]);
-                }
-            }
-            comm.barrier().unwrap();
         });
     }
 

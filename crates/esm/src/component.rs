@@ -31,7 +31,7 @@ use ap3esm_pp::{ExecSpace, Serial, Threads};
 
 use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, Perturbation, SstPattern};
-use crate::resilience::{AtmGuard, GuardConfig, HealthVerdict, OcnGuard};
+use crate::resilience::{AtmGuard, HealthVerdict, OcnGuard};
 use crate::restart::{self, read_aux, write_aux};
 
 /// The coupler-facing contract every AP3ESM component implements.
@@ -255,7 +255,7 @@ impl Atm {
         } else {
             PhysicsDriver::Conventional(ConventionalSuite::default())
         });
-        let guard = AtmGuard::new(&state, GuardConfig::default(), dycore.config.dt_dyn);
+        let guard = AtmGuard::new(&state, dycore.config.dt_dyn);
         Atm {
             state,
             dycore,
@@ -368,7 +368,7 @@ impl Ocn {
     pub fn new(grid: &TripolarGrid, config: OcnConfig, ocn_rank: usize) -> Self {
         let dt_barotropic = config.dt_baroclinic / config.n_barotropic.max(1) as f64;
         let model = OcnModel::new(grid, config, ocn_rank);
-        let guard = OcnGuard::new(&model.state, GuardConfig::default(), dt_barotropic);
+        let guard = OcnGuard::new(&model.state, dt_barotropic);
         let forcing = OcnForcing::zeros(model.state.ni, model.state.nj);
         Ocn {
             model,

@@ -25,7 +25,7 @@ use ap3esm_cpl::CouplingClock;
 use crate::config::CoupledConfig;
 use crate::coupler::{Coupler, Parts};
 use crate::recovery::{resume, Flow, Recovery};
-use crate::resilience::RecoveryConfig;
+use crate::resilience::{splitmix64_draw, RecoveryConfig};
 use crate::session::Session;
 use crate::timing::get_timing;
 
@@ -86,14 +86,9 @@ pub struct Perturbation {
 
 impl Perturbation {
     /// Centred noise in `[-amplitude/2, amplitude/2]` for index `i`
-    /// (splitmix64 of the seed and index — no RNG state to carry).
+    /// (draw `i` of the seed's splitmix64 stream — no RNG state to carry).
     pub fn noise(&self, i: usize) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64_draw(self.seed, i as u64);
         let u = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         (u - 0.5) * self.amplitude
     }
@@ -451,6 +446,17 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
 mod tests {
     use super::*;
     use ap3esm_comm::World;
+
+    #[test]
+    fn perturbation_noise_keeps_its_recorded_bits() {
+        // Recorded before `noise` was rewritten over `resilience::splitmix64`:
+        // the benchmark's θ seeding and every ensemble golden hang on it.
+        let p = Perturbation {
+            seed: 7,
+            amplitude: 0.01,
+        };
+        assert_eq!(p.noise(5).to_bits(), 0xBF64_86CD_4581_5C97);
+    }
 
     #[test]
     fn heartbeat_counts_ocean_couplings_on_the_clock() {

@@ -41,7 +41,7 @@ pub use config::{ConfigError, CoupledConfig, Resolution};
 pub use coupled::{run_coupled, CoupledOptions, CoupledStats, Perturbation, SstPattern};
 pub use forecast::{run_forecast, run_forecast_with, ForecastResult};
 pub use resilience::{
-    retry_delay, AtmGuard, CheckpointStore, GuardConfig, HealthVerdict, OcnGuard,
-    RecoveryConfig, RecoveryFailure,
+    retry_delay, AtmGuard, CheckpointStore, HealthVerdict, OcnGuard, RecoveryConfig,
+    RecoveryFailure,
 };
 pub use timing::{get_timing, Timers};

@@ -17,7 +17,8 @@ use ap3esm_obs::{mark, Kind};
 use crate::coupled::CoupledStats;
 use crate::coupler::Coupler;
 use crate::resilience::{
-    with_retry, CheckpointStore, HealthVerdict, RecoveryConfig, RecoveryFailure,
+    with_retry, CheckpointStore, HealthVerdict, RecoveryConfig, RecoveryFailure, IO_BACKOFF,
+    IO_RETRIES, MAX_SHRINKS,
 };
 use crate::restart::redistribute_ocn_restart;
 use crate::session::Session;
@@ -325,10 +326,10 @@ impl Recovery {
             m.generation,
             m.members.len() as u64,
         );
-        if self.shrinks > self.cfg.max_shrinks {
+        if self.shrinks > MAX_SHRINKS {
             return Err(format!(
                 "shrink budget exhausted: {} permanent rank losses exceed max_shrinks {}",
-                self.shrinks, self.cfg.max_shrinks
+                self.shrinks, MAX_SHRINKS
             ));
         }
         Ok(Some(self.hand_off(rank, cpl, ocn_grid, stats)))
@@ -445,17 +446,16 @@ impl Recovery {
     /// Write checkpoint `id`: rank 0 clears its directory, everyone writes
     /// their share between two barriers, rank 0 commits.
     fn checkpoint(&mut self, rank: &Rank, cpl: &Coupler, stats: &CoupledStats, id: u64) {
-        let (retries, backoff) = (self.cfg.retries, self.cfg.backoff);
         mark(Kind::CkptBegin, "checkpoint.begin", id, 0);
         if rank.id() == 0 {
-            with_retry("checkpoint begin", retries, backoff, || {
+            with_retry("checkpoint begin", IO_RETRIES, IO_BACKOFF, || {
                 self.store.begin(id)
             })
             .expect("checkpoint begin");
         }
         rank.barrier();
         let dir = self.store.dir(id);
-        with_retry("checkpoint write", retries, backoff, || {
+        with_retry("checkpoint write", IO_RETRIES, IO_BACKOFF, || {
             cpl.save(&dir, stats)
         })
         .expect("checkpoint write");
@@ -468,8 +468,7 @@ impl Recovery {
     /// Commit a freshly written checkpoint and apply any checkpoint-
     /// corruption fault events targeting it.
     fn commit(&mut self, rank: &Rank, id: u64) {
-        let (retries, backoff) = (self.cfg.retries, self.cfg.backoff);
-        with_retry("checkpoint commit", retries, backoff, || {
+        with_retry("checkpoint commit", IO_RETRIES, IO_BACKOFF, || {
             self.store.commit(id)
         })
         .expect("checkpoint commit");

@@ -18,9 +18,11 @@
 //!    restore time; the store then falls back to the previous committed
 //!    checkpoint ([`CheckpointStore::invalidate`]).
 //!
-//! [`RecoveryConfig`] bounds the whole loop: how often to checkpoint, how
-//! many rollbacks to attempt before declaring a [`RecoveryFailure`], and
-//! how transient comm errors are retried ([`with_retry`]).
+//! [`RecoveryConfig`] bounds the whole loop: how often to checkpoint and how
+//! many rollbacks to attempt before declaring a [`RecoveryFailure`]. What no
+//! caller ever set is a constant here: the guard envelopes, the shrink
+//! budget, and the retry schedule of transient checkpoint I/O
+//! ([`with_retry`]).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -81,51 +83,32 @@ impl fmt::Display for HealthVerdict {
     }
 }
 
-/// Bounds used by the state-health guards. Defaults are generous physical
-/// envelopes — anything outside them is unphysical at any resolution, not
-/// a tuning choice.
-#[derive(Debug, Clone)]
-pub struct GuardConfig {
-    /// Hard potential-temperature bounds (K).
-    pub theta_bounds: (f64, f64),
-    /// Hard surface-pressure bounds (Pa).
-    pub ps_bounds: (f64, f64),
-    /// Advective CFL number above which the atmosphere is fatal.
-    pub atm_cfl_fatal: f64,
-    /// CFL number above which the atmosphere is degraded.
-    pub atm_cfl_soft: f64,
-    /// Relative dry-mass drift (vs. the guard's reference) beyond which
-    /// the budget is degraded — mass is conserved analytically, so drift
-    /// is an integration-error alarm.
-    pub mass_drift_soft: f64,
-    /// Relative dry-mass drift beyond which the budget is fatal.
-    pub mass_drift_fatal: f64,
-    /// Hard sea-surface-height bound (m).
-    pub eta_limit: f64,
-    /// Hard ocean temperature bounds (°C).
-    pub sst_bounds: (f64, f64),
-    /// Barotropic CFL number above which the ocean is fatal.
-    pub ocn_cfl_fatal: f64,
-    /// CFL number above which the ocean is degraded.
-    pub ocn_cfl_soft: f64,
-}
+// Bounds used by the state-health guards: generous physical envelopes —
+// anything outside them is unphysical at any resolution, not a tuning
+// choice, so they are constants and not options.
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            theta_bounds: (150.0, 600.0),
-            ps_bounds: (30_000.0, 120_000.0),
-            atm_cfl_fatal: 2.0,
-            atm_cfl_soft: 1.0,
-            mass_drift_soft: 1e-9,
-            mass_drift_fatal: 1e-3,
-            eta_limit: 20.0,
-            sst_bounds: (-5.0, 60.0),
-            ocn_cfl_fatal: 2.0,
-            ocn_cfl_soft: 1.0,
-        }
-    }
-}
+/// Hard potential-temperature bounds (K).
+const THETA_BOUNDS: (f64, f64) = (150.0, 600.0);
+/// Hard surface-pressure bounds (Pa).
+const PS_BOUNDS: (f64, f64) = (30_000.0, 120_000.0);
+/// Advective CFL number above which the atmosphere is fatal.
+const ATM_CFL_FATAL: f64 = 2.0;
+/// CFL number above which the atmosphere is degraded.
+const ATM_CFL_SOFT: f64 = 1.0;
+/// Relative dry-mass drift (vs. the guard's reference) beyond which the
+/// budget is degraded — mass is conserved analytically, so drift is an
+/// integration-error alarm.
+const MASS_DRIFT_SOFT: f64 = 1e-9;
+/// Relative dry-mass drift beyond which the budget is fatal.
+const MASS_DRIFT_FATAL: f64 = 1e-3;
+/// Hard sea-surface-height bound (m).
+const ETA_LIMIT: f64 = 20.0;
+/// Hard ocean temperature bounds (°C).
+const SST_BOUNDS: (f64, f64) = (-5.0, 60.0);
+/// Barotropic CFL number above which the ocean is fatal.
+const OCN_CFL_FATAL: f64 = 2.0;
+/// CFL number above which the ocean is degraded.
+const OCN_CFL_SOFT: f64 = 1.0;
 
 /// Returns the index and value of the first non-finite entry, if any.
 fn first_nonfinite(data: &[f64]) -> Option<(usize, f64)> {
@@ -140,7 +123,6 @@ fn first_nonfinite(data: &[f64]) -> Option<(usize, f64)> {
 /// absolute threshold.
 #[derive(Debug, Clone)]
 pub struct AtmGuard {
-    cfg: GuardConfig,
     /// Reference dry mass (∝ Σ ps·area) at guard creation.
     mass0: f64,
     /// Dynamics substep (s) for the CFL number.
@@ -150,10 +132,9 @@ pub struct AtmGuard {
 }
 
 impl AtmGuard {
-    pub fn new(state: &AtmState, cfg: GuardConfig, dt_dyn: f64) -> Self {
+    pub fn new(state: &AtmState, dt_dyn: f64) -> Self {
         let dx_m = state.grid.mean_spacing_km() * 1000.0;
         AtmGuard {
-            cfg,
             mass0: state.total_mass(),
             dt_dyn,
             dx_m,
@@ -181,28 +162,28 @@ impl AtmGuard {
             }
         }
         for (i, &ps) in state.ps.iter().enumerate() {
-            if ps < self.cfg.ps_bounds.0 || ps > self.cfg.ps_bounds.1 {
+            if !(PS_BOUNDS.0..=PS_BOUNDS.1).contains(&ps) {
                 return HealthVerdict::Fatal(format!("atm ps[{i}] = {ps} Pa out of bounds"));
             }
         }
         for (i, &th) in state.theta.iter().enumerate() {
-            if th < self.cfg.theta_bounds.0 || th > self.cfg.theta_bounds.1 {
+            if !(THETA_BOUNDS.0..=THETA_BOUNDS.1).contains(&th) {
                 return HealthVerdict::Fatal(format!("atm theta[{i}] = {th} K out of bounds"));
             }
         }
         let cfl = state.max_wind() * self.dt_dyn / self.dx_m;
-        if cfl > self.cfg.atm_cfl_fatal {
-            return HealthVerdict::Fatal(format!("atm CFL {cfl:.3} > {}", self.cfg.atm_cfl_fatal));
+        if cfl > ATM_CFL_FATAL {
+            return HealthVerdict::Fatal(format!("atm CFL {cfl:.3} > {ATM_CFL_FATAL}"));
         }
         let drift = ((state.total_mass() - self.mass0) / self.mass0).abs();
-        if drift > self.cfg.mass_drift_fatal {
+        if drift > MASS_DRIFT_FATAL {
             return HealthVerdict::Fatal(format!("atm dry-mass drift {drift:.3e}"));
         }
         let mut verdict = HealthVerdict::Healthy;
-        if cfl > self.cfg.atm_cfl_soft {
+        if cfl > ATM_CFL_SOFT {
             verdict = verdict.worst(HealthVerdict::Degraded(format!("atm CFL {cfl:.3}")));
         }
-        if drift > self.cfg.mass_drift_soft {
+        if drift > MASS_DRIFT_SOFT {
             verdict = verdict.worst(HealthVerdict::Degraded(format!(
                 "atm dry-mass drift {drift:.3e}"
             )));
@@ -214,7 +195,6 @@ impl AtmGuard {
 /// Ocean state-health guard for one rank's slab.
 #[derive(Debug, Clone)]
 pub struct OcnGuard {
-    cfg: GuardConfig,
     /// Barotropic substep (s) for the CFL number.
     dt_barotropic: f64,
     /// Smallest zonal spacing (m) on this slab.
@@ -222,7 +202,7 @@ pub struct OcnGuard {
 }
 
 impl OcnGuard {
-    pub fn new(state: &OcnState, cfg: GuardConfig, dt_barotropic: f64) -> Self {
+    pub fn new(state: &OcnState, dt_barotropic: f64) -> Self {
         let dx_min = state
             .dx
             .iter()
@@ -231,7 +211,6 @@ impl OcnGuard {
             .fold(f64::INFINITY, f64::min)
             .min(state.dy);
         OcnGuard {
-            cfg,
             dt_barotropic,
             dx_min,
         }
@@ -262,13 +241,13 @@ impl OcnGuard {
             }
         }
         for (i, &eta) in state.eta.iter().enumerate() {
-            if eta.abs() > self.cfg.eta_limit {
+            if eta.abs() > ETA_LIMIT {
                 return HealthVerdict::Fatal(format!("ocn eta[{i}] = {eta} m out of bounds"));
             }
         }
         for &(i, j) in &state.active_columns() {
             let t = state.t[0][state.at(i, j)];
-            if t < self.cfg.sst_bounds.0 || t > self.cfg.sst_bounds.1 {
+            if !(SST_BOUNDS.0..=SST_BOUNDS.1).contains(&t) {
                 return HealthVerdict::Fatal(format!("ocn sst({i},{j}) = {t} °C out of bounds"));
             }
         }
@@ -277,10 +256,10 @@ impl OcnGuard {
             .into_iter()
             .fold(0.0f64, f64::max);
         let cfl = vmax * self.dt_barotropic / self.dx_min;
-        if cfl > self.cfg.ocn_cfl_fatal {
-            return HealthVerdict::Fatal(format!("ocn CFL {cfl:.3} > {}", self.cfg.ocn_cfl_fatal));
+        if cfl > OCN_CFL_FATAL {
+            return HealthVerdict::Fatal(format!("ocn CFL {cfl:.3} > {OCN_CFL_FATAL}"));
         }
-        if cfl > self.cfg.ocn_cfl_soft {
+        if cfl > OCN_CFL_SOFT {
             return HealthVerdict::Degraded(format!("ocn CFL {cfl:.3}"));
         }
         HealthVerdict::Healthy
@@ -297,17 +276,6 @@ pub struct RecoveryConfig {
     pub keep_checkpoints: usize,
     /// Rollbacks allowed before the run fails with [`RecoveryFailure`].
     pub max_recoveries: usize,
-    /// Shrink-to-fit world reconstructions allowed after permanent rank
-    /// loss before the run fails with [`RecoveryFailure`] (each shrink
-    /// loses resolution of the process mesh; at some point continuing
-    /// degrades the science more than stopping does).
-    pub max_shrinks: usize,
-    /// Retries for transient checkpoint-I/O / comm operations.
-    pub retries: u32,
-    /// Base backoff between retries (grows exponentially with the
-    /// attempt, capped, with deterministic seeded jitter — see
-    /// [`retry_delay`]).
-    pub backoff: Duration,
 }
 
 impl Default for RecoveryConfig {
@@ -316,9 +284,6 @@ impl Default for RecoveryConfig {
             checkpoint_interval: 2,
             keep_checkpoints: 2,
             max_recoveries: 3,
-            max_shrinks: 1,
-            retries: 3,
-            backoff: Duration::from_millis(20),
         }
     }
 }
@@ -346,17 +311,40 @@ impl fmt::Display for RecoveryFailure {
 
 impl std::error::Error for RecoveryFailure {}
 
+/// Shrink-to-fit world reconstructions allowed after permanent rank loss
+/// before the run fails with [`RecoveryFailure`] (each shrink loses
+/// resolution of the process mesh; at some point continuing degrades the
+/// science more than stopping does).
+pub(crate) const MAX_SHRINKS: usize = 1;
+
+/// Retries the driver gives a transient checkpoint-I/O operation.
+pub(crate) const IO_RETRIES: u32 = 3;
+
+/// Base backoff between those retries (grows exponentially with the
+/// attempt, capped, with deterministic seeded jitter — see [`retry_delay`]).
+pub(crate) const IO_BACKOFF: Duration = Duration::from_millis(20);
+
 /// Exponential growth cap: backoff never exceeds `base × 2^RETRY_CAP_DOUBLINGS`.
 const RETRY_CAP_DOUBLINGS: u32 = 4;
 
 /// splitmix64: a tiny, statistically solid mixer — the standard trick for
 /// turning a seed into decorrelated per-draw values without carrying RNG
-/// state around.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// state around. The one copy: retry jitter, the θ perturbation
+/// ([`Perturbation::noise`](crate::coupled::Perturbation::noise)) and the
+/// scenario catalog's derived seeds all draw from it.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The stream increment of splitmix64.
+const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Draw `i` (0-based) of the splitmix64 stream seeded `seed`.
+pub fn splitmix64_draw(seed: u64, i: u64) -> u64 {
+    splitmix64(seed.wrapping_add(SPLITMIX64_GAMMA.wrapping_mul(i)))
 }
 
 /// FNV-1a of the retry label: a stable (cross-version, cross-run) seed so
@@ -581,14 +569,14 @@ mod tests {
     #[test]
     fn healthy_state_passes_all_guards() {
         let state = atm_state();
-        let guard = AtmGuard::new(&state, GuardConfig::default(), 30.0);
+        let guard = AtmGuard::new(&state, 30.0);
         assert_eq!(guard.check(&state), HealthVerdict::Healthy);
     }
 
     #[test]
     fn nan_poison_is_fatal() {
         let state = atm_state();
-        let guard = AtmGuard::new(&state, GuardConfig::default(), 30.0);
+        let guard = AtmGuard::new(&state, 30.0);
         let mut poisoned = state.clone();
         poisoned.theta[7] = f64::NAN;
         assert!(guard.check(&poisoned).is_fatal());
@@ -600,7 +588,7 @@ mod tests {
     #[test]
     fn mass_drift_degrades_then_kills() {
         let state = atm_state();
-        let guard = AtmGuard::new(&state, GuardConfig::default(), 30.0);
+        let guard = AtmGuard::new(&state, 30.0);
         let mut drifted = state.clone();
         for ps in &mut drifted.ps {
             *ps *= 1.0 + 1e-6; // above soft (1e-9), below fatal (1e-3)

@@ -13,9 +13,9 @@ use ap3esm_esm::{CoupledConfig, CoupledOptions, Perturbation, SstPattern};
 use ap3esm_grid::icosahedral::GeodesicCounts;
 use ap3esm_ocn::model::OcnConfig;
 
-use ap3esm_comm::faultplan::{PlanParseError, ScenarioExpectation};
+use ap3esm_comm::faultplan::PlanParseError;
 
-use crate::dsl::{Catalog, GridPreset, Layout, ModelKind, Scenario};
+use crate::dsl::{Catalog, GridPreset, Layout, ModelKind, Scenario, ScenarioExpectation};
 
 impl GridPreset {
     /// Atmosphere refinement level of this rung.

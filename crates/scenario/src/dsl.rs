@@ -1,13 +1,13 @@
-//! The scenario-catalog grammar.
+//! The scenario-catalog grammar — the one grammar a campaign is written in,
+//! the chaos ladder (`scenarios/chaos.scn`) included.
 //!
-//! A catalog is a line-based text file in the style of the chaos grammar of
-//! [`ap3esm_comm::faultplan`] — and a strict **superset** of its
-//! [`Campaign`](ap3esm_comm::Campaign) format: every campaign file parses
-//! unchanged as a catalog (fault verbs become the scenario's fault plan,
-//! the derived per-scenario seeds agree position-by-position via the shared
-//! [`scenario_seed`] mix), while catalogs additionally pick the component
-//! subset, grid rung, coupling cadence, initial-condition family, ensemble
-//! fan-out and reforecast cycling:
+//! A catalog is a line-based text file in the style of the fault-plan
+//! grammar of [`ap3esm_comm::faultplan`], whose verbs it embeds: a file of
+//! nothing but a `seed` line, `scenario <name> expect=…` headers and fault
+//! verbs (the old chaos-campaign format) is a catalog as it stands, and
+//! catalogs additionally pick the component subset, grid rung, coupling
+//! cadence, initial-condition family, ensemble fan-out and reforecast
+//! cycling:
 //!
 //! ```text
 //! name demo                     # catalog name (leaderboard/series files)
@@ -30,6 +30,10 @@
 //! die rank=2 step=3             # fault verbs delegate to faultplan
 //! ```
 //!
+//! A scenario that sets no `seed` of its own gets one derived from the
+//! catalog seed and its position ([`scenario_seed`]), so every scenario is
+//! reproducible in isolation but decorrelated from its neighbours.
+//!
 //! Every diagnostic carries the 1-based line number of the offending
 //! **catalog** line: unknown keys, duplicated keys (citing both lines),
 //! out-of-range values, and — through blank-line padding before delegating
@@ -38,10 +42,54 @@
 
 use std::fmt;
 
-use ap3esm_comm::faultplan::{
-    scenario_seed, FaultPlan, PlanParseError, ScenarioExpectation,
-};
+use ap3esm_comm::faultplan::{FaultPlan, PlanParseError};
 use ap3esm_cpl::rearrange::RearrangeStrategy;
+use ap3esm_esm::resilience::splitmix64_draw;
+
+/// What a scenario is expected to do to the run — the contract the campaign
+/// runner holds its verdict to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScenarioExpectation {
+    /// Faults are absent or transient: the run must finish healthy.
+    Healthy,
+    /// A rank is permanently lost: the run must finish in degraded mode on
+    /// the survivors, matching a fresh reference run on the smaller world.
+    Degraded,
+    /// Recovery cannot succeed: the run must end with a structured
+    /// `RecoveryFailure` — never a hang, panic, or silent wrong answer.
+    Failure,
+}
+
+impl ScenarioExpectation {
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ScenarioExpectation::Healthy => "healthy",
+            ScenarioExpectation::Degraded => "degraded",
+            ScenarioExpectation::Failure => "failure",
+        }
+    }
+
+    fn parse(v: &str, line: usize) -> Result<Self, PlanParseError> {
+        match v {
+            "healthy" => Ok(ScenarioExpectation::Healthy),
+            "degraded" => Ok(ScenarioExpectation::Degraded),
+            "failure" => Ok(ScenarioExpectation::Failure),
+            other => Err(PlanParseError {
+                line,
+                message: format!(
+                    "expect must be healthy, degraded, or failure; got {other:?}"
+                ),
+            }),
+        }
+    }
+}
+
+/// The seed of the scenario at position `index` of a catalog seeded
+/// `campaign_seed` (and of ensemble member `index` of a scenario): draw
+/// `index` of the seed's splitmix64 stream — reproducible, decorrelated.
+pub fn scenario_seed(campaign_seed: u64, index: usize) -> u64 {
+    splitmix64_draw(campaign_seed, index as u64)
+}
 
 /// The component subset a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,7 +306,7 @@ impl PartialEq for Scenario {
 
 impl Scenario {
     /// The seed of ensemble member `m`: the scenario seed itself for a
-    /// single-member scenario, otherwise derived with the shared
+    /// single-member scenario, otherwise derived with the
     /// [`scenario_seed`] mix so members are decorrelated but reproducible
     /// in isolation.
     pub fn member_seed(&self, member: usize) -> u64 {
@@ -807,7 +855,7 @@ fn finish_scenario(
         });
     }
     // Blank-pad the non-fault lines so FaultPlan::parse reports
-    // catalog-file line numbers (the faultplan campaign trick).
+    // catalog-file line numbers.
     let mut fault_text = String::new();
     for (i, raw) in all.iter().enumerate() {
         if spec.fault_lines.contains(&i) {

@@ -40,7 +40,8 @@ pub struct LeaderboardRow {
     /// Contracted outcome ("healthy" | "degraded" | "failure").
     pub expect: String,
     /// Observed outcome (worst member): the contract values plus
-    /// "PANIC" / "DIVERGENCE" for runs that broke the harness contract.
+    /// "PANIC" / "HANG" / "DIVERGENCE" for runs that broke the harness
+    /// contract.
     pub verdict: String,
     /// Did the verdict match the contract?
     pub ok: bool,

@@ -14,12 +14,13 @@
 //! `ap3esm-tsdb/1` snapshots plus one deterministic `ap3esm-leaderboard/1`
 //! ranking.
 //!
-//! The catalog grammar is a strict superset of the chaos campaign format of
-//! [`ap3esm_comm::faultplan`]: fault verbs (`kill`, `die`, `drop`, `delay`,
-//! `dup`, `corrupt`) embed verbatim inside scenario bodies, and the derived
-//! per-scenario seeds agree position-by-position with
-//! [`Campaign::parse`](ap3esm_comm::Campaign) via the shared
-//! [`scenario_seed`](ap3esm_comm::faultplan::scenario_seed) mix.
+//! The catalog grammar is the one grammar a campaign is written in, the
+//! chaos ladder (`scenarios/chaos.scn`) included: the fault verbs of
+//! [`ap3esm_comm::faultplan`] (`kill`, `die`, `drop`, `delay`, `dup`,
+//! `corrupt`) embed verbatim inside scenario bodies, and [`run_campaign`] is
+//! the one engine that runs it — every `expect=degraded` scenario held to a
+//! bitwise reference on a fresh world of the shrunken size, every unit under
+//! a watchdog, so a hang is a verdict and not a stuck job.
 //!
 //! ```no_run
 //! use ap3esm_scenario::dsl::Catalog;
@@ -44,7 +45,9 @@ pub mod dsl;
 pub mod leaderboard;
 pub mod runner;
 
-pub use dsl::{Catalog, GridPreset, Layout, ModelKind, Scenario, VortexDef};
+pub use dsl::{
+    Catalog, GridPreset, Layout, ModelKind, Scenario, ScenarioExpectation, VortexDef,
+};
 pub use runner::{
     run_campaign, CampaignOptions, CampaignReport, MemberOutcome, ScenarioOutcome, Verdict,
 };

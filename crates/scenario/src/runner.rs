@@ -4,6 +4,23 @@
 //! campaign into per-scenario `ap3esm-tsdb/1` series snapshots plus one
 //! deterministic `ap3esm-leaderboard/1` ranking.
 //!
+//! The contracts, for the chaos ladder and every other catalog alike:
+//!
+//! * expected **healthy**: the run finishes on its clock with no failure
+//!   (rollbacks allowed, shrinks not);
+//! * expected **degraded**: the run finishes on the surviving ranks, and its
+//!   post-loss trajectory is **bitwise identical** to a fresh reference
+//!   world of the shrunken size resuming from the same hand-off checkpoint
+//!   (else [`Verdict::Divergence`]);
+//! * expected **failure**: the run ends in a clean structured
+//!   `RecoveryFailure` on some rank that was not lost — never a hang, panic,
+//!   or silent wrong answer.
+//!
+//! Hangs are caught by a per-unit watchdog ([`Verdict::Hang`]), panics by
+//! `catch_unwind`; either way the unit's diagnostics bundle is salvaged from
+//! the still-reachable world, and every bundle carries the scenario that
+//! produced it (`scenario.txt`).
+//!
 //! Determinism contract: everything that lands in the leaderboard JSON —
 //! verdicts, conservation drift, ensemble spread, the cost-model SYPD
 //! proxy — is a pure function of (catalog, seed). Wall-clock measurements
@@ -15,15 +32,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ap3esm_comm::faultplan::{FaultInjector, ScenarioExpectation};
+use ap3esm_comm::faultplan::{FaultInjector, FaultPlan};
 use ap3esm_comm::World;
 use ap3esm_esm::solar::cos_zenith;
 use ap3esm_esm::{
-    run_coupled, CheckpointStore, CoupledOptions, CoupledStats, Coupler, Parts, RecoveryConfig,
-    Timers,
+    run_coupled, CheckpointStore, CoupledConfig, CoupledOptions, CoupledStats, Coupler, Parts,
+    RecoveryConfig, Timers,
 };
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
@@ -32,7 +49,7 @@ use ap3esm_obs::tsdb::{snapshot_to_json, SeriesStore};
 use ap3esm_ocn::model::OcnForcing;
 use ap3esm_pp::exec::{ExecSpace, Threads};
 
-use crate::dsl::{Catalog, ModelKind, Scenario};
+use crate::dsl::{Catalog, ModelKind, Scenario, ScenarioExpectation};
 use crate::leaderboard::{score, Leaderboard, LeaderboardRow};
 
 /// Knobs of one campaign execution.
@@ -62,6 +79,12 @@ impl Default for CampaignOptions {
     }
 }
 
+/// A unit that produces neither a result nor a panic within this budget has
+/// hung — exactly what a campaign exists to catch, so it is a verdict and
+/// not a stuck job. Generous: the slowest shipped unit (a chaos rung waiting
+/// out its widened agreement windows, then its reference run) takes ~20 s.
+const WATCHDOG: Duration = Duration::from_secs(180);
+
 /// What one (scenario, member) unit actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -70,6 +93,8 @@ pub enum Verdict {
     Failure,
     /// The unit panicked — never a contracted outcome.
     Panic,
+    /// The unit outlived the watchdog — never a contracted outcome.
+    Hang,
     /// The unit finished but off its clock/contract (wrong simulated span,
     /// missing cycle checkpoint, non-finite diagnostics …).
     Divergence,
@@ -82,6 +107,7 @@ impl Verdict {
             Verdict::Degraded => "degraded",
             Verdict::Failure => "failure",
             Verdict::Panic => "PANIC",
+            Verdict::Hang => "HANG",
             Verdict::Divergence => "DIVERGENCE",
         }
     }
@@ -116,7 +142,8 @@ pub struct MemberOutcome {
     pub shrinks: usize,
     /// Named diagnostic series, `(t seconds, value)` per coupling.
     pub series: Vec<(String, Vec<(f64, f64)>)>,
-    /// Flight-recorder bundle, when the run ended in trouble.
+    /// Flight-recorder bundle, when the run ended in trouble: the driver's
+    /// own dump, or the one salvaged from the world after a hang or panic.
     pub bundle: Option<PathBuf>,
 }
 
@@ -224,11 +251,7 @@ pub fn run_campaign(catalog: &Catalog, opts: &CampaignOptions) -> CampaignReport
     let work = |u: usize| {
         let (si, member) = units[u];
         let sc = selected[si];
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_member(sc, member, opts)))
-            .unwrap_or_else(|payload| {
-                MemberOutcome::fail(member, Verdict::Panic, panic_message(&payload))
-            });
-        *results[u].lock().expect("result slot") = Some(outcome);
+        *results[u].lock().expect("result slot") = Some(run_watched(sc, member, opts));
     };
     pool.for_each(units.len(), &work);
 
@@ -343,20 +366,179 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
         .to_string()
 }
 
-/// Execute one (scenario, member) unit.
-fn run_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOutcome {
+/// Where a running unit leaves the world it is driving, so the watchdog can
+/// still read that world's event log after a hang or a panic.
+type WorldSlot = Mutex<Option<Arc<World>>>;
+
+/// The one place a scenario becomes a world: `size` ranks under the
+/// campaign's receive window, `plan` (the scenario's, or none for a
+/// reference world) on the send path, left in `slot` for the watchdog.
+fn scenario_world(
+    size: usize,
+    plan: Option<&FaultPlan>,
+    opts: &CampaignOptions,
+    slot: &WorldSlot,
+) -> Arc<World> {
+    let mut world = World::new(size).with_recv_timeout(opts.recv_timeout);
+    if let Some(plan) = plan {
+        world = world.with_fault_injector(Arc::new(FaultInjector::new(plan.clone())));
+    }
+    let world = Arc::new(world);
+    *slot.lock().expect("world slot") = Some(Arc::clone(&world));
+    world
+}
+
+/// `bundle-<this>` is a unit's diagnostics bundle.
+fn bundle_name(sc: &Scenario, member: usize) -> String {
+    format!("campaign-{}-m{member}", sc.name)
+}
+
+/// Execute one (scenario, member) unit under the watchdog. The unit drives
+/// its worlds on a thread of its own; this one only watches the clock, so a
+/// deadlocked unit cannot take the campaign down.
+fn run_watched(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOutcome {
     let wall0 = Instant::now();
-    let mut out = match sc.model {
-        ModelKind::Full => run_full_member(sc, member, opts),
-        _ => run_subset_member(sc, member, opts),
+    let slot: Arc<WorldSlot> = Arc::default();
+    let (tx, rx) = mpsc::channel();
+    let (unit_sc, unit_opts, unit_slot) = (sc.clone(), opts.clone(), Arc::clone(&slot));
+    let unit = std::thread::spawn(move || {
+        let run = catch_unwind(AssertUnwindSafe(|| match unit_sc.model {
+            ModelKind::Full => run_full_member(&unit_sc, member, &unit_opts, &unit_slot),
+            _ => run_subset_member(&unit_sc, member, &unit_opts, &unit_slot),
+        }));
+        let _ = tx.send(run);
+    });
+    let verdict = rx.recv_timeout(WATCHDOG);
+    if verdict.is_ok() {
+        unit.join().expect("the unit thread catches its own panics");
+    }
+    let mut out = match verdict {
+        Ok(Ok(out)) => out,
+        Ok(Err(payload)) => MemberOutcome::fail(member, Verdict::Panic, panic_message(&payload)),
+        // The unit's thread is leaked deliberately: it is wedged on a
+        // blocked receive, and the whole point is to report that.
+        Err(_) => {
+            let detail = format!("no result within {} s", WATCHDOG.as_secs());
+            MemberOutcome::fail(member, Verdict::Hang, detail)
+        }
     };
     out.wall_seconds = wall0.elapsed().as_secs_f64();
+
+    let scenario_text = format!(
+        "scenario {} member {member}\nexpect {}\nplan:\n{}",
+        sc.name,
+        sc.expect.as_str(),
+        sc.plan
+    );
+    let salvage = match out.verdict {
+        Verdict::Panic => Some("panic"),
+        Verdict::Hang => Some("hang"),
+        _ => None,
+    };
+    let world = slot.lock().expect("world slot").take();
+    if let (Some(reason), Some(world)) = (salvage, world) {
+        // The driver never reached its own dump — salvage the (possibly
+        // wedged) world's event log.
+        let spec = BundleSpec {
+            reason,
+            events: &world.events().snapshot(),
+            fault_plan: (!sc.plan.events.is_empty()).then(|| sc.plan.to_string()),
+            scenario: Some(scenario_text),
+            ..Default::default()
+        };
+        out.bundle = dump_bundle(&bundle_name(sc, member), &spec).ok();
+    } else if let Some(bundle) = &out.bundle {
+        // The driver does not know the campaign context; stamp it in.
+        let _ = std::fs::write(bundle.join("scenario.txt"), scenario_text);
+    }
     out
 }
 
+/// `tail` must be, bit for bit, the last `tail.len()` entries of `full`.
+fn bitwise_tail_matches(name: &str, full: &[f64], tail: &[f64]) -> Result<(), String> {
+    if tail.len() > full.len() {
+        return Err(format!(
+            "{name}: reference has {} entries, degraded run only {}",
+            tail.len(),
+            full.len()
+        ));
+    }
+    let kept = full.len() - tail.len();
+    for (i, (x, y)) in full[kept..].iter().zip(tail).enumerate() {
+        if x.to_bits() != y.to_bits() {
+            return Err(format!(
+                "{name}[{}] diverged: degraded {x} vs reference {y}",
+                kept + i
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The degraded-mode contract: resume a fresh world of the shrunken size
+/// from the degraded run's hand-off checkpoint, on the ocean mesh the
+/// driver's own shrink-to-fit chose, and demand a bitwise-identical tail of
+/// every series. Returns the reference world's size, or the violation.
+fn check_degraded_reference(
+    config: &CoupledConfig,
+    copts: &CoupledOptions,
+    root: &CoupledStats,
+    opts: &CampaignOptions,
+    slot: &WorldSlot,
+) -> Result<usize, String> {
+    let ckpt = copts
+        .checkpoint_dir
+        .as_deref()
+        .ok_or("the world shrank without a checkpoint directory")?;
+    let shrunk = ckpt.join(format!("shrunk_g{}", root.shrinks));
+    if !shrunk.is_dir() {
+        return Err(format!("hand-off dir {} missing", shrunk.display()));
+    }
+    let ocn_survivors = config.world_size() - root.degraded_ranks - 1;
+    let refit = BlockDecomp2d::auto(config.ocn_nlon, config.ocn_nlat, ocn_survivors);
+    let ref_config = CoupledConfig {
+        ocn_px: refit.px,
+        ocn_py: refit.py,
+        ..config.clone()
+    };
+    let ref_opts = CoupledOptions {
+        checkpoint_dir: Some(ckpt.with_extension("reference")),
+        resume_from: Some(shrunk),
+        bundle_name: copts.bundle_name.as_ref().map(|n| format!("{n}-reference")),
+        ..copts.clone()
+    };
+    let size = ref_config.world_size();
+    let world = scenario_world(size, None, opts, slot);
+    let all = world.run(|rank| run_coupled(rank, &ref_config, &ref_opts));
+    let ref_root = &all[0];
+    if let Some(f) = &ref_root.failure {
+        return Err(format!("reference run failed: {f}"));
+    }
+    if ref_root.simulated_seconds != root.simulated_seconds {
+        return Err(format!(
+            "reference simulated {} s, degraded {} s",
+            ref_root.simulated_seconds, root.simulated_seconds
+        ));
+    }
+    for (name, full, tail) in [
+        ("sst", &root.sst_series, &ref_root.sst_series),
+        ("ke", &root.ke_series, &ref_root.ke_series),
+        ("theta", &root.theta_series, &ref_root.theta_series),
+        ("ice", &root.ice_series, &ref_root.ice_series),
+    ] {
+        bitwise_tail_matches(name, full, tail)?;
+    }
+    Ok(size)
+}
+
 /// The coupled model: per-cycle worlds with checkpoint hand-off, fault
-/// injection from the scenario's plan, flight-recorder bundles on panics.
-fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOutcome {
+/// injection from the scenario's plan, the reference check after a shrink.
+fn run_full_member(
+    sc: &Scenario,
+    member: usize,
+    opts: &CampaignOptions,
+    slot: &WorldSlot,
+) -> MemberOutcome {
     let config = sc.coupled_config();
     let total_seconds = (sc.days * 86_400.0).round();
     let have_faults = !sc.plan.events.is_empty();
@@ -393,36 +575,11 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
             ..RecoveryConfig::default()
         };
         copts.resume_from = resume.take();
-        copts.bundle_name = Some(format!("campaign-{}-m{member}", sc.name));
+        copts.bundle_name = Some(bundle_name(sc, member));
 
-        let mut world = World::new(config.world_size()).with_recv_timeout(opts.recv_timeout);
-        if have_faults {
-            world = world.with_fault_injector(Arc::new(FaultInjector::new(sc.plan.clone())));
-        }
-        let world = Arc::new(world);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            world.run(|rank| run_coupled(rank, &config, &copts))
-        }));
-        let all = match run {
-            Ok(all) => all,
-            Err(payload) => {
-                out.verdict = Verdict::Panic;
-                out.detail = panic_message(&payload);
-                // The driver never reached its own dump — salvage the
-                // world's event log.
-                let spec = BundleSpec {
-                    reason: "panic",
-                    events: &world.events().snapshot(),
-                    fault_plan: have_faults.then(|| sc.plan.to_string()),
-                    scenario: Some(format!("scenario {} member {member}", sc.name)),
-                    ..Default::default()
-                };
-                if let Ok(p) = dump_bundle(&format!("campaign-{}-m{member}", sc.name), &spec) {
-                    out.bundle = Some(p);
-                }
-                break 'cycles;
-            }
-        };
+        let plan = have_faults.then_some(&sc.plan);
+        let world = scenario_world(config.world_size(), plan, opts, slot);
+        let all = world.run(|rank| run_coupled(rank, &config, &copts));
 
         let root = &all[0];
         out.faults += all.iter().map(|s| s.fault_events.len()).sum::<usize>();
@@ -454,23 +611,44 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
             }));
         }
 
-        if let Some(f) = &root.failure {
+        // A structured failure on any rank that was not lost is the run's:
+        // one carried by a survivor while root has none is a split-brain
+        // outcome — count it as the failure it is.
+        let failed = all
+            .iter()
+            .enumerate()
+            .find_map(|(r, s)| s.failure.as_ref().filter(|_| !s.lost).map(|f| (r, f)));
+        if let Some((r, f)) = failed {
             out.verdict = Verdict::Failure;
-            out.detail = f.clone();
+            out.detail = match r {
+                0 => f.clone(),
+                _ => format!("rank {r}: {f}"),
+            };
             break 'cycles;
         }
-        let expected = total_seconds * (cycle + 1) as f64 / sc.cycles as f64;
-        if (root.simulated_seconds - expected).abs() > 0.5 {
+        if (root.simulated_seconds - t_end).abs() > 0.5 {
             out.verdict = Verdict::Divergence;
             out.detail = format!(
-                "cycle {cycle} simulated {} s, expected {expected} s",
+                "cycle {cycle} simulated {} s, expected {t_end} s",
                 root.simulated_seconds
             );
             break 'cycles;
         }
         if root.degraded_ranks > 0 || root.shrinks > 0 {
-            out.verdict = Verdict::Degraded;
-            out.detail = format!("finished on {} fewer rank(s)", root.degraded_ranks);
+            match check_degraded_reference(&config, &copts, root, opts, slot) {
+                Ok(size) => {
+                    out.verdict = Verdict::Degraded;
+                    out.detail = format!(
+                        "lost {} rank(s); tail bitwise-matches the fresh {size}-rank reference",
+                        root.degraded_ranks
+                    );
+                }
+                Err(violation) => {
+                    out.verdict = Verdict::Divergence;
+                    out.detail = violation;
+                    break 'cycles;
+                }
+            }
         }
 
         if cycle + 1 < sc.cycles {
@@ -495,11 +673,13 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
         out.drift = if first != 0.0 { (last - first) / first } else { 0.0 };
     }
     out.primary = theta.last().map(|&(_, v)| v).unwrap_or(0.0);
-    if out.verdict == Verdict::Healthy
-        && (!out.drift.is_finite() || !out.primary.is_finite())
-    {
-        out.verdict = Verdict::Divergence;
-        out.detail = "non-finite diagnostics".into();
+    if out.verdict == Verdict::Healthy {
+        if !out.drift.is_finite() || !out.primary.is_finite() {
+            out.verdict = Verdict::Divergence;
+            out.detail = "non-finite diagnostics".into();
+        } else if have_faults {
+            out.detail = format!("{} rollback(s), no shrink", out.recoveries);
+        }
     }
     out.series = vec![
         ("theta".into(), theta),
@@ -521,7 +701,12 @@ fn run_full_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Memb
 /// * atm-only — an aqua planet over a zonal (optionally ENSO-warmed) SST,
 ///   the zenith angle taken at the start of each coupling period;
 /// * ice-only — a seasonal air-temperature swing over near-freezing water.
-fn run_subset_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOutcome {
+fn run_subset_member(
+    sc: &Scenario,
+    member: usize,
+    opts: &CampaignOptions,
+    slot: &WorldSlot,
+) -> MemberOutcome {
     let config = sc.coupled_config();
     let copts = sc.coupled_options(member);
     let grid = config.ocean_grid();
@@ -537,7 +722,8 @@ fn run_subset_member(sc: &Scenario, member: usize, opts: &CampaignOptions) -> Me
     let period = alarm.period as f64;
     let total_seconds = (sc.days * per_day as f64).round() * period;
 
-    let world = World::new(config.world_size()).with_recv_timeout(opts.recv_timeout);
+    // No plan: `Catalog::validate` keeps fault verbs off standalone subsets.
+    let world = scenario_world(config.world_size(), None, opts, slot);
     let mut results = world.run(|rank| {
         let mut cpl = Coupler::build(rank, &config, &copts, &grid, parts);
         prescribe_boundary(sc, &copts, &grid, &mut cpl);
@@ -765,4 +951,23 @@ fn render_table(lb: &Leaderboard, outcomes: &[ScenarioOutcome]) -> String {
     t.push_str("\n  sypd* = deterministic cost-model projection (ranks the leaderboard);\n");
     t.push_str("  SYPD  = measured on this machine (never in the JSON).\n");
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tail_comparator_demands_every_bit_and_names_the_index() {
+        let full = [1.0, 2.0, 0.1 + 0.2, 4.0];
+        assert_eq!(bitwise_tail_matches("sst", &full, &full), Ok(()));
+        assert_eq!(bitwise_tail_matches("sst", &full, &full[2..]), Ok(()));
+        assert_eq!(bitwise_tail_matches("sst", &full, &[]), Ok(()));
+        // 0.1 + 0.2 and 0.3 differ in the last bit only: index 2 of `full`.
+        let err = bitwise_tail_matches("sst", &full, &[0.3, 4.0]).unwrap_err();
+        assert!(err.starts_with("sst[2] diverged"), "{err}");
+        // A reference that replayed more than the degraded run kept.
+        let err = bitwise_tail_matches("ke", &full[2..], &full).unwrap_err();
+        assert!(err.contains("reference has 4 entries"), "{err}");
+    }
 }

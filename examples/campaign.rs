@@ -1,5 +1,6 @@
-//! The scenario-campaign runner: parse a declarative catalog, fan its
-//! scenarios (× ensemble members) across the thread pool, and distil the
+//! The campaign runner — the one way to run a catalog of scenarios: parse a
+//! declarative catalog, fan its scenarios (× ensemble members) across the
+//! thread pool, hold every unit to its declared contract, and distil the
 //! campaign into per-scenario `ap3esm-tsdb/1` snapshots plus one
 //! deterministic `ap3esm-leaderboard/1` ranking.
 //!
@@ -8,17 +9,22 @@
 //! ice-only seasonal cycle, a seeded three-member perturbation ensemble, a
 //! multi-vortex basin, a restart-cycled reforecast, and a fault-injected
 //! rank-loss scenario — every initial-condition family and component
-//! subset the engine composes.
+//! subset the engine composes. `scenarios/chaos.scn` is the recovery
+//! ladder: eight seeded fault plans over the coupled driver, healthy,
+//! degraded-against-a-bitwise-reference and structured-failure rungs.
 //!
 //! ```sh
 //! cargo run --release --example campaign
-//! cargo run --release --example campaign -- --catalog scenarios/demo.scn
+//! cargo run --release --example campaign -- --catalog scenarios/chaos.scn
+//! cargo run --release --example campaign -- --catalog scenarios/chaos.scn --only lose --seed 7
 //! cargo run --release --example campaign -- --only spinup --threads 2
 //! cargo run --release --example campaign -- --check   # parse+validate only
 //! ```
 //!
-//! Exits nonzero if any scenario breaks its declared contract (or, with
-//! `--check`, if the catalog does not validate).
+//! Exits nonzero if any scenario breaks its declared contract — a hang
+//! (watchdog), a panic and a silent divergence from the degraded-mode
+//! reference all count — or, with `--check`, if the catalog does not
+//! validate.
 
 use ap3esm::scenario::dsl::Catalog;
 use ap3esm::scenario::runner::{run_campaign, CampaignOptions};
@@ -109,7 +115,12 @@ fn main() {
             println!("  {}: series {}", o.name, f);
         }
     }
-    println!("\nleaderboard: {}", report.leaderboard_path.display());
+    println!(
+        "\n{}/{} scenario(s) met their contract; leaderboard: {}",
+        report.outcomes.len() - report.violations,
+        report.outcomes.len(),
+        report.leaderboard_path.display()
+    );
     if report.violations > 0 {
         eprintln!(
             "{} scenario(s) broke their contract",

@@ -6,7 +6,7 @@
 # just crashed". Arguments are forwarded to `examples/obs.rs postmortem`.
 #
 #   scripts/diagnose.sh
-#   scripts/diagnose.sh target/obs/bundle-chaos-lose-ocean-rank
+#   scripts/diagnose.sh target/obs/bundle-campaign-lose-ocean-rank-m0
 #   scripts/diagnose.sh target/obs/bundle-pm-kill --expect-blame 1
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,14 +1,15 @@
 //! The scenario engine's contract: line-numbered catalog diagnostics,
-//! Display round-trip, Campaign grammar unification, semantic validation,
-//! and — the expensive ones — a bitwise full-ESM equivalence between the
-//! campaign runner and a direct `run_coupled` call, plus byte-identical
-//! leaderboards across two same-seed campaign executions.
+//! Display round-trip, the old chaos-campaign grammar as a catalog, semantic
+//! validation, and — the expensive ones — a bitwise full-ESM equivalence
+//! between the campaign runner and a direct `run_coupled` call,
+//! byte-identical leaderboards across two same-seed campaign executions, and
+//! the chaos ladder's degraded and failure rungs through `run_campaign`.
 
-use ap3esm::comm::faultplan::{scenario_seed, Campaign};
+use ap3esm::comm::faultplan::FaultPlan;
 use ap3esm::comm::World;
 use ap3esm::esm::config::CoupledConfig;
 use ap3esm::esm::coupled::{run_coupled, CoupledOptions};
-use ap3esm::scenario::dsl::{Catalog, GridPreset, ModelKind};
+use ap3esm::scenario::dsl::{scenario_seed, Catalog, GridPreset, ModelKind, ScenarioExpectation};
 use ap3esm::scenario::runner::{run_campaign, CampaignOptions, Verdict};
 
 fn parse_err(text: &str) -> (usize, String) {
@@ -154,39 +155,75 @@ couplings atm=8 ocn=4 ice=8
 }
 
 // ---------------------------------------------------------------------------
-// Campaign grammar unification
+// The chaos-campaign format is a catalog
 // ---------------------------------------------------------------------------
 
 #[test]
 fn campaign_files_parse_as_catalogs_with_matching_seeds_and_plans() {
-    // A chaos campaign file in the old grammar: seed line, headers with
-    // expect=, fault verbs. The catalog parser must accept it verbatim
-    // and derive the same per-scenario seeds Campaign::parse does.
+    // A chaos campaign file in the old grammar — seed line, headers with
+    // expect=, fault verbs, nothing else — parses verbatim.
     let text = "\
 seed 4242
 scenario baseline expect=healthy
+
 scenario kill-one expect=healthy
 kill rank=2 step=3
 scenario lose-one expect=degraded
 die rank=1 step=2
+scenario doomed expect=failure
+die rank=1 step=2
+kill rank=1 step=4
+scenario pinned expect=healthy
+seed 9
 ";
-    let campaign = Campaign::parse(text).expect("campaign grammar");
-    let catalog = Catalog::parse(text).expect("catalog superset");
+    let catalog = Catalog::parse(text).expect("the old grammar is a catalog");
     assert_eq!(catalog.seed, 4242);
-    assert_eq!(campaign.scenarios.len(), catalog.scenarios.len());
-    for (i, (cam, cat)) in campaign
-        .scenarios
-        .iter()
-        .zip(&catalog.scenarios)
-        .enumerate()
-    {
-        assert_eq!(cam.name, cat.name, "scenario {i}");
-        assert_eq!(cam.expect, cat.expect, "scenario {i}");
-        assert_eq!(cam.plan.seed, cat.seed, "scenario {i} seed");
-        assert_eq!(cat.plan.seed, cat.seed, "scenario {i} plan seed");
-        assert_eq!(cam.plan.events, cat.plan.events, "scenario {i} events");
-        assert_eq!(cat.seed, scenario_seed(4242, i), "scenario {i} derivation");
+    // Derived seeds: draw i of splitmix64(4242), recorded before the three
+    // copies of the mixer became one.
+    let want = [
+        ("baseline", ScenarioExpectation::Healthy, "", 0xD74F_6F6C_CBA0_20E3u64),
+        ("kill-one", ScenarioExpectation::Healthy, "kill rank=2 step=3", 0x5BDB_6858_21E4_D4B2),
+        ("lose-one", ScenarioExpectation::Degraded, "die rank=1 step=2", 0x5CE6_7917_47F8_AA2D),
+        (
+            "doomed",
+            ScenarioExpectation::Failure,
+            "die rank=1 step=2\nkill rank=1 step=4",
+            0xB2D3_459A_A1C2_0375,
+        ),
+        // An explicit scenario seed wins over the derivation.
+        ("pinned", ScenarioExpectation::Healthy, "", 9),
+    ];
+    assert_eq!(catalog.scenarios.len(), want.len());
+    for (i, (sc, (name, expect, lines, seed))) in catalog.scenarios.iter().zip(want).enumerate() {
+        assert_eq!(sc.name, name, "scenario {i}");
+        assert_eq!(sc.expect, expect, "scenario {i}");
+        assert_eq!(sc.seed, seed, "scenario {i} seed");
+        if name != "pinned" {
+            assert_eq!(sc.seed, scenario_seed(4242, i), "scenario {i} derivation");
+        }
+        assert_eq!(sc.plan.seed, sc.seed, "scenario {i} plan seed");
+        let plan = FaultPlan::parse(lines).expect("that scenario's lines");
+        assert_eq!(sc.plan.events, plan.events, "scenario {i} events");
     }
+    assert_eq!(Catalog::parse(text).unwrap(), catalog, "parsing is deterministic");
+
+    // Validation names the scenario and the catalog line: on the default
+    // 5-rank world `die rank=7` (line 7) cannot exist.
+    let oversized = text.replace("=1 step=2\nscenario doomed", "=7 step=2\nscenario doomed");
+    let err = Catalog::parse(&oversized).unwrap().validate().unwrap_err();
+    assert_eq!(err.line, 7, "{err}");
+    assert!(err.message.contains("lose-one"), "{err}");
+    // A plan error inside the last scenario's body carries the catalog line.
+    let bad = text.replace("kill rank=1 step=4", "kill rank=1");
+    assert_eq!(parse_err(&bad).0, 10);
+    // Fault verbs before any scenario header are rejected where they stand.
+    let (line, msg) = parse_err("seed 1\ndrop src=0 dst=1 tag=1 nth=1\n");
+    assert_eq!(line, 2);
+    assert!(msg.contains("not valid before the first scenario"), "{msg}");
+    // Duplicate scenario names are rejected at the second header.
+    let (line, msg) = parse_err("scenario a expect=healthy\nscenario a expect=failure\n");
+    assert_eq!(line, 2);
+    assert!(msg.contains("duplicate scenario name"), "{msg}");
 }
 
 #[test]
@@ -409,4 +446,54 @@ cycles 2
         assert!(w[0].0 < w[1].0, "series time must be strictly increasing");
     }
     let _ = std::fs::remove_dir_all(&opts.out_dir);
+}
+
+// ---------------------------------------------------------------------------
+// The chaos ladder through the one engine
+// ---------------------------------------------------------------------------
+
+fn chaos_rung(name: &str) -> ap3esm::scenario::runner::CampaignReport {
+    let text = std::fs::read_to_string("scenarios/chaos.scn").expect("scenarios/chaos.scn");
+    let catalog = Catalog::parse(&text).expect("parse");
+    catalog.validate().expect("validate");
+    let opts = CampaignOptions {
+        only: Some(name.to_string()),
+        ..quiet_opts(name)
+    };
+    let report = run_campaign(&catalog, &opts);
+    let _ = std::fs::remove_dir_all(&opts.out_dir);
+    assert_eq!(report.outcomes.len(), 1, "{}", report.table);
+    report
+}
+
+/// Losing an ocean rank for good: the survivors finish the day, and the
+/// runner itself holds the tail to a fresh world of the shrunken size.
+#[test]
+fn lost_ocean_rank_is_degraded_against_the_bitwise_reference() {
+    let report = chaos_rung("lose-ocean-rank");
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.verdict, Verdict::Degraded, "{}", report.table);
+    assert!(outcome.ok);
+    let member = &outcome.members[0];
+    assert_eq!(
+        member.detail,
+        "lost 1 rank(s); tail bitwise-matches the fresh 3-rank reference"
+    );
+    let bundle = member.bundle.as_ref().expect("a shrink leaves a bundle");
+    assert!(bundle.is_dir(), "{}", bundle.display());
+    let stamp = std::fs::read_to_string(bundle.join("scenario.txt")).expect("scenario.txt");
+    assert!(stamp.contains("scenario lose-ocean-rank") && stamp.contains("die rank=2 step=3"));
+    let postmortem = ap3esm::obs::flightrec::analyze(bundle).expect("bundle analyzes");
+    assert_eq!(postmortem.blamed, Some(2), "{}", postmortem.render_table());
+}
+
+/// A rank dying before anything was committed cannot be continued from: a
+/// structured failure, which is what that rung contracts.
+#[test]
+fn death_before_the_first_checkpoint_is_a_structured_failure() {
+    let report = chaos_rung("die-before-first-checkpoint");
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.verdict, Verdict::Failure, "{}", report.table);
+    assert!(outcome.ok);
+    assert_eq!(report.violations, 0);
 }
