@@ -92,12 +92,11 @@ fn main() {
     write_csv("table1_ap3esm", "label,atm_km,ocn_km,total_gridpoints", &rows);
     drop(ap3esm_span);
 
-    let report = ap3esm_obs::ReportBuilder::new("table1")
+    let mut report = ap3esm_obs::RunReport::new("table1")
         .meta("tables", 3usize)
-        .meta("resolutions", Resolution::ALL.len())
-        .spans(obs.profiler.snapshot())
-        .metrics(obs.metrics.snapshot())
-        .build();
+        .meta("resolutions", Resolution::ALL.len());
+    report.spans = obs.profiler.snapshot();
+    report.metrics = obs.metrics.snapshot();
     match report.write() {
         Ok(path) => println!("\nobs report: {}", path.display()),
         Err(e) => eprintln!("\nobs report not written: {e}"),

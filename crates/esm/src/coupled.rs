@@ -23,7 +23,7 @@ use ap3esm_comm::Rank;
 use ap3esm_cpl::CouplingClock;
 
 use crate::config::CoupledConfig;
-use crate::coupler::{Coupler, Parts};
+use crate::coupler::{Coupler, Parts, DRIVER_SECTIONS};
 use crate::recovery::{resume, Flow, Recovery};
 use crate::resilience::{splitmix64_draw, RecoveryConfig};
 use crate::session::Session;
@@ -180,10 +180,16 @@ impl Default for CoupledOptions {
 /// Continuous-telemetry options. When set on [`CoupledOptions`], rank 0
 /// runs a background [`ap3esm_obs::Sampler`] copying every registered
 /// counter/gauge/histogram into an in-process [`ap3esm_obs::SeriesStore`]
-/// on `cadence`, evaluates the alert rules on every tick, and (with
-/// `metrics_addr`) serves live OpenMetrics scrapes over HTTP. Every ocean
+/// on `cadence`, evaluates the alert rules on every tick, (with
+/// `metrics_addr`) serves live OpenMetrics scrapes over HTTP, and after a
+/// run with a `report_name` writes the full store to
+/// `target/obs/series-<name>.json`. Every ocean
 /// coupling additionally exchanges per-rank busy time (dedicated tags) so
-/// rank 0 can gauge `sim.sypd`, `sim.imbalance` and `sim.step_wall_s`.
+/// rank 0 can gauge `sim.sypd`, `sim.imbalance` and `sim.step_wall_s`. Busy
+/// time is the rank's time in the five driver sections (`atm_run`, `lnd_run`,
+/// `ice_run`, `cpl_rearrange`, `ocn_run`) since the previous ocean coupling;
+/// the one-off root spans (`router_build`, `io_{read,write}_subfile`) are
+/// not counted, so a checkpoint coupling does not move `sim.imbalance`.
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
     /// Sampling cadence of the background sampler thread.
@@ -198,9 +204,6 @@ pub struct TelemetryOptions {
     /// Extra alert rules in the `ap3esm_obs::alert` grammar, one per line
     /// (appended after the built-ins; bad rules panic at startup).
     pub rules: String,
-    /// Write the full series store to `target/obs/series-<name>.json`
-    /// after the run (requires `report_name`; ignored without it).
-    pub snapshot: bool,
     /// Raw-tier ring capacity per series, in samples. At the default
     /// cadence the default capacity retains minutes of raw history (the
     /// 10x/100x tiers extend it); size up for high-frequency sampling so
@@ -215,7 +218,6 @@ impl Default for TelemetryOptions {
             metrics_addr: None,
             builtin_rules: true,
             rules: String::new(),
-            snapshot: true,
             capacity: ap3esm_obs::tsdb::DEFAULT_CAPACITY,
         }
     }
@@ -238,9 +240,12 @@ pub struct CoupledStats {
     pub track: Vec<TrackPoint>,
     /// Mean ice cover at each ice coupling.
     pub ice_series: Vec<f64>,
-    /// Wall seconds per driver section (`atm_run`, `lnd_run`, `ice_run`,
-    /// `ocn_run`, `cpl_rearrange`): this rank's timers, and on rank 0 of a
-    /// run with a report the cross-rank maxima, sorted by name.
+    /// This rank's root spans `(name, total seconds)`, sorted by name: the
+    /// driver sections this rank entered (`atm_run`, `lnd_run`, `ice_run`,
+    /// `ocn_run`, `cpl_rearrange`) and the one-off spans opened outside
+    /// them (`router_build`, `io_read_subfile`, `io_write_subfile`). The
+    /// same numbers as the depth-0 entries of this rank's tree in the run
+    /// report's `rank_trees`; the cross-rank maxima are its `rank_sections`.
     pub per_section_seconds: Vec<(String, f64)>,
     /// The serialised run report (rank 0, when `report_name` was set).
     pub report_json: Option<String>,
@@ -275,7 +280,7 @@ pub struct CoupledStats {
     /// (rank 0, when telemetry was enabled).
     pub alerts: Vec<String>,
     /// Where the time-series snapshot was written (rank 0, when telemetry
-    /// with `snapshot` and a `report_name` were set).
+    /// and a `report_name` were set).
     pub series_path: Option<std::path::PathBuf>,
     /// The OpenMetrics endpoint actually bound — resolves port 0 to the
     /// ephemeral port (rank 0, when telemetry set `metrics_addr`).
@@ -313,8 +318,10 @@ impl Pulse {
         progress_every.is_some_and(|every| every > 0 && clock.ocn_couplings().is_multiple_of(every))
     }
 
-    /// Live heartbeat (opt-in, rank 0 only): step rate, SYPD estimate and
-    /// component split since the previous heartbeat.
+    /// Live heartbeat (opt-in, rank 0 only): step rate and SYPD estimate
+    /// since the previous heartbeat, and rank 0's sections
+    /// ([`CoupledStats::per_section_seconds`]) in cumulative seconds since
+    /// the start of the run.
     fn heartbeat(&mut self, opts: &CoupledOptions, run: &Session, cpl: &Coupler) {
         if !Pulse::heartbeat_due(opts.progress_every, &cpl.clock) {
             return;
@@ -326,11 +333,9 @@ impl Pulse {
             None => (run.t_start.elapsed().as_secs_f64(), sim_s),
         };
         let dw = dw.max(1e-9);
-        let split: Vec<String> = ["atm_run", "lnd_run", "ocn_run", "ice_run", "cpl_rearrange"]
-            .iter()
-            .filter(|s| run.timers.count(s) > 0)
-            .map(|s| format!("{s} {:.2}s", run.timers.seconds(s)))
-            .collect();
+        let mut split = Vec::new();
+        let profiler = &run.obs.profiler;
+        profiler.for_each_root(|name, secs| split.push(format!("{name} {secs:.2}s")));
         eprintln!(
             "[telemetry] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
             cpl.clock.days(),
@@ -342,12 +347,23 @@ impl Pulse {
         self.hb_last = Some((now, sim_s));
     }
 
+    /// Cumulative seconds under the driver sections: set-up
+    /// (`router_build`) and sub-file I/O roots stay out of `sim.imbalance`.
+    fn driver_busy(profiler: &ap3esm_obs::Profiler) -> f64 {
+        let mut busy = 0.0;
+        profiler.for_each_root(|name, secs| {
+            if DRIVER_SECTIONS.contains(&name) {
+                busy += secs;
+            }
+        });
+        busy
+    }
+
     /// Continuous telemetry: global busy-time exchange at the coupling
     /// sync point, then rank 0 gauges what the sampler thread turns into
     /// series (the other ranks only take part in the exchange).
     fn telemetry(&mut self, rank: &Rank, run: &Session, ocn_period: f64) {
-        let timers = &run.timers;
-        let busy: f64 = timers.sections().iter().map(|s| timers.seconds(s)).sum();
+        let busy = Pulse::driver_busy(&run.obs.profiler);
         let d_busy = (busy - self.prev_busy).max(0.0);
         self.prev_busy = busy;
         let max_busy = allreduce_max(rank, TELE_MAX_TAG, d_busy).unwrap_or(d_busy);
@@ -399,7 +415,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
             resume(rank, &mut cpl, &mut run.stats, &dir);
         }
         while run.stats.failure.is_none() && (cpl.clock.time as f64) < total_seconds {
-            let step = cpl.step(rank, &mut run.timers, &mut run.stats);
+            let step = cpl.step(rank, &mut run.stats);
             // Ocean couplings are the global synchronisation points.
             if !step.event.ocn {
                 continue;
@@ -431,7 +447,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
         }
         // The last ocean coupling's export is still on its way.
         if run.stats.failure.is_none() && !run.stats.lost {
-            if let Some(e) = cpl.finish(rank, &mut run.timers, &mut run.stats) {
+            if let Some(e) = cpl.finish(rank, &mut run.stats) {
                 panic!("coupler exchange failed: {e}");
             }
         }
@@ -471,6 +487,23 @@ mod tests {
         assert_eq!(beats, [2, 4]);
         assert!(!Pulse::heartbeat_due(None, &clock));
         assert!(!Pulse::heartbeat_due(Some(0), &clock));
+    }
+
+    #[test]
+    fn busy_time_counts_driver_sections_only() {
+        let p = ap3esm_obs::Profiler::new();
+        for name in ["router_build", "atm_run", "io_write_subfile", "ocn_run"] {
+            let _root = p.enter(name);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let mut want = 0.0;
+        p.for_each_root(|name, secs| {
+            if name == "atm_run" || name == "ocn_run" {
+                want += secs;
+            }
+        });
+        assert!(want > 0.0);
+        assert_eq!(Pulse::driver_busy(&p).to_bits(), want.to_bits());
     }
 
     #[test]

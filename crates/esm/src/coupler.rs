@@ -39,7 +39,11 @@ use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, CoupledStats};
 use crate::resilience::HealthVerdict;
 use crate::restart::{read_aux, write_aux};
-use crate::timing::Timers;
+
+/// The spans [`Coupler::step`] and the ocean exchange open at the root of a
+/// rank's tree; time under them is what the telemetry counts as busy.
+pub(crate) const DRIVER_SECTIONS: [&str; 5] =
+    ["atm_run", "lnd_run", "ice_run", "cpl_rearrange", "ocn_run"];
 
 /// Which components a coupler holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -442,12 +446,12 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
 
     /// Advance the clock one base step and run every coupling whose alarm
     /// rings, in the fixed order atm → lnd → ice → ocean exchange.
-    pub fn step(&mut self, rank: &Rank, timers: &mut Timers, stats: &mut CoupledStats) -> Stepped {
+    pub fn step(&mut self, rank: &Rank, stats: &mut CoupledStats) -> Stepped {
         let event = self.clock.advance();
         let mut fault = None;
         let atm_period = self.clock.atm_alarm.period as f64;
         if let Some(atm) = self.atm.as_mut().filter(|_| event.atm) {
-            timers.start("atm_run");
+            let _section = ap3esm_obs::span("atm_run");
             if let Some(sfc) = &mut self.surface {
                 sfc.merge_x2a(&self.clock, &self.i2x, &self.l2x, &mut self.x2a);
             }
@@ -457,32 +461,29 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
                 self.prev_track = Some((p.lat_deg, p.lon_deg));
                 stats.track.push(p);
             }
-            timers.stop("atm_run");
         }
         // The land step from the atmosphere's new surface fields, timed as
         // its own top-level section so the critical-path analyzer and the
         // per-section trajectory see the land model's share separately
         // from the dycore's.
         if let Some(lnd) = self.lnd.as_mut().filter(|_| event.atm) {
-            timers.start("lnd_run");
+            let _section = ap3esm_obs::span("lnd_run");
             if let Some(sfc) = &self.surface {
                 sfc.merge_x2l(&self.a2x, &mut self.x2l);
             }
             cycle(lnd, rank, atm_period, &self.x2l, &mut self.l2x, &mut fault);
-            timers.stop("lnd_run");
         }
         if let Some(ice) = self.ice.as_mut().filter(|_| event.ice) {
-            timers.start("ice_run");
+            let _section = ap3esm_obs::span("ice_run");
             if let Some(sfc) = &mut self.surface {
                 sfc.merge_x2i(&self.a2x, &self.o2x, &mut self.x2i);
             }
             let period = self.clock.ice_alarm.period as f64;
             cycle(ice, rank, period, &self.x2i, &mut self.i2x, &mut fault);
             stats.ice_series.push(ice.diagnostic());
-            timers.stop("ice_run");
         }
         if event.ocn {
-            self.ocean_exchange(rank, timers, stats, &mut fault);
+            self.ocean_exchange(rank, stats, &mut fault);
         }
         Stepped {
             event,
@@ -507,12 +508,10 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
     fn ocean_exchange(
         &mut self,
         rank: &Rank,
-        timers: &mut Timers,
         stats: &mut CoupledStats,
         fault: &mut Option<String>,
     ) {
-        let mut section = self.exchange_section();
-        timers.start(section);
+        let mut section = ap3esm_obs::span(self.exchange_section());
         note(fault, self.receive_export(rank, stats));
         self.publish();
         if let Some(sfc) = &mut self.surface {
@@ -527,10 +526,10 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         );
         let mut ke = 0.0;
         if let Some(ocn) = self.ocn.as_mut() {
-            if section != "ocn_run" {
-                timers.stop(section);
-                section = "ocn_run";
-                timers.start(section);
+            if self.is_root {
+                // Closed first: a span opened now would nest under it.
+                drop(section);
+                section = ap3esm_obs::span("ocn_run");
             }
             let period = self.clock.ocn_alarm.period as f64;
             cycle(ocn, rank, period, &self.x2o_ocn, &mut self.o2x_ocn, fault);
@@ -538,7 +537,7 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         }
         self.gather.post(rank, strategy, &self.o2x_ocn, &[ke]);
         self.export = Export::InFlight;
-        timers.stop(section);
+        drop(section);
     }
 
     /// The section this rank's side of the exchange is timed under.
@@ -598,29 +597,17 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
     /// export is noticed (and a checkpoint is complete) at the coupling
     /// that posted it. The recovery layer calls this before its health
     /// vote; returns the communication failure, if any.
-    pub fn settle(
-        &mut self,
-        rank: &Rank,
-        timers: &mut Timers,
-        stats: &mut CoupledStats,
-    ) -> Option<String> {
-        let section = self.exchange_section();
-        timers.start(section);
+    pub fn settle(&mut self, rank: &Rank, stats: &mut CoupledStats) -> Option<String> {
+        let _section = ap3esm_obs::span(self.exchange_section());
         let received = self.receive_export(rank, stats);
-        timers.stop(section);
         received.err().map(|e| e.to_string())
     }
 
     /// Drain the last coupling's export after the stepping loop, so the
     /// ocean series get their final entry. Call once per run; a second call
     /// does nothing. Returns the communication failure, if any.
-    pub fn finish(
-        &mut self,
-        rank: &Rank,
-        timers: &mut Timers,
-        stats: &mut CoupledStats,
-    ) -> Option<String> {
-        let fault = self.settle(rank, timers, stats);
+    pub fn finish(&mut self, rank: &Rank, stats: &mut CoupledStats) -> Option<String> {
+        let fault = self.settle(rank, stats);
         self.publish();
         fault
     }

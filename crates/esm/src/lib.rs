@@ -11,7 +11,8 @@
 //!   interfaces ([`component`]),
 //! * coupling clocks at the paper's 180/36/180 couplings-per-day
 //!   (configurable for tests),
-//! * GPTL-style timers and the `get_timing` SYPD computation ([`timing`]),
+//! * the `get_timing` SYPD computation ([`timing`]) over driver sections
+//!   that are `ap3esm-obs` spans ([`CoupledStats::per_section_seconds`]),
 //! * the Table 1 configuration presets ([`config`]),
 //! * the Typhoon-Doksuri forecast experiment ([`forecast`], Figs. 6–7),
 //! * bit-exact restart through the parallel I/O layer ([`restart`]),
@@ -44,4 +45,4 @@ pub use resilience::{
     retry_delay, AtmGuard, CheckpointStore, HealthVerdict, OcnGuard, RecoveryConfig,
     RecoveryFailure,
 };
-pub use timing::{get_timing, Timers};
+pub use timing::get_timing;

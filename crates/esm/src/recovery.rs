@@ -197,7 +197,7 @@ impl Recovery {
         run: &mut Session,
         comm_fault: Option<String>,
     ) -> Flow {
-        let lost_export = cpl.settle(rank, &mut run.timers, &mut run.stats);
+        let lost_export = cpl.settle(rank, &mut run.stats);
         let comm_fault = comm_fault.or(lost_export);
         let stats = &mut run.stats;
         let ocn_period = cpl.clock.ocn_alarm.period as f64;

@@ -1,7 +1,6 @@
 //! What a coupled run carries besides the model: one rank's observability
-//! set-up (span profiler and timers, recording into the world's event log;
-//! continuous telemetry) and, in [`Session::finish`], the artifacts it
-//! leaves behind —
+//! set-up (span profiler, recording into the world's event log; continuous
+//! telemetry) and, in [`Session::finish`], the artifacts it leaves behind —
 //! the telemetry snapshot, the diagnostics bundle, the run report, the
 //! chrome trace and the critical-path analysis.
 
@@ -16,7 +15,7 @@ use ap3esm_obs::{AlertEngine, AlertEvent, Kind, MetricsServer, Obs, Sampler, Ser
 
 use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, CoupledStats, TelemetryOptions};
-use crate::timing::{get_timing, Timers};
+use crate::timing::get_timing;
 
 /// Rank 0's continuous-telemetry machinery.
 struct Telemetry {
@@ -57,16 +56,15 @@ impl Telemetry {
     }
 }
 
-/// One rank's run: stats, timers and the observability around them.
+/// One rank's run: stats and the observability around them.
 /// Everything here survives world reconstruction after a shrink.
 pub(crate) struct Session {
     pub(crate) stats: CoupledStats,
-    pub(crate) timers: Timers,
     pub(crate) t_start: Instant,
-    /// One observability instance per rank: timer sections and the leaf-
-    /// crate spans (dycore substeps, rearranger, sub-file I/O) land in one
-    /// tree.
-    obs: Arc<Obs>,
+    /// One observability instance per rank: the driver's sections and the
+    /// leaf-crate spans (dycore substeps, rearranger, sub-file I/O) land in
+    /// one tree, whose roots are [`CoupledStats::per_section_seconds`].
+    pub(crate) obs: Arc<Obs>,
     _obs_guard: ap3esm_obs::InstallGuard,
     /// Timeline tracing: this rank's spans go to the event log too, and the
     /// log becomes one chrome-trace file after the run.
@@ -78,7 +76,6 @@ impl Session {
     pub(crate) fn start(rank: &Rank, opts: &CoupledOptions) -> Self {
         let obs = Arc::new(Obs::new());
         let _obs_guard = ap3esm_obs::install(Arc::clone(&obs));
-        let timers = Timers::attached(Arc::clone(&obs));
         let tracing = opts.trace && opts.report_name.is_some();
         // Black-box flight recorder and timeline tracing are the same log,
         // the world's: either turns it on (messages and journal entries
@@ -110,7 +107,6 @@ impl Session {
         }
         Session {
             stats,
-            timers,
             t_start: Instant::now(),
             obs,
             _obs_guard,
@@ -135,12 +131,10 @@ impl Session {
         }
         self.stats.wall_seconds = self.t_start.elapsed().as_secs_f64();
         self.stats.sypd = get_timing(self.stats.simulated_seconds, self.stats.wall_seconds);
-        self.stats.per_section_seconds = self
-            .timers
-            .sections()
-            .iter()
-            .map(|s| (s.to_string(), self.timers.seconds(s)))
-            .collect();
+        let sections = &mut self.stats.per_section_seconds;
+        let profiler = &self.obs.profiler;
+        profiler.for_each_root(|name, secs| sections.push((name.to_string(), secs)));
+        sections.sort_by(|a, b| a.0.cmp(&b.0));
 
         let (alerts, series_json) = self.stop_telemetry(opts);
         if opts.flightrec {
@@ -167,9 +161,7 @@ impl Session {
         let alerts = t.engine.events();
         self.stats.alerts = alerts.iter().map(|e| e.message.clone()).collect();
         if let Some(name) = &opts.report_name {
-            if opts.telemetry.as_ref().is_some_and(|t| t.snapshot) {
-                self.stats.series_path = t.store.write_snapshot(name).ok();
-            }
+            self.stats.series_path = t.store.write_snapshot(name).ok();
         }
         let series_json = opts.flightrec.then(|| t.store.snapshot_json());
         if let Some(server) = t.server {
@@ -263,21 +255,6 @@ impl Session {
         }
         let per_rank = gathered.unwrap_or_default();
         let sections = ap3esm_obs::aggregate_sections(&per_rank);
-        // The trajectory's per-section walls are cross-rank maxima, not
-        // rank 0's local timers — otherwise sections that only run on
-        // other ranks (ocn_run on the ocean task domain) vanish from the
-        // BENCH point. Sorted by name so the metric set is independent of
-        // rank layout.
-        if !sections.is_empty() {
-            let merged = &mut self.stats.per_section_seconds;
-            for s in sections.iter().filter(|s| !s.path.contains('/')) {
-                match merged.iter_mut().find(|(n, _)| *n == s.path) {
-                    Some(entry) => entry.1 = s.max_s,
-                    None => merged.push((s.path.clone(), s.max_s)),
-                }
-            }
-            merged.sort_by(|a, b| a.0.cmp(&b.0));
-        }
         let trees = ap3esm_obs::rank_trees(&per_rank, 16, 512);
         if self.tracing {
             self.export_trace(rank, name, &trees);
@@ -297,7 +274,7 @@ impl Session {
             "concurrent"
         };
         let fault_events = stats.fault_events.iter().cloned().map(Json::Str).collect();
-        let mut report = ap3esm_obs::ReportBuilder::new(name)
+        let mut report = ap3esm_obs::RunReport::new(name)
             .meta("world_size", rank.size())
             .meta("launched_world_size", rank.world_size())
             .meta("generation", rank.generation())
@@ -310,26 +287,22 @@ impl Session {
             .meta("shrinks", stats.shrinks as u64)
             .meta("degraded_ranks", stats.degraded_ranks as u64)
             .meta("failure", stats.failure.as_deref().unwrap_or(""))
-            .meta("fault_events", Json::Arr(fault_events))
-            .spans(spans)
-            .alerts(alerts)
-            .sections(sections)
-            .rank_trees(trees)
-            .metrics(self.obs.metrics.snapshot());
-        if let Some(a) = &stats.critpath {
-            report = report.critpath(a.to_json());
-        }
-        let report = report
-            .comm(ap3esm_obs::CommSummary {
-                total_messages: comm.total_messages(),
-                total_bytes: comm.total_bytes(),
-                top_pairs: comm.top_pairs(5),
-                streams: vec![
-                    stream("cpl_scatter", Rearranger::wire_tags_for(21)),
-                    stream("cpl_gather", Rearranger::wire_tags_for(22)),
-                ],
-            })
-            .build();
+            .meta("fault_events", Json::Arr(fault_events));
+        report.spans = spans;
+        report.alerts = alerts;
+        report.sections = sections;
+        report.rank_trees = trees;
+        report.metrics = self.obs.metrics.snapshot();
+        report.critpath = stats.critpath.as_ref().map(|a| a.to_json());
+        report.comm = Some(ap3esm_obs::CommSummary {
+            total_messages: comm.total_messages(),
+            total_bytes: comm.total_bytes(),
+            top_pairs: comm.top_pairs(5),
+            streams: vec![
+                stream("cpl_scatter", Rearranger::wire_tags_for(21)),
+                stream("cpl_gather", Rearranger::wire_tags_for(22)),
+            ],
+        });
         stats.report_json = Some(report.to_json());
         stats.report_path = report.write().ok();
     }

@@ -379,13 +379,18 @@ fn tally_waits(waits: &[WaitRecord]) -> (Vec<WaitClassTotal>, Vec<BlameEntry>) {
 
 // --- the analyzer -------------------------------------------------------
 
+/// The section whose instances delimit coupling intervals.
+const INTERVAL_SECTION: &str = "cpl_rearrange";
+
 /// Builder + engine. Construct with [`Analyzer::new`] (end-of-run) or
-/// [`Analyzer::from_chrome_trace`] (offline), optionally configure, then
-/// call [`Analyzer::analyze`] and/or [`Analyzer::what_if`].
+/// [`Analyzer::from_chrome_trace`] (offline), optionally
+/// [`with_sypd`](Analyzer::with_sypd), then call [`Analyzer::analyze`]
+/// and/or [`Analyzer::what_if`].
 pub struct Analyzer {
+    /// Message edges and section verdicts are costed against the Sunway
+    /// OceanLight model.
     machine: MachineSpec,
     sypd: f64,
-    interval_section: String,
     preps: Vec<RankPrep>,
     /// Each rank's messages (send, recv, timeout, stale), in arrival order.
     comms: Vec<Vec<Event>>,
@@ -468,30 +473,15 @@ impl Analyzer {
         Analyzer {
             machine: MachineSpec::sunway_oceanlight(),
             sypd: 0.0,
-            interval_section: "cpl_rearrange".to_string(),
             preps,
             comms,
         }
-    }
-
-    /// Cost message edges and section verdicts against `spec` instead of
-    /// the default Sunway OceanLight model.
-    pub fn with_machine(mut self, spec: &MachineSpec) -> Analyzer {
-        self.machine = spec.clone();
-        self
     }
 
     /// Carry the run's measured SYPD so what-if projections report an
     /// absolute projected SYPD, not just a percentage.
     pub fn with_sypd(mut self, sypd: f64) -> Analyzer {
         self.sypd = sypd;
-        self
-    }
-
-    /// Section whose instances delimit coupling intervals (default
-    /// `cpl_rearrange`).
-    pub fn with_interval_section(mut self, name: &str) -> Analyzer {
-        self.interval_section = name.to_string();
         self
     }
 
@@ -845,7 +835,7 @@ impl Analyzer {
                 (
                     p.sections
                         .iter()
-                        .filter(|s| s.name == self.interval_section)
+                        .filter(|s| s.name == INTERVAL_SECTION)
                         .count(),
                     usize::MAX - r,
                 )
@@ -856,7 +846,7 @@ impl Analyzer {
                 self.preps[r]
                     .sections
                     .iter()
-                    .filter(|s| s.name == self.interval_section)
+                    .filter(|s| s.name == INTERVAL_SECTION)
                     .map(|s| s.ts)
                     .collect()
             })

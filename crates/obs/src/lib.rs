@@ -86,7 +86,7 @@ pub use msgflow::{pair_fifo, FlowPairing, PairedMessage, UnpairedSend};
 pub use openmetrics::MetricsServer;
 pub use perf::{BuildInfo, Direction, Stat};
 pub use rankagg::{aggregate_sections, rank_trees, RankTree, SectionStats};
-pub use report::{alert_event_json, CommSummary, ReportBuilder, RunReport};
+pub use report::{alert_event_json, CommSummary, RunReport};
 pub use span::{Profiler, SpanGuard, SpanSnapshot};
 pub use tsdb::{Derived, Sampler, SeriesSnapshot, SeriesStore};
 

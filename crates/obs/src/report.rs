@@ -1,10 +1,10 @@
-//! Run-report sink: human-readable span tree + machine-readable JSON.
+//! Run-report sink: machine-readable JSON.
 //!
-//! A [`ReportBuilder`] collects whatever the run produced — metadata, the
-//! local span tree, cross-rank section stats, metric snapshots, and the
-//! communication summary — and builds a [`RunReport`] whose JSON form is a
-//! single deterministic object written to `target/obs/run-<name>.json`, so
-//! two runs can be diffed field by field.
+//! A [`RunReport`] collects whatever the run produced — metadata, the local
+//! span tree, cross-rank section stats, metric snapshots, and the
+//! communication summary; its JSON form is a single deterministic object
+//! written to `target/obs/run-<name>.json`, so two runs can be diffed field
+//! by field.
 
 use std::path::{Path, PathBuf};
 
@@ -40,118 +40,52 @@ pub struct CommSummary {
     pub streams: Vec<(String, u64, u64)>,
 }
 
-/// Accumulates report content; finish with [`ReportBuilder::build`].
-#[derive(Default)]
-pub struct ReportBuilder {
-    name: String,
-    build: Option<BuildInfo>,
-    meta: Vec<(String, Json)>,
-    spans: Vec<SpanSnapshot>,
-    sections: Vec<SectionStats>,
-    rank_trees: Vec<RankTree>,
-    metrics: Vec<(String, MetricSnapshot)>,
-    alerts: Vec<AlertEvent>,
-    critpath: Option<Json>,
-    comm: Option<CommSummary>,
-}
-
-impl ReportBuilder {
-    pub fn new(name: &str) -> Self {
-        ReportBuilder {
-            name: name.to_string(),
-            ..Default::default()
-        }
-    }
-
-    /// Override the build/machine stamp (defaults to
-    /// [`BuildInfo::current`]; golden tests pin a fixed one).
-    pub fn build_info(mut self, build: BuildInfo) -> Self {
-        self.build = Some(build);
-        self
-    }
-
-    /// Attach a metadata field (world size, SYPD, config label, …).
-    pub fn meta(mut self, key: &str, value: impl Into<Json>) -> Self {
-        self.meta.push((key.to_string(), value.into()));
-        self
-    }
-
-    /// Attach the reporting rank's local span tree (preorder).
-    pub fn spans(mut self, spans: Vec<SpanSnapshot>) -> Self {
-        self.spans = spans;
-        self
-    }
-
-    /// Attach cross-rank section statistics.
-    pub fn sections(mut self, sections: Vec<SectionStats>) -> Self {
-        self.sections = sections;
-        self
-    }
-
-    /// Attach every rank's (bounded) span tree, in rank order.
-    pub fn rank_trees(mut self, trees: Vec<RankTree>) -> Self {
-        self.rank_trees = trees;
-        self
-    }
-
-    /// Attach a metrics snapshot.
-    pub fn metrics(mut self, metrics: Vec<(String, MetricSnapshot)>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach SLO/anomaly alert events fired during the run.
-    pub fn alerts(mut self, alerts: Vec<AlertEvent>) -> Self {
-        self.alerts = alerts;
-        self
-    }
-
-    /// Attach the critical-path analysis (the `ap3esm-critpath/1` object
-    /// produced by [`crate::critpath::Analysis::to_json`]).
-    pub fn critpath(mut self, critpath: Json) -> Self {
-        self.critpath = Some(critpath);
-        self
-    }
-
-    /// Attach the communication summary.
-    pub fn comm(mut self, comm: CommSummary) -> Self {
-        self.comm = Some(comm);
-        self
-    }
-
-    pub fn build(self) -> RunReport {
-        RunReport {
-            name: self.name,
-            build: self.build.unwrap_or_else(|| BuildInfo::current().clone()),
-            meta: self.meta,
-            spans: self.spans,
-            sections: self.sections,
-            rank_trees: self.rank_trees,
-            metrics: self.metrics,
-            alerts: self.alerts,
-            critpath: self.critpath,
-            comm: self.comm,
-        }
-    }
-}
-
-/// A finished run report.
+/// One run's report: name it, fill in what the run produced, then
+/// [`write`](RunReport::write) it.
 pub struct RunReport {
-    name: String,
-    build: BuildInfo,
-    meta: Vec<(String, Json)>,
-    spans: Vec<SpanSnapshot>,
-    sections: Vec<SectionStats>,
-    rank_trees: Vec<RankTree>,
-    metrics: Vec<(String, MetricSnapshot)>,
-    alerts: Vec<AlertEvent>,
-    critpath: Option<Json>,
-    comm: Option<CommSummary>,
+    pub name: String,
+    /// The build/machine stamp ([`BuildInfo::current`] unless a golden test
+    /// pins a fixed one).
+    pub build: BuildInfo,
+    pub meta: Vec<(String, Json)>,
+    /// The reporting rank's local span tree (preorder).
+    pub spans: Vec<SpanSnapshot>,
+    /// Cross-rank section statistics.
+    pub sections: Vec<SectionStats>,
+    /// Every rank's (bounded) span tree, in rank order.
+    pub rank_trees: Vec<RankTree>,
+    pub metrics: Vec<(String, MetricSnapshot)>,
+    /// SLO/anomaly alert events fired during the run.
+    pub alerts: Vec<AlertEvent>,
+    /// The `ap3esm-critpath/1` object produced by
+    /// [`crate::critpath::Analysis::to_json`].
+    pub critpath: Option<Json>,
+    pub comm: Option<CommSummary>,
 }
 
 impl RunReport {
-    pub fn name(&self) -> &str {
-        &self.name
+    /// An empty report stamped with this build.
+    pub fn new(name: &str) -> Self {
+        RunReport {
+            name: name.to_string(),
+            build: BuildInfo::current().clone(),
+            meta: Vec::new(),
+            spans: Vec::new(),
+            sections: Vec::new(),
+            rank_trees: Vec::new(),
+            metrics: Vec::new(),
+            alerts: Vec::new(),
+            critpath: None,
+            comm: None,
+        }
+    }
+
+    /// Attach a metadata field (world size, SYPD, config label, …). The one
+    /// helper beside the public fields: it converts `Into<Json>` for the
+    /// caller; everything else is assigned (`report.spans = ..`).
+    pub fn meta(mut self, key: &str, value: impl Into<Json>) -> Self {
+        self.meta.push((key.to_string(), value.into()));
+        self
     }
 
     /// The JSON object, compact and field-order deterministic.
@@ -265,62 +199,6 @@ impl RunReport {
         root.to_string()
     }
 
-    /// Human-readable rendering: span tree, then cross-rank sections, then
-    /// the communication digest.
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("run report: {}\n", self.name));
-        out.push_str(&format!(
-            "  build: {} on {} ({} threads, {})\n",
-            self.build.git_sha, self.build.host, self.build.threads, self.build.os
-        ));
-        for (k, v) in &self.meta {
-            out.push_str(&format!("  {k} = {v}\n"));
-        }
-        if !self.spans.is_empty() {
-            out.push_str("  spans (total / self / calls):\n");
-            for s in &self.spans {
-                out.push_str(&format!(
-                    "    {:indent$}{:<28} {:>10.4}s {:>10.4}s {:>8}\n",
-                    "",
-                    s.name,
-                    s.total_s,
-                    s.self_s,
-                    s.count,
-                    indent = 2 * s.depth
-                ));
-            }
-        }
-        if !self.sections.is_empty() {
-            out.push_str("  sections across ranks (max / mean / imbalance):\n");
-            for s in &self.sections {
-                out.push_str(&format!(
-                    "    {:<34} {:>10.4}s {:>10.4}s {:>6.2}x  on {} rank(s)\n",
-                    s.path, s.max_s, s.mean_s, s.imbalance, s.ranks
-                ));
-            }
-        }
-        if !self.alerts.is_empty() {
-            out.push_str("  alerts:\n");
-            for a in &self.alerts {
-                out.push_str(&format!("    {}\n", a.message));
-            }
-        }
-        if let Some(c) = &self.comm {
-            out.push_str(&format!(
-                "  comm: {} messages, {} bytes\n",
-                c.total_messages, c.total_bytes
-            ));
-            for (label, messages, bytes) in &c.streams {
-                out.push_str(&format!("    {label:<32} {messages:>8} msgs {bytes:>12} B\n"));
-            }
-            for &(src, dst, bytes) in &c.top_pairs {
-                out.push_str(&format!("    {src:>3} -> {dst:<3} {bytes:>12} B\n"));
-            }
-        }
-        out
-    }
-
     /// Write the JSON report as `<dir>/run-<name>.json`; returns the path.
     pub fn write_to(&self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
         let dir = dir.as_ref();
@@ -380,29 +258,21 @@ mod tests {
     use crate::metrics::HistogramSummary;
 
     fn fixed_report() -> RunReport {
-        ReportBuilder::new("golden")
-            .build_info(BuildInfo::fixed_for_tests())
-            .meta("world_size", 3usize)
-            .meta("sypd", 0.54)
-            .spans(vec![
-                SpanSnapshot {
-                    path: "step".into(),
-                    name: "step".into(),
-                    depth: 0,
-                    total_s: 2.5,
-                    self_s: 0.5,
-                    count: 4,
-                },
-                SpanSnapshot {
-                    path: "step/atm".into(),
-                    name: "atm".into(),
-                    depth: 1,
-                    total_s: 2.0,
-                    self_s: 2.0,
-                    count: 8,
-                },
-            ])
-            .sections(vec![SectionStats {
+        let span = |path: &str, depth, total_s, self_s, count| SpanSnapshot {
+            path: path.into(),
+            name: path.rsplit('/').next().unwrap().into(),
+            depth,
+            total_s,
+            self_s,
+            count,
+        };
+        RunReport {
+            build: BuildInfo::fixed_for_tests(),
+            spans: vec![
+                span("step", 0, 2.5, 0.5, 4),
+                span("step/atm", 1, 2.0, 2.0, 8),
+            ],
+            sections: vec![SectionStats {
                 path: "step".into(),
                 max_s: 2.5,
                 min_s: 2.0,
@@ -411,20 +281,13 @@ mod tests {
                 ranks: 2,
                 world: 3,
                 count: 4,
-            }])
-            .rank_trees(vec![crate::rankagg::RankTree {
+            }],
+            rank_trees: vec![crate::rankagg::RankTree {
                 rank: 1,
                 dropped: 2,
-                spans: vec![SpanSnapshot {
-                    path: "ocn_run".into(),
-                    name: "ocn_run".into(),
-                    depth: 0,
-                    total_s: 2.0,
-                    self_s: 2.0,
-                    count: 4,
-                }],
-            }])
-            .metrics(vec![
+                spans: vec![span("ocn_run", 0, 2.0, 2.0, 4)],
+            }],
+            metrics: vec![
                 ("io.bytes".into(), MetricSnapshot::Counter(4096)),
                 (
                     "rearrange.ns".into(),
@@ -437,21 +300,24 @@ mod tests {
                         p95: 880,
                     }),
                 ),
-            ])
-            .alerts(vec![AlertEvent {
+            ],
+            alerts: vec![AlertEvent {
                 rule: "sypd-collapse".into(),
                 series: "sim.sypd".into(),
                 t_s: 12.5,
                 value: 0.2,
                 message: "sypd-collapse: sim.sypd breached".into(),
-            }])
-            .comm(CommSummary {
+            }],
+            comm: Some(CommSummary {
                 total_messages: 42,
                 total_bytes: 1_000_000,
                 top_pairs: vec![(0, 1, 700_000), (1, 0, 300_000)],
                 streams: vec![("cpl_scatter".into(), 30, 700_000)],
-            })
-            .build()
+            }),
+            ..RunReport::new("golden")
+                .meta("world_size", 3usize)
+                .meta("sypd", 0.54)
+        }
     }
 
     /// Golden-file style schema check: the exact serialised form of a fixed
@@ -490,15 +356,5 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.trim_end(), fixed_report().to_json());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tree_rendering_mentions_every_layer() {
-        let text = fixed_report().render_tree();
-        assert!(text.contains("run report: golden"));
-        assert!(text.contains("atm"));
-        assert!(text.contains("imbalance") || text.contains("sections across ranks"));
-        assert!(text.contains("42 messages"));
-        assert!(text.contains("cpl_scatter"));
     }
 }

@@ -180,6 +180,19 @@ impl Profiler {
         }
     }
 
+    /// Calls `f(name, total_s)` for every root span in creation order, with
+    /// the `total_s` a [`snapshot`](Profiler::snapshot) taken now would
+    /// carry. Allocates nothing; `f` runs under the tree lock and must not
+    /// open spans.
+    pub fn for_each_root(&self, mut f: impl FnMut(&'static str, f64)) {
+        let tree = lock_tree(&self.tree);
+        for &id in &tree.roots {
+            let node = &tree.nodes[id as usize];
+            let total_ns = node.stats.total_ns.load(Ordering::Relaxed);
+            f(node.name_str, total_ns as f64 * 1e-9);
+        }
+    }
+
     /// Preorder snapshot of the span tree (children in creation order).
     pub fn snapshot(&self) -> Vec<SpanSnapshot> {
         let tree = lock_tree(&self.tree);
@@ -351,6 +364,27 @@ mod tests {
         // Self time excludes the children: roughly the 2 ms spent in `a`.
         assert!(a.self_s >= 0.002 - 1e-4);
         assert!(a.self_s <= a.total_s - b.total_s + 1e-4);
+    }
+
+    #[test]
+    fn roots_are_the_depth_zero_rows_of_the_snapshot() {
+        let p = Profiler::new();
+        for name in ["b", "a", "b"] {
+            let _root = p.enter(name);
+            let _child = p.enter("a");
+            spin(200);
+        }
+        let mut roots = Vec::new();
+        p.for_each_root(|name, total_s| roots.push((name.to_string(), total_s.to_bits())));
+        let rows: Vec<(String, u64)> = p
+            .snapshot()
+            .into_iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| (s.path, s.total_s.to_bits()))
+            .collect();
+        assert_eq!(roots, rows);
+        assert_eq!(roots.len(), 2); // creation order: b, a
+        assert_eq!((roots[0].0.as_str(), roots[1].0.as_str()), ("b", "a"));
     }
 
     #[test]

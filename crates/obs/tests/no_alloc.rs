@@ -1,6 +1,7 @@
 //! Allocation regression: a warm `ap3esm_obs::span()` enter/drop on an
 //! installed `Obs` allocates nothing — untraced, and traced into an event
-//! log — and neither does journaling a marker whose name has been seen. Its
+//! log — and neither does journaling a marker whose name has been seen, nor
+//! reading the root spans back (the driver's heartbeat and busy-time). Its
 //! own test binary, because the counting allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,6 +61,10 @@ fn warm_spans_and_marks_allocate_nothing() {
     let _installed = ap3esm_obs::install(Arc::clone(&obs));
     instrumented_step(); // warm-up: tree nodes, the thread's span stack
     assert_eq!(allocs_of(instrumented_step), 0, "untraced");
+    let mut busy = 0.0;
+    let read_roots = || obs.profiler.for_each_root(|_, secs| busy += secs);
+    assert_eq!(allocs_of(read_roots), 0, "reading the roots");
+    assert!(busy > 0.0);
 
     // The ring is small enough to be full — and so as large as it gets —
     // after the warm-up.

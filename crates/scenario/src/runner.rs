@@ -40,7 +40,7 @@ use ap3esm_comm::World;
 use ap3esm_esm::solar::cos_zenith;
 use ap3esm_esm::{
     run_coupled, CheckpointStore, CoupledConfig, CoupledOptions, CoupledStats, Coupler, Parts,
-    RecoveryConfig, Timers,
+    RecoveryConfig,
 };
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
@@ -727,7 +727,6 @@ fn run_subset_member(
     let mut results = world.run(|rank| {
         let mut cpl = Coupler::build(rank, &config, &copts, &grid, parts);
         prescribe_boundary(sc, &copts, &grid, &mut cpl);
-        let mut timers = Timers::new();
         let mut stats = CoupledStats::default();
         // The conserved quantity each subset is scored on, per coupling.
         let invariant = |cpl: &Coupler| match (&cpl.ocn, &cpl.atm, &cpl.ice) {
@@ -740,7 +739,7 @@ fn run_subset_member(
         let mut invariants = Vec::new();
         while (cpl.clock.time as f64) < total_seconds {
             prescribe_forcing(sc, period, &mut cpl);
-            let step = cpl.step(rank, &mut timers, &mut stats);
+            let step = cpl.step(rank, &mut stats);
             if let Some(e) = step.comm_fault {
                 panic!("coupler exchange failed: {e}");
             }
@@ -748,7 +747,7 @@ fn run_subset_member(
                 invariants.push(invariant(&cpl));
             }
         }
-        if let Some(e) = cpl.finish(rank, &mut timers, &mut stats) {
+        if let Some(e) = cpl.finish(rank, &mut stats) {
             panic!("coupler exchange failed: {e}");
         }
         subset_outcome(sc, member, period, &stats, initial, invariants)

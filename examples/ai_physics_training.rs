@@ -163,12 +163,10 @@ fn main() {
             dropped: 0,
             spans: spans.clone(),
         };
-        let report = obs::ReportBuilder::new(name)
-            .meta("example", "ai_physics_training")
-            .spans(spans)
-            .rank_trees(vec![tree.clone()])
-            .metrics(obs_state.metrics.snapshot())
-            .build();
+        let mut report = obs::RunReport::new(name).meta("example", "ai_physics_training");
+        report.spans = spans;
+        report.rank_trees = vec![tree.clone()];
+        report.metrics = obs_state.metrics.snapshot();
         match report.write() {
             Ok(path) => println!("\nobs run report: {}", path.display()),
             Err(e) => eprintln!("cannot write report: {e}"),

@@ -169,10 +169,15 @@ fn main() {
     println!("\ncoupler traffic: {} messages, {:.2} MB",
         world.stats().total_messages(),
         world.stats().total_bytes() as f64 / 1e6);
-    // Cross-rank maxima when a report aggregated them (ocn_run runs on
-    // the ocean task domain, never on rank 0's local timers).
+    // §6.2's rule over the per-rank stats: `ocn_run` is on the ocean task
+    // domain's ranks, never on rank 0.
+    let mut slowest = std::collections::BTreeMap::new();
+    for (name, secs) in all.iter().flat_map(|s| &s.per_section_seconds) {
+        let max = slowest.entry(name.as_str()).or_insert(0.0f64);
+        *max = max.max(*secs);
+    }
     println!("\nper-section wall time (max across ranks):");
-    for (name, secs) in &root.per_section_seconds {
+    for (name, secs) in slowest {
         println!("  {name:<16} {secs:.3}s");
     }
 

@@ -323,18 +323,17 @@ fn main() {
                 println!("trace:      {}", p.display());
             }
         }
-        let report = ap3esm::obs::ReportBuilder::new(name)
+        let mut report = ap3esm::obs::RunReport::new(name)
             .meta("clients", cli.clients as u64)
             .meta("target_rps", cli.rps)
             .meta("duration_s", cli.duration)
             .meta("served", served)
             .meta("shed", shed_n)
             .meta("errors", err_n)
-            .meta("model_version", svc.registry().version())
-            .spans(obs.profiler.snapshot())
-            .alerts(engine.as_ref().map(|e| e.events()).unwrap_or_default())
-            .metrics(obs.metrics.snapshot())
-            .build();
+            .meta("model_version", svc.registry().version());
+        report.spans = obs.profiler.snapshot();
+        report.alerts = engine.as_ref().map(|e| e.events()).unwrap_or_default();
+        report.metrics = obs.metrics.snapshot();
         match report.write() {
             Ok(p) => println!("report:     {}", p.display()),
             Err(e) => eprintln!("report write failed: {e}"),

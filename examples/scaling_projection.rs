@@ -103,13 +103,12 @@ fn main() {
             dropped: 0,
             spans: spans.clone(),
         };
-        let report = obs::ReportBuilder::new(name)
+        let mut report = obs::RunReport::new(name)
             .meta("example", "scaling_projection")
-            .meta("points", cli.nodes.len())
-            .spans(spans)
-            .rank_trees(vec![tree.clone()])
-            .metrics(obs_state.metrics.snapshot())
-            .build();
+            .meta("points", cli.nodes.len());
+        report.spans = spans;
+        report.rank_trees = vec![tree.clone()];
+        report.metrics = obs_state.metrics.snapshot();
         match report.write() {
             Ok(path) => println!("\nobs run report: {}", path.display()),
             Err(e) => eprintln!("cannot write report: {e}"),

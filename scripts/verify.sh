@@ -6,10 +6,11 @@
 # describes), a syntax check of the two benchmark scripts (a pairing takes
 # ~10 min per workload, a point ~4 min, too long to run here; CI's
 # benchmark-smoke runs the point's quick form); then
-# the lanes step and the obs step. CI runs exactly this (`tier1`, `lanes`
-# and `obs` as three steps); run it locally before pushing.
+# the lanes step, the obs step and the figures step. CI runs exactly this
+# (`tier1`, `lanes`, `obs` and `figures` as four steps); run it locally
+# before pushing.
 #
-#   scripts/verify.sh [tier1|lanes|obs]     (default: all)
+#   scripts/verify.sh [tier1|lanes|obs|figures]     (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 step=${1:-all}
@@ -47,4 +48,22 @@ fi
 if [[ $step == all || $step == obs ]]; then
     cargo test -q --release -p ap3esm-obs -p ap3esm-comm
     cargo test -q --release --test critpath exporters_share_one_fifo_pairing
+fi
+
+# Every table and figure binary (a glob, so a new one is picked up) exits 0
+# and leaves the CSVs it says it wrote, non-empty, under target/experiments/.
+# All of them together take ~10 s, so there is no quick mode to keep in step.
+if [[ $step == all || $step == figures ]]; then
+    cargo build -q --release -p ap3esm-bench
+    rm -rf "${CARGO_TARGET_DIR:-target}/experiments"
+    for src in crates/bench/src/bin/*.rs; do
+        bin=$(basename "$src" .rs)
+        out=$(cargo run -q --release -p ap3esm-bench --bin "$bin") ||
+            { echo "figures: $bin exited nonzero" >&2; exit 1; }
+        csvs=$(sed -n 's/^wrote \(.*\/experiments\/.*\.csv\)$/\1/p' <<<"$out")
+        [[ -n $csvs ]] || { echo "figures: $bin wrote no CSV" >&2; exit 1; }
+        for csv in $csvs; do
+            [[ -s $csv ]] || { echo "figures: $bin left $csv empty" >&2; exit 1; }
+        done
+    done
 fi

@@ -1,5 +1,6 @@
 //! Integration: the full coupled AP3ESM exercising every crate at once.
 
+use ap3esm::obs::json::Json;
 use ap3esm::prelude::*;
 
 #[test]
@@ -41,6 +42,13 @@ fn coupled_model_two_days_all_components_active() {
         })
         .sum();
     assert!(ocn_secs > 0.0, "ocean never ran");
+    // Root spans follow one another on the rank's thread, inside the run.
+    let sum: f64 = root.per_section_seconds.iter().map(|(_, s)| s).sum();
+    assert!(
+        sum <= root.wall_seconds,
+        "sections sum to {sum}s of {}s wall",
+        root.wall_seconds
+    );
 
     // Physics stayed physical over two days.
     for sst in &root.sst_series {
@@ -51,6 +59,50 @@ fn coupled_model_two_days_all_components_active() {
     }
     // The ocean gained kinetic energy from wind forcing.
     assert!(*root.ke_series.last().unwrap() > 0.0);
+}
+
+/// One clock (§6.2): the stats, the report's cross-rank maxima and its
+/// per-rank trees carry the same spans' totals, bit for bit.
+#[test]
+fn driver_sections_read_one_clock() {
+    let mut config = CoupledConfig::test_tiny();
+    config.ocn_px = 1;
+    config.ocn_py = 1;
+    let world = World::new(config.world_size());
+    let opts = CoupledOptions {
+        days: 0.5,
+        report_name: Some(format!("one-clock-{}", std::process::id())),
+        ..Default::default()
+    };
+    let all = world.run(|rank| run_coupled(rank, &config, &opts));
+    assert_eq!(all.len(), 2);
+    // Only `report_json` is read; leave nothing under `target/obs/`.
+    let _ = std::fs::remove_file(all[0].report_path.as_ref().expect("report file"));
+    let report = Json::parse(all[0].report_json.as_deref().expect("report")).unwrap();
+    let rows = |key: &str| report.get(key).and_then(Json::as_arr).expect("array");
+    let path_is = |row: &Json, name: &str| row.get("path").and_then(Json::as_str) == Some(name);
+    let bits = |row: &Json, key: &str| row.get(key).and_then(Json::as_f64).map(f64::to_bits);
+    let in_stats = |rank: usize, name: &str| {
+        let sections = &all[rank].per_section_seconds;
+        let found = sections.iter().find(|(n, _)| n == name);
+        found.map(|(_, secs)| secs.to_bits())
+    };
+    for name in ["atm_run", "lnd_run", "ice_run", "cpl_rearrange", "ocn_run"] {
+        // Seconds are positive, so their bit patterns order as they do.
+        let slowest = (0..all.len()).filter_map(|r| in_stats(r, name)).max();
+        assert!(slowest.is_some(), "{name} ran nowhere");
+        let row = rows("rank_sections").iter().find(|r| path_is(r, name));
+        let row = row.unwrap_or_else(|| panic!("{name} missing from rank_sections"));
+        assert_eq!(bits(row, "max_s"), slowest, "{name}: stats max vs report");
+        for tree in rows("rank_trees") {
+            let rank = tree.get("rank").and_then(Json::as_u64).unwrap() as usize;
+            let spans = tree.get("spans").and_then(Json::as_arr).unwrap();
+            // A root's path is its name; no deeper path is slash-free.
+            let root = spans.iter().find(|s| path_is(s, name));
+            let in_tree = root.and_then(|s| bits(s, "total_s"));
+            assert_eq!(in_tree, in_stats(rank, name), "{name} on rank {rank}");
+        }
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use ap3esm::comm::{CommError, FaultInjector, FaultPlan, Rank};
 use ap3esm::cpl::avect::{A2X_FIELDS, X2A_FIELDS};
 use ap3esm::cpl::{AttrVect, Rearranger};
 use ap3esm::esm::component::fitted_atm_config;
-use ap3esm::esm::{Atm, Component, CoupledOptions, CoupledStats, Coupler, Parts, Timers};
+use ap3esm::esm::{Atm, Component, CoupledOptions, CoupledStats, Coupler, Parts};
 use ap3esm::grid::BlockDecomp2d;
 use ap3esm::io::IoError;
 use ap3esm::ocn::model::OcnForcing;
@@ -86,13 +86,12 @@ fn run_days<A: Component, O: Component, I: Component, L: Component>(
     cpl: &mut Coupler<A, O, I, L>,
     days: f64,
 ) -> CoupledStats {
-    let mut timers = Timers::new();
     let mut stats = CoupledStats::default();
     while (cpl.clock.time as f64) < days * 86_400.0 {
-        let step = cpl.step(rank, &mut timers, &mut stats);
+        let step = cpl.step(rank, &mut stats);
         assert_eq!(step.comm_fault, None);
     }
-    assert_eq!(cpl.finish(rank, &mut timers, &mut stats), None);
+    assert_eq!(cpl.finish(rank, &mut stats), None);
     stats
 }
 
@@ -186,7 +185,7 @@ fn one_scatter(world: World) -> (Vec<f64>, bool) {
         for (i, v) in cpl.x2o.as_mut_slice().iter_mut().enumerate() {
             *v = 1.0 + i as f64;
         }
-        let step = cpl.step(rank, &mut Timers::new(), &mut CoupledStats::default());
+        let step = cpl.step(rank, &mut CoupledStats::default());
         (cpl.ocn.map(|ocn| ocn.imported), step.comm_fault.is_some())
     });
     let (imported, faulted) = out.remove(1);

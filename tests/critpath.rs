@@ -138,15 +138,16 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
     let json_sum = frac("compute") + frac("comm") + frac("wait");
     assert!((json_sum - 1.0).abs() <= 0.01, "report fractions: {json_sum}");
 
-    // ---- Satellite: every coupled section reaches the stats, including
-    //      the ocean's (previously dropped on the coupler rank). -----------
+    // ---- Every coupled section reaches the report's cross-rank maxima,
+    //      including the ocean's (which never runs on the coupler rank). ---
+    let sections = report.get("rank_sections").and_then(Json::as_arr).unwrap();
     for want in ["atm_run", "ocn_run", "lnd_run", "ice_run"] {
-        let s = root
-            .per_section_seconds
+        let s = sections
             .iter()
-            .find(|(n, _)| n == want)
-            .unwrap_or_else(|| panic!("{want} missing from {:?}", root.per_section_seconds));
-        assert!(s.1 > 0.0, "{want} has zero wall time");
+            .find(|s| s.get("path").and_then(Json::as_str) == Some(want))
+            .unwrap_or_else(|| panic!("{want} missing from rank_sections"));
+        let max_s = s.get("max_s").and_then(Json::as_f64).unwrap();
+        assert!(max_s > 0.0, "{want} has zero wall time");
     }
 }
 

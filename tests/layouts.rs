@@ -7,7 +7,7 @@
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::cpl::{RearrangeStrategy, Rearranger};
-use ap3esm::esm::{Coupler, Parts, RecoveryConfig, Timers};
+use ap3esm::esm::{Coupler, Parts, RecoveryConfig};
 use ap3esm::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,13 +104,12 @@ fn one_day_on(lanes: Option<usize>, strategy: RearrangeStrategy) -> (CoupledStat
             .as_ref()
             .expect("rank 0 holds the atmosphere")
             .lanes();
-        let mut timers = Timers::new();
         let mut stats = CoupledStats::default();
         while cpl.clock.time < 86_400 {
-            let step = cpl.step(rank, &mut timers, &mut stats);
+            let step = cpl.step(rank, &mut stats);
             assert_eq!(step.comm_fault, None);
         }
-        assert_eq!(cpl.finish(rank, &mut timers, &mut stats), None);
+        assert_eq!(cpl.finish(rank, &mut stats), None);
         (stats, ran_on)
     });
     out.swap_remove(0)
@@ -238,10 +237,9 @@ fn finish_drains_the_last_export_once() {
     World::new(1).run(|rank| {
         let parts = Parts::of_rank(rank, &config);
         let mut cpl = Coupler::build(rank, &config, &days(0.5), &grid, parts);
-        let mut timers = Timers::new();
         let mut stats = CoupledStats::default();
         while cpl.clock.time < 43_200 {
-            let step = cpl.step(rank, &mut timers, &mut stats);
+            let step = cpl.step(rank, &mut stats);
             assert_eq!(step.comm_fault, None);
         }
         assert_eq!(cpl.clock.ocn_couplings(), 2);
@@ -250,10 +248,10 @@ fn finish_drains_the_last_export_once() {
             1,
             "the second export is still in flight"
         );
-        assert_eq!(cpl.finish(rank, &mut timers, &mut stats), None);
+        assert_eq!(cpl.finish(rank, &mut stats), None);
         assert_eq!((stats.sst_series.len(), stats.ke_series.len()), (2, 2));
         let drained = bits(&stats);
-        assert_eq!(cpl.finish(rank, &mut timers, &mut stats), None);
+        assert_eq!(cpl.finish(rank, &mut stats), None);
         assert_eq!(bits(&stats), drained);
     });
 }

@@ -70,7 +70,6 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
             metrics_addr: Some(addr.clone()),
             builtin_rules: false,
             rules: RULE.to_string(),
-            snapshot: true,
             // The 2.5 s stalls alone produce ~1000 samples at this cadence;
             // keep the whole run in the raw tier so the offline replay
             // still sees the pre-incident baseline.
