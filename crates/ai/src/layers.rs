@@ -45,9 +45,9 @@ impl Dense {
         }
     }
 
-    /// Inference-only forward: the same arithmetic as [`Layer::forward`]
-    /// (one GEMM then bias), but by shared reference and without caching
-    /// the input for backward — one warm layer can serve many threads.
+    /// The layer's one forward (one GEMM then bias), by shared reference:
+    /// one warm layer can serve many threads. [`Layer::forward`] is this
+    /// plus the input kept for backward.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape.len(), 2, "dense expects [batch, in]");
         assert_eq!(x.shape[1], self.in_dim);
@@ -65,17 +65,7 @@ impl Dense {
 
 impl Layer for Dense {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape.len(), 2, "dense expects [batch, in]");
-        assert_eq!(x.shape[1], self.in_dim);
-        let batch = x.shape[0];
-        let mut y = Tensor::zeros(&[batch, self.out_dim]);
-        // y = x[b,in]·Wᵀ[in,out]
-        matmul_a_bt(&x.data, &self.w.data, &mut y.data, batch, self.in_dim, self.out_dim);
-        for bi in 0..batch {
-            for o in 0..self.out_dim {
-                y.data[bi * self.out_dim + o] += self.b.data[o];
-            }
-        }
+        let y = self.infer(x);
         self.input = Some(x.clone());
         y
     }
@@ -157,14 +147,15 @@ impl Conv1d {
         }
     }
 
-    /// Inference-only forward via im2col: the whole `[batch, ch, L]` input
+    /// The layer's one forward, via im2col: the whole `[batch, ch, L]` input
     /// is lowered to one `[batch·L, in_ch·k]` patch matrix and the
-    /// convolution becomes a dense GEMM with branch-free inner loops —
-    /// the batched serving path. Accumulation order matches
-    /// [`Layer::forward`] (bias first, then taps in `(in_ch, k)` order;
-    /// padding contributes an exact `+0.0`), so results agree element-wise
-    /// with the per-sample training forward. Takes `&self` and leaves no
-    /// backward caches, so many threads can share one warm layer.
+    /// convolution becomes a dense GEMM with branch-free inner loops.
+    /// Each output element accumulates bias first, then taps in
+    /// `(in_ch, k)` order, padding contributing an exact `+0.0` — bit for
+    /// bit the direct convolution written out in `tests/forward_batch.rs`,
+    /// and independent of the batch a column arrives in. Takes `&self`, so
+    /// many threads can share one warm layer; [`Layer::forward`] is this
+    /// plus the input kept for backward.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape.len(), 3, "conv1d expects [batch, ch, L]");
         assert_eq!(x.shape[1], self.in_ch);
@@ -193,9 +184,9 @@ impl Conv1d {
             }
         }
         // GEMM with the reduction kept *serial per output element* (bias
-        // first, then taps in (in_ch, k) order — exactly the training
-        // forward's order) while the `bl` output positions act as
-        // independent accumulators, so the inner axpy loops vectorize.
+        // first, then taps in (in_ch, k) order) while the `bl` output
+        // positions act as independent accumulators, so the inner axpy
+        // loops vectorize.
         let mut rows = vec![0.0f32; bl];
         let mut y = Tensor::zeros(&[batch, self.out_ch, len]);
         for o in 0..self.out_ch {
@@ -219,33 +210,7 @@ impl Conv1d {
 
 impl Layer for Conv1d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(x.shape.len(), 3, "conv1d expects [batch, ch, L]");
-        assert_eq!(x.shape[1], self.in_ch);
-        let (batch, len) = (x.shape[0], x.shape[2]);
-        let half = self.k / 2;
-        let mut y = Tensor::zeros(&[batch, self.out_ch, len]);
-        for bi in 0..batch {
-            let xb = &x.data[bi * self.in_ch * len..(bi + 1) * self.in_ch * len];
-            let yb = &mut y.data[bi * self.out_ch * len..(bi + 1) * self.out_ch * len];
-            for o in 0..self.out_ch {
-                let bias = self.b.data[o];
-                for l in 0..len {
-                    let mut acc = bias;
-                    for i in 0..self.in_ch {
-                        let xrow = &xb[i * len..(i + 1) * len];
-                        let base = (o * self.in_ch + i) * self.k;
-                        let wrow = &self.w.data[base..base + self.k];
-                        for (t, &w) in wrow.iter().enumerate() {
-                            let src = l + t;
-                            if src >= half && src - half < len {
-                                acc += w * xrow[src - half];
-                            }
-                        }
-                    }
-                    yb[o * len + l] = acc;
-                }
-            }
-        }
+        let y = self.infer(x);
         self.input = Some(x.clone());
         y
     }
@@ -303,9 +268,8 @@ impl Layer for Conv1d {
 // ReLU
 // ---------------------------------------------------------------------------
 
-/// Inference-only elementwise ReLU, in place (no gradient mask is kept).
-/// Uses the same `max(0.0)` as [`Relu::forward`] so both paths agree
-/// element-wise.
+/// Elementwise ReLU, in place; [`Relu`]'s forward is this plus the gradient
+/// mask.
 pub fn relu_infer_inplace(t: &mut Tensor) {
     for v in &mut t.data {
         *v = v.max(0.0);
@@ -321,10 +285,9 @@ pub struct Relu {
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.mask = x.data.iter().map(|&v| v > 0.0).collect();
-        Tensor {
-            data: x.data.iter().map(|&v| v.max(0.0)).collect(),
-            shape: x.shape.clone(),
-        }
+        let mut y = x.clone();
+        relu_infer_inplace(&mut y);
+        y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -448,49 +411,6 @@ mod tests {
         assert_eq!(y.data, vec![0.0, 2.0, 0.0]);
         let dx = r.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]));
         assert_eq!(dx.data, vec![0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn conv1d_infer_matches_forward_exactly() {
-        let mut c = Conv1d::new(3, 4, 3, 9);
-        for batch in [1usize, 2, 5] {
-            let x = Tensor::xavier(&[batch, 3, 7], 9, 12, batch as u64 + 1);
-            let want = c.forward(&x);
-            let got = c.infer(&x);
-            assert_eq!(got.shape, want.shape);
-            for (g, w) in got.data.iter().zip(&want.data) {
-                assert!((g - w).abs() <= 1e-7, "{g} vs {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn conv1d_infer_handles_kernel_wider_than_column() {
-        // k = 5 on a length-2 column: every tap is partially padded.
-        let mut c = Conv1d::new(2, 2, 5, 4);
-        let x = Tensor::xavier(&[2, 2, 2], 10, 10, 3);
-        let want = c.forward(&x);
-        let got = c.infer(&x);
-        for (g, w) in got.data.iter().zip(&want.data) {
-            assert!((g - w).abs() <= 1e-7, "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn dense_infer_matches_forward_exactly() {
-        let mut d = Dense::new(6, 3, 21);
-        let x = Tensor::xavier(&[4, 6], 6, 3, 2);
-        assert_eq!(d.infer(&x).data, d.forward(&x).data);
-    }
-
-    #[test]
-    fn relu_infer_matches_layer() {
-        let x = Tensor::from_vec(vec![-2.0, -0.0, 0.0, 3.5], &[4]);
-        let mut r = Relu::default();
-        let want = r.forward(&x);
-        let mut got = x.clone();
-        relu_infer_inplace(&mut got);
-        assert_eq!(got.data, want.data);
     }
 
     #[test]

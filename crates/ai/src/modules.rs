@@ -5,6 +5,7 @@
 
 use crate::net::{RadiationMlp, TendencyCnn, TENDENCY_IN_CH, TENDENCY_OUT_CH};
 use crate::tensor::Tensor;
+use crate::train::{EpochStats, Trainer};
 
 /// Per-channel standardisation (mean/std over the training set).
 #[derive(Debug, Clone, PartialEq)]
@@ -154,35 +155,35 @@ impl TendencyModule {
         }
     }
 
-    /// Predict tendencies for a batch of columns.
-    pub fn predict(&mut self, columns: &[ColumnState]) -> Vec<ColumnTendency> {
-        if columns.is_empty() {
-            return Vec::new();
-        }
-        let nlev = self.net.nlev;
-        let b = columns.len();
-        let mut x = Vec::with_capacity(b * TENDENCY_IN_CH * nlev);
-        for col in columns {
-            assert_eq!(col.nlev(), nlev, "column level mismatch");
-            x.extend(self.in_norm.normalize(&col.to_input(), TENDENCY_IN_CH));
-        }
-        let xt = Tensor::from_vec(x, &[b, TENDENCY_IN_CH, nlev]);
-        let y = self.net.forward(&xt);
-        let per = TENDENCY_OUT_CH * nlev;
-        (0..b)
-            .map(|bi| {
-                let raw = self
-                    .out_norm
-                    .denormalize(&y.data[bi * per..(bi + 1) * per], TENDENCY_OUT_CH);
-                ColumnTendency::from_output(&raw, nlev)
-            })
-            .collect()
+    /// Train `net` on supervision pairs in physical units (`inputs[i]`:
+    /// `[5, nlev]` flattened, `targets[i]`: `[4, nlev]`) and wrap it with
+    /// the normalisers fitted to them. Both sets are standardised in place,
+    /// so the caller can go on to [`Trainer::evaluate_cnn`] the returned
+    /// module's `net` on them; the per-epoch statistics are
+    /// [`Trainer::train_cnn`]'s.
+    pub fn fit(
+        mut net: TendencyCnn,
+        inputs: &mut [Vec<f32>],
+        targets: &mut [Vec<f32>],
+        trainer: &Trainer,
+    ) -> (Self, Vec<EpochStats>) {
+        let standardise = |set: &mut [Vec<f32>], channels: usize| {
+            let norm = Normalizer::fit(set, channels);
+            for sample in set.iter_mut() {
+                *sample = norm.normalize(sample, channels);
+            }
+            norm
+        };
+        let in_norm = standardise(inputs, TENDENCY_IN_CH);
+        let out_norm = standardise(targets, TENDENCY_OUT_CH);
+        let stats = trainer.train_cnn(&mut net, inputs, targets);
+        (TendencyModule::new(net, in_norm, out_norm), stats)
     }
 
-    /// [`TendencyModule::predict`] by shared reference: normalisation plus
-    /// one batched inference forward ([`TendencyCnn::forward_batch`]), no
-    /// backward caches touched — safe to call concurrently from many
-    /// serving threads on one warm module.
+    /// Predict tendencies for a batch of columns: normalisation plus one
+    /// batched forward ([`TendencyCnn::forward_batch`]) by shared reference
+    /// — what the coupled model's AI suite and every serving thread call,
+    /// concurrently if they like, on one warm module.
     pub fn predict_batch(&self, columns: &[ColumnState]) -> Vec<ColumnTendency> {
         if columns.is_empty() {
             return Vec::new();
@@ -233,6 +234,24 @@ impl RadiationModule {
         }
     }
 
+    /// The stand-in the coupled model runs: an *untrained* MLP behind fixed
+    /// normalisers — inputs scaled by 1/100, outputs spread around
+    /// 200 ± 100 W/m² shortwave and 350 ± 50 W/m² longwave — so the fluxes
+    /// are plausible in magnitude and carry no skill (ROADMAP item C).
+    pub fn untrained(nlev: usize, width: usize, seed: u64) -> Self {
+        RadiationModule::new(
+            RadiationMlp::with_width(nlev, width, seed),
+            Normalizer {
+                mean: vec![0.0],
+                std: vec![100.0],
+            },
+            Normalizer {
+                mean: vec![200.0, 350.0],
+                std: vec![100.0, 50.0],
+            },
+        )
+    }
+
     /// Input vector: the column profiles plus skin temperature and cosine
     /// solar zenith angle (§5.2.1).
     pub fn build_input(col: &ColumnState, tskin: f64, coszr: f64) -> Vec<f32> {
@@ -242,32 +261,8 @@ impl RadiationModule {
         x
     }
 
-    pub fn predict(&mut self, inputs: &[Vec<f32>]) -> Vec<SurfaceRadiation> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let dim = inputs[0].len();
-        let b = inputs.len();
-        let mut x = Vec::with_capacity(b * dim);
-        for s in inputs {
-            assert_eq!(s.len(), dim);
-            x.extend(self.in_norm.normalize(s, 1));
-        }
-        let xt = Tensor::from_vec(x, &[b, dim]);
-        let y = self.net.forward(&xt);
-        (0..b)
-            .map(|bi| {
-                let raw = self.out_norm.denormalize(&y.data[bi * 2..bi * 2 + 2], 2);
-                SurfaceRadiation {
-                    gsw: raw[0] as f64,
-                    glw: raw[1] as f64,
-                }
-            })
-            .collect()
-    }
-
-    /// [`RadiationModule::predict`] by shared reference (see
-    /// [`TendencyModule::predict_batch`]): the concurrent serving path.
+    /// Surface fluxes for a batch of [`RadiationModule::build_input`]
+    /// vectors, by shared reference (see [`TendencyModule::predict_batch`]).
     pub fn predict_batch(&self, inputs: &[Vec<f32>]) -> Vec<SurfaceRadiation> {
         if inputs.is_empty() {
             return Vec::new();
@@ -347,7 +342,7 @@ mod tests {
             mean: vec![0.0; 4],
             std: vec![1.0; 4],
         };
-        let mut module = TendencyModule::new(net, in_norm, out_norm);
+        let module = TendencyModule::new(net, in_norm, out_norm);
         let col = ColumnState {
             u: vec![1.0; nlev],
             v: vec![0.5; nlev],
@@ -355,7 +350,7 @@ mod tests {
             q: vec![0.01; nlev],
             p: vec![9.0e4; nlev],
         };
-        let out = module.predict(&[col.clone(), col]);
+        let out = module.predict_batch(&[col.clone(), col]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].du.len(), nlev);
         assert_eq!(out[0].dq.len(), nlev);
@@ -376,7 +371,7 @@ mod tests {
             mean: vec![100.0, 300.0],
             std: vec![50.0, 30.0],
         };
-        let mut module = RadiationModule::new(net, in_norm, out_norm);
+        let module = RadiationModule::new(net, in_norm, out_norm);
         let col = ColumnState {
             u: vec![0.0; nlev],
             v: vec![0.0; nlev],
@@ -386,7 +381,7 @@ mod tests {
         };
         let x = RadiationModule::build_input(&col, 290.0, 0.7);
         assert_eq!(x.len(), dim);
-        let out = module.predict(&[x]);
+        let out = module.predict_batch(&[x]);
         assert_eq!(out.len(), 1);
         assert!(out[0].gsw.is_finite() && out[0].glw.is_finite());
     }
@@ -394,7 +389,7 @@ mod tests {
     #[test]
     fn empty_batch_ok() {
         let net = TendencyCnn::with_width(4, 4, 1);
-        let mut module = TendencyModule::new(
+        let module = TendencyModule::new(
             net,
             Normalizer {
                 mean: vec![0.0; 5],
@@ -405,6 +400,6 @@ mod tests {
                 std: vec![1.0; 4],
             },
         );
-        assert!(module.predict(&[]).is_empty());
+        assert!(module.predict_batch(&[]).is_empty());
     }
 }

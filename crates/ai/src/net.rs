@@ -43,8 +43,7 @@ impl ResUnit {
         dx
     }
 
-    /// Inference-only forward (shared reference, batched im2col convs,
-    /// no backward caches).
+    /// `forward` without the record for backward.
     fn infer(&self, x: &Tensor) -> Tensor {
         let mut h = self.conv1.infer(x);
         relu_infer_inplace(&mut h);
@@ -124,11 +123,12 @@ impl TendencyCnn {
         self.conv_in.backward(&g)
     }
 
-    /// Batched inference path for the serving layer: a batch of B columns
-    /// flows through one im2col GEMM per conv layer instead of B per-sample
-    /// loops, by shared reference (no backward caches), so one set of warm
-    /// weights serves many threads concurrently. Agrees element-wise with
-    /// [`TendencyCnn::forward`] — same accumulation order per output.
+    /// The forward the coupled model and the serving layer run: a batch of
+    /// B columns flows through one im2col GEMM per conv layer by shared
+    /// reference, so one set of warm weights serves many threads
+    /// concurrently. [`TendencyCnn::forward`] walks the same layer kernels
+    /// and also records what [`TendencyCnn::backward`] reads, so the two
+    /// agree bit for bit.
     pub fn forward_batch(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape[1], TENDENCY_IN_CH, "expected [B, 5, nlev]");
         assert_eq!(x.shape[2], self.nlev);
@@ -234,9 +234,8 @@ impl RadiationMlp {
         self.output.forward(&h)
     }
 
-    /// Batched inference path (see [`TendencyCnn::forward_batch`]): shared
-    /// reference, no backward caches, element-wise equal to
-    /// [`RadiationMlp::forward`].
+    /// [`RadiationMlp::forward`] by shared reference and without the record
+    /// for backward (see [`TendencyCnn::forward_batch`]); equal bit for bit.
     pub fn forward_batch(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape[1], Self::input_dim(self.nlev));
         let mut h = self.input.infer(x);
@@ -388,10 +387,7 @@ mod tests {
         let x = Tensor::xavier(&[4, 5, 9], 5, 8, 17);
         let want = net.forward(&x);
         let got = net.forward_batch(&x);
-        assert_eq!(got.shape, want.shape);
-        for (g, w) in got.data.iter().zip(&want.data) {
-            assert!((g - w).abs() <= 1e-6, "{g} vs {w}");
-        }
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -400,9 +396,7 @@ mod tests {
         let x = Tensor::xavier(&[5, 32], 32, 16, 23);
         let want = net.forward(&x);
         let got = net.forward_batch(&x);
-        for (g, w) in got.data.iter().zip(&want.data) {
-            assert!((g - w).abs() <= 1e-6, "{g} vs {w}");
-        }
+        assert_eq!(got, want);
     }
 
     #[test]

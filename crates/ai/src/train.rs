@@ -127,7 +127,7 @@ impl Trainer {
     /// MSE of the network over the given sample indices.
     pub fn evaluate_cnn(
         &self,
-        net: &mut TendencyCnn,
+        net: &TendencyCnn,
         inputs: &[Vec<f32>],
         targets: &[Vec<f32>],
         idx: &[usize],
@@ -139,7 +139,7 @@ impl Trainer {
         let mut total = 0.0;
         for chunk in idx.chunks(self.config.batch_size) {
             let (x, y) = Self::collect_batch(inputs, targets, chunk, nlev);
-            let pred = net.forward(&x);
+            let pred = net.forward_batch(&x);
             total += pred.mse(&y) * chunk.len() as f32;
         }
         total / idx.len() as f32

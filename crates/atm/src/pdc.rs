@@ -6,6 +6,8 @@
 //! `AiSuite` runs the trained CNN tendency module and MLP radiation module
 //! (plus the conventional diagnostic module for precipitation — the paper's
 //! suite keeps a "conventional physics diagnostic module" too).
+//! [`supervision_pair`] is the same boundary read the other way: what the AI
+//! suite is trained on is what the conventional suite answers here.
 //!
 //! The conventional arm is a column phase on the coupler's execution space
 //! (columns are independent: each reads and writes its own cell) followed by
@@ -59,6 +61,34 @@ pub enum PhysicsDriver {
         /// Conventional diagnostics retained alongside the AI modules.
         diagnostics: ConventionalSuite,
     },
+}
+
+/// The five profiles of a physics column the AI suite reads.
+fn column_state(col: Column) -> ColumnState {
+    ColumnState {
+        u: col.u,
+        v: col.v,
+        t: col.t,
+        q: col.q,
+        p: col.p,
+    }
+}
+
+/// One training pair tapped at this boundary, as the FP32 the networks
+/// train in: the column as the AI suite would be handed it (`[5, nlev]`,
+/// [`ColumnState::to_input`]'s layout) and the conventional suite's answer
+/// for it (`[4, nlev]`: du, dv, dt, dq per second).
+pub fn supervision_pair(
+    suite: &ConventionalSuite,
+    col: Column,
+    sfc: &SurfaceProperties,
+) -> (Vec<f32>, Vec<f32>) {
+    let out = suite.step_column(&col, sfc);
+    let target = [&out.du, &out.dv, &out.dt, &out.dq]
+        .into_iter()
+        .flat_map(|c| c.iter().map(|&v| v as f32))
+        .collect();
+    (column_state(col).to_input(), target)
 }
 
 /// One column of input, output and suite scratch, reused for every cell a
@@ -303,20 +333,19 @@ impl PhysicsDynamicsCoupler {
                 diagnostics,
             } => {
                 // Batch the whole grid through the networks (the "highly
-                // efficient tensor kernels" path of §5.2.1).
+                // efficient tensor kernels" path of §5.2.1): `predict_batch`
+                // is the forward the serving tier runs, one GEMM per conv
+                // layer over all n columns.
+                //
+                // What this arm does not do (ROADMAP item C): the predicted
+                // du / dv are clamped below and then dropped — no momentum
+                // tendency reaches `un`, unlike the conventional arm's drag
+                // scatter — and the radiation module the coupled model
+                // builds is `RadiationModule::untrained`.
                 let columns: Vec<ColumnState> = (0..n)
-                    .map(|i| {
-                        let col = Profiles::of(state, cell_vectors).column(i);
-                        ColumnState {
-                            u: col.u,
-                            v: col.v,
-                            t: col.t,
-                            q: col.q,
-                            p: col.p,
-                        }
-                    })
+                    .map(|i| column_state(Profiles::of(state, cell_vectors).column(i)))
                     .collect();
-                let mut tends = tendency.predict(&columns);
+                let mut tends = tendency.predict_batch(&columns);
                 // Tendency limiter: out-of-distribution columns can make a
                 // network extrapolate wildly; GRIST-style physics limiting
                 // caps tendencies at strong-but-physical magnitudes
@@ -342,7 +371,7 @@ impl PhysicsDynamicsCoupler {
                         RadiationModule::build_input(c, forcing.tskin[i], forcing.coszr[i])
                     })
                     .collect();
-                let rads = radiation.predict(&rad_inputs);
+                let rads = radiation.predict_batch(&rad_inputs);
                 for i in 0..n {
                     for k in 0..nlev {
                         let idx = k * n + i;
@@ -409,6 +438,32 @@ mod tests {
         let mut pdc =
             PhysicsDynamicsCoupler::new(PhysicsDriver::Conventional(ConventionalSuite::default()));
         pdc.apply(&mut state, &forcing, 600.0);
+    }
+
+    #[test]
+    fn supervision_pair_is_the_ai_input_and_the_conventional_answer() {
+        let nlev = 6;
+        let suite = ConventionalSuite::default();
+        let grid = Arc::new(GeodesicGrid::new(1));
+        let state = AtmState::isothermal(Arc::clone(&grid), nlev, 288.0);
+        let winds = vec![(3.0, -1.0); state.ncells()];
+        let col = Profiles::of(&state, &winds).column(0);
+        let sfc = SurfaceProperties {
+            tskin: 299.0,
+            coszr: 0.5,
+            wetness: 1.0,
+        };
+        let out = suite.step_column(&col, &sfc);
+        let (x, y) = supervision_pair(&suite, col.clone(), &sfc);
+        assert_eq!(x, column_state(col).to_input());
+        assert_eq!(x.len(), 5 * nlev);
+        // Channel-major like `ColumnTendency::from_output` reads it back.
+        let back = ap3esm_ai::modules::ColumnTendency::from_output(&y, nlev);
+        for (got, want) in [(&back.du, &out.du), (&back.dt, &out.dt), (&back.dq, &out.dq)] {
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!(*g, f64::from(*w as f32));
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! training:test partition", "three random time steps per day as a
 //! validation subset".
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use ap3esm_ai::modules::Normalizer;
 use ap3esm_ai::net::TendencyCnn;
 use ap3esm_ai::train::{train_test_split, validation_steps, TrainConfig, Trainer};
+use ap3esm_ai::TendencyModule;
+use ap3esm_atm::pdc::supervision_pair;
 use ap3esm_bench::{banner, write_csv};
 use ap3esm_physics::suite::{hydrostatic_thickness, Column, ConventionalSuite, SurfaceProperties};
 
@@ -58,41 +60,23 @@ fn generate_dataset(
             let col = Column {
                 u: vec![u0; nlev],
                 v: vec![v0; nlev],
-                t: t.clone(),
-                q: q.clone(),
-                p: p.clone(),
+                t,
+                q,
+                p,
                 dp,
                 dz,
             };
-            let out = suite.step_column(
-                &col,
-                &SurfaceProperties {
-                    tskin: t_surf + 2.0,
-                    coszr,
-                    wetness: 1.0,
-                },
-            );
-            let mut x = Vec::with_capacity(5 * nlev);
-            for src in [&col.u, &col.v, &col.t, &col.q, &col.p] {
-                x.extend(src.iter().map(|&v| v as f32));
-            }
-            let mut y = Vec::with_capacity(4 * nlev);
-            for src in [&out.du, &out.dv, &out.dt, &out.dq] {
-                y.extend(src.iter().map(|&v| v as f32));
-            }
+            let sfc = SurfaceProperties {
+                tskin: t_surf + 2.0,
+                coszr,
+                wetness: 1.0,
+            };
+            let (x, y) = supervision_pair(&suite, col, &sfc);
             inputs.push(x);
             targets.push(y);
         }
     }
     (inputs, targets)
-}
-
-fn normalize_set(data: &mut [Vec<f32>], channels: usize) -> Normalizer {
-    let norm = Normalizer::fit(data, channels);
-    for sample in data.iter_mut() {
-        *sample = norm.normalize(sample, channels);
-    }
-    norm
 }
 
 fn main() {
@@ -102,8 +86,6 @@ fn main() {
     let steps_per_day = 4;
     println!("\ngenerating supervision: {days} days × {steps_per_day} steps…");
     let (mut inputs, mut targets) = generate_dataset(nlev, days, steps_per_day);
-    let _in_norm = normalize_set(&mut inputs, 5);
-    let _out_norm = normalize_set(&mut targets, 4);
 
     let (train_idx, test_idx) = train_test_split(inputs.len());
     let val = validation_steps(days, steps_per_day, 3.min(steps_per_day), 42);
@@ -115,7 +97,7 @@ fn main() {
         val.len()
     );
 
-    let mut net = TendencyCnn::with_width(nlev, 24, 7);
+    let net = TendencyCnn::with_width(nlev, 24, 7);
     println!(
         "CNN: {} conv layers, {} ResUnits, {} parameters (paper-size net has {})",
         net.conv_layers(),
@@ -129,7 +111,7 @@ fn main() {
         lr: 2e-3,
     });
     let t0 = Instant::now();
-    let stats = trainer.train_cnn(&mut net, &inputs, &targets);
+    let (module, stats) = TendencyModule::fit(net, &mut inputs, &mut targets, &trainer);
     let train_time = t0.elapsed().as_secs_f64();
 
     println!("\n{:>6} {:>12} {:>12}", "epoch", "train MSE", "test MSE");
@@ -148,7 +130,7 @@ fn main() {
         last.train_mse,
         100.0 * last.train_mse / first.train_mse
     );
-    let val_mse = trainer.evaluate_cnn(&mut net, &inputs, &targets, &val);
+    let val_mse = trainer.evaluate_cnn(&module.net, &inputs, &targets, &val);
     println!("validation-steps MSE: {val_mse:.5}");
 
     // Cost comparison: conventional suite vs trained CNN, per column.
@@ -171,17 +153,18 @@ fn main() {
     let reps = 2000;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let _ = suite.step_column(
-            &col,
+        black_box(suite.step_column(
+            black_box(&col),
             &SurfaceProperties {
                 tskin: 295.0,
                 coszr: 0.5,
                 wetness: 1.0,
             },
-        );
+        ));
     }
     let conv_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-    // CNN batched inference amortises the launch (the tensor-kernel gain).
+    // One batched forward over 256 columns: what the coupled model's AI
+    // suite and the serving tier run (the tensor-kernel gain).
     let batch = 256;
     let x = ap3esm_ai::tensor::Tensor::from_vec(
         inputs[0].iter().cycle().take(batch * 5 * nlev).copied().collect(),
@@ -190,7 +173,7 @@ fn main() {
     let t0 = Instant::now();
     let inf_reps = 10;
     for _ in 0..inf_reps {
-        let _ = net.forward(&x);
+        black_box(module.net.forward_batch(black_box(&x)));
     }
     let ai_us = t0.elapsed().as_secs_f64() * 1e6 / (inf_reps * batch) as f64;
     println!("\nper-column cost: conventional {conv_us:.1} µs, AI (batched) {ai_us:.1} µs");

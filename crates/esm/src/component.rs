@@ -108,9 +108,10 @@ pub fn fitted_ocn_config(config: &CoupledConfig, period: f64) -> OcnConfig {
 /// training pass over conventional-physics supervision (our stand-in for
 /// loading the paper's pre-trained 5-km weights; DESIGN.md substitution).
 fn build_ai_driver(nlev: usize) -> PhysicsDriver {
-    use ap3esm_ai::modules::{Normalizer, RadiationModule, TendencyModule};
-    use ap3esm_ai::net::{RadiationMlp, TendencyCnn};
+    use ap3esm_ai::net::TendencyCnn;
     use ap3esm_ai::train::{TrainConfig, Trainer};
+    use ap3esm_ai::{RadiationModule, TendencyModule};
+    use ap3esm_atm::pdc::supervision_pair;
     use ap3esm_physics::suite::{hydrostatic_thickness, Column, SurfaceProperties};
 
     let suite = ConventionalSuite::default();
@@ -118,74 +119,48 @@ fn build_ai_driver(nlev: usize) -> PhysicsDriver {
         .map(|k| 1.0 - (k as f64 + 0.5) / nlev as f64)
         .collect();
     let ds = vec![1.0 / nlev as f64; nlev];
-    let mut inputs = Vec::new();
-    let mut targets = Vec::new();
-    for s in 0..240 {
-        let t_surf = 278.0 + 24.0 * ((s as f64) * 0.41).sin().abs();
-        let t: Vec<f64> = (0..nlev)
-            .map(|k| t_surf - (50.0 / nlev as f64) * k as f64)
-            .collect();
-        let (p, dp, dz) = hydrostatic_thickness(&sigma, &ds, 1.0e5, &t);
-        let q: Vec<f64> = (0..nlev)
-            .map(|k| 0.012 * (-1.5 * k as f64 / nlev as f64).exp())
-            .collect();
-        let col = Column {
-            u: vec![6.0 * ((s % 7) as f64 - 3.0); nlev],
-            v: vec![0.0; nlev],
-            t: t.clone(),
-            q: q.clone(),
-            p: p.clone(),
-            dp,
-            dz,
-        };
-        let out = suite.step_column(
-            &col,
-            &SurfaceProperties {
+    let (mut inputs, mut targets): (Vec<_>, Vec<_>) = (0..240)
+        .map(|s| {
+            let t_surf = 278.0 + 24.0 * ((s as f64) * 0.41).sin().abs();
+            let t: Vec<f64> = (0..nlev)
+                .map(|k| t_surf - (50.0 / nlev as f64) * k as f64)
+                .collect();
+            let (p, dp, dz) = hydrostatic_thickness(&sigma, &ds, 1.0e5, &t);
+            let q: Vec<f64> = (0..nlev)
+                .map(|k| 0.012 * (-1.5 * k as f64 / nlev as f64).exp())
+                .collect();
+            let col = Column {
+                u: vec![6.0 * ((s % 7) as f64 - 3.0); nlev],
+                v: vec![0.0; nlev],
+                t,
+                q,
+                p,
+                dp,
+                dz,
+            };
+            let sfc = SurfaceProperties {
                 tskin: t_surf + 1.0,
                 coszr: 0.25 * (s % 4) as f64,
                 wetness: 1.0,
-            },
-        );
-        let mut x = Vec::new();
-        for src in [&col.u, &col.v, &col.t, &col.q, &col.p] {
-            x.extend(src.iter().map(|&v| v as f32));
-        }
-        let mut y = Vec::new();
-        for src in [&out.du, &out.dv, &out.dt, &out.dq] {
-            y.extend(src.iter().map(|&v| v as f32));
-        }
-        inputs.push(x);
-        targets.push(y);
-    }
-    let in_norm = Normalizer::fit(&inputs, 5);
-    let out_norm = Normalizer::fit(&targets, 4);
-    for s in inputs.iter_mut() {
-        *s = in_norm.normalize(s, 5);
-    }
-    for s in targets.iter_mut() {
-        *s = out_norm.normalize(s, 4);
-    }
-    let mut net = TendencyCnn::with_width(nlev, 12, 11);
+            };
+            supervision_pair(&suite, col, &sfc)
+        })
+        .unzip();
     let trainer = Trainer::new(TrainConfig {
         epochs: 6,
         batch_size: 16,
         lr: 2e-3,
     });
-    trainer.train_cnn(&mut net, &inputs, &targets);
+    let (tendency, _) = TendencyModule::fit(
+        TendencyCnn::with_width(nlev, 12, 11),
+        &mut inputs,
+        &mut targets,
+        &trainer,
+    );
     PhysicsDriver::AiSuite {
-        tendency: TendencyModule::new(net, in_norm, out_norm),
-        radiation: RadiationModule::new(
-            RadiationMlp::with_width(nlev, 24, 13),
-            Normalizer {
-                mean: vec![0.0],
-                std: vec![100.0],
-            },
-            Normalizer {
-                mean: vec![200.0, 350.0],
-                std: vec![100.0, 50.0],
-            },
-        ),
-        diagnostics: ConventionalSuite::default(),
+        tendency,
+        radiation: RadiationModule::untrained(nlev, 24, 13),
+        diagnostics: suite,
     }
 }
 

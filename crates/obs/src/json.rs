@@ -34,11 +34,13 @@ impl Json {
     }
 
     /// Parse a JSON document. Numbers come back as `Num(f64)` (ample for
-    /// report/trace introspection); errors carry the byte offset.
+    /// report/trace introspection); errors carry the byte offset. Containers
+    /// nesting deeper than 128 are an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -140,9 +142,16 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, so an unbounded `[[[[…` from a damaged or hostile file
+/// would overflow the stack; the repo's own artifacts nest under ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -180,8 +189,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
@@ -189,6 +198,19 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -380,6 +402,16 @@ mod tests {
         let mut o = Json::obj();
         o.set("s", "a\"b\\c\nd".into()).set("nan", Json::Num(f64::NAN));
         assert_eq!(o.to_string(), r#"{"s":"a\"b\\c\nd","nan":null}"#);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Found by tests/parser_fuzz.rs: one `[` of a report repeated 2¹⁷ times.
+        assert!(Json::parse(&"[{\"a\":".repeat(1 << 17)).is_err());
     }
 
     #[test]

@@ -61,6 +61,21 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
+/// A label value as it goes between the quotes: `\\`, `\"` and `\n` are the
+/// three escapes the format has (and [`parse`] undoes).
+fn escape_label(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Render the registry (and the latest bucket of every series tier, when a
 /// store is given) as OpenMetrics text.
 pub fn render(metrics: &Metrics, store: Option<&SeriesStore>) -> String {
@@ -112,7 +127,7 @@ pub fn render(metrics: &Metrics, store: Option<&SeriesStore>) -> String {
                         }
                         out.push_str(&format!(
                             "ap3esm_series{{name=\"{}\",tier=\"{}\",agg=\"{}\"}} {}\n",
-                            s.name,
+                            escape_label(&s.name),
                             factor,
                             agg,
                             fmt_value(v)
@@ -484,6 +499,17 @@ mod tests {
         assert!(text.contains("ap3esm_series{name=\"sim.sypd\",tier=\"10\",agg=\"mean\"}"));
         // Raw tier emits only the last sample, not min/max/mean.
         assert!(!text.contains("tier=\"1\",agg=\"min\""));
+    }
+
+    #[test]
+    fn series_name_with_quote_backslash_newline_round_trips() {
+        // Found by tests/parser_fuzz.rs: the name went between the quotes
+        // as it was, and the scrape it produced did not parse.
+        let name = "odd \"name\"\\with\nescapes";
+        let store = SeriesStore::new(8);
+        store.record_at(name, 0.0, 1.5);
+        let families = parse(&render(&Metrics::default(), Some(&store))).expect("parses");
+        assert_eq!(families[0].samples[0].labels[0], ("name".to_string(), name.to_string()));
     }
 
     #[test]

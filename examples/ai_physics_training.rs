@@ -9,10 +9,10 @@
 
 use ap3esm::obs;
 use ap3esm::prelude::*;
-use ap3esm_ai::modules::{Normalizer, RadiationModule, TendencyModule};
-use ap3esm_ai::net::{RadiationMlp, TendencyCnn};
+use ap3esm_ai::net::TendencyCnn;
 use ap3esm_ai::train::{TrainConfig, Trainer};
-use ap3esm_atm::pdc::{PhysicsDriver, PhysicsDynamicsCoupler, SurfaceForcing};
+use ap3esm_ai::{RadiationModule, TendencyModule};
+use ap3esm_atm::pdc::{supervision_pair, PhysicsDriver, PhysicsDynamicsCoupler, SurfaceForcing};
 use ap3esm_atm::state::AtmState;
 use ap3esm_physics::suite::{hydrostatic_thickness, Column, ConventionalSuite, SurfaceProperties};
 use std::sync::Arc;
@@ -61,46 +61,29 @@ fn main() {
     let suite = ConventionalSuite::default();
     let sigma: Vec<f64> = (0..nlev).map(|k| 1.0 - (k as f64 + 0.5) / nlev as f64).collect();
     let ds = vec![1.0 / nlev as f64; nlev];
-    let mut inputs = Vec::new();
-    let mut targets = Vec::new();
-    for s in 0..400 {
-        let t_surf = 280.0 + 20.0 * ((s as f64) * 0.37).sin().abs();
-        let t: Vec<f64> = (0..nlev).map(|k| t_surf - 6.0 * k as f64).collect();
-        let (p, dp, dz) = hydrostatic_thickness(&sigma, &ds, 1.0e5, &t);
-        let q: Vec<f64> = (0..nlev).map(|k| 0.012 * (-0.5 * k as f64).exp()).collect();
-        let col = Column { u: vec![4.0; nlev], v: vec![0.0; nlev], t: t.clone(), q: q.clone(), p: p.clone(), dp, dz };
-        let out = suite.step_column(&col, &SurfaceProperties { tskin: t_surf + 1.5, coszr: 0.5, wetness: 1.0 });
-        let mut x = Vec::new();
-        for src in [&col.u, &col.v, &col.t, &col.q, &col.p] {
-            x.extend(src.iter().map(|&v| v as f32));
-        }
-        let mut y = Vec::new();
-        for src in [&out.du, &out.dv, &out.dt, &out.dq] {
-            y.extend(src.iter().map(|&v| v as f32));
-        }
-        inputs.push(x);
-        targets.push(y);
-    }
-    let in_norm = Normalizer::fit(&inputs, 5);
-    let out_norm = Normalizer::fit(&targets, 4);
-    for s in inputs.iter_mut() {
-        *s = in_norm.normalize(s, 5);
-    }
-    for s in targets.iter_mut() {
-        *s = out_norm.normalize(s, 4);
-    }
+    let (mut inputs, mut targets): (Vec<_>, Vec<_>) = (0..400)
+        .map(|s| {
+            let t_surf = 280.0 + 20.0 * ((s as f64) * 0.37).sin().abs();
+            let t: Vec<f64> = (0..nlev).map(|k| t_surf - 6.0 * k as f64).collect();
+            let (p, dp, dz) = hydrostatic_thickness(&sigma, &ds, 1.0e5, &t);
+            let q: Vec<f64> = (0..nlev).map(|k| 0.012 * (-0.5 * k as f64).exp()).collect();
+            let col = Column { u: vec![4.0; nlev], v: vec![0.0; nlev], t, q, p, dp, dz };
+            let sfc = SurfaceProperties { tskin: t_surf + 1.5, coszr: 0.5, wetness: 1.0 };
+            supervision_pair(&suite, col, &sfc)
+        })
+        .unzip();
     obs::counter_add("ai.samples", inputs.len() as u64);
     drop(supervision_span);
 
     // ---- 2. Train the tendency CNN. -------------------------------------
     let training_span = obs::span("ai.train");
-    let mut net = TendencyCnn::with_width(nlev, 16, 3);
+    let net = TendencyCnn::with_width(nlev, 16, 3);
     println!(
         "training tendency CNN ({} conv layers, {} ResUnits, {} params)…",
         net.conv_layers(), net.res_units(), net.num_parameters()
     );
     let trainer = Trainer::new(TrainConfig { epochs: 10, batch_size: 16, lr: 2e-3 });
-    let stats = trainer.train_cnn(&mut net, &inputs, &targets);
+    let (tendency, stats) = TendencyModule::fit(net, &mut inputs, &mut targets, &trainer);
     for s in stats.iter().step_by(3) {
         println!("  epoch {:>2}: train MSE {:.4}, test MSE {:.4}", s.epoch, s.train_mse, s.test_mse);
     }
@@ -127,16 +110,10 @@ fn main() {
             }
         }
     }
-    let tendency = TendencyModule::new(net, in_norm, out_norm);
-    let radiation = RadiationModule::new(
-        RadiationMlp::with_width(nlev, 16, 5),
-        Normalizer { mean: vec![0.0], std: vec![100.0] },
-        Normalizer { mean: vec![200.0, 350.0], std: vec![100.0, 50.0] },
-    );
     let mut pdc = PhysicsDynamicsCoupler::new(PhysicsDriver::AiSuite {
         tendency,
-        radiation,
-        diagnostics: ConventionalSuite::default(),
+        radiation: RadiationModule::untrained(nlev, 16, 5),
+        diagnostics: suite,
     });
     println!("\nrunning the atmosphere with the AI suite (is_ai = {})…", pdc.is_ai());
     let forcing = SurfaceForcing::uniform(grid.ncells(), 299.0, 0.6, 1.0);
