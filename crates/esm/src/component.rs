@@ -180,13 +180,30 @@ fn lanes_per_rank() -> usize {
     (cores / ap3esm_comm::live_rank_threads().max(1)).max(1)
 }
 
+/// A team of `lanes` (one lane: the calling thread alone, nothing spawned).
+fn team_of(lanes: usize) -> Arc<dyn ExecSpace> {
+    if lanes > 1 {
+        Arc::new(Threads::new(lanes))
+    } else {
+        Arc::new(Serial)
+    }
+}
+
+/// The team of a rank built now ([`lanes_per_rank`] lanes): one for all the
+/// components the rank holds. They take turns on the rank's thread, so one
+/// set of workers serves them all, and a second set would spin on the cores
+/// the first needs every time the turn passes.
+pub(crate) fn rank_team() -> Arc<dyn ExecSpace> {
+    team_of(lanes_per_rank())
+}
+
 /// The GRIST-analogue atmosphere: dycore + physics on the geodesic grid.
 pub struct Atm {
     pub state: AtmState,
     dycore: Dycore,
     pdc: PhysicsDynamicsCoupler,
-    /// Lanes the dycore phases and the physics columns run on.
-    lanes: usize,
+    /// Where the dycore phases and the physics columns run.
+    space: Arc<dyn ExecSpace>,
     forcing: SurfaceForcing,
     guard: AtmGuard,
     /// Precipitation rate over the last `run` (kg/m²/s); during a `run` it
@@ -198,7 +215,8 @@ pub struct Atm {
 impl Atm {
     /// Cold start: isothermal with a meridional structure so the
     /// circulation is not degenerate (warm tropics, cold poles), then the
-    /// options' vortices and θ noise. Stepping is fitted to `period`.
+    /// options' vortices and θ noise. Stepping is fitted to `period`, on one
+    /// lane until a team is attached with [`Atm::on`].
     pub fn new(
         grid: Arc<GeodesicGrid>,
         config: &CoupledConfig,
@@ -235,32 +253,34 @@ impl Atm {
             state,
             dycore,
             pdc,
-            lanes: 1,
+            space: Arc::new(Serial),
             forcing: SurfaceForcing::uniform(n, 288.0, 0.0, 1.0),
             guard,
             precip_rate: vec![0.0; n],
             tracking: opts.record_track && opts.vortex.is_some(),
         }
-        .with_lanes(lanes_per_rank())
     }
 
-    /// Step on a team of `lanes` (one lane: the calling thread alone). The
-    /// answer does not depend on it, bit for bit.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        let space: Arc<dyn ExecSpace> = if lanes > 1 {
-            Arc::new(Threads::new(lanes))
-        } else {
-            Arc::new(Serial)
-        };
-        self.lanes = space.concurrency();
+    /// Step on `space`. The answer does not depend on it, bit for bit.
+    pub fn on(mut self, space: Arc<dyn ExecSpace>) -> Self {
         self.dycore = self.dycore.on(Arc::clone(&space));
-        self.pdc = self.pdc.on(space);
-        ap3esm_obs::gauge_set("atm.lanes", self.lanes as f64);
+        self.pdc = self.pdc.on(Arc::clone(&space));
+        self.space = space;
         self
     }
 
+    /// Step on a fresh team of `lanes` (tests: any count, whatever the box).
+    pub fn with_lanes(self, lanes: usize) -> Self {
+        self.on(team_of(lanes))
+    }
+
+    /// The space the dycore phases and the physics columns run on.
+    pub fn space(&self) -> &Arc<dyn ExecSpace> {
+        &self.space
+    }
+
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.space.concurrency()
     }
 }
 
@@ -340,6 +360,8 @@ pub struct Ocn {
 }
 
 impl Ocn {
+    /// The ocean of block `ocn_rank`, stepping on one lane until a team is
+    /// attached with [`Ocn::on`].
     pub fn new(grid: &TripolarGrid, config: OcnConfig, ocn_rank: usize) -> Self {
         let dt_barotropic = config.dt_baroclinic / config.n_barotropic.max(1) as f64;
         let model = OcnModel::new(grid, config, ocn_rank);
@@ -351,6 +373,26 @@ impl Ocn {
             guard,
             ocn_rank,
         }
+    }
+
+    /// Step on `space`. The answer does not depend on it, bit for bit.
+    pub fn on(mut self, space: Arc<dyn ExecSpace>) -> Self {
+        self.model = self.model.on(space);
+        self
+    }
+
+    /// Step on a fresh team of `lanes` (tests: any count, whatever the box).
+    pub fn with_lanes(self, lanes: usize) -> Self {
+        self.on(team_of(lanes))
+    }
+
+    /// The space the phases of an ocean step run on.
+    pub fn space(&self) -> &Arc<dyn ExecSpace> {
+        self.model.space()
+    }
+
+    pub fn lanes(&self) -> usize {
+        self.space().concurrency()
     }
 
     /// Add an SST anomaly pattern and/or seeded noise to the *true*

@@ -288,9 +288,9 @@ pub struct CoupledStats {
     /// Where the flight-recorder diagnostics bundle was written (rank 0,
     /// when the recorder was on and the run ended in trouble).
     pub bundle_path: Option<std::path::PathBuf>,
-    /// Lanes this rank's atmosphere stepped on (0 on a rank without one);
-    /// the `atm.lanes` gauge of the run report.
-    pub atm_lanes: usize,
+    /// Lanes of this rank's team, which its atmosphere and its ocean step on
+    /// (1: the rank thread alone); the `rank.lanes` gauge of the run report.
+    pub lanes: usize,
 }
 
 /// Per-generation pacing state of the live heartbeat and the continuous
@@ -409,7 +409,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
     // session and the recovery budgets persist.
     'world: loop {
         let mut cpl = Coupler::build(rank, config, opts, &ocn_grid, Parts::of_rank(rank, config));
-        run.stats.atm_lanes = cpl.atm.as_ref().map_or(0, |atm| atm.lanes());
+        run.stats.lanes = cpl.lanes();
         let mut pulse = Pulse::new();
         if let Some(dir) = pending_restore.take() {
             resume(rank, &mut cpl, &mut run.stats, &dir);

@@ -34,7 +34,7 @@ use ap3esm_io::IoError;
 use ap3esm_physics::constants::STEFAN_BOLTZMANN;
 use ap3esm_physics::surface::{bulk_fluxes, BulkCoefficients};
 
-use crate::component::{fitted_ocn_config, Atm, Component, Ice, Lnd, Ocn};
+use crate::component::{fitted_ocn_config, rank_team, Atm, Component, Ice, Lnd, Ocn};
 use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, CoupledStats};
 use crate::resilience::HealthVerdict;
@@ -336,9 +336,13 @@ impl Coupler {
         let grid = parts
             .atm
             .then(|| Arc::new(GeodesicGrid::new(config.atm_glevel)));
+        // One team for the rank — its atmosphere and its ocean take turns —
+        // made for the first of them the rank holds.
+        let mut team = None;
+        let mut team = move || Arc::clone(team.get_or_insert_with(rank_team));
         let atm = grid.as_ref().map(|g| {
             let period = clock.atm_alarm.period as f64;
-            Atm::new(Arc::clone(g), config, opts, period)
+            Atm::new(Arc::clone(g), config, opts, period).on(team())
         });
         // Land on atmosphere cells, same synthetic continents.
         let land = grid
@@ -356,7 +360,7 @@ impl Coupler {
             // world rank 1 unless everything runs on rank 0.
             c.rank_offset = usize::from(!config.single_domain);
             let ocn_rank = rank.id() - c.rank_offset;
-            Ocn::new(ocn_grid, c, ocn_rank)
+            Ocn::new(ocn_grid, c, ocn_rank).on(team())
         });
         let surface = match (&grid, land, &ice) {
             (Some(g), Some(land), Some(_)) => Some(Surface::new(Arc::clone(g), ocn_grid, land)),
@@ -364,6 +368,7 @@ impl Coupler {
         };
         let atm_cells = grid.map_or(0, |g| g.ncells());
         let mut cpl = Coupler::assemble(rank, config, ocn_grid, atm_cells, (atm, ocn, ice, lnd));
+        ap3esm_obs::gauge_set("rank.lanes", cpl.lanes() as f64);
         cpl.surface = surface;
         // The coupler's initial SST boundary state: the ocean's analytic
         // cold start, plus the options' anomaly pattern.
@@ -378,6 +383,13 @@ impl Coupler {
             sfc.remap_sst(&cpl.o2x, &cpl.ocn_valid);
         }
         cpl
+    }
+
+    /// Lanes of this rank's team: what its atmosphere and its ocean step on
+    /// (1 on a rank that holds neither).
+    pub fn lanes(&self) -> usize {
+        let atm = self.atm.as_ref().map(Atm::lanes);
+        atm.or(self.ocn.as_ref().map(Ocn::lanes)).unwrap_or(1)
     }
 }
 

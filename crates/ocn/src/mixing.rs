@@ -49,7 +49,7 @@ impl CanutoMixing {
     ///
     /// One right-hand side through [`CanutoMixing::factor`] +
     /// [`CanutoMixing::solve`]; callers with several fields on the same
-    /// column factor once and solve per field.
+    /// column factor once and solve them together.
     pub fn diffuse_implicit(
         &self,
         x: &mut [f64],
@@ -64,7 +64,7 @@ impl CanutoMixing {
         }
         let mut factors = TridiagFactors::default();
         self.factor(dz, k_int, dt, &mut factors);
-        self.solve(&factors, x, surface_flux);
+        self.solve(&factors, x.as_chunks_mut::<1>().0, [surface_flux]);
     }
 
     /// Build `(I − dt·D)` for a column of `dz.len() ≥ 1` cells and run the
@@ -102,9 +102,17 @@ impl CanutoMixing {
         }
     }
 
-    /// Solve the factored system in place for one field: `x` holds `xⁿ` on
-    /// entry and `xⁿ⁺¹` on return.
-    pub fn solve(&self, factors: &TridiagFactors, x: &mut [f64], surface_flux: f64) {
+    /// Solve the factored system in place for `F` fields of the column at
+    /// once: `x[k][f]` holds field `f` at level `k`, `xⁿ` on entry and
+    /// `xⁿ⁺¹` on return. The fields do not mix — each goes through the
+    /// operations of a solve on its own, in the same order — so the answer
+    /// for a field does not depend on which others it is solved beside.
+    pub fn solve<const F: usize>(
+        &self,
+        factors: &TridiagFactors,
+        x: &mut [[f64; F]],
+        surface_flux: [f64; F],
+    ) {
         let TridiagFactors {
             m,
             b,
@@ -114,13 +122,23 @@ impl CanutoMixing {
         } = factors;
         let n = b.len();
         assert_eq!(x.len(), n);
-        x[0] += dt * surface_flux / top_dz;
-        for k in 1..n {
-            x[k] -= m[k] * x[k - 1];
+        for (x, flux) in x[0].iter_mut().zip(surface_flux) {
+            *x += dt * flux / top_dz;
         }
-        x[n - 1] /= b[n - 1];
+        for k in 1..n {
+            let above = x[k - 1];
+            for (x, above) in x[k].iter_mut().zip(above) {
+                *x -= m[k] * above;
+            }
+        }
+        for x in &mut x[n - 1] {
+            *x /= b[n - 1];
+        }
         for k in (0..n - 1).rev() {
-            x[k] = (x[k] - c[k] * x[k + 1]) / b[k];
+            let below = x[k + 1];
+            for (x, below) in x[k].iter_mut().zip(below) {
+                *x = (*x - c[k] * below) / b[k];
+            }
         }
     }
 }
@@ -293,18 +311,25 @@ mod tests {
                     .collect();
 
                 m.factor(&dz, &k_int, dt, &mut factors);
-                for (x, flux) in &fields {
+                // All four side by side, as the model solves a column.
+                let mut together: Vec<[f64; 4]> = (0..n)
+                    .map(|k| std::array::from_fn(|f| fields[f].0[k]))
+                    .collect();
+                m.solve(
+                    &factors,
+                    &mut together,
+                    std::array::from_fn(|f| fields[f].1),
+                );
+                for (f, (x, flux)) in fields.iter().enumerate() {
                     let mut expect = x.clone();
                     parent_diffuse_implicit(&mut expect, &dz, &k_int, dt, *flux);
-                    let mut split = x.clone();
-                    m.solve(&factors, &mut split, *flux);
                     let mut wrapped = x.clone();
                     m.diffuse_implicit(&mut wrapped, &dz, &k_int, dt, *flux);
                     for k in 0..n {
                         assert_eq!(
-                            split[k].to_bits(),
+                            together[k][f].to_bits(),
                             expect[k].to_bits(),
-                            "n = {n}, level {k}"
+                            "n = {n}, field {f}, level {k}"
                         );
                         assert_eq!(
                             wrapped[k].to_bits(),

@@ -1,10 +1,14 @@
 //! The ocean model driver: split time stepping, halo exchange, masking and
 //! the point-exclusion loop path.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use ap3esm_comm::{CommError, HaloExchange, Rank};
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_physics::constants::CP_SEAWATER;
+use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
 
 use crate::eos::density;
 use crate::mixing::{CanutoMixing, TridiagFactors};
@@ -109,79 +113,81 @@ struct OcnWorkspace {
     eta: Vec<f64>,
     ubar: Vec<f64>,
     vbar: Vec<f64>,
-    /// Start-of-step `u, v, T, S` for neighbor reads, flat `nlev × slab`.
-    u_old: Vec<f64>,
-    v_old: Vec<f64>,
-    t_old: Vec<f64>,
-    s_old: Vec<f64>,
-    /// Baroclinic pressure / ρ0, flat `nlev × slab`.
+    /// Baroclinic pressure / ρ0, column-major `slab × nlev`: the phase that
+    /// integrates it ranges over rows, and a range of rows is one contiguous
+    /// part of this layout only.
     press: Vec<f64>,
-    /// One column of vertical mixing: interface diffusivities, the
-    /// factored matrix, and the field being solved.
+    /// The columns' new `(T, S, u, v)`, `nlev × 4` values per column of the
+    /// loop policy's list, from the phase over columns that computes them
+    /// to the phase over levels that puts them into the state.
+    stage: Vec<f64>,
+    /// One set per lane for the mixing column it is on.
+    lanes: PerLane<MixingScratch>,
+}
+
+/// What one mixing column needs beside its staged fields: interface
+/// diffusivities and the factored matrix.
+struct MixingScratch {
     kq: Vec<f64>,
     factors: TridiagFactors,
-    col: Vec<f64>,
 }
 
 impl OcnWorkspace {
-    fn new(slab: usize, nlev: usize) -> Self {
+    fn new(slab: usize, nlev: usize, columns: usize) -> Self {
         OcnWorkspace {
             eta: vec![0.0; slab],
             ubar: vec![0.0; slab],
             vbar: vec![0.0; slab],
-            u_old: vec![0.0; nlev * slab],
-            v_old: vec![0.0; nlev * slab],
-            t_old: vec![0.0; nlev * slab],
-            s_old: vec![0.0; nlev * slab],
             press: vec![0.0; nlev * slab],
-            kq: vec![0.0; nlev.saturating_sub(1)],
-            factors: TridiagFactors::with_capacity(nlev),
-            col: vec![0.0; nlev],
+            stage: vec![0.0; 4 * nlev * columns],
+            lanes: PerLane::default(),
         }
     }
 }
 
-/// Copy a per-level field into a flat `nlev × slab` snapshot.
-fn snapshot(old: &mut [f64], field: &[Vec<f64>], slab: usize) {
-    for (dst, level) in old.chunks_exact_mut(slab).zip(field) {
-        dst.copy_from_slice(level);
-    }
+/// The interior rows (slab rows `1..=nj`) among `rows`.
+fn interior(rows: &Range<usize>, nj: usize) -> Range<usize> {
+    rows.start.max(1)..rows.end.min(nj + 1)
 }
 
 /// The loop policy over interior columns: the packed active list (§5.2.2
-/// point exclusion) or the dense box.
+/// point exclusion) or the dense box, land included. Either is a list with
+/// positions `0..len()`, which is what a phase over columns ranges over.
+#[derive(Clone, Copy)]
 struct ColumnLoop<'a> {
     exclude_land: bool,
     active: &'a [(usize, usize)],
+    ni: usize,
+    nj: usize,
 }
 
 impl ColumnLoop<'_> {
-    /// Call `f(state, i, j, idx)` for every *ocean* column. Returns the
-    /// number of columns visited (exclusion accounting for Fig. 5).
-    fn for_each(
-        &self,
-        state: &mut OcnState,
-        mut f: impl FnMut(&mut OcnState, usize, usize, usize),
-    ) -> usize {
-        let mut visited = 0;
+    /// Columns a sweep visits (exclusion accounting for Fig. 5).
+    fn len(&self) -> usize {
         if self.exclude_land {
-            for &(i, j) in self.active {
-                let idx = state.at(i, j);
-                visited += 1;
-                f(state, i, j, idx);
-            }
+            self.active.len()
         } else {
-            for j in 0..state.nj {
-                for i in 0..state.ni {
-                    visited += 1; // dense policy visits land too
-                    let idx = state.at(i, j);
-                    if state.kmt[idx] > 0 {
-                        f(state, i, j, idx);
-                    }
+            self.ni * self.nj
+        }
+    }
+
+    /// Call `f(c, i, j)` for the columns at positions `range` of the list.
+    /// The dense policy visits land too: its callers skip on `kmt`.
+    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(usize, usize, usize)) {
+        if self.exclude_land {
+            for (c, &(i, j)) in range.clone().zip(&self.active[range]) {
+                f(c, i, j);
+            }
+        } else if !range.is_empty() {
+            let (mut i, mut j) = (range.start % self.ni, range.start / self.ni);
+            for c in range {
+                f(c, i, j);
+                i += 1;
+                if i == self.ni {
+                    (i, j) = (0, j + 1);
                 }
             }
         }
-        visited
     }
 }
 
@@ -195,11 +201,15 @@ pub struct OcnModel {
     /// Packed active-column list (used when `exclude_land`).
     active: Vec<(usize, usize)>,
     ws: OcnWorkspace,
+    /// Where the phases of a step run.
+    space: Arc<dyn ExecSpace>,
     /// Columns visited last step (exclusion accounting for Fig. 5).
     pub columns_visited: usize,
 }
 
 impl OcnModel {
+    /// The model of `rank_id`'s block; steps on one lane until a space is
+    /// attached with [`OcnModel::on`].
     pub fn new(grid: &TripolarGrid, config: OcnConfig, rank_id: usize) -> Self {
         let decomp = BlockDecomp2d::new(config.nlon, config.nlat, config.px, config.py);
         let state = OcnState::new(grid, &decomp, rank_id);
@@ -210,7 +220,7 @@ impl OcnModel {
         let halo2d = HaloExchange::new(spec.clone(), 100);
         let halo3d = HaloExchange::new(spec, 200);
         let active = state.active_columns();
-        let ws = OcnWorkspace::new(state.eta.len(), state.nlev);
+        let ws = OcnWorkspace::new(state.eta.len(), state.nlev, state.ni * state.nj);
         OcnModel {
             config,
             state,
@@ -219,107 +229,154 @@ impl OcnModel {
             mixing: CanutoMixing::default(),
             active,
             ws,
+            space: Arc::new(Serial),
             columns_visited: 0,
         }
     }
 
+    /// Run every phase of a step on `space`. The answer does not depend on
+    /// it, bit for bit.
+    pub fn on(mut self, space: Arc<dyn ExecSpace>) -> Self {
+        self.space = space;
+        self
+    }
+
+    /// The space the phases run on.
+    pub fn space(&self) -> &Arc<dyn ExecSpace> {
+        &self.space
+    }
+
     /// One barotropic substep (forward-backward, rotation-implicit
-    /// Coriolis).
+    /// Coriolis): continuity and momentum, each a phase over the slab's
+    /// rows that writes the swap target of its field — ghost rows and land
+    /// copied, ocean cells computed — with the halo exchange between them
+    /// on the caller.
     fn barotropic_substep(
         &mut self,
         rank: &Rank,
         forcing: &OcnForcing,
         dt: f64,
     ) -> Result<(), CommError> {
-        let st = &mut self.state;
+        let space = &*self.space;
+        let r_drag = self.config.r_drag;
+        let OcnState {
+            ni,
+            nj,
+            stride,
+            eta,
+            ubar,
+            vbar,
+            kmt,
+            depth,
+            dx,
+            dx_ext,
+            dy,
+            fcor,
+            ..
+        } = &mut self.state;
+        let (ni, nj, stride, dy) = (*ni, *nj, *stride, *dy);
+        let (kmt, depth, dx, dx_ext, fcor) =
+            (&kmt[..], &depth[..], &dx[..], &dx_ext[..], &fcor[..]);
         let ws = &mut self.ws;
-        let stride = st.stride;
-        let (ni, nj) = (st.ni, st.nj);
 
         // Continuity: η ← η − dt·∇·(H u) with masked face fluxes.
-        let new_eta = &mut ws.eta;
-        new_eta.copy_from_slice(&st.eta);
-        for j in 0..nj {
-            for i in 0..ni {
-                let idx = st.at(i, j);
-                if st.kmt[idx] == 0 {
-                    continue;
-                }
-                let (e, w, n, s) = (idx + 1, idx - 1, idx + stride, idx - stride);
-                let face = |a: usize, b: usize, vel: f64| -> f64 {
-                    if st.kmt[a] > 0 && st.kmt[b] > 0 {
-                        0.5 * (st.depth[a] + st.depth[b]) * vel
-                    } else {
-                        0.0
+        {
+            let (eta, ubar, vbar) = (&eta[..], &ubar[..], &vbar[..]);
+            for_chunks_mut(space, nj + 2, [&mut ws.eta[..]], |rows, [new_eta]| {
+                let first = rows.start * stride;
+                new_eta.copy_from_slice(&eta[first..rows.end * stride]);
+                for jj in interior(&rows, nj) {
+                    let j = jj - 1;
+                    for idx in jj * stride + 1..=jj * stride + ni {
+                        if kmt[idx] == 0 {
+                            continue;
+                        }
+                        let (e, w, n, s) = (idx + 1, idx - 1, idx + stride, idx - stride);
+                        let face = |a: usize, b: usize, vel: f64| -> f64 {
+                            if kmt[a] > 0 && kmt[b] > 0 {
+                                0.5 * (depth[a] + depth[b]) * vel
+                            } else {
+                                0.0
+                            }
+                        };
+                        let fx_e = face(idx, e, 0.5 * (ubar[idx] + ubar[e]));
+                        let fx_w = face(w, idx, 0.5 * (ubar[w] + ubar[idx]));
+                        let fy_n = face(idx, n, 0.5 * (vbar[idx] + vbar[n]));
+                        let fy_s = face(s, idx, 0.5 * (vbar[s] + vbar[idx]));
+                        // Meridional faces use the *shared* interface length
+                        // (mean of the adjacent rows' dx), so the discrete
+                        // divergence telescopes and volume is conserved
+                        // exactly on the converging tripolar rows.
+                        let lx_n = 0.5 * (dx_ext[j + 1] + dx_ext[j + 2]);
+                        let lx_s = 0.5 * (dx_ext[j] + dx_ext[j + 1]);
+                        let area = dx[j] * dy;
+                        let div = ((fx_e - fx_w) * dy + fy_n * lx_n - fy_s * lx_s) / area;
+                        new_eta[idx - first] = eta[idx] - dt * div;
                     }
-                };
-                let fx_e = face(idx, e, 0.5 * (st.ubar[idx] + st.ubar[e]));
-                let fx_w = face(w, idx, 0.5 * (st.ubar[w] + st.ubar[idx]));
-                let fy_n = face(idx, n, 0.5 * (st.vbar[idx] + st.vbar[n]));
-                let fy_s = face(s, idx, 0.5 * (st.vbar[s] + st.vbar[idx]));
-                // Meridional faces use the *shared* interface length
-                // (mean of the adjacent rows' dx), so the discrete
-                // divergence telescopes and volume is conserved exactly on
-                // the converging tripolar rows.
-                let lx_n = 0.5 * (st.dx_ext[j + 1] + st.dx_ext[j + 2]);
-                let lx_s = 0.5 * (st.dx_ext[j] + st.dx_ext[j + 1]);
-                let area = st.dx[j] * st.dy;
-                let div = ((fx_e - fx_w) * st.dy + fy_n * lx_n - fy_s * lx_s) / area;
-                new_eta[idx] = st.eta[idx] - dt * div;
-            }
+                }
+            });
         }
-        std::mem::swap(&mut st.eta, new_eta);
-        self.halo2d.exchange(rank, &mut st.eta)?;
+        std::mem::swap(eta, &mut ws.eta);
+        self.halo2d.exchange(rank, eta)?;
 
         // Momentum: pressure gradient from the *new* η (forward-backward),
         // wind stress, drag, then implicit rotation.
-        let (new_u, new_v) = (&mut ws.ubar, &mut ws.vbar);
-        new_u.copy_from_slice(&st.ubar);
-        new_v.copy_from_slice(&st.vbar);
-        for j in 0..nj {
-            for i in 0..ni {
-                let idx = st.at(i, j);
-                if st.kmt[idx] == 0 {
-                    continue;
-                }
-                let (e, w, n, s) = (idx + 1, idx - 1, idx + stride, idx - stride);
-                let detadx = if st.kmt[e] > 0 && st.kmt[w] > 0 {
-                    (st.eta[e] - st.eta[w]) / (2.0 * st.dx[j])
-                } else if st.kmt[e] > 0 {
-                    (st.eta[e] - st.eta[idx]) / st.dx[j]
-                } else if st.kmt[w] > 0 {
-                    (st.eta[idx] - st.eta[w]) / st.dx[j]
-                } else {
-                    0.0
-                };
-                let detady = if st.kmt[n] > 0 && st.kmt[s] > 0 {
-                    (st.eta[n] - st.eta[s]) / (2.0 * st.dy)
-                } else if st.kmt[n] > 0 {
-                    (st.eta[n] - st.eta[idx]) / st.dy
-                } else if st.kmt[s] > 0 {
-                    (st.eta[idx] - st.eta[s]) / st.dy
-                } else {
-                    0.0
-                };
-                let h = st.depth[idx].max(1.0);
-                let fi = j * ni + i;
-                let du = dt
-                    * (-G * detadx - self.config.r_drag * st.ubar[idx]
-                        + forcing.taux[fi] / (RHO0 * h));
-                let dv = dt
-                    * (-G * detady - self.config.r_drag * st.vbar[idx]
-                        + forcing.tauy[fi] / (RHO0 * h));
-                let (u1, v1) = (st.ubar[idx] + du, st.vbar[idx] + dv);
-                let a = dt * st.fcor[j];
-                let denom = 1.0 + a * a;
-                new_u[idx] = (u1 + a * v1) / denom;
-                new_v[idx] = (v1 - a * u1) / denom;
-            }
+        {
+            let (eta, ubar, vbar) = (&eta[..], &ubar[..], &vbar[..]);
+            for_chunks_mut(
+                space,
+                nj + 2,
+                [&mut ws.ubar[..], &mut ws.vbar[..]],
+                |rows, [new_u, new_v]| {
+                    let first = rows.start * stride;
+                    new_u.copy_from_slice(&ubar[first..rows.end * stride]);
+                    new_v.copy_from_slice(&vbar[first..rows.end * stride]);
+                    for jj in interior(&rows, nj) {
+                        let j = jj - 1;
+                        for idx in jj * stride + 1..=jj * stride + ni {
+                            if kmt[idx] == 0 {
+                                continue;
+                            }
+                            let (e, w, n, s) = (idx + 1, idx - 1, idx + stride, idx - stride);
+                            let detadx = if kmt[e] > 0 && kmt[w] > 0 {
+                                (eta[e] - eta[w]) / (2.0 * dx[j])
+                            } else if kmt[e] > 0 {
+                                (eta[e] - eta[idx]) / dx[j]
+                            } else if kmt[w] > 0 {
+                                (eta[idx] - eta[w]) / dx[j]
+                            } else {
+                                0.0
+                            };
+                            let detady = if kmt[n] > 0 && kmt[s] > 0 {
+                                (eta[n] - eta[s]) / (2.0 * dy)
+                            } else if kmt[n] > 0 {
+                                (eta[n] - eta[idx]) / dy
+                            } else if kmt[s] > 0 {
+                                (eta[idx] - eta[s]) / dy
+                            } else {
+                                0.0
+                            };
+                            let h = depth[idx].max(1.0);
+                            let fi = j * ni + (idx - jj * stride - 1);
+                            let du = dt
+                                * (-G * detadx - r_drag * ubar[idx]
+                                    + forcing.taux[fi] / (RHO0 * h));
+                            let dv = dt
+                                * (-G * detady - r_drag * vbar[idx]
+                                    + forcing.tauy[fi] / (RHO0 * h));
+                            let (u1, v1) = (ubar[idx] + du, vbar[idx] + dv);
+                            let a = dt * fcor[j];
+                            let denom = 1.0 + a * a;
+                            new_u[idx - first] = (u1 + a * v1) / denom;
+                            new_v[idx - first] = (v1 - a * u1) / denom;
+                        }
+                    }
+                },
+            );
         }
-        std::mem::swap(&mut st.ubar, new_u);
-        std::mem::swap(&mut st.vbar, new_v);
-        self.halo2d
-            .exchange_many(rank, &mut [&mut st.ubar, &mut st.vbar])?;
+        std::mem::swap(ubar, &mut ws.ubar);
+        std::mem::swap(vbar, &mut ws.vbar);
+        self.halo2d.exchange_many(rank, &mut [ubar, vbar])?;
         Ok(())
     }
 
@@ -333,6 +390,10 @@ impl OcnModel {
     /// One full step, surfacing halo-exchange failures (dropped messages
     /// under fault injection, deadlocks) as [`CommError`] so the coupled
     /// driver can roll back instead of aborting.
+    ///
+    /// Every loop over the block is a phase on the model's execution space
+    /// whose kernels write the outputs of their own rows, levels or columns
+    /// only; the halo exchanges between phases stay on the calling thread.
     ///
     /// Panics if `forcing` was built for a block of another size.
     pub fn try_step(&mut self, rank: &Rank, forcing: &OcnForcing) -> Result<(), CommError> {
@@ -360,161 +421,193 @@ impl OcnModel {
         }
 
         let _bcl = ap3esm_obs::span("baroclinic");
-        let dt = self.config.dt_baroclinic;
-        let nlev = self.state.nlev;
-        let stride = self.state.stride;
-        let slab = self.state.eta.len();
+        let space = &*self.space;
+        let (dt, r_drag, mixing) = (self.config.dt_baroclinic, self.config.r_drag, self.mixing);
+        let OcnState {
+            nlev,
+            stride,
+            eta,
+            u,
+            v,
+            t,
+            s,
+            kmt,
+            dx,
+            dy,
+            fcor,
+            dz,
+            ..
+        } = &mut self.state;
+        let (nlev, stride, dy) = (*nlev, *stride, *dy);
+        let (eta, kmt, dx, fcor, dz) = (&eta[..], &kmt[..], &dx[..], &fcor[..], &dz[..]);
+        let at = |i: usize, j: usize| (j + 1) * stride + (i + 1);
+        let columns = ColumnLoop {
+            exclude_land: self.config.exclude_land,
+            active: &self.active,
+            ni,
+            nj,
+        };
+        let ncols = columns.len();
         let OcnWorkspace {
-            u_old,
-            v_old,
-            t_old,
-            s_old,
             press,
-            kq,
-            factors,
-            col,
+            stage,
+            lanes,
             ..
         } = &mut self.ws;
 
         // --- Baroclinic pressure: p[k]/ρ0 = g·η + g·Σ (ρ'−ρ0)/ρ0·dz ---
         {
-            let st = &self.state;
-            for (idx, &eta) in st.eta.iter().enumerate() {
-                let mut acc = G * eta;
-                for k in 0..nlev {
-                    let rho = density(st.t[k][idx], st.s[k][idx]);
-                    acc += G * (rho - RHO0) / RHO0 * st.dz[k];
-                    press[k * slab + idx] = acc;
+            let (t, s) = (&t[..], &s[..]);
+            for_chunks_mut(space, nj + 2, [&mut press[..]], |rows, [press]| {
+                let cells = rows.start * stride..rows.end * stride;
+                for (idx, column) in cells.zip(press.chunks_exact_mut(nlev)) {
+                    let mut acc = G * eta[idx];
+                    for (k, p) in column.iter_mut().enumerate() {
+                        let rho = density(t[k][idx], s[k][idx]);
+                        acc += G * (rho - RHO0) / RHO0 * dz[k];
+                        *p = acc;
+                    }
                 }
-            }
+            });
         }
+        let press = &press[..];
 
-        // --- Momentum + tracer advection per level (old-field copies for
-        //     neighbor reads keep the update order-independent). ---
-        snapshot(u_old, &self.state.u, slab);
-        snapshot(v_old, &self.state.v, slab);
-        snapshot(t_old, &self.state.t, slab);
-        snapshot(s_old, &self.state.s, slab);
-        let r_drag = self.config.r_drag;
-        let columns = ColumnLoop {
-            exclude_land: self.config.exclude_land,
-            active: &self.active,
-        };
-        columns.for_each(&mut self.state, |st, _i, j, idx| {
-            let kmax = st.kmt[idx] as usize;
-            let (e, w, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
-            for k in 0..kmax {
-                let ocean = |nb: usize| (k as u16) < st.kmt[nb];
-                let level = k * slab..(k + 1) * slab;
-                // Pressure gradient (masked one-sided fallbacks).
-                let p = &press[level.clone()];
-                let dpdx = if ocean(e) && ocean(w) {
-                    (p[e] - p[w]) / (2.0 * st.dx[j])
-                } else if ocean(e) {
-                    (p[e] - p[idx]) / st.dx[j]
-                } else if ocean(w) {
-                    (p[idx] - p[w]) / st.dx[j]
-                } else {
-                    0.0
-                };
-                let dpdy = if ocean(n) && ocean(s_) {
-                    (p[n] - p[s_]) / (2.0 * st.dy)
-                } else if ocean(n) {
-                    (p[n] - p[idx]) / st.dy
-                } else if ocean(s_) {
-                    (p[idx] - p[s_]) / st.dy
-                } else {
-                    0.0
-                };
-                let (uo, vo) = (u_old[level.start + idx], v_old[level.start + idx]);
-                let du = dt * (-dpdx - r_drag * uo);
-                let dv = dt * (-dpdy - r_drag * vo);
-                let (u1, v1) = (uo + du, vo + dv);
-                let a = dt * st.fcor[j];
-                let denom = 1.0 + a * a;
-                st.u[k][idx] = (u1 + a * v1) / denom;
-                st.v[k][idx] = (v1 - a * u1) / denom;
-
-                // Upwind advection of T, S by the old velocity.
-                let adv = |old: &[f64]| -> f64 {
-                    let field = &old[level.clone()];
-                    let fx = if uo >= 0.0 {
-                        let upw = if ocean(w) { field[w] } else { field[idx] };
-                        uo * (field[idx] - upw) / st.dx[j]
-                    } else {
-                        let upw = if ocean(e) { field[e] } else { field[idx] };
-                        uo * (upw - field[idx]) / st.dx[j]
-                    };
-                    let fy = if vo >= 0.0 {
-                        let upw = if ocean(s_) { field[s_] } else { field[idx] };
-                        vo * (field[idx] - upw) / st.dy
-                    } else {
-                        let upw = if ocean(n) { field[n] } else { field[idx] };
-                        vo * (upw - field[idx]) / st.dy
-                    };
-                    -(fx + fy)
-                };
-                st.t[k][idx] += dt * adv(t_old);
-                st.s[k][idx] += dt * adv(s_old);
-            }
+        // --- Per column: momentum and tracer advection level by level, then
+        //     implicit vertical mixing with the surface forcing, which reads
+        //     the column's own new values only. Nothing here writes the
+        //     state, so neighbor reads see the start-of-step fields with no
+        //     copy kept. A column spans every level's slab, which no range
+        //     of columns owns: its new `(T, S, u, v)` go to its slot of the
+        //     staging area, are mixed there, and a phase over levels puts
+        //     them into the state. ---
+        lanes.grow(space.concurrency(), || MixingScratch {
+            kq: vec![0.0; nlev.saturating_sub(1)],
+            factors: TridiagFactors::with_capacity(nlev),
         });
+        let lanes = &*lanes;
+        let stage = &mut stage[..4 * nlev * ncols];
+        {
+            let (u, v, t, s) = (&u[..], &v[..], &t[..], &s[..]);
+            for_chunks_mut(space, ncols, [&mut *stage], |cols, [stage]| {
+                let mut lane = lanes.take();
+                let MixingScratch { kq, factors } = &mut *lane;
+                let (stage, _) = stage.as_chunks_mut::<4>();
+                columns.for_each(cols.clone(), |c, i, j| {
+                    let idx = at(i, j);
+                    let kmax = kmt[idx] as usize;
+                    if kmax == 0 {
+                        return;
+                    }
+                    let x = &mut stage[nlev * (c - cols.start)..][..kmax];
+                    let (e, w, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
+                    let a = dt * fcor[j];
+                    let denom = 1.0 + a * a;
+                    for (k, x_k) in x.iter_mut().enumerate() {
+                        let ocean = |nb: usize| (k as u16) < kmt[nb];
+                        // Pressure gradient (masked one-sided fallbacks).
+                        let p = |nb: usize| press[nb * nlev + k];
+                        let dpdx = if ocean(e) && ocean(w) {
+                            (p(e) - p(w)) / (2.0 * dx[j])
+                        } else if ocean(e) {
+                            (p(e) - p(idx)) / dx[j]
+                        } else if ocean(w) {
+                            (p(idx) - p(w)) / dx[j]
+                        } else {
+                            0.0
+                        };
+                        let dpdy = if ocean(n) && ocean(s_) {
+                            (p(n) - p(s_)) / (2.0 * dy)
+                        } else if ocean(n) {
+                            (p(n) - p(idx)) / dy
+                        } else if ocean(s_) {
+                            (p(idx) - p(s_)) / dy
+                        } else {
+                            0.0
+                        };
+                        let (uo, vo) = (u[k][idx], v[k][idx]);
+                        let du = dt * (-dpdx - r_drag * uo);
+                        let dv = dt * (-dpdy - r_drag * vo);
+                        let (u1, v1) = (uo + du, vo + dv);
 
-        // --- Vertical mixing (implicit) + surface forcing per column: the
-        //     matrix depends on the column's diffusivities only, so it is
-        //     factored once and solved for T, S, u, v in turn. ---
-        let mixing = self.mixing;
-        self.columns_visited = columns.for_each(&mut self.state, |st, i, j, idx| {
-            let kmax = st.kmt[idx] as usize;
-            if kmax == 0 {
-                return;
-            }
-            let fi = j * ni + i;
-            // Interface diffusivities from Ri.
-            let kq = &mut kq[..kmax - 1];
-            for (k, kq_k) in kq.iter_mut().enumerate() {
-                let dzi = 0.5 * (st.dz[k] + st.dz[k + 1]);
-                let n2 = crate::eos::brunt_vaisala_sq(
-                    st.t[k][idx],
-                    st.s[k][idx],
-                    st.t[k + 1][idx],
-                    st.s[k + 1][idx],
-                    dzi,
-                );
-                let du = (st.u[k][idx] - st.u[k + 1][idx]) / dzi;
-                let dv = (st.v[k][idx] - st.v[k + 1][idx]) / dzi;
-                *kq_k = mixing.diffusivity(n2, du * du + dv * dv);
-            }
-            mixing.factor(&st.dz[..kmax], kq, dt, factors);
-            // Gather a column, solve, scatter.
-            let col = &mut col[..kmax];
-            let mut diffuse = |field: &mut [Vec<f64>], surface_flux: f64| {
-                for (c, level) in col.iter_mut().zip(field.iter()) {
-                    *c = level[idx];
-                }
-                mixing.solve(factors, col, surface_flux);
-                for (c, level) in col.iter().zip(field.iter_mut()) {
-                    level[idx] = *c;
-                }
-            };
-            let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
-            diffuse(&mut st.t, heat_flux);
-            diffuse(&mut st.s, forcing.salt_flux[fi]);
-            diffuse(&mut st.u, forcing.taux[fi] / RHO0);
-            diffuse(&mut st.v, forcing.tauy[fi] / RHO0);
-        });
+                        // Upwind advection of T, S by the old velocity.
+                        let adv = |field: &[f64]| -> f64 {
+                            let fx = if uo >= 0.0 {
+                                let upw = if ocean(w) { field[w] } else { field[idx] };
+                                uo * (field[idx] - upw) / dx[j]
+                            } else {
+                                let upw = if ocean(e) { field[e] } else { field[idx] };
+                                uo * (upw - field[idx]) / dx[j]
+                            };
+                            let fy = if vo >= 0.0 {
+                                let upw = if ocean(s_) { field[s_] } else { field[idx] };
+                                vo * (field[idx] - upw) / dy
+                            } else {
+                                let upw = if ocean(n) { field[n] } else { field[idx] };
+                                vo * (upw - field[idx]) / dy
+                            };
+                            -(fx + fy)
+                        };
+                        *x_k = [
+                            t[k][idx] + dt * adv(&t[k]),
+                            s[k][idx] + dt * adv(&s[k]),
+                            (u1 + a * v1) / denom,
+                            (v1 - a * u1) / denom,
+                        ];
+                    }
+
+                    // Interface diffusivities from Ri; the matrix depends on
+                    // them only, so it is factored once and solved for T, S,
+                    // u, v together.
+                    let kq = &mut kq[..kmax - 1];
+                    for (k, kq_k) in kq.iter_mut().enumerate() {
+                        let dzi = 0.5 * (dz[k] + dz[k + 1]);
+                        let ([t_up, s_up, u_up, v_up], [t_dn, s_dn, u_dn, v_dn]) = (x[k], x[k + 1]);
+                        let n2 = crate::eos::brunt_vaisala_sq(t_up, s_up, t_dn, s_dn, dzi);
+                        let du = (u_up - u_dn) / dzi;
+                        let dv = (v_up - v_dn) / dzi;
+                        *kq_k = mixing.diffusivity(n2, du * du + dv * dv);
+                    }
+                    mixing.factor(&dz[..kmax], kq, dt, factors);
+                    let fi = j * ni + i;
+                    let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
+                    let surface_flux = [
+                        heat_flux,
+                        forcing.salt_flux[fi],
+                        forcing.taux[fi] / RHO0,
+                        forcing.tauy[fi] / RHO0,
+                    ];
+                    mixing.solve(factors, x, surface_flux);
+                });
+            });
+        }
+        {
+            let (stage, _) = stage.as_chunks::<4>();
+            for_chunks_mut(
+                space,
+                nlev,
+                [&mut t[..], &mut s[..], &mut u[..], &mut v[..]],
+                |levels, [t, s, u, v]| {
+                    for (l, k) in levels.enumerate() {
+                        let (t, s, u, v) =
+                            (&mut t[l][..], &mut s[l][..], &mut u[l][..], &mut v[l][..]);
+                        columns.for_each(0..ncols, |c, i, j| {
+                            let idx = at(i, j);
+                            if (k as u16) < kmt[idx] {
+                                [t[idx], s[idx], u[idx], v[idx]] = stage[nlev * c + k];
+                            }
+                        });
+                    }
+                },
+            );
+        }
+        self.columns_visited = ncols;
 
         // --- Refresh 3-D halos for the next step: one packed message per
         //     neighbor per level (u, v, T, S together). ---
-        let st = &mut self.state;
         for k in 0..nlev {
             self.halo3d.exchange_many(
                 rank,
-                &mut [
-                    &mut st.u[k][..],
-                    &mut st.v[k][..],
-                    &mut st.t[k][..],
-                    &mut st.s[k][..],
-                ],
+                &mut [&mut u[k][..], &mut v[k][..], &mut t[k][..], &mut s[k][..]],
             )?;
         }
         Ok(())
@@ -558,14 +651,16 @@ mod tests {
         TripolarGrid::new(36, 24, nlev, MaskGenerator::default())
     }
 
-    fn run_steps(px: usize, py: usize, steps: usize, exclude: bool) -> Vec<Vec<f64>> {
+    /// Interior SST per rank after `steps` steps on teams of `lanes`.
+    fn run_steps(px: usize, py: usize, steps: usize, exclude: bool, lanes: usize) -> Vec<Vec<f64>> {
         let g = grid(6);
         let mut config = OcnConfig::for_grid(36, 24, 6, px, py);
         config.exclude_land = exclude;
         let world = World::new(px * py);
         world.run(|rank| {
             let decomp = BlockDecomp2d::new(36, 24, px, py);
-            let mut model = OcnModel::new(&g, config.clone(), rank.id());
+            let mut model = OcnModel::new(&g, config.clone(), rank.id())
+                .on(Arc::new(ap3esm_pp::Threads::new(lanes)));
             let forcing = OcnForcing::climatology(&g, &decomp, rank.id());
             for _ in 0..steps {
                 model.step(rank, &forcing);
@@ -654,18 +749,42 @@ mod tests {
 
     #[test]
     fn exclusion_and_dense_paths_agree_bitwise() {
-        let a = run_steps(1, 1, 5, true);
-        let b = run_steps(1, 1, 5, false);
-        assert_eq!(a[0].len(), b[0].len());
-        for (x, y) in a[0].iter().zip(&b[0]) {
-            assert_eq!(x.to_bits(), y.to_bits(), "exclusion changed results");
+        let bits = |exclude: bool, lanes: usize| -> Vec<u64> {
+            let sst = run_steps(1, 1, 5, exclude, lanes).swap_remove(0);
+            sst.iter().map(|v| v.to_bits()).collect()
+        };
+        let packed = bits(true, 1);
+        assert_eq!(packed.len(), 36 * 24);
+        assert_eq!(packed, bits(false, 1), "exclusion changed results");
+        assert_eq!(packed, bits(true, 2), "two lanes, packed list");
+        assert_eq!(packed, bits(false, 2), "two lanes, dense box");
+    }
+
+    /// Fig. 5's count: the packed list's length against the dense box's
+    /// `ni × nj`, whatever the team.
+    #[test]
+    fn columns_visited_is_the_loop_policys_list_length() {
+        let g = grid(6);
+        for (exclude, lanes) in [(true, 1), (true, 3), (false, 1), (false, 3)] {
+            let mut config = OcnConfig::for_grid(36, 24, 6, 1, 1);
+            config.exclude_land = exclude;
+            let visited = World::new(1).run(|rank| {
+                let mut model = OcnModel::new(&g, config.clone(), 0)
+                    .on(Arc::new(ap3esm_pp::Threads::new(lanes)));
+                model.step(rank, &OcnForcing::zeros(36, 24));
+                (model.columns_visited, model.state.active_columns().len())
+            });
+            let (visited, active) = visited[0];
+            assert!(active < 36 * 24, "some land must exist");
+            let expect = if exclude { active } else { 36 * 24 };
+            assert_eq!(visited, expect, "exclude {exclude}, {lanes} lanes");
         }
     }
 
     #[test]
     fn one_rank_and_four_ranks_agree() {
-        let serial = run_steps(1, 1, 3, true);
-        let parallel = run_steps(2, 2, 3, true);
+        let serial = run_steps(1, 1, 3, true, 1);
+        let parallel = run_steps(2, 2, 3, true, 1);
         // Reassemble the 2×2 fields into the global layout.
         let decomp = BlockDecomp2d::new(36, 24, 2, 2);
         let mut global = vec![f64::NAN; 36 * 24];

@@ -24,14 +24,14 @@ if [[ $step == all || $step == tier1 ]]; then
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 
-# The lane team, the atmosphere's goldens across lane counts and execution
-# spaces, its allocation count on a team, and the lanes axis of the coupled
-# layouts — optimized, because a lane waits by spinning and a debug build
+# The lane team, the atmosphere's and the ocean's goldens across lane counts
+# and execution spaces, their allocation counts on a team, and the lanes axis
+# of the coupled layouts — optimized, because a lane waits by spinning and a debug build
 # times the hand-offs differently. Twice: with a binary's tests side by side
 # (more lanes than cores: ranges change hands, lanes yield and park) and one
 # at a time (a team has the cores to itself).
 lanes() {
-    cargo test -q --release -p ap3esm-pp -p ap3esm-atm
+    cargo test -q --release -p ap3esm-pp -p ap3esm-atm -p ap3esm-ocn
     cargo test -q --release --test layouts lane_count
 }
 if [[ $step == all || $step == lanes ]]; then

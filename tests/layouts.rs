@@ -3,7 +3,7 @@
 //! *k + 1* whether it crossed a thread boundary or not, and however long it
 //! took to arrive. So layouts, exchange strategies, message delays, the
 //! recovery layer and a restart in the middle all give the same bits — and
-//! so does the number of lanes the atmosphere steps on inside its rank.
+//! so does the number of lanes the rank's atmosphere and ocean step on.
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::cpl::{RearrangeStrategy, Rearranger};
@@ -88,24 +88,30 @@ fn p2p_is_bitwise_alltoall_on_the_five_rank_mesh() {
     assert_eq!(bits(&p2p), bits(&a2a));
 }
 
-/// One simulated day stepped by hand through a `Coupler` whose atmosphere
-/// was re-teamed to `lanes` (`None`: whatever `Atm::new` measured).
-fn one_day_on(lanes: Option<usize>, strategy: RearrangeStrategy) -> (CoupledStats, usize) {
-    let config = tiny(true, strategy);
+/// `length` days stepped by hand through a sequential-layout `Coupler` whose
+/// atmosphere and ocean were re-teamed to `lanes` (`None`: the one team
+/// `Coupler::build` measured for the rank). Returns the lanes it ran on.
+fn stepped_on(lanes: Option<usize>, config: &CoupledConfig, length: f64) -> (CoupledStats, usize) {
     let grid = config.ocean_grid();
     let mut out = World::new(1).run(|rank| {
-        let parts = Parts::of_rank(rank, &config);
-        let mut cpl = Coupler::build(rank, &config, &days(1.0), &grid, parts);
+        let parts = Parts::of_rank(rank, config);
+        let mut cpl = Coupler::build(rank, config, &days(length), &grid, parts);
+        {
+            let (atm, ocn) = (cpl.atm.as_ref().unwrap(), cpl.ocn.as_ref().unwrap());
+            assert!(
+                Arc::ptr_eq(atm.space(), ocn.space()),
+                "one team per rank, not one per component"
+            );
+            assert_eq!(cpl.lanes(), atm.lanes());
+        }
         if let Some(lanes) = lanes {
             cpl.atm = cpl.atm.take().map(|atm| atm.with_lanes(lanes));
+            cpl.ocn = cpl.ocn.take().map(|ocn| ocn.with_lanes(lanes));
         }
-        let ran_on = cpl
-            .atm
-            .as_ref()
-            .expect("rank 0 holds the atmosphere")
-            .lanes();
+        let ran_on = cpl.lanes();
+        assert_eq!(cpl.ocn.as_ref().unwrap().lanes(), ran_on);
         let mut stats = CoupledStats::default();
-        while cpl.clock.time < 86_400 {
+        while (cpl.clock.time as f64) < 86_400.0 * length {
             let step = cpl.step(rank, &mut stats);
             assert_eq!(step.comm_fault, None);
         }
@@ -115,40 +121,55 @@ fn one_day_on(lanes: Option<usize>, strategy: RearrangeStrategy) -> (CoupledStat
     out.swap_remove(0)
 }
 
-/// The lanes axis, beside layout × strategy: a three-lane atmosphere (more
-/// lanes than this box has cores) gives the one-lane day bit for bit, which
-/// is the day `run_coupled` gives with whatever lane count it measures.
+/// The lanes axis, beside layout × strategy: an atmosphere and an ocean on
+/// three lanes (more than this box has cores) give the one-lane day bit for
+/// bit, which is the day `run_coupled` gives with whatever lane count it
+/// measures.
 #[test]
 fn lane_count_changes_no_bit_of_a_coupled_day() {
     let strategy = RearrangeStrategy::NonBlockingP2p;
-    let (one, ran_on) = one_day_on(Some(1), strategy);
+    let config = tiny(true, strategy);
+    let (one, ran_on) = stepped_on(Some(1), &config, 1.0);
     assert_eq!(ran_on, 1);
     assert_eq!((one.sst_series.len(), one.theta_series.len()), (4, 8));
-    let (three, ran_on) = one_day_on(Some(3), strategy);
+    let (three, ran_on) = stepped_on(Some(3), &config, 1.0);
     assert_eq!(ran_on, 3);
     assert_eq!(bits(&one), bits(&three), "three lanes changed the answer");
-    let (two, _) = one_day_on(Some(2), RearrangeStrategy::AllToAll);
+    let (two, _) = stepped_on(Some(2), &tiny(true, RearrangeStrategy::AllToAll), 1.0);
     assert_eq!(bits(&one), bits(&two), "two lanes, all-to-all");
-    let (measured, ran_on) = one_day_on(None, strategy);
+    let (measured, ran_on) = stepped_on(None, &config, 1.0);
     assert!(ran_on >= 1);
     assert_eq!(bits(&one), bits(&measured), "{ran_on} lanes (measured)");
-    let driver = run(World::new(1), &tiny(true, strategy), &days(1.0));
+    let driver = run(World::new(1), &config, &days(1.0));
     assert_eq!(
         bits(&one),
         bits(&driver),
         "{} lanes (run_coupled)",
-        driver.atm_lanes
+        driver.lanes
     );
+
+    // The benchmark's big ocean, where every lane gets rows, levels and
+    // columns of every ocean phase.
+    let mut big = config.clone();
+    (big.ocn_nlon, big.ocn_nlat, big.ocn_nlev) = (72, 46, 10);
+    let (one, _) = stepped_on(Some(1), &big, 0.25);
+    assert_eq!((one.sst_series.len(), one.theta_series.len()), (1, 2));
+    for lanes in [2, 3] {
+        let (team, ran_on) = stepped_on(Some(lanes), &big, 0.25);
+        assert_eq!(ran_on, lanes);
+        assert_eq!(bits(&one), bits(&team), "big ocean, {lanes} lanes");
+    }
+    let driver = run(World::new(1), &big, &days(0.25));
+    assert_eq!(bits(&one), bits(&driver), "big ocean, run_coupled");
+
     // Two live ranks share the cores: no rank of the two-domain layout gets
-    // more than half of them.
+    // more than half of them, the ocean's included.
     let two_domain =
         World::new(2).run(|rank| run_coupled(rank, &tiny(false, strategy), &days(0.25)));
     let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
-    assert!((1..=(cores / 2).max(1)).contains(&two_domain[0].atm_lanes));
-    assert_eq!(
-        two_domain[1].atm_lanes, 0,
-        "the ocean rank holds no atmosphere"
-    );
+    for stats in &two_domain {
+        assert!((1..=(cores / 2).max(1)).contains(&stats.lanes));
+    }
 }
 
 /// The lag is in program order, never in arrival time: an export that
