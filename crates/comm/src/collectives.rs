@@ -153,22 +153,6 @@ pub fn allreduce<T: Send + Clone + 'static>(
     )
 }
 
-/// Wire tags of an `allreduce(tag)`'s two legs — `[gather, bcast]` — for
-/// fault-plan authoring: `delay src=1 dst=0 tag=<gather leg> nth=3 ms=100`
-/// stalls exactly the third allreduce on `tag`, without counting any other
-/// traffic. (Non-root ranks send one gather-leg message per allreduce.)
-/// The coupled driver's ocean exchange no longer all-reduces anything — the
-/// kinetic energy rides the packed gather message — so a plan that wants
-/// "the n-th ocean coupling" addresses the rearranger's gather stream
-/// (`cpl::Rearranger::wire_tags_for(22)`, one message per ocean rank per
-/// coupling) instead.
-pub fn allreduce_wire_tags(tag: u64) -> [u64; 2] {
-    [
-        TAG_GATHER + TAG_ALLREDUCE + tag,
-        TAG_BCAST + TAG_ALLREDUCE + 0x800 + tag,
-    ]
-}
-
 /// Scalar f64 sum all-reduce (the most common reduction in the dycores).
 pub fn allreduce_sum(rank: &Rank, tag: u64, value: f64) -> Result<f64, CommError> {
     Ok(allreduce(rank, tag, vec![value], |a, b| a + b)?[0])
@@ -237,31 +221,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn allreduce_wire_tags_target_exactly_one_allreduce() {
-        use crate::faultplan::{FaultInjector, FaultPlan};
-        use std::sync::Arc;
-        use std::time::Instant;
-        // Delay the 2nd allreduce's gather leg on an otherwise busy tagset:
-        // only that collective stalls, and only by ~the configured delay.
-        let [g, _] = allreduce_wire_tags(9);
-        let plan = FaultPlan::parse(&format!("delay src=1 dst=0 tag={g} nth=2 ms=80")).unwrap();
-        let world = World::new(2).with_fault_injector(Arc::new(FaultInjector::new(plan)));
-        let out = world.run(|rank| {
-            let mut stalls = Vec::new();
-            for _ in 0..3 {
-                let t = Instant::now();
-                let v = allreduce_sum(rank, 9, 1.0).unwrap();
-                assert_eq!(v, 2.0);
-                stalls.push(t.elapsed().as_secs_f64());
-            }
-            stalls
-        });
-        // Root (the gather receiver) saw exactly the middle call stall.
-        assert!(out[0][1] >= 0.05, "delay missed: {:?}", out[0]);
-        assert!(out[0][0] < 0.05 && out[0][2] < 0.05, "wrong call hit: {:?}", out[0]);
     }
 
     #[test]

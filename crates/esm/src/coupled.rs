@@ -134,10 +134,10 @@ pub struct CoupledOptions {
     /// layout (e.g. a `shrunk_g<N>` hand-off written by a degraded run, or
     /// an ordinary `ckpt_*` directory). Requires `checkpoint_dir`.
     pub resume_from: Option<std::path::PathBuf>,
-    /// Continuous telemetry: background sampling of the metrics registry
-    /// into a time-series store, SLO/anomaly alerting, and an optional
-    /// OpenMetrics scrape endpoint — all on rank 0. `None` (the default)
-    /// runs no sampler thread and exchanges no telemetry messages, so
+    /// Continuous telemetry: one sample of the metrics registry per ocean
+    /// coupling into a time-series store, SLO/anomaly alerting, and an
+    /// optional OpenMetrics scrape endpoint — all on rank 0. `None` (the
+    /// default) samples nothing and exchanges no telemetry messages, so
     /// fault plans that count messages see an unchanged stream.
     pub telemetry: Option<TelemetryOptions>,
     /// Black-box flight recorder (default **on**): the world's event log
@@ -177,48 +177,37 @@ impl Default for CoupledOptions {
     }
 }
 
-/// Continuous-telemetry options. When set on [`CoupledOptions`], rank 0
-/// runs a background [`ap3esm_obs::Sampler`] copying every registered
-/// counter/gauge/histogram into an in-process [`ap3esm_obs::SeriesStore`]
-/// on `cadence`, evaluates the alert rules on every tick, (with
-/// `metrics_addr`) serves live OpenMetrics scrapes over HTTP, and after a
-/// run with a `report_name` writes the full store to
-/// `target/obs/series-<name>.json`. Every ocean
-/// coupling additionally exchanges per-rank busy time (dedicated tags) so
-/// rank 0 can gauge `sim.sypd`, `sim.imbalance` and `sim.step_wall_s`. Busy
-/// time is the rank's time in the five driver sections (`atm_run`, `lnd_run`,
-/// `ice_run`, `cpl_rearrange`, `ocn_run`) since the previous ocean coupling;
-/// the one-off root spans (`router_build`, `io_{read,write}_subfile`) are
-/// not counted, so a checkpoint coupling does not move `sim.imbalance`.
+/// Continuous-telemetry options. When set on [`CoupledOptions`], every
+/// ocean coupling exchanges per-rank busy time (dedicated tags) so rank 0
+/// can gauge `sim.sypd`, `sim.imbalance` and `sim.step_wall_s`, and rank 0
+/// then takes one [`ap3esm_obs::Sampler`] sample of every registered
+/// counter/gauge/histogram into an in-process [`ap3esm_obs::SeriesStore`],
+/// which the alert rules observe point by point — a series holds one point
+/// per coupling the driver completes (replays included), so a rule's `over
+/// N` counts couplings. With `metrics_addr` rank 0 serves live OpenMetrics
+/// scrapes over HTTP, and after a run with a `report_name` it writes the
+/// full store to `target/obs/series-<name>.json`. Busy time is the rank's
+/// time in the five driver sections (`atm_run`, `lnd_run`, `ice_run`,
+/// `cpl_rearrange`, `ocn_run`) since the previous ocean coupling; the
+/// one-off root spans (`router_build`, `io_{read,write}_subfile`) are not
+/// counted, so a checkpoint coupling does not move `sim.imbalance`.
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
-    /// Sampling cadence of the background sampler thread.
-    pub cadence: std::time::Duration,
     /// Bind an OpenMetrics scrape endpoint here (e.g. `127.0.0.1:9464`;
     /// port 0 binds an ephemeral port — see
     /// [`CoupledStats::metrics_addr`]). `None` disables the endpoint.
     pub metrics_addr: Option<String>,
-    /// Seed the engine with the built-in simulation rules ([SYPD collapse,
-    /// imbalance drift, Degraded streak](ap3esm_obs::sim_rules)).
-    pub builtin_rules: bool,
-    /// Extra alert rules in the `ap3esm_obs::alert` grammar, one per line
-    /// (appended after the built-ins; bad rules panic at startup).
-    pub rules: String,
-    /// Raw-tier ring capacity per series, in samples. At the default
-    /// cadence the default capacity retains minutes of raw history (the
-    /// 10x/100x tiers extend it); size up for high-frequency sampling so
-    /// pre-incident baseline survives for offline replay.
-    pub capacity: usize,
+    /// Alert rules, parsed by the caller ([`ap3esm_obs::parse_rules`]);
+    /// defaults to the built-in simulation rules ([SYPD collapse,
+    /// imbalance drift, Degraded streak, degraded mode](ap3esm_obs::sim_rules)).
+    pub rules: Vec<ap3esm_obs::Rule>,
 }
 
 impl Default for TelemetryOptions {
     fn default() -> Self {
         TelemetryOptions {
-            cadence: std::time::Duration::from_millis(250),
             metrics_addr: None,
-            builtin_rules: true,
-            rules: String::new(),
-            capacity: ap3esm_obs::tsdb::DEFAULT_CAPACITY,
+            rules: ap3esm_obs::sim_rules(),
         }
     }
 }
@@ -360,9 +349,10 @@ impl Pulse {
     }
 
     /// Continuous telemetry: global busy-time exchange at the coupling
-    /// sync point, then rank 0 gauges what the sampler thread turns into
-    /// series (the other ranks only take part in the exchange).
-    fn telemetry(&mut self, rank: &Rank, run: &Session, ocn_period: f64) {
+    /// sync point, then rank 0 sets the gauges and samples them — one
+    /// sample per coupling (the other ranks only take part in the
+    /// exchange).
+    fn telemetry(&mut self, rank: &Rank, run: &mut Session, ocn_period: f64) {
         let busy = Pulse::driver_busy(&run.obs.profiler);
         let d_busy = (busy - self.prev_busy).max(0.0);
         self.prev_busy = busy;
@@ -380,6 +370,7 @@ impl Pulse {
         if mean_busy > 0.0 {
             ap3esm_obs::gauge_set("sim.imbalance", max_busy / mean_busy);
         }
+        run.sample();
     }
 }
 
@@ -442,7 +433,7 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
                 pulse.heartbeat(opts, &run, &cpl);
             }
             if opts.telemetry.is_some() {
-                pulse.telemetry(rank, &run, cpl.clock.ocn_alarm.period as f64);
+                pulse.telemetry(rank, &mut run, cpl.clock.ocn_alarm.period as f64);
             }
         }
         // The last ocean coupling's export is still on its way.

@@ -27,21 +27,9 @@ struct Telemetry {
 
 impl Telemetry {
     fn start(obs: &Arc<Obs>, t: &TelemetryOptions) -> Self {
-        let store = Arc::new(SeriesStore::new(t.capacity));
-        let mut rules = if t.builtin_rules {
-            ap3esm_obs::sim_rules()
-        } else {
-            Vec::new()
-        };
-        rules.extend(ap3esm_obs::parse_rules(&t.rules).expect("telemetry alert rules"));
-        let engine = Arc::new(AlertEngine::new(rules));
-        let sampler = Sampler::start(
-            Arc::clone(obs),
-            Arc::clone(&store),
-            Some(Arc::clone(&engine)),
-            t.cadence,
-            Vec::new(),
-        );
+        let store = Arc::new(SeriesStore::default());
+        let engine = Arc::new(AlertEngine::new(t.rules.clone()));
+        let sampler = Sampler::new(Arc::clone(&store), Arc::clone(&engine));
         let server = t.metrics_addr.as_ref().map(|addr| {
             let engine = Some(Arc::clone(&engine));
             MetricsServer::start(addr, Arc::clone(obs), Arc::clone(&store), engine)
@@ -91,8 +79,8 @@ impl Session {
         }
         let mut stats = CoupledStats::default();
         // Every rank takes part in the telemetry busy-time exchange; rank 0
-        // additionally runs the sampler thread, the alert engine and the
-        // scrape endpoint.
+        // additionally samples, runs the alert engine and the scrape
+        // endpoint.
         let is_root = rank.id() == 0;
         let telemetry = opts
             .telemetry
@@ -112,6 +100,14 @@ impl Session {
             _obs_guard,
             tracing,
             telemetry,
+        }
+    }
+
+    /// Rank 0's telemetry sample of the ocean coupling just completed
+    /// (a no-op on every other rank and with telemetry off).
+    pub(crate) fn sample(&mut self) {
+        if let Some(t) = self.telemetry.as_mut() {
+            t.sampler.sample(&self.obs);
         }
     }
 
@@ -148,16 +144,14 @@ impl Session {
         self.stats
     }
 
-    /// Telemetry teardown before the report: the shutdown handshake forces
-    /// one final sample + alert pass, so the report's alerts array and the
-    /// series snapshot include the run's last state. The scrape endpoint
-    /// stays up until the snapshot is on disk. Returns the alert firings
-    /// and, for the diagnostics bundle, the final tsdb state.
+    /// Telemetry teardown before the report: the last coupling's sample is
+    /// already in, so nothing is sampled here. The scrape endpoint stays up
+    /// until the snapshot is on disk. Returns the alert firings and, for the
+    /// diagnostics bundle, the final tsdb state.
     fn stop_telemetry(&mut self, opts: &CoupledOptions) -> (Vec<AlertEvent>, Option<String>) {
         let Some(t) = self.telemetry.take() else {
             return (Vec::new(), None);
         };
-        t.sampler.shutdown();
         let alerts = t.engine.events();
         self.stats.alerts = alerts.iter().map(|e| e.message.clone()).collect();
         if let Some(name) = &opts.report_name {

@@ -1,9 +1,11 @@
 //! Declarative SLO / anomaly rules over sampled time series.
 //!
-//! An [`AlertEngine`] holds a set of [`Rule`]s and is evaluated after every
-//! sampler tick (or offline, over a saved snapshot — see [`replay`]). Each
-//! rule watches one series in a [`SeriesStore`] and breaches on one of
-//! three conditions:
+//! An [`AlertEngine`] holds a set of [`Rule`]s and observes every point the
+//! [`Sampler`](crate::Sampler) stores, as it stores it (or offline, a saved
+//! snapshot's raw tier — see [`replay`]). Each rule watches one series, so
+//! its `over N` and `for M` count that series' samples — one per ocean
+//! coupling in the coupled driver — and breaches on one of three
+//! conditions:
 //!
 //! * **threshold** — `above X` / `below X`: the sampled value crosses a
 //!   fixed bound (serve p95 budget, shed-rate SLO);
@@ -17,7 +19,7 @@
 //!   `resilience.guard_degraded` counters).
 //!
 //! A rule fires only after `for M` *consecutive* breaching samples
-//! (default 1) — one noisy tick never pages — and it re-arms once a sample
+//! (default 1) — one noisy sample never pages — and it re-arms once a sample
 //! passes again, so each sustained episode emits exactly one
 //! [`AlertEvent`]. Firing emits to three places at once: stderr
 //! (`[alert] ...`), the rank's event log as an `alert.<rule>` journal entry
@@ -46,7 +48,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::tsdb::{SeriesSnapshot, SeriesStore, DOWNSAMPLE_FACTOR};
+use crate::tsdb::SeriesSnapshot;
 use crate::Obs;
 
 /// Maximum events kept in the engine log (oldest dropped beyond this).
@@ -229,8 +231,8 @@ pub struct RuleStatus {
     pub evaluated: u64,
 }
 
+#[derive(Default)]
 struct RuleState {
-    cursor: u64,
     /// Recent values, newest last (bounded by the deviation window, or 1
     /// for rate-of-change rules).
     history: VecDeque<(f64, f64)>,
@@ -240,21 +242,8 @@ struct RuleState {
     evaluated: u64,
 }
 
-impl RuleState {
-    fn new() -> RuleState {
-        RuleState {
-            cursor: 0,
-            history: VecDeque::new(),
-            streak: 0,
-            firing: false,
-            fired: 0,
-            evaluated: 0,
-        }
-    }
-}
-
-/// Evaluates a rule set against a [`SeriesStore`]; safe to share between
-/// the sampler thread and scrape/report readers.
+/// Evaluates a rule set point by point; safe to share between the sampling
+/// thread and scrape/report readers.
 pub struct AlertEngine {
     rules: Vec<Rule>,
     states: Vec<Mutex<RuleState>>,
@@ -269,7 +258,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 impl AlertEngine {
     pub fn new(rules: Vec<Rule>) -> AlertEngine {
-        let states = rules.iter().map(|_| Mutex::new(RuleState::new())).collect();
+        let states = rules.iter().map(|_| Mutex::default()).collect();
         AlertEngine {
             rules,
             states,
@@ -288,16 +277,13 @@ impl AlertEngine {
         &self.rules
     }
 
-    /// Evaluate every rule over the samples that arrived since the last
-    /// call. Firings are journaled in `obs`'s event log as `alert.<rule>`
-    /// and bump the `alert.fired` counter when `obs` is given.
-    pub fn evaluate(&self, store: &SeriesStore, obs: Option<&Obs>) {
+    /// Advance every rule watching `series` by one point. Firings are
+    /// journaled in `obs`'s event log as `alert.<rule>` and bump the
+    /// `alert.fired` counter when `obs` is given.
+    pub fn observe(&self, series: &str, t: f64, v: f64, obs: Option<&Obs>) {
         for (rule, state) in self.rules.iter().zip(&self.states) {
-            let mut st = lock(state);
-            let (points, cursor) = store.tail(&rule.series, st.cursor);
-            st.cursor = cursor;
-            for (t, v) in points {
-                if let Some(event) = step_rule(rule, &mut st, t, v) {
+            if rule.series == series {
+                if let Some(event) = step_rule(rule, &mut lock(state), t, v) {
                     self.emit(event, obs);
                 }
             }
@@ -422,41 +408,35 @@ fn step_rule(rule: &Rule, st: &mut RuleState, t: f64, v: f64) -> Option<AlertEve
     }
 }
 
-/// Replay saved snapshots (raw tier) through a fresh engine offline;
-/// returns the engine so callers can read both events and status.
+/// Replay saved snapshots offline: every raw-tier point, in time order
+/// across series as the sampler stored them, through a fresh engine's
+/// [`AlertEngine::observe`]. Returns the engine so callers can read both
+/// events and status.
 pub fn replay(rules: Vec<Rule>, snapshots: &[SeriesSnapshot]) -> AlertEngine {
-    let capacity = snapshots
+    let mut points: Vec<(f64, &str, f64)> = snapshots
         .iter()
-        .map(|s| s.tiers[0].len())
-        .max()
-        .unwrap_or(0)
-        .max(DOWNSAMPLE_FACTOR);
-    let store = SeriesStore::new(capacity);
-    // Interleave all series by timestamp so cross-series evaluation order
-    // matches the live sampler (one evaluate pass per unique tick works
-    // because tails are consumed per rule).
-    for snap in snapshots {
-        for b in &snap.tiers[0] {
-            store.record_at(&snap.name, b.t_s, b.sum);
-        }
-    }
+        .flat_map(|s| s.tiers[0].iter().map(|b| (b.t_s, s.name.as_str(), b.sum)))
+        .collect();
+    points.sort_by(|a, b| a.0.total_cmp(&b.0));
     let engine = AlertEngine::new(rules).quiet();
-    engine.evaluate(&store, None);
+    for (t, series, v) in points {
+        engine.observe(series, t, v, None);
+    }
     engine
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tsdb::SeriesStore;
 
     fn run_rule(line: &str, points: &[(f64, f64)]) -> (AlertEngine, Vec<AlertEvent>) {
-        let store = SeriesStore::new(1024);
         let rule = parse_rule(line).unwrap();
-        for &(t, v) in points {
-            store.record_at(&rule.series, t, v);
-        }
+        let series = rule.series.clone();
         let engine = AlertEngine::new(vec![rule]).quiet();
-        engine.evaluate(&store, None);
+        for &(t, v) in points {
+            engine.observe(&series, t, v, None);
+        }
         let events = engine.events();
         (engine, events)
     }
@@ -574,19 +554,29 @@ mod tests {
     }
 
     #[test]
-    fn incremental_evaluation_matches_one_shot() {
-        let rule = "hot: temp above 3 for 2";
-        let points: Vec<(f64, f64)> =
-            (0..10).map(|i| (i as f64, if i >= 4 { 9.0 } else { 0.0 })).collect();
-        let (_, oneshot) = run_rule(rule, &points);
-        // Same points fed tick by tick through repeated evaluate() calls.
-        let store = SeriesStore::new(1024);
-        let engine = AlertEngine::new(vec![parse_rule(rule).unwrap()]).quiet();
-        for &(t, v) in &points {
-            store.record_at("temp", t, v);
-            engine.evaluate(&store, None);
+    fn points_observed_one_at_a_time_match_replay_of_their_snapshot() {
+        let rules = parse_rules(
+            "hot: temp above 3 for 2\n\
+             slow: sim.sypd deviates_below 0.5 over 4\n",
+        )
+        .unwrap();
+        let live = AlertEngine::new(rules.clone()).quiet();
+        let store = SeriesStore::new(64);
+        for i in 0..10 {
+            let t = i as f64;
+            let sypd = if i == 6 { 0.1 } else { 2.0 };
+            let temp = if i >= 4 { 9.0 } else { 0.0 };
+            for (series, v) in [("sim.sypd", sypd), ("temp", temp)] {
+                store.record_at(series, t, v);
+                live.observe(series, t, v, None);
+            }
         }
-        assert_eq!(engine.events(), oneshot);
+        let replayed = replay(rules, &store.snapshot());
+        let fired: Vec<(String, f64)> =
+            live.events().into_iter().map(|e| (e.rule, e.t_s)).collect();
+        assert_eq!(fired, [("hot".to_string(), 5.0), ("slow".to_string(), 6.0)]);
+        assert_eq!(replayed.events(), live.events());
+        assert_eq!(replayed.status(), live.status());
     }
 
     #[test]
@@ -673,10 +663,8 @@ mod tests {
         let log = std::sync::Arc::new(crate::event::EventLog::new(1));
         log.set_enabled(true);
         obs.profiler.attach(std::sync::Arc::clone(&log), 0);
-        let store = SeriesStore::new(64);
-        store.record_at("temp", 0.0, 9.0);
         let engine = AlertEngine::new(vec![parse_rule("hot: temp above 3").unwrap()]).quiet();
-        engine.evaluate(&store, Some(&obs));
+        engine.observe("temp", 0.0, 9.0, Some(&obs));
         assert_eq!(obs.metrics.counter("alert.fired").get(), 1);
         let events = &log.snapshot()[0];
         assert_eq!(events[0].name.as_str(), "alert.hot");

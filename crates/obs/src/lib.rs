@@ -39,9 +39,11 @@
 //!   rank trees, metrics, alerts, comm summary and critical path as one
 //!   JSON object per run in `target/obs/run-<name>.json`.
 //! * [`json`] — the one JSON value, writer and parser every artifact uses.
-//! * [`tsdb`], [`openmetrics`], [`alert`] — continuous telemetry: a sampled
-//!   time-series store with downsampling tiers, its OpenMetrics exposition
-//!   and scrape endpoint, and declarative SLO/anomaly rules evaluated on it
+//! * [`tsdb`], [`openmetrics`], [`alert`] — continuous telemetry: a
+//!   time-series store with downsampling tiers, sampled by the owner of the
+//!   numbers where they change (the coupled driver once per ocean
+//!   coupling), its OpenMetrics exposition and scrape endpoint, and
+//!   declarative SLO/anomaly rules that observe each sample as it is stored
 //!   (a sampled-series store, not an event log: firings are journaled, the
 //!   series are not events).
 //! * [`perf`] — the build stamp ([`BuildInfo`]) every artifact above carries.
@@ -88,7 +90,7 @@ pub use perf::{BuildInfo, Direction, Stat};
 pub use rankagg::{aggregate_sections, rank_trees, RankTree, SectionStats};
 pub use report::{alert_event_json, CommSummary, RunReport};
 pub use span::{Profiler, SpanGuard, SpanSnapshot};
-pub use tsdb::{Derived, Sampler, SeriesSnapshot, SeriesStore};
+pub use tsdb::{Sampler, SeriesSnapshot, SeriesStore};
 
 use std::cell::RefCell;
 use std::sync::Arc;

@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn parser_accepts_what_render_emits() {
         let store = SeriesStore::new(64);
-        store.record("sim.sypd", 0.5);
+        store.record_at("sim.sypd", 0.0, 0.5);
         let text = render(&sample_metrics(), Some(&store));
         let families = parse(&text).unwrap();
         let names: Vec<&str> = families.iter().map(|f| f.name.as_str()).collect();
@@ -579,11 +579,11 @@ mod tests {
         let obs = Arc::new(Obs::new());
         obs.metrics.counter("hits").add(7);
         let store = Arc::new(SeriesStore::new(64));
-        store.record("sim.sypd", 0.5);
+        store.record_at("sim.sypd", 0.0, 0.5);
         let engine = Arc::new(AlertEngine::new(vec![
             crate::alert::parse_rule("hot: sim.sypd above 0.1").unwrap(),
         ]).quiet());
-        engine.evaluate(&store, None);
+        engine.observe("sim.sypd", 0.0, 0.5, None);
         let server = MetricsServer::start(
             "127.0.0.1:0",
             Arc::clone(&obs),

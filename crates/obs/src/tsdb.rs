@@ -2,51 +2,44 @@
 //!
 //! The run reports (`obs::report`) are end-of-run artefacts; long coupled
 //! runs and the serving fleet need *in-flight* history — what was SYPD ten
-//! minutes ago, is the imbalance drifting, did the p95 move after the
+//! couplings ago, is the imbalance drifting, did the p95 move after the
 //! hot-swap. [`SeriesStore`] keeps that history in memory with a hard
 //! bound:
 //!
-//! * **Lock-sharded**: series are hashed across [`N_SHARDS`] mutexes, so a
-//!   sampler thread, the coupled driver, and a scrape handler never contend
-//!   on one lock.
+//! * **One lock** over the series map: the one writer is the thread that
+//!   owns the numbers and the one other reader an occasional scrape, so
+//!   there is nothing to shard.
 //! * **Fixed-capacity ring buffers**: each series holds three tiers — raw
 //!   samples, a 10× downsampled tier, and a 100× tier. Every tier is a ring
 //!   of at most `capacity` buckets; when a tier wraps, the oldest bucket is
 //!   evicted. A closed window of `DOWNSAMPLE_FACTOR` buckets in one tier
 //!   cascades one aggregated bucket (min/max/sum/count) into the next, so
 //!   the 100× tier summarises `capacity × 100` raw samples. Retention math:
-//!   with a 1 s cadence and the default capacity of 1024 buckets per tier,
-//!   raw covers ~17 min, the 10× tier ~2.8 h, and the 100× tier ~28 h —
-//!   week-long runs stay bounded at three rings per series regardless of
-//!   duration.
-//! * **Seq-numbered tails**: every raw append increments a per-series
-//!   sequence number, so the alert engine can consume exactly the points it
-//!   has not yet evaluated ([`SeriesStore::tail`]) even after the ring
-//!   evicted older ones.
+//!   sampled once per ocean coupling, at `demo_small`'s 12 couplings a day,
+//!   the default 1024 buckets per tier keep 85 simulated days raw, 2.3
+//!   years in the 10× tier and 23 in the 100× tier — year-long runs stay
+//!   bounded at three rings per series.
 //!
-//! [`Sampler`] runs on its own thread: every `cadence` it snapshots a
-//! [`Metrics`] registry into the store (counters as cumulative value plus a
-//! `<name>.rate` per-second series, gauges as-is, histograms as
-//! `<name>.p50` / `<name>.p95` / `<name>.count` sub-series), records any
-//! registered [`Derived`] series (e.g. the serve shed ratio), and gives the
-//! alert engine one evaluation pass. Shutdown is a condvar handshake —
-//! [`Sampler::shutdown`] flags the thread, wakes it, takes one final sample
-//! so short runs are never empty, and joins. With no sampler started,
-//! nothing runs and the metric hot paths are untouched.
+//! [`Sampler`] samples where the numbers change, on the thread that owns
+//! them: the coupled driver's rank 0 once per ocean coupling, a serving
+//! process from its own loop. [`Sampler::sample`] copies a
+//! [`Metrics`](crate::Metrics) registry into the store (counters as
+//! cumulative value plus a `<name>.rate` per-second series, gauges as-is,
+//! histograms as `<name>.p50` / `<name>.p95` / `<name>.count` sub-series)
+//! and [`Sampler::record`] adds a point the caller computed. Each point
+//! goes to the [`AlertEngine`] as it is stored, so a rule's `over N` /
+//! `for M` counts its owner's samples. Nothing runs in between: no thread,
+//! no cadence, and with no sampler the metric hot paths are untouched.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use crate::alert::AlertEngine;
 use crate::json::Json;
-use crate::metrics::{Metrics, MetricSnapshot};
+use crate::metrics::MetricSnapshot;
 use crate::Obs;
-
-/// Shards of the series map; power of two so the hash folds cheaply.
-pub const N_SHARDS: usize = 16;
 
 /// Buckets per closed downsampling window (raw → 10× → 100×).
 pub const DOWNSAMPLE_FACTOR: usize = 10;
@@ -98,6 +91,7 @@ impl Bucket {
 }
 
 /// One ring-buffered tier plus the open window cascading into the next.
+#[derive(Default)]
 struct Tier {
     buckets: VecDeque<Bucket>,
     pending: Option<Bucket>,
@@ -105,14 +99,6 @@ struct Tier {
 }
 
 impl Tier {
-    fn new() -> Tier {
-        Tier {
-            buckets: VecDeque::new(),
-            pending: None,
-            pending_n: 0,
-        }
-    }
-
     /// Ring-push a closed bucket; returns the cascaded bucket when this
     /// push closes a full downsampling window.
     fn push(&mut self, bucket: Bucket, capacity: usize) -> Option<Bucket> {
@@ -134,6 +120,7 @@ impl Tier {
     }
 }
 
+#[derive(Default)]
 struct Series {
     tiers: [Tier; N_TIERS],
     /// Raw samples ever pushed (monotone; the ring keeps the newest).
@@ -141,13 +128,6 @@ struct Series {
 }
 
 impl Series {
-    fn new() -> Series {
-        Series {
-            tiers: [Tier::new(), Tier::new(), Tier::new()],
-            total: 0,
-        }
-    }
-
     fn record(&mut self, t_s: f64, value: f64, capacity: usize) {
         self.total += 1;
         let mut cascade = self.tiers[0].push(Bucket::raw(t_s, value), capacity);
@@ -170,9 +150,9 @@ pub struct SeriesSnapshot {
     pub tiers: [Vec<Bucket>; N_TIERS],
 }
 
-/// Lock-sharded store of named time series with bounded ring tiers.
+/// Store of named time series with bounded ring tiers, behind one lock.
 pub struct SeriesStore {
-    shards: Vec<Mutex<BTreeMap<String, Series>>>,
+    series: Mutex<BTreeMap<String, Series>>,
     capacity: usize,
     epoch: Instant,
 }
@@ -183,16 +163,6 @@ impl Default for SeriesStore {
     }
 }
 
-fn shard_of(name: &str) -> usize {
-    // FNV-1a, folded into the shard count.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h as usize) & (N_SHARDS - 1)
-}
-
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -200,7 +170,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl SeriesStore {
     pub fn new(capacity: usize) -> SeriesStore {
         SeriesStore {
-            shards: (0..N_SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            series: Mutex::new(BTreeMap::new()),
             capacity: capacity.max(DOWNSAMPLE_FACTOR),
             epoch: Instant::now(),
         }
@@ -213,61 +183,26 @@ impl SeriesStore {
 
     /// Append one raw sample at an explicit time offset.
     pub fn record_at(&self, name: &str, t_s: f64, value: f64) {
-        let mut shard = lock(&self.shards[shard_of(name)]);
-        shard
+        lock(&self.series)
             .entry(name.to_string())
-            .or_insert_with(Series::new)
+            .or_default()
             .record(t_s, value, self.capacity);
-    }
-
-    /// Append one raw sample timestamped now.
-    pub fn record(&self, name: &str, value: f64) {
-        self.record_at(name, self.now_s(), value);
-    }
-
-    /// Raw samples newer than `since` (a sequence number as returned by a
-    /// previous call), oldest first, plus the new cursor. Points evicted by
-    /// the ring before being read are silently skipped.
-    pub fn tail(&self, name: &str, since: u64) -> (Vec<(f64, f64)>, u64) {
-        let shard = lock(&self.shards[shard_of(name)]);
-        let Some(series) = shard.get(name) else {
-            return (Vec::new(), since);
-        };
-        let ring = &series.tiers[0].buckets;
-        let first_seq = series.total - ring.len() as u64;
-        let skip = since.saturating_sub(first_seq) as usize;
-        let points = ring
-            .iter()
-            .skip(skip)
-            .map(|b| (b.t_s, b.sum))
-            .collect();
-        (points, series.total)
     }
 
     /// All series, sorted by name.
     pub fn snapshot(&self) -> Vec<SeriesSnapshot> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = lock(shard);
-            for (name, series) in shard.iter() {
-                out.push(SeriesSnapshot {
-                    name: name.clone(),
-                    total: series.total,
-                    tiers: [
-                        series.tiers[0].buckets.iter().copied().collect(),
-                        series.tiers[1].buckets.iter().copied().collect(),
-                        series.tiers[2].buckets.iter().copied().collect(),
-                    ],
-                });
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    /// Registered series names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.snapshot().into_iter().map(|s| s.name).collect()
+        lock(&self.series)
+            .iter()
+            .map(|(name, series)| SeriesSnapshot {
+                name: name.clone(),
+                total: series.total,
+                tiers: [
+                    series.tiers[0].buckets.iter().copied().collect(),
+                    series.tiers[1].buckets.iter().copied().collect(),
+                    series.tiers[2].buckets.iter().copied().collect(),
+                ],
+            })
+            .collect()
     }
 
     /// Serialise every series (all tiers) as one JSON document, schema
@@ -376,152 +311,65 @@ pub fn snapshot_from_json(text: &str) -> Result<Vec<SeriesSnapshot>, String> {
     Ok(out)
 }
 
-// --- the sampler thread -------------------------------------------------
+// --- the sampler --------------------------------------------------------
 
-/// Closure type of a [`Derived`] series.
-pub type DerivedFn = Arc<dyn Fn(&Metrics) -> Option<f64> + Send + Sync>;
-
-/// A derived series: a closure evaluated against the metrics registry at
-/// every sampling tick (e.g. `serve.shed_rate` = shed / submitted).
-/// Returning `None` skips the tick.
-#[derive(Clone)]
-pub struct Derived {
-    pub name: String,
-    pub eval: DerivedFn,
-}
-
-impl Derived {
-    pub fn new(
-        name: &str,
-        eval: impl Fn(&Metrics) -> Option<f64> + Send + Sync + 'static,
-    ) -> Derived {
-        Derived {
-            name: name.to_string(),
-            eval: Arc::new(eval),
-        }
-    }
-}
-
-struct SamplerShared {
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
-/// Samples a [`Metrics`] registry into a [`SeriesStore`] on its own thread
-/// and drives the alert engine; see the module docs for the mapping.
+/// Copies a [`Metrics`](crate::Metrics) registry into a [`SeriesStore`]
+/// when the owner of the numbers says they changed, and hands every stored
+/// point to the alert engine; see the module docs for the mapping.
 pub struct Sampler {
-    shared: Arc<SamplerShared>,
-    handle: Option<JoinHandle<()>>,
+    store: Arc<SeriesStore>,
+    engine: Arc<AlertEngine>,
+    /// Each counter's time and value at the previous sample, for its rate.
+    prev: BTreeMap<String, (f64, f64)>,
 }
 
 impl Sampler {
-    /// Spawn the sampling thread. `engine`, when given, is evaluated after
-    /// every tick (firings are journaled in `obs`'s event log).
-    pub fn start(
-        obs: Arc<Obs>,
-        store: Arc<SeriesStore>,
-        engine: Option<Arc<AlertEngine>>,
-        cadence: Duration,
-        derived: Vec<Derived>,
-    ) -> Sampler {
-        let shared = Arc::new(SamplerShared {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("obs-sampler".into())
-            .spawn(move || {
-                let mut prev: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-                loop {
-                    let stopped = {
-                        let guard = lock(&thread_shared.stop);
-                        if *guard {
-                            true
-                        } else {
-                            let (guard, _) = thread_shared
-                                .wake
-                                .wait_timeout(guard, cadence)
-                                .unwrap_or_else(|p| p.into_inner());
-                            *guard
-                        }
-                    };
-                    // One final sample on shutdown, so short runs and the
-                    // end-of-run report always see the last state.
-                    sample_once(&obs.metrics, &store, &derived, &mut prev);
-                    if let Some(engine) = &engine {
-                        engine.evaluate(&store, Some(&obs));
-                    }
-                    if stopped {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn obs-sampler");
+    pub fn new(store: Arc<SeriesStore>, engine: Arc<AlertEngine>) -> Sampler {
         Sampler {
-            shared,
-            handle: Some(handle),
+            store,
+            engine,
+            prev: BTreeMap::new(),
         }
     }
 
-    /// Stop the thread (handshake: flag, wake, final sample, join).
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            *lock(&self.shared.stop) = true;
-            self.shared.wake.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// One sampling pass: registry → store (+ derived series).
-fn sample_once(
-    metrics: &Metrics,
-    store: &SeriesStore,
-    derived: &[Derived],
-    prev: &mut BTreeMap<String, (f64, f64)>,
-) {
-    let t = store.now_s();
-    for (name, snap) in metrics.snapshot() {
-        match snap {
-            MetricSnapshot::Counter(v) => {
-                let v = v as f64;
-                store.record_at(&name, t, v);
-                // Per-second rate since the previous tick (0 on the first).
-                let rate = match prev.get(&name) {
-                    Some(&(t0, v0)) if t > t0 => (v - v0).max(0.0) / (t - t0),
-                    _ => 0.0,
-                };
-                store.record_at(&format!("{name}.rate"), t, rate);
-                prev.insert(name, (t, v));
-            }
-            MetricSnapshot::Gauge(v) => {
-                if v.is_finite() {
-                    store.record_at(&name, t, v);
+    /// One sample of `obs`'s registry, timestamped now. Firings are
+    /// journaled in `obs`'s event log.
+    pub fn sample(&mut self, obs: &Obs) {
+        let t = self.store.now_s();
+        for (name, snap) in obs.metrics.snapshot() {
+            match snap {
+                MetricSnapshot::Counter(v) => {
+                    let v = v as f64;
+                    // Per-second rate since the previous sample (0 on the first).
+                    let rate = match self.prev.insert(name.clone(), (t, v)) {
+                        Some((t0, v0)) if t > t0 => (v - v0).max(0.0) / (t - t0),
+                        _ => 0.0,
+                    };
+                    self.point(&name, t, v, obs);
+                    self.point(&format!("{name}.rate"), t, rate, obs);
+                }
+                MetricSnapshot::Gauge(v) => self.point(&name, t, v, obs),
+                MetricSnapshot::Histogram(h) => {
+                    self.point(&format!("{name}.p50"), t, h.p50 as f64, obs);
+                    self.point(&format!("{name}.p95"), t, h.p95 as f64, obs);
+                    self.point(&format!("{name}.count"), t, h.count as f64, obs);
                 }
             }
-            MetricSnapshot::Histogram(h) => {
-                store.record_at(&format!("{name}.p50"), t, h.p50 as f64);
-                store.record_at(&format!("{name}.p95"), t, h.p95 as f64);
-                store.record_at(&format!("{name}.count"), t, h.count as f64);
-            }
         }
     }
-    for d in derived {
-        if let Some(v) = (d.eval)(metrics) {
-            if v.is_finite() {
-                store.record_at(&d.name, t, v);
-            }
+
+    /// Record a point the caller computed (e.g. `serve.shed_rate`),
+    /// timestamped now.
+    pub fn record(&self, name: &str, value: f64, obs: &Obs) {
+        self.point(name, self.store.now_s(), value, obs);
+    }
+
+    /// Store one point and show it to the engine; non-finite values are
+    /// skipped.
+    fn point(&self, name: &str, t: f64, v: f64, obs: &Obs) {
+        if v.is_finite() {
+            self.store.record_at(name, t, v);
+            self.engine.observe(name, t, v, Some(obs));
         }
     }
 }
@@ -531,7 +379,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn raw_tier_is_a_bounded_ring_with_seq_tails() {
+    fn raw_tier_is_a_bounded_ring() {
         let store = SeriesStore::new(16);
         for i in 0..40 {
             store.record_at("x", i as f64, i as f64);
@@ -541,15 +389,6 @@ mod tests {
         assert_eq!(snap.total, 40);
         assert_eq!(snap.tiers[0].len(), 16); // ring capacity
         assert_eq!(snap.tiers[0][0].sum, 24.0); // oldest kept = 40 - 16
-        // Tail from a cursor inside the ring.
-        let (points, next) = store.tail("x", 38);
-        assert_eq!(next, 40);
-        assert_eq!(points, vec![(38.0, 38.0), (39.0, 39.0)]);
-        // Tail from a cursor already evicted: returns what the ring has.
-        let (points, _) = store.tail("x", 0);
-        assert_eq!(points.len(), 16);
-        // Unknown series: empty, cursor unchanged.
-        assert_eq!(store.tail("y", 7), (Vec::new(), 7));
     }
 
     #[test]
@@ -588,43 +427,47 @@ mod tests {
     }
 
     #[test]
-    fn sampler_samples_metrics_and_shuts_down_cleanly() {
-        let obs = Arc::new(Obs::new());
+    fn sampler_maps_the_registry_and_records_caller_points() {
+        let obs = Obs::new();
         obs.metrics.counter("msgs").add(10);
         obs.metrics.gauge("sypd").set(0.5);
         obs.metrics.histogram("lat").record(100);
         let store = Arc::new(SeriesStore::new(64));
-        let derived = vec![Derived::new("ratio", |m: &Metrics| {
-            Some(m.counter("msgs").get() as f64 / 2.0)
-        })];
-        let sampler = Sampler::start(
-            Arc::clone(&obs),
-            Arc::clone(&store),
-            None,
-            Duration::from_millis(5),
-            derived,
-        );
-        let t0 = Instant::now();
-        while store.tail("msgs", 0).0.len() < 2 && t0.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        sampler.shutdown();
-        let names = store.names();
-        for want in ["msgs", "msgs.rate", "sypd", "lat.p50", "lat.p95", "lat.count", "ratio"] {
-            assert!(names.iter().any(|n| n == want), "missing series {want}: {names:?}");
-        }
-        let (points, _) = store.tail("msgs", 0);
-        assert!(points.iter().all(|&(_, v)| v == 10.0));
-        let (ratio, _) = store.tail("ratio", 0);
-        assert_eq!(ratio[0].1, 5.0);
-    }
+        let rules =
+            crate::alert::parse_rules("busy: msgs.rate above 0\nhigh: ratio above 0.2").unwrap();
+        let engine = Arc::new(AlertEngine::new(rules).quiet());
+        let mut sampler = Sampler::new(Arc::clone(&store), Arc::clone(&engine));
+        sampler.sample(&obs);
+        obs.metrics.counter("msgs").add(30);
+        // A rate needs the second sample at a later instant than the first.
+        let t0 = store.now_s();
+        while store.now_s() <= t0 {}
+        sampler.sample(&obs);
+        sampler.record("ratio", 0.25, &obs);
+        sampler.record("ratio", f64::NAN, &obs); // skipped
 
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for name in ["sim.sypd", "serve.latency_us.p95", "", "x"] {
-            let s = shard_of(name);
-            assert!(s < N_SHARDS);
-            assert_eq!(s, shard_of(name));
-        }
+        let snaps = store.snapshot();
+        let raw = |name: &str| -> Vec<(f64, f64)> {
+            let s = snaps.iter().find(|s| s.name == name).expect(name);
+            s.tiers[0].iter().map(|b| (b.t_s, b.sum)).collect()
+        };
+        let msgs = raw("msgs");
+        assert_eq!(msgs.iter().map(|p| p.1).collect::<Vec<_>>(), [10.0, 40.0]);
+        let dt = msgs[1].0 - msgs[0].0;
+        assert!(dt > 0.0);
+        assert_eq!(
+            raw("msgs.rate").iter().map(|p| p.1).collect::<Vec<_>>(),
+            [0.0, 30.0 / dt]
+        );
+        assert_eq!(raw("sypd").len(), 2);
+        let lat = obs.metrics.histogram("lat").summary();
+        assert_eq!(raw("lat.p50")[1].1, lat.p50 as f64);
+        assert_eq!(raw("lat.p95")[1].1, lat.p95 as f64);
+        assert_eq!(raw("lat.count")[1].1, 1.0);
+        assert_eq!(raw("ratio").iter().map(|p| p.1).collect::<Vec<_>>(), [0.25]);
+        // Every stored point reached the engine as it was stored.
+        let fired: Vec<String> = engine.events().into_iter().map(|e| e.rule).collect();
+        assert_eq!(fired, ["busy", "high"]);
+        assert_eq!(obs.metrics.counter("alert.fired").get(), 2);
     }
 }

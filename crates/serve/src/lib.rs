@@ -43,4 +43,4 @@ pub use admission::{Admission, TokenBucket};
 pub use error::ServeError;
 pub use jobs::{coupled_compute, ForecastProduct, ForecastScheduler, ProductHandle, ProductKey};
 pub use registry::{warm_modules, ModelRegistry, ModelVersion};
-pub use service::{perf_snapshot, telemetry_derived, ServeConfig, Service, Ticket};
+pub use service::{perf_snapshot, ServeConfig, Service, Ticket};

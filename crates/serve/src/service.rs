@@ -113,20 +113,6 @@ struct ServeMetrics {
     latency_us: Arc<Histogram>,
 }
 
-/// Derived telemetry series for a serving process, for the
-/// `ap3esm_obs::Sampler`'s derived-series hook: `serve.shed_rate` =
-/// shed / submitted (skipped until the first submission), the series the
-/// built-in `serve-shed` SLO rule watches.
-pub fn telemetry_derived() -> Vec<ap3esm_obs::Derived> {
-    vec![ap3esm_obs::Derived::new("serve.shed_rate", |m| {
-        let submitted = m.counter("serve.submitted").get();
-        if submitted == 0 {
-            return None;
-        }
-        Some(m.counter("serve.shed").get() as f64 / submitted as f64)
-    })]
-}
-
 /// The serving path's `perf.serve.*` readings from a service's `Obs`:
 /// end-to-end latency p50/p95 and the batched forward's p50
 /// (lower-is-better); shed rate, mean batch size and queue-wait p95 are

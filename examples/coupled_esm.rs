@@ -16,13 +16,15 @@
 //! `--progress-every <n>` (live telemetry every n ocean couplings),
 //! `--metrics-addr <ip:port>` (live OpenMetrics scrape endpoint — `curl
 //! http://<addr>/metrics` mid-run; implies continuous telemetry),
-//! `--slo` (continuous telemetry + built-in SYPD-collapse /
-//! imbalance-drift / degraded-streak alert rules), `--slo-rules <file>`
-//! (extra rules, one per line), `--cadence-ms <n>` (sampling cadence).
+//! `--slo` (continuous telemetry, sampled once per ocean coupling, +
+//! built-in SYPD-collapse / imbalance-drift / degraded-streak /
+//! degraded-mode alert rules), `--slo-rules <file>` (extra rules, one per
+//! line; a malformed line exits 2 naming it).
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::esm::coupled::TelemetryOptions;
 use ap3esm::esm::RecoveryConfig;
+use ap3esm::obs::parse_rules;
 use ap3esm::prelude::*;
 use std::sync::Arc;
 
@@ -35,7 +37,6 @@ struct Cli {
     slo: bool,
     slo_rules: Option<std::path::PathBuf>,
     metrics_addr: Option<String>,
-    cadence_ms: u64,
 }
 
 fn parse_cli() -> Cli {
@@ -48,7 +49,6 @@ fn parse_cli() -> Cli {
         slo: false,
         slo_rules: None,
         metrics_addr: None,
-        cadence_ms: 250,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -71,14 +71,9 @@ fn parse_cli() -> Cli {
             "--slo" => cli.slo = true,
             "--slo-rules" => cli.slo_rules = Some(value("--slo-rules").into()),
             "--metrics-addr" => cli.metrics_addr = Some(value("--metrics-addr")),
-            "--cadence-ms" => {
-                cli.cadence_ms = value("--cadence-ms")
-                    .parse()
-                    .expect("--cadence-ms: not a number")
-            }
             other => panic!(
                 "unknown flag {other} (try --days, --fault-plan, --checkpoint-dir, --trace, \
-                 --progress-every, --slo, --slo-rules, --metrics-addr, --cadence-ms)"
+                 --progress-every, --slo, --slo-rules, --metrics-addr)"
             ),
         }
     }
@@ -131,20 +126,20 @@ fn main() {
             .get_or_insert_with(|| "target/ckpt".into());
     }
     if cli.slo || cli.metrics_addr.is_some() {
-        let rules = cli
-            .slo_rules
-            .as_ref()
-            .map(|p| {
-                std::fs::read_to_string(p)
-                    .unwrap_or_else(|e| panic!("cannot read {}: {e}", p.display()))
-            })
-            .unwrap_or_default();
-        opts.telemetry = Some(TelemetryOptions {
-            cadence: std::time::Duration::from_millis(cli.cadence_ms.max(1)),
+        let mut telemetry = TelemetryOptions {
             metrics_addr: cli.metrics_addr.clone(),
-            rules,
             ..TelemetryOptions::default()
-        });
+        };
+        if let Some(p) = &cli.slo_rules {
+            let text = std::fs::read_to_string(p)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", p.display()));
+            let rules = parse_rules(&text).unwrap_or_else(|e| {
+                eprintln!("coupled_esm: --slo-rules {}: {e}", p.display());
+                std::process::exit(2);
+            });
+            telemetry.rules.extend(rules);
+        }
+        opts.telemetry = Some(telemetry);
     }
     if let Some(addr) = &cli.metrics_addr {
         println!("metrics endpoint: http://{addr}/metrics (live during the run)\n");

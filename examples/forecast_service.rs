@@ -7,11 +7,13 @@
 //! p50/p95 latency, throughput and the shed rate, and writes the obs run
 //! report (and, with `--trace`, a chrome trace of the serve batches).
 //!
-//! With `--slo` the run is continuously sampled into a time-series store
-//! and judged against the built-in serving SLO rules (p95 latency budget,
-//! shed-rate ceiling); a final SLO summary prints per-rule verdicts and
-//! `--slo-strict` exits nonzero on any violation. `--metrics-addr` serves
-//! live OpenMetrics scrapes while the load runs.
+//! With `--slo` the main loop, which paces the run, samples the registry
+//! (plus the `serve.shed_rate` it computes) into a time-series store every
+//! `--cadence-ms` and once more after the drain, and the built-in serving
+//! SLO rules (p95 latency budget, shed-rate ceiling) judge each sample; a
+//! final SLO summary prints per-rule verdicts and `--slo-strict` exits
+//! nonzero on any violation. `--metrics-addr` serves live OpenMetrics
+//! scrapes while the load runs.
 //!
 //! ```sh
 //! cargo run --release --example forecast_service -- \
@@ -29,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ap3esm::ai::modules::ColumnState;
-use ap3esm::obs::Obs;
+use ap3esm::obs::{AlertEngine, Obs, Sampler, SeriesStore};
 use ap3esm::serve::registry::warm_modules;
 use ap3esm::serve::{
     coupled_compute, ForecastScheduler, ModelRegistry, ProductKey, ServeConfig, ServeError,
@@ -103,6 +105,19 @@ fn column(nlev: usize, phase: f64) -> ColumnState {
     }
 }
 
+/// One telemetry sample: the registry, plus `serve.shed_rate` = shed /
+/// submitted (once anything was submitted), the series the built-in
+/// `serve-shed` rule watches.
+fn sample(sampler: &mut Option<Sampler>, obs: &Obs) {
+    let Some(sampler) = sampler else { return };
+    sampler.sample(obs);
+    let submitted = obs.metrics.counter("serve.submitted").get();
+    if submitted > 0 {
+        let shed = obs.metrics.counter("serve.shed").get();
+        sampler.record("serve.shed_rate", shed as f64 / submitted as f64, obs);
+    }
+}
+
 fn main() {
     let cli = parse_cli();
     let nlev = 30;
@@ -115,27 +130,21 @@ fn main() {
         log
     });
 
-    // Continuous telemetry: background sampler feeding a time-series
-    // store, the built-in serving SLO rules, and an optional OpenMetrics
-    // scrape endpoint that serves live while the load runs.
+    // Continuous telemetry: a time-series store the main loop below
+    // samples into, the built-in serving SLO rules, and an optional
+    // OpenMetrics scrape endpoint that serves live while the load runs.
     let telemetry_on = cli.slo || cli.slo_strict || cli.metrics_addr.is_some();
-    let store = telemetry_on
-        .then(|| Arc::new(ap3esm::obs::SeriesStore::new(ap3esm::obs::tsdb::DEFAULT_CAPACITY)));
+    let store = telemetry_on.then(|| Arc::new(SeriesStore::default()));
     let engine = telemetry_on.then(|| {
-        Arc::new(ap3esm::obs::AlertEngine::new(ap3esm::obs::serve_rules(
+        Arc::new(AlertEngine::new(ap3esm::obs::serve_rules(
             cli.slo_p95_ms * 1e3,
             cli.slo_shed,
         )))
     });
-    let sampler = store.as_ref().map(|store| {
-        ap3esm::obs::Sampler::start(
-            Arc::clone(&obs),
-            Arc::clone(store),
-            engine.clone(),
-            Duration::from_millis(cli.cadence_ms.max(1)),
-            ap3esm::serve::telemetry_derived(),
-        )
-    });
+    let mut sampler = store
+        .as_ref()
+        .zip(engine.as_ref())
+        .map(|(s, e)| Sampler::new(Arc::clone(s), Arc::clone(e)));
     let server = cli.metrics_addr.as_ref().map(|addr| {
         let s = ap3esm::obs::MetricsServer::start(
             addr,
@@ -204,17 +213,29 @@ fn main() {
         })
         .collect();
 
-    // Hot-swap a retrained model at the halfway mark, roll back at 3/4 —
-    // both under full load.
-    let half = Duration::from_secs_f64(cli.duration / 2.0);
-    std::thread::sleep(half);
-    let (t, r) = warm_modules(nlev, 32, 20230722);
-    let v = svc.registry().publish("retrained-v2", t, r);
-    println!("hot-swapped model registry to v{v} mid-run");
-    std::thread::sleep(half / 2);
-    let back = svc.registry().rollback().expect("rollback");
-    println!("rolled back to v{back}");
-    std::thread::sleep(half / 2);
+    // The main loop paces the run one `--cadence-ms` tick at a time and
+    // samples telemetry on every tick. Hot-swap a retrained model at the
+    // halfway mark, roll back at 3/4 — both under full load.
+    let tick = Duration::from_millis(cli.cadence_ms.max(1));
+    let duration = Duration::from_secs_f64(cli.duration);
+    let t0 = Instant::now();
+    let (mut swapped, mut rolled_back) = (false, false);
+    while let Some(left) = duration.checked_sub(t0.elapsed()) {
+        std::thread::sleep(tick.min(left));
+        let now = t0.elapsed();
+        if !swapped && now >= duration / 2 {
+            let (t, r) = warm_modules(nlev, 32, 20230722);
+            let v = svc.registry().publish("retrained-v2", t, r);
+            println!("hot-swapped model registry to v{v} mid-run");
+            swapped = true;
+        }
+        if !rolled_back && now >= duration * 3 / 4 {
+            let back = svc.registry().rollback().expect("rollback");
+            println!("rolled back to v{back}");
+            rolled_back = true;
+        }
+        sample(&mut sampler, &obs);
+    }
 
     stop.store(true, Ordering::Relaxed);
     for c in clients {
@@ -278,11 +299,9 @@ fn main() {
         sched.drain();
     }
 
-    // Telemetry teardown: the shutdown handshake forces one final sample
-    // and alert pass, so the verdicts below include the run's last state.
-    if let Some(sampler) = sampler {
-        sampler.shutdown();
-    }
+    // One final sample after the drain, so the verdicts below include the
+    // run's last state.
+    sample(&mut sampler, &obs);
     let mut slo_violated = false;
     if let Some(engine) = &engine {
         println!("\n--- SLO summary ---");

@@ -13,6 +13,7 @@
 //!    world of the shrunken size resuming from the same hand-off.
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
+use ap3esm::esm::coupled::TelemetryOptions;
 use ap3esm::esm::RecoveryConfig;
 use ap3esm::prelude::*;
 use std::path::{Path, PathBuf};
@@ -153,6 +154,8 @@ fn permanent_rank_loss_shrinks_and_matches_fresh_reference() {
 
     let base = tmpdir("shrink");
     let ckpt_degraded = base.join("degraded");
+    // Telemetry talks on its own tags, so the bitwise comparison with the
+    // telemetry-off reference below still holds.
     let opts = CoupledOptions {
         days: 1.0,
         checkpoint_dir: Some(ckpt_degraded.clone()),
@@ -160,6 +163,7 @@ fn permanent_rank_loss_shrinks_and_matches_fresh_reference() {
             checkpoint_interval: 1,
             ..Default::default()
         },
+        telemetry: Some(TelemetryOptions::default()),
         ..Default::default()
     };
     let world = World::new(config.world_size())
@@ -193,6 +197,13 @@ fn permanent_rank_loss_shrinks_and_matches_fresh_reference() {
             .any(|e| e.contains("membership shrunk")),
         "missing shrink event: {:?}",
         root.fault_events
+    );
+    // The shrink's hand-off skips that coupling's sample; the replayed
+    // couplings of the shrunk world sample `sim.degraded_ranks` = 1 live.
+    assert!(
+        root.alerts.iter().any(|a| a.contains("degraded-mode")),
+        "degraded-mode alert missing: {:?}",
+        root.alerts
     );
 
     // The reference world: 3 ranks from scratch, the ocean on the same 2x1

@@ -1,12 +1,12 @@
 //! Tier-1 integration test for the continuous-telemetry layer: a 2-rank
-//! coupled run with sampling on, a deterministic injected slowdown (delay
+//! coupled run with telemetry on, a deterministic injected slowdown (delay
 //! faults on the ocean export's gather message), a live OpenMetrics scrape
 //! taken mid-run, and an offline replay of the saved series snapshot.
 //!
-//! Asserts the whole pipeline: per-coupling SYPD/imbalance gauges →
-//! sampled series → live scrape (strict-parser valid, carries both
-//! series) → SYPD-collapse alert fired once the slowdown lands → alert in
-//! the run report's `alerts` array, in `CoupledStats::alerts`, and as an
+//! Asserts the whole pipeline: per-coupling SYPD/imbalance gauges → one
+//! sample per ocean coupling → live scrape (strict-parser valid, carries
+//! both series) → SYPD-collapse alert fired on a stalled coupling → alert
+//! in the run report's `alerts` array, in `CoupledStats::alerts`, and as an
 //! instant event in the chrome trace → snapshot replay re-fires offline.
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
@@ -36,6 +36,7 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
 fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     // Two ranks: rank 0 = coupler+ATM+ICE+LND, rank 1 = the single ocean
     // domain. 3 days at test_tiny cadence = 12 ocean couplings.
+    const COUPLINGS: u64 = 12;
     let mut config = CoupledConfig::test_tiny();
     config.ocn_px = 1;
     config.ocn_py = 1;
@@ -47,6 +48,7 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     // `nth` counts couplings deterministically). 2.5 s dwarfs a coupling's
     // wall time even on a loaded single-core debug run, so the >50% SYPD
     // deviation is unambiguous.
+    const STALL_S: f64 = 2.5;
     let [_, gather_p2p] = Rearranger::wire_tags_for(22);
     let plan = FaultPlan::parse(&format!(
         "delay src=1 dst=0 tag={gather_p2p} nth=9 ms=2500\n\
@@ -66,14 +68,8 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
         report_name: Some(name.clone()),
         trace: true,
         telemetry: Some(TelemetryOptions {
-            cadence: Duration::from_millis(5),
             metrics_addr: Some(addr.clone()),
-            builtin_rules: false,
-            rules: RULE.to_string(),
-            // The 2.5 s stalls alone produce ~1000 samples at this cadence;
-            // keep the whole run in the raw tier so the offline replay
-            // still sees the pre-incident baseline.
-            capacity: 16 * 1024,
+            rules: parse_rules(RULE).unwrap(),
         }),
         ..Default::default()
     };
@@ -123,6 +119,10 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     assert!(names.contains(&"ap3esm_series"), "{names:?}");
 
     // ---- The slowdown fired the SYPD-collapse rule: stats + report. ----
+    // ... on a stalled coupling: no faster than a coupling that took the
+    // whole stall.
+    let period_s = 86_400.0 / config.couplings_per_day.1 as f64;
+    let stalled_sypd = get_timing(period_s, STALL_S);
     assert!(
         root.alerts.iter().any(|a| a.contains("sypd-collapse")),
         "no sypd-collapse alert: {:?}",
@@ -146,17 +146,39 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     let series_path = root.series_path.as_ref().expect("series snapshot");
     let text = std::fs::read_to_string(series_path).unwrap();
     let snaps = tsdb::snapshot_from_json(&text).expect("snapshot parses");
-    let sypd = snaps
+    // One sample per ocean coupling: every `sim.*` series holds exactly
+    // the run's couplings, no stale copies taken while a coupling stalled.
+    let sim: Vec<_> = snaps
         .iter()
-        .find(|s| s.name == "sim.sypd")
-        .expect("sim.sypd series in snapshot");
-    assert!(sypd.total > 0);
-    assert!(snaps.iter().any(|s| s.name == "sim.imbalance"));
+        .filter(|s| s.name.starts_with("sim."))
+        .collect();
+    let names: Vec<&str> = sim.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "sim.degraded_ranks",
+            "sim.imbalance",
+            "sim.step_wall_s",
+            "sim.sypd"
+        ]
+    );
+    for s in sim {
+        assert_eq!(
+            s.total, COUPLINGS,
+            "{}: one sample per ocean coupling",
+            s.name
+        );
+    }
 
     let engine = alert::replay(parse_rules(RULE).unwrap(), &snaps);
     let status = &engine.status()[0];
     assert!(
         status.fired > 0 || status.firing,
         "offline replay must re-fire the collapse: {status:?}"
+    );
+    let fired: Vec<f64> = engine.events().iter().map(|e| e.value).collect();
+    assert!(
+        fired.iter().any(|&v| v <= stalled_sypd),
+        "sypd-collapse must fire on a stalled coupling (SYPD <= {stalled_sypd}): {fired:?}"
     );
 }
