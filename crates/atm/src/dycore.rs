@@ -25,17 +25,23 @@
 //! from exactly one iteration, in the operand order of the serial loops, so
 //! one lane (`Serial`, the default: each phase is one call over the whole
 //! range) and a team of any size give the same bits.
+//!
+//! No phase divides by geometry or takes a power or a logarithm per point:
+//! the tables carry reciprocal areas and distances, the Exner function is
+//! `(pₛ/p₀)^κ` once per cell (`surface_exner`) times `σₖ^κ` once per
+//! level, and the hypsometric factor `R·ln(σₖ₋₁/σₖ)` is taken once per level.
+//! The one divide left per cell-level is by the new layer thickness.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use ap3esm_grid::icosahedral::MAX_CELL_EDGES;
 use ap3esm_grid::{GeodesicGrid, EARTH_RADIUS};
-use ap3esm_physics::constants::{coriolis, KAPPA, R_DRY};
+use ap3esm_physics::constants::{coriolis, R_DRY};
 use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
 
 use crate::state::AtmState;
-use crate::P_REF;
+use crate::{level_exner, surface_exner};
 
 /// Time-stepping configuration. At 1 km the paper runs 8/30/120 s; coarser
 /// configurations scale all three together.
@@ -84,8 +90,9 @@ struct CellRow {
     sle: [f64; MAX_CELL_EDGES],
     /// (a11, a12, a22) of the inverse 2×2 least-squares normal matrix.
     ls_inv: [f64; 3],
-    /// Physical cell area (m²).
+    /// Physical cell area (m²) and its reciprocal.
     area: f64,
+    inv_area: f64,
 }
 
 /// A cell's east and north unit vectors (3-D): what the per-edge tangential
@@ -106,10 +113,11 @@ struct EdgeRow {
     /// ∂ζ/∂t̂ has a consistent sign.
     corner_down: u32,
     corner_up: u32,
-    /// Physical cell-center distance across the edge (m).
-    de: f64,
-    /// Physical Voronoi-face length (m).
-    le: f64,
+    /// Reciprocal of the physical cell-center distance across the edge
+    /// (1/m).
+    inv_de: f64,
+    /// Reciprocal of the physical Voronoi-face length (1/m).
+    inv_le: f64,
     /// Coriolis parameter at the midpoint.
     f: f64,
     /// Tangent unit vector t̂ = r̂ × n̂ (3-D).
@@ -122,8 +130,8 @@ struct EdgeRow {
 struct CornerRow {
     edge: [u32; 3],
     sde: [f64; 3],
-    /// Physical triangle area (m²).
-    area: f64,
+    /// Reciprocal of the physical triangle area (1/m²).
+    inv_area: f64,
 }
 
 /// Scratch of one dynamics substep. Every value is written before it is
@@ -164,10 +172,11 @@ struct Fields<'a> {
     ps_edge: &'a mut [f64],
     /// Per edge: ∇ₙ ln pₛ.
     grad_ln_ps: &'a mut [f64],
-    /// Per cell: ln pₛ (new).
+    /// Per cell: ln pₛ and the Exner factor (pₛ/p₀)^κ (new).
     ln_ps: &'a mut [f64],
+    exner: &'a mut [f64],
     /// Level-major: the layer's mass-flux divergence ÷ cell area; its
-    /// temperature; its hypsometric increment `R·T·ln(p_below / p)`.
+    /// temperature; its hypsometric increment `R·ln(σ_below/σ)·T`.
     div_mass: &'a mut [f64],
     t: &'a mut [f64],
     dphi: &'a mut [f64],
@@ -175,7 +184,7 @@ struct Fields<'a> {
 
 impl<'a> Fields<'a> {
     fn len(n: usize, ne: usize, nlev: usize) -> usize {
-        2 * ne + n + 3 * nlev * n
+        2 * ne + 2 * n + 3 * nlev * n
     }
 
     fn of(slab: &'a mut [f64], n: usize, ne: usize, nlev: usize) -> Self {
@@ -184,6 +193,7 @@ impl<'a> Fields<'a> {
             ps_edge: take(ne),
             grad_ln_ps: take(ne),
             ln_ps: take(n),
+            exner: take(n),
             div_mass: take(nlev * n),
             t: take(nlev * n),
             dphi: take(nlev * n),
@@ -243,6 +253,14 @@ fn index_u32(i: usize) -> u32 {
     u32::try_from(i).expect("mesh entity index exceeds u32")
 }
 
+/// Level `k`'s factors of the T–Φ diagnosis: `σₖ^κ`, its share of the Exner
+/// function, and `R·ln(σₖ₋₁/σₖ)`, the hypsometric factor from the previous
+/// reference level (σ₋₁ = 1, the surface below the lowest layer).
+fn level_factors(sigma: &[f64], k: usize) -> (f64, f64) {
+    let sigma_below = if k == 0 { 1.0 } else { sigma[k - 1] };
+    (level_exner(sigma[k]), R_DRY * (sigma_below / sigma[k]).ln())
+}
+
 impl Dycore {
     /// Tables and workspace for `grid`; steps on one lane until a space is
     /// attached with [`Dycore::on`].
@@ -252,10 +270,12 @@ impl Dycore {
         let mut cells = Vec::with_capacity(grid.ncells());
         let mut frames = Vec::with_capacity(grid.ncells());
         for (i, stencil) in grid.cell_stencils.iter().enumerate() {
+            let area = grid.cell_areas[i] * r * r;
             let mut row = CellRow {
                 sle: [0.0; MAX_CELL_EDGES],
                 ls_inv: [0.0; 3],
-                area: grid.cell_areas[i] * r * r,
+                area,
+                inv_area: 1.0 / area,
             };
             let (mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0);
             for ((e, ne, nn), (&(_, sign), sle)) in stencil
@@ -293,8 +313,8 @@ impl Dycore {
                 b: index_u32(b),
                 corner_down: index_u32(down),
                 corner_up: index_u32(up),
-                de: grid.edge_cell_dist[e] * r,
-                le: grid.edge_lengths[e] * r,
+                inv_de: 1.0 / (grid.edge_cell_dist[e] * r),
+                inv_le: 1.0 / (grid.edge_lengths[e] * r),
                 f: coriolis(grid.edge_midpoints[e].lat()),
                 tangent: [t.x, t.y, t.z],
             });
@@ -311,15 +331,16 @@ impl Dycore {
         };
         let mut corners = Vec::with_capacity(grid.ncorners());
         for &[a, b, c] in &grid.triangles {
+            let area = ap3esm_grid::sphere::spherical_triangle_area(
+                grid.cells[a],
+                grid.cells[b],
+                grid.cells[c],
+            ) * r
+                * r;
             let mut row = CornerRow {
                 edge: [0; 3],
                 sde: [0.0; 3],
-                area: ap3esm_grid::sphere::spherical_triangle_area(
-                    grid.cells[a],
-                    grid.cells[b],
-                    grid.cells[c],
-                ) * r
-                    * r,
+                inv_area: 1.0 / area,
             };
             for (slot, &(u, v)) in [(a, b), (b, c), (c, a)].iter().enumerate() {
                 let e = edge_between(u, v);
@@ -327,7 +348,7 @@ impl Dycore {
                 // u < v, else −1.
                 let sign = if u < v { 1.0 } else { -1.0 };
                 row.edge[slot] = index_u32(e);
-                row.sde[slot] = sign * edges[e].de;
+                row.sde[slot] = sign * (grid.edge_cell_dist[e] * r);
             }
             corners.push(row);
         }
@@ -362,12 +383,12 @@ impl Dycore {
             for (&e, &sde) in row.edge.iter().zip(&row.sde) {
                 circ += un[e as usize] * sde;
             }
-            *zeta = circ / row.area;
+            *zeta = circ * row.inv_area;
         }
     }
 
-    /// One dynamics substep of length `dt`. Accumulates the layer mass flux
-    /// (Pa·m/s, edge × level) into `mass_flux_accum` for tracer transport.
+    /// One dynamics substep of length `dt`. Adds the layer mass flux times
+    /// `dt` (Pa·m, edge × level) to `mass_flux_accum` for tracer transport.
     pub fn step_dyn(&self, state: &mut AtmState, dt: f64, mass_flux_accum: &mut [f64]) {
         self.substep(state, dt, Some(mass_flux_accum));
     }
@@ -395,6 +416,7 @@ impl Dycore {
             ps_edge,
             grad_ln_ps,
             ln_ps,
+            exner,
             div_mass,
             t,
             dphi,
@@ -471,10 +493,10 @@ impl Dycore {
                             th += f[1] * row.sle[s];
                             qv += f[2] * row.sle[s];
                         }
-                        div_k[i] = mass / row.area;
+                        div_k[i] = mass * row.inv_area;
                         let dp_old = dsigma[k] * ps[i];
-                        thk[i] = thk[i] * dp_old - dt * (th / row.area);
-                        qk[i] = qk[i] * dp_old - dt * (qv / row.area);
+                        thk[i] = thk[i] * dp_old - dt * (th * row.inv_area);
+                        qk[i] = qk[i] * dp_old - dt * (qv * row.inv_area);
                     }
                 }
             },
@@ -484,21 +506,27 @@ impl Dycore {
         //     first, so the tracer update and the pressure-gradient force
         //     below see the *new* mass field (stabilises external gravity
         //     waves). ---
-        for_chunks_mut(space, n, [&mut ps[..], &mut *ln_ps], |r, [ps, ln_ps]| {
-            for ((p, ln_p), i) in ps.iter_mut().zip(ln_ps).zip(r) {
-                let mut dps_dt = 0.0;
-                for k in 0..nlev {
-                    dps_dt -= div_mass[k * n + i];
+        for_chunks_mut(
+            space,
+            n,
+            [&mut ps[..], &mut *ln_ps, &mut *exner],
+            |r, [ps, ln_ps, exner]| {
+                for (((p, ln_p), ex), i) in ps.iter_mut().zip(ln_ps).zip(exner).zip(r) {
+                    let mut dps_dt = 0.0;
+                    for k in 0..nlev {
+                        dps_dt -= div_mass[k * n + i];
+                    }
+                    *p += dt * dps_dt;
+                    *ln_p = p.ln();
+                    *ex = surface_exner(*p);
                 }
-                *p += dt * dps_dt;
-                *ln_p = p.ln();
-            }
-        });
+            },
+        );
 
         // --- Phase 4, edges. ---
         for_chunks_mut(space, ne, [&mut *grad_ln_ps], |r, [grad_ln_ps]| {
             for (grad, row) in grad_ln_ps.iter_mut().zip(&edges[r]) {
-                *grad = (ln_ps[row.b as usize] - ln_ps[row.a as usize]) / row.de;
+                *grad = (ln_ps[row.b as usize] - ln_ps[row.a as usize]) * row.inv_de;
             }
         });
 
@@ -510,25 +538,19 @@ impl Dycore {
             [&mut theta[..], &mut q[..], &mut *t, &mut *dphi],
             |levels, [theta, q, t, dphi]| {
                 for (j, k) in levels.enumerate() {
-                    // Pressure of the previous reference level: the surface
-                    // below the lowest layer.
-                    let sigma_below = if k == 0 { 1.0 } else { sigma[k - 1] };
-                    for ((((th, qv), t), dphi), &ps) in theta[j * n..(j + 1) * n]
+                    let (level_exner, hypsometric) = level_factors(sigma, k);
+                    for ((((th, qv), t), dphi), (&ps, &exner)) in theta[j * n..(j + 1) * n]
                         .iter_mut()
                         .zip(&mut q[j * n..(j + 1) * n])
                         .zip(&mut t[j * n..(j + 1) * n])
                         .zip(&mut dphi[j * n..(j + 1) * n])
-                        .zip(ps.iter())
+                        .zip(ps.iter().zip(exner.iter()))
                     {
-                        let dp_new = dsigma[k] * ps;
-                        *th /= dp_new;
-                        *qv /= dp_new;
-
-                        let p = sigma[k] * ps;
-                        let p_below = sigma_below * ps;
-                        *t = *th * (p / P_REF).powf(KAPPA);
-                        // Hypsometric increment from the previous reference level.
-                        *dphi = R_DRY * *t * (p_below / p).ln();
+                        let inv_dp_new = 1.0 / (dsigma[k] * ps);
+                        *th *= inv_dp_new;
+                        *qv *= inv_dp_new;
+                        *t = *th * exner * level_exner;
+                        *dphi = hypsometric * *t;
                     }
                 }
             },
@@ -574,7 +596,7 @@ impl Dycore {
                     let (ue, uno) = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
                     wind[2 * i] = ue;
                     wind[2 * i + 1] = uno;
-                    div_u[i] = div / row.area;
+                    div_u[i] = div * row.inv_area;
                     // Bernoulli function K + Φ.
                     bern[i] = 0.5 * (ue * ue + uno * uno) + phi[i];
                 }
@@ -606,11 +628,12 @@ impl Dycore {
                     let (cd, cu) = (row.corner_down as usize, row.corner_up as usize);
                     let eta = row.f + 0.5 * (zeta[cd] + zeta[cu]);
 
-                    let grad_bern = (bern[b] - bern[a]) / row.de;
+                    let grad_bern = (bern[b] - bern[a]) * row.inv_de;
                     let t_e = 0.5 * (tk[a] + tk[b]);
 
                     // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
-                    let lap = (div_u[b] - div_u[a]) / row.de - (zeta[cu] - zeta[cd]) / row.le;
+                    let lap =
+                        (div_u[b] - div_u[a]) * row.inv_de - (zeta[cu] - zeta[cd]) * row.inv_le;
 
                     *u += dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps + nu * lap);
                 }
@@ -672,6 +695,8 @@ impl Dycore {
 mod tests {
     use super::*;
     use crate::state::AtmState;
+    use crate::P_REF;
+    use ap3esm_physics::constants::KAPPA;
 
     fn setup(glevel: u32, nlev: usize) -> (Dycore, AtmState) {
         let grid = Arc::new(GeodesicGrid::new(glevel));
@@ -834,6 +859,94 @@ mod tests {
             acc_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             acc_b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// Random surface pressures in [5·10⁴, 1.1·10⁵] Pa and potential
+    /// temperatures in [250, 500] K (xorshift64*).
+    fn columns(count: usize) -> impl Iterator<Item = (f64, f64)> {
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut unit = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..count).map(move |_| (5.0e4 + 6.0e4 * unit(), 250.0 + 250.0 * unit()))
+    }
+
+    /// |a − b| in units of the spacing of doubles just above |b|.
+    fn ulps(a: f64, b: f64) -> f64 {
+        let b = b.abs();
+        (a.abs() - b).abs() / (f64::from_bits(b.to_bits() + 1) - b)
+    }
+
+    /// Phase 5's T = θ·(pₛ/p₀)^κ·σₖ^κ against the pointwise θ·(σₖpₛ/p₀)^κ.
+    ///
+    /// With u = 2⁻⁵³ and `powf` within 1 ulp (≤ 2u relative): the pointwise
+    /// form rounds σₖ·pₛ and ÷p₀ (2u, shrunk by κ < 0.29 through the
+    /// power: 0.58u), the power (2u) and ×θ (u): ≤ 3.6u. The factored form
+    /// rounds pₛ/p₀ (κu), two powers (4u) and two products (2u): ≤ 6.3u.
+    /// They differ by ≤ 9.9u·|T|, and the spacing of doubles at T exceeds
+    /// u·|T|: **10 ulp**.
+    #[test]
+    fn factored_temperature_is_within_ten_ulp_of_the_pointwise_power() {
+        let mut worst = 0.0f64;
+        for nlev in [5, 10, 30] {
+            let sigma = ap3esm_grid::vertical::atm_sigma_layers(nlev);
+            for (ps, theta) in columns(2000) {
+                let exner = surface_exner(ps);
+                for (k, &s) in sigma.iter().enumerate() {
+                    let (level_exner, _) = level_factors(&sigma, k);
+                    let factored = theta * exner * level_exner;
+                    let pointwise = theta * (s * ps / P_REF).powf(KAPPA);
+                    worst = worst.max(ulps(factored, pointwise));
+                    assert!(
+                        ulps(factored, pointwise) <= 10.0,
+                        "nlev {nlev}, k {k}, ps {ps}: {factored} vs {pointwise}"
+                    );
+                }
+            }
+        }
+        println!("worst T: {worst} ulp");
+    }
+
+    /// Phase 5's ΔΦ = R·ln(σₖ₋₁/σₖ)·T against the pointwise
+    /// R·T·ln(p_below/p), each from its own T.
+    ///
+    /// The logarithm of a ratio y = 1 + h turns a relative error δ of y into
+    /// an absolute error δ of ln y, a relative error δ/|ln y|: a thin layer
+    /// amplifies the ratio's rounding by 1/|ln y| (~10³ for the lowest half
+    /// layer of 30, σ₀ = 0.99904). The pointwise ratio (σₖ₋₁pₛ)/(σₖpₛ) rounds
+    /// three times (3u), the factored σₖ₋₁/σₖ once (u); each `ln` adds 2u,
+    /// each pair of products 2u, and the two T differ by 9.9u (above). So
+    /// |ΔΦ − ΔΦ_pointwise| ≤ **(4/|ln y| + 18)·u** of |ΔΦ_pointwise|, taken
+    /// here as (4/|ln y| + 20)·u.
+    #[test]
+    fn factored_hypsometric_increment_is_within_its_thin_layer_bound() {
+        let u = f64::EPSILON / 2.0;
+        let mut worst = 0.0f64;
+        for nlev in [5, 10, 30] {
+            let sigma = ap3esm_grid::vertical::atm_sigma_layers(nlev);
+            for (ps, theta) in columns(2000) {
+                let exner = surface_exner(ps);
+                for (k, &s) in sigma.iter().enumerate() {
+                    let sigma_below = if k == 0 { 1.0 } else { sigma[k - 1] };
+                    let (level_exner, hypsometric) = level_factors(&sigma, k);
+                    let factored = hypsometric * (theta * exner * level_exner);
+                    let (p, p_below) = (s * ps, sigma_below * ps);
+                    let t = theta * (p / P_REF).powf(KAPPA);
+                    let pointwise = R_DRY * t * (p_below / p).ln();
+                    let ln_y = (sigma_below / s).ln();
+                    let relative = (factored - pointwise).abs() / pointwise.abs();
+                    worst = worst.max(relative * ln_y.abs() / u);
+                    assert!(
+                        relative <= (4.0 / ln_y.abs() + 20.0) * u,
+                        "nlev {nlev}, k {k}, ps {ps}: {factored} vs {pointwise} ({relative:e})"
+                    );
+                }
+            }
+        }
+        println!("worst ΔΦ: {worst} u / |ln y|");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! barotropic-test scales exercised here its contribution is second-order,
 //! and the substitution is documented in DESIGN.md.
 
+use ap3esm_physics::constants::KAPPA;
+
 pub mod diag;
 pub mod dycore;
 pub mod pdc;
@@ -31,5 +33,19 @@ pub use pdc::{PhysicsDriver, PhysicsDynamicsCoupler};
 pub use state::AtmState;
 pub use vortex::{best_track, seed_vortex, track_vortex, BestTrackPoint, VortexSpec};
 
-/// Reference surface pressure (Pa).
-pub const P_REF: f64 = 1.0e5;
+/// Reference surface pressure (Pa): the reference pressure p₀ of potential
+/// temperature.
+pub const P_REF: f64 = ap3esm_physics::constants::P0;
+
+/// The per-cell factor of the Exner function: `(pₛ/p₀)^κ`. On σ levels
+/// `(σₖ·pₛ/p₀)^κ = (pₛ/p₀)^κ·σₖ^κ`, so the dynamics and the physics coupling
+/// take T = θ·`surface_exner(pₛ)`·σₖ^κ — one `powf` per cell and one per
+/// level, not one per cell-level — and agree on it bit for bit.
+pub(crate) fn surface_exner(ps: f64) -> f64 {
+    (ps / P_REF).powf(KAPPA)
+}
+
+/// The per-level factor of the Exner function: `σ^κ`.
+pub(crate) fn level_exner(sigma: f64) -> f64 {
+    sigma.powf(KAPPA)
+}

@@ -14,18 +14,22 @@
 //! a serial remainder in cell order: the copy of the staged θ and q back to
 //! level-major storage, the half-weight drag scatter onto edges that two
 //! cells share, and the precipitation sum.
+//!
+//! Both arms convert θ ↔ T with the dycore's factored Exner function,
+//! `(pₛ/p₀)^κ` once per cell times `σₖ^κ` once per level, so the T a column
+//! is handed is the T the dynamics diagnosed, bit for bit.
 
 use std::sync::Arc;
 
 use ap3esm_ai::modules::{ColumnState, RadiationModule, TendencyModule};
-use ap3esm_physics::constants::{temperature_from_theta, GRAVITY, KAPPA, R_DRY};
+use ap3esm_physics::constants::{GRAVITY, R_DRY};
 use ap3esm_physics::suite::{
     Column, ColumnPhysicsOutput, ColumnScratch, ConventionalSuite, SurfaceProperties,
 };
 use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
 
 use crate::state::AtmState;
-use crate::P_REF;
+use crate::{level_exner, surface_exner};
 
 /// The surface forcing the physics needs per cell (supplied by the coupler
 /// or by simple analytic boundary conditions in standalone runs).
@@ -109,44 +113,60 @@ impl LaneColumn {
     }
 }
 
-/// The prognostic fields a physics column is read from, and the lowest-level
-/// (east, north) wind per cell.
+/// Per level: `σₖ^κ` and its reciprocal, the level's factors of T = θ·Π and
+/// of θ = T/Π, `Π = (pₛ/p₀)^κ·σₖ^κ`.
+fn exner_levels(sigma: &[f64], levels: &mut Vec<(f64, f64)>) {
+    levels.clear();
+    levels.extend(sigma.iter().map(|&s| {
+        let exner = level_exner(s);
+        (exner, 1.0 / exner)
+    }));
+}
+
+/// The prognostic fields a physics column is read from, the per-level Exner
+/// factors ([`exner_levels`]) and the lowest-level (east, north) wind per
+/// cell.
 struct Profiles<'a> {
     sigma: &'a [f64],
     dsigma: &'a [f64],
     ps: &'a [f64],
     theta: &'a [f64],
     q: &'a [f64],
+    levels: &'a [(f64, f64)],
     winds: &'a [(f64, f64)],
 }
 
 impl<'a> Profiles<'a> {
-    fn of(state: &'a AtmState, winds: &'a [(f64, f64)]) -> Self {
+    fn of(state: &'a AtmState, levels: &'a [(f64, f64)], winds: &'a [(f64, f64)]) -> Self {
         Profiles {
             sigma: &state.sigma,
             dsigma: &state.dsigma,
             ps: &state.ps,
             theta: &state.theta,
             q: &state.q,
+            levels,
             winds,
         }
     }
 
     /// Fill `col` (sized for the state's levels) with cell `i`'s column.
-    fn fill(&self, i: usize, col: &mut Column) {
+    /// Returns the cell's `(pₛ/p₀)^κ`.
+    fn fill(&self, i: usize, col: &mut Column) -> f64 {
         let n = self.ps.len();
         let ps = self.ps[i];
+        let exner = surface_exner(ps);
         let (ue, un) = self.winds[i];
-        for k in 0..self.sigma.len() {
+        for (k, &(level_exner, _)) in self.levels.iter().enumerate() {
             let pk = self.sigma[k] * ps;
             col.p[k] = pk;
             col.dp[k] = self.dsigma[k] * ps;
-            col.t[k] = temperature_from_theta(self.theta[k * n + i], pk);
+            col.t[k] = self.theta[k * n + i] * exner * level_exner;
             col.dz[k] = R_DRY * col.t[k] * col.dp[k] / (col.p[k] * GRAVITY);
             col.u[k] = ue;
             col.v[k] = un;
             col.q[k] = self.q[k * n + i];
         }
+        exner
     }
 
     /// Cell `i`'s column, freshly allocated.
@@ -164,6 +184,8 @@ pub struct PhysicsDynamicsCoupler {
     space: Arc<dyn ExecSpace>,
     /// Lowest-level (east, north) wind per cell.
     cell_vectors: Vec<(f64, f64)>,
+    /// The state's per-level Exner factors ([`exner_levels`]).
+    levels: Vec<(f64, f64)>,
     /// A column set per kernel of the column phase.
     lanes: PerLane<LaneColumn>,
     /// What the column phase leaves per cell for the serial remainder:
@@ -182,6 +204,7 @@ impl PhysicsDynamicsCoupler {
             driver,
             space: Arc::new(Serial),
             cell_vectors: Vec::new(),
+            levels: Vec::new(),
             lanes: PerLane::default(),
             staged: Vec::new(),
             drag: Vec::new(),
@@ -213,6 +236,7 @@ impl PhysicsDynamicsCoupler {
             driver,
             space,
             cell_vectors,
+            levels,
             lanes,
             staged,
             drag,
@@ -221,6 +245,8 @@ impl PhysicsDynamicsCoupler {
         state
             .grid
             .reconstruct_cell_vectors_into(&state.un[0..state.nedges()], cell_vectors);
+        exner_levels(&state.sigma, levels);
+        let levels = &levels[..];
         let mut total_precip = 0.0;
         let mut total_area = 0.0;
 
@@ -256,6 +282,7 @@ impl PhysicsDynamicsCoupler {
                     ps,
                     theta,
                     q,
+                    levels,
                     winds: cell_vectors,
                 };
                 let (suite, lanes) = (&*suite, &*lanes);
@@ -280,7 +307,7 @@ impl PhysicsDynamicsCoupler {
                             scratch,
                         } = &mut *lane;
                         for (j, i) in r.enumerate() {
-                            profiles.fill(i, column);
+                            let inv_exner = 1.0 / profiles.fill(i, column);
                             let sfc = SurfaceProperties {
                                 tskin: forcing.tskin[i],
                                 coszr: forcing.coszr[i],
@@ -289,11 +316,10 @@ impl PhysicsDynamicsCoupler {
                             suite.step_column_into(column, &sfc, out, scratch);
                             let (new_theta, new_q) =
                                 staged[2 * nlev * j..2 * nlev * (j + 1)].split_at_mut(nlev);
-                            for k in 0..nlev {
+                            for (k, &(_, inv_level_exner)) in levels.iter().enumerate() {
                                 let idx = k * n + i;
                                 // Tendencies on T converted back to θ.
-                                let pk = profiles.sigma[k] * profiles.ps[i];
-                                let factor = (P_REF / pk).powf(KAPPA);
+                                let factor = inv_exner * inv_level_exner;
                                 new_theta[k] = profiles.theta[idx] + dt * out.dt[k] * factor;
                                 new_q[k] = (profiles.q[idx] + dt * out.dq[k]).max(0.0);
                             }
@@ -343,7 +369,7 @@ impl PhysicsDynamicsCoupler {
                 // scatter — and the radiation module the coupled model
                 // builds is `RadiationModule::untrained`.
                 let columns: Vec<ColumnState> = (0..n)
-                    .map(|i| column_state(Profiles::of(state, cell_vectors).column(i)))
+                    .map(|i| column_state(Profiles::of(state, levels, cell_vectors).column(i)))
                     .collect();
                 let mut tends = tendency.predict_batch(&columns);
                 // Tendency limiter: out-of-distribution columns can make a
@@ -373,17 +399,17 @@ impl PhysicsDynamicsCoupler {
                     .collect();
                 let rads = radiation.predict_batch(&rad_inputs);
                 for i in 0..n {
-                    for k in 0..nlev {
+                    let inv_exner = 1.0 / surface_exner(state.ps[i]);
+                    for (k, &(_, inv_level_exner)) in levels.iter().enumerate() {
                         let idx = k * n + i;
-                        let pk = state.sigma[k] * state.ps[i];
-                        let factor = (P_REF / pk).powf(KAPPA);
+                        let factor = inv_exner * inv_level_exner;
                         state.theta[idx] += dt * tends[i].dt[k] * factor;
                         state.q[idx] = (state.q[idx] + dt * tends[i].dq[k]).max(0.0);
                     }
                     state.gsw[i] = rads[i].gsw;
                     state.glw[i] = rads[i].glw;
                     // Conventional diagnostic module: precipitation.
-                    let col = Profiles::of(state, cell_vectors).column(i);
+                    let col = Profiles::of(state, levels, cell_vectors).column(i);
                     let conv = diagnostics.convection.column(
                         &col.t, &col.q, &col.p, &col.dp, &col.dz,
                     );
@@ -447,7 +473,9 @@ mod tests {
         let grid = Arc::new(GeodesicGrid::new(1));
         let state = AtmState::isothermal(Arc::clone(&grid), nlev, 288.0);
         let winds = vec![(3.0, -1.0); state.ncells()];
-        let col = Profiles::of(&state, &winds).column(0);
+        let mut levels = Vec::new();
+        exner_levels(&state.sigma, &mut levels);
+        let col = Profiles::of(&state, &levels, &winds).column(0);
         let sfc = SurfaceProperties {
             tskin: 299.0,
             coszr: 0.5,

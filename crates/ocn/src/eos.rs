@@ -17,11 +17,11 @@ pub fn density(t: f64, s: f64) -> f64 {
 }
 
 /// Buoyancy frequency squared N² (s⁻²) between two stacked cells
-/// (upper first), separated by `dz` (m).
-pub fn brunt_vaisala_sq(t_up: f64, s_up: f64, t_dn: f64, s_dn: f64, dz: f64) -> f64 {
+/// (upper first) whose centres are `1/inv_dz` (m) apart.
+pub fn brunt_vaisala_sq(t_up: f64, s_up: f64, t_dn: f64, s_dn: f64, inv_dz: f64) -> f64 {
     let rho_up = density(t_up, s_up);
     let rho_dn = density(t_dn, s_dn);
-    -crate::G / RHO0 * (rho_up - rho_dn) / dz
+    -crate::G / RHO0 * (rho_up - rho_dn) * inv_dz
 }
 
 #[cfg(test)]
@@ -42,17 +42,17 @@ mod tests {
     #[test]
     fn stable_stratification_positive_n2() {
         // Warm over cold = stable.
-        let n2 = brunt_vaisala_sq(15.0, 35.0, 5.0, 35.0, 100.0);
+        let n2 = brunt_vaisala_sq(15.0, 35.0, 5.0, 35.0, 1.0 / 100.0);
         assert!(n2 > 0.0);
         // Cold over warm = unstable.
-        let n2 = brunt_vaisala_sq(5.0, 35.0, 15.0, 35.0, 100.0);
+        let n2 = brunt_vaisala_sq(5.0, 35.0, 15.0, 35.0, 1.0 / 100.0);
         assert!(n2 < 0.0);
     }
 
     #[test]
     fn n2_magnitude_reasonable() {
         // Typical thermocline: ΔT ≈ 10 K over 200 m → N ≈ 1e-2 s⁻¹.
-        let n2 = brunt_vaisala_sq(20.0, 35.0, 10.0, 35.0, 200.0);
+        let n2 = brunt_vaisala_sq(20.0, 35.0, 10.0, 35.0, 1.0 / 200.0);
         let n = n2.sqrt();
         assert!(n > 1e-3 && n < 2e-2, "N = {n}");
     }

@@ -11,7 +11,7 @@ use ap3esm_physics::constants::CP_SEAWATER;
 use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
 
 use crate::eos::density;
-use crate::mixing::{CanutoMixing, TridiagFactors};
+use crate::mixing::{reciprocal_thickness, CanutoMixing, TridiagFactors};
 use crate::state::OcnState;
 use crate::{G, RHO0};
 
@@ -123,6 +123,27 @@ struct OcnWorkspace {
     stage: Vec<f64>,
     /// One set per lane for the mixing column it is on.
     lanes: PerLane<MixingScratch>,
+    /// Per interior row, the reciprocal geometry and rotation of this step
+    /// ([`RowFactors`]), so that no phase divides by them per point.
+    rows: Vec<RowFactors>,
+    /// `1/dz` per level and `1/dzᵢ` per interface
+    /// ([`reciprocal_thickness`]).
+    inv_dz: Vec<f64>,
+    inv_dzi: Vec<f64>,
+}
+
+/// One interior row's reciprocals, taken at the top of every step from the
+/// state's geometry and the configuration's time steps.
+#[derive(Clone, Copy, Default)]
+struct RowFactors {
+    /// 1/dx.
+    inv_dx: f64,
+    /// 1/(dx·dy): the cell area of the continuity divergence.
+    inv_area: f64,
+    /// 1/(1 + a²), a = dt·f: the implicit rotation of the barotropic
+    /// substep and of the baroclinic step.
+    rot_btr: f64,
+    rot: f64,
 }
 
 /// What one mixing column needs beside its staged fields: interface
@@ -133,7 +154,7 @@ struct MixingScratch {
 }
 
 impl OcnWorkspace {
-    fn new(slab: usize, nlev: usize, columns: usize) -> Self {
+    fn new(slab: usize, nlev: usize, nj: usize, columns: usize) -> Self {
         OcnWorkspace {
             eta: vec![0.0; slab],
             ubar: vec![0.0; slab],
@@ -141,6 +162,9 @@ impl OcnWorkspace {
             press: vec![0.0; nlev * slab],
             stage: vec![0.0; 4 * nlev * columns],
             lanes: PerLane::default(),
+            rows: vec![RowFactors::default(); nj],
+            inv_dz: Vec::with_capacity(nlev),
+            inv_dzi: Vec::with_capacity(nlev),
         }
     }
 }
@@ -220,7 +244,7 @@ impl OcnModel {
         let halo2d = HaloExchange::new(spec.clone(), 100);
         let halo3d = HaloExchange::new(spec, 200);
         let active = state.active_columns();
-        let ws = OcnWorkspace::new(state.eta.len(), state.nlev, state.ni * state.nj);
+        let ws = OcnWorkspace::new(state.eta.len(), state.nlev, state.nj, state.ni * state.nj);
         OcnModel {
             config,
             state,
@@ -268,16 +292,16 @@ impl OcnModel {
             vbar,
             kmt,
             depth,
-            dx,
             dx_ext,
             dy,
             fcor,
             ..
         } = &mut self.state;
         let (ni, nj, stride, dy) = (*ni, *nj, *stride, *dy);
-        let (kmt, depth, dx, dx_ext, fcor) =
-            (&kmt[..], &depth[..], &dx[..], &dx_ext[..], &fcor[..]);
+        let (kmt, depth, dx_ext, fcor) = (&kmt[..], &depth[..], &dx_ext[..], &fcor[..]);
+        let inv_dy = 1.0 / dy;
         let ws = &mut self.ws;
+        let row_factors = &ws.rows[..];
 
         // Continuity: η ← η − dt·∇·(H u) with masked face fluxes.
         {
@@ -309,8 +333,8 @@ impl OcnModel {
                         // exactly on the converging tripolar rows.
                         let lx_n = 0.5 * (dx_ext[j + 1] + dx_ext[j + 2]);
                         let lx_s = 0.5 * (dx_ext[j] + dx_ext[j + 1]);
-                        let area = dx[j] * dy;
-                        let div = ((fx_e - fx_w) * dy + fy_n * lx_n - fy_s * lx_s) / area;
+                        let div = ((fx_e - fx_w) * dy + fy_n * lx_n - fy_s * lx_s)
+                            * row_factors[j].inv_area;
                         new_eta[idx - first] = eta[idx] - dt * div;
                     }
                 }
@@ -333,42 +357,42 @@ impl OcnModel {
                     new_v.copy_from_slice(&vbar[first..rows.end * stride]);
                     for jj in interior(&rows, nj) {
                         let j = jj - 1;
+                        let RowFactors {
+                            inv_dx, rot_btr, ..
+                        } = row_factors[j];
+                        let a = dt * fcor[j];
                         for idx in jj * stride + 1..=jj * stride + ni {
                             if kmt[idx] == 0 {
                                 continue;
                             }
                             let (e, w, n, s) = (idx + 1, idx - 1, idx + stride, idx - stride);
                             let detadx = if kmt[e] > 0 && kmt[w] > 0 {
-                                (eta[e] - eta[w]) / (2.0 * dx[j])
+                                (eta[e] - eta[w]) * (0.5 * inv_dx)
                             } else if kmt[e] > 0 {
-                                (eta[e] - eta[idx]) / dx[j]
+                                (eta[e] - eta[idx]) * inv_dx
                             } else if kmt[w] > 0 {
-                                (eta[idx] - eta[w]) / dx[j]
+                                (eta[idx] - eta[w]) * inv_dx
                             } else {
                                 0.0
                             };
                             let detady = if kmt[n] > 0 && kmt[s] > 0 {
-                                (eta[n] - eta[s]) / (2.0 * dy)
+                                (eta[n] - eta[s]) * (0.5 * inv_dy)
                             } else if kmt[n] > 0 {
-                                (eta[n] - eta[idx]) / dy
+                                (eta[n] - eta[idx]) * inv_dy
                             } else if kmt[s] > 0 {
-                                (eta[idx] - eta[s]) / dy
+                                (eta[idx] - eta[s]) * inv_dy
                             } else {
                                 0.0
                             };
-                            let h = depth[idx].max(1.0);
+                            let inv_rho_h = 1.0 / (RHO0 * depth[idx].max(1.0));
                             let fi = j * ni + (idx - jj * stride - 1);
                             let du = dt
-                                * (-G * detadx - r_drag * ubar[idx]
-                                    + forcing.taux[fi] / (RHO0 * h));
+                                * (-G * detadx - r_drag * ubar[idx] + forcing.taux[fi] * inv_rho_h);
                             let dv = dt
-                                * (-G * detady - r_drag * vbar[idx]
-                                    + forcing.tauy[fi] / (RHO0 * h));
+                                * (-G * detady - r_drag * vbar[idx] + forcing.tauy[fi] * inv_rho_h);
                             let (u1, v1) = (ubar[idx] + du, vbar[idx] + dv);
-                            let a = dt * fcor[j];
-                            let denom = 1.0 + a * a;
-                            new_u[idx - first] = (u1 + a * v1) / denom;
-                            new_v[idx - first] = (v1 - a * u1) / denom;
+                            new_u[idx - first] = (u1 + a * v1) * rot_btr;
+                            new_v[idx - first] = (v1 - a * u1) * rot_btr;
                         }
                     }
                 },
@@ -378,6 +402,28 @@ impl OcnModel {
         std::mem::swap(vbar, &mut ws.vbar);
         self.halo2d.exchange_many(rank, &mut [ubar, vbar])?;
         Ok(())
+    }
+
+    /// Fill the workspace's reciprocal tables for a step whose barotropic
+    /// substep is `dt_btr` long: per interior row 1/dx, 1/(dx·dy) and the
+    /// two rotation factors, per level 1/dz and per interface 1/dzᵢ. A row's
+    /// reciprocals come from its global row's geometry, the same on every
+    /// rank, so the tables do not depend on the decomposition.
+    fn take_reciprocals(&mut self, dt_btr: f64) {
+        let OcnState {
+            dx, dy, fcor, dz, ..
+        } = &self.state;
+        let dt = self.config.dt_baroclinic;
+        for ((row, &dx), &f) in self.ws.rows.iter_mut().zip(dx).zip(fcor) {
+            let (a_btr, a) = (dt_btr * f, dt * f);
+            *row = RowFactors {
+                inv_dx: 1.0 / dx,
+                inv_area: 1.0 / (dx * dy),
+                rot_btr: 1.0 / (1.0 + a_btr * a_btr),
+                rot: 1.0 / (1.0 + a * a),
+            };
+        }
+        reciprocal_thickness(dz, &mut self.ws.inv_dz, &mut self.ws.inv_dzi);
     }
 
     /// One full baroclinic + tracer step (with `n_barotropic` substeps).
@@ -413,6 +459,7 @@ impl OcnModel {
         }
         let nbt = self.config.n_barotropic;
         let dt_btr = self.config.dt_baroclinic / nbt as f64;
+        self.take_reciprocals(dt_btr);
         {
             let _btr = ap3esm_obs::span("barotropic");
             for _ in 0..nbt {
@@ -432,14 +479,13 @@ impl OcnModel {
             t,
             s,
             kmt,
-            dx,
             dy,
             fcor,
             dz,
             ..
         } = &mut self.state;
-        let (nlev, stride, dy) = (*nlev, *stride, *dy);
-        let (eta, kmt, dx, fcor, dz) = (&eta[..], &kmt[..], &dx[..], &fcor[..], &dz[..]);
+        let (nlev, stride, inv_dy) = (*nlev, *stride, 1.0 / *dy);
+        let (eta, kmt, fcor, dz) = (&eta[..], &kmt[..], &fcor[..], &dz[..]);
         let at = |i: usize, j: usize| (j + 1) * stride + (i + 1);
         let columns = ColumnLoop {
             exclude_land: self.config.exclude_land,
@@ -452,8 +498,12 @@ impl OcnModel {
             press,
             stage,
             lanes,
+            rows: row_factors,
+            inv_dz,
+            inv_dzi,
             ..
         } = &mut self.ws;
+        let (row_factors, inv_dz, inv_dzi) = (&row_factors[..], &inv_dz[..], &inv_dzi[..]);
 
         // --- Baroclinic pressure: p[k]/ρ0 = g·η + g·Σ (ρ'−ρ0)/ρ0·dz ---
         {
@@ -500,27 +550,27 @@ impl OcnModel {
                     }
                     let x = &mut stage[nlev * (c - cols.start)..][..kmax];
                     let (e, w, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
+                    let RowFactors { inv_dx, rot, .. } = row_factors[j];
                     let a = dt * fcor[j];
-                    let denom = 1.0 + a * a;
                     for (k, x_k) in x.iter_mut().enumerate() {
                         let ocean = |nb: usize| (k as u16) < kmt[nb];
                         // Pressure gradient (masked one-sided fallbacks).
                         let p = |nb: usize| press[nb * nlev + k];
                         let dpdx = if ocean(e) && ocean(w) {
-                            (p(e) - p(w)) / (2.0 * dx[j])
+                            (p(e) - p(w)) * (0.5 * inv_dx)
                         } else if ocean(e) {
-                            (p(e) - p(idx)) / dx[j]
+                            (p(e) - p(idx)) * inv_dx
                         } else if ocean(w) {
-                            (p(idx) - p(w)) / dx[j]
+                            (p(idx) - p(w)) * inv_dx
                         } else {
                             0.0
                         };
                         let dpdy = if ocean(n) && ocean(s_) {
-                            (p(n) - p(s_)) / (2.0 * dy)
+                            (p(n) - p(s_)) * (0.5 * inv_dy)
                         } else if ocean(n) {
-                            (p(n) - p(idx)) / dy
+                            (p(n) - p(idx)) * inv_dy
                         } else if ocean(s_) {
-                            (p(idx) - p(s_)) / dy
+                            (p(idx) - p(s_)) * inv_dy
                         } else {
                             0.0
                         };
@@ -533,25 +583,25 @@ impl OcnModel {
                         let adv = |field: &[f64]| -> f64 {
                             let fx = if uo >= 0.0 {
                                 let upw = if ocean(w) { field[w] } else { field[idx] };
-                                uo * (field[idx] - upw) / dx[j]
+                                uo * (field[idx] - upw) * inv_dx
                             } else {
                                 let upw = if ocean(e) { field[e] } else { field[idx] };
-                                uo * (upw - field[idx]) / dx[j]
+                                uo * (upw - field[idx]) * inv_dx
                             };
                             let fy = if vo >= 0.0 {
                                 let upw = if ocean(s_) { field[s_] } else { field[idx] };
-                                vo * (field[idx] - upw) / dy
+                                vo * (field[idx] - upw) * inv_dy
                             } else {
                                 let upw = if ocean(n) { field[n] } else { field[idx] };
-                                vo * (upw - field[idx]) / dy
+                                vo * (upw - field[idx]) * inv_dy
                             };
                             -(fx + fy)
                         };
                         *x_k = [
                             t[k][idx] + dt * adv(&t[k]),
                             s[k][idx] + dt * adv(&s[k]),
-                            (u1 + a * v1) / denom,
-                            (v1 - a * u1) / denom,
+                            (u1 + a * v1) * rot,
+                            (v1 - a * u1) * rot,
                         ];
                     }
 
@@ -559,15 +609,14 @@ impl OcnModel {
                     // them only, so it is factored once and solved for T, S,
                     // u, v together.
                     let kq = &mut kq[..kmax - 1];
-                    for (k, kq_k) in kq.iter_mut().enumerate() {
-                        let dzi = 0.5 * (dz[k] + dz[k + 1]);
+                    for ((k, kq_k), &inv_dzi) in kq.iter_mut().enumerate().zip(inv_dzi) {
                         let ([t_up, s_up, u_up, v_up], [t_dn, s_dn, u_dn, v_dn]) = (x[k], x[k + 1]);
-                        let n2 = crate::eos::brunt_vaisala_sq(t_up, s_up, t_dn, s_dn, dzi);
-                        let du = (u_up - u_dn) / dzi;
-                        let dv = (v_up - v_dn) / dzi;
+                        let n2 = crate::eos::brunt_vaisala_sq(t_up, s_up, t_dn, s_dn, inv_dzi);
+                        let du = (u_up - u_dn) * inv_dzi;
+                        let dv = (v_up - v_dn) * inv_dzi;
                         *kq_k = mixing.diffusivity(n2, du * du + dv * dv);
                     }
-                    mixing.factor(&dz[..kmax], kq, dt, factors);
+                    mixing.factor(&inv_dz[..kmax], &inv_dzi[..kmax - 1], kq, dt, factors);
                     let fi = j * ni + i;
                     let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
                     let surface_flux = [

@@ -24,6 +24,8 @@ pub const OMEGA_EARTH: f64 = 7.2921e-5;
 pub const VON_KARMAN: f64 = 0.4;
 /// Kappa = R/cp for dry air.
 pub const KAPPA: f64 = R_DRY / CP_DRY;
+/// Reference pressure of potential temperature, p₀ (Pa): 1000 hPa.
+pub const P0: f64 = 1.0e5;
 /// Freezing point of sea water (K) at zero salinity reference.
 pub const T_FREEZE_SEA: f64 = 271.35;
 
@@ -32,14 +34,17 @@ pub fn coriolis(lat: f64) -> f64 {
     2.0 * OMEGA_EARTH * lat.sin()
 }
 
-/// Potential temperature from temperature and pressure (reference 1000 hPa).
+/// Potential temperature from temperature and pressure (reference [`P0`]),
+/// for callers that hold one column's pressures; the atmosphere's dynamics
+/// and physics coupling factor the Exner function over their σ levels
+/// instead.
 pub fn potential_temperature(t: f64, p: f64) -> f64 {
-    t * (1.0e5 / p).powf(KAPPA)
+    t * (P0 / p).powf(KAPPA)
 }
 
 /// Invert potential temperature.
 pub fn temperature_from_theta(theta: f64, p: f64) -> f64 {
-    theta * (p / 1.0e5).powf(KAPPA)
+    theta * (p / P0).powf(KAPPA)
 }
 
 #[cfg(test)]

@@ -11,10 +11,21 @@
 //! keeping the dynamic range of FP64 across groups — exactly the trade the
 //! paper exploits on Sunway CPEs. [`metrics`] implements the paper's
 //! acceptance criteria.
+//!
+//! [`golden`] is the same idea applied to this repository's own changes: a
+//! change that rounds differently is accepted by a stated bound against the
+//! parent commit's values, not by bit equality, and its goldens are then
+//! re-recorded. Its users are the goldens that pin model output —
+//! `crates/atm/tests/golden.rs`, `crates/ocn/tests/golden.rs`,
+//! `tests/goldens.rs`, `tests/coupled_smoke.rs` and the mixing solver's unit
+//! test in `ocn::mixing` — besides `s523_mixed_precision` and
+//! `tests/conservation.rs`, which use [`GroupScaled`] and [`metrics`].
 
+pub mod golden;
 pub mod group;
 pub mod metrics;
 
+pub use golden::Golden;
 pub use group::GroupScaled;
 pub use metrics::{area_weighted_rmsd, relative_l2, AccuracyBudget};
 

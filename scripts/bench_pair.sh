@@ -4,14 +4,14 @@
 #
 #   scripts/bench_pair.sh <parent-ref> <workload> [pairs=10] [seed=1]
 #
-# Checks <parent-ref> out into a git worktree under target/pair/, builds
+# Clones the repository into target/pair/parent at <parent-ref>, builds
 # benchmark/ for it and for the working tree into separate target dirs, runs
 # the two binaries in alternation (parent first on odd pairs, change first on
 # even ones) as the driver does (`--seconds <run_seconds> --trace 0`), and
 # prints one markdown row per end-to-end metric of BENCHMARK.json: each
 # side's median [q1, q3], change / parent, the metric's bound, and the pairs
 # the change won (ties count for neither side). Everything it writes is under
-# target/pair/; the worktree is removed on exit, the builds are kept.
+# target/pair/; the clone is removed on exit, the builds are kept.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,9 +29,11 @@ pair=$root/target/pair
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 mkdir -p "$pair"
 
-trap 'git worktree remove --force "$pair/parent" 2>/dev/null || true' EXIT
-git worktree remove --force "$pair/parent" 2>/dev/null || true
-git worktree add --quiet --detach "$pair/parent" "$parent_ref"
+parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
+trap 'rm -rf "$pair/parent"' EXIT
+rm -rf "$pair/parent"
+git clone --quiet --no-checkout "$root" "$pair/parent"
+git -C "$pair/parent" checkout --quiet --detach "$parent_sha"
 
 build() { # <side> <checkout>
     CARGO_TARGET_DIR=$pair/build-$1 cargo build --release --offline --quiet \

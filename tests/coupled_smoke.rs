@@ -1,6 +1,7 @@
 //! Integration: the full coupled AP3ESM exercising every crate at once.
 
 use ap3esm::obs::json::Json;
+use ap3esm::precision::Golden;
 use ap3esm::prelude::*;
 
 #[test]
@@ -145,29 +146,21 @@ fn different_mask_seeds_give_different_climates() {
     assert_ne!(a, b, "continents should shape the climate");
 }
 
-/// FNV-1a over the bit patterns of a series.
-fn fnv1a(hash: &mut u64, values: &[f64]) {
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            *hash ^= byte as u64;
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// SST, θ and KE of the 1-day sequential `test_tiny` run as the commit
-/// before PR 15 produced them (`{:?}` round-trips exactly; they hashed to
-/// `0xa7750d6867ae77a9` from PR 12 on).
+/// SST, θ and KE of the 1-day sequential `test_tiny` run as commit `74957b4`
+/// (the parent of the Exner factoring and reciprocal geometry) produced them,
+/// printed with `{:?}` (round-trips exactly).
+#[rustfmt::skip]
 const PARENT_SERIES: [&[f64]; 3] = [
-    &[14.57515128264424, 14.552813771176828, 14.571212112924115, 14.598945514686779],
-    &[379.44159486671305, 379.1767911025139, 378.92967920527684, 378.6881422310379, 378.4385802352625, 378.1824369256025, 377.92757554433007, 377.6698949929467],
-    &[961205933260233.6, 1141422701640625.8, 865984319208427.8, 882872914263873.9],
+    &[14.57515128264424, 14.552834702298068, 14.571256023992579, 14.598960740928929],
+    &[379.44159486671305, 379.1768330692099, 378.9297839161925, 378.68839835694564, 378.4389268159346, 378.18275249619836, 377.92784898254985, 377.6701044773661],
+    &[961205933260233.6, 1141422672693397.8, 865984300041826.3, 882876580126331.5],
 ];
 
-/// Bitwise golden of a 1-day sequential `test_tiny` run. PR 15 publishes
-/// the ocean's export one ocean coupling late, which moves every series:
-/// the hash was re-recorded there, and the run must stay within 2e-3 (K for
-/// SST and θ, relative for KE) of the parent's series above.
+/// Bitwise golden of a 1-day sequential `test_tiny` run, re-recorded through
+/// `ap3esm::precision::Golden` when the dynamical cores began to round once
+/// per cell: each series must stay within its bound of the parent's above,
+/// relative to its largest magnitude — SST 5e-12 (7e-11 K), θ 2.5e-13
+/// (9.5e-11 K), KE 1e-10 — and hash to the golden.
 #[test]
 fn sequential_one_day_matches_parent_bitwise() {
     let mut config = CoupledConfig::test_tiny();
@@ -181,15 +174,12 @@ fn sequential_one_day_matches_parent_bitwise() {
     let world = World::new(config.world_size());
     let all = world.run(|rank| run_coupled(rank, &config, &opts));
     let root = &all[0];
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let series = [&root.sst_series, &root.theta_series, &root.ke_series];
-    for (i, (got, parent)) in series.into_iter().zip(PARENT_SERIES).enumerate() {
-        assert_eq!(got.len(), parent.len());
-        for (g, p) in got.iter().zip(parent) {
-            let delta = (g - p).abs() / if i == 2 { p.abs() } else { 1.0 };
-            assert!(delta <= 2e-3, "series {i} moved by {delta:e}: {g} vs {p}");
-        }
-        fnv1a(&mut hash, got);
-    }
-    assert_eq!(hash, 0x1afb89697bb0f7b4_u64, "coupled diagnostics moved: got {hash:#x}");
+    let mut golden = Golden::new();
+    let [sst, theta, ke] = PARENT_SERIES;
+    golden
+        .field("sst", &root.sst_series, sst, 5e-12)
+        .field("theta", &root.theta_series, theta, 2.5e-13)
+        .field("ke", &root.ke_series, ke, 1e-10);
+    println!("{}", golden.report());
+    golden.check(0xfc153c2e69a3f68d).unwrap();
 }
