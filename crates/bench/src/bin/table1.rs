@@ -13,7 +13,7 @@ fn main() {
 
     // Route the table through the observability sink too: each table is a
     // span, each configuration's size a counter, and the whole run lands in
-    // target/obs/run-table1.json next to the CSVs.
+    // the run directory target/obs/table1/.
     let obs = std::sync::Arc::new(ap3esm_obs::Obs::new());
     let _guard = ap3esm_obs::install(std::sync::Arc::clone(&obs));
 
@@ -97,9 +97,13 @@ fn main() {
         .meta("resolutions", Resolution::ALL.len());
     report.spans = obs.profiler.snapshot();
     report.metrics = obs.metrics.snapshot();
-    match report.write() {
-        Ok(path) => println!("\nobs report: {}", path.display()),
-        Err(e) => eprintln!("\nobs report not written: {e}"),
+    let written = ap3esm_obs::RunDir::create("table1", "ok").and_then(|dir| {
+        dir.write_report(&report)?;
+        Ok(dir)
+    });
+    match written {
+        Ok(dir) => println!("\nrun directory: {}", dir.path().display()),
+        Err(e) => eprintln!("\nrun directory not written: {e}"),
     }
 
     println!(

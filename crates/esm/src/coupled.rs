@@ -110,14 +110,18 @@ pub struct CoupledOptions {
     pub perturb: Option<Perturbation>,
     /// Track the vortex at every atmosphere coupling.
     pub record_track: bool,
-    /// Emit a JSON run report named `run-<name>.json` under `target/obs/`.
-    /// Collective: every rank contributes its span tree to the cross-rank
-    /// section table; rank 0 writes the file.
+    /// Name the run and report it: rank 0 writes the run directory
+    /// `target/obs/<name>/` (`ap3esm_obs::RunDir`) with the run report
+    /// (`report.json`) and the rank span trees as collapsed stacks
+    /// (`folded.txt`). Collective: every rank contributes its span tree to
+    /// the cross-rank section table. The name is one plain path component;
+    /// any other is refused and no directory is written.
     pub report_name: Option<String>,
-    /// Also export per-rank timelines: a Chrome Trace Event file
-    /// (`trace-<name>.json`, one `pid` per rank, span + comm-flow events,
-    /// resilience instants) and a collapsed-stack flamegraph
-    /// (`trace-<name>.folded`). Requires `report_name`; ignored without it.
+    /// Also record every rank's spans into the event log, so the run
+    /// directory's chrome trace (`trace.json`, one `pid` per rank) carries
+    /// span rows beside its messages and resilience instants, and run the
+    /// critical-path analysis into the report. Requires `report_name`;
+    /// ignored without it.
     pub trace: bool,
     /// Opt-in live telemetry: every N ocean couplings, rank 0 prints step
     /// rate, an SYPD estimate, and the per-component wall-time split to
@@ -143,15 +147,18 @@ pub struct CoupledOptions {
     /// Black-box flight recorder (default **on**): the world's event log
     /// records — every rank journals structured resilience events (health
     /// transitions, rollbacks, shrinks, checkpoint begin/commit, fault
-    /// firings) and its messages into its bounded rings. When the run ends
-    /// in trouble (structured failure, shrink, rollback, or any fault
-    /// event), rank 0 dumps a self-contained diagnostics bundle to
-    /// `target/obs/bundle-<name>/` for `ap3esm_obs::flightrec::analyze`.
+    /// firings) and its messages into its bounded rings. A run directory
+    /// then carries the log as `journal.json` and `trace.json`; a run that
+    /// ends in trouble (structured failure, shrink, rollback, or any fault
+    /// event) writes its directory even without a `report_name`, the trouble
+    /// being its manifest's `reason`, for `ap3esm_obs::flightrec::analyze` —
+    /// before the collective report step, which a broken world may never
+    /// finish.
     /// Steady-state cost is one ring push per message and journal entry,
     /// no allocation.
     pub flightrec: bool,
-    /// Bundle directory name (`bundle-<name>`). Defaults to `report_name`,
-    /// then to `pid<process id>`.
+    /// The run directory's name when no `report_name` names it; defaults
+    /// to `pid<process id>`.
     pub bundle_name: Option<String>,
 }
 
@@ -185,9 +192,9 @@ impl Default for CoupledOptions {
 /// which the alert rules observe point by point — a series holds one point
 /// per coupling the driver completes (replays included), so a rule's `over
 /// N` counts couplings. With `metrics_addr` rank 0 serves live OpenMetrics
-/// scrapes over HTTP, and after a run with a `report_name` it writes the
-/// full store to `target/obs/series-<name>.json`. Busy time is the rank's
-/// time in the five driver sections (`atm_run`, `lnd_run`, `ice_run`,
+/// scrapes over HTTP, and the run directory carries the full store
+/// (`series.json`) and the alert firings (`alerts.json`). Busy time is the
+/// rank's time in the five driver sections (`atm_run`, `lnd_run`, `ice_run`,
 /// `cpl_rearrange`, `ocn_run`) since the previous ocean coupling; the
 /// one-off root spans (`router_build`, `io_{read,write}_subfile`) are not
 /// counted, so a checkpoint coupling does not move `sim.imbalance`.
@@ -238,16 +245,13 @@ pub struct CoupledStats {
     pub per_section_seconds: Vec<(String, f64)>,
     /// The serialised run report (rank 0, when `report_name` was set).
     pub report_json: Option<String>,
-    /// Where the report was written (rank 0, when `report_name` was set).
-    pub report_path: Option<std::path::PathBuf>,
-    /// Where the chrome-trace file was written (rank 0, when tracing).
-    pub trace_path: Option<std::path::PathBuf>,
+    /// The run directory written (rank 0, when `report_name` was set or
+    /// the recorder was on and the run ended in trouble).
+    pub run_dir: Option<std::path::PathBuf>,
     /// Critical-path analysis of the traced run: per-interval path,
     /// wait-state classification and what-if projection (rank 0, when
     /// tracing with a report name).
     pub critpath: Option<ap3esm_obs::critpath::Analysis>,
-    /// Where the collapsed-stack file was written (rank 0, when tracing).
-    pub folded_path: Option<std::path::PathBuf>,
     /// Rollbacks performed by the recovery layer.
     pub recoveries: usize,
     /// Shrink-to-fit recoveries: how many times the world lost a rank
@@ -268,15 +272,9 @@ pub struct CoupledStats {
     /// Alert firings observed by the telemetry engine, in firing order
     /// (rank 0, when telemetry was enabled).
     pub alerts: Vec<String>,
-    /// Where the time-series snapshot was written (rank 0, when telemetry
-    /// and a `report_name` were set).
-    pub series_path: Option<std::path::PathBuf>,
     /// The OpenMetrics endpoint actually bound — resolves port 0 to the
     /// ephemeral port (rank 0, when telemetry set `metrics_addr`).
     pub metrics_addr: Option<String>,
-    /// Where the flight-recorder diagnostics bundle was written (rank 0,
-    /// when the recorder was on and the run ended in trouble).
-    pub bundle_path: Option<std::path::PathBuf>,
     /// Lanes of this rank's team, which its atmosphere and its ocean step on
     /// (1: the rank thread alone); the `rank.lanes` gauge of the run report.
     pub lanes: usize,
@@ -543,10 +541,10 @@ mod tests {
         let json = root.report_json.as_ref().expect("rank 0 report");
         assert!(json.starts_with(r#"{"schema":"ap3esm-obs/5","name":"esm-report-test""#));
 
-        // The sink wrote the same bytes to target/obs/.
-        let path = root.report_path.as_ref().expect("report written");
-        assert_eq!(path.file_name().unwrap(), "run-esm-report-test.json");
-        let body = std::fs::read_to_string(path).unwrap();
+        // The run directory holds the same bytes.
+        let dir = root.run_dir.as_ref().expect("run directory written");
+        assert_eq!(dir.file_name().unwrap(), "esm-report-test");
+        let body = std::fs::read_to_string(dir.join("report.json")).unwrap();
         assert_eq!(body.trim_end(), json);
 
         // ≥8 distinct spans with a correct parent/child tree on rank 0:

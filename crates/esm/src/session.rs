@@ -1,8 +1,9 @@
 //! What a coupled run carries besides the model: one rank's observability
 //! set-up (span profiler, recording into the world's event log; continuous
-//! telemetry) and, in [`Session::finish`], the artifacts it leaves behind —
-//! the telemetry snapshot, the diagnostics bundle, the run report, the
-//! chrome trace and the critical-path analysis.
+//! telemetry) and, in [`Session::finish`], the one directory it leaves
+//! behind — the run report with its critical-path analysis, the chrome trace
+//! and journal, the telemetry series and alerts — whose manifest's reason
+//! is `"ok"` or the trouble the run ended in.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,7 +12,10 @@ use ap3esm_comm::collectives::gather;
 use ap3esm_comm::Rank;
 use ap3esm_cpl::Rearranger;
 use ap3esm_obs::json::Json;
-use ap3esm_obs::{AlertEngine, AlertEvent, Kind, MetricsServer, Obs, Sampler, SeriesStore};
+use ap3esm_obs::{
+    AlertEngine, AlertEvent, Event, Kind, MetricsServer, Obs, RunDir, RunReport, Sampler,
+    SeriesStore,
+};
 
 use crate::config::CoupledConfig;
 use crate::coupled::{CoupledOptions, CoupledStats, TelemetryOptions};
@@ -55,8 +59,11 @@ pub(crate) struct Session {
     pub(crate) obs: Arc<Obs>,
     _obs_guard: ap3esm_obs::InstallGuard,
     /// Timeline tracing: this rank's spans go to the event log too, and the
-    /// log becomes one chrome-trace file after the run.
+    /// run's chrome trace carries them.
     tracing: bool,
+    /// The world's event log records (flight recorder or tracing): the
+    /// run directory gets its `trace.json` and `journal.json`.
+    recording: bool,
     telemetry: Option<Telemetry>,
 }
 
@@ -65,12 +72,13 @@ impl Session {
         let obs = Arc::new(Obs::new());
         let _obs_guard = ap3esm_obs::install(Arc::clone(&obs));
         let tracing = opts.trace && opts.report_name.is_some();
+        let recording = opts.flightrec || tracing;
         // Black-box flight recorder and timeline tracing are the same log,
         // the world's: either turns it on (messages and journal entries
         // record from here on, no messages exchanged), tracing adds the
         // spans. Journals are keyed by *physical* rank id, so entries stay
         // attributable across shrinks.
-        if opts.flightrec || tracing {
+        if recording {
             rank.events().set_enabled(true);
             obs.profiler
                 .attach(Arc::clone(rank.events()), rank.world_id());
@@ -99,6 +107,7 @@ impl Session {
             obs,
             _obs_guard,
             tracing,
+            recording,
             telemetry,
         }
     }
@@ -111,7 +120,7 @@ impl Session {
         }
     }
 
-    /// Close the run and write its artifacts. Collective over the final
+    /// Close the run and write its directory. Collective over the final
     /// membership when a report was asked for.
     pub(crate) fn finish(
         mut self,
@@ -132,105 +141,65 @@ impl Session {
         profiler.for_each_root(|name, secs| sections.push((name.to_string(), secs)));
         sections.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let (alerts, series_json) = self.stop_telemetry(opts);
-        if opts.flightrec {
-            self.dump_bundle(rank, opts, &alerts, series_json);
+        let telemetry = self.stop_telemetry();
+        if self.stats.failure.is_some() {
+            // What failed is the manifest's reason; when, this entry.
+            ap3esm_obs::mark(Kind::Fault, "run.failed", 0, 0);
         }
+        let alerts = telemetry.as_ref().map(|t| t.0.clone()).unwrap_or_default();
         // A dead rank takes no part in the (collective) report: the
         // survivors build it over the shrunk membership without it.
-        if let Some(name) = opts.report_name.as_ref().filter(|_| !self.stats.lost) {
-            self.write_report(rank, config, name, alerts);
+        let report_name = opts.report_name.as_ref().filter(|_| !self.stats.lost);
+        let trouble = trouble(&self.stats);
+        let reason = trouble.as_deref().unwrap_or("ok");
+        let mut dir = None;
+        if rank.id() == 0 && trouble.is_some() && (opts.flightrec || report_name.is_some()) {
+            // A run in trouble leaves its evidence before the report step,
+            // whose gather and barrier a broken world may never complete.
+            dir = self.start_run_dir(rank, opts, reason, telemetry.as_ref());
+            self.write_events(dir.as_ref(), &rank.events().snapshot());
+        }
+        let reported = report_name.and_then(|name| self.report(rank, config, name, alerts));
+        if let Some((report, events)) = reported {
+            let dir = dir.or_else(|| self.start_run_dir(rank, opts, reason, telemetry.as_ref()));
+            if let Some(d) = &dir {
+                if let Err(e) = d.write_report(&report) {
+                    eprintln!("[obs] {}: report not written: {e}", d.path().display());
+                }
+            }
+            // The snapshot the critical path was analyzed from, complete
+            // past the report's barrier.
+            self.write_events(dir.as_ref(), &events);
         }
         self.stats
     }
 
     /// Telemetry teardown before the report: the last coupling's sample is
-    /// already in, so nothing is sampled here. The scrape endpoint stays up
-    /// until the snapshot is on disk. Returns the alert firings and, for the
-    /// diagnostics bundle, the final tsdb state.
-    fn stop_telemetry(&mut self, opts: &CoupledOptions) -> (Vec<AlertEvent>, Option<String>) {
-        let Some(t) = self.telemetry.take() else {
-            return (Vec::new(), None);
-        };
+    /// already in, so nothing is sampled here and the scrape endpoint stops.
+    /// Returns the alert firings and the final tsdb state.
+    fn stop_telemetry(&mut self) -> Option<(Vec<AlertEvent>, String)> {
+        let t = self.telemetry.take()?;
         let alerts = t.engine.events();
         self.stats.alerts = alerts.iter().map(|e| e.message.clone()).collect();
-        if let Some(name) = &opts.report_name {
-            self.stats.series_path = t.store.write_snapshot(name).ok();
-        }
-        let series_json = opts.flightrec.then(|| t.store.snapshot_json());
         if let Some(server) = t.server {
             server.stop();
         }
-        (alerts, series_json)
-    }
-
-    /// Flight-recorder bundle: when the run ended in trouble, rank 0 dumps
-    /// a self-contained diagnostics bundle before the (collective) report
-    /// path, from a snapshot of the log — the later trace export still sees
-    /// every event. Non-collective by design: dead ranks cannot be waited
-    /// on.
-    fn dump_bundle(
-        &mut self,
-        rank: &Rank,
-        opts: &CoupledOptions,
-        alerts: &[AlertEvent],
-        series_json: Option<String>,
-    ) {
-        let stats = &mut self.stats;
-        if stats.failure.is_some() {
-            // What failed is the bundle's reason; when, this entry.
-            ap3esm_obs::mark(Kind::Fault, "run.failed", 0, 0);
-        }
-        let troubled = stats.failure.is_some()
-            || stats.shrinks > 0
-            || stats.recoveries > 0
-            || !stats.fault_events.is_empty();
-        if rank.id() != 0 || !troubled {
-            return;
-        }
-        let name = opts
-            .bundle_name
-            .clone()
-            .or_else(|| opts.report_name.clone())
-            .unwrap_or_else(|| format!("pid{}", std::process::id()));
-        let reason = if let Some(f) = &stats.failure {
-            format!("recovery-failure: {f}")
-        } else if stats.shrinks > 0 {
-            "shrink".to_string()
-        } else if stats.fault_events.iter().any(|e| e.contains("deadlock")) {
-            "deadlock".to_string()
-        } else {
-            "fault".to_string()
-        };
-        let spec = ap3esm_obs::BundleSpec {
-            reason: &reason,
-            events: &rank.events().snapshot(),
-            series_json,
-            alerts,
-            fault_plan: rank.fault_injector().map(|i| i.plan().to_string()),
-            scenario: None,
-        };
-        match ap3esm_obs::dump_bundle(&name, &spec) {
-            Ok(dir) => {
-                eprintln!("[flightrec] diagnostics bundle: {}", dir.display());
-                stats.bundle_path = Some(dir);
-            }
-            Err(e) => eprintln!("[flightrec] bundle dump failed: {e}"),
-        }
+        Some((alerts, t.store.snapshot_json()))
     }
 
     /// The run report. Paper §6.2 measurement rule: per-section times
     /// reduced to the maximum across ranks — collective, every rank
     /// participates. Softened: a report must never turn a degraded-but-
     /// successful run into a crash, so a failed aggregation just yields a
-    /// thinner one.
-    fn write_report(
+    /// thinner one. Rank 0 gets the report and the log snapshot its
+    /// critical path was analyzed from.
+    fn report(
         &mut self,
         rank: &Rank,
         config: &CoupledConfig,
         name: &str,
         alerts: Vec<AlertEvent>,
-    ) {
+    ) -> Option<(RunReport, Vec<Vec<Event>>)> {
         let is_root = rank.id() == 0;
         let spans = self.obs.profiler.snapshot();
         // Every rank's tree lands in the report, not just rank 0's.
@@ -245,13 +214,15 @@ impl Session {
             rank.barrier();
         }
         if !is_root {
-            return;
+            return None;
         }
         let per_rank = gathered.unwrap_or_default();
         let sections = ap3esm_obs::aggregate_sections(&per_rank);
         let trees = ap3esm_obs::rank_trees(&per_rank, 16, 512);
+        // One snapshot for the analysis and the run directory's trace.
+        let events = rank.events().snapshot();
         if self.tracing {
-            self.export_trace(rank, name, &trees);
+            self.analyze_trace(rank, &events);
         }
         let stats = &mut self.stats;
         let comm = rank.stats();
@@ -268,7 +239,7 @@ impl Session {
             "concurrent"
         };
         let fault_events = stats.fault_events.iter().cloned().map(Json::Str).collect();
-        let mut report = ap3esm_obs::RunReport::new(name)
+        let mut report = RunReport::new(name)
             .meta("world_size", rank.size())
             .meta("launched_world_size", rank.world_size())
             .meta("generation", rank.generation())
@@ -298,16 +269,15 @@ impl Session {
             ],
         });
         stats.report_json = Some(report.to_json());
-        stats.report_path = report.write().ok();
+        Some((report, events))
     }
 
-    /// Timeline export: one snapshot of the world's log (complete since the
-    /// barrier in [`Session::write_report`]) feeds the chrome trace and the
-    /// end-of-run critical-path analysis (where did the SYPD go, and what
-    /// would halving the top section buy?); the span trees become the
-    /// folded stacks.
-    fn export_trace(&mut self, rank: &Rank, name: &str, trees: &[ap3esm_obs::RankTree]) {
-        let stats = &mut self.stats;
+    /// End-of-run critical-path analysis of the traced timeline (complete
+    /// since the barrier in [`Session::report`]): where did the SYPD go,
+    /// and what would halving the top section buy? The analyzer reads the
+    /// snapshot as its `trace.json` draws it, so `obs critpath DIR --check`
+    /// agrees with the report byte for byte.
+    fn analyze_trace(&mut self, rank: &Rank, events: &[Vec<Event>]) {
         let log = rank.events();
         for r in (0..log.n_ranks()).filter(|&r| log.evicted(r) > 0) {
             eprintln!(
@@ -315,11 +285,74 @@ impl Session {
                 log.evicted(r)
             );
         }
-        let events = log.snapshot();
-        stats.trace_path = ap3esm_obs::trace::write_trace(name, &events).ok();
-        let folded = ap3esm_obs::trace::folded_stacks(trees);
-        stats.folded_path = ap3esm_obs::trace::write_folded(name, &folded).ok();
-        let analyzer = ap3esm_obs::Analyzer::new(&events).with_sypd(stats.sypd);
-        stats.critpath = Some(analyzer.analyze());
+        let analyzer = ap3esm_obs::Analyzer::new(events).with_sypd(self.stats.sypd);
+        self.stats.critpath = Some(analyzer.analyze());
+    }
+
+    /// Rank 0 starts the run's one directory, `target/obs/<name>/`, with
+    /// what is known before the report step: the telemetry's alerts and
+    /// series and the fault plan. Non-collective by design: dead ranks
+    /// cannot be waited on.
+    fn start_run_dir(
+        &mut self,
+        rank: &Rank,
+        opts: &CoupledOptions,
+        reason: &str,
+        telemetry: Option<&(Vec<AlertEvent>, String)>,
+    ) -> Option<RunDir> {
+        let name = opts
+            .report_name
+            .clone()
+            .or_else(|| opts.bundle_name.clone())
+            .unwrap_or_else(|| format!("pid{}", std::process::id()));
+        let started = RunDir::create(&name, reason).and_then(|dir| {
+            if let Some((alerts, series)) = telemetry {
+                dir.write_telemetry(alerts, series)?;
+            }
+            if let Some(inj) = rank.fault_injector() {
+                dir.write("faultplan.txt", &inj.plan().to_string())?;
+            }
+            Ok(dir)
+        });
+        match started {
+            Ok(dir) => {
+                if reason != "ok" {
+                    eprintln!("[flightrec] {reason}: {}", dir.path().display());
+                }
+                self.stats.run_dir = Some(dir.path().to_path_buf());
+                Some(dir)
+            }
+            Err(e) => {
+                eprintln!("[obs] run directory {name} not written: {e}");
+                None
+            }
+        }
+    }
+
+    /// One event-log snapshot as the directory's `trace.json` and
+    /// `journal.json`, when the log recorded.
+    fn write_events(&self, dir: Option<&RunDir>, events: &[Vec<Event>]) {
+        let Some(dir) = dir.filter(|_| self.recording) else {
+            return;
+        };
+        if let Err(e) = dir.write_events(events) {
+            eprintln!("[obs] {}: events not written: {e}", dir.path().display());
+        }
+    }
+}
+
+/// The trouble a run ended in, `None` for a clean one: the reason its
+/// directory's manifest names.
+fn trouble(stats: &CoupledStats) -> Option<String> {
+    if let Some(f) = &stats.failure {
+        Some(format!("recovery-failure: {f}"))
+    } else if stats.shrinks > 0 {
+        Some("shrink".to_string())
+    } else if stats.fault_events.iter().any(|e| e.contains("deadlock")) {
+        Some("deadlock".to_string())
+    } else if stats.recoveries > 0 || !stats.fault_events.is_empty() {
+        Some("fault".to_string())
+    } else {
+        None
     }
 }

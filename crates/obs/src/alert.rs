@@ -611,7 +611,7 @@ mod tests {
     #[test]
     fn replay_blames_degraded_mode_from_snapshots() {
         // The shape a shrink leaves behind in the telemetry store — and in
-        // a diagnostics bundle's series.json: sim.degraded_ranks sits at 0
+        // a troubled run directory's series.json: sim.degraded_ranks sits at 0
         // until the loss, then steps to 1 for the rest of the run.
         let store = SeriesStore::new(256);
         for i in 0..6 {

@@ -31,14 +31,14 @@
 //!
 //! Works end-of-run (the coupled driver feeds the log snapshot directly)
 //! and offline ([`Analyzer::from_chrome_trace`] decodes the same events
-//! from a `trace-<name>.json` through the shared row codec).
+//! from a run directory's `trace.json` through the shared row codec).
 
 use std::collections::{BTreeMap, VecDeque};
 
 use ap3esm_comm::{collective_kind, is_collective_tag};
 use ap3esm_machine::{section_bound, MachineSpec};
 
-use crate::event::{parse_chrome_row, Event, Kind};
+use crate::event::{as_drawn, parse_chrome_row, track_order, Event, Kind};
 use crate::json::Json;
 use crate::msgflow::{pair_fifo, PairedMessage};
 
@@ -272,7 +272,7 @@ struct RankPrep {
     sections: Vec<Sect>,
     /// Merged `io_*` span windows, sorted.
     io: Vec<(u64, u64)>,
-    /// Blocking waits (recv with dur > 0, timeouts), sorted by start.
+    /// Every recv and timeout (each at least 1 µs wide), sorted by start.
     waits: Vec<Wait>,
     /// Activity envelope.
     first_us: u64,
@@ -281,30 +281,23 @@ struct RankPrep {
 }
 
 /// Extract top-level (depth-0) spans per thread track via a containment
-/// sweep: sort by `(ts, dur desc)` so parents precede children, keep a
-/// stack of open span ends.
+/// sweep over spans in [`track_order`] (parents precede children), keeping
+/// a stack of the current track's open span ends.
 fn top_level_sections(spans: &[Event]) -> Vec<Sect> {
-    let mut by_tid: BTreeMap<u16, Vec<&Event>> = BTreeMap::new();
-    for e in spans {
-        by_tid.entry(e.tid).or_default().push(e);
-    }
     let mut out = Vec::new();
-    for group in by_tid.values_mut() {
-        group.sort_by_key(|e| (e.ts_us, std::cmp::Reverse(e.dur_us)));
-        let mut stack: Vec<u64> = Vec::new();
-        for e in group {
-            while stack.last().is_some_and(|end| *end <= e.ts_us) {
-                stack.pop();
-            }
-            if stack.is_empty() {
-                out.push(Sect {
-                    name: e.name.as_str().to_string(),
-                    ts: e.ts_us,
-                    end: e.ts_us + e.dur_us,
-                });
-            }
-            stack.push(e.ts_us + e.dur_us);
+    let mut stack: Vec<(u16, u64)> = Vec::new();
+    for e in spans {
+        while stack.last().is_some_and(|&(tid, end)| tid != e.tid || end <= e.ts_us) {
+            stack.pop();
         }
+        if stack.is_empty() {
+            out.push(Sect {
+                name: e.name.as_str().to_string(),
+                ts: e.ts_us,
+                end: e.ts_us + e.dur_us,
+            });
+        }
+        stack.push((e.tid, e.ts_us + e.dur_us));
     }
     out.sort_by_key(|s| (s.ts, s.end));
     out
@@ -392,15 +385,25 @@ pub struct Analyzer {
     machine: MachineSpec,
     sypd: f64,
     preps: Vec<RankPrep>,
-    /// Each rank's messages (send, recv, timeout, stale), in arrival order.
+    /// Each rank's messages (send, recv, timeout, stale), in time order.
     comms: Vec<Vec<Event>>,
 }
 
 impl Analyzer {
     /// Build from one log snapshot, `events[rank]` being that rank's
     /// events: spans and messages feed the graph, journal kinds are not
-    /// activity and are ignored.
+    /// activity and are ignored. The activity is read as the chrome trace
+    /// draws it — each track in time order, a receive that did not wait one
+    /// microsecond wide — so the analysis of a snapshot and
+    /// [`Analyzer::from_chrome_trace`] of its rendered trace are equal.
     pub fn new(events: &[Vec<Event>]) -> Analyzer {
+        let drawn = |ring: &Vec<Event>| {
+            let mut ring: Vec<Event> = ring.to_vec();
+            ring.retain(|e| !e.kind.is_journal());
+            ring.sort_by_key(track_order);
+            ring.iter().map(as_drawn).collect()
+        };
+        let events: &[Vec<Event>] = &events.iter().map(drawn).collect::<Vec<_>>();
         let of = |keep: fn(Kind) -> bool| -> Vec<Vec<Event>> {
             let ring = |ring: &Vec<Event>| ring.iter().filter(|e| keep(e.kind)).copied().collect();
             events.iter().map(ring).collect()
@@ -416,7 +419,7 @@ impl Analyzer {
         }
 
         let mut preps = Vec::with_capacity(events.len());
-        for (r, ring) in comms.iter().enumerate() {
+        for (r, ring) in events.iter().enumerate() {
             let mut prep = RankPrep {
                 sections: top_level_sections(&spans[r]),
                 io: io_windows(&spans[r]),
@@ -424,44 +427,29 @@ impl Analyzer {
             };
             let mut first = u64::MAX;
             let mut last = 0u64;
-            for e in &spans[r] {
-                first = first.min(e.ts_us);
-                last = last.max(e.ts_us + e.dur_us);
-            }
             let mut recv_seen: BTreeMap<(usize, usize, u64), usize> = BTreeMap::new();
             for e in ring {
                 first = first.min(e.ts_us);
                 last = last.max(e.ts_us + e.dur_us);
-                match e.kind {
-                    Kind::Recv => {
-                        let key = (e.peer(), r, e.b);
-                        let k = recv_seen.entry(key).or_default();
-                        let pair = chan_pairs
-                            .get(&key)
-                            .and_then(|v| v.get(*k))
-                            .map(|p| (*p).clone());
-                        *k += 1;
-                        if e.dur_us > 0 {
-                            prep.waits.push(Wait {
-                                ts: e.ts_us,
-                                end: e.ts_us + e.dur_us,
-                                peer: e.peer(),
-                                tag: e.b,
-                                timeout: false,
-                                pair,
-                            });
-                        }
-                    }
-                    Kind::Timeout if e.dur_us > 0 => prep.waits.push(Wait {
-                        ts: e.ts_us,
-                        end: e.ts_us + e.dur_us,
-                        peer: e.peer(),
-                        tag: e.b,
-                        timeout: true,
-                        pair: None,
-                    }),
-                    _ => {}
+                let timeout = e.kind == Kind::Timeout;
+                if e.kind != Kind::Recv && !timeout {
+                    continue;
                 }
+                // A receive takes its pair back in channel order.
+                let pair = (!timeout).then(|| {
+                    let key = (e.peer(), r, e.b);
+                    let k = recv_seen.entry(key).or_default();
+                    *k += 1;
+                    chan_pairs.get(&key).and_then(|v| v.get(*k - 1)).map(|p| (*p).clone())
+                });
+                prep.waits.push(Wait {
+                    ts: e.ts_us,
+                    end: e.ts_us + e.dur_us,
+                    peer: e.peer(),
+                    tag: e.b,
+                    timeout,
+                    pair: pair.flatten(),
+                });
             }
             prep.waits.sort_by_key(|w| (w.ts, w.end));
             prep.empty = first == u64::MAX;
@@ -827,29 +815,16 @@ impl Analyzer {
     /// Slice the path by the interval section's instance starts on the
     /// rank that owns the most instances (rank 0 in a coupled run).
     fn intervals(&self, steps: &[PathStep]) -> Vec<IntervalSummary> {
-        let owner = self
+        let starts = |p: &RankPrep| -> Vec<u64> {
+            let instances = p.sections.iter().filter(|s| s.name == INTERVAL_SECTION);
+            instances.map(|s| s.ts).collect()
+        };
+        let mut bounds: Vec<u64> = self
             .preps
             .iter()
             .enumerate()
-            .max_by_key(|(r, p)| {
-                (
-                    p.sections
-                        .iter()
-                        .filter(|s| s.name == INTERVAL_SECTION)
-                        .count(),
-                    usize::MAX - r,
-                )
-            })
-            .map(|(r, _)| r);
-        let mut bounds: Vec<u64> = owner
-            .map(|r| {
-                self.preps[r]
-                    .sections
-                    .iter()
-                    .filter(|s| s.name == INTERVAL_SECTION)
-                    .map(|s| s.ts)
-                    .collect()
-            })
+            .max_by_key(|(r, p)| (starts(p).len(), usize::MAX - r))
+            .map(|(_, p)| starts(p))
             .unwrap_or_default();
         let start = self.global_start();
         let end = self.global_end();
@@ -903,13 +878,7 @@ impl Analyzer {
             .sections
             .iter()
             .filter(|s| s.name == target)
-            .map(|s| {
-                if s.end <= a || s.ts >= b {
-                    0
-                } else {
-                    s.end.min(b) - s.ts.max(a)
-                }
-            })
+            .map(|s| s.end.min(b).saturating_sub(s.ts.max(a)))
             .sum();
         busy - covered as f64 * (1.0 - factor)
     }
@@ -1526,19 +1495,15 @@ mod tests {
 
     #[test]
     fn roundtrips_through_a_chrome_trace() {
-        let world = late_sender_world();
+        // A ring out of time order and a receive that did not wait: the
+        // snapshot reads as its rendered trace draws it.
+        let mut world = late_sender_world();
+        world[0].push(recv(6_000, 0, 1, 9, 8));
+        world[1].push(send(5_900, 0, 9, 8));
+        world[1].reverse();
         let direct = Analyzer::new(&world).analyze();
-
         let doc = Json::parse(&crate::trace::chrome_trace(&world)).unwrap();
-        let offline = Analyzer::from_chrome_trace(&doc).unwrap().analyze();
-
-        assert_eq!(offline.total_us, direct.total_us);
-        assert_eq!(offline.compute_us, direct.compute_us);
-        assert_eq!(offline.comm_us, direct.comm_us);
-        assert_eq!(offline.wait_us, direct.wait_us);
-        assert_eq!(offline.waits.len(), direct.waits.len());
-        assert_eq!(offline.waits[0].class, direct.waits[0].class);
-        assert_eq!(offline.top_section, direct.top_section);
+        assert_eq!(Analyzer::from_chrome_trace(&doc).unwrap().analyze(), direct);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! An [`Event`] leaves the process in two row shapes, both frozen by their
 //! schemas: a `journal.json` row (`ap3esm-journal/1`, every kind but spans)
-//! and a Chrome Trace Event Format row (`trace-<name>.json`: `X` for spans
+//! and a Chrome Trace Event Format row (`trace.json`: `X` for spans
 //! and messages, `i` for journal kinds). Both directions of both shapes
-//! live here, so the bundle writer, the postmortem, the trace exporter and
+//! live here, so the journal writer, the postmortem, the trace exporter and
 //! the offline critical-path analyzer cannot drift apart.
 
 pub use ap3esm_comm::events::{current_tid, trace_now_us, Event, EventLog, Kind, Name};
+
+use std::cmp::Reverse;
 
 use crate::json::Json;
 
@@ -63,6 +65,20 @@ pub fn chrome_dur(e: &Event) -> u64 {
     } else {
         e.dur_us
     }
+}
+
+/// A span or message as its chrome row decodes ([`parse_chrome_row`] of
+/// [`chrome_row`]): a receive or timeout at least the microsecond it is
+/// drawn with, a send or discard zero wide (its sliver is not a wait).
+pub fn as_drawn(e: &Event) -> Event {
+    let sliver = matches!(e.kind, Kind::Send | Kind::Stale);
+    Event { dur_us: if sliver { 0 } else { chrome_dur(e) }, ..*e }
+}
+
+/// A chrome row's place within its rank's process group: by track, then
+/// time, longer rows first on ties so that parents precede children.
+pub fn track_order(e: &Event) -> (u16, u64, Reverse<u64>) {
+    (e.tid, e.ts_us, Reverse(chrome_dur(e)))
 }
 
 /// One chrome-trace row: a complete (`X`) event for a span or a message —
@@ -130,12 +146,7 @@ pub fn parse_chrome_row(row: &Json) -> Option<(usize, Event)> {
         }
     };
     let kind = Kind::from_label(&kind).filter(|k| k.is_message())?;
-    // The sliver a zero-length send or discard is drawn with is not a wait.
-    let dur = match kind {
-        Kind::Send | Kind::Stale => 0,
-        _ => dur,
-    };
-    Some((pid, Event::msg(kind, ts, dur, peer, tag, n)))
+    Some((pid, as_drawn(&Event::msg(kind, ts, dur, peer, tag, n))))
 }
 
 #[cfg(test)]
@@ -173,6 +184,11 @@ mod tests {
         ] {
             assert_eq!(parse_chrome_row(&chrome_row(0, &e)), Some((0, e)));
         }
+        // A receive that did not wait is drawn, and decodes, 1 µs wide.
+        let quick = Event::msg(Kind::Recv, 14, 0, 0, 7, 8);
+        let drawn = Some((0, Event { dur_us: 1, ..quick }));
+        assert_eq!(parse_chrome_row(&chrome_row(0, &quick)), drawn);
+        assert_eq!(Some((0, as_drawn(&quick))), drawn);
         // Instants draw, but do not decode.
         let mark = Event::mark(Kind::Fault, Name::new("fault.kill"), 2, 0, 1, 40);
         let row = chrome_row(0, &mark);

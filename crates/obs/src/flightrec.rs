@@ -11,12 +11,11 @@
 //!   on the shared trace clock into one causally-ordered cross-rank
 //!   timeline. Both come from the same log snapshot, so what survives a
 //!   crash is the tail of both — the part a postmortem needs.
-//! * [`dump_bundle`] — on panic, `Deadlock`, shrink, `RecoveryFailure`,
-//!   or chaos-scenario violation, the driver writes a self-contained
-//!   diagnostics bundle to `target/obs/bundle-<name>/`: the journal
-//!   (`journal.json`), the same events as a Chrome trace, the current tsdb
-//!   snapshot, fired alerts, `BuildInfo`, and the active fault
-//!   plan/scenario.
+//! * [`journal_json`] — that journal as `journal.json`, which every run
+//!   directory whose event log recorded carries
+//!   ([`RunDir::write_events`](crate::RunDir::write_events)), beside the
+//!   same events as a chrome trace and the manifest naming the trouble the
+//!   run ended in.
 //! * [`analyze`] — the postmortem: finds the first-stalled rank (the rank
 //!   whose activity ends earliest — the silence the rest of the world then
 //!   times out against), matches unpaired sends to missing receives per
@@ -26,35 +25,9 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::alert::AlertEvent;
 use crate::event::{journal_row, parse_journal_row, Event, Kind, Name};
 use crate::json::Json;
 use crate::msgflow::pair_fifo;
-use crate::perf::BuildInfo;
-use crate::report::alert_event_json;
-use crate::trace::chrome_trace;
-
-// --- diagnostics bundle -------------------------------------------------
-
-/// Everything a bundle dump can attach. All fields are optional except
-/// the reason: a postmortem of a half-dead world must be able to dump
-/// whatever rank 0 can still reach.
-#[derive(Default)]
-pub struct BundleSpec<'a> {
-    /// Human reason the bundle exists ("deadlock", "shrink",
-    /// "recovery-failure", "panic", "scenario-violation", …).
-    pub reason: &'a str,
-    /// One snapshot of the world's event log (`events[rank]`).
-    pub events: &'a [Vec<Event>],
-    /// Current tsdb snapshot (`ap3esm-tsdb/1` JSON text).
-    pub series_json: Option<String>,
-    /// Alerts fired so far.
-    pub alerts: &'a [AlertEvent],
-    /// The active fault plan, rendered (`FaultPlan` Display).
-    pub fault_plan: Option<String>,
-    /// The active campaign scenario (name / expectation / plan).
-    pub scenario: Option<String>,
-}
 
 /// The merged cross-rank journal of one log snapshot: every event but the
 /// spans, as `(rank, event)`, sorted on the shared trace clock so the
@@ -71,72 +44,18 @@ pub fn journal(events: &[Vec<Event>]) -> Vec<(usize, Event)> {
     rows
 }
 
-/// Write a self-contained diagnostics bundle to `dir/bundle-<name>/`.
-/// Returns the bundle directory. Existing files are overwritten —
-/// last-writer-wins, like the log itself.
-pub fn dump_bundle_to(
-    dir: impl AsRef<Path>,
-    name: &str,
-    spec: &BundleSpec,
-) -> std::io::Result<PathBuf> {
-    let bundle = dir.as_ref().join(format!("bundle-{name}"));
-    std::fs::create_dir_all(&bundle)?;
-    // Normalise `crates/obs/../../target`-style default paths so reports
-    // and CI logs carry a clean, clickable bundle location.
-    let bundle = bundle.canonicalize().unwrap_or(bundle);
-
-    let rows = journal(spec.events);
-    let n_ranks = spec.events.len();
-    let mut files: Vec<&str> = vec!["manifest.json", "journal.json", "alerts.json"];
-
+/// The [`journal`] of one log snapshot as an `ap3esm-journal/1` document,
+/// the `journal.json` of a run directory.
+pub fn journal_json(events: &[Vec<Event>]) -> String {
+    let rows = journal(events);
     let mut jdoc = Json::obj();
     jdoc.set("schema", "ap3esm-journal/1".into())
-        .set("ranks", n_ranks.into())
+        .set("ranks", events.len().into())
         .set(
             "events",
             Json::Arr(rows.iter().map(|(rank, e)| journal_row(*rank, e)).collect()),
         );
-    std::fs::write(bundle.join("journal.json"), jdoc.to_string() + "\n")?;
-
-    // alerts.json — always written (an empty array is itself a finding).
-    let alerts = Json::Arr(spec.alerts.iter().map(alert_event_json).collect());
-    std::fs::write(bundle.join("alerts.json"), alerts.to_string() + "\n")?;
-
-    // The same events as a timeline, so the bundle opens in Perfetto.
-    let trace = (n_ranks > 0).then(|| chrome_trace(spec.events));
-    let optional = [
-        ("series.json", spec.series_json.as_deref()),
-        ("faultplan.txt", spec.fault_plan.as_deref()),
-        ("scenario.txt", spec.scenario.as_deref()),
-        ("trace.json", trace.as_deref()),
-    ];
-    for (file, body) in optional {
-        if let Some(body) = body {
-            std::fs::write(bundle.join(file), body)?;
-            files.push(file);
-        }
-    }
-
-    // manifest.json last: it indexes what was actually written.
-    let mut manifest = Json::obj();
-    manifest
-        .set("schema", "ap3esm-bundle/1".into())
-        .set("name", name.into())
-        .set("reason", spec.reason.into())
-        .set("ranks", n_ranks.into())
-        .set("events", rows.len().into())
-        .set("build", BuildInfo::current().to_json())
-        .set(
-            "files",
-            Json::Arr(files.iter().map(|f| Json::Str(f.to_string())).collect()),
-        );
-    std::fs::write(bundle.join("manifest.json"), manifest.to_string() + "\n")?;
-    Ok(bundle)
-}
-
-/// [`dump_bundle_to`] into the workspace default sink, `target/obs/`.
-pub fn dump_bundle(name: &str, spec: &BundleSpec) -> std::io::Result<PathBuf> {
-    dump_bundle_to(crate::report::default_dir(), name, spec)
+    jdoc.to_string()
 }
 
 // --- postmortem analyzer ------------------------------------------------
@@ -168,9 +87,10 @@ pub struct TimeoutRecord {
     pub dur_us: u64,
 }
 
-/// The analyzer's verdict over one diagnostics bundle.
+/// The analyzer's verdict over one run directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Postmortem {
+    /// The run directory analyzed (its JSON key stays `bundle`).
     pub bundle: PathBuf,
     pub reason: String,
     pub n_ranks: usize,
@@ -188,13 +108,13 @@ pub struct Postmortem {
     pub timeouts: Vec<TimeoutRecord>,
 }
 
-/// Analyze a bundle directory written by [`dump_bundle_to`]: parse
-/// `journal.json` (and `manifest.json` for the reason) back into per-rank
-/// events and derive blame.
-pub fn analyze(bundle_dir: impl AsRef<Path>) -> Result<Postmortem, String> {
-    let bundle = bundle_dir.as_ref();
-    let journal_text = std::fs::read_to_string(bundle.join("journal.json"))
-        .map_err(|e| format!("read {}/journal.json: {e}", bundle.display()))?;
+/// Analyze a run directory ([`crate::RunDir`]): parse `journal.json` (and
+/// `manifest.json` for the reason) back into per-rank events and derive
+/// blame.
+pub fn analyze(dir: impl AsRef<Path>) -> Result<Postmortem, String> {
+    let dir = dir.as_ref();
+    let journal_text = std::fs::read_to_string(dir.join("journal.json"))
+        .map_err(|e| format!("read {}/journal.json: {e}", dir.display()))?;
     let jdoc = Json::parse(&journal_text)?;
     let schema = jdoc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != "ap3esm-journal/1" {
@@ -217,13 +137,13 @@ pub fn analyze(bundle_dir: impl AsRef<Path>) -> Result<Postmortem, String> {
         events[rank].push(event);
     }
 
-    let reason = std::fs::read_to_string(bundle.join("manifest.json"))
+    let reason = std::fs::read_to_string(dir.join("manifest.json"))
         .ok()
         .and_then(|t| Json::parse(&t).ok())
         .and_then(|m| m.get("reason").and_then(Json::as_str).map(str::to_string))
         .unwrap_or_default();
 
-    Ok(analyze_events(bundle.to_path_buf(), reason, &events))
+    Ok(analyze_events(dir.to_path_buf(), reason, &events))
 }
 
 /// The pure core of [`analyze`]: blame over one log snapshot (or one parsed
@@ -445,13 +365,11 @@ impl Postmortem {
 mod tests {
     use super::*;
     use crate::event::{trace_now_us, EventLog};
+    use crate::RunDir;
 
+    /// A scratch root; the run directory under it starts afresh.
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("ap3esm-flightrec-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        std::env::temp_dir().join(format!("ap3esm-flightrec-{tag}-{}", std::process::id()))
     }
 
     fn msg(kind: Kind, ts: u64, dur: u64, peer: usize, tag: u64, n: u64) -> Event {
@@ -541,27 +459,11 @@ mod tests {
         log.record(2, msg(Kind::Recv, t0 + 2_000, 10, 0, 9, 8));
         log.record(0, msg(Kind::Send, t0 + 1_990, 0, 2, 9, 8));
 
-        let spec = BundleSpec {
-            reason: "deadlock",
-            events: &log.snapshot(),
-            series_json: Some("{\"schema\":\"ap3esm-tsdb/1\",\"series\":[]}".to_string()),
-            fault_plan: Some("die rank=1 step=1\n".to_string()),
-            ..Default::default()
-        };
-        let bundle = dump_bundle_to(&dir, "unit", &spec).unwrap();
-        assert!(bundle.ends_with("bundle-unit"));
-        for f in [
-            "manifest.json",
-            "journal.json",
-            "alerts.json",
-            "series.json",
-            "faultplan.txt",
-            "trace.json",
-        ] {
-            assert!(bundle.join(f).is_file(), "bundle missing {f}");
-        }
+        let run = RunDir::create_at(dir.join("unit"), "deadlock").unwrap();
+        run.write_events(&log.snapshot()).unwrap();
+        let bundle = run.path();
 
-        let pm = analyze(&bundle).unwrap();
+        let pm = analyze(bundle).unwrap();
         assert_eq!(pm.reason, "deadlock");
         assert_eq!(pm.n_ranks, 3);
         assert_eq!(
@@ -590,15 +492,12 @@ mod tests {
     }
 
     #[test]
-    fn dump_tolerates_a_minimal_spec() {
-        // A panic handler may have almost nothing: name + reason only.
+    fn an_empty_log_analyzes_to_no_blame() {
+        // A panic handler may have almost nothing: a reason and no events.
         let dir = tmpdir("minimal");
-        let spec = BundleSpec {
-            reason: "panic",
-            ..Default::default()
-        };
-        let bundle = dump_bundle_to(&dir, "bare", &spec).unwrap();
-        let pm = analyze(&bundle).unwrap();
+        let run = RunDir::create_at(dir.join("bare"), "panic").unwrap();
+        run.write_events(&[]).unwrap();
+        let pm = analyze(run.path()).unwrap();
         assert_eq!(pm.blamed, None);
         assert_eq!(pm.total_events, 0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -15,17 +15,20 @@
 //!   and call counts; the rank's front end to the event log (traced spans,
 //!   [`mark()`]). Entering a span when profiling is disabled costs one
 //!   relaxed atomic load; a warm enter/drop allocates nothing.
+//! * [`rundir`] — [`RunDir`]: one run, one directory. Everything a run
+//!   leaves lands in `target/obs/<name>/` through one writer, indexed by a
+//!   `manifest.json` whose `reason` is `"ok"` or the trouble the run ended
+//!   in; every offline tool (`examples/obs.rs`) takes that directory.
 //! * [`trace`] — [`trace::chrome_trace`]: a snapshot as one Chrome Trace
-//!   Event Format timeline (`target/obs/trace-<name>.json`, openable in
-//!   Perfetto), one `pid` per rank, with send/recv flow arrows; plus the
-//!   span trees as collapsed stacks (`trace-<name>.folded`).
+//!   Event Format timeline (a run's `trace.json`, openable in Perfetto), one
+//!   `pid` per rank, with send/recv flow arrows; plus the span trees as
+//!   collapsed stacks (`folded.txt`).
 //! * [`msgflow`] — [`pair_fifo`]: the k-th send on a `(src, dst, tag)`
 //!   channel matches the k-th recv. The one pairing behind the flow arrows,
 //!   the postmortem and the critical path.
-//! * [`flightrec`] — [`flightrec::journal`], [`dump_bundle`], [`analyze`]:
-//!   a snapshot as a merged cross-rank journal, a self-contained
-//!   diagnostics bundle around it, and the postmortem that names the
-//!   first-stalled rank from the bundle alone.
+//! * [`flightrec`] — [`flightrec::journal`], [`analyze`]: a snapshot as a
+//!   merged cross-rank journal (`journal.json`), and the postmortem that
+//!   names the first-stalled rank from a run directory alone.
 //! * [`critpath`] — [`Analyzer`]: a snapshot as a cross-rank activity
 //!   graph; critical path, Scalasca-style wait classes (late-sender,
 //!   late-receiver, collective, timeout), section costs against the
@@ -37,7 +40,7 @@
 //!   histograms (p50/p95/max), all atomic on the hot path.
 //! * [`report`] — the run report (`ap3esm-obs/5`): span tree, sections,
 //!   rank trees, metrics, alerts, comm summary and critical path as one
-//!   JSON object per run in `target/obs/run-<name>.json`.
+//!   JSON object per run, its directory's `report.json`.
 //! * [`json`] — the one JSON value, writer and parser every artifact uses.
 //! * [`tsdb`], [`openmetrics`], [`alert`] — continuous telemetry: a
 //!   time-series store with downsampling tiers, sampled by the owner of the
@@ -73,6 +76,7 @@ pub mod openmetrics;
 pub mod perf;
 pub mod rankagg;
 pub mod report;
+pub mod rundir;
 pub mod span;
 pub mod trace;
 pub mod tsdb;
@@ -82,13 +86,14 @@ pub use alert::{
 };
 pub use critpath::{Analysis, Analyzer, WaitClass};
 pub use event::{Event, EventLog, Kind, Name};
-pub use flightrec::{analyze, dump_bundle, dump_bundle_to, BundleSpec, Postmortem};
+pub use flightrec::{analyze, Postmortem};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Metrics};
 pub use msgflow::{pair_fifo, FlowPairing, PairedMessage, UnpairedSend};
 pub use openmetrics::MetricsServer;
 pub use perf::{BuildInfo, Direction, Stat};
 pub use rankagg::{aggregate_sections, rank_trees, RankTree, SectionStats};
 pub use report::{alert_event_json, CommSummary, RunReport};
+pub use rundir::RunDir;
 pub use span::{Profiler, SpanGuard, SpanSnapshot};
 pub use tsdb::{Sampler, SeriesSnapshot, SeriesStore};
 
@@ -179,7 +184,7 @@ pub fn histogram_record(name: &str, value: u64) {
 
 /// Journals `kind` (fault injection, health verdict, rollback, checkpoint
 /// begin/commit…) under the marker `name` in the active profiler's event
-/// log: one entry, an instant in the chrome trace and a row in the bundle's
+/// log: one entry, an instant in the chrome trace and a row in the run's
 /// journal. A no-op without an active instance or an attached, enabled log.
 pub fn mark(kind: Kind, name: &str, a: u64, b: u64) {
     if let Some(obs) = active() {

@@ -1,6 +1,6 @@
 //! Build metadata and the shape of one reported measurement.
 //!
-//! [`BuildInfo`] stamps run reports, chrome traces and post-mortem bundles;
+//! [`BuildInfo`] stamps run reports, chrome traces and run manifests;
 //! [`Stat`] is what `serve::perf_snapshot` hands to its reader. Timing this
 //! repository is `benchmark/`'s job (DESIGN.md §12); nothing here measures
 //! or judges.
@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use crate::json::Json;
 
 /// Build and machine metadata shared by run reports (`ap3esm-obs/5`),
-/// chrome-trace exports and post-mortem bundles, so any artifact can be
+/// chrome-trace exports and run manifests, so any artifact can be
 /// cross-referenced to the exact code and host that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildInfo {

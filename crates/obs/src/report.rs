@@ -2,11 +2,9 @@
 //!
 //! A [`RunReport`] collects whatever the run produced — metadata, the local
 //! span tree, cross-rank section stats, metric snapshots, and the
-//! communication summary; its JSON form is a single deterministic object
-//! written to `target/obs/run-<name>.json`, so two runs can be diffed field
-//! by field.
-
-use std::path::{Path, PathBuf};
+//! communication summary; its JSON form is a single deterministic object,
+//! the `report.json` of the run's directory ([`crate::RunDir`]), so two runs
+//! can be diffed field by field.
 
 use crate::alert::AlertEvent;
 use crate::json::Json;
@@ -40,8 +38,8 @@ pub struct CommSummary {
     pub streams: Vec<(String, u64, u64)>,
 }
 
-/// One run's report: name it, fill in what the run produced, then
-/// [`write`](RunReport::write) it.
+/// One run's report: name it, fill in what the run produced, then write its
+/// [`to_json`](RunReport::to_json) into the run's directory.
 pub struct RunReport {
     pub name: String,
     /// The build/machine stamp ([`BuildInfo::current`] unless a golden test
@@ -198,20 +196,6 @@ impl RunReport {
         }
         root.to_string()
     }
-
-    /// Write the JSON report as `<dir>/run-<name>.json`; returns the path.
-    pub fn write_to(&self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("run-{}.json", self.name));
-        std::fs::write(&path, self.to_json() + "\n")?;
-        Ok(path)
-    }
-
-    /// Write to the workspace's default sink, `target/obs/`.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        self.write_to(default_dir())
-    }
 }
 
 /// JSON form of one alert event (shared by the report's `alerts` array and
@@ -239,17 +223,6 @@ fn span_array(spans: &[SpanSnapshot]) -> Vec<Json> {
             o
         })
         .collect()
-}
-
-/// The workspace report directory (`target/obs` at the repository root).
-pub fn default_dir() -> PathBuf {
-    // CARGO_TARGET_DIR is honoured when set; otherwise resolve the
-    // workspace target/ relative to this crate's manifest so the sink does
-    // not depend on the caller's working directory.
-    match std::env::var_os("CARGO_TARGET_DIR") {
-        Some(dir) => PathBuf::from(dir).join("obs"),
-        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/obs"),
-    }
 }
 
 #[cfg(test)]
@@ -346,15 +319,5 @@ mod tests {
             r#""streams":[{"label":"cpl_scatter","messages":30,"bytes":700000}]}}"#,
         );
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn report_round_trips_through_the_sink() {
-        let dir = std::env::temp_dir().join(format!("ap3esm-obs-{}", std::process::id()));
-        let path = fixed_report().write_to(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap(), "run-golden.json");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.trim_end(), fixed_report().to_json());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

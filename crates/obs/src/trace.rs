@@ -21,9 +21,8 @@
 //! an OS thread of one process) lands on one aligned timeline.
 
 use std::cmp::Reverse;
-use std::path::{Path, PathBuf};
 
-use crate::event::{chrome_dur, chrome_row, Event, COMM_TID};
+use crate::event::{chrome_row, track_order, Event, COMM_TID};
 use crate::json::Json;
 use crate::msgflow::pair_fifo;
 use crate::rankagg::RankTree;
@@ -56,14 +55,13 @@ pub fn chrome_trace(rings: &[Vec<Event>]) -> String {
     let mut rows = Vec::new();
     for (pid, ring) in rings.iter().enumerate() {
         for e in ring {
-            let key = (pid, e.tid, e.ts_us, Reverse(chrome_dur(e)));
-            rows.push((key, chrome_row(pid, e)));
+            rows.push(((pid, track_order(e)), chrome_row(pid, e)));
         }
     }
     for (i, p) in pair_fifo(rings).pairs.iter().enumerate() {
-        let s = (p.src, COMM_TID, p.send_ts_us, Reverse(0));
+        let s = (p.src, (COMM_TID, p.send_ts_us, Reverse(0)));
         rows.push((s, flow_row("s", i + 1, p.src, p.send_ts_us, p.tag)));
-        let f = (p.dst, COMM_TID, p.delivered_us(), Reverse(0));
+        let f = (p.dst, (COMM_TID, p.delivered_us(), Reverse(0)));
         rows.push((f, flow_row("f", i + 1, p.dst, p.delivered_us(), p.tag)));
     }
     rows.sort_by_key(|(key, _)| *key);
@@ -90,28 +88,6 @@ pub fn chrome_trace(rings: &[Vec<Event>]) -> String {
     root.to_string()
 }
 
-fn write_file(dir: &Path, file: String, body: &str) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(file);
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Write `<dir>/trace-<name>.json`; returns the path.
-pub fn write_trace_to(
-    dir: impl AsRef<Path>,
-    name: &str,
-    rings: &[Vec<Event>],
-) -> std::io::Result<PathBuf> {
-    let body = chrome_trace(rings) + "\n";
-    write_file(dir.as_ref(), format!("trace-{name}.json"), &body)
-}
-
-/// Write the chrome trace to the workspace default sink, `target/obs/`.
-pub fn write_trace(name: &str, rings: &[Vec<Event>]) -> std::io::Result<PathBuf> {
-    write_trace_to(crate::report::default_dir(), name, rings)
-}
-
 // --- collapsed-stack flamegraph export ---------------------------------
 
 /// Render per-rank span trees as collapsed stacks: one line per tree node,
@@ -130,20 +106,6 @@ pub fn folded_stacks(trees: &[RankTree]) -> String {
         }
     }
     out
-}
-
-/// Write `<dir>/trace-<name>.folded`; returns the path.
-pub fn write_folded_to(
-    dir: impl AsRef<Path>,
-    name: &str,
-    folded: &str,
-) -> std::io::Result<PathBuf> {
-    write_file(dir.as_ref(), format!("trace-{name}.folded"), folded)
-}
-
-/// Write the folded stacks to the workspace default sink, `target/obs/`.
-pub fn write_folded(name: &str, folded: &str) -> std::io::Result<PathBuf> {
-    write_folded_to(crate::report::default_dir(), name, folded)
 }
 
 #[cfg(test)]
@@ -207,17 +169,5 @@ mod tests {
         }];
         let folded = folded_stacks(&trees);
         assert_eq!(folded, "rank2;a 1000\nrank2;a;b 2000\n");
-    }
-
-    #[test]
-    fn trace_files_land_in_the_sink_directory() {
-        let dir = std::env::temp_dir().join(format!("ap3esm-trace-{}", std::process::id()));
-        let path = write_trace_to(&dir, "unit", &[vec![span_ev("x", 0, 10)]]).unwrap();
-        assert_eq!(path.file_name().unwrap(), "trace-unit.json");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains(r#""traceEvents""#));
-        let fpath = write_folded_to(&dir, "unit", "rank0;x 10\n").unwrap();
-        assert_eq!(fpath.file_name().unwrap(), "trace-unit.folded");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

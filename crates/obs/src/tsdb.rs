@@ -210,15 +210,6 @@ impl SeriesStore {
     pub fn snapshot_json(&self) -> String {
         snapshot_to_json(&self.snapshot())
     }
-
-    /// Write the snapshot as `<target/obs>/series-<name>.json`.
-    pub fn write_snapshot(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        let dir = crate::report::default_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("series-{name}.json"));
-        std::fs::write(&path, self.snapshot_json() + "\n")?;
-        Ok(path)
-    }
 }
 
 /// Snapshot-file schema tag.
@@ -269,7 +260,7 @@ pub fn snapshot_to_json(snaps: &[SeriesSnapshot]) -> String {
 }
 
 /// Parse an `ap3esm-tsdb/1` snapshot document back into memory (used by
-/// the offline SLO replay in `scripts/slo_check.sh`).
+/// the offline SLO replay, `obs slo DIR`, of a run's `series.json`).
 pub fn snapshot_from_json(text: &str) -> Result<Vec<SeriesSnapshot>, String> {
     let root = Json::parse(text)?;
     match root.get("schema").and_then(Json::as_str) {

@@ -2,8 +2,9 @@
 //!
 //! `golden/` holds what the parent of PR 17 wrote for one synthetic 2-rank
 //! fixture with fixed timestamps — spans, every journal kind, send, recv,
-//! timeout and stale — through its `ChromeTrace`, `folded_stacks`,
-//! `dump_bundle_to` (`journal.json`), `Postmortem` and `Analysis`. There
+//! timeout and stale — through its `ChromeTrace`, `folded_stacks`, bundle
+//! writer (`journal.json`, now `RunDir::write_events`), `Postmortem` and
+//! `Analysis`. There
 //! the fixture took three stores (a `TraceSink` of spans and instants, a
 //! `FlightRecorder` of journal entries whose detail was the instant's name,
 //! a `CommEventLog`); here it is one `Vec<Event>` per rank, and every
@@ -13,10 +14,10 @@ use std::path::PathBuf;
 
 use ap3esm_obs::critpath::Analyzer;
 use ap3esm_obs::event::{Event, Kind, Name};
-use ap3esm_obs::flightrec::{analyze_events, dump_bundle_to, BundleSpec};
+use ap3esm_obs::flightrec::analyze_events;
 use ap3esm_obs::json::Json;
 use ap3esm_obs::trace::{chrome_trace, folded_stacks};
-use ap3esm_obs::{RankTree, SpanSnapshot};
+use ap3esm_obs::{RankTree, RunDir, SpanSnapshot};
 
 /// A tag in the reserved collective namespace (a sub-barrier leg).
 const COLL: u64 = 0xC0_0000_0000 + 0x7000 + 3;
@@ -112,12 +113,9 @@ fn journal_and_postmortem_match_the_parent_byte_for_byte() {
     let dir = std::env::temp_dir().join(format!("ap3esm-obs-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let events = fixture();
-    let spec = BundleSpec {
-        reason: "golden",
-        events: &events,
-        ..Default::default()
-    };
-    let bundle = dump_bundle_to(&dir, "golden", &spec).unwrap();
+    let run = RunDir::create_at(dir.join("golden"), "golden").unwrap();
+    run.write_events(&events).unwrap();
+    let bundle = run.path();
     let journal = std::fs::read_to_string(bundle.join("journal.json")).unwrap();
     assert_eq!(journal, golden("journal.json"));
 
@@ -125,7 +123,7 @@ fn journal_and_postmortem_match_the_parent_byte_for_byte() {
     assert_eq!(pm.to_json().to_string(), golden("postmortem.json"));
     assert_eq!(pm.render_table(), golden("postmortem.txt"));
     // The journal on disk decodes to the same verdict (spans never reach it).
-    let offline = ap3esm_obs::analyze(&bundle).unwrap();
+    let offline = ap3esm_obs::analyze(bundle).unwrap();
     assert_eq!(
         (offline.reason.as_str(), offline.blamed),
         ("golden", pm.blamed)

@@ -17,9 +17,9 @@
 //!   or silent wrong answer.
 //!
 //! Hangs are caught by a per-unit watchdog ([`Verdict::Hang`]), panics by
-//! `catch_unwind`; either way the unit's diagnostics bundle is salvaged from
-//! the still-reachable world, and every bundle carries the scenario that
-//! produced it (`scenario.txt`).
+//! `catch_unwind`; either way the unit's run directory is salvaged from the
+//! still-reachable world, and every troubled unit's directory carries the
+//! scenario that produced it (`scenario.txt`).
 //!
 //! Determinism contract: everything that lands in the leaderboard JSON —
 //! verdicts, conservation drift, ensemble spread, the cost-model SYPD
@@ -44,8 +44,8 @@ use ap3esm_esm::{
 };
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
-use ap3esm_obs::flightrec::{dump_bundle, BundleSpec};
 use ap3esm_obs::tsdb::{snapshot_to_json, SeriesStore};
+use ap3esm_obs::RunDir;
 use ap3esm_ocn::model::OcnForcing;
 use ap3esm_pp::exec::{ExecSpace, Threads};
 
@@ -72,7 +72,7 @@ impl Default for CampaignOptions {
         CampaignOptions {
             threads: 0,
             only: None,
-            out_dir: ap3esm_obs::report::default_dir(),
+            out_dir: ap3esm_obs::rundir::default_dir(),
             write_series: true,
             recv_timeout: Duration::from_millis(800),
         }
@@ -142,8 +142,8 @@ pub struct MemberOutcome {
     pub shrinks: usize,
     /// Named diagnostic series, `(t seconds, value)` per coupling.
     pub series: Vec<(String, Vec<(f64, f64)>)>,
-    /// Flight-recorder bundle, when the run ended in trouble: the driver's
-    /// own dump, or the one salvaged from the world after a hang or panic.
+    /// The run directory, when the run ended in trouble: the driver's own,
+    /// or the one salvaged from the world after a hang or panic.
     pub bundle: Option<PathBuf>,
 }
 
@@ -388,7 +388,7 @@ fn scenario_world(
     world
 }
 
-/// `bundle-<this>` is a unit's diagnostics bundle.
+/// `target/obs/<this>/` is a troubled unit's run directory.
 fn bundle_name(sc: &Scenario, member: usize) -> String {
     format!("campaign-{}-m{member}", sc.name)
 }
@@ -437,19 +437,20 @@ fn run_watched(sc: &Scenario, member: usize, opts: &CampaignOptions) -> MemberOu
     };
     let world = slot.lock().expect("world slot").take();
     if let (Some(reason), Some(world)) = (salvage, world) {
-        // The driver never reached its own dump — salvage the (possibly
-        // wedged) world's event log.
-        let spec = BundleSpec {
-            reason,
-            events: &world.events().snapshot(),
-            fault_plan: (!sc.plan.events.is_empty()).then(|| sc.plan.to_string()),
-            scenario: Some(scenario_text),
-            ..Default::default()
-        };
-        out.bundle = dump_bundle(&bundle_name(sc, member), &spec).ok();
-    } else if let Some(bundle) = &out.bundle {
+        // The driver never reached its own run directory — salvage the
+        // (possibly wedged) world's event log.
+        let salvaged = RunDir::create(&bundle_name(sc, member), reason).and_then(|dir| {
+            dir.write_events(&world.events().snapshot())?;
+            if !sc.plan.events.is_empty() {
+                dir.write("faultplan.txt", &sc.plan.to_string())?;
+            }
+            Ok(dir.path().to_path_buf())
+        });
+        out.bundle = salvaged.ok();
+    }
+    if let Some(bundle) = &out.bundle {
         // The driver does not know the campaign context; stamp it in.
-        let _ = std::fs::write(bundle.join("scenario.txt"), scenario_text);
+        let _ = RunDir::open(bundle).and_then(|dir| dir.write("scenario.txt", &scenario_text));
     }
     out
 }
@@ -586,8 +587,8 @@ fn run_full_member(
         out.recoveries += root.recoveries;
         out.shrinks += root.shrinks;
         out.simulated_seconds = root.simulated_seconds;
-        if root.bundle_path.is_some() {
-            out.bundle = root.bundle_path.clone();
+        if root.run_dir.is_some() {
+            out.bundle = root.run_dir.clone();
         }
 
         // Stitch this cycle's series onto the member timeline, anchored at

@@ -199,7 +199,7 @@ struct Inner {
     /// Black-box ticket-lifecycle journal: a one-rank event log (the
     /// service is one process). submit/done/shed entries cost one relaxed
     /// load plus a bounded ring push, no allocation; on a worker crash the
-    /// tail is dumped as a diagnostics bundle.
+    /// tail is written to a run directory.
     events: ap3esm_obs::EventLog,
     /// Monotonic ticket id source for the journal.
     ticket_seq: std::sync::atomic::AtomicU64,
@@ -249,22 +249,19 @@ impl Inner {
                             detail: detail.clone(),
                         }));
                     }
-                    // The bundle is the crash's black box: the ticket tail
-                    // leading up to the panicking forward, with the panic
-                    // text as its reason, ready for `flightrec::analyze`/
-                    // diagnose.sh.
-                    let spec = ap3esm_obs::BundleSpec {
-                        reason: &format!("serve-worker-crash: {detail}"),
-                        events: &self.events.snapshot(),
-                        ..Default::default()
-                    };
+                    // The run directory is the crash's black box: the
+                    // ticket tail leading up to the panicking forward, with
+                    // the panic text as its reason, ready for
+                    // `flightrec::analyze`/diagnose.sh.
                     let name = format!("serve-crash-pid{}", std::process::id());
-                    match ap3esm_obs::dump_bundle(&name, &spec) {
-                        Ok(dir) => eprintln!(
-                            "[serve] diagnostics bundle: {}",
-                            dir.display()
-                        ),
-                        Err(e) => eprintln!("[serve] bundle dump failed: {e}"),
+                    let reason = format!("serve-worker-crash: {detail}");
+                    let written = ap3esm_obs::RunDir::create(&name, &reason).and_then(|dir| {
+                        dir.write_events(&self.events.snapshot())?;
+                        Ok(dir)
+                    });
+                    match written {
+                        Ok(dir) => eprintln!("[serve] run directory: {}", dir.path().display()),
+                        Err(e) => eprintln!("[serve] run directory {name} not written: {e}"),
                     }
                     continue;
                 }
@@ -369,7 +366,7 @@ impl Service {
     }
 
     /// The service's black-box ticket journal (submit/done/shed entries;
-    /// dumped as a diagnostics bundle when a worker crashes).
+    /// written to a run directory when a worker crashes).
     pub fn events(&self) -> &ap3esm_obs::EventLog {
         &self.inner.events
     }

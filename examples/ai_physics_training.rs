@@ -3,7 +3,8 @@
 //!
 //! ```sh
 //! cargo run --release --example ai_physics_training
-//! # with an obs run report and a chrome trace + flamegraph:
+//! # with a run directory target/obs/ai-train/ (report, folded stacks, and a
+//! # chrome trace of the spans):
 //! cargo run --release --example ai_physics_training -- --report-name ai-train --trace
 //! ```
 
@@ -22,6 +23,11 @@ struct Cli {
     trace: bool,
 }
 
+fn usage() -> ! {
+    eprintln!("usage: ai_physics_training [--report-name NAME] [--trace]");
+    std::process::exit(2);
+}
+
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         report_name: None,
@@ -30,12 +36,9 @@ fn parse_cli() -> Cli {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--report-name" => {
-                cli.report_name =
-                    Some(args.next().expect("--report-name needs a value"))
-            }
+            "--report-name" => cli.report_name = Some(args.next().unwrap_or_else(|| usage())),
             "--trace" => cli.trace = true,
-            other => panic!("unknown flag {other} (try --report-name, --trace)"),
+            _ => usage(),
         }
     }
     cli
@@ -43,8 +46,8 @@ fn parse_cli() -> Cli {
 
 fn main() {
     let cli = parse_cli();
-    // Single-process example: wire the obs instance, event log and report
-    // directly (one pid 0) instead of going through a World.
+    // Single-process example: wire the obs instance, event log and run
+    // directory directly (one pid 0) instead of going through a World.
     let obs_state = Arc::new(obs::Obs::new());
     let log = cli.trace.then(|| {
         let log = Arc::new(obs::EventLog::new(1));
@@ -135,29 +138,20 @@ fn main() {
     if let Some(name) = &cli.report_name {
         obs_state.profiler.set_tracing(false);
         let spans = obs_state.profiler.snapshot();
-        let tree = obs::RankTree {
-            rank: 0,
-            dropped: 0,
-            spans: spans.clone(),
-        };
         let mut report = obs::RunReport::new(name).meta("example", "ai_physics_training");
+        report.rank_trees = vec![obs::RankTree { rank: 0, dropped: 0, spans: spans.clone() }];
         report.spans = spans;
-        report.rank_trees = vec![tree.clone()];
         report.metrics = obs_state.metrics.snapshot();
-        match report.write() {
-            Ok(path) => println!("\nobs run report: {}", path.display()),
-            Err(e) => eprintln!("cannot write report: {e}"),
-        }
-        if let Some(log) = log {
-            match obs::trace::write_trace(name, &log.snapshot()) {
-                Ok(path) => println!("chrome trace:   {} (open in ui.perfetto.dev)", path.display()),
-                Err(e) => eprintln!("cannot write trace: {e}"),
+        let written = obs::RunDir::create(name, "ok").and_then(|dir| {
+            dir.write_report(&report)?;
+            if let Some(log) = &log {
+                dir.write_events(&log.snapshot())?;
             }
-            let folded = obs::trace::folded_stacks(&[tree]);
-            match obs::trace::write_folded(name, &folded) {
-                Ok(path) => println!("flamegraph:     {} (render with inferno/flamegraph.pl)", path.display()),
-                Err(e) => eprintln!("cannot write folded stacks: {e}"),
-            }
+            Ok(dir)
+        });
+        match written {
+            Ok(dir) => println!("\nrun directory: {}", dir.path().display()),
+            Err(e) => eprintln!("cannot write run directory {name}: {e}"),
         }
     }
 }

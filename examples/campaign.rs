@@ -108,7 +108,7 @@ fn main() {
                 println!("  {} m{}: {}", o.name, m.member, m.detail);
             }
             if let Some(b) = &m.bundle {
-                println!("  {} m{}: bundle {}", o.name, m.member, b.display());
+                println!("  {} m{}: run directory {}", o.name, m.member, b.display());
             }
         }
         if let Some(f) = &o.series_file {

@@ -12,7 +12,7 @@
 //!
 //! Flags: `--fault-plan <file>` (enables checkpointing), `--checkpoint-dir
 //! <dir>` (default `target/ckpt` when faults are on), `--days <n>`,
-//! `--trace` (chrome-trace + flamegraph export under `target/obs/`),
+//! `--trace` (span rows in the chrome trace, critical path in the report),
 //! `--progress-every <n>` (live telemetry every n ocean couplings),
 //! `--metrics-addr <ip:port>` (live OpenMetrics scrape endpoint — `curl
 //! http://<addr>/metrics` mid-run; implies continuous telemetry),
@@ -20,6 +20,12 @@
 //! built-in SYPD-collapse / imbalance-drift / degraded-streak /
 //! degraded-mode alert rules), `--slo-rules <file>` (extra rules, one per
 //! line; a malformed line exits 2 naming it).
+//!
+//! Everything the run leaves is in one directory, `target/obs/coupled-esm/`:
+//! `manifest.json`, `report.json`, `folded.txt`, `trace.json` and
+//! `journal.json`, with `--slo` `alerts.json` and `series.json`, with a fault
+//! plan `faultplan.txt`. `cargo run --release --example obs -- critpath |
+//! postmortem | slo target/obs/coupled-esm` reads it back.
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::esm::coupled::TelemetryOptions;
@@ -199,16 +205,7 @@ fn main() {
         None => {}
     }
 
-    if let Some(path) = &root.report_path {
-        println!("\nobs run report: {}", path.display());
-    }
-    if let Some(path) = &root.trace_path {
-        println!("chrome trace:   {} (open in ui.perfetto.dev)", path.display());
-    }
-    if let Some(path) = &root.folded_path {
-        println!("flamegraph:     {} (render with inferno/flamegraph.pl)", path.display());
-    }
-    if let Some(path) = &root.series_path {
-        println!("series store:   {} (replay with scripts/slo_check.sh)", path.display());
+    if let Some(dir) = &root.run_dir {
+        println!("\nrun directory: {} (read back with examples/obs.rs)", dir.display());
     }
 }

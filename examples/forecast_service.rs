@@ -4,8 +4,10 @@
 //! column-inference requests per second for `--duration` seconds against
 //! a micro-batching [`Service`], hot-swaps the model registry to a new
 //! version mid-run (and rolls it back at three quarters), then prints
-//! p50/p95 latency, throughput and the shed rate, and writes the obs run
-//! report (and, with `--trace`, a chrome trace of the serve batches).
+//! p50/p95 latency, throughput and the shed rate, and with `--report-name`
+//! writes the run directory `target/obs/<name>/`: the run report, with
+//! `--trace` a chrome trace of the serve batches and the ticket journal, with
+//! telemetry the alerts and the series store.
 //!
 //! With `--slo` the main loop, which paces the run, samples the registry
 //! (plus the `serve.shed_rate` it computes) into a time-series store every
@@ -321,27 +323,12 @@ fn main() {
             println!("  alert: t={:.2}s {}", e.t_s, e.message);
         }
     }
-    if let (Some(store), Some(name)) = (&store, &cli.report_name) {
-        match store.write_snapshot(name) {
-            Ok(p) => println!("series:     {}", p.display()),
-            Err(e) => eprintln!("series snapshot write failed: {e}"),
-        }
-    }
     if let Some(server) = server {
         server.stop();
     }
 
-    // Obs artefacts: run report + optional chrome trace.
     if let Some(name) = &cli.report_name {
-        if let Some(log) = &log {
-            obs.profiler.set_tracing(false);
-            if log.evicted(0) > 0 {
-                eprintln!("[trace] {} events evicted (ring full)", log.evicted(0));
-            }
-            if let Ok(p) = ap3esm::obs::trace::write_trace(name, &log.snapshot()) {
-                println!("trace:      {}", p.display());
-            }
-        }
+        obs.profiler.set_tracing(false);
         let mut report = ap3esm::obs::RunReport::new(name)
             .meta("clients", cli.clients as u64)
             .meta("target_rps", cli.rps)
@@ -353,9 +340,22 @@ fn main() {
         report.spans = obs.profiler.snapshot();
         report.alerts = engine.as_ref().map(|e| e.events()).unwrap_or_default();
         report.metrics = obs.metrics.snapshot();
-        match report.write() {
-            Ok(p) => println!("report:     {}", p.display()),
-            Err(e) => eprintln!("report write failed: {e}"),
+        let written = ap3esm::obs::RunDir::create(name, "ok").and_then(|dir| {
+            dir.write_report(&report)?;
+            if let Some(log) = &log {
+                if log.evicted(0) > 0 {
+                    eprintln!("[trace] {} events evicted (ring full)", log.evicted(0));
+                }
+                dir.write_events(&log.snapshot())?;
+            }
+            if let Some(store) = &store {
+                dir.write_telemetry(&report.alerts, &store.snapshot_json())?;
+            }
+            Ok(dir)
+        });
+        match written {
+            Ok(dir) => println!("run directory: {}", dir.path().display()),
+            Err(e) => eprintln!("cannot write run directory {name}: {e}"),
         }
     }
 

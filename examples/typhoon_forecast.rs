@@ -4,7 +4,8 @@
 //!
 //! ```sh
 //! cargo run --release --example typhoon_forecast
-//! # with an obs run report and a per-rank chrome trace + flamegraph:
+//! # with a run directory target/obs/doksuri/ (report, folded stacks, and a
+//! # per-rank chrome trace with span rows):
 //! cargo run --release --example typhoon_forecast -- --report-name doksuri --trace
 //! ```
 
@@ -15,6 +16,11 @@ struct Cli {
     trace: bool,
 }
 
+fn usage() -> ! {
+    eprintln!("usage: typhoon_forecast [--report-name NAME] [--trace]");
+    std::process::exit(2);
+}
+
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         report_name: None,
@@ -23,12 +29,9 @@ fn parse_cli() -> Cli {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--report-name" => {
-                cli.report_name =
-                    Some(args.next().expect("--report-name needs a value"))
-            }
+            "--report-name" => cli.report_name = Some(args.next().unwrap_or_else(|| usage())),
             "--trace" => cli.trace = true,
-            other => panic!("unknown flag {other} (try --report-name, --trace)"),
+            _ => usage(),
         }
     }
     cli
@@ -77,13 +80,7 @@ fn main() {
     println!("laptop scale the experiment validates the forecast *pipeline*:");
     println!("initialize → couple → track → score.)");
 
-    if let Some(path) = &result.stats.report_path {
-        println!("\nobs run report: {}", path.display());
-    }
-    if let Some(path) = &result.stats.trace_path {
-        println!("chrome trace:   {} (open in ui.perfetto.dev)", path.display());
-    }
-    if let Some(path) = &result.stats.folded_path {
-        println!("flamegraph:     {} (render with inferno/flamegraph.pl)", path.display());
+    if let Some(dir) = &result.stats.run_dir {
+        println!("\nrun directory: {}", dir.display());
     }
 }

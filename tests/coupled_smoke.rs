@@ -78,7 +78,7 @@ fn driver_sections_read_one_clock() {
     let all = world.run(|rank| run_coupled(rank, &config, &opts));
     assert_eq!(all.len(), 2);
     // Only `report_json` is read; leave nothing under `target/obs/`.
-    let _ = std::fs::remove_file(all[0].report_path.as_ref().expect("report file"));
+    let _ = std::fs::remove_dir_all(all[0].run_dir.as_ref().expect("run directory"));
     let report = Json::parse(all[0].report_json.as_deref().expect("report")).unwrap();
     let rows = |key: &str| report.get(key).and_then(Json::as_arr).expect("array");
     let path_is = |row: &Json, name: &str| row.get("path").and_then(Json::as_str) == Some(name);

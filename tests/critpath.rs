@@ -11,10 +11,10 @@
 use ap3esm::comm::{FaultInjector, FaultPlan, World};
 use ap3esm::cpl::rearrange::Rearranger;
 use ap3esm::obs::critpath::{Analyzer, WaitClass};
-use ap3esm::obs::event::{parse_chrome_row, parse_journal_row, Event, Kind};
+use ap3esm::obs::event::{as_drawn, parse_chrome_row, parse_journal_row, Event};
 use ap3esm::obs::json::Json;
 use ap3esm::obs::trace::chrome_trace;
-use ap3esm::obs::{flightrec, msgflow};
+use ap3esm::obs::{flightrec, msgflow, RunDir};
 use ap3esm::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -138,6 +138,20 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
     let json_sum = frac("compute") + frac("comm") + frac("wait");
     assert!((json_sum - 1.0).abs() <= 0.01, "report fractions: {json_sum}");
 
+    // ---- ... and comes back out of the run directory byte for byte: the
+    //      chrome trace re-analyzed at the report's SYPD (`obs critpath DIR
+    //      --check`). ------------------------------------------------------
+    let dir = root.run_dir.as_ref().expect("run directory");
+    let trace = Json::parse(&std::fs::read_to_string(dir.join("trace.json")).unwrap()).unwrap();
+    let on_disk = Json::parse(&std::fs::read_to_string(dir.join("report.json")).unwrap()).unwrap();
+    let sypd = on_disk.get("meta").and_then(|m| m.get("sypd")).and_then(Json::as_f64);
+    let offline = Analyzer::from_chrome_trace(&trace)
+        .unwrap()
+        .with_sypd(sypd.expect("report sypd"))
+        .analyze();
+    let embedded = on_disk.get("critpath").expect("embedded critpath");
+    assert_eq!(offline.to_json().to_string(), embedded.to_string());
+
     // ---- Every coupled section reaches the report's cross-rank maxima,
     //      including the ocean's (which never runs on the coupler rank). ---
     let sections = report.get("rank_sections").and_then(Json::as_arr).unwrap();
@@ -149,6 +163,7 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
         let max_s = s.get("max_s").and_then(Json::as_f64).unwrap();
         assert!(max_s > 0.0, "{want} has zero wall time");
     }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The chrome-trace flow arrows, the flight-recorder postmortem and the
@@ -213,17 +228,7 @@ fn exporters_share_one_fifo_pairing() {
     }
     // (A receive that did not have to wait is drawn, and so decodes, one
     // microsecond wide.)
-    let drawn = |ring: &Vec<Event>| -> Vec<Event> {
-        let widen = |e: &Event| Event {
-            dur_us: if e.kind == Kind::Recv {
-                e.dur_us.max(1)
-            } else {
-                e.dur_us
-            },
-            ..*e
-        };
-        ring.iter().map(widen).collect()
-    };
+    let drawn = |ring: &Vec<Event>| ring.iter().map(as_drawn).collect();
     assert_eq!(
         sorted_slice(traced),
         sorted_slice(rings.iter().map(drawn).collect()),
@@ -263,21 +268,9 @@ fn exporters_share_one_fifo_pairing() {
 
     // ---- Exporter 2: flight-recorder postmortem. -------------------------
     let dir = std::env::temp_dir().join(format!("ap3esm-critpath-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let bundle = flightrec::dump_bundle_to(
-        &dir,
-        "pairing",
-        &flightrec::BundleSpec {
-            reason: "pairing-regression",
-            events: &rings,
-            series_json: None,
-            alerts: &[],
-            fault_plan: None,
-            scenario: None,
-        },
-    )
-    .unwrap();
+    let run = RunDir::create_at(dir.join("pairing"), "pairing-regression").unwrap();
+    run.write_events(&rings).unwrap();
+    let bundle = run.path();
     // The journal on disk holds exactly the recorded slice.
     let jdoc = Json::parse(&std::fs::read_to_string(bundle.join("journal.json")).unwrap()).unwrap();
     let mut journaled: Vec<Vec<Event>> = vec![Vec::new(); 2];
@@ -290,7 +283,7 @@ fn exporters_share_one_fifo_pairing() {
         recorded,
         "journal rows vs recorded events"
     );
-    let postmortem = flightrec::analyze(&bundle).unwrap();
+    let postmortem = flightrec::analyze(bundle).unwrap();
     // The postmortem re-sorts blamed-rank-first, so compare as sets.
     let pm_unpaired: BTreeSet<(usize, usize, u64, u64)> = postmortem
         .unpaired_sends
@@ -301,13 +294,13 @@ fn exporters_share_one_fifo_pairing() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // ---- Exporter 3: the critical-path analyzer. -------------------------
-    // Every blocking receive it classified is a recorded receive, and the
-    // ones the pairing matched are exactly the ones it did not call orphans.
+    // Every receive it classified is a recorded receive (one that did not
+    // wait reads as drawn, one microsecond wide), and the ones the pairing
+    // matched are exactly the ones it did not call orphans.
     let analysis = Analyzer::new(&rings).analyze();
     let paired_waits: BTreeSet<(usize, usize, u64, u64)> = pairing
         .pairs
         .iter()
-        .filter(|p| p.recv_dur_us > 0)
         .map(|p| (p.dst, p.src, p.tag, p.recv_ts_us))
         .collect();
     let analyzed_waits: BTreeSet<(usize, usize, u64, u64)> = analysis

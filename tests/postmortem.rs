@@ -2,13 +2,17 @@
 //!
 //! The flight-recorder contract, end to end over the real coupled driver:
 //! a chaos scenario that kills rank 1 mid-run must leave behind a
-//! self-contained diagnostics bundle, and the offline analyzer — reading
-//! nothing but that bundle — must name rank 1 as the first-stalled rank
+//! self-contained run directory, and the offline analyzer — reading
+//! nothing but that directory — must name rank 1 as the first-stalled rank
 //! and list the sends its silence orphaned.
+
+mod common;
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::esm::RecoveryConfig;
+use ap3esm::obs::RunDir;
 use ap3esm::prelude::*;
+use common::{run_dir_members, run_dir_reason};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,9 +31,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// Rank 1 (an ocean rank) is killed mid-run before the first checkpoint
 /// commit: its last message to root is silently dropped on the wire and
 /// the rank then dies permanently at the step-1 boundary, so the run ends
-/// in a clean structured `RecoveryFailure`. Root must dump a diagnostics
-/// bundle on the way out, and `analyze` must reconstruct the whole story
-/// from the bundle alone — first-stalled rank, the send that never met
+/// in a clean structured `RecoveryFailure`. Root must write the run's
+/// directory on the way out, and `analyze` must reconstruct the whole story
+/// from the directory alone — first-stalled rank, the send that never met
 /// its receive, and the timeouts that detected the silence.
 #[test]
 fn killed_rank_is_blamed_by_the_bundle_analyzer() {
@@ -61,23 +65,24 @@ fn killed_rank_is_blamed_by_the_bundle_analyzer() {
     let root = &all[0];
 
     // The scenario ends in a structured failure (no checkpoint to shrink
-    // onto), never a hang — and that failure must produce a bundle.
+    // onto), never a hang — and that failure must produce a run directory.
     assert!(
         root.failure.is_some(),
         "dying before the first checkpoint must be a structured failure"
     );
     assert!(all[1].lost, "rank 1 must report itself permanently lost");
     let bundle = root
-        .bundle_path
+        .run_dir
         .as_ref()
-        .expect("driver must dump a diagnostics bundle on recovery failure");
-    assert!(bundle.ends_with(format!("bundle-{bundle_name}")));
+        .expect("driver must write its run directory on recovery failure");
+    assert!(bundle.ends_with(&bundle_name));
 
-    // The bundle is self-contained: journal, manifest, alerts, build info
-    // inside the manifest, and the fault plan that caused it all.
-    for f in ["manifest.json", "journal.json", "alerts.json", "faultplan.txt"] {
-        assert!(bundle.join(f).is_file(), "bundle is missing {f}");
-    }
+    // The directory is self-contained: journal and trace, the manifest
+    // naming the failure (and the build), and the fault plan that caused
+    // it all.
+    let members = ["faultplan.txt", "journal.json", "manifest.json", "trace.json"];
+    assert_eq!(run_dir_members(bundle), members);
+    assert!(run_dir_reason(bundle).starts_with("recovery-failure: "));
     let plan_txt = std::fs::read_to_string(bundle.join("faultplan.txt")).unwrap();
     assert!(
         plan_txt.contains("die rank=1 step=1") && plan_txt.contains("drop src=1 dst=0"),
@@ -133,6 +138,14 @@ fn killed_rank_is_blamed_by_the_bundle_analyzer() {
         json.get("schema").and_then(|j| j.as_str()),
         Some("ap3esm-postmortem/1")
     );
+    // The verdict joins the evidence, as `obs postmortem` writes it, and
+    // the index follows.
+    let run = RunDir::open(bundle).expect("run directory reopens");
+    run.write("postmortem.json", &json.to_string()).unwrap();
+    let mut members = members.to_vec();
+    members.push("postmortem.json");
+    members.sort();
+    assert_eq!(run_dir_members(bundle), members);
 
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_dir_all(bundle);

@@ -5,12 +5,15 @@
 //! byte-identical leaderboards across two same-seed campaign executions, and
 //! the chaos ladder's degraded and failure rungs through `run_campaign`.
 
+mod common;
+
 use ap3esm::comm::faultplan::FaultPlan;
 use ap3esm::comm::World;
 use ap3esm::esm::config::CoupledConfig;
 use ap3esm::esm::coupled::{run_coupled, CoupledOptions};
 use ap3esm::scenario::dsl::{scenario_seed, Catalog, GridPreset, ModelKind, ScenarioExpectation};
 use ap3esm::scenario::runner::{run_campaign, CampaignOptions, Verdict};
+use common::{run_dir_members, run_dir_reason};
 
 fn parse_err(text: &str) -> (usize, String) {
     let e = Catalog::parse(text).expect_err("must not parse");
@@ -479,8 +482,12 @@ fn lost_ocean_rank_is_degraded_against_the_bitwise_reference() {
         member.detail,
         "lost 1 rank(s); tail bitwise-matches the fresh 3-rank reference"
     );
-    let bundle = member.bundle.as_ref().expect("a shrink leaves a bundle");
-    assert!(bundle.is_dir(), "{}", bundle.display());
+    let bundle = member.bundle.as_ref().expect("a shrink leaves a run directory");
+    // The campaign's stamp, written after the driver's members, is indexed
+    // with them.
+    let members = ["faultplan.txt", "journal.json", "manifest.json", "scenario.txt", "trace.json"];
+    assert_eq!(run_dir_members(bundle), members);
+    assert_eq!(run_dir_reason(bundle), "shrink");
     let stamp = std::fs::read_to_string(bundle.join("scenario.txt")).expect("scenario.txt");
     assert!(stamp.contains("scenario lose-ocean-rank") && stamp.contains("die rank=2 step=3"));
     let postmortem = ap3esm::obs::flightrec::analyze(bundle).expect("bundle analyzes");

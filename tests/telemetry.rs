@@ -136,15 +136,15 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     );
 
     // ---- ... and landed as an instant event in the chrome trace. ----
-    let trace = std::fs::read_to_string(root.trace_path.as_ref().expect("trace")).unwrap();
+    let dir = root.run_dir.as_ref().expect("run directory");
+    let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
     assert!(
         trace.contains("alert.sypd-collapse"),
         "alert instant missing from chrome trace"
     );
 
     // ---- The series snapshot replays offline to the same verdict. ----
-    let series_path = root.series_path.as_ref().expect("series snapshot");
-    let text = std::fs::read_to_string(series_path).unwrap();
+    let text = std::fs::read_to_string(dir.join("series.json")).unwrap();
     let snaps = tsdb::snapshot_from_json(&text).expect("snapshot parses");
     // One sample per ocean coupling: every `sim.*` series holds exactly
     // the run's couplings, no stale copies taken while a coupling stalled.
@@ -181,4 +181,5 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
         fired.iter().any(|&v| v <= stalled_sypd),
         "sypd-collapse must fire on a stalled coupling (SYPD <= {stalled_sypd}): {fired:?}"
     );
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,15 +1,19 @@
 //! Tier-1 integration tests for the per-rank trace timelines (ISSUE PR 3).
 //!
-//! A 2-rank coupled run with tracing on and a fault injected must produce:
-//! a run report carrying *both* ranks' span trees, a schema-valid Chrome
-//! Trace Event file with `X` events from both pids plus at least one
-//! resilience instant event, and a collapsed-stack flamegraph with frames
-//! from both ranks.
+//! A 2-rank coupled run with tracing on and a fault injected must leave a
+//! run directory with a run report carrying *both* ranks' span trees, a
+//! schema-valid Chrome Trace Event file with `X` events from both pids plus
+//! at least one resilience instant event, and a collapsed-stack flamegraph
+//! with frames from both ranks.
+
+mod common;
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::esm::RecoveryConfig;
+use ap3esm::obs::event::{parse_chrome_row, Kind};
 use ap3esm::obs::json::Json;
 use ap3esm::prelude::*;
+use common::{run_dir_members, run_dir_reason};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -99,10 +103,18 @@ fn traced_faulted_run_emits_both_ranks_and_resilience_markers() {
         "no ocn_run in rank 1's tree: {rank1_paths:?}"
     );
 
+    // ---- One directory holds the run, its trouble named in the manifest:
+    //      a reported run's members plus the fault plan. ------------------
+    let dir = root.run_dir.as_ref().expect("run directory");
+    let mut want = REPORTED.to_vec();
+    want.push("faultplan.txt");
+    want.sort();
+    assert_eq!(run_dir_members(dir), want);
+    assert_ne!(run_dir_reason(dir), "ok");
+
     // ---- The chrome trace is schema-valid and covers both ranks. --------
-    let trace_path = root.trace_path.as_ref().expect("trace requested");
-    let trace =
-        Json::parse(&std::fs::read_to_string(trace_path).unwrap()).expect("trace JSON parses");
+    let trace = Json::parse(&std::fs::read_to_string(dir.join("trace.json")).unwrap())
+        .expect("trace JSON parses");
     let events = trace
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -159,8 +171,7 @@ fn traced_faulted_run_emits_both_ranks_and_resilience_markers() {
     );
 
     // ---- The flamegraph has frames from both ranks. ---------------------
-    let folded_path = root.folded_path.as_ref().expect("folded requested");
-    let folded = std::fs::read_to_string(folded_path).unwrap();
+    let folded = std::fs::read_to_string(dir.join("folded.txt")).unwrap();
     assert!(folded.lines().any(|l| l.starts_with("rank0;")));
     assert!(folded.lines().any(|l| l.starts_with("rank1;")));
     for line in folded.lines() {
@@ -169,12 +180,23 @@ fn traced_faulted_run_emits_both_ranks_and_resilience_markers() {
     }
 
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Tracing off (the default) must leave the trace machinery fully idle:
-/// no trace files, no comm-event recording, no trace paths in the stats.
+/// What a reported run with the flight recorder on leaves, traced or not.
+const REPORTED: [&str; 5] = [
+    "folded.txt",
+    "journal.json",
+    "manifest.json",
+    "report.json",
+    "trace.json",
+];
+
+/// Tracing off (the default) changes what is in the files, not which files
+/// there are: the untraced run's directory has a traced one's members, its
+/// chrome trace has no span rows, and nothing analyzed a critical path.
 #[test]
-fn untraced_run_emits_no_trace_artifacts() {
+fn untraced_run_leaves_the_same_members_without_span_rows() {
     let mut config = CoupledConfig::test_tiny();
     config.ocn_px = 1;
     config.ocn_py = 1;
@@ -187,11 +209,19 @@ fn untraced_run_emits_no_trace_artifacts() {
     let world = World::new(config.world_size());
     let all = world.run(|rank| run_coupled(rank, &config, &opts));
     let root = &all[0];
-    assert!(root.trace_path.is_none());
-    assert!(root.folded_path.is_none());
+    let dir = root.run_dir.as_ref().expect("run directory");
+    assert_eq!(run_dir_members(dir), REPORTED);
+    assert_eq!(run_dir_reason(dir), "ok");
+    assert!(root.critpath.is_none());
+    let trace = Json::parse(&std::fs::read_to_string(dir.join("trace.json")).unwrap()).unwrap();
+    let rows = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let decoded: Vec<_> = rows.iter().filter_map(parse_chrome_row).collect();
+    assert!(decoded.iter().any(|(_, e)| e.kind.is_message()), "messages are recorded");
+    assert!(!decoded.iter().any(|(_, e)| e.kind == Kind::Span), "a span row untraced");
     // The report still carries every rank's tree — trees ride with the
     // report, not with tracing.
     let report = Json::parse(root.report_json.as_deref().unwrap()).unwrap();
     let trees = report.get("rank_trees").and_then(Json::as_arr).unwrap();
     assert_eq!(trees.len(), 2);
+    let _ = std::fs::remove_dir_all(dir);
 }
