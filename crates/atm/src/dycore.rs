@@ -31,11 +31,18 @@
 //! `(pₛ/p₀)^κ` once per cell (`surface_exner`) times `σₖ^κ` once per
 //! level, and the hypsometric factor `R·ln(σₖ₋₁/σₖ)` is taken once per level.
 //! The one divide left per cell-level is by the new layer thickness.
+//!
+//! Each phase streams a table shaped like its loop: an `(a, b)` pair per
+//! edge, a divergence row per cell, the least-squares inverse folded into
+//! per-slot weights (`uₑ = Σ wₑ·u`), and per edge the four projections of the
+//! two cells' east and north vectors on t̂, so the tangential wind is four
+//! products. The momentum walk gathers one `(uₑ, uₙ, ∇·u, K + Φ)` record per
+//! cell of an edge.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use ap3esm_grid::icosahedral::MAX_CELL_EDGES;
+use ap3esm_grid::icosahedral::{CellStencil, MAX_CELL_EDGES};
 use ap3esm_grid::{GeodesicGrid, EARTH_RADIUS};
 use ap3esm_physics::constants::{coriolis, R_DRY};
 use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
@@ -80,35 +87,41 @@ impl DycoreConfig {
     }
 }
 
-/// One cell's row: what the divergence and reconstruction passes read beside
-/// the grid's `CellStencil` (edge ids, n̂·east, n̂·north), in the same slot
-/// order.
+/// One cell's divergence row (phases 2 and 6): its edges in the grid's
+/// `cell_edges` order, each with sign·le, and 1/area.
 #[derive(Clone, Copy)]
-struct CellRow {
+struct DivRow {
+    /// Edges around the cell; the arrays are valid up to here.
+    nedges: u32,
+    edge: [u32; MAX_CELL_EDGES],
     /// sign·le: +le where the edge normal points out of this cell, else −le
     /// (m). `f·(sign·le)` and `(sign·f)·le` round identically (sign = ±1).
     sle: [f64; MAX_CELL_EDGES],
-    /// (a11, a12, a22) of the inverse 2×2 least-squares normal matrix.
-    ls_inv: [f64; 3],
-    /// Physical cell area (m²) and its reciprocal.
-    area: f64,
+    /// Reciprocal of the physical cell area (1/m²).
     inv_area: f64,
 }
 
-/// A cell's east and north unit vectors (3-D): what the per-edge tangential
-/// wind gathers from its two cells.
-#[derive(Clone, Copy)]
-struct CellFrame {
-    east: [f64; 3],
-    north: [f64; 3],
+impl DivRow {
+    /// The arrays' valid length (the `min` lets the compiler drop the bounds
+    /// checks of `array[slot]`).
+    #[inline]
+    fn nedges(&self) -> usize {
+        (self.nedges as usize).min(MAX_CELL_EDGES)
+    }
 }
 
-/// One edge's row.
+/// One cell's least-squares reconstruction folded into per-slot weights, in
+/// [`DivRow`] slot order: `(uₑ, uₙ) = Σₛ w[s]·u[edge[s]]`, where `w[s]` is the
+/// inverse 2×2 normal matrix times slot s's `(n̂·east, n̂·north)`.
 #[derive(Clone, Copy)]
-struct EdgeRow {
-    /// The two cells; the normal points a → b.
-    a: u32,
-    b: u32,
+struct ReconRow {
+    w: [[f64; 2]; MAX_CELL_EDGES],
+}
+
+/// One edge's row for the momentum walk (and `1/de` for phase 4). Its two
+/// cells are the edge's entry in `Dycore::edge_cells`.
+#[derive(Clone, Copy)]
+struct MomentumRow {
     /// The two adjacent corners ordered along +t̂ (down-, up-tangent) so
     /// ∂ζ/∂t̂ has a consistent sign.
     corner_down: u32,
@@ -120,12 +133,44 @@ struct EdgeRow {
     inv_le: f64,
     /// Coriolis parameter at the midpoint.
     f: f64,
-    /// Tangent unit vector t̂ = r̂ × n̂ (3-D).
-    tangent: [f64; 3],
+    /// ½·(eastₐ·t̂, northₐ·t̂, east_b·t̂, north_b·t̂), t̂ = r̂ × n̂: the
+    /// tangential wind is these times cell a's and cell b's `(uₑ, uₙ)` (the
+    /// ½ of the two-cell mean folded in, which is exact).
+    tangent: [f64; 4],
+}
+
+impl MomentumRow {
+    /// The tangential wind at the edge from its cells' records (`[uₑ, uₙ,
+    /// ..]` of a and of b).
+    #[inline]
+    fn tangential_wind(&self, a: &[f64; 4], b: &[f64; 4]) -> f64 {
+        let t = &self.tangent;
+        a[0] * t[0] + a[1] * t[1] + b[0] * t[2] + b[1] * t[3]
+    }
+}
+
+/// A cell's record of one level for the momentum walk: `(uₑ, uₙ)` from the
+/// folded weights, `∇·u`, and the Bernoulli function `K + Φ` (`phi` is the
+/// cell's Φ at the level). One walk of the cell's edges.
+#[inline]
+fn cell_record(row: &DivRow, recon: &ReconRow, un: &[f64], phi: f64) -> [f64; 4] {
+    let (mut ue, mut uno, mut div) = (0.0, 0.0, 0.0);
+    for s in 0..row.nedges() {
+        let u = un[row.edge[s] as usize];
+        ue += recon.w[s][0] * u;
+        uno += recon.w[s][1] * u;
+        div += u * row.sle[s];
+    }
+    [
+        ue,
+        uno,
+        div * row.inv_area,
+        0.5 * (ue * ue + uno * uno) + phi,
+    ]
 }
 
 /// One corner's row: the triangle's three edges with sign·de, the
-/// circulation sign folded into the dual-edge length like `CellRow::sle`.
+/// circulation sign folded into the dual-edge length like `DivRow::sle`.
 #[derive(Clone, Copy)]
 struct CornerRow {
     edge: [u32; 3],
@@ -203,15 +248,14 @@ impl<'a> Fields<'a> {
 
 /// Scratch of the level being stepped. Per cell unless noted.
 struct LevelScratch<'a> {
-    /// Per edge, interleaved: mass flux, upwind θ flux, upwind q flux (one
-    /// gather per divergence slot, not three).
-    fluxes: &'a mut [f64],
+    /// Per edge: mass flux, upwind θ flux, upwind q flux (one gather per
+    /// divergence slot, not three).
+    fluxes: &'a mut [[f64; 3]],
     /// Geopotential, accumulated upward through the levels below.
     phi: &'a mut [f64],
-    /// Reconstructed (east, north) wind, interleaved.
-    wind: &'a mut [f64],
-    div_u: &'a mut [f64],
-    bern: &'a mut [f64],
+    /// [`cell_record`]: `(uₑ, uₙ, ∇·u, K + Φ)`, one gather per cell of an
+    /// edge.
+    record: &'a mut [[f64; 4]],
     /// Per corner: relative vorticity.
     zeta: &'a mut [f64],
 }
@@ -224,23 +268,26 @@ impl<'a> LevelScratch<'a> {
     fn of(slab: &'a mut [f64], n: usize, ne: usize, ncorners: usize) -> Self {
         let mut take = taker(slab);
         LevelScratch {
-            fluxes: take(3 * ne),
+            fluxes: take(3 * ne).as_chunks_mut().0,
             phi: take(n),
-            wind: take(2 * n),
-            div_u: take(n),
-            bern: take(n),
+            record: take(4 * n).as_chunks_mut().0,
             zeta: take(ncorners),
         }
     }
 }
 
-/// Precomputed connectivity/geometry tables + the substep workspace.
+/// Precomputed connectivity/geometry tables, each shaped like the loop that
+/// streams it, + the substep workspace.
 pub struct Dycore {
     grid: Arc<GeodesicGrid>,
-    cells: Vec<CellRow>,
-    frames: Vec<CellFrame>,
-    edges: Vec<EdgeRow>,
+    /// Per edge: its two cells, the normal pointing a → b.
+    edge_cells: Vec<[u32; 2]>,
+    cells: Vec<DivRow>,
+    recon: Vec<ReconRow>,
+    edges: Vec<MomentumRow>,
     corners: Vec<CornerRow>,
+    /// Per cell: the physical area (m²) `step_tracer` weighs moisture by.
+    areas: Vec<f64>,
     /// The substep's scratch. Interior-mutable because stepping takes
     /// `&self`: one uncontended borrow per substep.
     workspace: RefCell<Workspace>,
@@ -251,6 +298,20 @@ pub struct Dycore {
 
 fn index_u32(i: usize) -> u32 {
     u32::try_from(i).expect("mesh entity index exceeds u32")
+}
+
+/// (a11, a12, a22) of the inverse of a cell's 2×2 least-squares normal
+/// matrix `Σₛ (n̂·east, n̂·north)ᵀ(n̂·east, n̂·north)`.
+fn ls_inverse(stencil: &CellStencil) -> [f64; 3] {
+    let (mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0);
+    for (_, ne, nn) in stencil.slots() {
+        a11 += ne * ne;
+        a12 += ne * nn;
+        a22 += nn * nn;
+    }
+    let det = a11 * a22 - a12 * a12;
+    assert!(det.abs() > 1e-12, "degenerate reconstruction");
+    [a22 / det, -a12 / det, a11 / det]
 }
 
 /// Level `k`'s factors of the T–Φ diagnosis: `σₖ^κ`, its share of the Exner
@@ -268,36 +329,35 @@ impl Dycore {
         let r = EARTH_RADIUS;
 
         let mut cells = Vec::with_capacity(grid.ncells());
-        let mut frames = Vec::with_capacity(grid.ncells());
+        let mut recon = Vec::with_capacity(grid.ncells());
+        let mut areas = Vec::with_capacity(grid.ncells());
         for (i, stencil) in grid.cell_stencils.iter().enumerate() {
             let area = grid.cell_areas[i] * r * r;
-            let mut row = CellRow {
+            let mut row = DivRow {
+                nedges: index_u32(stencil.nedges()),
+                edge: stencil.edge,
                 sle: [0.0; MAX_CELL_EDGES],
-                ls_inv: [0.0; 3],
-                area,
                 inv_area: 1.0 / area,
             };
-            let (mut a11, mut a12, mut a22) = (0.0, 0.0, 0.0);
-            for ((e, ne, nn), (&(_, sign), sle)) in stencil
-                .slots()
-                .zip(grid.cell_edges[i].iter().zip(&mut row.sle))
-            {
-                a11 += ne * ne;
-                a12 += ne * nn;
-                a22 += nn * nn;
+            for (&(e, sign), sle) in grid.cell_edges[i].iter().zip(&mut row.sle) {
                 *sle = sign * (grid.edge_lengths[e] * r);
             }
-            let det = a11 * a22 - a12 * a12;
-            assert!(det.abs() > 1e-12, "degenerate reconstruction at cell {i}");
-            row.ls_inv = [a22 / det, -a12 / det, a11 / det];
+            let inv = ls_inverse(stencil);
+            let mut weights = ReconRow {
+                w: [[0.0; 2]; MAX_CELL_EDGES],
+            };
+            for ((_, ne, nn), w) in stencil.slots().zip(&mut weights.w) {
+                *w = [inv[0] * ne + inv[1] * nn, inv[1] * ne + inv[2] * nn];
+            }
             cells.push(row);
-            let (east, north) = (grid.cells[i].east(), grid.cells[i].north());
-            frames.push(CellFrame {
-                east: [east.x, east.y, east.z],
-                north: [north.x, north.y, north.z],
-            });
+            recon.push(weights);
+            areas.push(area);
         }
 
+        // Each cell's (east, north), for the projections of its three to six
+        // edges.
+        let frames: Vec<_> = grid.cells.iter().map(|c| [c.east(), c.north()]).collect();
+        let mut edge_cells = Vec::with_capacity(grid.nedges());
         let mut edges = Vec::with_capacity(grid.nedges());
         for (e, &(a, b)) in grid.edges.iter().enumerate() {
             let t = grid.edge_midpoints[e].cross(grid.edge_normals[e]);
@@ -308,15 +368,15 @@ impl Dycore {
             } else {
                 (c1, c0)
             };
-            edges.push(EdgeRow {
-                a: index_u32(a),
-                b: index_u32(b),
+            let ([east_a, north_a], [east_b, north_b]) = (frames[a], frames[b]);
+            edge_cells.push([index_u32(a), index_u32(b)]);
+            edges.push(MomentumRow {
                 corner_down: index_u32(down),
                 corner_up: index_u32(up),
                 inv_de: 1.0 / (grid.edge_cell_dist[e] * r),
                 inv_le: 1.0 / (grid.edge_lengths[e] * r),
                 f: coriolis(grid.edge_midpoints[e].lat()),
-                tangent: [t.x, t.y, t.z],
+                tangent: [east_a, north_a, east_b, north_b].map(|v| 0.5 * v.dot(t)),
             });
         }
 
@@ -355,10 +415,12 @@ impl Dycore {
 
         Dycore {
             grid,
+            edge_cells,
             cells,
-            frames,
+            recon,
             edges,
             corners,
+            areas,
             workspace: RefCell::default(),
             space: Arc::new(Serial),
             config,
@@ -395,10 +457,10 @@ impl Dycore {
 
     fn substep(&self, state: &mut AtmState, dt: f64, mass_flux_accum: Option<&mut [f64]>) {
         let space = &*self.space;
-        let stencils = &self.grid.cell_stencils[..];
-        let (cells, frames, edges, corners) = (
+        let (edge_cells, cells, recon, edges, corners) = (
+            &self.edge_cells[..],
             &self.cells[..],
-            &self.frames[..],
+            &self.recon[..],
             &self.edges[..],
             &self.corners[..],
         );
@@ -440,8 +502,8 @@ impl Dycore {
 
         // --- Phase 1, edges: mean surface pressure (old state). ---
         for_chunks_mut(space, ne, [&mut *ps_edge], |r, [ps_edge]| {
-            for (ps_e, row) in ps_edge.iter_mut().zip(&edges[r]) {
-                *ps_e = 0.5 * (ps[row.a as usize] + ps[row.b as usize]);
+            for (ps_e, &[a, b]) in ps_edge.iter_mut().zip(&edge_cells[r]) {
+                *ps_e = 0.5 * (ps[a as usize] + ps[b as usize]);
             }
         });
 
@@ -463,32 +525,26 @@ impl Dycore {
                     let div_k = &mut div_mass[j * n..(j + 1) * n];
                     // Layer mass flux and the upwind θ and q fluxes for the
                     // dycore-rate tracer update.
-                    for (((f, row), &u), &ps_e) in fluxes
-                        .chunks_exact_mut(3)
-                        .zip(edges)
+                    for (((f, &[a, b]), &u), &ps_e) in fluxes
+                        .iter_mut()
+                        .zip(edge_cells)
                         .zip(unk)
                         .zip(ps_edge.iter())
                     {
                         let flux = u * ps_e * dsigma[k];
-                        let up = if flux >= 0.0 { row.a } else { row.b } as usize;
-                        f[0] = flux;
-                        f[1] = flux * thk[up];
-                        f[2] = flux * qk[up];
+                        let up = if flux >= 0.0 { a } else { b } as usize;
+                        *f = [flux, flux * thk[up], flux * qk[up]];
                     }
                     if !accum.is_empty() {
-                        for (acc, f) in accum[j * ne..(j + 1) * ne]
-                            .iter_mut()
-                            .zip(fluxes.chunks_exact(3))
-                        {
+                        for (acc, f) in accum[j * ne..(j + 1) * ne].iter_mut().zip(fluxes.iter()) {
                             *acc += f[0] * dt;
                         }
                     }
                     // The three divergences in one walk.
-                    for (i, (stencil, row)) in stencils.iter().zip(cells).enumerate() {
+                    for (i, row) in cells.iter().enumerate() {
                         let (mut mass, mut th, mut qv) = (0.0, 0.0, 0.0);
-                        for s in 0..stencil.nedges() {
-                            let e = stencil.edge[s] as usize;
-                            let f = &fluxes[3 * e..3 * e + 3];
+                        for s in 0..row.nedges() {
+                            let f = &fluxes[row.edge[s] as usize];
                             mass += f[0] * row.sle[s];
                             th += f[1] * row.sle[s];
                             qv += f[2] * row.sle[s];
@@ -525,8 +581,12 @@ impl Dycore {
 
         // --- Phase 4, edges. ---
         for_chunks_mut(space, ne, [&mut *grad_ln_ps], |r, [grad_ln_ps]| {
-            for (grad, row) in grad_ln_ps.iter_mut().zip(&edges[r]) {
-                *grad = (ln_ps[row.b as usize] - ln_ps[row.a as usize]) * row.inv_de;
+            for ((grad, &[a, b]), row) in grad_ln_ps
+                .iter_mut()
+                .zip(&edge_cells[r.clone()])
+                .zip(&edges[r])
+            {
+                *grad = (ln_ps[b as usize] - ln_ps[a as usize]) * row.inv_de;
             }
         });
 
@@ -563,12 +623,7 @@ impl Dycore {
         for_chunks_mut(space, nlev, [&mut un[..]], |levels, [un]| {
             let mut lane = lanes.take();
             let LevelScratch {
-                phi,
-                wind,
-                div_u,
-                bern,
-                zeta,
-                ..
+                phi, record, zeta, ..
             } = LevelScratch::of(&mut lane, n, ne, ncorners);
             // Φ below this kernel's first level: the levels under it, summed
             // upward from zero as the running Φ of one pass over all levels.
@@ -581,59 +636,38 @@ impl Dycore {
             for (j, k) in levels.enumerate() {
                 let unk = &mut un[j * ne..(j + 1) * ne];
                 let (tk, dphi_k) = (&t[k * n..(k + 1) * n], &dphi[k * n..(k + 1) * n]);
-                for (i, (stencil, row)) in stencils.iter().zip(cells).enumerate() {
-                    phi[i] += dphi_k[i];
-
-                    // Least-squares (east, north) wind and ∇·u in one walk.
-                    let (mut b1, mut b2, mut div) = (0.0, 0.0, 0.0);
-                    for s in 0..stencil.nedges() {
-                        let u = unk[stencil.edge[s] as usize];
-                        b1 += stencil.n_east[s] * u;
-                        b2 += stencil.n_north[s] * u;
-                        div += u * row.sle[s];
-                    }
-                    let inv = row.ls_inv;
-                    let (ue, uno) = (inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2);
-                    wind[2 * i] = ue;
-                    wind[2 * i + 1] = uno;
-                    div_u[i] = div * row.inv_area;
-                    // Bernoulli function K + Φ.
-                    bern[i] = 0.5 * (ue * ue + uno * uno) + phi[i];
+                for ((((rec, row), weights), phi), &dphi) in record
+                    .iter_mut()
+                    .zip(cells)
+                    .zip(recon)
+                    .zip(phi.iter_mut())
+                    .zip(dphi_k)
+                {
+                    *phi += dphi;
+                    *rec = cell_record(row, weights, unk, *phi);
                 }
                 Self::vorticity(corners, unk, zeta);
 
-                for ((u, row), &grad_lnps) in unk.iter_mut().zip(edges).zip(grad_ln_ps.iter()) {
-                    let (a, b) = (row.a as usize, row.b as usize);
+                for (((u, &[a, b]), row), &grad_lnps) in unk
+                    .iter_mut()
+                    .zip(edge_cells)
+                    .zip(edges)
+                    .zip(grad_ln_ps.iter())
+                {
+                    let (a, b) = (a as usize, b as usize);
+                    let (ra, rb) = (&record[a], &record[b]);
                     // Tangential velocity from averaged cell vectors.
-                    let (fa, fb) = (&frames[a], &frames[b]);
-                    let va = (wind[2 * a], wind[2 * a + 1]);
-                    let vb = (wind[2 * b], wind[2 * b + 1]);
-                    let v3 = [
-                        0.5 * (va.0 * fa.east[0]
-                            + va.1 * fa.north[0]
-                            + vb.0 * fb.east[0]
-                            + vb.1 * fb.north[0]),
-                        0.5 * (va.0 * fa.east[1]
-                            + va.1 * fa.north[1]
-                            + vb.0 * fb.east[1]
-                            + vb.1 * fb.north[1]),
-                        0.5 * (va.0 * fa.east[2]
-                            + va.1 * fa.north[2]
-                            + vb.0 * fb.east[2]
-                            + vb.1 * fb.north[2]),
-                    ];
-                    let tan = row.tangent;
-                    let ut = v3[0] * tan[0] + v3[1] * tan[1] + v3[2] * tan[2];
+                    let ut = row.tangential_wind(ra, rb);
 
                     let (cd, cu) = (row.corner_down as usize, row.corner_up as usize);
                     let eta = row.f + 0.5 * (zeta[cd] + zeta[cu]);
 
-                    let grad_bern = (bern[b] - bern[a]) * row.inv_de;
+                    // ∇ₙ(K + Φ).
+                    let grad_bern = (rb[3] - ra[3]) * row.inv_de;
                     let t_e = 0.5 * (tk[a] + tk[b]);
 
                     // Vector Laplacian: ∇ₙδ − ∇ₜζ (corners oriented along +t̂).
-                    let lap =
-                        (div_u[b] - div_u[a]) * row.inv_de - (zeta[cu] - zeta[cd]) * row.inv_le;
+                    let lap = (rb[2] - ra[2]) * row.inv_de - (zeta[cu] - zeta[cd]) * row.inv_le;
 
                     *u += dt * (eta * ut - grad_bern - R_DRY * t_e * grad_lnps + nu * lap);
                 }
@@ -654,12 +688,12 @@ impl Dycore {
             let qk = &mut state.q[k * n..(k + 1) * n];
             let mut deficit = 0.0;
             let mut positive = 0.0;
-            for (q, row) in qk.iter_mut().zip(&self.cells) {
+            for (q, &area) in qk.iter_mut().zip(&self.areas) {
                 if *q < 0.0 {
-                    deficit += -*q * row.area;
+                    deficit += -*q * area;
                     *q = 0.0;
                 } else {
-                    positive += *q * row.area;
+                    positive += *q * area;
                 }
             }
             if deficit > 0.0 && positive > 0.0 {
@@ -696,6 +730,7 @@ mod tests {
     use super::*;
     use crate::state::AtmState;
     use crate::P_REF;
+    use ap3esm_grid::sphere::Vec3;
     use ap3esm_physics::constants::KAPPA;
 
     fn setup(glevel: u32, nlev: usize) -> (Dycore, AtmState) {
@@ -789,7 +824,11 @@ mod tests {
             dycore.step_dyn(&mut state, dycore.config.dt_dyn, &mut acc);
         }
         // The anomaly must radiate: center value decreases, wind appears.
-        assert!(state.ps[0] - P_REF < 700.0, "anomaly stuck: {}", state.ps[0]);
+        assert!(
+            state.ps[0] - P_REF < 700.0,
+            "anomaly stuck: {}",
+            state.ps[0]
+        );
         assert!(state.max_wind() > 0.01);
         // And the run is stable.
         assert!(state.max_wind() < 50.0, "blow-up: {}", state.max_wind());
@@ -861,16 +900,21 @@ mod tests {
         );
     }
 
-    /// Random surface pressures in [5·10⁴, 1.1·10⁵] Pa and potential
-    /// temperatures in [250, 500] K (xorshift64*).
-    fn columns(count: usize) -> impl Iterator<Item = (f64, f64)> {
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut unit = move || {
+    /// Uniform deviates in [0, 1) (xorshift64*; `seed` must not be 0).
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut x = seed;
+        move || {
             x ^= x >> 12;
             x ^= x << 25;
             x ^= x >> 27;
             (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-        };
+        }
+    }
+
+    /// Random surface pressures in [5·10⁴, 1.1·10⁵] Pa and potential
+    /// temperatures in [250, 500] K.
+    fn columns(count: usize) -> impl Iterator<Item = (f64, f64)> {
+        let mut unit = uniform(0x9e37_79b9_7f4a_7c15);
         (0..count).map(move |_| (5.0e4 + 6.0e4 * unit(), 250.0 + 250.0 * unit()))
     }
 
@@ -949,6 +993,102 @@ mod tests {
         println!("worst ΔΦ: {worst} u / |ln y|");
     }
 
+    fn xyz(v: Vec3) -> [f64; 3] {
+        [v.x, v.y, v.z]
+    }
+
+    /// Phase 6's `(uₑ, uₙ) = Σₛ w[s]·u` from the folded weights against the
+    /// pointwise `ls_inv·(Σₛ n̂·east·u, Σₛ n̂·north·u)`, on every cell of G3 and
+    /// G4 under random winds.
+    ///
+    /// With u = 2⁻⁵³, γₘ = m·u/(1 − m·u), m ≤ 6 slots, (a11, a12, a22) =
+    /// `ls_inverse`, and S = Σₛ (|a11·n̂ₛ·east| + |a12·n̂ₛ·north|)·|uₛ| for uₑ
+    /// (a12, a22 for uₙ), the scale of every product either form adds up: the
+    /// pointwise form rounds each sum over
+    /// the slots (γ₆·S) and the 2-term product with `ls_inv` (γ₂·S), ≤ 8u·S;
+    /// the folded form rounds each weight's 2-term sum (γ₂·S) and the sum over
+    /// the slots (γ₆·S), ≤ 8u·S. Both round the same exact value (the stored
+    /// `ls_inv` and projections), so they differ by ≤ 16u·S to first order:
+    /// **17u·S** with the second-order terms.
+    #[test]
+    fn folded_reconstruction_is_within_its_bound_of_the_pointwise_form() {
+        let u = f64::EPSILON / 2.0;
+        let mut worst = 0.0f64;
+        for glevel in [3, 4] {
+            let (dycore, _) = setup(glevel, 1);
+            let grid = dycore.grid();
+            let mut unit = uniform(0x51ab_0000 + u64::from(glevel));
+            let un: Vec<f64> = (0..grid.nedges()).map(|_| 80.0 * unit() - 40.0).collect();
+            for (i, stencil) in grid.cell_stencils.iter().enumerate() {
+                let folded = cell_record(&dycore.cells[i], &dycore.recon[i], &un, 0.0);
+                let inv = ls_inverse(stencil);
+                let (mut b1, mut b2, mut scale_e, mut scale_n) = (0.0, 0.0, 0.0, 0.0);
+                for (e, ne, nn) in stencil.slots() {
+                    b1 += ne * un[e];
+                    b2 += nn * un[e];
+                    scale_e += ((inv[0] * ne).abs() + (inv[1] * nn).abs()) * un[e].abs();
+                    scale_n += ((inv[1] * ne).abs() + (inv[2] * nn).abs()) * un[e].abs();
+                }
+                let pointwise = [inv[0] * b1 + inv[1] * b2, inv[1] * b1 + inv[2] * b2];
+                for ((got, want), scale) in folded.iter().zip(pointwise).zip([scale_e, scale_n]) {
+                    let err = (got - want).abs() / (u * scale);
+                    worst = worst.max(err);
+                    assert!(
+                        err <= 17.0,
+                        "G{glevel} cell {i}: {got} vs {want} ({err} u·S)"
+                    );
+                }
+            }
+        }
+        println!("worst (uₑ, uₙ): {worst} u·S");
+    }
+
+    /// Phase 6's tangential wind from the four stored projections against
+    /// the 3-D rebuild `(½ Σᵢ wᵢ·fᵢ)·t̂` it replaced (w = uₑ, uₙ of a and b,
+    /// f = their east and north vectors), on every edge of G3 and G4 under
+    /// random cell winds.
+    ///
+    /// With S = ½ Σᵢ Σ_c |wᵢ·fᵢ[c]·t̂[c]|: the rebuild rounds each component's
+    /// 4-term sum (γ₄·S; the ½ is exact) and the 3-term dot product with t̂
+    /// (γ₃·S), ≤ 7u·S; the stored form rounds each projection's 3-term dot
+    /// product (γ₃·S) and the 4-term sum (γ₄·S), ≤ 7u·S. They differ by
+    /// ≤ 14u·S to first order: **15u·S**.
+    #[test]
+    fn four_product_tangential_wind_is_within_its_bound_of_the_3d_rebuild() {
+        let u = f64::EPSILON / 2.0;
+        let mut worst = 0.0f64;
+        for glevel in [3, 4] {
+            let (dycore, _) = setup(glevel, 1);
+            let grid = dycore.grid();
+            let mut unit = uniform(0x7a9e_0000 + u64::from(glevel));
+            let records: Vec<[f64; 4]> = (0..grid.ncells())
+                .map(|_| [80.0 * unit() - 40.0, 80.0 * unit() - 40.0, 0.0, 0.0])
+                .collect();
+            for (e, (&[a, b], row)) in dycore.edge_cells.iter().zip(&dycore.edges).enumerate() {
+                let (a, b) = (a as usize, b as usize);
+                let got = row.tangential_wind(&records[a], &records[b]);
+                let t = xyz(grid.edge_midpoints[e].cross(grid.edge_normals[e]));
+                let (ca, cb) = (grid.cells[a], grid.cells[b]);
+                let f = [ca.east(), ca.north(), cb.east(), cb.north()].map(xyz);
+                let w = [records[a][0], records[a][1], records[b][0], records[b][1]];
+                let v3 = [0, 1, 2].map(|c| {
+                    0.5 * (w[0] * f[0][c] + w[1] * f[1][c] + w[2] * f[2][c] + w[3] * f[3][c])
+                });
+                let want = v3[0] * t[0] + v3[1] * t[1] + v3[2] * t[2];
+                let scale: f64 = (0..4)
+                    .flat_map(|i| (0..3).map(move |c| (i, c)))
+                    .map(|(i, c)| 0.5 * (w[i] * f[i][c] * t[c]).abs())
+                    .sum();
+                let err = (got - want).abs() / (u * scale);
+                worst = worst.max(err);
+                assert!(
+                    err <= 15.0,
+                    "G{glevel} edge {e}: {got} vs {want} ({err} u·S)"
+                );
+            }
+        }
+        println!("worst tangential wind: {worst} u·S");
+    }
     #[test]
     fn solid_rotation_vorticity_matches_analytic() {
         // u = Ω R cos(lat) ẑonal ⇒ ζ = 2Ω sin(lat).
@@ -975,5 +1115,39 @@ mod tests {
             );
         }
         let _ = state;
+    }
+
+    /// u = (Ω × r)·R about a tilted axis: the cell records reconstructed from
+    /// its normal components and the four projections give (Ω × r)·t̂ at the
+    /// edge midpoint. The field is linear in r, so what is left is second
+    /// order in the spacing — the mean of the two cell winds sits at the chord
+    /// midpoint, and each cell fits a linear field in its own tangent plane —
+    /// measured 7.3e-4 ΩR at G3 and 2.1e-4 ΩR at G4; a misplaced projection or
+    /// weight reads O(ΩR).
+    #[test]
+    fn solid_rotation_tangential_wind_matches_analytic() {
+        let (dycore, _) = setup(4, 1);
+        let grid = dycore.grid();
+        let omega = Vec3::new(0.3, -0.2, 0.9).normalized().scale(1.0e-5);
+        let wind = |r: Vec3| omega.cross(r).scale(EARTH_RADIUS);
+        let un: Vec<f64> = (0..grid.nedges())
+            .map(|e| wind(grid.edge_midpoints[e]).dot(grid.edge_normals[e]))
+            .collect();
+        let records: Vec<[f64; 4]> = dycore
+            .cells
+            .iter()
+            .zip(&dycore.recon)
+            .map(|(row, recon)| cell_record(row, recon, &un, 0.0))
+            .collect();
+        let speed = 1.0e-5 * EARTH_RADIUS;
+        for (e, (&[a, b], row)) in dycore.edge_cells.iter().zip(&dycore.edges).enumerate() {
+            let got = row.tangential_wind(&records[a as usize], &records[b as usize]);
+            let m = grid.edge_midpoints[e];
+            let want = wind(m).dot(m.cross(grid.edge_normals[e]));
+            assert!(
+                (got - want).abs() < 1e-3 * speed,
+                "edge {e}: u_t {got} vs {want}"
+            );
+        }
     }
 }

@@ -237,15 +237,13 @@ mod tests {
         let center = Vec3::from_lat_lon(13.0_f64.to_radians(), 131.0_f64.to_radians());
         let winds = state.surface_wind();
         let mut circ = 0.0;
-        for i in 0..grid.ncells() {
-            let r = center.arc_distance(grid.cells[i]) * EARTH_RADIUS;
+        for (&cell, &(ue, un)) in grid.cells.iter().zip(&winds) {
+            let r = center.arc_distance(cell) * EARTH_RADIUS;
             if r > 0.2 * spec.rmw && r < 4.0 * spec.rmw {
-                let radial = (grid.cells[i] - center.scale(center.dot(grid.cells[i])))
-                    .normalized();
-                let tangential = grid.cells[i].cross(radial);
-                let (ue, un) = winds[i];
-                let east = grid.cells[i].east();
-                let north = grid.cells[i].north();
+                let radial = (cell - center.scale(center.dot(cell))).normalized();
+                let tangential = cell.cross(radial);
+                let east = cell.east();
+                let north = cell.north();
                 let v3 = Vec3::new(
                     ue * east.x + un * north.x,
                     ue * east.y + un * north.y,

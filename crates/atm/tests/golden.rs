@@ -1,13 +1,13 @@
 //! Goldens for the atmosphere step. The hashes pin the current commit's bits
 //! on every execution space the phases can run on (any lane count, any
 //! tiling); each one was last re-recorded through
-//! `ap3esm_precision::Golden` when the dynamical core and the physics
-//! coupling began to take the Exner function as `(pₛ/p₀)^κ·σₖ^κ` and to
-//! multiply by reciprocal geometry. The parent references are commit
-//! `74957b4`'s: `reference::RefDycore` for the dynamics (the `step_dyn` from
-//! before the table-driven rewrite, kept here only; that commit's `step_dyn`
-//! matched it bit for bit), and per-level sums of squares printed with
-//! `{:?}` for the model steps with physics, which have no reference kernel.
+//! `ap3esm_precision::Golden` when the dynamical core began to reconstruct
+//! the cell wind from precombined weights and to take the tangential wind
+//! from four precombined projections. The references: for the dynamics,
+//! `reference::RefDycore` (commit `74957b4`'s `step_dyn`, from before the
+//! table-driven rewrite, kept here only; that commit's `step_dyn` matched it
+//! bit for bit); for the model steps with physics, which have no reference
+//! kernel, commit `fcf02bd`'s per-level sums of squares printed with `{:?}`.
 
 use std::sync::Arc;
 
@@ -148,29 +148,29 @@ fn dyn_substeps_hash_on(space: &Space) -> u64 {
     state_hash(&state, &acc)
 }
 
-/// Commit `74957b4`'s per-level sums of squares of every field after (b),
+/// Commit `fcf02bd`'s per-level sums of squares of every field after (b),
 /// in [`level_sums`] order.
 type LevelSums = [&'static [f64]; 7];
 
 #[rustfmt::skip]
 const PARENT_MODEL_G3X5: LevelSums = [
     &[6420004227320.498],
-    &[53805010.87912984, 56623312.633708894, 63913130.4784915, 80972212.73666255, 144769797.1227894],
-    &[0.01677795594925036, 0.009841379283575048, 0.007348230374790774, 0.007248165483868166, 0.007222161092671105],
-    &[15283.263938165795, 37861.47520844354, 26682.007810450094, 25668.209489650875, 47440.778028375345],
-    &[1202.8324461308932],
-    &[77658771.67793936],
-    &[88903744.44986683],
+    &[53805010.87912982, 56623312.633708894, 63913130.47849147, 80972212.73666257, 144769797.12278944],
+    &[0.016777955949250516, 0.009841379283575043, 0.007348230374790775, 0.007248165483868164, 0.007222161092671105],
+    &[15283.263938165876, 37861.47520844346, 26682.007810449955, 25668.20948965105, 47440.77802837522],
+    &[1202.8324461308675],
+    &[77658771.67793933],
+    &[88903744.44986682],
 ];
 #[rustfmt::skip]
 const PARENT_MODEL_G2X6: LevelSums = [
     &[1620079172092.6816],
-    &[21864422.595344275, 14850328.42591645, 15800158.414860774, 17494665.586461887, 22460597.084236093, 39954707.86960161],
-    &[0.00257365298890489, 0.004880601281763236, 0.0017854351221768168, 0.0016785171801786698, 0.0015227330432515617, 0.001808256244449819],
-    &[11363.22193564295, 8658.968513985581, 8580.728985782107, 8917.632869758814, 51218.33797563045, 4521.247917002176],
-    &[208469.41876002512],
-    &[16559726.824437067],
-    &[1322422784.6456356],
+    &[21864422.595343295, 14850328.42591629, 15800158.41486059, 17494665.58646189, 22460597.08423609, 39954707.86960161],
+    &[0.0025736529889044285, 0.004880601281763298, 0.001785435122176796, 0.001678517180178668, 0.0015227330432516293, 0.0018082562444498196],
+    &[11363.221935640306, 8658.968513984983, 8580.72898578117, 8917.632869758614, 51218.3379756301, 4521.247917001694],
+    &[208469.41875997226],
+    &[16559726.824437063],
+    &[1322422784.6444373],
 ];
 
 /// Per level, Σ x² of each field a model step changes.
@@ -195,9 +195,10 @@ fn level_sums(state: &AtmState) -> [(&'static str, Vec<f64>); 7] {
 /// varies with latitude and mixes ocean, land and half-wet cells: the state's
 /// level sums bounded against `parent`, then every field pinned.
 ///
-/// The bound, 1e-11 of each field's largest level sum: a substep re-rounds T
-/// and Φ at ~1e-16 relative, 96 substeps and six physics steps accumulate
-/// that to ~1e-13, and the bound sits two orders above.
+/// The bound, 1e-11 of each field's largest level sum: a substep re-rounds
+/// the reconstructed and tangential winds at ~1e-16 relative, 96 substeps
+/// and six physics steps accumulate that to ~1e-13, and the bound sits two
+/// orders above.
 fn model_steps_golden_on(glevel: u32, nlev: usize, parent: LevelSums, space: &Space) -> Golden {
     let grid = Arc::new(GeodesicGrid::new(glevel));
     let dycore = dycore_for(&grid, space);
@@ -223,14 +224,15 @@ fn model_steps_golden_on(glevel: u32, nlev: usize, parent: LevelSums, space: &Sp
     golden
 }
 
-const GOLDEN_DYN_G4X5: u64 = 0xb3b257abaf4f6778;
-const GOLDEN_MODEL_G3X5: u64 = 0x5eefdfeaac63df7a;
-const GOLDEN_MODEL_G2X6: u64 = 0x01265597735c9003;
+const GOLDEN_DYN_G4X5: u64 = 0xa9e1d9b231ad8899;
+const GOLDEN_MODEL_G3X5: u64 = 0x554ad802bd956ce1;
+const GOLDEN_MODEL_G2X6: u64 = 0x0dbde2a70acd920a;
 
 /// (a) against `RefDycore`: every field within 1e-12 of its largest
-/// magnitude. A substep re-rounds T, Φ and each geometry product at a few
-/// ulp (the unit tests in `dycore.rs` bound them); 40 substeps of
-/// forward-backward gravity waves carry that to ~1e-14, two orders below.
+/// magnitude. A substep re-rounds T, Φ, each geometry product, the
+/// reconstructed and the tangential wind at a few ulp (the unit tests in
+/// `dycore.rs` bound them); 40 substeps of forward-backward gravity waves
+/// carry that to ~1e-13, an order below.
 #[test]
 fn dyn_substeps_match_parent_bitwise() {
     let grid = Arc::new(GeodesicGrid::new(4));

@@ -349,24 +349,27 @@ mod tests {
         s.validate().unwrap();
     }
 
+    /// An edit that makes a valid configuration invalid.
+    type Breakage = fn(&mut CoupledConfig);
+
     #[test]
     fn validate_names_the_offending_field() {
-        let cases: Vec<(&str, Box<dyn Fn(&mut CoupledConfig)>)> = vec![
-            ("atm_glevel", Box::new(|c| c.atm_glevel = 0)),
-            ("atm_glevel", Box::new(|c| c.atm_glevel = 13)),
-            ("atm_nlev", Box::new(|c| c.atm_nlev = 1)),
-            ("ocn_nlon/ocn_nlat", Box::new(|c| c.ocn_nlat = 2)),
-            ("ocn_nlev", Box::new(|c| c.ocn_nlev = 0)),
-            ("ocn_px/ocn_py", Box::new(|c| c.ocn_px = 0)),
+        let cases: [(&str, Breakage); 12] = [
+            ("atm_glevel", |c| c.atm_glevel = 0),
+            ("atm_glevel", |c| c.atm_glevel = 13),
+            ("atm_nlev", |c| c.atm_nlev = 1),
+            ("ocn_nlon/ocn_nlat", |c| c.ocn_nlat = 2),
+            ("ocn_nlev", |c| c.ocn_nlev = 0),
+            ("ocn_px/ocn_py", |c| c.ocn_px = 0),
             // Mesh wider than the grid: the BlockDecomp2d assert, upfront.
-            ("ocn_px/ocn_py", Box::new(|c| c.ocn_px = 37)),
-            ("ocn_px/ocn_py", Box::new(|c| c.ocn_py = 25)),
+            ("ocn_px/ocn_py", |c| c.ocn_px = 37),
+            ("ocn_px/ocn_py", |c| c.ocn_py = 25),
             // Sequential layout with a >1 mesh was silently overridden.
-            ("single_domain", Box::new(|c| c.single_domain = true)),
+            ("single_domain", |c| c.single_domain = true),
             // Non-divisor coupling cadence: the Alarm assert, upfront.
-            ("couplings_per_day", Box::new(|c| c.couplings_per_day.0 = 7)),
-            ("couplings_per_day", Box::new(|c| c.couplings_per_day.1 = 0)),
-            ("couplings_per_day", Box::new(|c| c.couplings_per_day.2 = -4)),
+            ("couplings_per_day", |c| c.couplings_per_day.0 = 7),
+            ("couplings_per_day", |c| c.couplings_per_day.1 = 0),
+            ("couplings_per_day", |c| c.couplings_per_day.2 = -4),
         ];
         for (field, mutate) in cases {
             let mut c = CoupledConfig::test_tiny();

@@ -125,18 +125,18 @@ impl MoistConvection {
 mod tests {
     use super::*;
 
-    fn stable_column(nlev: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn stable_column(nlev: usize) -> [Vec<f64>; 5] {
         let t: Vec<f64> = (0..nlev).map(|k| 295.0 - 5.0 * k as f64).collect();
         let q: Vec<f64> = (0..nlev).map(|k| 0.008 * (-0.5 * k as f64).exp()).collect();
         let p: Vec<f64> = (0..nlev).map(|k| 1.0e5 - 9.0e3 * k as f64).collect();
         let dp = vec![9.0e3; nlev];
         let dz = vec![800.0; nlev];
-        (t, q, p, dp, dz)
+        [t, q, p, dp, dz]
     }
 
     #[test]
     fn stable_unsaturated_column_is_quiet() {
-        let (t, q, p, dp, dz) = stable_column(8);
+        let [t, q, p, dp, dz] = stable_column(8);
         let r = MoistConvection::default().column(&t, &q, &p, &dp, &dz);
         assert!(r.dt.iter().all(|&v| v.abs() < 1e-12));
         assert!(r.dq.iter().all(|&v| v.abs() < 1e-12));
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn supersaturation_rains_and_heats() {
-        let (t, mut q, p, dp, dz) = stable_column(8);
+        let [t, mut q, p, dp, dz] = stable_column(8);
         // Force supersaturation in layer 1.
         q[1] = saturation_specific_humidity(t[1], p[1]) * 1.5;
         let r = MoistConvection::default().column(&t, &q, &p, &dp, &dz);
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn condensation_conserves_moist_enthalpy() {
-        let (t, mut q, p, dp, dz) = stable_column(8);
+        let [t, mut q, p, dp, dz] = stable_column(8);
         q[0] = saturation_specific_humidity(t[0], p[0]) * 1.3;
         q[2] = saturation_specific_humidity(t[2], p[2]) * 1.1;
         let r = MoistConvection::default().column(&t, &q, &p, &dp, &dz);

@@ -335,7 +335,7 @@ mod tests {
     fn key(member: u32) -> ProductKey {
         ProductKey {
             region: "wnp".into(),
-            init_time: 2023_07_21,
+            init_time: 20230721,
             member,
         }
     }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, every workspace member's tests (the
 # root package's integration tests alone miss the per-crate unit tests, e.g.
-# the ocean's bitwise goldens), lint-clean clippy, rustdoc without a warning
+# the ocean's bitwise goldens), lint-clean clippy over every target (tests
+# included), rustdoc without a warning
 # (a dangling intra-doc link is how a doc comment outlives the code it
 # describes), a syntax check of the two benchmark scripts (a pairing takes
 # ~10 min per workload, a point ~4 min, too long to run here; CI's
@@ -20,7 +21,7 @@ if [[ $step == all || $step == tier1 ]]; then
     bash -n scripts/bench_point.sh
     cargo build --release
     cargo test -q --workspace
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 

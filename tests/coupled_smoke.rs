@@ -146,19 +146,19 @@ fn different_mask_seeds_give_different_climates() {
     assert_ne!(a, b, "continents should shape the climate");
 }
 
-/// SST, θ and KE of the 1-day sequential `test_tiny` run as commit `74957b4`
-/// (the parent of the Exner factoring and reciprocal geometry) produced them,
-/// printed with `{:?}` (round-trips exactly).
+/// SST, θ and KE of the 1-day sequential `test_tiny` run as commit `fcf02bd`
+/// (the parent of the precombined reconstruction weights and tangential
+/// projections) produced them, printed with `{:?}` (round-trips exactly).
 #[rustfmt::skip]
 const PARENT_SERIES: [&[f64]; 3] = [
-    &[14.57515128264424, 14.552834702298068, 14.571256023992579, 14.598960740928929],
-    &[379.44159486671305, 379.1768330692099, 378.9297839161925, 378.68839835694564, 378.4389268159346, 378.18275249619836, 377.92784898254985, 377.6701044773661],
-    &[961205933260233.6, 1141422672693397.8, 865984300041826.3, 882876580126331.5],
+    &[14.57515128264424, 14.55283470229807, 14.571256023992584, 14.598960740928936],
+    &[379.4415948667129, 379.1768330692097, 378.92978391619255, 378.6883983569455, 378.4389268159348, 378.18275249619865, 377.9278489825498, 377.6701044773662],
+    &[961205933260232.4, 1141422672693390.8, 865984300041817.6, 882876580126314.1],
 ];
 
 /// Bitwise golden of a 1-day sequential `test_tiny` run, re-recorded through
-/// `ap3esm::precision::Golden` when the dynamical cores began to round once
-/// per cell: each series must stay within its bound of the parent's above,
+/// `ap3esm::precision::Golden` when the dynamical core began to round once
+/// per edge: each series must stay within its bound of the parent's above,
 /// relative to its largest magnitude — SST 5e-12 (7e-11 K), θ 2.5e-13
 /// (9.5e-11 K), KE 1e-10 — and hash to the golden.
 #[test]
@@ -181,5 +181,5 @@ fn sequential_one_day_matches_parent_bitwise() {
         .field("theta", &root.theta_series, theta, 2.5e-13)
         .field("ke", &root.ke_series, ke, 1e-10);
     println!("{}", golden.report());
-    golden.check(0xfc153c2e69a3f68d).unwrap();
+    golden.check(0x244eb30ed6a2dc73).unwrap();
 }
