@@ -95,7 +95,8 @@ fn main() {
     let mut report = ap3esm_obs::RunReport::new("table1")
         .meta("tables", 3usize)
         .meta("resolutions", Resolution::ALL.len());
-    report.spans = obs.profiler.snapshot();
+    let spans = obs.profiler.snapshot();
+    report.rank_trees = vec![ap3esm_obs::RankTree { rank: 0, dropped: 0, spans }];
     report.metrics = obs.metrics.snapshot();
     let written = ap3esm_obs::RunDir::create("table1", "ok").and_then(|dir| {
         dir.write_report(&report)?;

@@ -40,39 +40,6 @@ pub fn is_collective_tag(tag: u64) -> bool {
     tag >= TAG_BASE
 }
 
-/// Which collective family a reserved wire tag belongs to, or `None` for
-/// user (point-to-point) tags. Best-effort: the user tag is *added* to the
-/// block base, so a user tag larger than a block (≥ 0x1000) can spill into
-/// the next family's label — fine for display, don't branch on it.
-/// Everything from block 0x7000 up — the membership plane of a shrunk
-/// world (`0xD7_…`: its dissemination barrier, vote and verdict) — reports
-/// as `"barrier"`; the two-stage wire tags of `allreduce` (both blocks
-/// stacked, tag above `2 * TAG_BASE`) as `"allreduce"`.
-pub fn collective_kind(tag: u64) -> Option<&'static str> {
-    if !is_collective_tag(tag) {
-        return None;
-    }
-    if tag >= 2 * TAG_BASE {
-        return Some("allreduce");
-    }
-    const BLOCKS: [(u64, &str); 5] = [
-        (0x1000, "bcast"),
-        (0x2000, "gather"),
-        (0x4000, "allreduce"),
-        (0x5000, "alltoall"),
-        (0x7000, "barrier"),
-    ];
-    let off = tag - TAG_BASE;
-    Some(
-        BLOCKS
-            .iter()
-            .rev()
-            .find(|(base, _)| off >= *base)
-            .map(|(_, name)| *name)
-            .unwrap_or("collective"),
-    )
-}
-
 /// Broadcast `data` from `root` to every rank; each rank returns the value.
 pub fn bcast<T: Send + Clone + 'static>(
     rank: &Rank,

@@ -37,7 +37,7 @@ pub mod halo;
 pub mod stats;
 pub mod world;
 
-pub use collectives::{collective_kind, is_collective_tag};
+pub use collectives::is_collective_tag;
 pub use events::{trace_epoch, trace_now_us, Event, EventLog, Kind, Name};
 pub use faultplan::{
     FaultEvent, FaultInjector, FaultPlan, MsgFault, MsgSelector, PlanParseError,

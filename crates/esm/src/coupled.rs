@@ -148,7 +148,7 @@ pub struct CoupledOptions {
     /// records — every rank journals structured resilience events (health
     /// transitions, rollbacks, shrinks, checkpoint begin/commit, fault
     /// firings) and its messages into its bounded rings. A run directory
-    /// then carries the log as `journal.json` and `trace.json`; a run that
+    /// then carries the log as `trace.json`; a run that
     /// ends in trouble (structured failure, shrink, rollback, or any fault
     /// event) writes its directory even without a `report_name`, the trouble
     /// being its manifest's `reason`, for `ap3esm_obs::flightrec::analyze` —
@@ -539,7 +539,7 @@ mod tests {
         // Only rank 0 writes; ocean ranks still participated in aggregation.
         assert!(all[1..].iter().all(|s| s.report_json.is_none()));
         let json = root.report_json.as_ref().expect("rank 0 report");
-        assert!(json.starts_with(r#"{"schema":"ap3esm-obs/5","name":"esm-report-test""#));
+        assert!(json.starts_with(r#"{"schema":"ap3esm-obs/6","name":"esm-report-test""#));
 
         // The run directory holds the same bytes.
         let dir = root.run_dir.as_ref().expect("run directory written");
@@ -550,10 +550,10 @@ mod tests {
         // ≥8 distinct spans with a correct parent/child tree on rank 0:
         // driver sections parent the leaf-crate instrumentation.
         let spans_json = json
-            .split(r#""spans":["#)
+            .split(r#""rank_trees":[{"rank":0,"#)
             .nth(1)
             .unwrap()
-            .split(r#""rank_sections""#)
+            .split(r#"{"rank":1,"#)
             .next()
             .unwrap();
         let span_paths: Vec<&str> = spans_json

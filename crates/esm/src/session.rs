@@ -2,7 +2,7 @@
 //! set-up (span profiler, recording into the world's event log; continuous
 //! telemetry) and, in [`Session::finish`], the one directory it leaves
 //! behind — the run report with its critical-path analysis, the chrome trace
-//! and journal, the telemetry series and alerts — whose manifest's reason
+//! of the event log, the telemetry series and alerts — whose manifest's reason
 //! is `"ok"` or the trouble the run ended in.
 
 use std::sync::Arc;
@@ -62,7 +62,7 @@ pub(crate) struct Session {
     /// run's chrome trace carries them.
     tracing: bool,
     /// The world's event log records (flight recorder or tracing): the
-    /// run directory gets its `trace.json` and `journal.json`.
+    /// run directory gets its `trace.json`.
     recording: bool,
     telemetry: Option<Telemetry>,
 }
@@ -203,7 +203,7 @@ impl Session {
         let is_root = rank.id() == 0;
         let spans = self.obs.profiler.snapshot();
         // Every rank's tree lands in the report, not just rank 0's.
-        let gathered = gather(rank, 0x0B70, 0, spans.clone()).unwrap_or_else(|e| {
+        let gathered = gather(rank, 0x0B70, 0, spans).unwrap_or_else(|e| {
             eprintln!("[report] span gather failed: {e}");
             None
         });
@@ -253,7 +253,6 @@ impl Session {
             .meta("degraded_ranks", stats.degraded_ranks as u64)
             .meta("failure", stats.failure.as_deref().unwrap_or(""))
             .meta("fault_events", Json::Arr(fault_events));
-        report.spans = spans;
         report.alerts = alerts;
         report.sections = sections;
         report.rank_trees = trees;
@@ -329,8 +328,8 @@ impl Session {
         }
     }
 
-    /// One event-log snapshot as the directory's `trace.json` and
-    /// `journal.json`, when the log recorded.
+    /// One event-log snapshot as the directory's `trace.json`, when the log
+    /// recorded.
     fn write_events(&self, dir: Option<&RunDir>, events: &[Vec<Event>]) {
         let Some(dir) = dir.filter(|_| self.recording) else {
             return;

@@ -25,7 +25,7 @@ pub mod perf;
 pub mod topology;
 
 pub use calibration::{CalibrationPoint, ConfigCalibration};
-pub use perf::{section_bound, BoundVerdict, ScalingModel, SypdPoint, WorkloadSpec};
+pub use perf::{ScalingModel, SypdPoint, WorkloadSpec};
 pub use topology::{MachineSpec, OriseNode, SunwayNode};
 
 /// Seconds of wall time per simulated day at a given SYPD.

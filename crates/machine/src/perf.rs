@@ -56,59 +56,6 @@ impl WorkloadSpec {
     }
 }
 
-/// Roofline-style verdict for one code section: what the α–β network model
-/// says the section is limited by, given its measured compute time and
-/// message traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BoundVerdict {
-    /// Compute dominates modeled comm by ≥ 2× — worth a kernel speedup.
-    ComputeBound,
-    /// Byte volume dominates: the β (bandwidth) term is the larger comm
-    /// share and comm ≥ 2× compute — wants aggregation or less data.
-    BandwidthBound,
-    /// Message count dominates: the α (latency) term is the larger comm
-    /// share and comm ≥ 2× compute — wants fewer, fatter messages.
-    LatencyBound,
-    /// Neither side dominates by 2× — speedups need both halves.
-    Balanced,
-}
-
-impl BoundVerdict {
-    /// Stable lower-case label for tables and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BoundVerdict::ComputeBound => "compute-bound",
-            BoundVerdict::BandwidthBound => "bandwidth-bound",
-            BoundVerdict::LatencyBound => "latency-bound",
-            BoundVerdict::Balanced => "balanced",
-        }
-    }
-}
-
-/// Cost a section's traffic against `machine`'s α–β terms and compare with
-/// its measured compute time: returns the verdict plus the modeled
-/// communication seconds (`msgs·α + bytes/β`). This is the per-section
-/// roofline the critical-path analyzer annotates its optimization-targets
-/// table with — a section the model calls latency-bound will not respond
-/// to a faster kernel.
-pub fn section_bound(machine: &MachineSpec, compute_s: f64, msgs: u64, bytes: u64) -> (BoundVerdict, f64) {
-    let lat_s = msgs as f64 * machine.net_alpha;
-    let bw_s = bytes as f64 / machine.net_beta;
-    let comm_s = lat_s + bw_s;
-    let verdict = if compute_s >= 2.0 * comm_s {
-        BoundVerdict::ComputeBound
-    } else if comm_s >= 2.0 * compute_s {
-        if lat_s >= bw_s {
-            BoundVerdict::LatencyBound
-        } else {
-            BoundVerdict::BandwidthBound
-        }
-    } else {
-        BoundVerdict::Balanced
-    };
-    (verdict, comm_s)
-}
-
 /// Fitted strong/weak scaling model for one configuration on one machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScalingModel {
@@ -338,26 +285,6 @@ mod tests {
         let e2 = m.weak_efficiency(43_691);
         assert!((e1 - 1.0).abs() < 1e-12);
         assert!(e2 < 1.0 && e2 > 0.5, "weak eff {e2}");
-    }
-
-    #[test]
-    fn section_bound_separates_the_three_regimes() {
-        let m = MachineSpec::sunway_oceanlight();
-        // Heavy compute, light traffic.
-        let (v, _) = section_bound(&m, 1.0, 10, 1024);
-        assert_eq!(v, BoundVerdict::ComputeBound);
-        // Many tiny messages: α term dominates.
-        let (v, comm_s) = section_bound(&m, 1e-6, 100_000, 8 * 100_000);
-        assert_eq!(v, BoundVerdict::LatencyBound);
-        assert!(comm_s > 0.2, "comm_s = {comm_s}");
-        // Few huge messages: β term dominates.
-        let (v, _) = section_bound(&m, 1e-3, 4, 10_000_000_000);
-        assert_eq!(v, BoundVerdict::BandwidthBound);
-        // Comparable halves.
-        let (_, comm_s) = section_bound(&m, 1.0, 0, 0);
-        assert_eq!(comm_s, 0.0);
-        let (v, _) = section_bound(&m, 1.5 * 2.5e-1, 100_000, 0);
-        assert_eq!(v, BoundVerdict::Balanced);
     }
 
     #[test]

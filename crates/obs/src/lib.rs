@@ -6,10 +6,10 @@
 //! * [`event`] — the event model's codec. The world owns one bounded
 //!   per-rank log of one typed event ([`EventLog`], [`Event`]: spans,
 //!   messages, journal entries — defined in `ap3esm-comm` so that `comm`
-//!   can record into it); this module moves events to and from the two
-//!   frozen row shapes, `journal.json` rows and chrome-trace rows. Every
-//!   exporter below is a plain function of one log snapshot,
-//!   `&[Vec<Event>]`.
+//!   can record into it); this module moves events to and from their one
+//!   row shape, the chrome-trace row, and decodes a whole `trace.json` back
+//!   into a snapshot. Every exporter below is a plain function of one log
+//!   snapshot, `&[Vec<Event>]`.
 //! * [`mod@span`] — a hierarchical wall-clock profiler: nestable named spans
 //!   form a call tree (GPTL-analogue), with per-node total time, self time
 //!   and call counts; the rank's front end to the event log (traced spans,
@@ -27,20 +27,21 @@
 //!   channel matches the k-th recv. The one pairing behind the flow arrows,
 //!   the postmortem and the critical path.
 //! * [`flightrec`] — [`flightrec::journal`], [`analyze`]: a snapshot as a
-//!   merged cross-rank journal (`journal.json`), and the postmortem that
-//!   names the first-stalled rank from a run directory alone.
+//!   merged cross-rank journal, and the postmortem that names the
+//!   first-stalled rank from a run directory's `trace.json` alone.
 //! * [`critpath`] — [`Analyzer`]: a snapshot as a cross-rank activity
 //!   graph; critical path, Scalasca-style wait classes (late-sender,
-//!   late-receiver, collective, timeout), section costs against the
-//!   [`ap3esm_machine`] α–β model, what-if projections.
+//!   late-receiver, collective, timeout) and their blame, per-section
+//!   costs, what-if projections with wire times from the
+//!   [`ap3esm_machine`] α–β model.
 //! * [`rankagg`] — the paper's rule, "the maximum value across all MPI
 //!   ranks": per-section max/min/mean and imbalance over the gathered span
 //!   snapshots, and every rank's bounded span tree.
 //! * [`metrics`] — a registry of named counters, gauges and log-bucketed
 //!   histograms (p50/p95/max), all atomic on the hot path.
-//! * [`report`] — the run report (`ap3esm-obs/5`): span tree, sections,
-//!   rank trees, metrics, alerts, comm summary and critical path as one
-//!   JSON object per run, its directory's `report.json`.
+//! * [`report`] — the run report (`ap3esm-obs/6`): sections, rank trees,
+//!   metrics, alerts, critical path and comm summary as one JSON object per
+//!   run, its directory's `report.json`.
 //! * [`json`] — the one JSON value, writer and parser every artifact uses.
 //! * [`tsdb`], [`openmetrics`], [`alert`] — continuous telemetry: a
 //!   time-series store with downsampling tiers, sampled by the owner of the
@@ -184,8 +185,8 @@ pub fn histogram_record(name: &str, value: u64) {
 
 /// Journals `kind` (fault injection, health verdict, rollback, checkpoint
 /// begin/commit…) under the marker `name` in the active profiler's event
-/// log: one entry, an instant in the chrome trace and a row in the run's
-/// journal. A no-op without an active instance or an attached, enabled log.
+/// log: one entry, an instant in the run's chrome trace. A no-op without
+/// an active instance or an attached, enabled log.
 pub fn mark(kind: Kind, name: &str, a: u64, b: u64) {
     if let Some(obs) = active() {
         obs.profiler.mark(kind, name, a, b);

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use crate::json::Json;
 
-/// Build and machine metadata shared by run reports (`ap3esm-obs/5`),
+/// Build and machine metadata shared by run reports (`ap3esm-obs/6`),
 /// chrome-trace exports and run manifests, so any artifact can be
 /// cross-referenced to the exact code and host that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]

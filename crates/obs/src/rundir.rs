@@ -14,7 +14,7 @@
 //! |------|---------|
 //! | `manifest.json` | `ap3esm-run/1`: name, reason, [`BuildInfo`], `files` |
 //! | `report.json`, `folded.txt` | the run report and its rank span trees as collapsed stacks ([`RunDir::write_report`]) |
-//! | `trace.json`, `journal.json` | one event-log snapshot ([`RunDir::write_events`]) |
+//! | `trace.json` | one event-log snapshot as a chrome trace ([`RunDir::write_events`]); the postmortem and the critical path read it back |
 //! | `alerts.json`, `series.json` | alert firings and the tsdb snapshot ([`RunDir::write_telemetry`]) |
 //! | `faultplan.txt`, `scenario.txt` | the active fault plan, the campaign scenario |
 //! | `postmortem.json` | the blame report of `obs postmortem` |
@@ -24,7 +24,6 @@ use std::path::{Component, Path, PathBuf};
 
 use crate::alert::AlertEvent;
 use crate::event::Event;
-use crate::flightrec::journal_json;
 use crate::json::Json;
 use crate::perf::BuildInfo;
 use crate::report::{alert_event_json, RunReport};
@@ -133,11 +132,10 @@ impl RunDir {
         self.write("series.json", &(series_json.to_string() + "\n"))
     }
 
-    /// One snapshot of an event log as `trace.json` (the chrome trace) and
-    /// `journal.json` (the merged cross-rank journal the postmortem reads).
+    /// One snapshot of an event log as `trace.json`, the chrome trace that
+    /// the postmortem and the critical-path analyzer decode.
     pub fn write_events(&self, events: &[Vec<Event>]) -> io::Result<()> {
-        self.write("trace.json", &(chrome_trace(events) + "\n"))?;
-        self.write("journal.json", &(journal_json(events) + "\n"))
+        self.write("trace.json", &(chrome_trace(events) + "\n"))
     }
 
     /// Rewrite `manifest.json` with `files` = the directory listing.

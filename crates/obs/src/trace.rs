@@ -82,7 +82,7 @@ pub fn chrome_trace(rings: &[Vec<Event>]) -> String {
     let mut root = Json::obj();
     root.set("traceEvents", Json::Arr(events));
     root.set("displayTimeUnit", "ms".into());
-    // Build/run stamp (`ap3esm-obs/5` reports carry the same object), so a
+    // Build/run stamp (`ap3esm-obs/6` reports carry the same object), so a
     // Perfetto timeline can be traced back to its exact build.
     root.set("metadata", crate::perf::BuildInfo::current().to_json());
     root.to_string()

@@ -2,10 +2,12 @@
 //!
 //! `golden/` holds what the parent of PR 17 wrote for one synthetic 2-rank
 //! fixture with fixed timestamps — spans, every journal kind, send, recv,
-//! timeout and stale — through its `ChromeTrace`, `folded_stacks`, bundle
-//! writer (`journal.json`, now `RunDir::write_events`), `Postmortem` and
-//! `Analysis`. There
-//! the fixture took three stores (a `TraceSink` of spans and instants, a
+//! timeout and stale — through its `ChromeTrace`, `folded_stacks`,
+//! `Postmortem` and `Analysis`, moved since only where a schema changed:
+//! instants carry their fields in `args`, the postmortem quotes each rank's
+//! last event as its trace row (`ap3esm-postmortem/2`), and the critical
+//! path reports each number once (`ap3esm-critpath/2`). There the fixture
+//! took three stores (a `TraceSink` of spans and instants, a
 //! `FlightRecorder` of journal entries whose detail was the instant's name,
 //! a `CommEventLog`); here it is one `Vec<Event>` per rank, and every
 //! exporter must reproduce the same bytes from that one slice.
@@ -109,33 +111,19 @@ fn folded_stacks_match_the_parent_byte_for_byte() {
 }
 
 #[test]
-fn journal_and_postmortem_match_the_parent_byte_for_byte() {
+fn postmortem_matches_the_parent_byte_for_byte() {
     let dir = std::env::temp_dir().join(format!("ap3esm-obs-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let events = fixture();
-    let run = RunDir::create_at(dir.join("golden"), "golden").unwrap();
-    run.write_events(&events).unwrap();
-    let bundle = run.path();
-    let journal = std::fs::read_to_string(bundle.join("journal.json")).unwrap();
-    assert_eq!(journal, golden("journal.json"));
-
     let pm = analyze_events(PathBuf::from("golden"), "golden".into(), &events);
     assert_eq!(pm.to_json().to_string(), golden("postmortem.json"));
     assert_eq!(pm.render_table(), golden("postmortem.txt"));
-    // The journal on disk decodes to the same verdict (spans never reach it).
-    let offline = ap3esm_obs::analyze(bundle).unwrap();
-    assert_eq!(
-        (offline.reason.as_str(), offline.blamed),
-        ("golden", pm.blamed)
-    );
-    assert_eq!(offline.ranks, {
-        let mut ranks = pm.ranks.clone();
-        // A journal row does not carry the thread track.
-        for e in ranks.iter_mut().filter_map(|r| r.last_event.as_mut()) {
-            e.tid = 0;
-        }
-        ranks
-    });
+    // The run directory's trace decodes to the same postmortem, every
+    // field of it.
+    let run = RunDir::create_at(dir.join("golden"), "golden").unwrap();
+    run.write_events(&events).unwrap();
+    let offline = ap3esm_obs::analyze(run.path()).unwrap();
+    assert_eq!(offline, analyze_events(run.path().to_path_buf(), "golden".into(), &events));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -139,8 +139,7 @@ fn main() {
         obs_state.profiler.set_tracing(false);
         let spans = obs_state.profiler.snapshot();
         let mut report = obs::RunReport::new(name).meta("example", "ai_physics_training");
-        report.rank_trees = vec![obs::RankTree { rank: 0, dropped: 0, spans: spans.clone() }];
-        report.spans = spans;
+        report.rank_trees = vec![obs::RankTree { rank: 0, dropped: 0, spans }];
         report.metrics = obs_state.metrics.snapshot();
         let written = obs::RunDir::create(name, "ok").and_then(|dir| {
             dir.write_report(&report)?;

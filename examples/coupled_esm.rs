@@ -22,8 +22,8 @@
 //! line; a malformed line exits 2 naming it).
 //!
 //! Everything the run leaves is in one directory, `target/obs/coupled-esm/`:
-//! `manifest.json`, `report.json`, `folded.txt`, `trace.json` and
-//! `journal.json`, with `--slo` `alerts.json` and `series.json`, with a fault
+//! `manifest.json`, `report.json`, `folded.txt` and `trace.json`, with
+//! `--slo` `alerts.json` and `series.json`, with a fault
 //! plan `faultplan.txt`. `cargo run --release --example obs -- critpath |
 //! postmortem | slo target/obs/coupled-esm` reads it back.
 

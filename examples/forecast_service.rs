@@ -337,7 +337,8 @@ fn main() {
             .meta("shed", shed_n)
             .meta("errors", err_n)
             .meta("model_version", svc.registry().version());
-        report.spans = obs.profiler.snapshot();
+        let spans = obs.profiler.snapshot();
+        report.rank_trees = vec![ap3esm::obs::RankTree { rank: 0, dropped: 0, spans }];
         report.alerts = engine.as_ref().map(|e| e.events()).unwrap_or_default();
         report.metrics = obs.metrics.snapshot();
         let written = ap3esm::obs::RunDir::create(name, "ok").and_then(|dir| {

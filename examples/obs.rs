@@ -1,6 +1,8 @@
 //! One offline analysis tool over the directory a run leaves in
 //! `target/obs/<name>/`: where did the time go, what broke, did the SLOs
-//! hold. Every subcommand takes that one directory.
+//! hold. Every subcommand takes that one directory; `critpath` and
+//! `postmortem` both read its one event file, `trace.json`, through the
+//! same row codec.
 //!
 //! ```sh
 //! # "Where is my SYPD going?" — critical path of a traced coupled run
@@ -21,19 +23,22 @@
 //!
 //! * `critpath` replays the directory's chrome trace (`trace.json`) into the
 //!   cross-rank activity graph at the SYPD its `report.json` measured,
-//!   extracts the critical path, classifies every off-path wait
-//!   (late-sender / late-receiver / collective / timeout), and prints the
-//!   ranked optimization-targets table (`--json`: the analysis).
+//!   extracts the critical path, classifies every wait (late-sender /
+//!   late-receiver / collective / timeout / orphan) and blames a rank for
+//!   it, and prints the ranked optimization-targets table (`--json`: the
+//!   `ap3esm-critpath/2` analysis).
 //!   `--what-if NAME:FACTOR` re-solves the graph with that section's work
 //!   scaled. Exits 2 when the input is unreadable, 1 when `--check` fails:
 //!   the re-analysis must equal the `critpath` the run embedded in its
 //!   report byte for byte, the on-path compute+comm+wait fractions must sum
 //!   to 1.0 ±1%, and every requested what-if must project a strictly
 //!   positive gain.
-//! * `postmortem` merges the per-rank journal (`journal.json`) on the shared
-//!   trace clock and prints the blame report: the first-stalled rank, the
-//!   sends its silence orphaned, the receive timeouts that detected it. The
-//!   report joins the directory as `postmortem.json`. Exits 2 when the
+//! * `postmortem` decodes the chrome trace (`trace.json`), merges every
+//!   rank's journal entries and messages on the shared trace clock and
+//!   prints the blame report (`ap3esm-postmortem/2`): the first-stalled
+//!   rank, the sends its silence orphaned, the receive timeouts that
+//!   detected it. The report joins the directory as `postmortem.json`.
+//!   Exits 2 when the
 //!   directory is unreadable, 1 when `--expect-blame` names a different
 //!   rank (`scripts/diagnose.sh`).
 //! * `slo` replays the directory's series snapshot (`series.json`) through

@@ -101,8 +101,7 @@ fn main() {
         let mut report = obs::RunReport::new(name)
             .meta("example", "scaling_projection")
             .meta("points", cli.nodes.len());
-        report.rank_trees = vec![obs::RankTree { rank: 0, dropped: 0, spans: spans.clone() }];
-        report.spans = spans;
+        report.rank_trees = vec![obs::RankTree { rank: 0, dropped: 0, spans }];
         report.metrics = obs_state.metrics.snapshot();
         let written = obs::RunDir::create(name, "ok").and_then(|dir| {
             dir.write_report(&report)?;

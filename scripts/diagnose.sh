@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Postmortem a troubled run's directory: merge the per-rank journals, name
-# the first-stalled rank, list the orphaned sends and the receive timeouts
-# that detected the silence. With no directory, picks the newest
+# Postmortem a troubled run's directory: decode its trace.json, merge every
+# rank's journal entries and messages, name the first-stalled rank, list the
+# orphaned sends and the receive timeouts that detected the silence. With no directory, picks the newest
 # target/obs/*/ whose manifest's reason is not "ok" — i.e. "diagnose
 # whatever just broke". Arguments are forwarded to `examples/obs.rs
 # postmortem`.

@@ -3,7 +3,7 @@
 //! Two layers: a real 2-rank coupled run with an injected message delay
 //! (the analyzer must classify the resulting wait as *late-sender* and
 //! blame the delayed rank, the on-path fractions must sum to 1, and the
-//! precomputed what-if must project a positive gain), and a scripted
+//! top section's ×0.5 what-if must project a positive gain), and a scripted
 //! low-level run asserting the chrome-trace flow arrows, the
 //! flight-recorder postmortem and the analyzer agree event-for-event with
 //! the shared `msgflow` FIFO pairing — each consuming the same event slice.
@@ -11,7 +11,7 @@
 use ap3esm::comm::{FaultInjector, FaultPlan, World};
 use ap3esm::cpl::rearrange::Rearranger;
 use ap3esm::obs::critpath::{Analyzer, WaitClass};
-use ap3esm::obs::event::{as_drawn, parse_chrome_row, parse_journal_row, Event};
+use ap3esm::obs::event::{as_drawn, parse_chrome_row, parse_chrome_trace, Event};
 use ap3esm::obs::json::Json;
 use ap3esm::obs::trace::chrome_trace;
 use ap3esm::obs::{flightrec, msgflow, RunDir};
@@ -112,14 +112,17 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
     );
     assert!(late_blame(1) > late_blame(0));
 
-    // ---- The precomputed what-if projects a real gain. -------------------
-    let what_if = analysis.what_if_half_top.as_ref().expect("what-if");
-    assert_eq!(what_if.section, analysis.top_section);
+    // ---- The top section's ×0.5 what-if projects a real gain. ------------
+    let top = analysis
+        .sections
+        .iter()
+        .find(|s| s.name == analysis.top_section)
+        .expect("top section row");
     assert!(
-        what_if.gain_pct > 0.0,
+        top.what_if_half_gain_pct > 0.0,
         "halving {} projects {:+.2}%",
-        what_if.section,
-        what_if.gain_pct
+        top.name,
+        top.what_if_half_gain_pct
     );
 
     // ---- The analysis rides inside the run report. -----------------------
@@ -127,7 +130,7 @@ fn delay_fault_classifies_late_sender_blamed_on_delayed_rank() {
     let cp = report.get("critpath").expect("report critpath object");
     assert_eq!(
         cp.get("schema").and_then(Json::as_str),
-        Some("ap3esm-critpath/1")
+        Some("ap3esm-critpath/2")
     );
     let frac = |k: &str| {
         cp.get("fractions")
@@ -200,7 +203,6 @@ fn exporters_share_one_fifo_pairing() {
         };
         events.into_iter().map(by_time).collect()
     };
-    let recorded = sorted_slice(rings.clone());
 
     // ---- Ground truth: the shared FIFO pairing over the raw rings. -------
     let pairing = msgflow::pair_fifo(&rings);
@@ -271,17 +273,13 @@ fn exporters_share_one_fifo_pairing() {
     let run = RunDir::create_at(dir.join("pairing"), "pairing-regression").unwrap();
     run.write_events(&rings).unwrap();
     let bundle = run.path();
-    // The journal on disk holds exactly the recorded slice.
-    let jdoc = Json::parse(&std::fs::read_to_string(bundle.join("journal.json")).unwrap()).unwrap();
-    let mut journaled: Vec<Vec<Event>> = vec![Vec::new(); 2];
-    for row in jdoc.get("events").and_then(Json::as_arr).unwrap() {
-        let (rank, e) = parse_journal_row(row).unwrap();
-        journaled[rank].push(e);
-    }
+    // The trace on disk, which the postmortem reads, holds exactly the
+    // recorded slice as drawn.
+    let tdoc = Json::parse(&std::fs::read_to_string(bundle.join("trace.json")).unwrap()).unwrap();
     assert_eq!(
-        sorted_slice(journaled),
-        recorded,
-        "journal rows vs recorded events"
+        sorted_slice(parse_chrome_trace(&tdoc).unwrap()),
+        sorted_slice(rings.iter().map(drawn).collect()),
+        "trace.json rows vs recorded events"
     );
     let postmortem = flightrec::analyze(bundle).unwrap();
     // The postmortem re-sorts blamed-rank-first, so compare as sets.

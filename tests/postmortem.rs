@@ -77,10 +77,10 @@ fn killed_rank_is_blamed_by_the_bundle_analyzer() {
         .expect("driver must write its run directory on recovery failure");
     assert!(bundle.ends_with(&bundle_name));
 
-    // The directory is self-contained: journal and trace, the manifest
+    // The directory is self-contained: the trace of the event log, the manifest
     // naming the failure (and the build), and the fault plan that caused
     // it all.
-    let members = ["faultplan.txt", "journal.json", "manifest.json", "trace.json"];
+    let members = ["faultplan.txt", "manifest.json", "trace.json"];
     assert_eq!(run_dir_members(bundle), members);
     assert!(run_dir_reason(bundle).starts_with("recovery-failure: "));
     let plan_txt = std::fs::read_to_string(bundle.join("faultplan.txt")).unwrap();
@@ -136,7 +136,7 @@ fn killed_rank_is_blamed_by_the_bundle_analyzer() {
     assert_eq!(json.get("blamed_rank").and_then(|j| j.as_u64()), Some(1));
     assert_eq!(
         json.get("schema").and_then(|j| j.as_str()),
-        Some("ap3esm-postmortem/1")
+        Some("ap3esm-postmortem/2")
     );
     // The verdict joins the evidence, as `obs postmortem` writes it, and
     // the index follows.

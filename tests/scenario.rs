@@ -485,7 +485,7 @@ fn lost_ocean_rank_is_degraded_against_the_bitwise_reference() {
     let bundle = member.bundle.as_ref().expect("a shrink leaves a run directory");
     // The campaign's stamp, written after the driver's members, is indexed
     // with them.
-    let members = ["faultplan.txt", "journal.json", "manifest.json", "scenario.txt", "trace.json"];
+    let members = ["faultplan.txt", "manifest.json", "scenario.txt", "trace.json"];
     assert_eq!(run_dir_members(bundle), members);
     assert_eq!(run_dir_reason(bundle), "shrink");
     let stamp = std::fs::read_to_string(bundle.join("scenario.txt")).expect("scenario.txt");

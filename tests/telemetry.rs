@@ -129,7 +129,7 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
         root.alerts
     );
     let json = root.report_json.as_ref().expect("rank 0 report");
-    assert!(json.contains(r#""schema":"ap3esm-obs/5""#));
+    assert!(json.contains(r#""schema":"ap3esm-obs/6""#));
     assert!(
         json.contains(r#""rule":"sypd-collapse""#),
         "alert missing from report alerts array"

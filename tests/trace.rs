@@ -61,7 +61,7 @@ fn traced_faulted_run_emits_both_ranks_and_resilience_markers() {
         Json::parse(root.report_json.as_deref().expect("report requested")).expect("report JSON");
     assert_eq!(
         report.get("schema").and_then(Json::as_str),
-        Some("ap3esm-obs/5")
+        Some("ap3esm-obs/6")
     );
     let trees = report
         .get("rank_trees")
@@ -184,9 +184,8 @@ fn traced_faulted_run_emits_both_ranks_and_resilience_markers() {
 }
 
 /// What a reported run with the flight recorder on leaves, traced or not.
-const REPORTED: [&str; 5] = [
+const REPORTED: [&str; 4] = [
     "folded.txt",
-    "journal.json",
     "manifest.json",
     "report.json",
     "trace.json",
