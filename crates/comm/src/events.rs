@@ -107,8 +107,8 @@ impl Name {
     }
 }
 
-/// What an [`Event`] records. The label of each kind is the `kind` field of
-/// a `journal.json` row.
+/// What an [`Event`] records. The label of each kind is the `kind` in the
+/// `args` of its chrome-trace row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kind {
