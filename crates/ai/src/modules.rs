@@ -3,8 +3,9 @@
 //! variables from the dynamical core and returns full physical variables
 //! back to the physics-dynamics coupling interface".
 
-use crate::net::{RadiationMlp, TendencyCnn, TENDENCY_IN_CH, TENDENCY_OUT_CH};
-use crate::tensor::Tensor;
+use crate::net::{
+    grown, RadiationMlp, TendencyCnn, Workspace, RADIATION_OUT, TENDENCY_IN_CH, TENDENCY_OUT_CH,
+};
 use crate::train::{EpochStats, Trainer};
 
 /// Per-channel standardisation (mean/std over the training set).
@@ -57,7 +58,7 @@ impl Normalizer {
         let mut out = Vec::with_capacity(sample.len());
         for c in 0..channels {
             for l in 0..per_ch {
-                out.push((sample[c * per_ch + l] - self.mean[c]) / self.std[c]);
+                out.push(self.apply(c, sample[c * per_ch + l]));
             }
         }
         out
@@ -68,10 +69,20 @@ impl Normalizer {
         let mut out = Vec::with_capacity(sample.len());
         for c in 0..channels {
             for l in 0..per_ch {
-                out.push(sample[c * per_ch + l] * self.std[c] + self.mean[c]);
+                out.push(self.invert(c, sample[c * per_ch + l]));
             }
         }
         out
+    }
+
+    /// Standardise one value of channel `c`.
+    fn apply(&self, c: usize, v: f32) -> f32 {
+        (v - self.mean[c]) / self.std[c]
+    }
+
+    /// Undo [`Normalizer::apply`] for one value of channel `c`.
+    fn invert(&self, c: usize, v: f32) -> f32 {
+        v * self.std[c] + self.mean[c]
     }
 }
 
@@ -91,18 +102,22 @@ impl ColumnState {
         self.u.len()
     }
 
-    /// Flatten to the `[5, nlev]` FP32 layout the CNN consumes.
-    pub fn to_input(&self) -> Vec<f32> {
+    /// The five profiles in the CNN's channel order (U, V, T, Q, P).
+    pub fn fields(&self) -> [&[f64]; TENDENCY_IN_CH] {
         let n = self.nlev();
         assert!(
             self.v.len() == n && self.t.len() == n && self.q.len() == n && self.p.len() == n,
             "ragged column"
         );
-        let mut x = Vec::with_capacity(5 * n);
-        for src in [&self.u, &self.v, &self.t, &self.q, &self.p] {
-            x.extend(src.iter().map(|&v| v as f32));
-        }
-        x
+        [&self.u, &self.v, &self.t, &self.q, &self.p]
+    }
+
+    /// Flatten to the `[5, nlev]` FP32 layout the CNN consumes.
+    pub fn to_input(&self) -> Vec<f32> {
+        self.fields()
+            .iter()
+            .flat_map(|src| src.iter().map(|&v| v as f32))
+            .collect()
     }
 }
 
@@ -125,6 +140,11 @@ impl ColumnTendency {
             dt: grab(2),
             dq: grab(3),
         }
+    }
+
+    /// The four tendencies in the CNN's output channel order.
+    pub fn fields_mut(&mut self) -> [&mut Vec<f64>; TENDENCY_OUT_CH] {
+        [&mut self.du, &mut self.dv, &mut self.dt, &mut self.dq]
     }
 
     pub fn zeros(nlev: usize) -> Self {
@@ -180,32 +200,58 @@ impl TendencyModule {
         (TendencyModule::new(net, in_norm, out_norm), stats)
     }
 
-    /// Predict tendencies for a batch of columns: normalisation plus one
-    /// batched forward ([`TendencyCnn::forward_batch`]) by shared reference
-    /// — what the coupled model's AI suite and every serving thread call,
-    /// concurrently if they like, on one warm module.
+    /// Predict tendencies for a batch of columns by shared reference — what
+    /// the coupled model's AI suite calls, concurrently if it likes, on one
+    /// warm module. A wrapper over [`TendencyModule::predict_batch_into`]
+    /// with a workspace of its own.
     pub fn predict_batch(&self, columns: &[ColumnState]) -> Vec<ColumnTendency> {
-        if columns.is_empty() {
-            return Vec::new();
-        }
-        let nlev = self.net.nlev;
-        let b = columns.len();
-        let mut x = Vec::with_capacity(b * TENDENCY_IN_CH * nlev);
-        for col in columns {
+        let mut out = vec![ColumnTendency::zeros(self.net.nlev); columns.len()];
+        self.predict_batch_into(columns, &mut Workspace::new(), &mut out);
+        out
+    }
+
+    /// The serving forward: normalisation straight into the padded input
+    /// rows of `ws`, one `TendencyCnn::forward_rows`, denormalisation
+    /// straight into `out` (one entry per column; each tendency's vectors
+    /// are refilled in place). With `ws` warm at this batch size and `out`'s
+    /// vectors holding `nlev` levels, this allocates nothing.
+    pub fn predict_batch_into<'a, I>(
+        &self,
+        columns: I,
+        ws: &mut Workspace,
+        out: &mut [ColumnTendency],
+    ) where
+        I: IntoIterator<Item = &'a ColumnState>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let columns = columns.into_iter();
+        let batch = columns.len();
+        assert_eq!(out.len(), batch, "one tendency per column");
+        let (nlev, rows) = (self.net.nlev, self.net.rows());
+        let stride = rows.stride();
+        let input = grown(&mut ws.input, batch * TENDENCY_IN_CH * stride);
+        for (col, x) in columns.zip(input.chunks_exact_mut(TENDENCY_IN_CH * stride)) {
             assert_eq!(col.nlev(), nlev, "column level mismatch");
-            x.extend(self.in_norm.normalize(&col.to_input(), TENDENCY_IN_CH));
+            let fields = col.fields().into_iter().zip(x.chunks_exact_mut(stride));
+            for (c, (src, row)) in fields.enumerate() {
+                rows.fill(row, src.iter().map(|&v| self.in_norm.apply(c, v as f32)));
+            }
         }
-        let xt = Tensor::from_vec(x, &[b, TENDENCY_IN_CH, nlev]);
-        let y = self.net.forward_batch(&xt);
-        let per = TENDENCY_OUT_CH * nlev;
-        (0..b)
-            .map(|bi| {
-                let raw = self
-                    .out_norm
-                    .denormalize(&y.data[bi * per..(bi + 1) * per], TENDENCY_OUT_CH);
-                ColumnTendency::from_output(&raw, nlev)
-            })
-            .collect()
+        self.net.forward_rows(ws, batch);
+        for (tend, y) in out
+            .iter_mut()
+            .zip(ws.output.chunks_exact(TENDENCY_OUT_CH * stride))
+        {
+            let fields = tend.fields_mut().into_iter().zip(y.chunks_exact(stride));
+            for (c, (dst, row)) in fields.enumerate() {
+                dst.clear();
+                dst.extend(
+                    rows.values(row)
+                        .iter()
+                        .map(|&v| self.out_norm.invert(c, v) as f64),
+                );
+            }
+        }
     }
 }
 
@@ -264,27 +310,43 @@ impl RadiationModule {
     /// Surface fluxes for a batch of [`RadiationModule::build_input`]
     /// vectors, by shared reference (see [`TendencyModule::predict_batch`]).
     pub fn predict_batch(&self, inputs: &[Vec<f32>]) -> Vec<SurfaceRadiation> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let dim = inputs[0].len();
-        let b = inputs.len();
-        let mut x = Vec::with_capacity(b * dim);
-        for s in inputs {
+        let mut out = vec![SurfaceRadiation { gsw: 0.0, glw: 0.0 }; inputs.len()];
+        self.predict_batch_into(inputs, &mut Workspace::new(), &mut out);
+        out
+    }
+
+    /// [`RadiationModule::predict_batch`] through a caller-owned workspace,
+    /// one entry of `out` per input (see
+    /// [`TendencyModule::predict_batch_into`]).
+    pub fn predict_batch_into(
+        &self,
+        inputs: &[Vec<f32>],
+        ws: &mut Workspace,
+        out: &mut [SurfaceRadiation],
+    ) {
+        assert_eq!(out.len(), inputs.len(), "one flux pair per input");
+        let Some(dim) = inputs.first().map(Vec::len) else {
+            return;
+        };
+        assert_eq!(
+            dim,
+            RadiationMlp::input_dim(self.net.nlev),
+            "radiation input size"
+        );
+        let x = grown(&mut ws.input, inputs.len() * dim);
+        for (s, dst) in inputs.iter().zip(x.chunks_exact_mut(dim)) {
             assert_eq!(s.len(), dim);
-            x.extend(self.in_norm.normalize(s, 1));
+            for (d, &v) in dst.iter_mut().zip(s) {
+                *d = self.in_norm.apply(0, v);
+            }
         }
-        let xt = Tensor::from_vec(x, &[b, dim]);
-        let y = self.net.forward_batch(&xt);
-        (0..b)
-            .map(|bi| {
-                let raw = self.out_norm.denormalize(&y.data[bi * 2..bi * 2 + 2], 2);
-                SurfaceRadiation {
-                    gsw: raw[0] as f64,
-                    glw: raw[1] as f64,
-                }
-            })
-            .collect()
+        self.net.forward_rows(ws, inputs.len());
+        for (o, y) in out.iter_mut().zip(ws.output.chunks_exact(RADIATION_OUT)) {
+            *o = SurfaceRadiation {
+                gsw: self.out_norm.invert(0, y[0]) as f64,
+                glw: self.out_norm.invert(1, y[1]) as f64,
+            };
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The paper's two network architectures (§5.2.1, Fig. 4).
 
-use crate::layers::{relu_infer_inplace, Conv1d, Dense, Layer, Relu};
+use crate::layers::{relu_infer_inplace, Conv1d, Dense, Epilogue, Layer, Relu, RowLayout};
 use crate::tensor::Tensor;
 
 /// One residual unit: `y = relu(conv2(relu(conv1(x))) + x)`.
@@ -42,18 +42,33 @@ impl ResUnit {
         }
         dx
     }
+}
 
-    /// `forward` without the record for backward.
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let mut h = self.conv1.infer(x);
-        relu_infer_inplace(&mut h);
-        let mut sum = self.conv2.infer(&h);
-        for (s, xv) in sum.data.iter_mut().zip(&x.data) {
-            *s += xv;
-        }
-        relu_infer_inplace(&mut sum);
-        sum
+/// Caller-owned scratch for the inference forwards: the input, two
+/// ping-pong activations and the output. Each buffer grows to the largest
+/// batch it has seen and is then only reused, so a warm workspace makes a
+/// forward allocate nothing. A forward writes every element it later
+/// reads, so one workspace serves any network and any batch size.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    pub(crate) input: Vec<f32>,
+    ping: Vec<f32>,
+    pong: Vec<f32>,
+    pub(crate) output: Vec<f32>,
+}
+
+impl Workspace {
+    pub fn new() -> Self {
+        Self::default()
     }
+}
+
+/// The first `n` floats of `buf`, grown (never shrunk) to hold them.
+pub(crate) fn grown(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if buf.len() < n {
+        buf.resize(n, 0.0);
+    }
+    &mut buf[..n]
 }
 
 /// The AI tendency module: an 11-layer CNN along the vertical column with
@@ -123,21 +138,54 @@ impl TendencyCnn {
         self.conv_in.backward(&g)
     }
 
-    /// The forward the coupled model and the serving layer run: a batch of
-    /// B columns flows through one im2col GEMM per conv layer by shared
-    /// reference, so one set of warm weights serves many threads
-    /// concurrently. [`TendencyCnn::forward`] walks the same layer kernels
-    /// and also records what [`TendencyCnn::backward`] reads, so the two
-    /// agree bit for bit.
+    /// The zero-padded layout of every activation row of this network
+    /// (its widest kernel has 3 taps).
+    pub(crate) fn rows(&self) -> RowLayout {
+        RowLayout::new(self.nlev, 1)
+    }
+
+    /// [`TendencyCnn::forward`] by shared reference and without the record
+    /// for backward, equal bit for bit: one set of warm weights serves many
+    /// threads concurrently. A wrapper over `TendencyCnn::forward_rows`
+    /// with a workspace of its own.
     pub fn forward_batch(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape[1], TENDENCY_IN_CH, "expected [B, 5, nlev]");
         assert_eq!(x.shape[2], self.nlev);
-        let mut h = self.conv_in.infer(x);
-        relu_infer_inplace(&mut h);
+        let (batch, rows) = (x.shape[0], self.rows());
+        let mut ws = Workspace::new();
+        rows.pack(
+            &x.data,
+            grown(&mut ws.input, batch * TENDENCY_IN_CH * rows.stride()),
+        );
+        self.forward_rows(&mut ws, batch);
+        let mut y = Tensor::zeros(&[batch, TENDENCY_OUT_CH, self.nlev]);
+        rows.unpack(&ws.output, &mut y.data);
+        y
+    }
+
+    /// The forward the coupled model and the serving layer run: `batch`
+    /// columns of `[5]` input rows the caller wrote into `ws.input` (whole
+    /// rows, laid out by [`TendencyCnn::rows`]) through one conv kernel
+    /// per layer, leaving `[4]` output rows in `ws.output`. The ResUnit's
+    /// skip is the buffer its second conv overwrites ([`Epilogue::AddRelu`]).
+    pub(crate) fn forward_rows(&self, ws: &mut Workspace, batch: usize) {
+        let rows = self.rows();
+        let n = batch * self.width * rows.stride();
+        let Workspace {
+            input,
+            ping,
+            pong,
+            output,
+        } = ws;
+        let (h, g) = (grown(ping, n), grown(pong, n));
+        self.conv_in
+            .infer_rows(input, h, batch, rows, Epilogue::Relu);
         for u in &self.units {
-            h = u.infer(&h);
+            u.conv1.infer_rows(h, g, batch, rows, Epilogue::Relu);
+            u.conv2.infer_rows(g, h, batch, rows, Epilogue::AddRelu);
         }
-        self.head.infer(&h)
+        let y = grown(output, batch * TENDENCY_OUT_CH * rows.stride());
+        self.head.infer_rows(h, y, batch, rows, Epilogue::Store);
     }
 
     pub fn params_mut(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
@@ -238,17 +286,39 @@ impl RadiationMlp {
     /// for backward (see [`TendencyCnn::forward_batch`]); equal bit for bit.
     pub fn forward_batch(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape[1], Self::input_dim(self.nlev));
-        let mut h = self.input.infer(x);
-        relu_infer_inplace(&mut h);
+        let batch = x.shape[0];
+        let mut ws = Workspace::new();
+        grown(&mut ws.input, x.len()).copy_from_slice(&x.data);
+        self.forward_rows(&mut ws, batch);
+        Tensor::from_vec(
+            ws.output[..batch * RADIATION_OUT].to_vec(),
+            &[batch, RADIATION_OUT],
+        )
+    }
+
+    /// The inference forward over a workspace: `batch` input vectors the
+    /// caller wrote into `ws.input`, `[2]` outputs left in `ws.output`.
+    pub(crate) fn forward_rows(&self, ws: &mut Workspace, batch: usize) {
+        let n = batch * self.width;
+        let Workspace {
+            input,
+            ping,
+            pong,
+            output,
+        } = ws;
+        let (mut h, mut z) = (grown(ping, n), grown(pong, n));
+        self.input.infer_into(input, h, batch);
+        relu_infer_inplace(h);
         for (dense, _) in &self.hidden {
-            let mut z = dense.infer(&h);
-            relu_infer_inplace(&mut z);
-            for (zv, hv) in z.data.iter_mut().zip(&h.data) {
+            dense.infer_into(h, z, batch);
+            relu_infer_inplace(z);
+            for (zv, hv) in z.iter_mut().zip(h.iter()) {
                 *zv += hv; // residual connection
             }
-            h = z;
+            std::mem::swap(&mut h, &mut z);
         }
-        self.output.infer(&h)
+        self.output
+            .infer_into(h, grown(output, batch * RADIATION_OUT), batch);
     }
 
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {

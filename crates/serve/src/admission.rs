@@ -95,9 +95,13 @@ impl Admission {
     pub fn admit(&self, tenant: &str) -> bool {
         let bucket = {
             let mut buckets = self.buckets.lock();
-            Arc::clone(buckets.entry(tenant.to_string()).or_insert_with(|| {
-                Arc::new(TokenBucket::new(self.default_rate, self.default_burst))
-            }))
+            // Look up before inserting: a known tenant costs no key allocation.
+            let known = buckets.get(tenant).cloned();
+            known.unwrap_or_else(|| {
+                Arc::clone(buckets.entry(tenant.to_string()).or_insert_with(|| {
+                    Arc::new(TokenBucket::new(self.default_rate, self.default_burst))
+                }))
+            })
         };
         bucket.try_acquire()
     }

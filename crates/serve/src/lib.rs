@@ -12,9 +12,9 @@
 //! * [`batcher`] + [`service`] — micro-batching inference: a bounded
 //!   submission queue, a batch former that closes on `max_batch` or a
 //!   `max_wait` deadline (whichever first), and a worker pool on
-//!   `pp::Threads` running **one** batched forward (`forward_batch`, a
-//!   single set of tensor ops) per batch and scattering per-request
-//!   results.
+//!   `pp::Threads` running **one** batched forward per batch
+//!   (`predict_batch_into`, through a workspace each worker owns for its
+//!   life) and scattering per-request results.
 //! * [`admission`] — per-tenant token-bucket rate limits; together with
 //!   the bounded queue this sheds load with structured
 //!   [`ServeError::Overloaded`] / [`ServeError::RateLimited`] rejections

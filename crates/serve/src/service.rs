@@ -3,8 +3,9 @@
 //!
 //! Data path: `submit` → admission (token bucket) → bounded queue →
 //! batch former → worker grabs `registry.current()` → one
-//! `predict_batch` forward per batch → per-request scatter over mpsc
-//! oneshots. Everything is instrumented through `obs`:
+//! `predict_batch_into` forward per batch, reading the queued columns in
+//! place through the worker's own workspace → per-request scatter over
+//! mpsc oneshots. Everything is instrumented through `obs`:
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
@@ -30,6 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ap3esm_ai::modules::{ColumnState, ColumnTendency};
+use ap3esm_ai::net::Workspace;
 use ap3esm_obs::metrics::{Counter, Gauge, Histogram};
 use ap3esm_obs::{Kind, Obs};
 use ap3esm_pp::exec::{ExecSpace, Threads};
@@ -206,9 +208,13 @@ struct Inner {
 }
 
 impl Inner {
-    /// One worker's life: pull batches until drain-and-empty.
+    /// One worker's life: pull batches until drain-and-empty. The worker
+    /// owns one inference workspace and one response buffer for its whole
+    /// life, so a batch allocates only the responses it hands back.
     fn worker_loop(&self) {
         let _obs_guard = ap3esm_obs::install(Arc::clone(&self.obs));
+        let mut ws = Workspace::new();
+        let mut outputs: Vec<ColumnTendency> = Vec::new();
         while let Some(batch) = self.queue.next_batch() {
             let _span = ap3esm_obs::span("serve.batch");
             let picked_up = Instant::now();
@@ -221,52 +227,52 @@ impl Inner {
             // Pin the model version for the whole batch: a hot-swap mid-run
             // lands cleanly on a batch boundary.
             let model = self.registry.current();
-            let columns: Vec<ColumnState> = batch.iter().map(|p| p.input.clone()).collect();
+            let nlev = model.tendency.net.nlev;
+            outputs.clear();
+            outputs.resize_with(batch.len(), || ColumnTendency::zeros(nlev));
             let t0 = Instant::now();
             // The batch stays out here: if the forward panics, the tickets
             // must still be failed with a structured error, not dropped.
-            let outputs = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                model.tendency.predict_batch(&columns)
+            let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let columns = batch.iter().map(|p| &p.input);
+                model.tendency.predict_batch_into(columns, &mut ws, &mut outputs)
             }));
             self.metrics
                 .forward_us
                 .record(t0.elapsed().as_micros() as u64);
-            let outputs = match outputs {
-                Ok(outputs) => outputs,
-                Err(payload) => {
-                    let detail = panic_detail(&*payload);
-                    self.metrics.worker_restarts.add(1);
-                    eprintln!(
-                        "[serve] model forward panicked ({detail}); failing {} ticket(s) \
-                         and restarting the worker",
-                        batch.len()
-                    );
-                    let n = batch.len() as u64;
-                    self.events.mark(0, Kind::Fault, "serve.worker_crashed", n, 0);
-                    for p in batch {
-                        self.events.mark(0, Kind::ServeShed, "worker-crashed", p.id, 0);
-                        let _ = p.tx.send(Err(ServeError::WorkerCrashed {
-                            detail: detail.clone(),
-                        }));
-                    }
-                    // The run directory is the crash's black box: the
-                    // ticket tail leading up to the panicking forward, with
-                    // the panic text as its reason, ready for
-                    // `flightrec::analyze`/diagnose.sh.
-                    let name = format!("serve-crash-pid{}", std::process::id());
-                    let reason = format!("serve-worker-crash: {detail}");
-                    let written = ap3esm_obs::RunDir::create(&name, &reason).and_then(|dir| {
-                        dir.write_events(&self.events.snapshot())?;
-                        Ok(dir)
-                    });
-                    match written {
-                        Ok(dir) => eprintln!("[serve] run directory: {}", dir.path().display()),
-                        Err(e) => eprintln!("[serve] run directory {name} not written: {e}"),
-                    }
-                    continue;
+            if let Err(payload) = forward {
+                let detail = panic_detail(&*payload);
+                self.metrics.worker_restarts.add(1);
+                eprintln!(
+                    "[serve] model forward panicked ({detail}); failing {} ticket(s) \
+                     and restarting the worker",
+                    batch.len()
+                );
+                let n = batch.len() as u64;
+                self.events.mark(0, Kind::Fault, "serve.worker_crashed", n, 0);
+                for p in batch {
+                    self.events.mark(0, Kind::ServeShed, "worker-crashed", p.id, 0);
+                    let _ = p.tx.send(Err(ServeError::WorkerCrashed {
+                        detail: detail.clone(),
+                    }));
                 }
-            };
-            for (p, out) in batch.into_iter().zip(outputs) {
+                // The run directory is the crash's black box: the
+                // ticket tail leading up to the panicking forward, with
+                // the panic text as its reason, ready for
+                // `flightrec::analyze`/diagnose.sh.
+                let name = format!("serve-crash-pid{}", std::process::id());
+                let reason = format!("serve-worker-crash: {detail}");
+                let written = ap3esm_obs::RunDir::create(&name, &reason).and_then(|dir| {
+                    dir.write_events(&self.events.snapshot())?;
+                    Ok(dir)
+                });
+                match written {
+                    Ok(dir) => eprintln!("[serve] run directory: {}", dir.path().display()),
+                    Err(e) => eprintln!("[serve] run directory {name} not written: {e}"),
+                }
+                continue;
+            }
+            for (p, out) in batch.into_iter().zip(outputs.drain(..)) {
                 let latency = p.enqueued.elapsed();
                 self.metrics.latency_us.record(latency.as_micros() as u64);
                 self.metrics.served.add(1);

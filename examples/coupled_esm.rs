@@ -19,7 +19,8 @@
 //! `--slo` (continuous telemetry, sampled once per ocean coupling, +
 //! built-in SYPD-collapse / imbalance-drift / degraded-streak /
 //! degraded-mode alert rules), `--slo-rules <file>` (extra rules, one per
-//! line; a malformed line exits 2 naming it).
+//! line; a malformed line exits 2 naming it). An unknown flag or an
+//! unparsable value prints the usage and exits 2.
 //!
 //! Everything the run leaves is in one directory, `target/obs/coupled-esm/`:
 //! `manifest.json`, `report.json`, `folded.txt` and `trace.json`, with
@@ -58,32 +59,33 @@ fn parse_cli() -> Cli {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+        let mut value = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--days" => cli.days = value("--days").parse().expect("--days: not a number"),
-            "--fault-plan" => cli.fault_plan = Some(value("--fault-plan").into()),
-            "--checkpoint-dir" => cli.checkpoint_dir = Some(value("--checkpoint-dir").into()),
+            "--days" => cli.days = value().parse().unwrap_or_else(|_| usage()),
+            "--fault-plan" => cli.fault_plan = Some(value().into()),
+            "--checkpoint-dir" => cli.checkpoint_dir = Some(value().into()),
             "--trace" => cli.trace = true,
-            "--progress-every" => {
-                cli.progress_every = Some(
-                    value("--progress-every")
-                        .parse()
-                        .expect("--progress-every: not a number"),
-                )
-            }
+            "--progress-every" => cli.progress_every = Some(value().parse().unwrap_or_else(|_| usage())),
             "--slo" => cli.slo = true,
-            "--slo-rules" => cli.slo_rules = Some(value("--slo-rules").into()),
-            "--metrics-addr" => cli.metrics_addr = Some(value("--metrics-addr")),
-            other => panic!(
-                "unknown flag {other} (try --days, --fault-plan, --checkpoint-dir, --trace, \
-                 --progress-every, --slo, --slo-rules, --metrics-addr)"
-            ),
+            "--slo-rules" => cli.slo_rules = Some(value().into()),
+            "--metrics-addr" => cli.metrics_addr = Some(value()),
+            _ => usage(),
         }
     }
     cli
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: coupled_esm [--days N] [--fault-plan FILE] [--checkpoint-dir DIR] [--trace] \
+         [--progress-every N] [--slo] [--slo-rules FILE] [--metrics-addr HOST:PORT]"
+    );
+    std::process::exit(2);
+}
+
+fn fatal(msg: &str) -> ! {
+    eprintln!("coupled_esm: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -121,9 +123,9 @@ fn main() {
     };
     if let Some(path) = &cli.fault_plan {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+            .unwrap_or_else(|e| fatal(&format!("cannot read {}: {e}", path.display())));
         let plan = FaultPlan::parse(&text)
-            .unwrap_or_else(|e| panic!("bad fault plan {}: {e}", path.display()));
+            .unwrap_or_else(|e| fatal(&format!("bad fault plan {}: {e}", path.display())));
         println!("fault plan ({} events):\n{plan}", plan.events.len());
         world = world.with_fault_injector(Arc::new(FaultInjector::new(plan)));
         // Faults without checkpoints would just be a crash: default the
@@ -138,11 +140,9 @@ fn main() {
         };
         if let Some(p) = &cli.slo_rules {
             let text = std::fs::read_to_string(p)
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", p.display()));
-            let rules = parse_rules(&text).unwrap_or_else(|e| {
-                eprintln!("coupled_esm: --slo-rules {}: {e}", p.display());
-                std::process::exit(2);
-            });
+                .unwrap_or_else(|e| fatal(&format!("cannot read {}: {e}", p.display())));
+            let rules = parse_rules(&text)
+                .unwrap_or_else(|e| fatal(&format!("--slo-rules {}: {e}", p.display())));
             telemetry.rules.extend(rules);
         }
         opts.telemetry = Some(telemetry);

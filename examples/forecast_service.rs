@@ -15,7 +15,8 @@
 //! SLO rules (p95 latency budget, shed-rate ceiling) judge each sample; a
 //! final SLO summary prints per-rule verdicts and `--slo-strict` exits
 //! nonzero on any violation. `--metrics-addr` serves live OpenMetrics
-//! scrapes while the load runs.
+//! scrapes while the load runs. An unknown flag or an unparsable value
+//! prints the usage and exits 2.
 //!
 //! ```sh
 //! cargo run --release --example forecast_service -- \
@@ -73,28 +74,38 @@ fn parse_cli() -> Cli {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let mut val = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--clients" => cli.clients = val("--clients").parse().expect("usize"),
-            "--rps" => cli.rps = val("--rps").parse().expect("f64"),
-            "--duration" => cli.duration = val("--duration").parse().expect("f64"),
-            "--report-name" => cli.report_name = Some(val("--report-name")),
+            "--clients" => cli.clients = num(val()),
+            "--rps" => cli.rps = num(val()),
+            "--duration" => cli.duration = num(val()),
+            "--report-name" => cli.report_name = Some(val()),
             "--trace" => cli.trace = true,
-            "--jobs" => cli.jobs = val("--jobs").parse().expect("usize"),
+            "--jobs" => cli.jobs = num(val()),
             "--slo" => cli.slo = true,
             "--slo-strict" => cli.slo_strict = true,
-            "--slo-p95-ms" => cli.slo_p95_ms = val("--slo-p95-ms").parse().expect("f64"),
-            "--slo-shed" => cli.slo_shed = val("--slo-shed").parse().expect("f64"),
-            "--metrics-addr" => cli.metrics_addr = Some(val("--metrics-addr")),
-            "--cadence-ms" => cli.cadence_ms = val("--cadence-ms").parse().expect("u64"),
-            other => panic!(
-                "unknown flag {other} (try --clients, --rps, --duration, \
-                 --report-name, --trace, --jobs, --slo, --slo-strict, \
-                 --slo-p95-ms, --slo-shed, --metrics-addr, --cadence-ms)"
-            ),
+            "--slo-p95-ms" => cli.slo_p95_ms = num(val()),
+            "--slo-shed" => cli.slo_shed = num(val()),
+            "--metrics-addr" => cli.metrics_addr = Some(val()),
+            "--cadence-ms" => cli.cadence_ms = num(val()),
+            _ => usage(),
         }
     }
     cli
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: forecast_service [--clients N] [--rps X] [--duration S] [--report-name NAME] \
+         [--trace] [--jobs N] [--slo] [--slo-strict] [--slo-p95-ms X] [--slo-shed X] \
+         [--metrics-addr HOST:PORT] [--cadence-ms N]"
+    );
+    std::process::exit(2);
+}
+
+/// A flag's numeric value, or the usage.
+fn num<T: std::str::FromStr>(v: String) -> T {
+    v.parse().unwrap_or_else(|_| usage())
 }
 
 fn column(nlev: usize, phase: f64) -> ColumnState {
