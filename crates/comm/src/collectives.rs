@@ -125,12 +125,6 @@ pub fn allreduce_sum(rank: &Rank, tag: u64, value: f64) -> Result<f64, CommError
     Ok(allreduce(rank, tag, vec![value], |a, b| a + b)?[0])
 }
 
-/// Scalar f64 max all-reduce (used for CFL checks and timer maxima — the
-/// paper records "the maximum value across all MPI ranks" for wall time).
-pub fn allreduce_max(rank: &Rank, tag: u64, value: f64) -> Result<f64, CommError> {
-    Ok(allreduce(rank, tag, vec![value], |a, b| a.max(*b))?[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,15 +157,6 @@ mod tests {
         let out = world.run(|rank| allreduce_sum(rank, 0, rank.id() as f64).unwrap());
         for v in out {
             assert_eq!(v, 15.0);
-        }
-    }
-
-    #[test]
-    fn allreduce_max_across_ranks() {
-        let world = World::new(4);
-        let out = world.run(|rank| allreduce_max(rank, 0, -(rank.id() as f64)).unwrap());
-        for v in out {
-            assert_eq!(v, 0.0);
         }
     }
 

@@ -18,22 +18,15 @@
 use std::time::Instant;
 
 use ap3esm_atm::vortex::{TrackPoint, VortexSpec};
-use ap3esm_comm::collectives::{allreduce_max, allreduce_sum};
 use ap3esm_comm::Rank;
 use ap3esm_cpl::CouplingClock;
 
 use crate::config::CoupledConfig;
-use crate::coupler::{Coupler, Parts, DRIVER_SECTIONS};
+use crate::coupler::{Coupler, Parts};
 use crate::recovery::{resume, Flow, Recovery};
 use crate::resilience::{splitmix64_draw, RecoveryConfig};
 use crate::session::Session;
 use crate::timing::get_timing;
-
-/// Telemetry busy-time exchange tags (max-reduce, sum-reduce). Dedicated
-/// tags, only exchanged when `CoupledOptions::telemetry` is set, so fault
-/// plans counting messages on the physics/health tags are unaffected.
-const TELE_MAX_TAG: u64 = 0x7E1E;
-const TELE_SUM_TAG: u64 = 0x7E1F;
 
 /// Idealised initial-condition SST anomaly families, applied to the
 /// coupler's initial SST boundary state at t = 0 (the reforecast-style
@@ -123,9 +116,9 @@ pub struct CoupledOptions {
     /// critical-path analysis into the report. Requires `report_name`;
     /// ignored without it.
     pub trace: bool,
-    /// Opt-in live telemetry: every N ocean couplings, rank 0 prints step
+    /// Opt-in progress line: every N ocean couplings, rank 0 prints step
     /// rate, an SYPD estimate, and the per-component wall-time split to
-    /// stderr. `None` (the default) prints nothing.
+    /// stderr (`[progress] …`). `None` (the default) prints nothing.
     pub progress_every: Option<u64>,
     /// Enable checkpoint/rollback recovery, writing checkpoints under this
     /// directory (shared by all ranks). `None` disables the entire
@@ -140,9 +133,11 @@ pub struct CoupledOptions {
     pub resume_from: Option<std::path::PathBuf>,
     /// Continuous telemetry: one sample of the metrics registry per ocean
     /// coupling into a time-series store, SLO/anomaly alerting, and an
-    /// optional OpenMetrics scrape endpoint — all on rank 0. `None` (the
-    /// default) samples nothing and exchanges no telemetry messages, so
-    /// fault plans that count messages see an unchanged stream.
+    /// optional OpenMetrics scrape endpoint — all on rank 0. It sends no
+    /// message of its own (the busy seconds it needs ride on the ocean
+    /// export every run posts), so a run with it and one without send the
+    /// same messages and compute the same bits. `None` (the default)
+    /// samples nothing.
     pub telemetry: Option<TelemetryOptions>,
     /// Black-box flight recorder (default **on**): the world's event log
     /// records — every rank journals structured resilience events (health
@@ -184,20 +179,23 @@ impl Default for CoupledOptions {
     }
 }
 
-/// Continuous-telemetry options. When set on [`CoupledOptions`], every
-/// ocean coupling exchanges per-rank busy time (dedicated tags) so rank 0
-/// can gauge `sim.sypd`, `sim.imbalance` and `sim.step_wall_s`, and rank 0
-/// then takes one [`ap3esm_obs::Sampler`] sample of every registered
-/// counter/gauge/histogram into an in-process [`ap3esm_obs::SeriesStore`],
-/// which the alert rules observe point by point — a series holds one point
-/// per coupling the driver completes (replays included), so a rule's `over
-/// N` counts couplings. With `metrics_addr` rank 0 serves live OpenMetrics
-/// scrapes over HTTP, and the run directory carries the full store
-/// (`series.json`) and the alert firings (`alerts.json`). Busy time is the
-/// rank's time in the five driver sections (`atm_run`, `lnd_run`, `ice_run`,
-/// `cpl_rearrange`, `ocn_run`) since the previous ocean coupling; the
-/// one-off root spans (`router_build`, `io_{read,write}_subfile`) are not
-/// counted, so a checkpoint coupling does not move `sim.imbalance`.
+/// Continuous-telemetry options. When set on [`CoupledOptions`], rank 0
+/// gauges `sim.sypd` and `sim.step_wall_s` from its own clock and
+/// `sim.imbalance` from the busy seconds every rank attaches to the ocean
+/// export it posts each ocean coupling (the export's scalar tail carries
+/// them whether telemetry is on or not), and takes one
+/// [`ap3esm_obs::Sampler`] sample of every registered
+/// counter/gauge/histogram into an in-process [`ap3esm_obs::SeriesStore`]
+/// as each export arrives, which the alert rules observe point by point — a
+/// series holds one point per ocean coupling the driver completes (replays
+/// and the final drain included), so a rule's `over N` counts couplings.
+/// With `metrics_addr` rank 0 serves live OpenMetrics scrapes over HTTP,
+/// and the run directory carries the full store (`series.json`) and the
+/// alert firings (`alerts.json`). Busy time is the rank's time in the five
+/// driver sections (`atm_run`, `lnd_run`, `ice_run`, `cpl_rearrange`,
+/// `ocn_run`) between its previous export and this one; the one-off root
+/// spans (`router_build`, `io_{read,write}_subfile`) are not counted, so a
+/// checkpoint coupling does not move `sim.imbalance`.
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
     /// Bind an OpenMetrics scrape endpoint here (e.g. `127.0.0.1:9464`;
@@ -285,8 +283,7 @@ pub struct CoupledStats {
 struct Pulse {
     /// Wall clock + sim time at the last heartbeat.
     hb_last: Option<(Instant, f64)>,
-    /// Cumulative busy seconds + wall clock at the previous ocean coupling.
-    prev_busy: f64,
+    /// Wall clock at the previous telemetry sample.
     last_wall: Instant,
 }
 
@@ -294,7 +291,6 @@ impl Pulse {
     fn new() -> Self {
         Pulse {
             hb_last: None,
-            prev_busy: 0.0,
             last_wall: Instant::now(),
         }
     }
@@ -324,7 +320,7 @@ impl Pulse {
         let profiler = &run.obs.profiler;
         profiler.for_each_root(|name, secs| split.push(format!("{name} {secs:.2}s")));
         eprintln!(
-            "[telemetry] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
+            "[progress] day {:.2}/{:.1} | {:.2} couplings/s | est. SYPD {:.2} | {}",
             cpl.clock.days(),
             opts.days,
             (ds / cpl.clock.ocn_alarm.period as f64) / dw,
@@ -334,37 +330,27 @@ impl Pulse {
         self.hb_last = Some((now, sim_s));
     }
 
-    /// Cumulative seconds under the driver sections: set-up
-    /// (`router_build`) and sub-file I/O roots stay out of `sim.imbalance`.
-    fn driver_busy(profiler: &ap3esm_obs::Profiler) -> f64 {
-        let mut busy = 0.0;
-        profiler.for_each_root(|name, secs| {
-            if DRIVER_SECTIONS.contains(&name) {
-                busy += secs;
-            }
-        });
-        busy
-    }
-
-    /// Continuous telemetry: global busy-time exchange at the coupling
-    /// sync point, then rank 0 sets the gauges and samples them — one
-    /// sample per coupling (the other ranks only take part in the
-    /// exchange).
-    fn telemetry(&mut self, rank: &Rank, run: &mut Session, ocn_period: f64) {
-        let busy = Pulse::driver_busy(&run.obs.profiler);
-        let d_busy = (busy - self.prev_busy).max(0.0);
-        self.prev_busy = busy;
-        let max_busy = allreduce_max(rank, TELE_MAX_TAG, d_busy).unwrap_or(d_busy);
-        let sum_busy = allreduce_sum(rank, TELE_SUM_TAG, d_busy).unwrap_or(d_busy);
-        if rank.id() != 0 {
+    /// Continuous telemetry, once per ocean export rank 0 receives — one per
+    /// ocean coupling completed: `sim.imbalance` (max/mean) from the busy
+    /// seconds every rank sent with the export, `sim.sypd` and
+    /// `sim.step_wall_s` from rank 0's own clock, then rank 0 samples. No
+    /// message of its own; a no-op on every other rank, whose busy seconds
+    /// went out on the export.
+    fn telemetry(&mut self, opts: &CoupledOptions, run: &mut Session, cpl: &mut Coupler) {
+        if opts.telemetry.is_none() {
             return;
         }
+        let period = cpl.clock.ocn_alarm.period as f64;
+        let Some(busy) = cpl.take_busy() else {
+            return;
+        };
         let now = Instant::now();
         let dw = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
         self.last_wall = now;
         ap3esm_obs::gauge_set("sim.step_wall_s", dw);
-        ap3esm_obs::gauge_set("sim.sypd", get_timing(ocn_period, dw));
-        let mean_busy = sum_busy / rank.size() as f64;
+        ap3esm_obs::gauge_set("sim.sypd", get_timing(period, dw));
+        let max_busy = busy.iter().copied().fold(0.0, f64::max);
+        let mean_busy = busy.iter().sum::<f64>() / busy.len() as f64;
         if mean_busy > 0.0 {
             ap3esm_obs::gauge_set("sim.imbalance", max_busy / mean_busy);
         }
@@ -430,15 +416,14 @@ pub fn run_coupled(rank: &Rank, config: &CoupledConfig, opts: &CoupledOptions) -
             if rank.id() == 0 {
                 pulse.heartbeat(opts, &run, &cpl);
             }
-            if opts.telemetry.is_some() {
-                pulse.telemetry(rank, &mut run, cpl.clock.ocn_alarm.period as f64);
-            }
+            pulse.telemetry(opts, &mut run, &mut cpl);
         }
         // The last ocean coupling's export is still on its way.
         if run.stats.failure.is_none() && !run.stats.lost {
             if let Some(e) = cpl.finish(rank, &mut run.stats) {
                 panic!("coupler exchange failed: {e}");
             }
+            pulse.telemetry(opts, &mut run, &mut cpl);
         }
         run.stats.simulated_seconds = cpl.clock.time as f64;
         break;
@@ -476,23 +461,6 @@ mod tests {
         assert_eq!(beats, [2, 4]);
         assert!(!Pulse::heartbeat_due(None, &clock));
         assert!(!Pulse::heartbeat_due(Some(0), &clock));
-    }
-
-    #[test]
-    fn busy_time_counts_driver_sections_only() {
-        let p = ap3esm_obs::Profiler::new();
-        for name in ["router_build", "atm_run", "io_write_subfile", "ocn_run"] {
-            let _root = p.enter(name);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let mut want = 0.0;
-        p.for_each_root(|name, secs| {
-            if name == "atm_run" || name == "ocn_run" {
-                want += secs;
-            }
-        });
-        assert!(want > 0.0);
-        assert_eq!(Pulse::driver_busy(&p).to_bits(), want.to_bits());
     }
 
     #[test]

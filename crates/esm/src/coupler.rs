@@ -42,8 +42,25 @@ use crate::restart::{read_aux, write_aux};
 
 /// The spans [`Coupler::step`] and the ocean exchange open at the root of a
 /// rank's tree; time under them is what the telemetry counts as busy.
-pub(crate) const DRIVER_SECTIONS: [&str; 5] =
-    ["atm_run", "lnd_run", "ice_run", "cpl_rearrange", "ocn_run"];
+const DRIVER_SECTIONS: [&str; 5] = ["atm_run", "lnd_run", "ice_run", "cpl_rearrange", "ocn_run"];
+
+/// Cumulative seconds under the driver sections: set-up (`router_build`)
+/// and sub-file I/O roots stay out of `sim.imbalance`.
+fn driver_busy(profiler: &ap3esm_obs::Profiler) -> f64 {
+    let mut busy = 0.0;
+    profiler.for_each_root(|name, secs| {
+        if DRIVER_SECTIONS.contains(&name) {
+            busy += secs;
+        }
+    });
+    busy
+}
+
+/// [`driver_busy`] of the calling rank's installed profiler; zero where no
+/// `Obs` is installed.
+fn rank_busy() -> f64 {
+    ap3esm_obs::active().map_or(0.0, |obs| driver_busy(&obs.profiler))
+}
 
 /// Which components a coupler holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -312,6 +329,17 @@ pub struct Coupler<A = Atm, O = Ocn, I = Ice, L = Lnd> {
     ocn_valid: Vec<bool>,
     scatter: Rearranger,
     gather: Rearranger,
+    /// The scalars behind this rank's last posted export: the ocean's
+    /// kinetic energy, then one slot per rank for its busy seconds between
+    /// its previous post and this one, only this rank's own filled in — so
+    /// the rank-ordered sum hands the root every rank's value exactly.
+    tail: Vec<f64>,
+    /// The root's copy of the tail the last received export carried, and
+    /// whether the driver has yet to read its busy seconds.
+    received: Vec<f64>,
+    fresh: bool,
+    /// This rank's [`driver_busy`] at its last post.
+    busy_posted: f64,
     strategy: RearrangeStrategy,
     /// This generation's ocean decomposition (a shrink redistributes the
     /// last checkpoint from it).
@@ -432,6 +460,10 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             ocn_valid: (0..ncols).map(|c| ocn_grid.kmt[c] > 0).collect(),
             scatter: Rearranger::new(Router::build(&root_map, &ocn_map), 21),
             gather: Rearranger::new(Router::build(&ocn_map, &root_map), 22),
+            tail: vec![0.0; 1 + world],
+            received: vec![0.0; 1 + world],
+            fresh: false,
+            busy_posted: rank_busy(),
             strategy: config.strategy,
             ocn_decomp,
             is_root: me == 0,
@@ -536,7 +568,7 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             fault,
             self.scatter.complete(rank, strategy, forcing, &mut []),
         );
-        let mut ke = 0.0;
+        self.tail.fill(0.0);
         if let Some(ocn) = self.ocn.as_mut() {
             if self.is_root {
                 // Closed first: a span opened now would nest under it.
@@ -545,9 +577,14 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
             }
             let period = self.clock.ocn_alarm.period as f64;
             cycle(ocn, rank, period, &self.x2o_ocn, &mut self.o2x_ocn, fault);
-            ke = ocn.diagnostic();
+            self.tail[0] = ocn.diagnostic();
         }
-        self.gather.post(rank, strategy, &self.o2x_ocn, &[ke]);
+        // The section still open counts up to now, so the slot covers the
+        // wall between this rank's two posts.
+        let busy = rank_busy() + section.elapsed_s();
+        self.tail[1 + rank.id()] = busy - self.busy_posted;
+        self.busy_posted = busy;
+        self.gather.post(rank, strategy, &self.o2x_ocn, &self.tail);
         self.export = Export::InFlight;
         drop(section);
     }
@@ -562,18 +599,24 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
     }
 
     /// Receive the export in flight, if any, into the staging vector, and
-    /// give the ocean series their entry for it; the kinetic energies riding
-    /// on it are summed in rank order.
+    /// give the ocean series their entry for it; the kinetic energies and
+    /// busy seconds riding on it are summed in rank order.
     fn receive_export(&mut self, rank: &Rank, stats: &mut CoupledStats) -> Result<(), CommError> {
         if self.export != Export::InFlight {
             return Ok(());
         }
         self.export = Export::Staged;
-        let mut ke = [0.0];
-        let received = self
-            .gather
-            .complete(rank, self.strategy, &mut self.o2x_next, &mut ke);
+        let received =
+            self.gather
+                .complete(rank, self.strategy, &mut self.o2x_next, &mut self.received);
         if self.is_root {
+            // The two-domain root sends itself nothing: its own busy
+            // seconds are the ones it posted.
+            self.received[1] = self.tail[1];
+            if received.is_err() {
+                self.received.fill(f64::NAN);
+            }
+            self.fresh = true;
             let (mut sum, mut cnt) = (0.0f64, 0.0f64);
             for (sst, _) in self
                 .o2x_next
@@ -586,11 +629,16 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
                 cnt += 1.0;
             }
             stats.sst_series.push(sum / cnt.max(1.0));
-            stats
-                .ke_series
-                .push(if received.is_ok() { ke[0] } else { f64::NAN });
+            stats.ke_series.push(self.received[0]);
         }
         received
+    }
+
+    /// Root only: every rank's busy seconds (`NaN` after a failed receive)
+    /// from the export received since the last call, each export once;
+    /// `None` when none arrived since.
+    pub(crate) fn take_busy(&mut self) -> Option<&[f64]> {
+        std::mem::take(&mut self.fresh).then_some(&self.received[1..])
     }
 
     /// Make the staged export the one every merge sees.
@@ -741,5 +789,27 @@ impl<A: Component, O: Component, I: Component, L: Component> Coupler<A, O, I, L>
         } else {
             Export::Published
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn busy_time_counts_driver_sections_only() {
+        let p = ap3esm_obs::Profiler::new();
+        for name in ["router_build", "atm_run", "io_write_subfile", "ocn_run"] {
+            let _root = p.enter(name);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let mut want = 0.0;
+        p.for_each_root(|name, secs| {
+            if name == "atm_run" || name == "ocn_run" {
+                want += secs;
+            }
+        });
+        assert!(want > 0.0);
+        assert_eq!(driver_busy(&p).to_bits(), want.to_bits());
     }
 }

@@ -68,6 +68,10 @@ pub(crate) struct Session {
 }
 
 impl Session {
+    /// Install this rank's observability and, on rank 0 with
+    /// `opts.telemetry`, start the series store, alert engine and scrape
+    /// endpoint. Sends nothing: telemetry's inputs from the other ranks
+    /// arrive on the ocean export.
     pub(crate) fn start(rank: &Rank, opts: &CoupledOptions) -> Self {
         let obs = Arc::new(Obs::new());
         let _obs_guard = ap3esm_obs::install(Arc::clone(&obs));
@@ -86,9 +90,9 @@ impl Session {
             ap3esm_obs::mark(Kind::Mark, "run.start", rank.generation(), 0);
         }
         let mut stats = CoupledStats::default();
-        // Every rank takes part in the telemetry busy-time exchange; rank 0
-        // additionally samples, runs the alert engine and the scrape
-        // endpoint.
+        // Rank 0 alone samples, runs the alert engine and the scrape
+        // endpoint; the other ranks' busy seconds reach it on the ocean
+        // export they post anyway.
         let is_root = rank.id() == 0;
         let telemetry = opts
             .telemetry
@@ -112,8 +116,8 @@ impl Session {
         }
     }
 
-    /// Rank 0's telemetry sample of the ocean coupling just completed
-    /// (a no-op on every other rank and with telemetry off).
+    /// Rank 0's telemetry sample of the ocean coupling whose export just
+    /// arrived (a no-op on every other rank and with telemetry off).
     pub(crate) fn sample(&mut self) {
         if let Some(t) = self.telemetry.as_mut() {
             t.sampler.sample(&self.obs);

@@ -279,6 +279,12 @@ impl SpanGuard {
     pub fn inactive() -> Self {
         SpanGuard { open: None }
     }
+
+    /// Seconds since the span opened (0 for an inactive guard): what it
+    /// would add to its node's total if it closed now.
+    pub fn elapsed_s(&self) -> f64 {
+        self.open.as_ref().map_or(0.0, |o| o.t0.elapsed().as_secs_f64())
+    }
 }
 
 impl Drop for SpanGuard {

@@ -13,7 +13,8 @@
 //! Flags: `--fault-plan <file>` (enables checkpointing), `--checkpoint-dir
 //! <dir>` (default `target/ckpt` when faults are on), `--days <n>`,
 //! `--trace` (span rows in the chrome trace, critical path in the report),
-//! `--progress-every <n>` (live telemetry every n ocean couplings),
+//! `--progress-every <n>` (a progress line on stderr every n ocean
+//! couplings),
 //! `--metrics-addr <ip:port>` (live OpenMetrics scrape endpoint — `curl
 //! http://<addr>/metrics` mid-run; implies continuous telemetry),
 //! `--slo` (continuous telemetry, sampled once per ocean coupling, +

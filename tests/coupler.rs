@@ -155,8 +155,8 @@ fn absent_components_are_never_touched_and_exchange_counts_hold() {
     assert_eq!(log.len(), 1 + 4 * 3, "{log:?}");
     assert!(log.iter().all(|entry| entry.starts_with("ocn.")), "{log:?}");
     // Four ocean couplings, one packed message each way between the two
-    // ranks: 4 forcing fields out, 3 surface fields and the ocean's kinetic
-    // energy back.
+    // ranks: 4 forcing fields out; back, 3 surface fields and the scalar
+    // tail — the ocean's kinetic energy, then one busy-seconds slot per rank.
     let traffic = |tag| {
         Rearranger::wire_tags_for(tag)
             .iter()
@@ -167,7 +167,7 @@ fn absent_components_are_never_touched_and_exchange_counts_hold() {
     };
     let field_bytes = (grid.ncols() * 8) as u64;
     assert_eq!(traffic(21), (4, 4 * 4 * field_bytes));
-    assert_eq!(traffic(22), (4, 4 * (3 * field_bytes + 8)));
+    assert_eq!(traffic(22), (4, 4 * (3 * field_bytes + 3 * 8)));
 }
 
 /// One ocean coupling of the two-domain layout over a fake ocean on rank 1,

@@ -1,13 +1,16 @@
-//! Tier-1 integration test for the continuous-telemetry layer: a 2-rank
+//! Tier-1 integration tests for the continuous-telemetry layer: a 2-rank
 //! coupled run with telemetry on, a deterministic injected slowdown (delay
 //! faults on the ocean export's gather message), a live OpenMetrics scrape
-//! taken mid-run, and an offline replay of the saved series snapshot.
+//! taken mid-run, and an offline replay of the saved series snapshot; and a
+//! telemetry-on day against a telemetry-off one.
 //!
 //! Asserts the whole pipeline: per-coupling SYPD/imbalance gauges → one
 //! sample per ocean coupling → live scrape (strict-parser valid, carries
 //! both series) → SYPD-collapse alert fired on a stalled coupling → alert
 //! in the run report's `alerts` array, in `CoupledStats::alerts`, and as an
 //! instant event in the chrome trace → snapshot replay re-fires offline.
+//! The busy seconds behind `sim.imbalance` ride on the ocean export, so
+//! telemetry sends no message of its own and moves no bit of the model.
 
 use ap3esm::comm::{FaultInjector, FaultPlan};
 use ap3esm::cpl::Rearranger;
@@ -109,7 +112,7 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
     );
 
     // ---- The mid-run scrape is strict-parser-valid OpenMetrics and
-    //      carries the allreduced SYPD + imbalance gauges and series. ----
+    //      carries the SYPD + imbalance gauges and series. ----
     let scrape = scrape.lock().unwrap().take().expect("no mid-run scrape");
     let body = scrape.split("\r\n\r\n").nth(1).expect("HTTP body");
     let families = openmetrics::parse(body).expect("scrape must validate");
@@ -182,4 +185,37 @@ fn telemetry_scrapes_live_and_fires_sypd_collapse_on_injected_slowdown() {
         "sypd-collapse must fire on a stalled coupling (SYPD <= {stalled_sypd}): {fired:?}"
     );
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn telemetry_sends_no_message_and_moves_no_bit() {
+    let mut config = CoupledConfig::test_tiny();
+    config.ocn_px = 1;
+    config.ocn_py = 1;
+    let run = |telemetry: Option<TelemetryOptions>| {
+        let opts = CoupledOptions {
+            days: 1.0,
+            telemetry,
+            ..Default::default()
+        };
+        let world = World::new(config.world_size());
+        let root = world
+            .run(|rank| run_coupled(rank, &config, &opts))
+            .swap_remove(0);
+        (root, world.stats().tag_matrix())
+    };
+    let (on, on_traffic) = run(Some(TelemetryOptions::default()));
+    let (off, off_traffic) = run(None);
+    // Per tag, the same messages and bytes: no exchange of its own.
+    assert_eq!(on_traffic, off_traffic);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, a, b) in [
+        ("sst", &on.sst_series, &off.sst_series),
+        ("ke", &on.ke_series, &off.ke_series),
+        ("theta", &on.theta_series, &off.theta_series),
+        ("ice", &on.ice_series, &off.ice_series),
+    ] {
+        assert!(!a.is_empty(), "{name}: empty series");
+        assert_eq!(bits(a), bits(b), "{name}: telemetry moved a bit");
+    }
 }
