@@ -29,7 +29,7 @@ fn run(grid: &TripolarGrid, exclude: bool, steps: usize) -> (Vec<f64>, f64, usiz
         let mut sst = Vec::new();
         for j in 0..st.nj {
             for i in 0..st.ni {
-                sst.push(st.t[0][st.at(i, j)]);
+                sst.push(st.t[st.at(i, j)]);
             }
         }
         (sst, wall, model.columns_visited)

@@ -48,9 +48,10 @@ fn run_ocean(mixed: bool, days: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64
             for _ in 0..steps_per_day {
                 model.step(rank, &forcing);
                 if mixed {
-                    for k in 0..model.state.nlev {
-                        squeeze(&mut model.state.t[k]);
-                        squeeze(&mut model.state.s[k]);
+                    let slab = model.state.eta.len();
+                    let (t, s) = (&mut model.state.t, &mut model.state.s);
+                    for level in t.chunks_exact_mut(slab).chain(s.chunks_exact_mut(slab)) {
+                        squeeze(level);
                     }
                     squeeze(&mut model.state.eta);
                 }
@@ -62,8 +63,8 @@ fn run_ocean(mixed: bool, days: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64
             for j in 0..st.nj {
                 for i in 0..st.ni {
                     let idx = st.at(i, j);
-                    t0.push(st.t[0][idx]);
-                    s0.push(st.s[0][idx]);
+                    t0.push(st.t[idx]);
+                    s0.push(st.s[idx]);
                     e0.push(st.eta[idx]);
                 }
             }

@@ -67,41 +67,22 @@ impl HaloExchange {
         &self.spec
     }
 
-    fn wire_tag(&self, channel: u64, packed: bool) -> u64 {
-        self.tag * 2 * CHANNEL_STRIDE + channel + if packed { CHANNEL_STRIDE } else { 0 }
+    fn wire_tag(&self, channel: u64) -> u64 {
+        self.tag * CHANNEL_STRIDE + channel
     }
 
-    /// Exchange ghosts for `field`: gathers send values, posts all sends,
-    /// then receives and scatters into ghost slots. Returns the number of
-    /// values received.
+    /// Exchange ghosts for `field`: [`HaloExchange::exchange_many`] of one
+    /// field. Returns the number of values received.
     pub fn exchange(&self, rank: &Rank, field: &mut [f64]) -> Result<usize, CommError> {
-        // Post all sends first (non-blocking), then drain receives: the
-        // paper's "non-blocking point-to-point … overlaps communication and
-        // computation" pattern (§5.2.4).
-        for link in &self.spec.sends {
-            let buf: Vec<f64> = link.indices.iter().map(|&i| field[i]).collect();
-            rank.isend(link.peer, self.wire_tag(link.channel, false), buf);
-        }
-        let mut received = 0;
-        for link in &self.spec.recvs {
-            let buf: Vec<f64> = rank.recv(link.peer, self.wire_tag(link.channel, false))?;
-            assert_eq!(
-                buf.len(),
-                link.indices.len(),
-                "halo message length mismatch from rank {}",
-                link.peer
-            );
-            for (slot, v) in link.indices.iter().zip(buf) {
-                field[*slot] = v;
-            }
-            received += link.indices.len();
-        }
-        Ok(received)
+        self.exchange_many(rank, &mut [field])
     }
 
     /// Exchange ghosts for several fields at once, packed into one message
     /// per link — fewer, larger messages, as the real model does for
-    /// multi-variable state.
+    /// multi-variable state. Gathers every send, posts them all, then
+    /// receives and scatters into the ghost slots: the paper's "non-blocking
+    /// point-to-point … overlaps communication and computation" pattern
+    /// (§5.2.4). Returns the number of values received.
     pub fn exchange_many(
         &self,
         rank: &Rank,
@@ -113,15 +94,16 @@ impl HaloExchange {
             for f in fields.iter() {
                 buf.extend(link.indices.iter().map(|&i| f[i]));
             }
-            rank.isend(link.peer, self.wire_tag(link.channel, true), buf);
+            rank.isend(link.peer, self.wire_tag(link.channel), buf);
         }
         let mut received = 0;
         for link in &self.spec.recvs {
-            let buf: Vec<f64> = rank.recv(link.peer, self.wire_tag(link.channel, true))?;
+            let buf: Vec<f64> = rank.recv(link.peer, self.wire_tag(link.channel))?;
             assert_eq!(
                 buf.len(),
                 link.indices.len() * nf,
-                "packed halo length mismatch"
+                "halo message length mismatch from rank {}",
+                link.peer
             );
             for (fi, f) in fields.iter_mut().enumerate() {
                 let base = fi * link.indices.len();

@@ -414,10 +414,10 @@ impl Ocn {
                     continue;
                 }
                 if let Some(p) = &pattern {
-                    st.t[0][idx] += p.anomaly(phi, grid.lon[st.block.i0 + i]);
+                    st.t[idx] += p.anomaly(phi, grid.lon[st.block.i0 + i]);
                 }
                 if let Some(p) = noise {
-                    st.t[0][idx] += p.noise(j * st.ni + i);
+                    st.t[idx] += p.noise(j * st.ni + i);
                 }
             }
         }
@@ -472,9 +472,9 @@ impl Component for Ocn {
                 }
             }
         };
-        surface(av.get_mut("sst"), &|idx| st.t[0][idx]);
-        surface(av.get_mut("ssu"), &|idx| st.u[0][idx] + st.ubar[idx]);
-        surface(av.get_mut("ssv"), &|idx| st.v[0][idx] + st.vbar[idx]);
+        surface(av.get_mut("sst"), &|idx| st.t[idx]);
+        surface(av.get_mut("ssu"), &|idx| st.u[idx] + st.ubar[idx]);
+        surface(av.get_mut("ssv"), &|idx| st.v[idx] + st.vbar[idx]);
     }
 
     fn diagnostic(&self) -> f64 {

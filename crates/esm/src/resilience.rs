@@ -33,6 +33,8 @@ use ap3esm_io::subfile::subfile_path;
 use ap3esm_io::IoError;
 use ap3esm_ocn::state::OcnState;
 
+use crate::restart::ocn_fields;
+
 /// Classification of one component's state at a coupling boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealthVerdict {
@@ -219,25 +221,15 @@ impl OcnGuard {
     /// Scan this rank's slab: non-finite values anywhere, sea-surface
     /// height and temperature envelopes, barotropic CFL.
     pub fn check(&self, state: &OcnState) -> HealthVerdict {
-        for (name, field) in [
-            ("eta", &state.eta),
-            ("ubar", &state.ubar),
-            ("vbar", &state.vbar),
-        ] {
+        let slab = state.eta.len();
+        for (name, field) in ocn_fields(state) {
             if let Some((i, v)) = first_nonfinite(field) {
-                return HealthVerdict::Fatal(format!("ocn {name}[{i}] = {v}"));
-            }
-        }
-        for k in 0..state.nlev {
-            for (name, levels) in [
-                ("u", &state.u),
-                ("v", &state.v),
-                ("t", &state.t),
-                ("s", &state.s),
-            ] {
-                if let Some((i, v)) = first_nonfinite(&levels[k]) {
-                    return HealthVerdict::Fatal(format!("ocn {name}[{k}][{i}] = {v}"));
-                }
+                let at = if field.len() == slab {
+                    format!("[{i}]")
+                } else {
+                    format!("[{}][{}]", i / slab, i % slab)
+                };
+                return HealthVerdict::Fatal(format!("ocn {name}{at} = {v}"));
             }
         }
         for (i, &eta) in state.eta.iter().enumerate() {
@@ -246,7 +238,7 @@ impl OcnGuard {
             }
         }
         for &(i, j) in &state.active_columns() {
-            let t = state.t[0][state.at(i, j)];
+            let t = state.t[state.at(i, j)];
             if !(SST_BOUNDS.0..=SST_BOUNDS.1).contains(&t) {
                 return HealthVerdict::Fatal(format!("ocn sst({i},{j}) = {t} °C out of bounds"));
             }

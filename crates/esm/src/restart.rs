@@ -97,62 +97,84 @@ pub fn read_atm_restart(dir: &Path, state: &mut AtmState) -> Result<(), IoError>
     Ok(())
 }
 
+/// One ocean rank's checkpoint, field by field: the barotropic `eta ubar
+/// vbar`, then the level-major `t s u v` (dims in [`ocn_dims`]).
+pub(crate) fn ocn_fields(state: &OcnState) -> [(&'static str, &[f64]); 7] {
+    [
+        ("eta", &state.eta),
+        ("ubar", &state.ubar),
+        ("vbar", &state.vbar),
+        ("t", &state.t),
+        ("s", &state.s),
+        ("u", &state.u),
+        ("v", &state.v),
+    ]
+}
+
+/// The checkpoint dims of ocean field `name`: `[slab]` for a barotropic
+/// field, `[nlev, slab]` for a level-major one.
+fn ocn_dims(name: &str, nlev: usize, slab: usize) -> Vec<usize> {
+    match name {
+        "eta" | "ubar" | "vbar" => vec![slab],
+        _ => vec![nlev, slab],
+    }
+}
+
 /// Write one rank's ocean restart (interior + halos as stored — halos are
 /// re-exchanged on the first post-restart step anyway, but keeping them
 /// makes the restart bit-exact without a warm-up exchange).
 pub fn write_ocn_restart(dir: &Path, state: &OcnState, rank: usize) -> Result<(), IoError> {
     let slab = state.eta.len();
-    let tag = |name: &str| format!("ocn_r{rank}_{name}");
-    SubfileWriter::new(dir, &tag("eta"), &[slab], RESTART_SUBFILES).write_all(&state.eta)?;
-    SubfileWriter::new(dir, &tag("ubar"), &[slab], RESTART_SUBFILES).write_all(&state.ubar)?;
-    SubfileWriter::new(dir, &tag("vbar"), &[slab], RESTART_SUBFILES).write_all(&state.vbar)?;
-    for k in 0..state.nlev {
-        SubfileWriter::new(dir, &tag(&format!("t{k}")), &[slab], RESTART_SUBFILES)
-            .write_all(&state.t[k])?;
-        SubfileWriter::new(dir, &tag(&format!("s{k}")), &[slab], RESTART_SUBFILES)
-            .write_all(&state.s[k])?;
-        SubfileWriter::new(dir, &tag(&format!("u{k}")), &[slab], RESTART_SUBFILES)
-            .write_all(&state.u[k])?;
-        SubfileWriter::new(dir, &tag(&format!("v{k}")), &[slab], RESTART_SUBFILES)
-            .write_all(&state.v[k])?;
+    for (name, field) in ocn_fields(state) {
+        let dims = ocn_dims(name, state.nlev, slab);
+        SubfileWriter::new(dir, &format!("ocn_r{rank}_{name}"), &dims, RESTART_SUBFILES)
+            .write_all(field)?;
     }
     Ok(())
 }
 
-/// Read one rank's ocean restart. Every slab's dims are validated against
-/// the state's halo-extended shape before any field is accepted.
+/// Read one rank's ocean restart. Every field's dims are validated against
+/// the state's halo-extended shape and level count; a mismatch on any field
+/// returns [`IoError::Inconsistent`].
 pub fn read_ocn_restart(dir: &Path, state: &mut OcnState, rank: usize) -> Result<(), IoError> {
-    let tag = |name: &str| format!("ocn_r{rank}_{name}");
-    let slab = state.eta.len();
-    state.eta = read_checked(dir, &tag("eta"), &[slab])?;
-    state.ubar = read_checked(dir, &tag("ubar"), &[slab])?;
-    state.vbar = read_checked(dir, &tag("vbar"), &[slab])?;
-    for k in 0..state.nlev {
-        state.t[k] = read_checked(dir, &tag(&format!("t{k}")), &[slab])?;
-        state.s[k] = read_checked(dir, &tag(&format!("s{k}")), &[slab])?;
-        state.u[k] = read_checked(dir, &tag(&format!("u{k}")), &[slab])?;
-        state.v[k] = read_checked(dir, &tag(&format!("v{k}")), &[slab])?;
-    }
+    let (nlev, slab) = (state.nlev, state.eta.len());
+    let read = |name| {
+        let dims = ocn_dims(name, nlev, slab);
+        read_checked(dir, &format!("ocn_r{rank}_{name}"), &dims)
+    };
+    state.eta = read("eta")?;
+    state.ubar = read("ubar")?;
+    state.vbar = read("vbar")?;
+    state.t = read("t")?;
+    state.s = read("s")?;
+    state.u = read("u")?;
+    state.v = read("v")?;
     Ok(())
 }
 
-/// Reassemble a global `nlat × nlon` field (j-major) from the old
-/// decomposition's per-rank slabs of a checkpoint directory.
+/// Reassemble global `nlat × nlon` planes (j-major), one per level of
+/// field `name`, from the old decomposition's per-rank fields of a
+/// checkpoint directory.
 fn assemble_global(
     src: &Path,
     grid: &TripolarGrid,
     old_decomp: &BlockDecomp2d,
     name: &str,
 ) -> Result<Vec<f64>, IoError> {
-    let mut global = vec![0.0f64; grid.nlon * grid.nlat];
+    let plane = grid.nlon * grid.nlat;
+    let mut global = Vec::new();
     for r in 0..old_decomp.nranks() {
         let b = old_decomp.block(r);
         let stride = b.ni() + 2;
         let slab = (b.nj() + 2) * stride;
-        let data = read_checked(src, &format!("ocn_r{r}_{name}"), &[slab])?;
-        for j in 0..b.nj() {
-            for i in 0..b.ni() {
-                global[(b.j0 + j) * grid.nlon + (b.i0 + i)] = data[(j + 1) * stride + (i + 1)];
+        let dims = ocn_dims(name, grid.nlev, slab);
+        let data = read_checked(src, &format!("ocn_r{r}_{name}"), &dims)?;
+        global.resize(data.len() / slab * plane, 0.0);
+        for (level, global) in data.chunks_exact(slab).zip(global.chunks_exact_mut(plane)) {
+            for j in 0..b.nj() {
+                for i in 0..b.ni() {
+                    global[(b.j0 + j) * grid.nlon + (b.i0 + i)] = level[(j + 1) * stride + (i + 1)];
+                }
             }
         }
     }
@@ -191,53 +213,35 @@ pub fn redistribute_ocn_restart(
         }
     }
 
-    // Field names: barotropic slabs plus per-level baroclinic slabs.
-    let mut names = vec!["eta".to_string(), "ubar".to_string(), "vbar".to_string()];
-    for k in 0..grid.nlev {
-        for f in ["t", "s", "u", "v"] {
-            names.push(format!("{f}{k}"));
-        }
-    }
-
     // Assemble each field once, then write every new rank's re-sliced
-    // slab. The base state supplies ghost rows outside the global domain
+    // field. The base state supplies ghost rows outside the global domain
     // (solid walls a halo exchange never writes).
+    let plane = grid.nlon * grid.nlat;
     let bases: Vec<OcnState> = (0..new_decomp.nranks())
         .map(|r| OcnState::new(grid, new_decomp, r))
         .collect();
-    for name in &names {
+    for (f, (name, _)) in ocn_fields(&bases[0]).into_iter().enumerate() {
         let global = assemble_global(src, grid, old_decomp, name)?;
         for (r, base) in bases.iter().enumerate() {
-            let b = base.block;
-            let stride = base.stride;
-            let mut slab = match name.as_str() {
-                "eta" => base.eta.clone(),
-                "ubar" => base.ubar.clone(),
-                "vbar" => base.vbar.clone(),
-                _ => {
-                    let (f, k) = name.split_at(1);
-                    let k: usize = k.parse().expect("level suffix");
-                    match f {
-                        "t" => base.t[k].clone(),
-                        "s" => base.s[k].clone(),
-                        "u" => base.u[k].clone(),
-                        _ => base.v[k].clone(),
+            let (b, stride, slab) = (base.block, base.stride, base.eta.len());
+            let mut field = ocn_fields(base)[f].1.to_vec();
+            for (level, global) in field.chunks_exact_mut(slab).zip(global.chunks_exact(plane)) {
+                for jj in 0..base.nj + 2 {
+                    let outside =
+                        (jj == 0 && b.j0 == 0) || (jj == base.nj + 1 && b.j1 == grid.nlat);
+                    if outside {
+                        continue;
+                    }
+                    let gj = (b.j0 + jj).saturating_sub(1).min(grid.nlat - 1);
+                    for ii in 0..base.ni + 2 {
+                        let gi = (b.i0 + grid.nlon + ii - 1) % grid.nlon;
+                        level[jj * stride + ii] = global[gj * grid.nlon + gi];
                     }
                 }
-            };
-            for jj in 0..base.nj + 2 {
-                let outside = (jj == 0 && b.j0 == 0) || (jj == base.nj + 1 && b.j1 == grid.nlat);
-                if outside {
-                    continue;
-                }
-                let gj = (b.j0 + jj).saturating_sub(1).min(grid.nlat - 1);
-                for ii in 0..base.ni + 2 {
-                    let gi = (b.i0 + grid.nlon + ii - 1) % grid.nlon;
-                    slab[jj * stride + ii] = global[gj * grid.nlon + gi];
-                }
             }
-            SubfileWriter::new(dst, &format!("ocn_r{r}_{name}"), &[slab.len()], RESTART_SUBFILES)
-                .write_all(&slab)?;
+            let dims = ocn_dims(name, grid.nlev, slab);
+            SubfileWriter::new(dst, &format!("ocn_r{r}_{name}"), &dims, RESTART_SUBFILES)
+                .write_all(&field)?;
         }
     }
     Ok(())
@@ -325,14 +329,10 @@ mod tests {
             for _ in 0..3 {
                 resumed.step(rank, &forcing);
             }
-            for (x, y) in reference.state.eta.iter().zip(&resumed.state.eta) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for k in 0..4 {
-                for (x, y) in reference.state.t[k].iter().zip(&resumed.state.t[k]) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
+            let bits = |st: &OcnState| {
+                ocn_fields(st).map(|(_, f)| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(&reference.state), bits(&resumed.state));
         });
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -398,6 +398,25 @@ mod tests {
     }
 
     #[test]
+    fn ocean_level_count_mismatch_is_rejected() {
+        // Same slab, more levels in the checkpoint: eta matches but t's dims
+        // do not — the per-field check must catch it.
+        let state = |nlev| {
+            let grid = TripolarGrid::new(24, 16, nlev, MaskGenerator::default());
+            OcnState::new(&grid, &BlockDecomp2d::new(24, 16, 1, 1), 0)
+        };
+        let dir = tmpdir("ocnlevmismatch");
+        write_ocn_restart(&dir, &state(5), 0).unwrap();
+        match read_ocn_restart(&dir, &mut state(3), 0) {
+            Err(IoError::Inconsistent(msg)) => {
+                assert!(msg.contains("ocn_r0_t"), "wrong field blamed: {msg}")
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn redistribution_preserves_global_fields_bitwise() {
         // 4 ocean ranks (2×2) shrink to 3 (3×1): every interior cell must
         // land bit-exact, ghosts must follow the periodic halo mapping,
@@ -418,10 +437,11 @@ mod tests {
                     st.ubar[idx] = gfun(gi, gj, 1);
                     st.vbar[idx] = gfun(gi, gj, 2);
                     for k in 0..grid.nlev {
-                        st.t[k][idx] = gfun(gi, gj, 3 + 4 * k);
-                        st.s[k][idx] = gfun(gi, gj, 4 + 4 * k);
-                        st.u[k][idx] = gfun(gi, gj, 5 + 4 * k);
-                        st.v[k][idx] = gfun(gi, gj, 6 + 4 * k);
+                        let at = k * st.eta.len() + idx;
+                        st.t[at] = gfun(gi, gj, 3 + 4 * k);
+                        st.s[at] = gfun(gi, gj, 4 + 4 * k);
+                        st.u[at] = gfun(gi, gj, 5 + 4 * k);
+                        st.v[at] = gfun(gi, gj, 6 + 4 * k);
                     }
                 }
             }
@@ -444,8 +464,9 @@ mod tests {
                     assert_eq!(st.eta[idx].to_bits(), gfun(gi, gj, 0).to_bits());
                     assert_eq!(st.vbar[idx].to_bits(), gfun(gi, gj, 2).to_bits());
                     for k in 0..grid.nlev {
-                        assert_eq!(st.t[k][idx].to_bits(), gfun(gi, gj, 3 + 4 * k).to_bits());
-                        assert_eq!(st.v[k][idx].to_bits(), gfun(gi, gj, 6 + 4 * k).to_bits());
+                        let at = k * st.eta.len() + idx;
+                        assert_eq!(st.t[at].to_bits(), gfun(gi, gj, 3 + 4 * k).to_bits());
+                        assert_eq!(st.v[at].to_bits(), gfun(gi, gj, 6 + 4 * k).to_bits());
                     }
                 }
             }
@@ -459,6 +480,25 @@ mod tests {
                     "ghost fill must match the halo-exchange mapping"
                 );
             }
+        }
+        // Both writers leave seven fields per ocean rank, whatever `nlev`.
+        for (dir, decomp) in [(&src, &old), (&dst, &new)] {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|f| f.starts_with("ocn_r"))
+                .map(|f| f.split('.').next().unwrap().to_owned())
+                .collect();
+            assert_eq!(names.len(), decomp.nranks() * 7 * RESTART_SUBFILES);
+            names.sort();
+            names.dedup();
+            let mut want: Vec<String> = (0..decomp.nranks())
+                .flat_map(|r| {
+                    ["eta", "ubar", "vbar", "t", "s", "u", "v"].map(|f| format!("ocn_r{r}_{f}"))
+                })
+                .collect();
+            want.sort();
+            assert_eq!(names, want);
         }
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();

@@ -12,7 +12,7 @@
 //! 48   8   start element (inclusive, into the flattened global field)
 //! 56   8   element count in this sub-file
 //! 64   4   CRC-32 of the payload bytes
-//! 68   4   CRC-32 of header bytes 0..68 (0 = legacy, unchecked)
+//! 68   4   CRC-32 of header bytes 0..68
 //! 72   …   payload: count × f64 little-endian
 //! ```
 //!
@@ -67,9 +67,9 @@ impl FieldHeader {
         b.freeze()
     }
 
-    /// Parse from the first [`HEADER_LEN`] bytes of a file. A non-zero
-    /// trailing word must match the CRC-32 of the first 68 bytes; zero is
-    /// accepted for sub-files written before the checksum existed.
+    /// Parse from the first [`HEADER_LEN`] bytes of a file. The trailing
+    /// word must match the CRC-32 of the first 68 bytes: every writer
+    /// stamps it, so a zeroed word is a torn header, not an old file.
     pub fn decode(buf: &[u8]) -> Result<Self, IoError> {
         if buf.len() < HEADER_LEN {
             return Err(IoError::Inconsistent("truncated header".into()));
@@ -86,14 +86,12 @@ impl FieldHeader {
         }
         let stored_header_crc =
             u32::from_le_bytes(buf[HEADER_LEN - 4..HEADER_LEN].try_into().expect("4 bytes"));
-        if stored_header_crc != 0 {
-            let actual = crc32(&buf[..HEADER_LEN - 4]);
-            if actual != stored_header_crc {
-                return Err(IoError::CrcMismatch {
-                    expected: stored_header_crc,
-                    actual,
-                });
-            }
+        let actual = crc32(&buf[..HEADER_LEN - 4]);
+        if actual != stored_header_crc {
+            return Err(IoError::CrcMismatch {
+                expected: stored_header_crc,
+                actual,
+            });
         }
         let mut buf = head;
         let ndims = buf.get_u32_le();
@@ -222,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_zero_header_crc_is_accepted() {
+    fn zeroed_header_crc_is_rejected() {
         let h = FieldHeader {
             dims: [4, 1, 1],
             ndims: 1,
@@ -233,8 +231,11 @@ mod tests {
             crc: 7,
         };
         let mut bytes = h.encode().to_vec();
-        bytes[HEADER_LEN - 4..].fill(0); // pre-checksum writer
-        assert_eq!(FieldHeader::decode(&bytes).unwrap(), h);
+        bytes[HEADER_LEN - 4..].fill(0); // a torn header
+        assert!(matches!(
+            FieldHeader::decode(&bytes),
+            Err(IoError::CrcMismatch { expected: 0, .. })
+        ));
     }
 
     #[test]

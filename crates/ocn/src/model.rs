@@ -242,9 +242,16 @@ impl OcnModel {
             link.peer += config.rank_offset;
         }
         let halo2d = HaloExchange::new(spec.clone(), 100);
+        // The 3-D refresh: each 2-D link's cells at every level's offset.
+        let slab = state.eta.len();
+        for link in spec.sends.iter_mut().chain(spec.recvs.iter_mut()) {
+            link.indices = (0..state.nlev)
+                .flat_map(|k| link.indices.iter().map(move |&idx| k * slab + idx))
+                .collect();
+        }
         let halo3d = HaloExchange::new(spec, 200);
         let active = state.active_columns();
-        let ws = OcnWorkspace::new(state.eta.len(), state.nlev, state.nj, state.ni * state.nj);
+        let ws = OcnWorkspace::new(slab, state.nlev, state.nj, state.ni * state.nj);
         OcnModel {
             config,
             state,
@@ -485,6 +492,7 @@ impl OcnModel {
             ..
         } = &mut self.state;
         let (nlev, stride, inv_dy) = (*nlev, *stride, 1.0 / *dy);
+        let slab = eta.len();
         let (eta, kmt, fcor, dz) = (&eta[..], &kmt[..], &fcor[..], &dz[..]);
         let at = |i: usize, j: usize| (j + 1) * stride + (i + 1);
         let columns = ColumnLoop {
@@ -513,7 +521,7 @@ impl OcnModel {
                 for (idx, column) in cells.zip(press.chunks_exact_mut(nlev)) {
                     let mut acc = G * eta[idx];
                     for (k, p) in column.iter_mut().enumerate() {
-                        let rho = density(t[k][idx], s[k][idx]);
+                        let rho = density(t[k * slab + idx], s[k * slab + idx]);
                         acc += G * (rho - RHO0) / RHO0 * dz[k];
                         *p = acc;
                     }
@@ -553,6 +561,7 @@ impl OcnModel {
                     let RowFactors { inv_dx, rot, .. } = row_factors[j];
                     let a = dt * fcor[j];
                     for (k, x_k) in x.iter_mut().enumerate() {
+                        let [u, v, t, s] = [u, v, t, s].map(|f| &f[k * slab..][..slab]);
                         let ocean = |nb: usize| (k as u16) < kmt[nb];
                         // Pressure gradient (masked one-sided fallbacks).
                         let p = |nb: usize| press[nb * nlev + k];
@@ -574,7 +583,7 @@ impl OcnModel {
                         } else {
                             0.0
                         };
-                        let (uo, vo) = (u[k][idx], v[k][idx]);
+                        let (uo, vo) = (u[idx], v[idx]);
                         let du = dt * (-dpdx - r_drag * uo);
                         let dv = dt * (-dpdy - r_drag * vo);
                         let (u1, v1) = (uo + du, vo + dv);
@@ -598,8 +607,8 @@ impl OcnModel {
                             -(fx + fy)
                         };
                         *x_k = [
-                            t[k][idx] + dt * adv(&t[k]),
-                            s[k][idx] + dt * adv(&s[k]),
+                            t[idx] + dt * adv(t),
+                            s[idx] + dt * adv(s),
                             (u1 + a * v1) * rot,
                             (v1 - a * u1) * rot,
                         ];
@@ -637,8 +646,8 @@ impl OcnModel {
                 [&mut t[..], &mut s[..], &mut u[..], &mut v[..]],
                 |levels, [t, s, u, v]| {
                     for (l, k) in levels.enumerate() {
-                        let (t, s, u, v) =
-                            (&mut t[l][..], &mut s[l][..], &mut u[l][..], &mut v[l][..]);
+                        let [t, s, u, v] = [&mut *t, &mut *s, &mut *u, &mut *v]
+                            .map(|f| &mut f[l * slab..][..slab]);
                         columns.for_each(0..ncols, |c, i, j| {
                             let idx = at(i, j);
                             if (k as u16) < kmt[idx] {
@@ -652,13 +661,9 @@ impl OcnModel {
         self.columns_visited = ncols;
 
         // --- Refresh 3-D halos for the next step: one packed message per
-        //     neighbor per level (u, v, T, S together). ---
-        for k in 0..nlev {
-            self.halo3d.exchange_many(
-                rank,
-                &mut [&mut u[k][..], &mut v[k][..], &mut t[k][..], &mut s[k][..]],
-            )?;
-        }
+        //     neighbor (u, v, T, S, every level). ---
+        self.halo3d
+            .exchange_many(rank, &mut [&mut u[..], &mut v[..], &mut t[..], &mut s[..]])?;
         Ok(())
     }
 
@@ -719,7 +724,7 @@ mod tests {
             let mut out = Vec::new();
             for j in 0..st.nj {
                 for i in 0..st.ni {
-                    out.push(st.t[0][st.at(i, j)]);
+                    out.push(st.t[st.at(i, j)]);
                 }
             }
             out
@@ -740,7 +745,8 @@ mod tests {
             }
             let st = &model.state;
             assert!(st.eta.iter().all(|v| v.is_finite()));
-            assert!(st.t[0].iter().all(|v| v.is_finite() && *v > -5.0 && *v < 45.0));
+            let sst = &st.t[..st.eta.len()];
+            assert!(sst.iter().all(|v| v.is_finite() && *v > -5.0 && *v < 45.0));
             // Wind forcing must spin up currents.
             assert!(model.state.kinetic_energy() > 0.0);
             let max_speed = st
@@ -794,6 +800,21 @@ mod tests {
             "{}",
             messages[0]
         );
+    }
+
+    /// The 3-D refresh is one packed message per link, whatever `nlev`: a
+    /// 1×1 block's two self-links carry `2·n_barotropic` 2-D exchanges and
+    /// one 3-D exchange a step.
+    #[test]
+    fn one_three_d_halo_message_per_link_per_step() {
+        let g = grid(6);
+        let config = OcnConfig::for_grid(36, 24, 6, 1, 1);
+        let world = World::new(1);
+        world.run(|rank| {
+            OcnModel::new(&g, config.clone(), 0).step(rank, &OcnForcing::zeros(36, 24))
+        });
+        let exchanges = 2 * config.n_barotropic + 1;
+        assert_eq!(world.stats().total_messages(), 2 * exchanges as u64);
     }
 
     #[test]
@@ -880,12 +901,13 @@ mod tests {
             for _ in 0..15 {
                 model.step(rank, &forcing);
             }
+            let slab = model.state.eta.len();
             for k in 0..model.state.nlev {
                 for &(i, j) in &model.state.active_columns() {
-                    let idx = model.state.at(i, j);
+                    let idx = k * slab + model.state.at(i, j);
                     if model.state.is_ocean(i, j, k) {
-                        let t = model.state.t[k][idx];
-                        let s = model.state.s[k][idx];
+                        let t = model.state.t[idx];
+                        let s = model.state.s[idx];
                         assert!((-3.0..45.0).contains(&t), "T out of bounds: {t}");
                         assert!((30.0..40.0).contains(&s), "S out of bounds: {s}");
                     }

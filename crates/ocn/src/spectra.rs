@@ -47,8 +47,8 @@ pub fn eddy_mean_decomposition(state: &OcnState) -> EddyMeanKe {
         for i in 0..ni {
             let idx = state.at(i, j);
             if state.kmt[idx] > 0 {
-                su += state.u[0][idx] + state.ubar[idx];
-                sv += state.v[0][idx] + state.vbar[idx];
+                su += state.u[idx] + state.ubar[idx];
+                sv += state.v[idx] + state.vbar[idx];
                 count += 1.0;
             }
         }
@@ -60,8 +60,8 @@ pub fn eddy_mean_decomposition(state: &OcnState) -> EddyMeanKe {
         for i in 0..ni {
             let idx = state.at(i, j);
             if state.kmt[idx] > 0 {
-                let u = state.u[0][idx] + state.ubar[idx];
-                let v = state.v[0][idx] + state.vbar[idx];
+                let u = state.u[idx] + state.ubar[idx];
+                let v = state.v[idx] + state.vbar[idx];
                 mean_ke += 0.5 * (ub * ub + vb * vb) * w;
                 eddy_ke += 0.5 * ((u - ub) * (u - ub) + (v - vb) * (v - vb)) * w;
                 total_w += w;
@@ -122,8 +122,8 @@ pub fn surface_ke_spectrum(state: &OcnState, j0: usize, j1: usize) -> Vec<f64> {
         for i in 0..ni {
             let idx = state.at(i, j);
             if state.kmt[idx] > 0 {
-                let u = state.u[0][idx] + state.ubar[idx];
-                let v = state.v[0][idx] + state.vbar[idx];
+                let u = state.u[idx] + state.ubar[idx];
+                let v = state.v[idx] + state.vbar[idx];
                 mean += 0.5 * (u * u + v * v);
                 count += 1.0;
             }
@@ -135,8 +135,8 @@ pub fn surface_ke_spectrum(state: &OcnState, j0: usize, j1: usize) -> Vec<f64> {
         for i in 0..ni {
             let idx = state.at(i, j);
             if state.kmt[idx] > 0 {
-                let u = state.u[0][idx] + state.ubar[idx];
-                let v = state.v[0][idx] + state.vbar[idx];
+                let u = state.u[idx] + state.ubar[idx];
+                let v = state.v[idx] + state.vbar[idx];
                 row.push(0.5 * (u * u + v * v));
             } else {
                 row.push(mean);
@@ -181,7 +181,7 @@ mod tests {
         for j in 0..st.nj {
             for i in 0..st.ni {
                 let idx = st.at(i, j);
-                st.u[0][idx] = 0.5 + 0.01 * j as f64; // row-uniform
+                st.u[idx] = 0.5 + 0.01 * j as f64; // row-uniform
             }
         }
         let d = eddy_mean_decomposition(&st);
@@ -196,7 +196,7 @@ mod tests {
         for j in 0..st.nj {
             for i in 0..st.ni {
                 let idx = st.at(i, j);
-                st.u[0][idx] = (2.0 * PI * 5.0 * i as f64 / st.ni as f64).sin();
+                st.u[idx] = (2.0 * PI * 5.0 * i as f64 / st.ni as f64).sin();
             }
         }
         let d = eddy_mean_decomposition(&st);
@@ -243,7 +243,7 @@ mod tests {
         for j in 0..st.nj {
             for i in 0..st.ni {
                 let idx = st.at(i, j);
-                st.u[0][idx] = (2.0 * PI * 3.0 * i as f64 / st.ni as f64).sin() * 0.1;
+                st.u[idx] = (2.0 * PI * 3.0 * i as f64 / st.ni as f64).sin() * 0.1;
             }
         }
         let spec = surface_ke_spectrum(&st, 5, 20);

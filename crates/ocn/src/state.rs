@@ -7,7 +7,9 @@ use ap3esm_physics::constants::coriolis;
 
 /// Per-rank prognostic state. 2-D slabs are `(nj+2) × (ni+2)` row-major
 /// with a one-cell ghost rim; interior cell `(i, j)` lives at
-/// `(j+1)·stride + (i+1)`. 3-D fields are one slab per level.
+/// `idx = (j+1)·stride + (i+1)`. 3-D fields are level-major `nlev × slab`,
+/// level `k` of cell `idx` at `k·slab + idx` (the atmosphere's `k·n + i`),
+/// so the surface level is the first slab.
 #[derive(Debug, Clone)]
 pub struct OcnState {
     pub block: Block,
@@ -20,11 +22,11 @@ pub struct OcnState {
     /// Barotropic velocities (m/s).
     pub ubar: Vec<f64>,
     pub vbar: Vec<f64>,
-    /// Baroclinic velocity, temperature (°C), salinity (psu) per level.
-    pub u: Vec<Vec<f64>>,
-    pub v: Vec<Vec<f64>>,
-    pub t: Vec<Vec<f64>>,
-    pub s: Vec<Vec<f64>>,
+    /// Baroclinic velocity, temperature (°C), salinity (psu), level-major.
+    pub u: Vec<f64>,
+    pub v: Vec<f64>,
+    pub t: Vec<f64>,
+    pub s: Vec<f64>,
     /// Active levels per local column (with ghosts).
     pub kmt: Vec<u16>,
     /// Column depth (m, with ghosts).
@@ -84,26 +86,20 @@ impl OcnState {
             / (grid.nlat - 1).max(1) as f64;
         let fcor: Vec<f64> = (0..nj).map(|j| coriolis(grid.lat[block.j0 + j])).collect();
 
-        let mut t = Vec::with_capacity(grid.nlev);
-        let mut s = Vec::with_capacity(grid.nlev);
+        let mut t = Vec::with_capacity(grid.nlev * slab);
+        let mut s = Vec::with_capacity(grid.nlev * slab);
         let mut depth_mid = 0.0;
         for &dzk in dz.iter().take(grid.nlev) {
             depth_mid += 0.5 * dzk;
-            let mut tk = vec![0.0; slab];
-            let mut sk = vec![35.0; slab];
             for jj in 0..nj + 2 {
                 let gj = (block.j0 + jj).saturating_sub(1).min(grid.nlat - 1);
                 let phi = grid.lat[gj];
                 let t_surf = 2.0 + 26.0 * phi.cos().powi(2);
                 let tv = 2.0 + (t_surf - 2.0) * (-depth_mid / 1000.0).exp();
                 let sv = 35.0 - 0.5 * phi.cos() * (-depth_mid / 500.0).exp();
-                for ii in 0..ni + 2 {
-                    tk[jj * stride + ii] = tv;
-                    sk[jj * stride + ii] = sv;
-                }
+                t.resize(t.len() + stride, tv);
+                s.resize(s.len() + stride, sv);
             }
-            t.push(tk);
-            s.push(sk);
             depth_mid += 0.5 * dzk;
         }
 
@@ -116,8 +112,8 @@ impl OcnState {
             eta: vec![0.0; slab],
             ubar: vec![0.0; slab],
             vbar: vec![0.0; slab],
-            u: vec![vec![0.0; slab]; grid.nlev],
-            v: vec![vec![0.0; slab]; grid.nlev],
+            u: vec![0.0; grid.nlev * slab],
+            v: vec![0.0; grid.nlev * slab],
             t,
             s,
             kmt,
@@ -158,13 +154,14 @@ impl OcnState {
 
     /// Local kinetic energy ∫ ½(u²+v²) dV over interior ocean points.
     pub fn kinetic_energy(&self) -> f64 {
+        let slab = self.eta.len();
         let mut ke = 0.0;
         for j in 0..self.nj {
             for i in 0..self.ni {
                 let idx = self.at(i, j);
                 let kmax = self.kmt[idx] as usize;
                 for k in 0..kmax {
-                    let (u, v) = (self.u[k][idx], self.v[k][idx]);
+                    let (u, v) = (self.u[k * slab + idx], self.v[k * slab + idx]);
                     ke += 0.5 * (u * u + v * v) * self.dx[j] * self.dy * self.dz[k];
                 }
             }
@@ -180,7 +177,7 @@ impl OcnState {
             for i in 0..self.ni {
                 let idx = self.at(i, j);
                 if self.kmt[idx] > 0 {
-                    sum += self.t[0][idx];
+                    sum += self.t[idx];
                     count += 1;
                 }
             }
@@ -196,8 +193,8 @@ impl OcnState {
             for i in 0..self.ni {
                 let idx = self.at(i, j);
                 if self.kmt[idx] > 0 {
-                    let u = self.u[0][idx] + self.ubar[idx];
-                    let v = self.v[0][idx] + self.vbar[idx];
+                    let u = self.u[idx] + self.ubar[idx];
+                    let v = self.v[idx] + self.vbar[idx];
                     out[j * self.ni + i] = (u * u + v * v).sqrt();
                 }
             }
@@ -229,11 +226,13 @@ mod tests {
         let mean = sum / count as f64;
         assert!(mean > 5.0 && mean < 28.0, "mean SST {mean}");
         // Deep water colder than surface everywhere ocean-deep enough.
+        let slab = st.eta.len();
+        assert_eq!(st.t.len(), st.nlev * slab);
         for (i, j) in st.active_columns() {
             let idx = st.at(i, j);
             let kmax = st.kmt[idx] as usize;
             if kmax >= 4 {
-                assert!(st.t[kmax - 1][idx] < st.t[0][idx] + 1e-9);
+                assert!(st.t[(kmax - 1) * slab + idx] < st.t[idx] + 1e-9);
             }
         }
     }

@@ -26,8 +26,9 @@ type MakeSpace<'a> = Option<&'a (dyn Fn() -> Arc<dyn ExecSpace> + Sync)>;
 type LevelSums = [&'static [f64]; 7];
 
 fn level_sums(st: &OcnState) -> [(&'static str, Vec<f64>); 7] {
-    let sum_sq = |level: &Vec<f64>| level.iter().fold(0.0, |acc, x| acc + x * x);
-    let levels = |field: &Vec<Vec<f64>>| field.iter().map(sum_sq).collect();
+    let slab = st.eta.len();
+    let sum_sq = |level: &[f64]| level.iter().fold(0.0, |acc, x| acc + x * x);
+    let levels = |field: &[f64]| field.chunks_exact(slab).map(sum_sq).collect();
     [
         ("eta", vec![sum_sq(&st.eta)]),
         ("ubar", vec![sum_sq(&st.ubar)]),
@@ -53,7 +54,7 @@ fn state_golden(st: &OcnState, parent: Option<&LevelSums>) -> Golden {
     }
     golden.pin(&st.eta).pin(&st.ubar).pin(&st.vbar);
     for field in [&st.u, &st.v, &st.t, &st.s] {
-        for level in field {
+        for level in field.chunks_exact(st.eta.len()) {
             golden.pin(level);
         }
     }

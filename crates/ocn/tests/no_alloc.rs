@@ -39,12 +39,13 @@ static GLOBAL: Counting = Counting;
 /// process-wide.
 #[test]
 fn steady_state_step_allocates_only_halo_payloads() {
-    // 60 self-halo messages a step (10 substeps × (η + packed ū,v̄) + 10
-    // levels, two links each), a payload and its envelope each; before the
-    // workspace this read 46 551.
-    assert_eq!(step_allocs(None), [120, 120], "one lane");
+    // 42 self-halo messages a step (10 substeps × (η + packed ū,v̄) + one
+    // packed 3-D refresh, two links each), a payload and its envelope each;
+    // 120 while the refresh sent one message per level, 46 551 before the
+    // workspace.
+    assert_eq!(step_allocs(None), [84, 84], "one lane");
     let team: Arc<dyn ExecSpace> = Arc::new(Threads::new(2));
-    assert_eq!(step_allocs(Some(team)), [120, 120], "two lanes");
+    assert_eq!(step_allocs(Some(team)), [84, 84], "two lanes");
 }
 
 /// Allocations, on any thread, of two steps after a warm-up step.
