@@ -7,7 +7,8 @@
 //! p50/p95 latency, throughput and the shed rate, and with `--report-name`
 //! writes the run directory `target/obs/<name>/`: the run report, with
 //! `--trace` a chrome trace of the serve batches and the ticket journal, with
-//! telemetry the alerts and the series store.
+//! telemetry the alerts and the series store. The `serving:` line names the
+//! compilation of the conv kernel this CPU runs (`kernel avx512 (4 × 32)`).
 //!
 //! With `--slo` the main loop, which paces the run, samples the registry
 //! (plus the `serve.shed_rate` it computes) into a time-series store every
@@ -33,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ap3esm::ai::layers::Isa;
 use ap3esm::ai::modules::ColumnState;
 use ap3esm::obs::{AlertEngine, Obs, Sampler, SeriesStore};
 use ap3esm::serve::registry::warm_modules;
@@ -180,12 +182,13 @@ fn main() {
     let registry = Arc::new(ModelRegistry::warm(nlev, 32, 20230721, "warm-v1"));
     let svc = Service::start(cfg, registry, Arc::clone(&obs));
     println!(
-        "serving: {} clients, {:.0} rps target, {:.1}s, model v{} ({})",
+        "serving: {} clients, {:.0} rps target, {:.1}s, model v{} ({}), kernel {}",
         cli.clients,
         cli.rps,
         cli.duration,
         svc.registry().version(),
         svc.registry().current().tag,
+        Isa::detect(),
     );
 
     let stop = Arc::new(AtomicBool::new(false));
