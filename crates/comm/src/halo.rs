@@ -5,6 +5,8 @@
 //! rebuilt topology after non-ocean point removal, §5.2.2). [`HaloExchange`]
 //! captures the pattern once — per-neighbor send index lists and receive
 //! slots — and then executes it with non-blocking point-to-point messages.
+//! A link whose peer is the rank itself (a periodic edge of a one-rank
+//! strip) is a copy in place, with no message.
 //!
 //! Each link carries a `channel` so that multiple links between the same
 //! pair of ranks (e.g. east and west edges on a 2-rank periodic strip, or a
@@ -29,6 +31,9 @@ pub struct HaloLink {
 /// Static description of one rank's halo pattern.
 #[derive(Debug, Clone, Default)]
 pub struct HaloSpec {
+    /// The rank this pattern belongs to: a link whose peer is `rank` is a
+    /// self-link.
+    pub rank: usize,
     pub sends: Vec<HaloLink>,
     pub recvs: Vec<HaloLink>,
 }
@@ -49,6 +54,8 @@ impl HaloSpec {
 pub struct HaloExchange {
     spec: HaloSpec,
     tag: u64,
+    /// `(send, recv)` positions in the spec of each self-link pair.
+    self_links: Vec<(usize, usize)>,
 }
 
 /// Channels are folded into the wire tag below this stride; specs may use
@@ -56,11 +63,63 @@ pub struct HaloExchange {
 const CHANNEL_STRIDE: u64 = 64;
 
 impl HaloExchange {
+    /// Panics on a spec the exchange cannot carry out as written: a channel
+    /// out of range; a self receive without exactly one self send on its
+    /// channel, or the other way round; a self send of another length than
+    /// its receive; a receive slot listed twice; a send cell that is also a
+    /// receive slot. The last two make a self-link's copy, which runs before
+    /// the peers' receives, fill the same ghosts as a message would.
     pub fn new(spec: HaloSpec, tag: u64) -> Self {
         for l in spec.sends.iter().chain(&spec.recvs) {
             assert!(l.channel < CHANNEL_STRIDE, "halo channel out of range");
         }
-        HaloExchange { spec, tag }
+        let me = spec.rank;
+        let on = |links: &[HaloLink], channel: u64| -> Vec<usize> {
+            (0..links.len())
+                .filter(|&p| links[p].peer == me && links[p].channel == channel)
+                .collect()
+        };
+        let mut self_links = Vec::new();
+        for (r, recv) in spec.recvs.iter().enumerate().filter(|(_, l)| l.peer == me) {
+            let (sends, recvs) = (on(&spec.sends, recv.channel), on(&spec.recvs, recv.channel));
+            assert!(
+                sends.len() == 1 && recvs.len() == 1,
+                "rank {me}: self-link on channel {} has {} send(s) and {} receive(s), not one each",
+                recv.channel,
+                sends.len(),
+                recvs.len(),
+            );
+            let send = &spec.sends[sends[0]];
+            assert_eq!(
+                send.indices.len(),
+                recv.indices.len(),
+                "rank {me}: self send on channel {} carries another length than its receive",
+                recv.channel,
+            );
+            self_links.push((sends[0], r));
+        }
+        for send in spec.sends.iter().filter(|l| l.peer == me) {
+            assert!(
+                !on(&spec.recvs, send.channel).is_empty(),
+                "rank {me}: self send on channel {} has no self receive",
+                send.channel,
+            );
+        }
+        let mut slots: Vec<usize> = spec.recvs.iter().flat_map(|l| l.indices.clone()).collect();
+        slots.sort_unstable();
+        if let Some(w) = slots.windows(2).find(|w| w[0] == w[1]) {
+            panic!("rank {me}: halo receive slot {} is listed twice", w[0]);
+        }
+        for send in &spec.sends {
+            if let Some(cell) = send.indices.iter().find(|i| slots.binary_search(i).is_ok()) {
+                panic!("rank {me}: halo send cell {cell} is also a receive slot");
+            }
+        }
+        HaloExchange {
+            spec,
+            tag,
+            self_links,
+        }
     }
 
     pub fn spec(&self) -> &HaloSpec {
@@ -78,18 +137,26 @@ impl HaloExchange {
     }
 
     /// Exchange ghosts for several fields at once, packed into one message
-    /// per link — fewer, larger messages, as the real model does for
-    /// multi-variable state. Gathers every send, posts them all, then
-    /// receives and scatters into the ghost slots: the paper's "non-blocking
+    /// per peer link — fewer, larger messages, as the real model does for
+    /// multi-variable state. Gathers every peer send and posts it, copies
+    /// each self-link's cells into its ghost slots, then receives and
+    /// scatters the peers' messages: the paper's "non-blocking
     /// point-to-point … overlaps communication and computation" pattern
-    /// (§5.2.4). Returns the number of values received.
+    /// (§5.2.4). The ghosts get the values a message would carry, because no
+    /// send cell is a receive slot and no slot is filled twice
+    /// ([`HaloExchange::new`]). Returns the number of values received,
+    /// self-links included.
+    ///
+    /// Panics if `rank` is not the rank the spec was built for.
     pub fn exchange_many(
         &self,
         rank: &Rank,
         fields: &mut [&mut [f64]],
     ) -> Result<usize, CommError> {
+        let me = self.spec.rank;
+        assert_eq!(rank.id(), me, "a halo spec of rank {me} exchanged on rank {}", rank.id());
         let nf = fields.len();
-        for link in &self.spec.sends {
+        for link in self.spec.sends.iter().filter(|l| l.peer != me) {
             let mut buf = Vec::with_capacity(link.indices.len() * nf);
             for f in fields.iter() {
                 buf.extend(link.indices.iter().map(|&i| f[i]));
@@ -97,7 +164,16 @@ impl HaloExchange {
             rank.isend(link.peer, self.wire_tag(link.channel), buf);
         }
         let mut received = 0;
-        for link in &self.spec.recvs {
+        for &(s, r) in &self.self_links {
+            let (cells, slots) = (&self.spec.sends[s].indices, &self.spec.recvs[r].indices);
+            for f in fields.iter_mut() {
+                for (&cell, &slot) in cells.iter().zip(slots) {
+                    f[slot] = f[cell];
+                }
+            }
+            received += slots.len() * nf;
+        }
+        for link in self.spec.recvs.iter().filter(|l| l.peer != me) {
             let buf: Vec<f64> = rank.recv(link.peer, self.wire_tag(link.channel))?;
             assert_eq!(
                 buf.len(),
@@ -129,6 +205,7 @@ pub fn ring_spec(rank_id: usize, nranks: usize, local: usize) -> HaloSpec {
     let first = 1;
     let last = local; // index of last interior cell
     HaloSpec {
+        rank: rank_id,
         sends: vec![
             HaloLink {
                 peer: left,
@@ -253,10 +330,154 @@ mod tests {
         });
     }
 
+    /// Rank `r`'s pattern on a `1 × nranks` mesh of `ni × nj` blocks with
+    /// one-cell rims, zonally periodic (as `grid::decomp` builds it): the
+    /// east-west links are self-links, the north-south ones go to peers.
+    fn strip_spec(r: usize, nranks: usize, ni: usize, nj: usize) -> HaloSpec {
+        let stride = ni + 2;
+        let at = |i: usize, jj: usize| jj * stride + i + 1;
+        let link = |peer, channel, indices| HaloLink {
+            peer,
+            channel,
+            indices,
+        };
+        let mut spec = HaloSpec {
+            rank: r,
+            sends: vec![
+                link(r, 0, (1..=nj).map(|jj| at(0, jj)).collect()),
+                link(r, 1, (1..=nj).map(|jj| at(ni - 1, jj)).collect()),
+            ],
+            recvs: vec![
+                link(r, 1, (1..=nj).map(|jj| jj * stride).collect()),
+                link(r, 0, (1..=nj).map(|jj| jj * stride + ni + 1).collect()),
+            ],
+        };
+        if r > 0 {
+            spec.sends.push(link(r - 1, 2, (0..ni).map(|i| at(i, 1)).collect()));
+            spec.recvs.push(link(r - 1, 3, (0..ni).map(|i| at(i, 0)).collect()));
+        }
+        if r + 1 < nranks {
+            spec.sends.push(link(r + 1, 3, (0..ni).map(|i| at(i, nj)).collect()));
+            spec.recvs.push(link(r + 1, 2, (0..ni).map(|i| at(i, nj + 1)).collect()));
+        }
+        spec
+    }
+
+    /// Every link as a message, self-links included: the exchange as it
+    /// was before self-links became copies.
+    fn exchange_by_messages(spec: &HaloSpec, tag: u64, rank: &Rank, fields: &mut [&mut [f64]]) {
+        let wire = |channel| tag * CHANNEL_STRIDE + channel;
+        for link in &spec.sends {
+            let buf: Vec<f64> = fields
+                .iter()
+                .flat_map(|f| link.indices.iter().map(|&i| f[i]))
+                .collect();
+            rank.isend(link.peer, wire(link.channel), buf);
+        }
+        for link in &spec.recvs {
+            let buf: Vec<f64> = rank.recv(link.peer, wire(link.channel)).unwrap();
+            for (f, values) in fields.iter_mut().zip(buf.chunks(link.indices.len())) {
+                for (&slot, &value) in link.indices.iter().zip(values) {
+                    f[slot] = value;
+                }
+            }
+        }
+    }
+
+    /// A spec mixing self and peer links (`px = 1, py = 2` on two ranks):
+    /// the copies fill the ghosts the messages did, bit for bit, and only
+    /// the peer links send.
+    #[test]
+    fn self_links_copy_what_messages_carried() {
+        let (ni, nj, nranks, exchanges) = (5, 3, 2, 3);
+        let fields = |r: usize| -> [Vec<f64>; 2] {
+            let len = (ni + 2) * (nj + 2);
+            [0, 1].map(|f| (0..len).map(|i| (1000 * r + 100 * f + i) as f64 * 0.37).collect())
+        };
+        let run = |by_messages: bool| {
+            let world = World::new(nranks);
+            let out = world.run(|rank| {
+                let spec = strip_spec(rank.id(), nranks, ni, nj);
+                let ex = HaloExchange::new(spec.clone(), 40);
+                let [mut a, mut b] = fields(rank.id());
+                for _ in 0..exchanges {
+                    if by_messages {
+                        exchange_by_messages(&spec, 41, rank, &mut [&mut a, &mut b]);
+                    } else {
+                        let n = ex.exchange_many(rank, &mut [&mut a, &mut b]).unwrap();
+                        assert_eq!(n, 2 * spec.recv_count());
+                    }
+                }
+                [a, b].map(|f| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            });
+            (out, world.stats().total_messages())
+        };
+        let (copied, sent) = run(false);
+        let (messaged, all_sent) = run(true);
+        assert_eq!(copied, messaged);
+        // Each rank has one peer link and two self-links.
+        assert_eq!(sent, (nranks * exchanges) as u64);
+        assert_eq!(all_sent, (3 * nranks * exchanges) as u64);
+        assert_ne!(copied[0][0], fields(0)[0].iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "self-link on channel 1 has 0 send(s) and 1 receive(s)")]
+    fn self_receive_without_self_send_rejected() {
+        let mut spec = strip_spec(0, 1, 4, 2);
+        spec.sends.remove(1);
+        let _ = HaloExchange::new(spec, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "self send on channel 0 has no self receive")]
+    fn self_send_without_self_receive_rejected() {
+        let mut spec = strip_spec(0, 1, 4, 2);
+        spec.recvs.remove(1);
+        let _ = HaloExchange::new(spec, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "self send on channel 0 carries another length")]
+    fn self_send_of_another_length_rejected() {
+        let mut spec = strip_spec(0, 1, 4, 2);
+        spec.sends[0].indices.pop();
+        let _ = HaloExchange::new(spec, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "halo send cell 0 is also a receive slot")]
+    fn send_cell_that_is_a_receive_slot_rejected() {
+        let mut spec = ring_spec(0, 1, 3);
+        spec.sends[1].indices = vec![0];
+        let _ = HaloExchange::new(spec, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "halo receive slot 4 is listed twice")]
+    fn receive_slot_listed_twice_rejected() {
+        let mut spec = ring_spec(0, 2, 3);
+        spec.recvs[0].indices = vec![4];
+        let _ = HaloExchange::new(spec, 0);
+    }
+
+    #[test]
+    fn a_spec_runs_on_its_own_rank_only() {
+        let messages = World::new(2).run(|rank| {
+            let ex = HaloExchange::new(ring_spec(1 - rank.id(), 2, 3), 0);
+            let exchange = std::panic::AssertUnwindSafe(|| ex.exchange(rank, &mut [0.0; 5]));
+            let panic = std::panic::catch_unwind(exchange).expect_err("exchanged on another rank");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        });
+        let expected = "a halo spec of rank 1 exchanged on rank 0";
+        assert!(messages[0].contains(expected), "{}", messages[0]);
+    }
+
     #[test]
     #[should_panic(expected = "halo channel out of range")]
     fn oversized_channel_rejected() {
         let spec = HaloSpec {
+            rank: 0,
             sends: vec![HaloLink {
                 peer: 0,
                 channel: 64,

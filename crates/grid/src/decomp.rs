@@ -167,7 +167,11 @@ impl BlockDecomp2d {
                 indices: (0..ni).map(|i| (nj + 1) * stride + i + 1).collect(),
             });
         }
-        HaloSpec { sends, recvs }
+        HaloSpec {
+            rank,
+            sends,
+            recvs,
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use ap3esm_comm::{CommError, HaloExchange, Rank};
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_physics::constants::CP_SEAWATER;
-use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Serial};
+use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Scatter, Serial};
 
 use crate::eos::density;
 use crate::mixing::{reciprocal_thickness, CanutoMixing, TridiagFactors};
@@ -28,7 +28,8 @@ pub struct OcnConfig {
     pub dt_baroclinic: f64,
     /// Barotropic substeps per baroclinic step (paper ratio 20 s : 2 s = 10).
     pub n_barotropic: usize,
-    /// §5.2.2 point exclusion on/off (the Fig. 5 ablation switch).
+    /// §5.2.2 point exclusion on/off (the Fig. 5 ablation switch), read
+    /// when the model is built.
     pub exclude_land: bool,
     /// Rayleigh drag on the barotropic mode (1/s).
     pub r_drag: f64,
@@ -105,23 +106,23 @@ impl OcnForcing {
 }
 
 /// Every buffer a step needs beyond the state itself, sized once in
-/// [`OcnModel::new`], so that a step allocates nothing but its halo
-/// message payloads. Contents are dead between steps.
+/// [`OcnModel::new`], so that a step allocates nothing but the payloads of
+/// halo messages to other ranks. Contents are dead between steps.
 struct OcnWorkspace {
     /// Barotropic targets, swapped with `state.{eta, ubar, vbar}` at the
     /// end of each half-substep.
     eta: Vec<f64>,
     ubar: Vec<f64>,
     vbar: Vec<f64>,
-    /// Baroclinic pressure / ρ0, column-major `slab × nlev`: the phase that
-    /// integrates it ranges over rows, and a range of rows is one contiguous
-    /// part of this layout only.
+    /// Baroclinic pressure / ρ0, column-major `slab × nlev`, each column's
+    /// `kmt` levels only: the phase that integrates it ranges over rows, and
+    /// a range of rows is one contiguous part of this layout only.
     press: Vec<f64>,
     /// The columns' new `(T, S, u, v)`, `nlev × 4` values per column of the
     /// loop policy's list, from the phase over columns that computes them
-    /// to the phase over levels that puts them into the state.
+    /// to the take-in that puts them into the state.
     stage: Vec<f64>,
-    /// One set per lane for the mixing column it is on.
+    /// One set per lane for the mixing columns it is on.
     lanes: PerLane<MixingScratch>,
     /// Per interior row, the reciprocal geometry and rotation of this step
     /// ([`RowFactors`]), so that no phase divides by them per point.
@@ -146,11 +147,14 @@ struct RowFactors {
     rot: f64,
 }
 
-/// What one mixing column needs beside its staged fields: interface
-/// diffusivities and the factored matrix.
+/// Columns a lane factors and solves in lock-step.
+const MIX_COLUMNS: usize = 4;
+
+/// What a group of [`MIX_COLUMNS`] mixing columns needs beside their staged
+/// fields: interface diffusivities (`kq[k][w]`) and the factored matrices.
 struct MixingScratch {
-    kq: Vec<f64>,
-    factors: TridiagFactors,
+    kq: Vec<[f64; MIX_COLUMNS]>,
+    factors: TridiagFactors<MIX_COLUMNS>,
 }
 
 impl OcnWorkspace {
@@ -174,47 +178,6 @@ fn interior(rows: &Range<usize>, nj: usize) -> Range<usize> {
     rows.start.max(1)..rows.end.min(nj + 1)
 }
 
-/// The loop policy over interior columns: the packed active list (§5.2.2
-/// point exclusion) or the dense box, land included. Either is a list with
-/// positions `0..len()`, which is what a phase over columns ranges over.
-#[derive(Clone, Copy)]
-struct ColumnLoop<'a> {
-    exclude_land: bool,
-    active: &'a [(usize, usize)],
-    ni: usize,
-    nj: usize,
-}
-
-impl ColumnLoop<'_> {
-    /// Columns a sweep visits (exclusion accounting for Fig. 5).
-    fn len(&self) -> usize {
-        if self.exclude_land {
-            self.active.len()
-        } else {
-            self.ni * self.nj
-        }
-    }
-
-    /// Call `f(c, i, j)` for the columns at positions `range` of the list.
-    /// The dense policy visits land too: its callers skip on `kmt`.
-    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(usize, usize, usize)) {
-        if self.exclude_land {
-            for (c, &(i, j)) in range.clone().zip(&self.active[range]) {
-                f(c, i, j);
-            }
-        } else if !range.is_empty() {
-            let (mut i, mut j) = (range.start % self.ni, range.start / self.ni);
-            for c in range {
-                f(c, i, j);
-                i += 1;
-                if i == self.ni {
-                    (i, j) = (0, j + 1);
-                }
-            }
-        }
-    }
-}
-
 /// The assembled per-rank ocean model.
 pub struct OcnModel {
     pub config: OcnConfig,
@@ -222,8 +185,10 @@ pub struct OcnModel {
     halo2d: HaloExchange,
     halo3d: HaloExchange,
     mixing: CanutoMixing,
-    /// Packed active-column list (used when `exclude_land`).
-    active: Vec<(usize, usize)>,
+    /// The §5.2.2 loop policy as a list of interior cells, which the phase
+    /// over columns ranges over: the packed active columns when
+    /// `exclude_land`, else every cell of the box, land included.
+    columns: Scatter,
     ws: OcnWorkspace,
     /// Where the phases of a step run.
     space: Arc<dyn ExecSpace>,
@@ -238,6 +203,7 @@ impl OcnModel {
         let decomp = BlockDecomp2d::new(config.nlon, config.nlat, config.px, config.py);
         let state = OcnState::new(grid, &decomp, rank_id);
         let mut spec = decomp.halo_spec(rank_id);
+        spec.rank += config.rank_offset;
         for link in spec.sends.iter_mut().chain(spec.recvs.iter_mut()) {
             link.peer += config.rank_offset;
         }
@@ -250,7 +216,12 @@ impl OcnModel {
                 .collect();
         }
         let halo3d = HaloExchange::new(spec, 200);
-        let active = state.active_columns();
+        let cells = (0..state.nj)
+            .flat_map(|j| (0..state.ni).map(move |i| (i, j)))
+            .map(|(i, j)| state.at(i, j))
+            .filter(|&idx| !config.exclude_land || state.kmt[idx] > 0)
+            .collect();
+        let columns = Scatter::new(cells, slab);
         let ws = OcnWorkspace::new(slab, state.nlev, state.nj, state.ni * state.nj);
         OcnModel {
             config,
@@ -258,7 +229,7 @@ impl OcnModel {
             halo2d,
             halo3d,
             mixing: CanutoMixing::default(),
-            active,
+            columns,
             ws,
             space: Arc::new(Serial),
             columns_visited: 0,
@@ -445,8 +416,8 @@ impl OcnModel {
     /// driver can roll back instead of aborting.
     ///
     /// Every loop over the block is a phase on the model's execution space
-    /// whose kernels write the outputs of their own rows, levels or columns
-    /// only; the halo exchanges between phases stay on the calling thread.
+    /// whose kernels write the outputs of their own rows or columns only;
+    /// the halo exchanges between phases stay on the calling thread.
     ///
     /// Panics if `forcing` was built for a block of another size.
     pub fn try_step(&mut self, rank: &Rank, forcing: &OcnForcing) -> Result<(), CommError> {
@@ -494,14 +465,8 @@ impl OcnModel {
         let (nlev, stride, inv_dy) = (*nlev, *stride, 1.0 / *dy);
         let slab = eta.len();
         let (eta, kmt, fcor, dz) = (&eta[..], &kmt[..], &fcor[..], &dz[..]);
-        let at = |i: usize, j: usize| (j + 1) * stride + (i + 1);
-        let columns = ColumnLoop {
-            exclude_land: self.config.exclude_land,
-            active: &self.active,
-            ni,
-            nj,
-        };
-        let ncols = columns.len();
+        let columns = &self.columns;
+        let (cells, ncols) = (columns.cells(), columns.len());
         let OcnWorkspace {
             press,
             stage,
@@ -513,14 +478,15 @@ impl OcnModel {
         } = &mut self.ws;
         let (row_factors, inv_dz, inv_dzi) = (&row_factors[..], &inv_dz[..], &inv_dzi[..]);
 
-        // --- Baroclinic pressure: p[k]/ρ0 = g·η + g·Σ (ρ'−ρ0)/ρ0·dz ---
+        // --- Baroclinic pressure: p[k]/ρ0 = g·η + g·Σ (ρ'−ρ0)/ρ0·dz, down
+        //     to each column's floor: a level below it is never read. ---
         {
             let (t, s) = (&t[..], &s[..]);
             for_chunks_mut(space, nj + 2, [&mut press[..]], |rows, [press]| {
                 let cells = rows.start * stride..rows.end * stride;
                 for (idx, column) in cells.zip(press.chunks_exact_mut(nlev)) {
                     let mut acc = G * eta[idx];
-                    for (k, p) in column.iter_mut().enumerate() {
+                    for (k, p) in column[..kmt[idx] as usize].iter_mut().enumerate() {
                         let rho = density(t[k * slab + idx], s[k * slab + idx]);
                         acc += G * (rho - RHO0) / RHO0 * dz[k];
                         *p = acc;
@@ -536,10 +502,11 @@ impl OcnModel {
         //     state, so neighbor reads see the start-of-step fields with no
         //     copy kept. A column spans every level's slab, which no range
         //     of columns owns: its new `(T, S, u, v)` go to its slot of the
-        //     staging area, are mixed there, and a phase over levels puts
-        //     them into the state. ---
+        //     staging area and are mixed there, `MIX_COLUMNS` wet columns of
+        //     the lane's range at a time, and the take-in below puts them
+        //     into the state. ---
         lanes.grow(space.concurrency(), || MixingScratch {
-            kq: vec![0.0; nlev.saturating_sub(1)],
+            kq: vec![[0.0; MIX_COLUMNS]; nlev.saturating_sub(1)],
             factors: TridiagFactors::with_capacity(nlev),
         });
         let lanes = &*lanes;
@@ -550,110 +517,119 @@ impl OcnModel {
                 let mut lane = lanes.take();
                 let MixingScratch { kq, factors } = &mut *lane;
                 let (stage, _) = stage.as_chunks_mut::<4>();
-                columns.for_each(cols.clone(), |c, i, j| {
-                    let idx = at(i, j);
-                    let kmax = kmt[idx] as usize;
-                    if kmax == 0 {
-                        return;
-                    }
-                    let x = &mut stage[nlev * (c - cols.start)..][..kmax];
-                    let (e, w, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
-                    let RowFactors { inv_dx, rot, .. } = row_factors[j];
-                    let a = dt * fcor[j];
-                    for (k, x_k) in x.iter_mut().enumerate() {
-                        let [u, v, t, s] = [u, v, t, s].map(|f| &f[k * slab..][..slab]);
-                        let ocean = |nb: usize| (k as u16) < kmt[nb];
-                        // Pressure gradient (masked one-sided fallbacks).
-                        let p = |nb: usize| press[nb * nlev + k];
-                        let dpdx = if ocean(e) && ocean(w) {
-                            (p(e) - p(w)) * (0.5 * inv_dx)
-                        } else if ocean(e) {
-                            (p(e) - p(idx)) * inv_dx
-                        } else if ocean(w) {
-                            (p(idx) - p(w)) * inv_dx
-                        } else {
-                            0.0
-                        };
-                        let dpdy = if ocean(n) && ocean(s_) {
-                            (p(n) - p(s_)) * (0.5 * inv_dy)
-                        } else if ocean(n) {
-                            (p(n) - p(idx)) * inv_dy
-                        } else if ocean(s_) {
-                            (p(idx) - p(s_)) * inv_dy
-                        } else {
-                            0.0
-                        };
-                        let (uo, vo) = (u[idx], v[idx]);
-                        let du = dt * (-dpdx - r_drag * uo);
-                        let dv = dt * (-dpdy - r_drag * vo);
-                        let (u1, v1) = (uo + du, vo + dv);
+                let mut wet = cols.clone().filter(|&c| kmt[cells[c]] > 0).peekable();
+                while wet.peek().is_some() {
+                    // Columns past the last of a short tail group have depth 0.
+                    let mut depth = [0; MIX_COLUMNS];
+                    let mut start = [0; MIX_COLUMNS];
+                    let mut surface_flux = [[0.0; 4]; MIX_COLUMNS];
+                    for (w, c) in wet.by_ref().take(MIX_COLUMNS).enumerate() {
+                        let idx = cells[c];
+                        let (i, j) = (idx % stride - 1, idx / stride - 1);
+                        let kmax = kmt[idx] as usize;
+                        start[w] = nlev * (c - cols.start);
+                        let x = &mut stage[start[w]..][..kmax];
+                        let (e, w_, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
+                        let RowFactors { inv_dx, rot, .. } = row_factors[j];
+                        let a = dt * fcor[j];
+                        for (k, x_k) in x.iter_mut().enumerate() {
+                            let [u, v, t, s] = [u, v, t, s].map(|f| &f[k * slab..][..slab]);
+                            let ocean = |nb: usize| (k as u16) < kmt[nb];
+                            // Pressure gradient (masked one-sided fallbacks).
+                            let p = |nb: usize| press[nb * nlev + k];
+                            let dpdx = if ocean(e) && ocean(w_) {
+                                (p(e) - p(w_)) * (0.5 * inv_dx)
+                            } else if ocean(e) {
+                                (p(e) - p(idx)) * inv_dx
+                            } else if ocean(w_) {
+                                (p(idx) - p(w_)) * inv_dx
+                            } else {
+                                0.0
+                            };
+                            let dpdy = if ocean(n) && ocean(s_) {
+                                (p(n) - p(s_)) * (0.5 * inv_dy)
+                            } else if ocean(n) {
+                                (p(n) - p(idx)) * inv_dy
+                            } else if ocean(s_) {
+                                (p(idx) - p(s_)) * inv_dy
+                            } else {
+                                0.0
+                            };
+                            let (uo, vo) = (u[idx], v[idx]);
+                            let du = dt * (-dpdx - r_drag * uo);
+                            let dv = dt * (-dpdy - r_drag * vo);
+                            let (u1, v1) = (uo + du, vo + dv);
 
-                        // Upwind advection of T, S by the old velocity.
-                        let adv = |field: &[f64]| -> f64 {
-                            let fx = if uo >= 0.0 {
-                                let upw = if ocean(w) { field[w] } else { field[idx] };
-                                uo * (field[idx] - upw) * inv_dx
-                            } else {
-                                let upw = if ocean(e) { field[e] } else { field[idx] };
-                                uo * (upw - field[idx]) * inv_dx
+                            // Upwind advection of T, S by the old velocity.
+                            let adv = |field: &[f64]| -> f64 {
+                                let fx = if uo >= 0.0 {
+                                    let upw = if ocean(w_) { field[w_] } else { field[idx] };
+                                    uo * (field[idx] - upw) * inv_dx
+                                } else {
+                                    let upw = if ocean(e) { field[e] } else { field[idx] };
+                                    uo * (upw - field[idx]) * inv_dx
+                                };
+                                let fy = if vo >= 0.0 {
+                                    let upw = if ocean(s_) { field[s_] } else { field[idx] };
+                                    vo * (field[idx] - upw) * inv_dy
+                                } else {
+                                    let upw = if ocean(n) { field[n] } else { field[idx] };
+                                    vo * (upw - field[idx]) * inv_dy
+                                };
+                                -(fx + fy)
                             };
-                            let fy = if vo >= 0.0 {
-                                let upw = if ocean(s_) { field[s_] } else { field[idx] };
-                                vo * (field[idx] - upw) * inv_dy
-                            } else {
-                                let upw = if ocean(n) { field[n] } else { field[idx] };
-                                vo * (upw - field[idx]) * inv_dy
-                            };
-                            -(fx + fy)
-                        };
-                        *x_k = [
-                            t[idx] + dt * adv(t),
-                            s[idx] + dt * adv(s),
-                            (u1 + a * v1) * rot,
-                            (v1 - a * u1) * rot,
+                            *x_k = [
+                                t[idx] + dt * adv(t),
+                                s[idx] + dt * adv(s),
+                                (u1 + a * v1) * rot,
+                                (v1 - a * u1) * rot,
+                            ];
+                        }
+
+                        // Interface diffusivities from Ri; the matrix depends
+                        // on them only, so it is factored once and solved for
+                        // T, S, u, v together.
+                        let interfaces = kq[..kmax - 1].iter_mut().enumerate().zip(inv_dzi);
+                        for ((k, kq_k), &inv_dzi) in interfaces {
+                            let [t_up, s_up, u_up, v_up] = x[k];
+                            let [t_dn, s_dn, u_dn, v_dn] = x[k + 1];
+                            let n2 = crate::eos::brunt_vaisala_sq(t_up, s_up, t_dn, s_dn, inv_dzi);
+                            let du = (u_up - u_dn) * inv_dzi;
+                            let dv = (v_up - v_dn) * inv_dzi;
+                            kq_k[w] = mixing.diffusivity(n2, du * du + dv * dv);
+                        }
+                        depth[w] = kmax;
+                        let fi = j * ni + i;
+                        let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
+                        surface_flux[w] = [
+                            heat_flux,
+                            forcing.salt_flux[fi],
+                            forcing.taux[fi] / RHO0,
+                            forcing.tauy[fi] / RHO0,
                         ];
                     }
-
-                    // Interface diffusivities from Ri; the matrix depends on
-                    // them only, so it is factored once and solved for T, S,
-                    // u, v together.
-                    let kq = &mut kq[..kmax - 1];
-                    for ((k, kq_k), &inv_dzi) in kq.iter_mut().enumerate().zip(inv_dzi) {
-                        let ([t_up, s_up, u_up, v_up], [t_dn, s_dn, u_dn, v_dn]) = (x[k], x[k + 1]);
-                        let n2 = crate::eos::brunt_vaisala_sq(t_up, s_up, t_dn, s_dn, inv_dzi);
-                        let du = (u_up - u_dn) * inv_dzi;
-                        let dv = (v_up - v_dn) * inv_dzi;
-                        *kq_k = mixing.diffusivity(n2, du * du + dv * dv);
-                    }
-                    mixing.factor(&inv_dz[..kmax], &inv_dzi[..kmax - 1], kq, dt, factors);
-                    let fi = j * ni + i;
-                    let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
-                    let surface_flux = [
-                        heat_flux,
-                        forcing.salt_flux[fi],
-                        forcing.taux[fi] / RHO0,
-                        forcing.tauy[fi] / RHO0,
-                    ];
-                    mixing.solve(factors, x, surface_flux);
-                });
+                    mixing.factor(inv_dz, inv_dzi, kq, depth, dt, factors);
+                    mixing.solve(factors, stage, start, surface_flux);
+                }
             });
         }
+
+        // --- Take-in, over the column phase's own ranges: each column puts
+        //     its `kmt` levels from its slot into the state. ---
         {
             let (stage, _) = stage.as_chunks::<4>();
-            for_chunks_mut(
+            columns.for_chunks(
                 space,
-                nlev,
                 [&mut t[..], &mut s[..], &mut u[..], &mut v[..]],
-                |levels, [t, s, u, v]| {
-                    for (l, k) in levels.enumerate() {
-                        let [t, s, u, v] = [&mut *t, &mut *s, &mut *u, &mut *v]
-                            .map(|f| &mut f[l * slab..][..slab]);
-                        columns.for_each(0..ncols, |c, i, j| {
-                            let idx = at(i, j);
-                            if (k as u16) < kmt[idx] {
-                                [t[idx], s[idx], u[idx], v[idx]] = stage[nlev * c + k];
-                            }
-                        });
+                |cols, [mut t, mut s, mut u, mut v]| {
+                    for c in cols {
+                        let kmax = kmt[cells[c]] as usize;
+                        for (k, &[tk, sk, uk, vk]) in stage[nlev * c..][..kmax].iter().enumerate() {
+                            t.set(c, k, tk);
+                            s.set(c, k, sk);
+                            u.set(c, k, uk);
+                            v.set(c, k, vk);
+                        }
                     }
                 },
             );
@@ -661,7 +637,7 @@ impl OcnModel {
         self.columns_visited = ncols;
 
         // --- Refresh 3-D halos for the next step: one packed message per
-        //     neighbor (u, v, T, S, every level). ---
+        //     neighbor rank (u, v, T, S, every level), a copy per self-link. ---
         self.halo3d
             .exchange_many(rank, &mut [&mut u[..], &mut v[..], &mut t[..], &mut s[..]])?;
         Ok(())
@@ -686,11 +662,7 @@ impl OcnModel {
     /// Fig. 5 resource-reduction number for this rank.
     pub fn exclusion_ratio(&self) -> f64 {
         let st = &self.state;
-        let active: usize = self
-            .active
-            .iter()
-            .map(|&(i, j)| st.kmt[st.at(i, j)] as usize)
-            .sum();
+        let active: usize = self.columns.cells().iter().map(|&idx| st.kmt[idx] as usize).sum();
         active as f64 / (st.ni * st.nj * st.nlev) as f64
     }
 }
@@ -802,19 +774,25 @@ mod tests {
         );
     }
 
-    /// The 3-D refresh is one packed message per link, whatever `nlev`: a
-    /// 1×1 block's two self-links carry `2·n_barotropic` 2-D exchanges and
-    /// one 3-D exchange a step.
+    /// The 3-D refresh is one packed message per peer link, whatever
+    /// `nlev`: a 2×1 mesh's blocks each have two links to the other rank
+    /// (east and west), which carry `2·n_barotropic` 2-D exchanges and one
+    /// 3-D exchange a step; a 1×1 block's two links are self-links, copies
+    /// that send nothing.
     #[test]
     fn one_three_d_halo_message_per_link_per_step() {
         let g = grid(6);
-        let config = OcnConfig::for_grid(36, 24, 6, 1, 1);
-        let world = World::new(1);
-        world.run(|rank| {
-            OcnModel::new(&g, config.clone(), 0).step(rank, &OcnForcing::zeros(36, 24))
-        });
-        let exchanges = 2 * config.n_barotropic + 1;
-        assert_eq!(world.stats().total_messages(), 2 * exchanges as u64);
+        for (px, peer_links) in [(2, 2), (1, 0)] {
+            let config = OcnConfig::for_grid(36, 24, 6, px, 1);
+            let world = World::new(px);
+            world.run(|rank| {
+                let forcing = OcnForcing::zeros(36 / px, 24);
+                OcnModel::new(&g, config.clone(), rank.id()).step(rank, &forcing)
+            });
+            let exchanges = 2 * config.n_barotropic + 1;
+            let messages = px * peer_links * exchanges;
+            assert_eq!(world.stats().total_messages(), messages as u64, "{px} × 1");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Allocation regression: after warm-up an ocean step allocates only its
-//! halo message payloads, on one lane or on a team, on any thread. Its own
-//! test binary, because the counting allocator is process-wide.
+//! Allocation regression: after warm-up an ocean step on one rank
+//! allocates nothing, on one lane or on a team, on any thread. Its own test
+//! binary, because the counting allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,14 +38,14 @@ static GLOBAL: Counting = Counting;
 /// One test for both configurations, one after the other: the count is
 /// process-wide.
 #[test]
-fn steady_state_step_allocates_only_halo_payloads() {
-    // 42 self-halo messages a step (10 substeps × (η + packed ū,v̄) + one
-    // packed 3-D refresh, two links each), a payload and its envelope each;
-    // 120 while the refresh sent one message per level, 46 551 before the
-    // workspace.
-    assert_eq!(step_allocs(None), [84, 84], "one lane");
+fn steady_state_step_allocates_nothing() {
+    // A 1×1 block's halo links are self-links, copied in place: 84 while
+    // each of its 42 halo exchanges a step sent a message (a payload and its
+    // envelope), 120 while the 3-D refresh sent one per level, 46 551
+    // before the workspace.
+    assert_eq!(step_allocs(None), [0, 0], "one lane");
     let team: Arc<dyn ExecSpace> = Arc::new(Threads::new(2));
-    assert_eq!(step_allocs(Some(team)), [84, 84], "two lanes");
+    assert_eq!(step_allocs(Some(team)), [0, 0], "two lanes");
 }
 
 /// Allocations, on any thread, of two steps after a warm-up step.

@@ -18,8 +18,9 @@
 //! * [`SimulatedCpe`] — an emulation of one Sunway core group: 64 compute
 //!   processing elements with a small local device memory (LDM), which cuts
 //!   a range into LDM tiles — differently from any lane count,
-//! * [`for_chunks_mut`], [`PerLane`], [`SharedSlice`] — how a range kernel
-//!   gets its own part of the outputs and its own scratch ([`shared`]).
+//! * [`for_chunks_mut`], [`Scatter`], [`PerLane`], [`SharedSlice`] — how a
+//!   range kernel gets its own part of the outputs and its own scratch
+//!   ([`shared`]).
 //!
 //! Not reproduced, and why: the paper's hash-based kernel registration (a
 //! workaround for a Sunway C++ compiler that cannot instantiate templates on
@@ -32,4 +33,4 @@ pub mod exec;
 pub mod shared;
 
 pub use exec::{ExecSpace, Serial, SimulatedCpe, Threads};
-pub use shared::{for_chunks_mut, PerLane, SharedSlice};
+pub use shared::{for_chunks_mut, PerLane, Scatter, SharedSlice};

@@ -1,8 +1,10 @@
 //! Disjoint-write shared slices — the OpenMP "parallel loop writes its own
 //! index" pattern that SWGOMP generates for GRIST loops (§5.1.1: "most of
 //! the GRIST loops are conflict-free"). [`for_chunks_mut`] is the safe form
-//! for kernels whose outputs are contiguous per index range;
-//! [`SharedSlice`] the unsafe one for arbitrary one-writer index sets.
+//! for kernels whose outputs are contiguous per index range; [`Scatter`]
+//! the safe form for kernels that write one cell of every level per index,
+//! cells proved distinct when the scatter is built; [`SharedSlice`] the
+//! unsafe one for arbitrary one-writer index sets.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -81,6 +83,121 @@ pub fn for_chunks_mut<E, T, const K: usize>(
         });
         f(range, parts);
     });
+}
+
+/// One cell of a slab per position `0..len()` — a packed list of columns —
+/// with no cell listed twice, checked when it is built. A phase over
+/// positions can then write each position's cell at every level of a
+/// level-major `levels × slab` field from any lane ([`Scatter::for_chunks`]):
+/// positions in disjoint ranges own disjoint cells, at every level.
+#[derive(Debug, Clone)]
+pub struct Scatter {
+    cells: Vec<usize>,
+    slab: usize,
+}
+
+impl Scatter {
+    /// Panics if a cell lies outside `0..slab` or is listed twice.
+    pub fn new(cells: Vec<usize>, slab: usize) -> Self {
+        let mut taken = vec![false; slab];
+        for &cell in &cells {
+            assert!(cell < slab, "scatter cell {cell} outside a slab of {slab}");
+            assert!(
+                !std::mem::replace(&mut taken[cell], true),
+                "scatter cell {cell} listed twice"
+            );
+        }
+        Scatter { cells, slab }
+    }
+
+    /// The cell of every position.
+    pub fn cells(&self) -> &[usize] {
+        &self.cells
+    }
+
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Run `f(range, parts)` over contiguous ranges covering the positions
+    /// `0..len()` on `space` (see [`ExecSpace::for_chunks`]), where
+    /// `parts[j]` writes `outs[j]`, a level-major field of
+    /// `outs[j].len() / slab` levels, at the cells of `range`'s positions
+    /// and nowhere else. Panics if an output is not whole levels.
+    pub fn for_chunks<E, T, const K: usize>(
+        &self,
+        space: &E,
+        outs: [&mut [T]; K],
+        f: impl Fn(Range<usize>, [ScatterPart<'_, T>; K]) + Sync,
+    ) where
+        E: ExecSpace + ?Sized,
+        T: Send,
+    {
+        let n = self.cells.len();
+        let raw = outs.map(|out| {
+            assert_eq!(
+                out.len().checked_rem(self.slab).unwrap_or(0),
+                0,
+                "{} entries are not whole levels of a slab of {}",
+                out.len(),
+                self.slab
+            );
+            RawSlice {
+                ptr: out.as_mut_ptr(),
+                len: out.len(),
+            }
+        });
+        space.for_chunks(n, &|range| {
+            assert!(range.start <= range.end && range.end <= n);
+            let parts = raw.map(|out| ScatterPart {
+                out,
+                cells: &self.cells,
+                slab: self.slab,
+                range: range.clone(),
+            });
+            f(range, parts);
+        });
+    }
+}
+
+/// What a kernel of [`Scatter::for_chunks`] may write of one output: the
+/// cells of its own positions, at any level.
+pub struct ScatterPart<'a, T> {
+    out: RawSlice<T>,
+    cells: &'a [usize],
+    slab: usize,
+    range: Range<usize>,
+}
+
+impl<T> ScatterPart<'_, T> {
+    /// Write `value` at level `k` of the cell of position `c`. Panics if `c`
+    /// is not a position of this kernel's range or `k` not a level of the
+    /// output.
+    #[inline]
+    pub fn set(&mut self, c: usize, k: usize, value: T) {
+        assert!(
+            self.range.contains(&c),
+            "position {c} is not in this kernel's range {:?}",
+            self.range
+        );
+        let i = k * self.slab + self.cells[c];
+        assert!(i < self.out.len, "level {k} is not a level of this output");
+        // SAFETY: `i` lies within the output (checked above), which
+        // `Scatter::for_chunks` holds exclusively borrowed for the whole
+        // phase. Another kernel of the phase writes only the cells of
+        // positions in its own range, disjoint from this one (only this
+        // crate implements `ExecSpace`), and the cells of distinct positions
+        // are distinct (`Scatter::new`); as every cell is below `slab`,
+        // `k·slab + cell` is a different element for every (position,
+        // level), so no element is written by two kernels. The part writes
+        // only, hands out no reference, and cannot outlive the call (`f`
+        // takes it at any lifetime).
+        unsafe { *self.out.ptr.add(i) = value };
+    }
 }
 
 /// Scratch for the kernels of a phase: one set per kernel that can run at
@@ -235,6 +352,21 @@ mod tests {
                 );
                 (one, strided)
             };
+            // The scatter's positions are every third cell of a slab, in
+            // reverse, and the field has `stride` levels.
+            let scattered = |space: &dyn ExecSpace, n: usize| {
+                let slab = 3 * n;
+                let scatter = Scatter::new((0..n).rev().map(|c| 3 * c + 1).collect(), slab);
+                let mut field = vec![usize::MAX; stride * slab];
+                scatter.for_chunks(space, [&mut field[..]], |range, [mut part]| {
+                    for c in range {
+                        for k in 0..stride {
+                            part.set(c, k, k * n + c);
+                        }
+                    }
+                });
+                field
+            };
             let threads = Threads::new(lanes);
             let cpe = SimulatedCpe::new(64, 8 * tile, 8);
             for n in [0, 1, 1000, n] {
@@ -244,8 +376,63 @@ mod tests {
                 assert!(last_of_entry.eq((0..n).map(|i| !i)));
                 assert_eq!(run(&threads, n), serial, "{lanes} lanes, n = {n}");
                 assert_eq!(run(&cpe, n), serial, "tiles of {tile}, n = {n}");
+
+                let serial = scattered(&Serial, n);
+                for (i, &v) in serial.iter().enumerate() {
+                    let (k, cell) = (i / (3 * n), i % (3 * n));
+                    let expect = if cell % 3 == 1 {
+                        k * n + (n - 1 - cell / 3)
+                    } else {
+                        usize::MAX
+                    };
+                    assert_eq!(v, expect, "scatter, n = {n}, level {k}, cell {cell}");
+                }
+                assert_eq!(scattered(&threads, n), serial, "scatter, {lanes} lanes, n = {n}");
+                assert_eq!(scattered(&cpe, n), serial, "scatter, tiles of {tile}, n = {n}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter cell 4 listed twice")]
+    fn a_scatter_cell_listed_twice_is_refused() {
+        Scatter::new(vec![1, 4, 2, 4], 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter cell 8 outside a slab of 8")]
+    fn a_scatter_cell_outside_the_slab_is_refused() {
+        Scatter::new(vec![1, 8], 8);
+    }
+
+    /// One position per tile: the kernel of position `c` reaches for
+    /// position `c + 1 mod 3`, which another kernel owns.
+    #[test]
+    #[should_panic(expected = "is not in this kernel's range")]
+    fn a_kernel_writes_the_cells_of_its_own_range_only() {
+        let scatter = Scatter::new(vec![0, 1, 2], 3);
+        let mut field = [0; 3];
+        let one_per_tile = SimulatedCpe::new(64, 8, 8);
+        assert_eq!(one_per_tile.tile_len(), 1);
+        scatter.for_chunks(&one_per_tile, [&mut field[..]], |range, [mut part]| {
+            part.set((range.start + 1) % 3, 0, 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "level 2 is not a level of this output")]
+    fn a_kernel_writes_the_levels_of_the_output_only() {
+        let scatter = Scatter::new(vec![0, 1, 2], 3);
+        let mut field = [0; 6];
+        scatter.for_chunks(&Serial, [&mut field[..]], |range, [mut part]| {
+            part.set(range.start, 2, 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "7 entries are not whole levels of a slab of 3")]
+    fn a_scatter_output_must_hold_whole_levels() {
+        Scatter::new(vec![0], 3).for_chunks(&Serial, [&mut [0; 7][..]], |_, _| ());
     }
 
     #[test]

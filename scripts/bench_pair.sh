@@ -14,10 +14,18 @@
 # 0`), switching both sides between their two builds every two pairs, and
 # prints one
 # markdown row per end-to-end metric of BENCHMARK.json: each side's median
-# [q1, q3], change / parent, the metric's bound, and the pairs the change won
-# (ties count for neither side). Under the table, each side's median per
-# build directory and their spread (b / a). Everything it writes is under
-# target/pair/; the checkouts are removed on exit, the builds are kept.
+# [q1, q3], change / parent, the metric's bound, the pairs the change won
+# (ties count for neither side) and two verdicts (choosing-metrics §6, §8):
+#   gain     `yes` when the change won at least 9/10 of the pairs and the
+#            medians differ, in its favour, by more than the parent's q3 − q1;
+#   bound    `worse than bound` when the change's median is worse than the
+#            parent's by more than the bound; else `unresolved` when either
+#            side's (q3 − q1) / median is wider than the bound and not every
+#            change run beats every parent run; else `inside bound`.
+# Under the table, each side's median per build directory and their spread
+# (b / a). Exits 1 if any run reads `correct: false`. Everything it writes
+# is under target/pair/; the checkouts are removed on exit, the builds are
+# kept.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,16 +93,31 @@ def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
-print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change / parent | bound | wins |")
-print("|---|---|---|---|---|---|---|")
+def quartiles(values):
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change / parent | bound | wins "
+      "| gain | verdict |")
+print("|---|---|---|---|---|---|---|---|---|")
 for metric in manifest["end_to_end"]:
-    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+    name, bound, sign = metric["name"], metric["bound"], 1 if metric["better"] == "higher" else -1
     value = lambda side, pair: runs[side][pair]["metrics"][name]["value"]
     pairs = sorted(runs["parent"])
     (pm, ptext), (cm, ctext) = (summary([value(side, p) for p in pairs]) for side in ("parent", "change"))
     wins = sum(sign * (value("change", p) - value("parent", p)) > 0 for p in pairs)
+    parent_q1, _, parent_q3 = quartiles([value("parent", p) for p in pairs])
+    gain = "yes" if 10 * wins >= 9 * len(pairs) and sign * (cm - pm) > parent_q3 - parent_q1 else "no"
+    spread = max((q3 - q1) / abs(median) if median else 0.0
+                  for q1, median, q3 in (quartiles([value(side, p) for p in pairs]) for side in runs))
+    every_run_better = min(sign * value("change", p) for p in pairs) > max(sign * value("parent", p) for p in pairs)
+    if sign * (cm - pm) < -bound * abs(pm):
+        verdict = "worse than bound"
+    elif spread > bound and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "inside bound"
     print(f"| `{workload}` | `{name}` {metric['unit']} ({metric['better']} is better) | {ptext} | {ctext} "
-          f"| {cm / pm:.3f} | {metric['bound']} | {wins}/{len(pairs)} |")
+          f"| {cm / pm:.3f} | {bound} | {wins}/{len(pairs)} | {gain} | {verdict} |")
 for side in ("parent", "change"):
     failed, attempted = (sum(r[key] for r in runs[side].values()) for key in ("failed", "attempted"))
     print(f"\n{side}: {failed} failed of {attempted} attempted")
@@ -107,4 +130,9 @@ for side in ("parent", "change"):
                    for d in ("a", "b") if d in dirs.values()}
         spread = f"{medians['b'] / medians['a']:.3f}" if len(medians) == 2 else "n/a (one directory ran)"
         print(f"- {side} `{name}`: " + ", ".join(f"{d} {m:.4g}" for d, m in medians.items()) + f"; b / a {spread}")
+
+incorrect = [f"{side} pair {p}" for side in runs for p, r in sorted(runs[side].items()) if r.get("correct") is not True]
+if incorrect:
+    print("\nincorrect runs: " + ", ".join(incorrect), file=sys.stderr)
+    sys.exit(1)
 EOF
