@@ -20,11 +20,14 @@
 //! advection — the communication pattern, masking machinery, and time-split
 //! structure (what the paper's optimisations act on) are preserved.
 
+#![forbid(unsafe_code)]
+
 pub mod eos;
 pub mod mixing;
 pub mod model;
 pub mod spectra;
 pub mod state;
+mod sweep;
 
 pub use model::{OcnConfig, OcnModel};
 pub use state::OcnState;

@@ -8,11 +8,11 @@ use ap3esm_comm::{CommError, HaloExchange, Rank};
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_physics::constants::CP_SEAWATER;
-use ap3esm_pp::{for_chunks_mut, ExecSpace, PerLane, Scatter, Serial};
+use ap3esm_pp::{for_chunks_mut, ExecSpace, Isa, PerLane, Scatter, Serial};
 
-use crate::eos::density;
 use crate::mixing::{reciprocal_thickness, CanutoMixing, TridiagFactors};
 use crate::state::OcnState;
+use crate::sweep::{stage_row_len, RowFactors, RowSweep, SweepInputs, WetSpans};
 use crate::{G, RHO0};
 
 /// Model configuration.
@@ -114,16 +114,12 @@ struct OcnWorkspace {
     eta: Vec<f64>,
     ubar: Vec<f64>,
     vbar: Vec<f64>,
-    /// Baroclinic pressure / ρ0, column-major `slab × nlev`, each column's
-    /// `kmt` levels only: the phase that integrates it ranges over rows, and
-    /// a range of rows is one contiguous part of this layout only.
-    press: Vec<f64>,
-    /// The columns' new `(T, S, u, v)`, `nlev × 4` values per column of the
-    /// loop policy's list, from the phase over columns that computes them
-    /// to the take-in that puts them into the state.
+    /// The advected `(T, S, u, v)` of every interior row
+    /// ([`stage_row_len`] values each), from the row sweeps that compute
+    /// them to the mixing that reads them.
     stage: Vec<f64>,
-    /// One set per lane for the mixing columns it is on.
-    lanes: PerLane<MixingScratch>,
+    /// One set per lane, for the rows it sweeps and the columns it mixes.
+    lanes: PerLane<LaneScratch>,
     /// Per interior row, the reciprocal geometry and rotation of this step
     /// ([`RowFactors`]), so that no phase divides by them per point.
     rows: Vec<RowFactors>,
@@ -133,38 +129,27 @@ struct OcnWorkspace {
     inv_dzi: Vec<f64>,
 }
 
-/// One interior row's reciprocals, taken at the top of every step from the
-/// state's geometry and the configuration's time steps.
-#[derive(Clone, Copy, Default)]
-struct RowFactors {
-    /// 1/dx.
-    inv_dx: f64,
-    /// 1/(dx·dy): the cell area of the continuity divergence.
-    inv_area: f64,
-    /// 1/(1 + a²), a = dt·f: the implicit rotation of the barotropic
-    /// substep and of the baroclinic step.
-    rot_btr: f64,
-    rot: f64,
-}
-
 /// Columns a lane factors and solves in lock-step.
 const MIX_COLUMNS: usize = 4;
 
-/// What a group of [`MIX_COLUMNS`] mixing columns needs beside their staged
-/// fields: interface diffusivities (`kq[k][w]`) and the factored matrices.
-struct MixingScratch {
+/// A lane's scratch: the pressure of the rows it sweeps, one level at a
+/// time (a slab's worth, enough for any range of rows), and for a group of
+/// [`MIX_COLUMNS`] mixing columns their fields (`nlev` levels each),
+/// interface diffusivities (`kq[k][w]`) and factored matrices.
+struct LaneScratch {
+    press: Vec<f64>,
+    x: Vec<[f64; 4]>,
     kq: Vec<[f64; MIX_COLUMNS]>,
     factors: TridiagFactors<MIX_COLUMNS>,
 }
 
 impl OcnWorkspace {
-    fn new(slab: usize, nlev: usize, nj: usize, columns: usize) -> Self {
+    fn new(slab: usize, nlev: usize, nj: usize, row_len: usize) -> Self {
         OcnWorkspace {
             eta: vec![0.0; slab],
             ubar: vec![0.0; slab],
             vbar: vec![0.0; slab],
-            press: vec![0.0; nlev * slab],
-            stage: vec![0.0; 4 * nlev * columns],
+            stage: vec![0.0; nj * row_len],
             lanes: PerLane::default(),
             rows: vec![RowFactors::default(); nj],
             inv_dz: Vec::with_capacity(nlev),
@@ -189,9 +174,14 @@ pub struct OcnModel {
     /// over columns ranges over: the packed active columns when
     /// `exclude_land`, else every cell of the box, land included.
     columns: Scatter,
+    /// The same policy for the row sweeps: each row's wet run per level, or
+    /// the whole row.
+    spans: WetSpans,
     ws: OcnWorkspace,
     /// Where the phases of a step run.
     space: Arc<dyn ExecSpace>,
+    /// The compilation the row sweeps run.
+    isa: Isa,
     /// Columns visited last step (exclusion accounting for Fig. 5).
     pub columns_visited: usize,
 }
@@ -222,7 +212,9 @@ impl OcnModel {
             .filter(|&idx| !config.exclude_land || state.kmt[idx] > 0)
             .collect();
         let columns = Scatter::new(cells, slab);
-        let ws = OcnWorkspace::new(slab, state.nlev, state.nj, state.ni * state.nj);
+        let spans = WetSpans::new(&state.kmt, state.stride, state.nlev, config.exclude_land);
+        let row_len = stage_row_len(state.nlev, state.ni);
+        let ws = OcnWorkspace::new(slab, state.nlev, state.nj, row_len);
         OcnModel {
             config,
             state,
@@ -230,8 +222,10 @@ impl OcnModel {
             halo3d,
             mixing: CanutoMixing::default(),
             columns,
+            spans,
             ws,
             space: Arc::new(Serial),
+            isa: Isa::detect(),
             columns_visited: 0,
         }
     }
@@ -246,6 +240,15 @@ impl OcnModel {
     /// The space the phases run on.
     pub fn space(&self) -> &Arc<dyn ExecSpace> {
         &self.space
+    }
+
+    /// Run the row sweeps compiled for `isa` instead of the widest
+    /// compilation this CPU runs: the tests' hook. The answer does not
+    /// depend on it, bit for bit. Panics if this CPU cannot run `isa`.
+    pub fn with_isa(mut self, isa: Isa) -> Self {
+        assert!(isa.available(), "{isa} row sweeps on a CPU without it");
+        self.isa = isa;
+        self
     }
 
     /// One barotropic substep (forward-backward, rotation-implicit
@@ -468,7 +471,6 @@ impl OcnModel {
         let columns = &self.columns;
         let (cells, ncols) = (columns.cells(), columns.len());
         let OcnWorkspace {
-            press,
             stage,
             lanes,
             rows: row_factors,
@@ -476,114 +478,80 @@ impl OcnModel {
             inv_dzi,
             ..
         } = &mut self.ws;
-        let (row_factors, inv_dz, inv_dzi) = (&row_factors[..], &inv_dz[..], &inv_dzi[..]);
-
-        // --- Baroclinic pressure: p[k]/ρ0 = g·η + g·Σ (ρ'−ρ0)/ρ0·dz, down
-        //     to each column's floor: a level below it is never read. ---
-        {
-            let (t, s) = (&t[..], &s[..]);
-            for_chunks_mut(space, nj + 2, [&mut press[..]], |rows, [press]| {
-                let cells = rows.start * stride..rows.end * stride;
-                for (idx, column) in cells.zip(press.chunks_exact_mut(nlev)) {
-                    let mut acc = G * eta[idx];
-                    for (k, p) in column[..kmt[idx] as usize].iter_mut().enumerate() {
-                        let rho = density(t[k * slab + idx], s[k * slab + idx]);
-                        acc += G * (rho - RHO0) / RHO0 * dz[k];
-                        *p = acc;
-                    }
-                }
-            });
-        }
-        let press = &press[..];
-
-        // --- Per column: momentum and tracer advection level by level, then
-        //     implicit vertical mixing with the surface forcing, which reads
-        //     the column's own new values only. Nothing here writes the
-        //     state, so neighbor reads see the start-of-step fields with no
-        //     copy kept. A column spans every level's slab, which no range
-        //     of columns owns: its new `(T, S, u, v)` go to its slot of the
-        //     staging area and are mixed there, `MIX_COLUMNS` wet columns of
-        //     the lane's range at a time, and the take-in below puts them
-        //     into the state. ---
-        lanes.grow(space.concurrency(), || MixingScratch {
+        let (inv_dz, inv_dzi) = (&inv_dz[..], &inv_dzi[..]);
+        let row_len = stage_row_len(nlev, ni);
+        lanes.grow(space.concurrency(), || LaneScratch {
+            press: vec![0.0; slab],
+            x: vec![[0.0; 4]; MIX_COLUMNS * nlev],
             kq: vec![[0.0; MIX_COLUMNS]; nlev.saturating_sub(1)],
             factors: TridiagFactors::with_capacity(nlev),
         });
         let lanes = &*lanes;
-        let stage = &mut stage[..4 * nlev * ncols];
+
+        // --- Over rows: per level, the pressure of the lane's rows and one
+        //     row either side, then momentum and upwind advection across each
+        //     row's span of that level, into the rows' part of the stage
+        //     (`sweep`). Nothing here writes the state, so neighbor reads see
+        //     the start-of-step fields with no copy kept. ---
         {
-            let (u, v, t, s) = (&u[..], &v[..], &t[..], &s[..]);
-            for_chunks_mut(space, ncols, [&mut *stage], |cols, [stage]| {
+            let step = SweepInputs {
+                ni,
+                stride,
+                nlev,
+                eta,
+                u: &u[..],
+                v: &v[..],
+                t: &t[..],
+                s: &s[..],
+                kmt,
+                dz,
+                fcor,
+                rows: row_factors,
+                spans: &self.spans,
+                inv_dy,
+                dt,
+                r_drag,
+            };
+            let isa = self.isa;
+            for_chunks_mut(space, nj, [&mut stage[..]], |rows, [out]| {
                 let mut lane = lanes.take();
-                let MixingScratch { kq, factors } = &mut *lane;
-                let (stage, _) = stage.as_chunks_mut::<4>();
-                let mut wet = cols.clone().filter(|&c| kmt[cells[c]] > 0).peekable();
+                isa.run(RowSweep {
+                    step: &step,
+                    rows,
+                    press: &mut lane.press,
+                    out,
+                });
+            });
+        }
+
+        // --- Over the loop policy's columns: implicit vertical mixing with
+        //     the surface forcing, `MIX_COLUMNS` wet columns of the lane's
+        //     range at a time, from their staged values, and the mixed
+        //     levels written into the state. A column spans every level's
+        //     slab, which no range of columns owns, so its cells are written
+        //     through `pp::Scatter`. ---
+        let stage = &stage[..];
+        columns.for_chunks(
+            space,
+            [&mut t[..], &mut s[..], &mut u[..], &mut v[..]],
+            |cols, [mut t, mut s, mut u, mut v]| {
+                let mut lane = lanes.take();
+                let LaneScratch { x, kq, factors, .. } = &mut *lane;
+                let mut wet = cols.filter(|&c| kmt[cells[c]] > 0).peekable();
                 while wet.peek().is_some() {
                     // Columns past the last of a short tail group have depth 0.
+                    let mut group = [0; MIX_COLUMNS];
                     let mut depth = [0; MIX_COLUMNS];
-                    let mut start = [0; MIX_COLUMNS];
+                    let start: [usize; MIX_COLUMNS] = std::array::from_fn(|w| nlev * w);
                     let mut surface_flux = [[0.0; 4]; MIX_COLUMNS];
                     for (w, c) in wet.by_ref().take(MIX_COLUMNS).enumerate() {
                         let idx = cells[c];
                         let (i, j) = (idx % stride - 1, idx / stride - 1);
                         let kmax = kmt[idx] as usize;
-                        start[w] = nlev * (c - cols.start);
-                        let x = &mut stage[start[w]..][..kmax];
-                        let (e, w_, n, s_) = (idx + 1, idx - 1, idx + stride, idx - stride);
-                        let RowFactors { inv_dx, rot, .. } = row_factors[j];
-                        let a = dt * fcor[j];
+                        let x = &mut x[start[w]..][..kmax];
+                        let row = &stage[j * row_len..][..row_len];
                         for (k, x_k) in x.iter_mut().enumerate() {
-                            let [u, v, t, s] = [u, v, t, s].map(|f| &f[k * slab..][..slab]);
-                            let ocean = |nb: usize| (k as u16) < kmt[nb];
-                            // Pressure gradient (masked one-sided fallbacks).
-                            let p = |nb: usize| press[nb * nlev + k];
-                            let dpdx = if ocean(e) && ocean(w_) {
-                                (p(e) - p(w_)) * (0.5 * inv_dx)
-                            } else if ocean(e) {
-                                (p(e) - p(idx)) * inv_dx
-                            } else if ocean(w_) {
-                                (p(idx) - p(w_)) * inv_dx
-                            } else {
-                                0.0
-                            };
-                            let dpdy = if ocean(n) && ocean(s_) {
-                                (p(n) - p(s_)) * (0.5 * inv_dy)
-                            } else if ocean(n) {
-                                (p(n) - p(idx)) * inv_dy
-                            } else if ocean(s_) {
-                                (p(idx) - p(s_)) * inv_dy
-                            } else {
-                                0.0
-                            };
-                            let (uo, vo) = (u[idx], v[idx]);
-                            let du = dt * (-dpdx - r_drag * uo);
-                            let dv = dt * (-dpdy - r_drag * vo);
-                            let (u1, v1) = (uo + du, vo + dv);
-
-                            // Upwind advection of T, S by the old velocity.
-                            let adv = |field: &[f64]| -> f64 {
-                                let fx = if uo >= 0.0 {
-                                    let upw = if ocean(w_) { field[w_] } else { field[idx] };
-                                    uo * (field[idx] - upw) * inv_dx
-                                } else {
-                                    let upw = if ocean(e) { field[e] } else { field[idx] };
-                                    uo * (upw - field[idx]) * inv_dx
-                                };
-                                let fy = if vo >= 0.0 {
-                                    let upw = if ocean(s_) { field[s_] } else { field[idx] };
-                                    vo * (field[idx] - upw) * inv_dy
-                                } else {
-                                    let upw = if ocean(n) { field[n] } else { field[idx] };
-                                    vo * (upw - field[idx]) * inv_dy
-                                };
-                                -(fx + fy)
-                            };
-                            *x_k = [
-                                t[idx] + dt * adv(t),
-                                s[idx] + dt * adv(s),
-                                (u1 + a * v1) * rot,
-                                (v1 - a * u1) * rot,
-                            ];
+                            *x_k = std::array::from_fn(|f| row[(4 * k + f) * ni + i]);
                         }
 
                         // Interface diffusivities from Ri; the matrix depends
@@ -598,6 +566,7 @@ impl OcnModel {
                             let dv = (v_up - v_dn) * inv_dzi;
                             kq_k[w] = mixing.diffusivity(n2, du * du + dv * dv);
                         }
+                        group[w] = c;
                         depth[w] = kmax;
                         let fi = j * ni + i;
                         let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
@@ -609,31 +578,18 @@ impl OcnModel {
                         ];
                     }
                     mixing.factor(inv_dz, inv_dzi, kq, depth, dt, factors);
-                    mixing.solve(factors, stage, start, surface_flux);
-                }
-            });
-        }
-
-        // --- Take-in, over the column phase's own ranges: each column puts
-        //     its `kmt` levels from its slot into the state. ---
-        {
-            let (stage, _) = stage.as_chunks::<4>();
-            columns.for_chunks(
-                space,
-                [&mut t[..], &mut s[..], &mut u[..], &mut v[..]],
-                |cols, [mut t, mut s, mut u, mut v]| {
-                    for c in cols {
-                        let kmax = kmt[cells[c]] as usize;
-                        for (k, &[tk, sk, uk, vk]) in stage[nlev * c..][..kmax].iter().enumerate() {
+                    mixing.solve(factors, x, start, surface_flux);
+                    for ((&c, &kmax), &start) in group.iter().zip(&depth).zip(&start) {
+                        for (k, &[tk, sk, uk, vk]) in x[start..][..kmax].iter().enumerate() {
                             t.set(c, k, tk);
                             s.set(c, k, sk);
                             u.set(c, k, uk);
                             v.set(c, k, vk);
                         }
                     }
-                },
-            );
-        }
+                }
+            },
+        );
         self.columns_visited = ncols;
 
         // --- Refresh 3-D halos for the next step: one packed message per
@@ -809,7 +765,8 @@ mod tests {
     }
 
     /// Fig. 5's count: the packed list's length against the dense box's
-    /// `ni × nj`, whatever the team.
+    /// `ni × nj`, whatever the team; and without exclusion the row sweeps
+    /// visit the dense box too, every level of every interior row whole.
     #[test]
     fn columns_visited_is_the_loop_policys_list_length() {
         let g = grid(6);
@@ -820,12 +777,23 @@ mod tests {
                 let mut model = OcnModel::new(&g, config.clone(), 0)
                     .on(Arc::new(ap3esm_pp::Threads::new(lanes)));
                 model.step(rank, &OcnForcing::zeros(36, 24));
-                (model.columns_visited, model.state.active_columns().len())
+                let swept = model.spans.swept_points();
+                (
+                    model.columns_visited,
+                    model.state.active_columns().len(),
+                    swept,
+                )
             });
-            let (visited, active) = visited[0];
+            let (visited, active, swept) = visited[0];
             assert!(active < 36 * 24, "some land must exist");
             let expect = if exclude { active } else { 36 * 24 };
             assert_eq!(visited, expect, "exclude {exclude}, {lanes} lanes");
+            let dense_box = 36 * 24 * 6;
+            if exclude {
+                assert!(swept < dense_box, "{swept} points swept of {dense_box}");
+            } else {
+                assert_eq!(swept, dense_box, "{lanes} lanes");
+            }
         }
     }
 

@@ -4,7 +4,9 @@
 //! when the step began to multiply by reciprocal geometry (per-row 1/dx,
 //! 1/(dx·dy) and rotation factor, per-interface 1/dzᵢ, the solver's
 //! reciprocal diagonal). The parent reference is commit `74957b4`'s per-level
-//! sums of squares of every prognostic field, printed with `{:?}`.
+//! sums of squares of every prognostic field, printed with `{:?}`. The
+//! baroclinic step's row sweeps run every compilation this CPU has
+//! (`ap3esm_pp::Isa`) to the same hashes.
 
 use std::sync::Arc;
 
@@ -14,13 +16,27 @@ use ap3esm_grid::mask::MaskGenerator;
 use ap3esm_grid::tripolar::TripolarGrid;
 use ap3esm_ocn::model::OcnForcing;
 use ap3esm_ocn::{OcnConfig, OcnModel, OcnState};
-use ap3esm_pp::{ExecSpace, Serial, SimulatedCpe, Threads};
+use ap3esm_pp::{ExecSpace, Isa, Serial, SimulatedCpe, Threads};
 use ap3esm_precision::Golden;
 use proptest::prelude::*;
 
 /// Builds the space of one rank's model; `None`: as `OcnModel::new` builds
 /// it.
 type MakeSpace<'a> = Option<&'a (dyn Fn() -> Arc<dyn ExecSpace> + Sync)>;
+
+/// A model on the space `space` makes, its row sweeps compiled for `isa`
+/// (`None`: as `OcnModel::new` picks them, the widest this CPU runs).
+#[derive(Clone, Copy, Default)]
+struct Setup<'a> {
+    space: MakeSpace<'a>,
+    isa: Option<Isa>,
+}
+
+impl<'a> From<MakeSpace<'a>> for Setup<'a> {
+    fn from(space: MakeSpace<'a>) -> Self {
+        Setup { space, isa: None }
+    }
+}
 
 /// One rank's per-level Σ x² of η, ū, v̄, u, v, T, S (ghost rims included).
 type LevelSums = [&'static [f64]; 7];
@@ -67,14 +83,17 @@ fn goldens_after(
     steps: usize,
     grid: &TripolarGrid,
     config: &OcnConfig,
-    space: MakeSpace,
+    setup: Setup,
     parent: Option<&[LevelSums]>,
 ) -> Vec<Golden> {
     World::new(config.px * config.py).run(|rank| {
         let decomp = BlockDecomp2d::new(config.nlon, config.nlat, config.px, config.py);
         let mut model = OcnModel::new(grid, config.clone(), rank.id());
-        if let Some(space) = space {
+        if let Some(space) = setup.space {
             model = model.on(space());
+        }
+        if let Some(isa) = setup.isa {
+            model = model.with_isa(isa);
         }
         let forcing = OcnForcing::climatology(grid, &decomp, rank.id());
         for _ in 0..steps {
@@ -90,7 +109,7 @@ fn hashes_after(
     config: &OcnConfig,
     space: MakeSpace,
 ) -> Vec<u64> {
-    let goldens = goldens_after(steps, grid, config, space, None);
+    let goldens = goldens_after(steps, grid, config, space.into(), None);
     goldens.iter().map(Golden::hash).collect()
 }
 
@@ -99,17 +118,17 @@ fn state_goldens(
     px: usize,
     py: usize,
     exclude_land: bool,
-    space: MakeSpace,
+    setup: Setup,
     parent: Option<&[LevelSums]>,
 ) -> Vec<Golden> {
     let grid = TripolarGrid::new(36, 24, 6, MaskGenerator::default());
     let mut config = OcnConfig::for_grid(36, 24, 6, px, py);
     config.exclude_land = exclude_land;
-    goldens_after(20, &grid, &config, space, parent)
+    goldens_after(20, &grid, &config, setup, parent)
 }
 
-fn state_hashes(px: usize, py: usize, exclude_land: bool, space: MakeSpace) -> Vec<u64> {
-    let goldens = state_goldens(px, py, exclude_land, space, None);
+fn state_hashes(px: usize, py: usize, exclude_land: bool, setup: Setup) -> Vec<u64> {
+    let goldens = state_goldens(px, py, exclude_land, setup, None);
     goldens.iter().map(Golden::hash).collect()
 }
 
@@ -187,7 +206,7 @@ fn check_ranks(goldens: &[Golden], want: &[u64], what: &str) {
 #[test]
 fn one_rank_state_matches_parent_bitwise() {
     for exclude_land in [true, false] {
-        let goldens = state_goldens(1, 1, exclude_land, None, Some(&PARENT_1X1));
+        let goldens = state_goldens(1, 1, exclude_land, Setup::default(), Some(&PARENT_1X1));
         check_ranks(
             &goldens,
             &GOLDEN_1X1,
@@ -199,7 +218,7 @@ fn one_rank_state_matches_parent_bitwise() {
 #[test]
 fn four_rank_state_matches_parent_bitwise() {
     for exclude_land in [true, false] {
-        let goldens = state_goldens(2, 2, exclude_land, None, Some(&PARENT_2X2));
+        let goldens = state_goldens(2, 2, exclude_land, Setup::default(), Some(&PARENT_2X2));
         check_ranks(
             &goldens,
             &GOLDEN_2X2,
@@ -228,16 +247,55 @@ fn goldens_hold_on_every_execution_space() {
     ));
     for (name, space) in &spaces {
         for exclude_land in [true, false] {
+            let setup = Some(&**space).into();
             assert_eq!(
-                state_hashes(1, 1, exclude_land, Some(&**space)),
+                state_hashes(1, 1, exclude_land, setup),
                 GOLDEN_1X1,
                 "{name}, exclude_land = {exclude_land}"
             );
             assert_eq!(
-                state_hashes(2, 2, exclude_land, Some(&**space)),
+                state_hashes(2, 2, exclude_land, setup),
                 GOLDEN_2X2,
                 "{name}, exclude_land = {exclude_land}"
             );
+        }
+    }
+}
+
+/// The same hashes from every compilation of the row sweeps this CPU runs
+/// (the others are named on stderr), on one lane and on two, both loop
+/// policies, one rank and four.
+#[test]
+fn goldens_hold_under_every_compilation() {
+    let skipped: Vec<String> = Isa::ALL
+        .iter()
+        .filter(|isa| !isa.available())
+        .map(|isa| isa.to_string())
+        .collect();
+    if !skipped.is_empty() {
+        eprintln!("not on this CPU, not checked: {}", skipped.join(", "));
+    }
+    let serial = || -> Arc<dyn ExecSpace> { Arc::new(Serial) };
+    let team = || -> Arc<dyn ExecSpace> { Arc::new(Threads::new(2)) };
+    for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+        for (lanes, space) in [(1, &serial as &(dyn Fn() -> _ + Sync)), (2, &team)] {
+            for exclude_land in [true, false] {
+                let setup = Setup {
+                    space: Some(space),
+                    isa: Some(isa),
+                };
+                let what = format!("{isa}, {lanes} lane(s), exclude_land = {exclude_land}");
+                assert_eq!(
+                    state_hashes(1, 1, exclude_land, setup),
+                    GOLDEN_1X1,
+                    "{what}"
+                );
+                assert_eq!(
+                    state_hashes(2, 2, exclude_land, setup),
+                    GOLDEN_2X2,
+                    "{what}"
+                );
+            }
         }
     }
 }

@@ -20,17 +20,22 @@
 //!   a range into LDM tiles — differently from any lane count,
 //! * [`for_chunks_mut`], [`Scatter`], [`PerLane`], [`SharedSlice`] — how a
 //!   range kernel gets its own part of the outputs and its own scratch
-//!   ([`shared`]).
+//!   ([`shared`]),
+//! * [`Isa`], [`Kernel`] — one kernel body compiled portable, for AVX2 and
+//!   for AVX-512F, the widest the CPU runs picked at run time ([`isa`]).
 //!
 //! Not reproduced, and why: the paper's hash-based kernel registration (a
 //! workaround for a Sunway C++ compiler that cannot instantiate templates on
 //! CPEs — a `dyn ExecSpace` closure has no such problem) and its hybrid
 //! host–device split of one loop (there is no second device here to split
 //! with). Neither had a caller; the model's kernels are written against the
-//! four methods of [`ExecSpace`] and nothing else.
+//! four methods of [`ExecSpace`], the safe forms of [`shared`] and
+//! [`Isa::run`], and nothing else.
 
 pub mod exec;
+pub mod isa;
 pub mod shared;
 
 pub use exec::{ExecSpace, Serial, SimulatedCpe, Threads};
+pub use isa::{Isa, Kernel};
 pub use shared::{for_chunks_mut, PerLane, Scatter, SharedSlice};
