@@ -12,12 +12,14 @@ pub const T_REF: f64 = 10.0;
 pub const S_REF: f64 = 35.0;
 
 /// In-situ density (kg/m³) from temperature (°C) and salinity (psu).
+#[inline(always)]
 pub fn density(t: f64, s: f64) -> f64 {
     RHO0 * (1.0 - ALPHA_T * (t - T_REF) + BETA_S * (s - S_REF))
 }
 
 /// Buoyancy frequency squared N² (s⁻²) between two stacked cells
 /// (upper first) whose centres are `1/inv_dz` (m) apart.
+#[inline(always)]
 pub fn brunt_vaisala_sq(t_up: f64, s_up: f64, t_dn: f64, s_dn: f64, inv_dz: f64) -> f64 {
     let rho_up = density(t_up, s_up);
     let rho_dn = density(t_dn, s_dn);

@@ -7,10 +7,9 @@ use std::sync::Arc;
 use ap3esm_comm::{CommError, HaloExchange, Rank};
 use ap3esm_grid::decomp::BlockDecomp2d;
 use ap3esm_grid::tripolar::TripolarGrid;
-use ap3esm_physics::constants::CP_SEAWATER;
-use ap3esm_pp::{for_chunks_mut, ExecSpace, Isa, PerLane, Scatter, Serial};
+use ap3esm_pp::{for_chunks_mut, for_level_chunks_mut, ExecSpace, Isa, PerLane, Serial};
 
-use crate::mixing::{reciprocal_thickness, CanutoMixing, TridiagFactors};
+use crate::mixing::{reciprocal_thickness, tile_scratch_len, CanutoMixing, MixInputs, RowMixing};
 use crate::state::OcnState;
 use crate::sweep::{stage_row_len, RowFactors, RowSweep, SweepInputs, WetSpans};
 use crate::{G, RHO0};
@@ -118,7 +117,7 @@ struct OcnWorkspace {
     /// ([`stage_row_len`] values each), from the row sweeps that compute
     /// them to the mixing that reads them.
     stage: Vec<f64>,
-    /// One set per lane, for the rows it sweeps and the columns it mixes.
+    /// One set per lane, for the rows it sweeps and mixes.
     lanes: PerLane<LaneScratch>,
     /// Per interior row, the reciprocal geometry and rotation of this step
     /// ([`RowFactors`]), so that no phase divides by them per point.
@@ -129,18 +128,12 @@ struct OcnWorkspace {
     inv_dzi: Vec<f64>,
 }
 
-/// Columns a lane factors and solves in lock-step.
-const MIX_COLUMNS: usize = 4;
-
 /// A lane's scratch: the pressure of the rows it sweeps, one level at a
-/// time (a slab's worth, enough for any range of rows), and for a group of
-/// [`MIX_COLUMNS`] mixing columns their fields (`nlev` levels each),
-/// interface diffusivities (`kq[k][w]`) and factored matrices.
+/// time (a slab's worth, enough for any range of rows), and the levels and
+/// factors of the tile of columns it mixes ([`tile_scratch_len`]).
 struct LaneScratch {
     press: Vec<f64>,
-    x: Vec<[f64; 4]>,
-    kq: Vec<[f64; MIX_COLUMNS]>,
-    factors: TridiagFactors<MIX_COLUMNS>,
+    mix: Vec<f64>,
 }
 
 impl OcnWorkspace {
@@ -170,13 +163,12 @@ pub struct OcnModel {
     halo2d: HaloExchange,
     halo3d: HaloExchange,
     mixing: CanutoMixing,
-    /// The §5.2.2 loop policy as a list of interior cells, which the phase
-    /// over columns ranges over: the packed active columns when
-    /// `exclude_land`, else every cell of the box, land included.
-    columns: Scatter,
-    /// The same policy for the row sweeps: each row's wet run per level, or
-    /// the whole row.
+    /// The §5.2.2 loop policy: each row's wet run per level, or the whole
+    /// row, which the sweeps cover at every level and mixing at level 0.
     spans: WetSpans,
+    /// The columns the policy mixes a step: the active ones when
+    /// `exclude_land`, else every cell of the box, land included.
+    columns: usize,
     ws: OcnWorkspace,
     /// Where the phases of a step run.
     space: Arc<dyn ExecSpace>,
@@ -206,12 +198,10 @@ impl OcnModel {
                 .collect();
         }
         let halo3d = HaloExchange::new(spec, 200);
-        let cells = (0..state.nj)
-            .flat_map(|j| (0..state.ni).map(move |i| (i, j)))
-            .map(|(i, j)| state.at(i, j))
-            .filter(|&idx| !config.exclude_land || state.kmt[idx] > 0)
-            .collect();
-        let columns = Scatter::new(cells, slab);
+        let columns = match config.exclude_land {
+            true => state.active_columns().len(),
+            false => state.ni * state.nj,
+        };
         let spans = WetSpans::new(&state.kmt, state.stride, state.nlev, config.exclude_land);
         let row_len = stage_row_len(state.nlev, state.ni);
         let ws = OcnWorkspace::new(slab, state.nlev, state.nj, row_len);
@@ -242,11 +232,11 @@ impl OcnModel {
         &self.space
     }
 
-    /// Run the row sweeps compiled for `isa` instead of the widest
+    /// Run the row sweeps and mixing compiled for `isa` instead of the widest
     /// compilation this CPU runs: the tests' hook. The answer does not
     /// depend on it, bit for bit. Panics if this CPU cannot run `isa`.
     pub fn with_isa(mut self, isa: Isa) -> Self {
-        assert!(isa.available(), "{isa} row sweeps on a CPU without it");
+        assert!(isa.available(), "{isa} kernels on a CPU without it");
         self.isa = isa;
         self
     }
@@ -468,8 +458,6 @@ impl OcnModel {
         let (nlev, stride, inv_dy) = (*nlev, *stride, 1.0 / *dy);
         let slab = eta.len();
         let (eta, kmt, fcor, dz) = (&eta[..], &kmt[..], &fcor[..], &dz[..]);
-        let columns = &self.columns;
-        let (cells, ncols) = (columns.cells(), columns.len());
         let OcnWorkspace {
             stage,
             lanes,
@@ -479,14 +467,12 @@ impl OcnModel {
             ..
         } = &mut self.ws;
         let (inv_dz, inv_dzi) = (&inv_dz[..], &inv_dzi[..]);
-        let row_len = stage_row_len(nlev, ni);
         lanes.grow(space.concurrency(), || LaneScratch {
             press: vec![0.0; slab],
-            x: vec![[0.0; 4]; MIX_COLUMNS * nlev],
-            kq: vec![[0.0; MIX_COLUMNS]; nlev.saturating_sub(1)],
-            factors: TridiagFactors::with_capacity(nlev),
+            mix: vec![0.0; tile_scratch_len(nlev)],
         });
         let lanes = &*lanes;
+        let isa = self.isa;
 
         // --- Over rows: per level, the pressure of the lane's rows and one
         //     row either side, then momentum and upwind advection across each
@@ -512,7 +498,6 @@ impl OcnModel {
                 dt,
                 r_drag,
             };
-            let isa = self.isa;
             for_chunks_mut(space, nj, [&mut stage[..]], |rows, [out]| {
                 let mut lane = lanes.take();
                 isa.run(RowSweep {
@@ -524,73 +509,36 @@ impl OcnModel {
             });
         }
 
-        // --- Over the loop policy's columns: implicit vertical mixing with
-        //     the surface forcing, `MIX_COLUMNS` wet columns of the lane's
-        //     range at a time, from their staged values, and the mixed
-        //     levels written into the state. A column spans every level's
-        //     slab, which no range of columns owns, so its cells are written
-        //     through `pp::Scatter`. ---
-        let stage = &stage[..];
-        columns.for_chunks(
-            space,
-            [&mut t[..], &mut s[..], &mut u[..], &mut v[..]],
-            |cols, [mut t, mut s, mut u, mut v]| {
+        // --- Over rows again: implicit vertical mixing with the surface
+        //     forcing, each row's columns in tiles from the stage, the mixed
+        //     levels stored into the lane's rows of the state at every level
+        //     (`mixing::RowMixing`). ---
+        {
+            let step = MixInputs {
+                ni,
+                stride,
+                nlev,
+                stage,
+                kmt,
+                spans: &self.spans,
+                inv_dz,
+                inv_dzi,
+                forcing,
+                mixing,
+                dt,
+            };
+            let fields = [&mut t[..], &mut s[..], &mut u[..], &mut v[..]];
+            for_level_chunks_mut(space, nj + 2, slab, fields, |rows, out| {
                 let mut lane = lanes.take();
-                let LaneScratch { x, kq, factors, .. } = &mut *lane;
-                let mut wet = cols.filter(|&c| kmt[cells[c]] > 0).peekable();
-                while wet.peek().is_some() {
-                    // Columns past the last of a short tail group have depth 0.
-                    let mut group = [0; MIX_COLUMNS];
-                    let mut depth = [0; MIX_COLUMNS];
-                    let start: [usize; MIX_COLUMNS] = std::array::from_fn(|w| nlev * w);
-                    let mut surface_flux = [[0.0; 4]; MIX_COLUMNS];
-                    for (w, c) in wet.by_ref().take(MIX_COLUMNS).enumerate() {
-                        let idx = cells[c];
-                        let (i, j) = (idx % stride - 1, idx / stride - 1);
-                        let kmax = kmt[idx] as usize;
-                        let x = &mut x[start[w]..][..kmax];
-                        let row = &stage[j * row_len..][..row_len];
-                        for (k, x_k) in x.iter_mut().enumerate() {
-                            *x_k = std::array::from_fn(|f| row[(4 * k + f) * ni + i]);
-                        }
-
-                        // Interface diffusivities from Ri; the matrix depends
-                        // on them only, so it is factored once and solved for
-                        // T, S, u, v together.
-                        let interfaces = kq[..kmax - 1].iter_mut().enumerate().zip(inv_dzi);
-                        for ((k, kq_k), &inv_dzi) in interfaces {
-                            let [t_up, s_up, u_up, v_up] = x[k];
-                            let [t_dn, s_dn, u_dn, v_dn] = x[k + 1];
-                            let n2 = crate::eos::brunt_vaisala_sq(t_up, s_up, t_dn, s_dn, inv_dzi);
-                            let du = (u_up - u_dn) * inv_dzi;
-                            let dv = (v_up - v_dn) * inv_dzi;
-                            kq_k[w] = mixing.diffusivity(n2, du * du + dv * dv);
-                        }
-                        group[w] = c;
-                        depth[w] = kmax;
-                        let fi = j * ni + i;
-                        let heat_flux = forcing.qnet[fi] / (RHO0 * CP_SEAWATER); // K·m/s
-                        surface_flux[w] = [
-                            heat_flux,
-                            forcing.salt_flux[fi],
-                            forcing.taux[fi] / RHO0,
-                            forcing.tauy[fi] / RHO0,
-                        ];
-                    }
-                    mixing.factor(inv_dz, inv_dzi, kq, depth, dt, factors);
-                    mixing.solve(factors, x, start, surface_flux);
-                    for ((&c, &kmax), &start) in group.iter().zip(&depth).zip(&start) {
-                        for (k, &[tk, sk, uk, vk]) in x[start..][..kmax].iter().enumerate() {
-                            t.set(c, k, tk);
-                            s.set(c, k, sk);
-                            u.set(c, k, uk);
-                            v.set(c, k, vk);
-                        }
-                    }
-                }
-            },
-        );
-        self.columns_visited = ncols;
+                isa.run(RowMixing {
+                    step: &step,
+                    rows,
+                    out,
+                    scratch: &mut lane.mix,
+                });
+            });
+        }
+        self.columns_visited = self.columns;
 
         // --- Refresh 3-D halos for the next step: one packed message per
         //     neighbor rank (u, v, T, S, every level), a copy per self-link. ---
@@ -618,7 +566,9 @@ impl OcnModel {
     /// Fig. 5 resource-reduction number for this rank.
     pub fn exclusion_ratio(&self) -> f64 {
         let st = &self.state;
-        let active: usize = self.columns.cells().iter().map(|&idx| st.kmt[idx] as usize).sum();
+        let active: usize = (0..st.nj)
+            .flat_map(|j| (0..st.ni).map(move |i| st.kmt[st.at(i, j)] as usize))
+            .sum();
         active as f64 / (st.ni * st.nj * st.nlev) as f64
     }
 }
@@ -794,6 +744,74 @@ mod tests {
             } else {
                 assert_eq!(swept, dense_box, "{lanes} lanes");
             }
+        }
+    }
+
+    /// Mixing writes a column's wet levels and nothing else: with every
+    /// level at or below each column's `kmt` and every land column holding
+    /// a NaN sentinel, a step leaves those cells' bits as they were and the
+    /// wet cells as they are without the sentinel, under both loop
+    /// policies, on one lane and two, under every compilation.
+    #[test]
+    fn dry_levels_and_land_keep_their_bits() {
+        let sentinel = f64::from_bits(0x7ff8_0000_dead_beef);
+        let g = grid(6);
+        for exclude in [true, false] {
+            let mut config = OcnConfig::for_grid(36, 24, 6, 1, 1);
+            config.exclude_land = exclude;
+            World::new(1).run(|rank| {
+                let decomp = BlockDecomp2d::new(36, 24, 1, 1);
+                let forcing = OcnForcing::climatology(&g, &decomp, 0);
+                let step = |isa: Isa, lanes: usize, fill: bool| -> [Vec<f64>; 4] {
+                    let mut model = OcnModel::new(&g, config.clone(), 0)
+                        .on(Arc::new(ap3esm_pp::Threads::new(lanes)))
+                        .with_isa(isa);
+                    let st = &mut model.state;
+                    let slab = st.eta.len();
+                    let cells: Vec<usize> = (0..st.nj)
+                        .flat_map(|j| (0..st.ni).map(move |i| (i, j)))
+                        .map(|(i, j)| st.at(i, j))
+                        .filter(|_| fill)
+                        .collect();
+                    for idx in cells {
+                        for k in st.kmt[idx] as usize..st.nlev {
+                            for f in [&mut st.t, &mut st.s, &mut st.u, &mut st.v] {
+                                f[k * slab + idx] = sentinel;
+                            }
+                        }
+                    }
+                    model.step(rank, &forcing);
+                    let st = model.state;
+                    [st.t, st.s, st.u, st.v]
+                };
+                let plain = step(Isa::Portable, 1, false);
+                let st = OcnModel::new(&g, config.clone(), 0).state;
+                let slab = st.eta.len();
+                for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+                    for lanes in [1, 2] {
+                        let filled = step(isa, lanes, true);
+                        for (f, (got, want)) in filled.iter().zip(&plain).enumerate() {
+                            for (i, j) in (0..st.nj).flat_map(|j| (0..st.ni).map(move |i| (i, j))) {
+                                let idx = st.at(i, j);
+                                for k in 0..st.nlev {
+                                    let (got, want) = (got[k * slab + idx], want[k * slab + idx]);
+                                    let want = match k < st.kmt[idx] as usize {
+                                        true => want,
+                                        false => sentinel,
+                                    };
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "exclude {exclude}, {isa}, {lanes} lane(s), field {f}, \
+                                         cell ({i}, {j}) of kmt {}, level {k}",
+                                        st.kmt[idx]
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            });
         }
     }
 

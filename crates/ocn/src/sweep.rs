@@ -219,8 +219,10 @@ struct Row {
     span: Range<usize>,
 }
 
+/// `a` where `c` holds, else `b`: a select, which a tile of lanes compiles
+/// to a blend.
 #[inline(always)]
-fn pick(c: bool, a: f64, b: f64) -> f64 {
+pub(crate) fn pick(c: bool, a: f64, b: f64) -> f64 {
     if c {
         a
     } else {

@@ -18,9 +18,9 @@
 //! * [`SimulatedCpe`] — an emulation of one Sunway core group: 64 compute
 //!   processing elements with a small local device memory (LDM), which cuts
 //!   a range into LDM tiles — differently from any lane count,
-//! * [`for_chunks_mut`], [`Scatter`], [`PerLane`], [`SharedSlice`] — how a
-//!   range kernel gets its own part of the outputs and its own scratch
-//!   ([`shared`]),
+//! * [`for_chunks_mut`], [`for_level_chunks_mut`], [`PerLane`],
+//!   [`SharedSlice`] — how a range kernel gets its own part of the outputs
+//!   and its own scratch ([`shared`]),
 //! * [`Isa`], [`Kernel`] — one kernel body compiled portable, for AVX2 and
 //!   for AVX-512F, the widest the CPU runs picked at run time ([`isa`]).
 //!
@@ -38,4 +38,4 @@ pub mod shared;
 
 pub use exec::{ExecSpace, Serial, SimulatedCpe, Threads};
 pub use isa::{Isa, Kernel};
-pub use shared::{for_chunks_mut, PerLane, Scatter, SharedSlice};
+pub use shared::{for_chunks_mut, for_level_chunks_mut, Levels, PerLane, SharedSlice};

@@ -1,10 +1,10 @@
 //! Disjoint-write shared slices — the OpenMP "parallel loop writes its own
 //! index" pattern that SWGOMP generates for GRIST loops (§5.1.1: "most of
 //! the GRIST loops are conflict-free"). [`for_chunks_mut`] is the safe form
-//! for kernels whose outputs are contiguous per index range; [`Scatter`]
-//! the safe form for kernels that write one cell of every level per index,
-//! cells proved distinct when the scatter is built; [`SharedSlice`] the
-//! unsafe one for arbitrary one-writer index sets.
+//! for kernels whose outputs are contiguous per index range;
+//! [`for_level_chunks_mut`] the safe form for kernels over a range of rows
+//! that write those rows at every level of a level-major field;
+//! [`SharedSlice`] the unsafe one for arbitrary one-writer index sets.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -42,10 +42,10 @@ impl<T> Clone for RawSlice<T> {
 
 impl<T> Copy for RawSlice<T> {}
 
-// SAFETY: only `for_chunks_mut` builds one, from a `&mut [T]` it holds for
-// the whole phase, and each lane turns it back into a `&mut` of a part no
-// other lane gets; `T: Send` because those parts are written on other
-// threads.
+// SAFETY: only `for_chunks_mut` and `for_level_chunks_mut` build one, from
+// a `&mut [T]` they hold for the whole phase, and each lane turns it back
+// into `&mut`s of parts no other lane gets; `T: Send` because those parts
+// are written on other threads.
 unsafe impl<T: Send> Sync for RawSlice<T> {}
 
 /// Run `f(range, parts)` over contiguous ranges covering `0..n` on `space`
@@ -85,118 +85,78 @@ pub fn for_chunks_mut<E, T, const K: usize>(
     });
 }
 
-/// One cell of a slab per position `0..len()` — a packed list of columns —
-/// with no cell listed twice, checked when it is built. A phase over
-/// positions can then write each position's cell at every level of a
-/// level-major `levels × slab` field from any lane ([`Scatter::for_chunks`]):
-/// positions in disjoint ranges own disjoint cells, at every level.
-#[derive(Debug, Clone)]
-pub struct Scatter {
-    cells: Vec<usize>,
-    slab: usize,
-}
-
-impl Scatter {
-    /// Panics if a cell lies outside `0..slab` or is listed twice.
-    pub fn new(cells: Vec<usize>, slab: usize) -> Self {
-        let mut taken = vec![false; slab];
-        for &cell in &cells {
-            assert!(cell < slab, "scatter cell {cell} outside a slab of {slab}");
-            assert!(
-                !std::mem::replace(&mut taken[cell], true),
-                "scatter cell {cell} listed twice"
-            );
+/// Run `f(range, parts)` over contiguous ranges covering `0..n` on `space`
+/// (see [`ExecSpace::for_chunks`]), where each output is a level-major field
+/// of whole levels of `level` entries, a level being `n` blocks of
+/// `level / n` entries (a slab of `n` rows), and `parts[j]` holds `range`'s
+/// blocks of every level of `outs[j]`. A kernel over a range of rows writes
+/// its rows at every level and nothing else. Panics if an output is not
+/// whole levels or a level not whole blocks.
+pub fn for_level_chunks_mut<E, T, const K: usize>(
+    space: &E,
+    n: usize,
+    level: usize,
+    outs: [&mut [T]; K],
+    f: impl Fn(Range<usize>, [Levels<'_, T>; K]) + Sync,
+) where
+    E: ExecSpace + ?Sized,
+    T: Send,
+{
+    carve(level, n, &(0..n));
+    let raw = outs.map(|out| {
+        let whole = out.len().checked_rem(level).map_or(out.is_empty(), |r| r == 0);
+        assert!(whole, "{} entries are not whole levels of {level}", out.len());
+        RawSlice {
+            ptr: out.as_mut_ptr(),
+            len: out.len(),
         }
-        Scatter { cells, slab }
-    }
-
-    /// The cell of every position.
-    pub fn cells(&self) -> &[usize] {
-        &self.cells
-    }
-
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Run `f(range, parts)` over contiguous ranges covering the positions
-    /// `0..len()` on `space` (see [`ExecSpace::for_chunks`]), where
-    /// `parts[j]` writes `outs[j]`, a level-major field of
-    /// `outs[j].len() / slab` levels, at the cells of `range`'s positions
-    /// and nowhere else. Panics if an output is not whole levels.
-    pub fn for_chunks<E, T, const K: usize>(
-        &self,
-        space: &E,
-        outs: [&mut [T]; K],
-        f: impl Fn(Range<usize>, [ScatterPart<'_, T>; K]) + Sync,
-    ) where
-        E: ExecSpace + ?Sized,
-        T: Send,
-    {
-        let n = self.cells.len();
-        let raw = outs.map(|out| {
-            assert_eq!(
-                out.len().checked_rem(self.slab).unwrap_or(0),
-                0,
-                "{} entries are not whole levels of a slab of {}",
-                out.len(),
-                self.slab
-            );
-            RawSlice {
-                ptr: out.as_mut_ptr(),
-                len: out.len(),
-            }
+    });
+    space.for_chunks(n, &|range| {
+        assert!(range.start <= range.end && range.end <= n);
+        let parts = raw.map(|out| Levels {
+            out,
+            level,
+            levels: out.len.checked_div(level).unwrap_or(0),
+            part: carve(level, n, &range),
+            _borrow: PhantomData,
         });
-        space.for_chunks(n, &|range| {
-            assert!(range.start <= range.end && range.end <= n);
-            let parts = raw.map(|out| ScatterPart {
-                out,
-                cells: &self.cells,
-                slab: self.slab,
-                range: range.clone(),
-            });
-            f(range, parts);
-        });
-    }
+        f(range, parts);
+    });
 }
 
-/// What a kernel of [`Scatter::for_chunks`] may write of one output: the
-/// cells of its own positions, at any level.
-pub struct ScatterPart<'a, T> {
+/// What a kernel of [`for_level_chunks_mut`] may write of one output: its
+/// own rows' part of every level.
+pub struct Levels<'a, T> {
     out: RawSlice<T>,
-    cells: &'a [usize],
-    slab: usize,
-    range: Range<usize>,
+    level: usize,
+    levels: usize,
+    /// The kernel's part of each level, from the level's start.
+    part: Range<usize>,
+    _borrow: PhantomData<&'a mut [T]>,
 }
 
-impl<T> ScatterPart<'_, T> {
-    /// Write `value` at level `k` of the cell of position `c`. Panics if `c`
-    /// is not a position of this kernel's range or `k` not a level of the
-    /// output.
-    #[inline]
-    pub fn set(&mut self, c: usize, k: usize, value: T) {
-        assert!(
-            self.range.contains(&c),
-            "position {c} is not in this kernel's range {:?}",
-            self.range
-        );
-        let i = k * self.slab + self.cells[c];
-        assert!(i < self.out.len, "level {k} is not a level of this output");
-        // SAFETY: `i` lies within the output (checked above), which
-        // `Scatter::for_chunks` holds exclusively borrowed for the whole
-        // phase. Another kernel of the phase writes only the cells of
-        // positions in its own range, disjoint from this one (only this
-        // crate implements `ExecSpace`), and the cells of distinct positions
-        // are distinct (`Scatter::new`); as every cell is below `slab`,
-        // `k·slab + cell` is a different element for every (position,
-        // level), so no element is written by two kernels. The part writes
-        // only, hands out no reference, and cannot outlive the call (`f`
-        // takes it at any lifetime).
-        unsafe { *self.out.ptr.add(i) = value };
+impl<T> Levels<'_, T> {
+    /// The levels of the output.
+    pub fn levels(&self) -> usize {
+        self.levels
+    }
+
+    /// This kernel's part of level `k`: its rows, the first at 0. Panics if
+    /// `k` is not a level of the output.
+    #[inline(always)]
+    pub fn level(&mut self, k: usize) -> &mut [T] {
+        assert!(k < self.levels, "level {k} is not a level of this output");
+        let start = k * self.level + self.part.start;
+        // SAFETY: level `k` lies within the output (checked above) and
+        // `part` within a level (`carve`), which `for_level_chunks_mut`
+        // holds exclusively borrowed for the whole phase. Another kernel of
+        // the phase holds the part of a range disjoint from this one (only
+        // this crate implements `ExecSpace`), and `carve` gives disjoint
+        // ranges disjoint parts of every level, so no element is reachable
+        // from two kernels. The slice borrows `self` mutably, so a part hands
+        // out one live reference to a level at a time, and none outlives the
+        // call (`f` takes the part at any lifetime).
+        unsafe { std::slice::from_raw_parts_mut(self.out.ptr.add(start), self.part.len()) }
     }
 }
 
@@ -352,21 +312,6 @@ mod tests {
                 );
                 (one, strided)
             };
-            // The scatter's positions are every third cell of a slab, in
-            // reverse, and the field has `stride` levels.
-            let scattered = |space: &dyn ExecSpace, n: usize| {
-                let slab = 3 * n;
-                let scatter = Scatter::new((0..n).rev().map(|c| 3 * c + 1).collect(), slab);
-                let mut field = vec![usize::MAX; stride * slab];
-                scatter.for_chunks(space, [&mut field[..]], |range, [mut part]| {
-                    for c in range {
-                        for k in 0..stride {
-                            part.set(c, k, k * n + c);
-                        }
-                    }
-                });
-                field
-            };
             let threads = Threads::new(lanes);
             let cpe = SimulatedCpe::new(64, 8 * tile, 8);
             for n in [0, 1, 1000, n] {
@@ -377,62 +322,95 @@ mod tests {
                 assert_eq!(run(&threads, n), serial, "{lanes} lanes, n = {n}");
                 assert_eq!(run(&cpe, n), serial, "tiles of {tile}, n = {n}");
 
-                let serial = scattered(&Serial, n);
-                for (i, &v) in serial.iter().enumerate() {
-                    let (k, cell) = (i / (3 * n), i % (3 * n));
-                    let expect = if cell % 3 == 1 {
-                        k * n + (n - 1 - cell / 3)
-                    } else {
-                        usize::MAX
-                    };
-                    assert_eq!(v, expect, "scatter, n = {n}, level {k}, cell {cell}");
+            }
+        }
+    }
+
+    proptest! {
+        /// The parts of one phase are disjoint and cover every level of
+        /// every output, whatever the rows, their width, the levels and the
+        /// cut: each kernel writes its rows' entries of each level, tagged
+        /// with the level, row and column, and records where each part lies.
+        #[test]
+        fn level_parts_are_disjoint_and_cover_every_level_on_every_space(
+            n in 1usize..200,
+            width in 1usize..=5,
+            levels in 0usize..=4,
+            lanes in 1usize..=7,
+            tile in 1usize..=257,
+        ) {
+            let level = n * width;
+            let run = |space: &dyn ExecSpace| {
+                let mut field = vec![usize::MAX; levels * level];
+                let parts = Mutex::new(Vec::new());
+                let base = field.as_ptr() as usize;
+                for_level_chunks_mut(
+                    space,
+                    n,
+                    level,
+                    [&mut field[..]],
+                    |rows, [mut part]| {
+                        assert_eq!(part.levels(), levels);
+                        for k in 0..levels {
+                            let cells = part.level(k);
+                            assert_eq!(cells.len(), rows.len() * width);
+                            let at = (cells.as_ptr() as usize - base) / size_of::<usize>();
+                            parts.lock().unwrap().push(at..at + cells.len());
+                            for (r, row) in rows.clone().zip(cells.chunks_exact_mut(width)) {
+                                for (i, cell) in row.iter_mut().enumerate() {
+                                    *cell = (k * n + r) * width + i;
+                                }
+                            }
+                        }
+                    },
+                );
+                // Two outputs of different element types in one phase.
+                let (mut a, mut b) = (vec![0u16; 3 * level], vec![0u16; level]);
+                for_level_chunks_mut(space, n, level, [&mut a[..], &mut b[..]], |rows, [a, b]| {
+                    assert_eq!((a.levels(), b.levels()), (3, 1), "{rows:?}");
+                });
+                let mut parts = parts.into_inner().unwrap();
+                parts.sort_by_key(|part| part.start);
+                (field, parts)
+            };
+            let threads = Threads::new(lanes);
+            let cpe = SimulatedCpe::new(64, 8 * tile, 8);
+            let (serial, _) = run(&Serial);
+            // Every entry written once, with its own tag: the parts cover
+            // every level.
+            prop_assert!(serial.iter().copied().eq(0..levels * level));
+            for (space, name) in [(&threads as &dyn ExecSpace, "threads"), (&cpe, "cpe")] {
+                let (field, parts) = run(space);
+                prop_assert_eq!(&field, &serial, "{}", name);
+                // Non-empty parts tile the field end to end: no two overlap.
+                let mut end = 0;
+                for part in parts.iter().filter(|part| !part.is_empty()) {
+                    prop_assert_eq!(part.start, end, "{} parts {:?}", name, parts);
+                    end = part.end;
                 }
-                assert_eq!(scattered(&threads, n), serial, "scatter, {lanes} lanes, n = {n}");
-                assert_eq!(scattered(&cpe, n), serial, "scatter, tiles of {tile}, n = {n}");
+                prop_assert_eq!(end, levels * level);
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "scatter cell 4 listed twice")]
-    fn a_scatter_cell_listed_twice_is_refused() {
-        Scatter::new(vec![1, 4, 2, 4], 8);
+    #[should_panic(expected = "12 entries do not divide among 5 indices")]
+    fn a_level_that_is_not_whole_blocks_is_refused() {
+        for_level_chunks_mut(&Serial, 5, 12, [&mut [0.0; 24][..]], |_, _| ());
     }
 
     #[test]
-    #[should_panic(expected = "scatter cell 8 outside a slab of 8")]
-    fn a_scatter_cell_outside_the_slab_is_refused() {
-        Scatter::new(vec![1, 8], 8);
-    }
-
-    /// One position per tile: the kernel of position `c` reaches for
-    /// position `c + 1 mod 3`, which another kernel owns.
-    #[test]
-    #[should_panic(expected = "is not in this kernel's range")]
-    fn a_kernel_writes_the_cells_of_its_own_range_only() {
-        let scatter = Scatter::new(vec![0, 1, 2], 3);
-        let mut field = [0; 3];
-        let one_per_tile = SimulatedCpe::new(64, 8, 8);
-        assert_eq!(one_per_tile.tile_len(), 1);
-        scatter.for_chunks(&one_per_tile, [&mut field[..]], |range, [mut part]| {
-            part.set((range.start + 1) % 3, 0, 1);
-        });
+    #[should_panic(expected = "25 entries are not whole levels of 10")]
+    fn an_output_that_is_not_whole_levels_is_refused() {
+        for_level_chunks_mut(&Serial, 5, 10, [&mut [0.0; 25][..]], |_, _| ());
     }
 
     #[test]
     #[should_panic(expected = "level 2 is not a level of this output")]
     fn a_kernel_writes_the_levels_of_the_output_only() {
-        let scatter = Scatter::new(vec![0, 1, 2], 3);
-        let mut field = [0; 6];
-        scatter.for_chunks(&Serial, [&mut field[..]], |range, [mut part]| {
-            part.set(range.start, 2, 1);
+        for_level_chunks_mut(&Serial, 3, 3, [&mut [0; 6][..]], |_, [mut part]| {
+            part.level(2)[0] = 1;
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "7 entries are not whole levels of a slab of 3")]
-    fn a_scatter_output_must_hold_whole_levels() {
-        Scatter::new(vec![0], 3).for_chunks(&Serial, [&mut [0; 7][..]], |_, _| ());
     }
 
     #[test]

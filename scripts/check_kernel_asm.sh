@@ -8,14 +8,18 @@
 # must also use its own vector width (a `ymm` / `zmm` register), or it is
 # the narrower kernel under another name.
 #
-# The ocean's row sweep (`ocn::sweep`, DESIGN.md §17) is checked the same way
-# for width: its AVX2 and AVX-512 compilations, the ocean crate's instances
-# of `pp::isa::with_avx2` / `with_avx512`, must do double-precision
-# arithmetic (`vaddpd`, `vsubpd`, `vmulpd`, `vdivpd`) on `ymm` / `zmm`
-# registers and make their selects as blends of that width (`vblendvpd` /
-# `vblendmpd`; only the sweep selects, the pressure beside it does not), or
-# a refactor has silently de-vectorised the sweep. (Its AVX2 body keeps a
-# few values on the stack; only the conv tile is held to none.)
+# The ocean's two kernels (`ocn::sweep::RowSweep` and
+# `ocn::mixing::RowMixing`, DESIGN.md §17) are checked the same way for
+# width: every instance in the ocean crate of `pp::isa::with_avx2` /
+# `with_avx512` — one per kernel, each named in the output (the crate is
+# emitted with v0 symbol mangling, which spells a generic's type arguments
+# into its label) — must make its selects as blends on `ymm` / `zmm`
+# registers (`vblendvpd` / `vblendmpd`), and do its arithmetic at that
+# width: the sweep any of `vaddpd`, `vsubpd`, `vmulpd`, `vdivpd`, mixing
+# `vdivpd` (its Thomas pivots and Richardson numbers); or a refactor has
+# silently de-vectorised a kernel. A missing instance fails too. (Their
+# AVX2 bodies keep a few values on the stack; only the conv tile is held to
+# none.)
 #
 # Builds into its own target directory (the emit flags would otherwise
 # rebuild the crates in the main one). x86-64 only.
@@ -24,9 +28,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 dir=${CARGO_TARGET_DIR:-target}/kernel-asm
-emit() {
+emit() { # <crate> [rustc flags...]
     CARGO_TARGET_DIR=$dir cargo rustc -q --release -p "$1" --lib -- \
-        --emit asm -C llvm-args=-x86-asm-syntax=intel
+        --emit asm -C llvm-args=-x86-asm-syntax=intel "${@:2}"
     ls -t "$dir"/release/deps/"${1//-/_}"-*.s | head -n 1
 }
 
@@ -62,22 +66,51 @@ for check in "conv_avx2 ymm" "conv_avx512 zmm"; do
     fi
 done
 
-asm=$(emit ap3esm-ocn)
-for check in "with_avx2 ymm" "with_avx512 zmm"; do
-    read -r fn reg <<<"$check"
-    body=$(body "$fn" "$asm")
-    if [[ -z $body ]]; then
-        echo "sweep: no $fn in $asm" >&2
+asm=$(emit ap3esm-ocn -C symbol-mangling-version=v0)
+# One line per instance: `<entry point> <module>::<kernel> <lines>
+# <arithmetic> <divides> <blends>`, counted on the entry point's register.
+instances=$(awk '
+    function kernel(label,   p, rest, n, mod) {
+        p = index(label, "10ap3esm_ocn")
+        if (!p) return "?"
+        rest = substr(label, p + 12)
+        match(rest, /^[0-9]+/); n = substr(rest, 1, RLENGTH)
+        mod = substr(rest, RLENGTH + 1, n); rest = substr(rest, RLENGTH + 1 + n)
+        match(rest, /^[0-9]+/); n = substr(rest, 1, RLENGTH)
+        return mod "::" substr(rest, RLENGTH + 1, n)
+    }
+    /^_R[0-9A-Za-z_]*(9with_avx2|11with_avx512)[0-9A-Za-z_]*:$/ {
+        fn = ($0 ~ /9with_avx2/) ? "with_avx2" : "with_avx512"
+        reg = (fn == "with_avx2") ? "ymm" : "zmm"
+        name = kernel($0); lines = wide = divs = blends = 0; on = 1
+    }
+    on {
+        lines++
+        if ($0 ~ "v(add|sub|mul|div)pd[ \t]+" reg "[0-9]") wide++
+        if ($0 ~ "vdivpd[ \t]+" reg "[0-9]") divs++
+        if ($0 ~ "vblend[a-z]*pd[ \t]+" reg "[0-9]") blends++
+    }
+    on && /\.cfi_endproc/ { print fn, name, lines, wide, divs, blends; on = 0 }' "$asm")
+for check in "with_avx2 sweep::RowSweep" "with_avx512 sweep::RowSweep" \
+    "with_avx2 mixing::RowMixing" "with_avx512 mixing::RowMixing"; do
+    if ! grep -q "^$check " <<<"$instances"; then
+        echo "ocean: no $check instance in $asm" >&2
         status=1
-        continue
-    fi
-    wide=$(grep -cE "v(add|sub|mul|div)pd\s+${reg}[0-9]" <<<"$body" || true)
-    blends=$(grep -cE "vblend[a-z]*pd\s+${reg}[0-9]" <<<"$body" || true)
-    if ((wide == 0 || blends == 0)); then
-        echo "sweep: $fn does $wide arithmetic and $blends select instruction(s) on $reg registers: not vectorised" >&2
-        status=1
-    else
-        echo "sweep: $fn does $wide arithmetic and $blends select instruction(s) on $reg registers ($(wc -l <<<"$body") lines)"
     fi
 done
+while read -r fn name lines wide divs blends; do
+    reg=$([[ $fn == with_avx2 ]] && echo ymm || echo zmm)
+    case $name in
+    *::RowMixing) need=$divs what=vdivpd ;;
+    *) need=$wide what=arithmetic ;;
+    esac
+    summary="$fn<$name> does $wide arithmetic ($divs vdivpd) and $blends select"
+    summary+=" instruction(s) on $reg registers ($lines lines)"
+    if ((need == 0 || blends == 0)); then
+        echo "ocean: $summary: no $what or no blend, not vectorised" >&2
+        status=1
+    else
+        echo "ocean: $summary"
+    fi
+done < <(grep . <<<"$instances")
 exit $status

@@ -72,10 +72,10 @@ fi
 # The conv kernel's AVX2 and AVX-512 tiles keep their accumulators in
 # registers: no vector operand on the stack frame in either compilation's
 # assembly (`scripts/check_kernel_asm.sh`, DESIGN.md §21); the ocean's row
-# sweep does its arithmetic and selects at each compilation's vector width
-# (DESIGN.md §17). Those compilations exist only on x86-64, so the default
-# run skips the step elsewhere; named (`verify.sh kernel`, as CI runs it) it
-# always runs.
+# sweep and mixing tiles do their arithmetic and selects at each
+# compilation's vector width (DESIGN.md §17). Those compilations exist only
+# on x86-64, so the default run skips the step elsewhere; named (`verify.sh
+# kernel`, as CI runs it) it always runs.
 if [[ $step == kernel || ($step == all && $(uname -m) == x86_64) ]]; then
     scripts/check_kernel_asm.sh
 elif [[ $step == all ]]; then
