@@ -363,7 +363,9 @@ fn tile<const W: usize>(
         dt,
         ..
     } = *step;
-    let kmt: &[u16; W] = step.kmt[jj * stride + ii..][..W].try_into().expect("W columns");
+    let kmt: &[u16; W] = step.kmt[jj * stride + ii..][..W]
+        .try_into()
+        .expect("W columns");
     let mut depth = [0; W];
     for w in 0..W {
         depth[w] = kmt[w] as usize;
@@ -376,7 +378,9 @@ fn tile<const W: usize>(
     let row_len = stage_row_len(nlev, ni);
     let row = &stage[j * row_len..][..row_len];
     let run = |k: usize, f: usize| -> &[f64; W] {
-        row[(4 * k + f) * ni + i..][..W].try_into().expect("W columns")
+        row[(4 * k + f) * ni + i..][..W]
+            .try_into()
+            .expect("W columns")
     };
     let (x, factors) = scratch.split_at_mut(4 * nlev * W);
     let x = &mut x.as_chunks_mut::<W>().0.as_chunks_mut::<4>().0[..kmax];
@@ -487,7 +491,10 @@ mod tests {
         let dz = vec![10.0; 4];
         let k = vec![1.0; 3];
         m.diffuse_implicit(&mut x, &dz, &k, 3600.0, 0.0);
-        assert!(x.iter().all(|&v| (5.0 - 1e-9..=25.0 + 1e-9).contains(&v)), "{x:?}");
+        assert!(
+            x.iter().all(|&v| (5.0 - 1e-9..=25.0 + 1e-9).contains(&v)),
+            "{x:?}"
+        );
         // Nearly homogenised.
         assert!((x[0] - x[3]).abs() < 1.0);
     }
@@ -643,7 +650,11 @@ mod tests {
         let x = (0..depth)
             .map(|_| std::array::from_fn(|_| rng.gen_range(-2.0..35.0)))
             .collect();
-        (k_int, x, std::array::from_fn(|_| rng.gen_range(-1e-4..1e-4)))
+        (
+            k_int,
+            x,
+            std::array::from_fn(|_| rng.gen_range(-1e-4..1e-4)),
+        )
     }
 
     /// `W` random columns (those past `live` of depth 0) mixed in
@@ -685,7 +696,14 @@ mod tests {
             }
         }
         let mut factors = vec![[[f64::NAN; W]; 3]; n];
-        m.factor(&inv_dz, &inv_dzi, |k, w| k_int[k][w], depth, dt, &mut factors);
+        m.factor(
+            &inv_dz,
+            &inv_dzi,
+            |k, w| k_int[k][w],
+            depth,
+            dt,
+            &mut factors,
+        );
         m.solve(&factors, depth, dt * inv_dz[0], &mut x, flux);
 
         let mut one = vec![[[f64::NAN; 1]; 3]; nlev];

@@ -66,7 +66,11 @@ impl OcnState {
             let outside = (jj == 0 && block.j0 == 0) || (jj == nj + 1 && block.j1 == grid.nlat);
             for ii in 0..ni + 2 {
                 let gi = (block.i0 + grid.nlon + ii - 1) % grid.nlon;
-                let k = if outside { 0 } else { grid.kmt[grid.idx(gi, gj)] };
+                let k = if outside {
+                    0
+                } else {
+                    grid.kmt[grid.idx(gi, gj)]
+                };
                 kmt[jj * stride + ii] = k;
                 depth[jj * stride + ii] = dz.iter().take(k as usize).sum();
             }
@@ -81,8 +85,7 @@ impl OcnState {
         let dx_ext: Vec<f64> = (0..nj + 2)
             .map(|jj| dx_of((block.j0 + jj).saturating_sub(1)))
             .collect();
-        let dy = ap3esm_grid::EARTH_RADIUS
-            * (grid.lat[grid.nlat - 1] - grid.lat[0])
+        let dy = ap3esm_grid::EARTH_RADIUS * (grid.lat[grid.nlat - 1] - grid.lat[0])
             / (grid.nlat - 1).max(1) as f64;
         let fcor: Vec<f64> = (0..nj).map(|j| coriolis(grid.lat[block.j0 + j])).collect();
 

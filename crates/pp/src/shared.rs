@@ -104,8 +104,15 @@ pub fn for_level_chunks_mut<E, T, const K: usize>(
 {
     carve(level, n, &(0..n));
     let raw = outs.map(|out| {
-        let whole = out.len().checked_rem(level).map_or(out.is_empty(), |r| r == 0);
-        assert!(whole, "{} entries are not whole levels of {level}", out.len());
+        let whole = out
+            .len()
+            .checked_rem(level)
+            .map_or(out.is_empty(), |r| r == 0);
+        assert!(
+            whole,
+            "{} entries are not whole levels of {level}",
+            out.len()
+        );
         RawSlice {
             ptr: out.as_mut_ptr(),
             len: out.len(),
