@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 
+mod barotropic;
 pub mod eos;
 pub mod mixing;
 pub mod model;

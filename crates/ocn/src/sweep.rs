@@ -234,7 +234,7 @@ pub(crate) fn pick(c: bool, a: f64, b: f64) -> f64 {
 /// fallbacks: centred between two wet neighbours, one-sided towards a lone
 /// wet neighbour, zero with neither.
 #[inline(always)]
-fn gradient(up: (bool, f64), down: (bool, f64), here: f64, inv_d: f64) -> f64 {
+pub(crate) fn gradient(up: (bool, f64), down: (bool, f64), here: f64, inv_d: f64) -> f64 {
     let ((o_up, p_up), (o_dn, p_dn)) = (up, down);
     pick(
         o_up & o_dn,
@@ -284,7 +284,7 @@ struct Streams<'a> {
 /// The `n` values of `f` from `first` on, then the same run shifted to the
 /// east, west, north and south neighbours.
 #[inline(always)]
-fn shifted(f: &[f64], first: usize, n: usize, stride: usize) -> [&[f64]; 5] {
+pub(crate) fn shifted<T>(f: &[T], first: usize, n: usize, stride: usize) -> [&[T]; 5] {
     [first, first + 1, first - 1, first + stride, first - stride].map(|at| &f[at..][..n])
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, every workspace member's tests (the
-# root package's integration tests alone miss the per-crate unit tests, e.g.
-# the ocean's bitwise goldens), lint-clean clippy over every target (tests
-# included), rustdoc without a warning
+# Tier-1 verification: the format of the crates held to rustfmt (`ap3esm-ocn`
+# and `ap3esm-pp`; the others still drift), release build, every workspace
+# member's tests (the root package's integration tests alone miss the
+# per-crate unit tests, e.g. the ocean's bitwise goldens), lint-clean clippy
+# over every target (tests included), rustdoc without a warning
 # (a dangling intra-doc link is how a doc comment outlives the code it
 # describes), a syntax check of the two benchmark scripts (a pairing takes
 # ~10 min per workload, a point ~4 min, too long to run here; CI's
@@ -19,6 +20,7 @@ step=${1:-all}
 if [[ $step == all || $step == tier1 ]]; then
     bash -n scripts/bench_pair.sh
     bash -n scripts/bench_point.sh
+    cargo fmt --check -p ap3esm-ocn -p ap3esm-pp
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
@@ -72,7 +74,7 @@ fi
 # The conv kernel's AVX2 and AVX-512 tiles keep their accumulators in
 # registers: no vector operand on the stack frame in either compilation's
 # assembly (`scripts/check_kernel_asm.sh`, DESIGN.md §21); the ocean's row
-# sweep and mixing tiles do their arithmetic and selects at each
+# sweep, mixing and barotropic tiles do their arithmetic and selects at each
 # compilation's vector width (DESIGN.md §17). Those compilations exist only
 # on x86-64, so the default run skips the step elsewhere; named (`verify.sh
 # kernel`, as CI runs it) it always runs.
